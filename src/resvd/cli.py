@@ -3,8 +3,9 @@
 Subcommands: ``compress`` (plan, factor the tail, write model + reports),
 ``plan`` (candidate table only), ``analyze`` (layer-wise error CSV for a
 model pair), ``verify`` (theory oracles, JSON report), and ``gen-demo``
-(seeded demo workload). Exit codes: 0 success, 2 parse or format
-problems, 3 infeasible budget, 4 numerical failure.
+(seeded demo workload). Exit codes: 0 success, 1 a failed ``verify`` or
+any other compression error, 2 parse or format problems (including NaN or
+infinite calibration values), 3 infeasible budget, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .calibration import CalibrationSet
 from .containers import (
+    format_error_report,
     load_calibration_auto,
     load_model,
     save_error_report,
@@ -44,24 +46,6 @@ EXIT_FAILED = 1
 EXIT_FORMAT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Invocation echo written into every report for provenance."""
-
-    overall_ratio: float | None = None
-    beta: float = 0.05
-    step: int = 1
-    calib_samples: int = 256
-    seed: int = 0
-    model_path: str | None = None
-    calib_path: str | None = None
-    out_path: str | None = None
-    out_dtype: str = "f64"
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _tool() -> dict:
@@ -117,23 +101,22 @@ def _load_calib(path: str, samples: int, seed: int) -> CalibrationSet:
 
 def _effective_beta(args: argparse.Namespace) -> float:
     # --baseline is shorthand for a zero residual share; keep the echo in sync
-    if getattr(args, "baseline", False):
-        return 0.0
-    return getattr(args, "beta", 0.05)
+    return 0.0 if args.baseline else args.beta
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        overall_ratio=getattr(args, "ratio", None),
-        beta=_effective_beta(args),
-        step=getattr(args, "step", 1),
-        calib_samples=getattr(args, "samples", 256),
-        seed=getattr(args, "seed", 0),
-        model_path=getattr(args, "model", None),
-        calib_path=getattr(args, "calib", None),
-        out_path=getattr(args, "out", None),
-        out_dtype=getattr(args, "dtype", "f64"),
-    )
+def _run_config(args: argparse.Namespace) -> dict:
+    """Invocation echo written into compress's manifest and plan for provenance."""
+    return {
+        "overall_ratio": args.ratio,
+        "beta": _effective_beta(args),
+        "step": args.step,
+        "calib_samples": args.samples,
+        "seed": args.seed,
+        "model_path": args.model,
+        "calib_path": args.calib,
+        "out_path": args.out,
+        "out_dtype": args.dtype,
+    }
 
 
 def _planner_config(args: argparse.Namespace) -> PlannerConfig:
@@ -166,7 +149,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         "n_layers": chosen.n_layers,
         "chosen_error": chosen.chosen_error,
         "tool": _tool(),
-        "config": run.as_dict(),
+        "config": run,
     }
     if args.dtype != "f64":
         layers = tuple(
@@ -183,7 +166,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     save_model(compressed, out)
-    save_plan(chosen, out / "plan.json", tool=_tool(), config=run.as_dict())
+    save_plan(chosen, out / "plan.json", tool=_tool(), config=run)
     report = layerwise_error(model, compressed, calib)
     save_error_report([err for _, err in report.per_layer], out / "errors.csv")
     print(f"compressed {chosen.k}/{chosen.n_layers} layers at "
@@ -213,9 +196,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     compressed = load_model(args.compressed)
     calib = _load_calib(args.calib, args.samples, args.seed)
     report = layerwise_error(original, compressed, calib)
-    lines = ["layer_index,relative_error"]
-    lines += ["%d,%.17g" % (idx, err) for idx, err in report.per_layer]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(format_error_report([err for _, err in report.per_layer]), args.out)
     return EXIT_OK
 
 
@@ -224,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "format": "resvd-verify",
         "tool": _tool(),
-        "config": _run_config(args).as_dict(),
+        "config": {"trials": args.trials, "seed": args.seed, "out_path": args.out},
         "trials": args.trials,
         "seed": args.seed,
         "suites": [r.as_dict() for r in reports],

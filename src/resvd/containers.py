@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationSet
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 from .linalg import FactorPair
 from .model import ACTIVATIONS, STORE_DTYPES, Layer, MatrixEntry, SequentialModel
 from .planner import CandidateResult, CompressionPlan
@@ -53,6 +53,21 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise FormatError(f"{where}: missing key {key!r}")
     return doc[key]
+
+
+def _require_typed(doc: dict, key: str, where: str, kind: type, what: str):
+    """``doc[key]`` when it is a ``kind``; JSON true/false never pass as integers."""
+    value = _require(doc, key, where)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise FormatError(f"{where}: {key} must be {what}, got {value!r}")
+    return value
+
+
+def _require_objects(doc: dict, key: str, where: str) -> list[dict]:
+    value = _require(doc, key, where)
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise FormatError(f"{where}: {key} must be a list of objects")
+    return value
 
 
 # --- model directories ---
@@ -122,14 +137,14 @@ def _read_tensor(root: Path, entry_doc: dict, where: str) -> np.ndarray:
 
 
 def _load_entry(root: Path, entry_doc: dict, where: str) -> MatrixEntry:
-    name = _require(entry_doc, "name", where)
-    rows = _require(entry_doc, "rows", where)
-    cols = _require(entry_doc, "cols", where)
+    name = _require_typed(entry_doc, "name", where, str, "a string")
+    rows = _require_typed(entry_doc, "rows", where, int, "an integer")
+    cols = _require_typed(entry_doc, "cols", where, int, "an integer")
     dtype = _require(entry_doc, "dtype", where)
     kind = _require(entry_doc, "kind", where)
     if dtype not in STORE_DTYPES:
         raise FormatError(f"{where}: unknown dtype {dtype!r}")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if rows < 1 or cols < 1:
         raise FormatError(f"{where}: bad shape {rows!r} x {cols!r}")
     flat = _read_tensor(root, entry_doc, where)
     if kind == "dense":
@@ -140,8 +155,8 @@ def _load_entry(root: Path, entry_doc: dict, where: str) -> MatrixEntry:
         dense = flat.reshape(rows, cols).astype(np.float64)
         return MatrixEntry(name=name, rows=rows, cols=cols, dense=dense, store_dtype=dtype)
     if kind == "factored":
-        rank = _require(entry_doc, "rank", where)
-        if not (isinstance(rank, int) and 1 <= rank <= min(rows, cols)):
+        rank = _require_typed(entry_doc, "rank", where, int, "an integer")
+        if not 1 <= rank <= min(rows, cols):
             raise FormatError(f"{where}: bad rank {rank!r} for {rows}x{cols}")
         want = rows * rank + rank * cols
         if flat.size != want:
@@ -163,28 +178,32 @@ def load_model(path: str | Path) -> SequentialModel:
     except json.JSONDecodeError as exc:
         raise FormatError(f"{mpath}: not valid JSON ({exc})") from exc
     where = str(mpath)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: manifest must be a JSON object")
     if _require(doc, "format", where) != MODEL_FORMAT:
         raise FormatError(f"{where}: format is {doc['format']!r}, expected {MODEL_FORMAT!r}")
     if _require(doc, "version", where) != MODEL_VERSION:
         raise FormatError(f"{where}: unsupported version {doc['version']!r}")
-    input_dim = _require(doc, "input_dim", where)
+    input_dim = _require_typed(doc, "input_dim", where, int, "an integer")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise FormatError(f"{where}: meta must be an object")
-    layers = []
-    for ldoc in _require(doc, "layers", where):
-        lname = _require(ldoc, "name", where)
-        activation = _require(ldoc, "activation", where)
-        if activation not in ACTIVATIONS:
-            raise FormatError(f"{where}: unknown activation {activation!r}")
-        entries = tuple(
-            _load_entry(root, edoc, f"{where} [{lname}]")
-            for edoc in _require(ldoc, "matrices", where)
-        )
-        layers.append(Layer(name=lname, entries=entries, activation=activation))
+    # the model classes re-check names, widths and chains; a manifest that
+    # fails them is malformed input, not a compression failure
     try:
+        layers = []
+        for ldoc in _require_objects(doc, "layers", where):
+            lname = _require_typed(ldoc, "name", where, str, "a string")
+            activation = _require(ldoc, "activation", where)
+            if activation not in ACTIVATIONS:
+                raise FormatError(f"{where}: unknown activation {activation!r}")
+            entries = tuple(
+                _load_entry(root, edoc, f"{where} [{lname}]")
+                for edoc in _require_objects(ldoc, "matrices", f"{where} [{lname}]")
+            )
+            layers.append(Layer(name=lname, entries=entries, activation=activation))
         return SequentialModel(layers=tuple(layers), input_dim=input_dim, meta=meta)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, DimensionError) as exc:
         raise FormatError(f"{where}: inconsistent model ({exc})") from exc
 
 
@@ -214,6 +233,9 @@ def load_calibration(path: str | Path) -> CalibrationSet:
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: empty calibration set")
     samples = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: row {bad[0] + 1} holds a non-finite value")
     return CalibrationSet(samples=samples.astype(np.float64), source=str(path))
 
 
@@ -224,20 +246,25 @@ def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
 
 def load_calibration_csv(path: str | Path) -> CalibrationSet:
     rows: list[list[float]] = []
+    line_numbers: list[int] = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: not numeric ({exc})") from exc
+        if rows and len(row) != len(rows[0]):
+            raise FormatError(f"{path}:{ln}: expected {len(rows[0])} columns, got {len(row)}")
+        rows.append(row)
+        line_numbers.append(ln)
     if not rows:
         raise FormatError(f"{path}: no samples")
-    width = len(rows[0])
-    for ln, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise FormatError(f"{path}:{ln}: expected {width} columns, got {len(row)}")
-    return CalibrationSet(samples=np.array(rows, dtype=np.float64), source=str(path))
+    samples = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}:{line_numbers[bad[0]]}: non-finite value")
+    return CalibrationSet(samples=samples, source=str(path))
 
 
 def load_calibration_auto(path: str | Path) -> CalibrationSet:
@@ -325,11 +352,15 @@ def load_plan(path: str | Path) -> CompressionPlan:
 # --- layer error reports ---
 
 
-def save_error_report(per_layer: tuple[float, ...] | list[float], path: str | Path) -> None:
+def format_error_report(per_layer: tuple[float, ...] | list[float]) -> str:
     """CSV with a fixed header; values keep full precision, nan is legal."""
     lines = [ERROR_CSV_HEADER]
     lines += ["%d,%.17g" % (i, v) for i, v in enumerate(per_layer, start=1)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_error_report(per_layer: tuple[float, ...] | list[float], path: str | Path) -> None:
+    Path(path).write_text(format_error_report(per_layer))
 
 
 def load_error_report(path: str | Path) -> list[float]:

@@ -10,8 +10,6 @@ with the lowest error wins, ties going to the smaller ``k``.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,15 +140,6 @@ def compress_tail_layers(
     return SequentialModel(layers=tuple(layers), input_dim=model.input_dim, meta=dict(model.meta))
 
 
-def _worker_cap(n_tasks: int) -> int:
-    env = os.environ.get("ERC_THREADS", "").strip()
-    if env:
-        cap = max(1, int(env))
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
     """Score every feasible tail-layer candidate and pick the error argmin.
 
@@ -161,8 +150,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
     contexts = whitening_contexts(model, capture_activations(model, calib))
 
-    def evaluate(cand: tuple[int, float]) -> CandidateResult:
-        k, ratio = cand
+    def evaluate(k: int, ratio: float) -> CandidateResult:
         try:
             trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
             err = layerwise_error(model, trial, calib).final_error
@@ -174,21 +162,11 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
                                    status="failed", reason="final-layer error undefined")
         return CandidateResult(k=k, layer_ratio=ratio, final_error=err)
 
-    workers = _worker_cap(len(candidates))
-    if workers == 1:
-        table = [evaluate(c) for c in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = list(pool.map(evaluate, candidates))  # preserves ascending-k order
-
-    best: CandidateResult | None = None
-    for row in table:
-        if row.status != "ok":
-            continue
-        if best is None or row.final_error < best.final_error:
-            best = row
-    if best is None:
+    table = [evaluate(k, ratio) for k, ratio in candidates]
+    scored = [row for row in table if row.status == "ok"]
+    if not scored:
         raise InfeasiblePlanError("every candidate failed during trial compression")
+    best = min(scored, key=lambda row: row.final_error)  # first minimum: ties go to smaller k
     return CompressionPlan(
         k=best.k,
         layer_ratio=best.layer_ratio,

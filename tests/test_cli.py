@@ -161,6 +161,47 @@ class TestCompress:
         assert a["chosen_error"] == b["chosen_error"]
 
 
+MALFORMED_MANIFESTS = {
+    "layers-not-a-list": lambda doc: doc.update(layers=3),
+    "layer-not-an-object": lambda doc: doc.update(layers=[3]),
+    "matrices-not-a-list": lambda doc: doc["layers"][0].update(matrices=5),
+    "layer-name-not-a-string": lambda doc: doc["layers"][0].update(name=3),
+    "matrix-name-not-a-string": lambda doc: doc["layers"][0]["matrices"][0].update(name=3),
+    "rows-is-a-bool": lambda doc: doc["layers"][0]["matrices"][0].update(rows=True),
+    "input-dim-is-a-string": lambda doc: doc.update(input_dim="16"),
+    "input-dim-is-a-bool": lambda doc: doc.update(input_dim=True),
+    "input-dim-mismatch": lambda doc: doc.update(input_dim=8),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("mutate", MALFORMED_MANIFESTS.values(),
+                             ids=MALFORMED_MANIFESTS.keys())
+    def test_manifest_is_a_one_line_format_error(self, tmp_path, capsys, mutate):
+        demo = gen_demo(tmp_path / "demo", layers=4, width=16, samples=24)
+        manifest = demo / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        mutate(doc)
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("resvd: format error:")
+
+    def test_non_finite_csv_calibration_exits_2(self, tmp_path, capsys):
+        demo = gen_demo(tmp_path / "demo", width=4, samples=8)
+        calib = tmp_path / "c.csv"
+        calib.write_text("1,2,3,4\n5,nan,7,8\n")
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", str(calib), "--ratio", "0.2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"resvd: format error: {calib}:2: non-finite value\n"
+
+
 class TestPlanCommand:
     def test_csv_ascending_and_matches_compress(self, tmp_path, capsys):
         demo = gen_demo(tmp_path / "demo")
@@ -267,7 +308,7 @@ class TestVerify:
             assert "tolerance" in suite
             assert suite["passed"] is True
         assert doc["tool"]["name"] == "resvd"
-        assert "config" in doc
+        assert doc["config"] == {"trials": 20, "seed": 0, "out_path": str(dest)}
 
     def test_trials_zero_rejected(self):
         assert main(["verify", "--trials", "0"]) == 2

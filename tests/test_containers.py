@@ -235,6 +235,15 @@ class TestCalibrationContainer:
         with pytest.raises(FormatError, match="short"):
             load_calibration(tmp_path / "c.bin")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        payload = np.arange(6, dtype="<f8")
+        payload[4] = bad
+        blob = struct.pack("<4sIQQ", b"ERCC", 1, 2, 3) + payload.tobytes()
+        (tmp_path / "c.bin").write_bytes(blob)
+        with pytest.raises(FormatError, match=r"c\.bin: row 2 holds a non-finite value"):
+            load_calibration(tmp_path / "c.bin")
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
         calib = CalibrationSet(samples=rng.standard_normal((9, 4)))
@@ -250,6 +259,13 @@ class TestCalibrationContainer:
     def test_csv_non_numeric(self, tmp_path):
         (tmp_path / "c.csv").write_text("1,2\n3,oops\n")
         with pytest.raises(FormatError, match="numeric"):
+            load_calibration_csv(tmp_path / "c.csv")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_csv_non_finite_rejected(self, tmp_path, token):
+        # the blank line makes the file line (3) differ from the row index (2)
+        (tmp_path / "c.csv").write_text(f"1,2\n\n3,{token}\n")
+        with pytest.raises(FormatError, match=r"c\.csv:3: non-finite value"):
             load_calibration_csv(tmp_path / "c.csv")
 
     def test_csv_empty(self, tmp_path):

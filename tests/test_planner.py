@@ -183,17 +183,6 @@ class TestPlan:
             chosen = plan(model, calib, PlannerConfig(overall_ratio=ratio))
             assert chosen.k * chosen.layer_ratio_exact == Fraction(ratio) * 8
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        model = make_mlp(rng, 5, 12)
-        calib = make_calib(rng, 40, 12)
-        cfg = PlannerConfig(overall_ratio=0.3)
-        monkeypatch.setenv("ERC_THREADS", "1")
-        serial = plan(model, calib, cfg)
-        monkeypatch.setenv("ERC_THREADS", "3")
-        threaded = plan(model, calib, cfg)
-        assert serial == threaded
-
     def test_failed_candidates_are_tabulated_not_fatal(self, monkeypatch):
         rng = np.random.default_rng(25)
         model = make_mlp(rng, 5, 12)
@@ -206,7 +195,6 @@ class TestPlan:
             return real(model, contexts, k, layer_ratio, beta)
 
         monkeypatch.setattr(planner_mod, "compress_tail_layers", flaky)
-        monkeypatch.setenv("ERC_THREADS", "1")
         chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3))
         failed = [row for row in chosen.candidate_table if row.status == "failed"]
         assert [row.k for row in failed] == [2]
@@ -223,7 +211,6 @@ class TestPlan:
             raise CompressionError("nope")
 
         monkeypatch.setattr(planner_mod, "compress_tail_layers", broken)
-        monkeypatch.setenv("ERC_THREADS", "1")
         with pytest.raises(InfeasiblePlanError):
             plan(model, calib, PlannerConfig(overall_ratio=0.3))
 
