@@ -9,7 +9,7 @@ activation-weighted output loss, and weights are reconstructed through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -53,11 +53,17 @@ class CalibrationSet:
 
 @dataclass(frozen=True)
 class ScalingContext:
-    """Whitening matrix S (lower-triangular, positive diagonal) and its inverse."""
+    """Whitening matrix S (lower-triangular, positive diagonal) and its inverse.
+
+    ``whitened`` caches ``svd(W S)`` for the last weight array factored
+    against this context (see :func:`resvd.compensation.whitened_svd`), so
+    repeated trials on one weight decompose it once.
+    """
 
     s: np.ndarray
     s_inv: np.ndarray
     ridge: float
+    whitened: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.s.shape[0]

@@ -1,11 +1,13 @@
 """Command-line surface.
 
-Subcommands: ``compress`` (plan, factor the tail, write model + reports),
+Subcommands: ``compress`` (plan, then write the plan's winning trial model
+and its per-layer error report, so nothing is recomputed after planning),
 ``plan`` (candidate table only), ``analyze`` (layer-wise error CSV for a
 model pair), ``verify`` (theory oracles, JSON report), and ``gen-demo``
 (seeded demo workload). Exit codes: 0 success, 1 a failed ``verify`` or
 any other compression error, 2 parse or format problems (including NaN or
-infinite calibration values), 3 infeasible budget, 4 numerical failure.
+infinite values in calibration or tensor files), 3 infeasible budget, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .errors import (
 )
 from .model import STORE_DTYPES, layerwise_error
 from .oracle import run_all
-from .planner import CompressionPlan, PlannerConfig, compress_model, plan
+from .planner import CompressionPlan, PlannerConfig, plan
+# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 6).
+from .planner import compress_model  # noqa: F401
 
 PLAN_CSV_HEADER = "k,layer_ratio,final_error"
 
@@ -138,7 +142,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     run = _run_config(args)
 
     chosen = plan(model, calib, cfg)
-    compressed = compress_model(model, calib, chosen)
+    compressed = chosen.compressed
     meta = dict(compressed.meta)
     meta["compression"] = {
         "k": chosen.k,
@@ -167,8 +171,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     out = Path(args.out)
     save_model(compressed, out)
     save_plan(chosen, out / "plan.json", tool=_tool(), config=run)
-    report = layerwise_error(model, compressed, calib)
-    save_error_report([err for _, err in report.per_layer], out / "errors.csv")
+    save_error_report(chosen.layer_errors, out / "errors.csv")
     print(f"compressed {chosen.k}/{chosen.n_layers} layers at "
           f"layer_ratio={chosen.layer_ratio:.6g}, "
           f"final_error={chosen.chosen_error:.6g} -> {out}")

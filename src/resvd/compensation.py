@@ -21,7 +21,7 @@ import numpy as np
 
 from .calibration import ScalingContext
 from .errors import DimensionError
-from .linalg import FactorPair, as_matrix, rank_budget, svd, truncate
+from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, svd, truncate
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,25 @@ class CompensationConfig:
             raise ValueError(f"beta must be in [0, 1), got {self.beta!r}")
 
 
+def whitened_svd(w: np.ndarray, ctx: ScalingContext, name: str = "matrix") -> SvdFactors:
+    """Sign-fixed ``svd(W S)``; no rank enters it, so every budget shares it.
+
+    ``ctx`` keeps the result for ``w``: asking again with the same array
+    returns it without a second decomposition.
+    """
+    hit = ctx.whitened.get(id(w))
+    if hit is not None:  # the entry holds ``w`` itself, so the id was not reused
+        return hit[1]
+    factors = svd(w @ ctx.s, name=f"{name} (whitened)")
+    ctx.whitened.clear()  # one weight per context: hold at most one factorization
+    ctx.whitened[id(w)] = (w, factors)
+    return factors
+
+
 def _whitened_stage(w: np.ndarray, ctx: ScalingContext, r: int, name: str) -> FactorPair:
     # Truncate WS, then absorb S^{-1} into the right factor so that
     # u_hat @ v_hat == SVD_r(WS) S^{-1} exactly.
-    pair = truncate(svd(w @ ctx.s, name=f"{name} (whitened)"), r)
+    pair = truncate(whitened_svd(w, ctx, name), r)
     return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ ctx.s_inv, rank=r)
 
 

@@ -126,14 +126,19 @@ def save_model(model: SequentialModel, path: str | Path) -> None:
     (root / "manifest.json").write_text(_dump_json(doc))
 
 
-def _read_tensor(root: Path, entry_doc: dict, where: str) -> np.ndarray:
+def _read_tensor(root: Path, entry_doc: dict, where: str, name: str) -> np.ndarray:
     fname = _require(entry_doc, "file", where)
     if not isinstance(fname, str) or not _FILE_RE.match(fname):
         raise FormatError(f"{where}: bad tensor file name {fname!r}")
     fpath = root / fname
     if not fpath.is_file():
         raise FormatError(f"{where}: tensor file {fname} is missing")
-    return np.frombuffer(fpath.read_bytes(), dtype=_NP_DTYPE[entry_doc["dtype"]])
+    flat = np.frombuffer(fpath.read_bytes(), dtype=_NP_DTYPE[entry_doc["dtype"]])
+    if not np.isfinite(flat).all():
+        raise FormatError(
+            f"{where}: tensor file {fname} of matrix {name!r} holds a non-finite value"
+        )
+    return flat
 
 
 def _load_entry(root: Path, entry_doc: dict, where: str) -> MatrixEntry:
@@ -146,7 +151,7 @@ def _load_entry(root: Path, entry_doc: dict, where: str) -> MatrixEntry:
         raise FormatError(f"{where}: unknown dtype {dtype!r}")
     if rows < 1 or cols < 1:
         raise FormatError(f"{where}: bad shape {rows!r} x {cols!r}")
-    flat = _read_tensor(root, entry_doc, where)
+    flat = _read_tensor(root, entry_doc, where, name)
     if kind == "dense":
         if flat.size != rows * cols:
             raise FormatError(

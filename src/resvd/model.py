@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -196,6 +196,30 @@ def forward(model: SequentialModel, x) -> list[np.ndarray]:
     return outputs
 
 
+def tail_errors(
+    model: SequentialModel,
+    k: int,
+    x,
+    reference: Sequence[np.ndarray],
+    reference_norms: Sequence[float],
+) -> list[float]:
+    """Relative output error of each of the last ``k`` layers, fed ``x`` as their input.
+
+    ``reference`` and ``reference_norms`` hold those layers' expected outputs
+    and the outputs' Frobenius norms. The arithmetic is that of
+    :func:`layerwise_error`, so equal inputs give bit-identical errors.
+    """
+    got = tail_outputs(model, k, x)
+    return [_relative_error(y, y_ref, norm)
+            for y, y_ref, norm in zip(got, reference, reference_norms, strict=True)]
+
+
+def tail_outputs(model: SequentialModel, k: int, x) -> list[np.ndarray]:
+    """Outputs of the last ``k`` layers, fed ``x`` as the input of layer ``N-k``."""
+    layers = model.layers[model.n_layers - k :]
+    return forward(SequentialModel(layers=layers, input_dim=layers[0].input_dim), x)
+
+
 def parameter_count(model: SequentialModel) -> int:
     return sum(e.param_count for layer in model.layers for e in layer.entries)
 
@@ -219,6 +243,13 @@ def same_skeleton(a: SequentialModel, b: SequentialModel) -> bool:
     return True
 
 
+def _relative_error(got: np.ndarray, ref: np.ndarray, ref_norm: float) -> float:
+    """``||got - ref|| / ||ref||``, or nan where the reference norm is zero."""
+    if ref_norm == 0.0:
+        return math.nan
+    return float(np.linalg.norm(got - ref)) / ref_norm
+
+
 def layerwise_error(
     original: SequentialModel,
     compressed: SequentialModel,
@@ -236,13 +267,10 @@ def layerwise_error(
         raise DimensionError("models do not share an architecture skeleton")
     ref = forward(original, calib.samples)
     got = forward(compressed, calib.samples)
-    per_layer = []
-    for i, (y_ref, y_got) in enumerate(zip(ref, got), start=1):
-        denom = float(np.linalg.norm(y_ref))
-        if denom == 0.0:
-            per_layer.append((i, math.nan))
-        else:
-            per_layer.append((i, float(np.linalg.norm(y_got - y_ref)) / denom))
+    per_layer = [
+        (i, _relative_error(y_got, y_ref, float(np.linalg.norm(y_ref))))
+        for i, (y_ref, y_got) in enumerate(zip(ref, got), start=1)
+    ]
     return LayerwiseErrorReport(
         per_layer=tuple(per_layer),
         final_error=per_layer[-1][1],

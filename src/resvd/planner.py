@@ -5,19 +5,33 @@ Only the last ``k`` of ``N`` layers are compressed; the layer ratio
 Each candidate ``k`` is scored by compressing a trial copy and measuring the
 final layer's relative output error on the calibration set; the candidate
 with the lowest error wins, ties going to the smaller ``k``.
+
+What does not depend on ``k`` is computed once per (model, calibration)
+pair by :func:`calibrate`: one activation capture, one whitening context per
+matrix, and each layer's reference output and its norm. The contexts also
+keep each matrix's whitened SVD ``svd(W S)`` once a trial has computed it.
+A candidate therefore only truncates cached factors, runs the residual stage
+for its own ``r_i``, and runs forward through its ``k`` tail layers from the
+captured input of layer ``N-k``; the untouched prefix layers score exactly
+zero. The plan keeps the winning trial model and its per-layer errors, so
+``compress`` writes them without rebuilding either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .calibration import CalibrationSet, ScalingContext, capture_activations, whitening_contexts
 from .compensation import CompensationConfig, compress_matrix
 from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError
 from .linalg import rank_budget
-from .model import Layer, MatrixEntry, SequentialModel, layerwise_error
+from .model import Layer, MatrixEntry, SequentialModel, tail_errors, tail_outputs
+# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 6).
+from .model import layerwise_error  # noqa: F401
 
 LayerShapes = list[list[tuple[int, int]]]
 
@@ -57,6 +71,10 @@ class CompressionPlan:
     overall_ratio: float
     beta: float
     seed: int
+    # The winning trial and its per-layer errors, held in memory for
+    # ``compress``; plan files never store them.
+    compressed: SequentialModel | None = field(default=None, compare=False, repr=False)
+    layer_errors: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def layer_ratio_exact(self) -> Fraction:
@@ -140,42 +158,93 @@ def compress_tail_layers(
     return SequentialModel(layers=tuple(layers), input_dim=model.input_dim, meta=dict(model.meta))
 
 
+@dataclass(frozen=True, eq=False)
+class CalibratedModel:
+    """The part of every trial that does not depend on ``k``; see :func:`calibrate`.
+
+    ``inputs[i]`` is what layer ``i`` receives on the calibration set and
+    ``reference[i]`` what it outputs, so ``reference[i] is inputs[i + 1]``.
+    """
+
+    model: SequentialModel
+    contexts: dict[str, ScalingContext]
+    inputs: tuple[np.ndarray, ...]
+    reference: tuple[np.ndarray, ...]
+    reference_norms: tuple[float, ...]
+
+    def layer_errors(self, trial: SequentialModel, k: int) -> tuple[float, ...]:
+        """Per-layer relative errors of a trial that factored only the last ``k`` layers.
+
+        Bit-identical to ``layerwise_error(model, trial, calib)``: the trial
+        shares the prefix layers, so their outputs equal the reference and
+        only the tail needs a forward pass.
+        """
+        split = self.model.n_layers - k
+        prefix = [math.nan if norm == 0.0 else 0.0 for norm in self.reference_norms[:split]]
+        tail = tail_errors(trial, k, self.inputs[split],
+                           self.reference[split:], self.reference_norms[split:])
+        return tuple(prefix + tail)
+
+
+def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
+    """Capture activations once, whiten every matrix, and record each layer's output.
+
+    A layer's output is the captured input of the next one; only the last
+    layer takes one extra forward pass.
+    """
+    captured = capture_activations(model, calib)
+    inputs = tuple(captured[f"{layer.name}/{layer.entries[0].name}"] for layer in model.layers)
+    reference = inputs[1:] + tuple(tail_outputs(model, 1, inputs[-1]))
+    return CalibratedModel(
+        model=model,
+        contexts=whitening_contexts(model, captured),
+        inputs=inputs,
+        reference=reference,
+        reference_norms=tuple(float(np.linalg.norm(y)) for y in reference),
+    )
+
+
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
     """Score every feasible tail-layer candidate and pick the error argmin.
 
-    Whitening contexts come from the original model's activations once and
-    are shared by every trial. Candidates whose compression fails are kept
-    in the table as failed rows and skipped by the argmin.
+    The calibrated state is built once and shared by every trial.
+    Candidates whose compression fails are kept in the table as failed rows
+    and skipped by the argmin. The plan carries the winning trial model and
+    its per-layer errors.
     """
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
-    contexts = whitening_contexts(model, capture_activations(model, calib))
-
-    def evaluate(k: int, ratio: float) -> CandidateResult:
+    state = calibrate(model, calib)
+    table: list[CandidateResult] = []
+    best = None
+    for k, ratio in candidates:
         try:
-            trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
-            err = layerwise_error(model, trial, calib).final_error
+            trial = compress_tail_layers(model, state.contexts, k, ratio, cfg.beta)
+            errors = state.layer_errors(trial, k)
         except CompressionError as exc:
-            return CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
-                                   status="failed", reason=str(exc))
-        if math.isnan(err):
-            return CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
-                                   status="failed", reason="final-layer error undefined")
-        return CandidateResult(k=k, layer_ratio=ratio, final_error=err)
-
-    table = [evaluate(k, ratio) for k, ratio in candidates]
-    scored = [row for row in table if row.status == "ok"]
-    if not scored:
+            table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
+                                         status="failed", reason=str(exc)))
+            continue
+        if math.isnan(errors[-1]):
+            table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
+                                         status="failed", reason="final-layer error undefined"))
+            continue
+        table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=errors[-1]))
+        if best is None or errors[-1] < best[0].final_error:  # ties go to the smaller k
+            best = (table[-1], trial, errors)
+    if best is None:
         raise InfeasiblePlanError("every candidate failed during trial compression")
-    best = min(scored, key=lambda row: row.final_error)  # first minimum: ties go to smaller k
+    row, trial, errors = best
     return CompressionPlan(
-        k=best.k,
-        layer_ratio=best.layer_ratio,
+        k=row.k,
+        layer_ratio=row.layer_ratio,
         candidate_table=tuple(table),
-        chosen_error=best.final_error,
+        chosen_error=row.final_error,
         n_layers=model.n_layers,
         overall_ratio=cfg.overall_ratio,
         beta=cfg.beta,
         seed=cfg.seed,
+        compressed=trial,
+        layer_errors=errors,
     )
 
 
@@ -190,7 +259,7 @@ def compress_model(
         raise CompressionError(
             f"plan was made for {chosen.n_layers} layers, model has {model.n_layers}"
         )
-    contexts = whitening_contexts(model, capture_activations(model, calib))
+    contexts = calibrate(model, calib).contexts
     return compress_tail_layers(
         model, contexts, chosen.k, chosen.layer_ratio, chosen.beta if beta is None else beta
     )

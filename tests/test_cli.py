@@ -14,6 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import resvd.calibration
+import resvd.compensation
+import resvd.planner
 from resvd.cli import main
 from resvd.containers import load_calibration, load_model, load_plan
 from resvd.model import forward
@@ -115,6 +118,37 @@ class TestCompress:
         assert main(args) == 0
         assert dir_bytes(out) == first
 
+    def test_each_quantity_computed_once(self, tmp_path, monkeypatch):
+        demo = gen_demo(tmp_path / "demo", layers=6, width=16, samples=48)
+        calls = {"capture": 0, "whiten": 0, "whitened_svd": []}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def svd(w, name="matrix"):
+            if name.endswith(" (whitened)"):
+                calls["whitened_svd"].append(name.removesuffix(" (whitened)"))
+            return real_svd(w, name=name)
+
+        real_svd = resvd.compensation.svd
+        monkeypatch.setattr(resvd.planner, "capture_activations",
+                            counting("capture", resvd.planner.capture_activations))
+        monkeypatch.setattr(resvd.calibration, "whiten",
+                            counting("whiten", resvd.calibration.whiten))
+        monkeypatch.setattr(resvd.compensation, "svd", svd)
+        out = tmp_path / "out"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+
+        k_max = max(c["k"] for c in json.loads((out / "plan.json").read_text())["candidates"])
+        tail = {f"layer{i}/w" for i in range(6 - k_max, 6)}
+        assert calls["capture"] == 1
+        assert calls["whiten"] == 6  # one per matrix
+        assert sorted(calls["whitened_svd"]) == sorted(tail)  # each tail matrix once
+
     def test_f32_output(self, tmp_path):
         demo = gen_demo(tmp_path / "demo")
         out = tmp_path / "out"
@@ -190,6 +224,20 @@ class TestMalformedInput:
         assert rc == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("resvd: format error:")
+
+    def test_non_finite_tensor_exits_2(self, tmp_path, capsys):
+        demo = gen_demo(tmp_path / "demo", layers=4, width=16, samples=24)
+        tensor = demo / "layer1__w.bin"
+        values = np.frombuffer(tensor.read_bytes(), dtype="<f8").copy()
+        values[5] = math.nan
+        tensor.write_bytes(values.tobytes())
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"resvd: format error: {demo / 'manifest.json'} [layer1]: tensor file "
+                       "layer1__w.bin of matrix 'w' holds a non-finite value\n")
 
     def test_non_finite_csv_calibration_exits_2(self, tmp_path, capsys):
         demo = gen_demo(tmp_path / "demo", width=4, samples=8)
@@ -277,15 +325,27 @@ class TestAnalyze:
         assert all(v > 1e-12 for v in vals[prefix:])
         assert vals[-1] == plan_doc["chosen_error"]
 
-    def test_matches_errors_csv_artifact(self, tmp_path):
+    @staticmethod
+    def _errors_csv_pair(tmp_path, compress_flags=(), sampling=()) -> tuple[bytes, bytes]:
+        """compress's errors.csv (the winning trial's errors) and analyze's fresh CSV."""
         demo = gen_demo(tmp_path / "demo")
         out = tmp_path / "out"
-        main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
-              "--ratio", "0.25", "--out", str(out)])
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.25", "--dtype", "f64", "--out", str(out),
+                     *compress_flags, *sampling]) == 0
         dest = tmp_path / "recheck.csv"
-        main(["analyze", "--original", str(demo), "--compressed", str(out),
-              "--calib", str(demo / "calib.bin"), "--out", str(dest)])
-        assert dest.read_text() == (out / "errors.csv").read_text()
+        assert main(["analyze", "--original", str(demo), "--compressed", str(out),
+                     "--calib", str(demo / "calib.bin"), "--out", str(dest), *sampling]) == 0
+        return (out / "errors.csv").read_bytes(), dest.read_bytes()
+
+    def test_matches_errors_csv_artifact(self, tmp_path):
+        stored, fresh = self._errors_csv_pair(tmp_path)
+        assert stored == fresh
+
+    def test_matches_errors_csv_artifact_baseline_subsampled(self, tmp_path):
+        stored, fresh = self._errors_csv_pair(tmp_path, ["--baseline"],
+                                              ["--samples", "40", "--seed", "3"])
+        assert stored == fresh
 
     def test_skeleton_mismatch_is_an_error(self, tmp_path):
         a = gen_demo(tmp_path / "a", layers=4)

@@ -159,6 +159,21 @@ class TestModelDir:
         with pytest.raises(FormatError, match="file holds"):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("store_dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("fname", ["front__w.bin", "back__w.bin"])  # dense, factored
+    def test_non_finite_tensor_rejected(self, tmp_path, bad, store_dtype, fname):
+        rng = np.random.default_rng(11)
+        save_model(small_model(rng, store_dtype), tmp_path / "m")
+        path = tmp_path / "m" / fname
+        dtype = {"f64": "<f8", "f32": "<f4"}[store_dtype]
+        values = np.frombuffer(path.read_bytes(), dtype=dtype).copy()
+        values[3] = bad
+        path.write_bytes(values.tobytes())
+        with pytest.raises(FormatError,
+                           match=rf"tensor file {fname} of matrix 'w' holds a non-finite value"):
+            load_model(tmp_path / "m")
+
     def test_unknown_activation(self, tmp_path):
         rng = np.random.default_rng(8)
         save_model(small_model(rng), tmp_path / "m")

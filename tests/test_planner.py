@@ -38,6 +38,32 @@ def make_mlp(rng, n_layers, width, activation="relu", last="identity"):
     return SequentialModel(layers=tuple(layers), input_dim=width)
 
 
+def make_multi_entry_mlp(rng, n_layers, width, entries, dead_layer=None):
+    """Relu stack with ``entries`` weights per layer; ``dead_layer`` outputs all zeros."""
+    layers = []
+    for i in range(n_layers):
+        ws = [rng.standard_normal((width, width)) / np.sqrt(width) for _ in range(entries)]
+        if i == dead_layer:
+            ws[-1] = -np.abs(ws[-1])
+            ws[:-1] = [np.abs(w) for w in ws[:-1]]
+        layers.append(
+            Layer(
+                name=f"layer{i}",
+                entries=tuple(MatrixEntry(name=f"w{j}", rows=width, cols=width, dense=w)
+                              for j, w in enumerate(ws)),
+                activation="identity" if i == n_layers - 1 else "relu",
+            )
+        )
+    return SequentialModel(layers=tuple(layers), input_dim=width)
+
+
+def model_bytes(model):
+    return [
+        [a.tobytes() for a in ((e.factors.u_hat, e.factors.v_hat) if e.is_factored else (e.dense,))]
+        for layer in model.layers for e in layer.entries
+    ]
+
+
 def make_calib(rng, n, dim, seed=0):
     return CalibrationSet(samples=rng.standard_normal((n, dim)), seed=seed)
 
@@ -152,6 +178,45 @@ class TestPlan:
                     best_k, best_err = k, err
             assert chosen.k == best_k, f"seed {seed}"
             assert chosen.chosen_error == best_err, f"seed {seed}"
+
+    @pytest.mark.parametrize("entries", [1, 2])
+    def test_candidate_scores_equal_full_forward_exactly(self, entries):
+        # Tail-only scoring against the captured reference must reproduce a
+        # full-model layerwise_error bit for bit, and so must the plan's
+        # kept trial and its per-layer errors.
+        rng = np.random.default_rng(27)
+        model = make_multi_entry_mlp(rng, 6, 14, entries)
+        calib = make_calib(rng, 40, 14)
+        cfg = PlannerConfig(overall_ratio=0.3)
+        chosen = plan(model, calib, cfg)
+        contexts = whitening_contexts(model, capture_activations(model, calib))
+        assert all(row.status == "ok" for row in chosen.candidate_table)
+        for row in chosen.candidate_table:
+            trial = compress_tail_layers(model, contexts, row.k, row.layer_ratio, cfg.beta)
+            assert row.final_error == layerwise_error(model, trial, calib).final_error, row.k
+        report = layerwise_error(model, chosen.compressed, calib)
+        assert chosen.layer_errors == tuple(err for _, err in report.per_layer)
+        rebuilt = compress_model(model, calib, chosen)
+        assert model_bytes(chosen.compressed) == model_bytes(rebuilt)
+
+    def test_zero_output_layer_scores_nan_like_full_forward(self, monkeypatch):
+        # A relu layer whose output is all zero has an undefined (nan) error,
+        # and so does every layer after it. Its zero output cannot be whitened
+        # at the default ridge, so the contexts here take an explicit one.
+        rng = np.random.default_rng(28)
+        model = make_multi_entry_mlp(rng, 5, 12, 2, dead_layer=1)
+        calib = make_calib(rng, 40, 12)
+        monkeypatch.setattr(planner_mod, "whitening_contexts",
+                            lambda m, acts: whitening_contexts(m, acts, ridge=1e-3))
+        state = planner_mod.calibrate(model, calib)
+        for k in (2, 3, 4):
+            trial = compress_tail_layers(model, state.contexts, k, 5 * 0.3 / k, 0.05)
+            want = [err for _, err in layerwise_error(model, trial, calib).per_layer]
+            got = state.layer_errors(trial, k)
+            assert got[0] == want[0] == 0.0
+            assert all(math.isnan(v) for v in got[1:] + tuple(want[1:])), k
+        with pytest.raises(InfeasiblePlanError):
+            plan(model, calib, PlannerConfig(overall_ratio=0.3))
 
     def test_argmin_over_reported_table(self):
         rng = np.random.default_rng(21)
