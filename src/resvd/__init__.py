@@ -16,7 +16,7 @@ from .calibration import (
     whiten,
     whitening_contexts,
 )
-from .compensation import CompensationConfig, compress_matrix, direct_truncate_matrix
+from .compensation import compress_matrix, direct_truncate_matrix
 from .errors import (
     CompressionError,
     DimensionError,
@@ -39,7 +39,6 @@ from .linalg import (
 from .model import (
     ACTIVATIONS,
     Layer,
-    LayerwiseErrorReport,
     MatrixEntry,
     SequentialModel,
     forward,
@@ -73,7 +72,6 @@ __all__ = [
     "ACTIVATIONS",
     "CalibrationSet",
     "CandidateResult",
-    "CompensationConfig",
     "CompressionError",
     "CompressionPlan",
     "DimensionError",
@@ -83,7 +81,6 @@ __all__ = [
     "InfeasiblePlanError",
     "InvalidRankError",
     "Layer",
-    "LayerwiseErrorReport",
     "MacCheckResult",
     "MatrixEntry",
     "NumericalError",

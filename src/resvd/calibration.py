@@ -87,13 +87,14 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
 
     Raises:
         SingularWhiteningError: when the regularized Gram matrix is not
-            positive definite (try a larger ridge).
+            positive definite (try a larger ridge, unless ``x`` is all zero).
     """
     arr = as_matrix(x, "activations")
     n = arr.shape[1]
     gram = arr.T @ arr
+    trace = float(np.trace(gram))
     if ridge is None:
-        ridge = DEFAULT_RIDGE_SCALE * float(np.trace(gram)) / n
+        ridge = DEFAULT_RIDGE_SCALE * trace / n
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     if ridge > 0:
@@ -101,9 +102,10 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
     try:
         s = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
+        advice = ("its activations are all zero, so an earlier layer outputs nothing"
+                  if trace == 0.0 else "increase the ridge")
         raise SingularWhiteningError(
-            f"activation Gram matrix is not positive definite (ridge={ridge!r}); "
-            "increase the ridge"
+            f"activation Gram matrix is not positive definite (ridge={ridge!r}); {advice}"
         ) from exc
     s_inv = solve_triangular(s, np.eye(n), lower=True)
     return ScalingContext(s=s, s_inv=s_inv, ridge=float(ridge))
@@ -135,5 +137,14 @@ def whitening_contexts(
     activations: dict[str, np.ndarray],
     ridge: float | None = None,
 ) -> dict[str, ScalingContext]:
-    """One ScalingContext per captured weight matrix, keyed like the activation map."""
-    return {key: whiten(x, ridge) for key, x in activations.items()}
+    """One ScalingContext per captured weight matrix, keyed like the activation map.
+
+    A whitening failure names the key of the matrix it failed on.
+    """
+    contexts = {}
+    for key, x in activations.items():
+        try:
+            contexts[key] = whiten(x, ridge)
+        except SingularWhiteningError as exc:
+            raise SingularWhiteningError(f"{key}: {exc}") from exc
+    return contexts

@@ -198,8 +198,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     original = load_model(args.original)
     compressed = load_model(args.compressed)
     calib = _load_calib(args.calib, args.samples, args.seed)
-    report = layerwise_error(original, compressed, calib)
-    _emit(format_error_report([err for _, err in report.per_layer]), args.out)
+    _emit(format_error_report(layerwise_error(original, compressed, calib)), args.out)
     return EXIT_OK
 
 

@@ -15,27 +15,11 @@ competitor to the optimal residual truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calibration import ScalingContext
 from .errors import DimensionError
 from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, svd, truncate
-
-
-@dataclass(frozen=True)
-class CompensationConfig:
-    """Layer compression ratio and the residual share of the rank budget."""
-
-    layer_ratio: float
-    beta: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.layer_ratio < 1.0:
-            raise ValueError(f"layer_ratio must be in [0, 1), got {self.layer_ratio!r}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta!r}")
 
 
 def whitened_svd(w: np.ndarray, ctx: ScalingContext, name: str = "matrix") -> SvdFactors:
@@ -60,15 +44,13 @@ def _whitened_stage(w: np.ndarray, ctx: ScalingContext, r: int, name: str) -> Fa
     return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ ctx.s_inv, rank=r)
 
 
-def compress_matrix(
-    w,
-    ctx: ScalingContext,
-    cfg: CompensationConfig,
-    name: str = "matrix",
-) -> FactorPair:
+def compress_matrix(w, ctx: ScalingContext, layer_ratio: float, beta: float,
+                    name: str = "matrix") -> FactorPair:
     """Residual-compensated low-rank factorization of one weight matrix.
 
-    With ``beta == 0`` the result is bit-identical to
+    ``layer_ratio`` is the share of the matrix's parameters to remove and
+    ``beta`` the residual share of the rank budget; :func:`rank_budget`
+    checks both ranges. With ``beta == 0`` the result is bit-identical to
     :func:`direct_truncate_matrix` at the same budget.
     """
     arr = as_matrix(w, name)
@@ -78,7 +60,7 @@ def compress_matrix(
             f"{name}: scaling context is {ctx.s.shape[0]}x{ctx.s.shape[0]} "
             f"but the weight expects width {n}"
         )
-    budget = rank_budget(m, n, cfg.layer_ratio, cfg.beta)
+    budget = rank_budget(m, n, layer_ratio, beta)
     stage1 = _whitened_stage(arr, ctx, budget.r_i, name)
     if budget.r_r == 0:
         return stage1

@@ -252,7 +252,11 @@ def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
 def load_calibration_csv(path: str | Path) -> CalibrationSet:
     rows: list[list[float]] = []
     line_numbers: list[int] = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: neither an ERCC container nor a text CSV ({exc})") from exc
+    for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

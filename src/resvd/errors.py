@@ -43,5 +43,6 @@ class NumericalError(CompressionError):
 class SingularWhiteningError(NumericalError):
     """The activation Gram matrix is not positive definite.
 
-    Raised when Cholesky whitening fails; a larger ridge usually fixes it.
+    Raised when Cholesky whitening fails; a larger ridge usually fixes it,
+    unless the activations are all zero.
     """

@@ -1,4 +1,4 @@
-"""Sequential layered models: forward evaluation, error reports, parameter/MAC accounting.
+"""Sequential layered models: forward evaluation, layer-wise errors, parameter/MAC accounting.
 
 A model is an ordered stack of layers; each layer applies its weight entries
 in sequence as ``h -> h @ W^T`` and finishes with one elementwise activation.
@@ -169,19 +169,6 @@ class SequentialModel:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
-class LayerwiseErrorReport:
-    """Relative output error per layer; entries are (1-based index, error).
-
-    Errors are nan where the reference output has zero norm (undefined).
-    ``final_error`` always equals the last per-layer entry.
-    """
-
-    per_layer: tuple[tuple[int, float], ...]
-    final_error: float
-    config: Mapping | None = None
-
-
 def forward(model: SequentialModel, x) -> list[np.ndarray]:
     """Run all layers on a batch of row vectors, returning every layer's output."""
     h = as_matrix(x, "input")
@@ -206,11 +193,13 @@ def tail_errors(
     """Relative output error of each of the last ``k`` layers, fed ``x`` as their input.
 
     ``reference`` and ``reference_norms`` hold those layers' expected outputs
-    and the outputs' Frobenius norms. The arithmetic is that of
-    :func:`layerwise_error`, so equal inputs give bit-identical errors.
+    and the outputs' Frobenius norms; an error is nan where the norm is zero.
+    This is the one place relative errors are computed: :func:`layerwise_error`
+    and :meth:`resvd.planner.CalibratedModel.layer_errors` both call it, so
+    they agree by construction.
     """
     got = tail_outputs(model, k, x)
-    return [_relative_error(y, y_ref, norm)
+    return [math.nan if norm == 0.0 else float(np.linalg.norm(y - y_ref)) / norm
             for y, y_ref, norm in zip(got, reference, reference_norms, strict=True)]
 
 
@@ -243,36 +232,22 @@ def same_skeleton(a: SequentialModel, b: SequentialModel) -> bool:
     return True
 
 
-def _relative_error(got: np.ndarray, ref: np.ndarray, ref_norm: float) -> float:
-    """``||got - ref|| / ||ref||``, or nan where the reference norm is zero."""
-    if ref_norm == 0.0:
-        return math.nan
-    return float(np.linalg.norm(got - ref)) / ref_norm
-
-
 def layerwise_error(
     original: SequentialModel,
     compressed: SequentialModel,
     calib: "CalibrationSet",
-    config: Mapping | None = None,
-) -> LayerwiseErrorReport:
+) -> tuple[float, ...]:
     """Relative Frobenius error of each layer's output over shared calibration inputs.
 
     Both models consume the same inputs at layer 0; the compressed model runs
     its own forward pass, so errors introduced early propagate downstream.
     A layer whose reference output has zero norm reports nan and the scan
-    continues.
+    continues. The errors come from :func:`tail_errors` over all layers, the
+    function that scores the planner's candidates, so the two agree by
+    construction.
     """
     if not same_skeleton(original, compressed):
         raise DimensionError("models do not share an architecture skeleton")
     ref = forward(original, calib.samples)
-    got = forward(compressed, calib.samples)
-    per_layer = [
-        (i, _relative_error(y_got, y_ref, float(np.linalg.norm(y_ref))))
-        for i, (y_ref, y_got) in enumerate(zip(ref, got), start=1)
-    ]
-    return LayerwiseErrorReport(
-        per_layer=tuple(per_layer),
-        final_error=per_layer[-1][1],
-        config=dict(config) if config is not None else None,
-    )
+    norms = [float(np.linalg.norm(y)) for y in ref]
+    return tuple(tail_errors(compressed, compressed.n_layers, calib.samples, ref, norms))

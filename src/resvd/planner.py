@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calibration import CalibrationSet, ScalingContext, capture_activations, whitening_contexts
-from .compensation import CompensationConfig, compress_matrix
+from .compensation import compress_matrix
 from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError
 from .linalg import rank_budget
 from .model import Layer, MatrixEntry, SequentialModel, tail_errors, tail_outputs
@@ -139,7 +139,6 @@ def compress_tail_layers(
     """New model with the last ``k`` layers factored; the prefix is shared as-is."""
     if not 1 <= k <= model.n_layers:
         raise ValueError(f"k={k} outside [1, {model.n_layers}]")
-    cfg = CompensationConfig(layer_ratio=layer_ratio, beta=beta)
     layers = list(model.layers[: model.n_layers - k])
     for layer in model.layers[model.n_layers - k :]:
         entries = []
@@ -150,7 +149,7 @@ def compress_tail_layers(
                     "compression expects a dense model"
                 )
             key = f"{layer.name}/{e.name}"
-            pair = compress_matrix(e.dense, contexts[key], cfg, name=key)
+            pair = compress_matrix(e.dense, contexts[key], layer_ratio, beta, name=key)
             entries.append(
                 MatrixEntry(name=e.name, rows=e.rows, cols=e.cols, factors=pair)
             )
@@ -175,9 +174,10 @@ class CalibratedModel:
     def layer_errors(self, trial: SequentialModel, k: int) -> tuple[float, ...]:
         """Per-layer relative errors of a trial that factored only the last ``k`` layers.
 
-        Bit-identical to ``layerwise_error(model, trial, calib)``: the trial
-        shares the prefix layers, so their outputs equal the reference and
-        only the tail needs a forward pass.
+        Equal to ``layerwise_error(model, trial, calib)`` by construction: the
+        tail is scored by :func:`~resvd.model.tail_errors`, which that function
+        calls too, and the trial shares the prefix layers, whose outputs are
+        the reference itself and so score exactly 0.0 (nan at zero norm).
         """
         split = self.model.n_layers - k
         prefix = [math.nan if norm == 0.0 else 0.0 for norm in self.reference_norms[:split]]
@@ -248,18 +248,12 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     )
 
 
-def compress_model(
-    model: SequentialModel,
-    calib: CalibrationSet,
-    chosen: CompressionPlan,
-    beta: float | None = None,
-) -> SequentialModel:
+def compress_model(model: SequentialModel, calib: CalibrationSet,
+                   chosen: CompressionPlan) -> SequentialModel:
     """Apply a plan: factor the last ``k`` layers, leave the prefix untouched."""
     if chosen.n_layers != model.n_layers:
         raise CompressionError(
             f"plan was made for {chosen.n_layers} layers, model has {model.n_layers}"
         )
     contexts = calibrate(model, calib).contexts
-    return compress_tail_layers(
-        model, contexts, chosen.k, chosen.layer_ratio, chosen.beta if beta is None else beta
-    )
+    return compress_tail_layers(model, contexts, chosen.k, chosen.layer_ratio, chosen.beta)

@@ -16,7 +16,7 @@ import pytest
 
 from resvd.calibration import CalibrationSet, ScalingContext, capture_activations, whitening_contexts
 from resvd.cli import main
-from resvd.compensation import CompensationConfig, compress_matrix, direct_truncate_matrix
+from resvd.compensation import compress_matrix, direct_truncate_matrix
 from resvd.demo import demo_calibration, demo_model
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
 from resvd.model import (
@@ -102,8 +102,7 @@ def test_criterion_3_beta_degeneration():
             if i % 5 == 0
             else random_context(rng, n)
         )
-        cfg = CompensationConfig(layer_ratio=0.3, beta=0.0)
-        two_stage = compress_matrix(w, ctx, cfg)
+        two_stage = compress_matrix(w, ctx, 0.3, 0.0)
         r = rank_budget(m, n, 0.3, 0.0).r
         direct = direct_truncate_matrix(w, ctx, r)
         worst = max(worst, float(np.max(np.abs(two_stage.product() - direct.product()))))
@@ -171,7 +170,7 @@ def test_criterion_6_planner_matches_brute_force():
         shapes = [[(width, width)]] * n_layers
         for k, ratio in enumerate_candidates(n_layers, cfg, layer_shapes=shapes):
             trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
-            err = layerwise_error(model, trial, calib).final_error
+            err = layerwise_error(model, trial, calib)[-1]
             if err < best_err:
                 best_k, best_err = k, err
         assert chosen.k == best_k, f"seed {seed}: planner {chosen.k}, exhaustive {best_k}"
@@ -183,9 +182,9 @@ def test_criterion_7_prefix_layers_error_free(demo):
     for overall, seed in ((0.2, 7), (0.3, 7), (0.5, 11)):
         chosen = plan(model, calib, PlannerConfig(overall_ratio=overall, seed=seed))
         compressed = compress_model(model, calib, chosen)
-        report = layerwise_error(model, compressed, calib)
+        errors = layerwise_error(model, compressed, calib)
         prefix = chosen.n_layers - chosen.k
-        for idx, err in report.per_layer[:prefix]:
+        for idx, err in enumerate(errors[:prefix], 1):
             assert err <= 1e-12, (overall, idx, err)
     print("\nPASS criterion 7: untouched prefix layers report error <= 1e-12 "
           "in every analyze report")
@@ -197,7 +196,7 @@ def test_criterion_8_planned_tail_beats_uniform(demo):
     contexts = whitening_contexts(model, capture_activations(model, calib))
     uniform = compress_tail_layers(model, contexts, k=model.n_layers,
                                    layer_ratio=0.2, beta=0.05)
-    uniform_err = layerwise_error(model, uniform, calib).final_error
+    uniform_err = layerwise_error(model, uniform, calib)[-1]
     assert chosen.chosen_error < uniform_err, (chosen.chosen_error, uniform_err)
     print(f"\nPASS criterion 8: planned k={chosen.k} error "
           f"{chosen.chosen_error:.4f} < uniform all-layer {uniform_err:.4f} "

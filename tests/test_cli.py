@@ -3,22 +3,28 @@ consistency between the artifacts the commands produce."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resvd.calibration
 import resvd.compensation
 import resvd.planner
 from resvd.cli import main
-from resvd.containers import load_calibration, load_model, load_plan
+from resvd.containers import load_calibration, load_model, load_plan, save_calibration_csv
 from resvd.model import forward
 
 
@@ -250,6 +256,121 @@ class TestMalformedInput:
         assert err == f"resvd: format error: {calib}:2: non-finite value\n"
 
 
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory) -> Path:
+    """A 3x6 demo in ``model/``, its compressed form in ``out/``, and ``calib.csv``."""
+    root = tmp_path_factory.mktemp("pristine")
+    model = gen_demo(root / "model", layers=3, width=6, samples=24)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compress", "--model", str(model), "--calib", str(model / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(root / "out")]) == 0
+    save_calibration_csv(load_calibration(model / "calib.bin"), root / "calib.csv")
+    return root
+
+
+# Both manifests hold 3 layers of one matrix each; "rank" is on factored matrices only.
+MANIFEST_PATHS = (
+    [(key,) for key in ("format", "version", "input_dim", "meta", "layers")]
+    + [("layers", i, key) for i in range(3) for key in ("name", "activation", "matrices")]
+    + [("layers", i, "matrices", 0, key) for i in range(3)
+       for key in ("name", "rows", "cols", "dtype", "kind", "file", "rank")]
+)
+DELETE = object()
+WRONG_TYPED = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2**40), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2),
+                                                             st.integers(), max_size=2),
+)
+MANIFEST_MUTATIONS = st.tuples(
+    st.just("manifest"), st.sampled_from(["model", "out"]),
+    st.sampled_from(MANIFEST_PATHS), st.one_of(st.just(DELETE), WRONG_TYPED),
+)
+FILE_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.sampled_from(["model", "out"]),
+              st.integers(0, 2), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("header"), st.integers(0, 23), st.integers(1, 255)),
+    st.tuples(st.just("csv"), st.integers(0, 23), st.integers(0, 5),
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+)
+
+
+def _corrupt(root: Path, corruption) -> Path:
+    """Apply one corruption under ``root`` and return the calibration file to use."""
+    kind, *args = corruption
+    if kind == "manifest":
+        target, path, value = args
+        manifest = root / target / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        if key in node or value is not DELETE:
+            if value is DELETE:
+                del node[key]
+            else:
+                node[key] = value
+        manifest.write_text(json.dumps(doc))
+    elif kind == "truncate":
+        target, layer, keep = args
+        tensor = root / target / f"layer{layer}__w.bin"
+        data = tensor.read_bytes()
+        tensor.write_bytes(data[: int(keep * len(data))])
+    elif kind == "header":
+        offset, mask = args
+        calib = root / "model" / "calib.bin"
+        data = bytearray(calib.read_bytes())
+        data[offset] ^= mask
+        calib.write_bytes(bytes(data))
+    else:
+        row, col, value = args
+        calib = root / "calib.csv"
+        lines = calib.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = repr(value)
+        lines[row] = ",".join(cells)
+        calib.write_text("\n".join(lines) + "\n")
+        return calib
+    return root / "model" / "calib.bin"
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _plan_and_analyze_end_cleanly(pristine: Path, corruption) -> None:
+    # Whatever is corrupted, the CLI returns a documented exit code and
+    # explains a failure in exactly one stderr line.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "w"
+        shutil.copytree(pristine, root)
+        calib = str(_corrupt(root, corruption))
+        for argv in (
+            ["plan", "--model", str(root / "model"), "--calib", calib, "--ratio", "0.2"],
+            ["analyze", "--original", str(root / "model"),
+             "--compressed", str(root / "out"), "--calib", calib],
+        ):
+            rc, err = _run(argv)
+            assert rc in (0, 1, 2, 3, 4), (argv[0], rc, err)
+            if rc != 0:
+                assert len(err.splitlines()) == 1, (argv[0], err)
+
+
+class TestCorruptInputProperty:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(corruption=MANIFEST_MUTATIONS)
+    def test_manifest_mutations(self, pristine, corruption):
+        _plan_and_analyze_end_cleanly(pristine, corruption)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(corruption=FILE_CORRUPTIONS)
+    def test_tensor_header_and_csv_corruptions(self, pristine, corruption):
+        _plan_and_analyze_end_cleanly(pristine, corruption)
+
+
 class TestPlanCommand:
     def test_csv_ascending_and_matches_compress(self, tmp_path, capsys):
         demo = gen_demo(tmp_path / "demo")
@@ -295,6 +416,22 @@ class TestPlanCommand:
         rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
                    "--ratio", "0.99"])
         assert rc == 3
+
+    def test_dead_layer_names_the_matrix_it_cannot_whiten(self, tmp_path, capsys):
+        # layer1 sees relu outputs (>= 0) through weights <= 0, so it outputs
+        # all zeros and layer2's input has nothing to whiten against.
+        demo = gen_demo(tmp_path / "demo", layers=5, width=12, samples=24)
+        tensor = demo / "layer1__w.bin"
+        values = np.frombuffer(tensor.read_bytes(), dtype="<f8")
+        tensor.write_bytes((-np.abs(values)).tobytes())
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert len(err.splitlines()) == 1
+        assert "layer2/w" in err
+        assert "all zero" in err and "increase the ridge" not in err
 
 
 class TestAnalyze:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resvd.calibration import ScalingContext, whiten
-from resvd.compensation import CompensationConfig, compress_matrix, direct_truncate_matrix
+from resvd.compensation import compress_matrix, direct_truncate_matrix
 from resvd.errors import DimensionError, InfeasibleBudgetError
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
 
@@ -27,8 +27,7 @@ def test_beta_zero_degenerates_to_direct_truncation():
         m = int(trial.integers(6, 20))
         w = trial.standard_normal((m, n))
         ctx = random_ctx(trial, n)
-        cfg = CompensationConfig(layer_ratio=0.5, beta=0.0)
-        erc = compress_matrix(w, ctx, cfg)
+        erc = compress_matrix(w, ctx, 0.5, 0.0)
         direct = direct_truncate_matrix(w, ctx, rank_budget(m, n, 0.5, 0.0).r)
         # bit-equal under the fixed sign convention
         assert erc.u_hat.tobytes() == direct.u_hat.tobytes()
@@ -51,8 +50,7 @@ def test_compensation_beats_direct_truncation_on_seeded_case():
     rng = np.random.default_rng(2024)
     w = rng.standard_normal((16, 16))
     ctx = random_ctx(rng, 16)
-    cfg = CompensationConfig(layer_ratio=0.5, beta=0.05)
-    erc_err = frobenius_error(compress_matrix(w, ctx, cfg).product(), w)
+    erc_err = frobenius_error(compress_matrix(w, ctx, 0.5, 0.05).product(), w)
     r = rank_budget(16, 16, 0.5, 0.05).r
     direct_err = frobenius_error(direct_truncate_matrix(w, ctx, r).product(), w)
     assert erc_err <= direct_err
@@ -68,9 +66,8 @@ def test_superiority_inequality_holds_across_trials():
         ratio = float(rng.choice([0.2, 0.3, 0.5]))
         w = rng.standard_normal((m, n))
         ctx = random_ctx(rng, n)
-        cfg = CompensationConfig(layer_ratio=ratio, beta=0.05)
-        budget = rank_budget(m, n, ratio, cfg.beta)
-        erc_err = frobenius_error(compress_matrix(w, ctx, cfg).product(), w)
+        budget = rank_budget(m, n, ratio, 0.05)
+        erc_err = frobenius_error(compress_matrix(w, ctx, ratio, 0.05).product(), w)
         direct_err = frobenius_error(direct_truncate_matrix(w, ctx, budget.r).product(), w)
         assert erc_err <= direct_err + 1e-9, f"violated at trial {trial} ({m}x{n}, {ratio})"
 
@@ -79,7 +76,6 @@ def test_residual_stage_is_optimal_among_random_competitors():
     rng = np.random.default_rng(31337)
     w = rng.standard_normal((24, 18))
     ctx = random_ctx(rng, 18)
-    cfg = CompensationConfig(layer_ratio=0.3, beta=0.05)
     budget = rank_budget(24, 18, 0.3, 0.05)
     stage1 = direct_truncate_matrix(w, ctx, budget.r_i)
     residual = w - stage1.product()
@@ -93,9 +89,8 @@ def test_rank_accounting():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((20, 12))
     ctx = random_ctx(rng, 12)
-    cfg = CompensationConfig(layer_ratio=0.4, beta=0.05)
     budget = rank_budget(20, 12, 0.4, 0.05)
-    pair = compress_matrix(w, ctx, cfg)
+    pair = compress_matrix(w, ctx, 0.4, 0.05)
     assert pair.rank == budget.r == budget.r_i + budget.r_r
     assert pair.param_count == (20 + 12) * budget.r
 
@@ -126,9 +121,8 @@ def test_compressed_product_invariant_to_activation_scale():
     rng = np.random.default_rng(66)
     w = rng.standard_normal((12, 9))
     x = rng.standard_normal((30, 9))
-    cfg = CompensationConfig(layer_ratio=0.4, beta=0.05)
-    base = compress_matrix(w, whiten(x, ridge=0.0), cfg).product()
-    scaled = compress_matrix(w, whiten(7.0 * x, ridge=0.0), cfg).product()
+    base = compress_matrix(w, whiten(x, ridge=0.0), 0.4, 0.05).product()
+    scaled = compress_matrix(w, whiten(7.0 * x, ridge=0.0), 0.4, 0.05).product()
     np.testing.assert_allclose(base, scaled, atol=1e-8)
 
 
@@ -136,6 +130,6 @@ def test_dimension_and_budget_errors_propagate():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((6, 4))
     with pytest.raises(DimensionError):
-        compress_matrix(w, identity_ctx(5), CompensationConfig(layer_ratio=0.2))
+        compress_matrix(w, identity_ctx(5), 0.2, 0.05)
     with pytest.raises(InfeasibleBudgetError):
-        compress_matrix(w, identity_ctx(4), CompensationConfig(layer_ratio=0.9))
+        compress_matrix(w, identity_ctx(4), 0.9, 0.05)

@@ -276,6 +276,12 @@ class TestCalibrationContainer:
         with pytest.raises(FormatError, match="numeric"):
             load_calibration_csv(tmp_path / "c.csv")
 
+    def test_not_text_and_not_a_container(self, tmp_path):
+        # a container whose magic is damaged falls through to the CSV reader
+        (tmp_path / "c.bin").write_bytes(b"ERCX" + b"\xff" * 20)
+        with pytest.raises(FormatError, match="neither an ERCC container nor a text CSV"):
+            load_calibration_auto(tmp_path / "c.bin")
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
     def test_csv_non_finite_rejected(self, tmp_path, token):
         # the blank line makes the file line (3) differ from the row index (2)

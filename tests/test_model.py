@@ -136,9 +136,9 @@ def test_layerwise_error_identical_models():
     rng = np.random.default_rng(7)
     model = make_mlp(rng, [4, 4, 4, 4])
     calib = CalibrationSet(samples=rng.standard_normal((10, 4)), seed=7, source="test")
-    report = layerwise_error(model, model, calib)
-    assert all(err <= 1e-12 for _, err in report.per_layer)
-    assert report.final_error == report.per_layer[-1][1]
+    errors = layerwise_error(model, model, calib)
+    assert len(errors) == model.n_layers
+    assert all(err <= 1e-12 for err in errors)
 
 
 def compress_entry(entry, r):
@@ -167,10 +167,10 @@ def test_layerwise_error_zero_prefix_when_tail_compressed():
     model = make_mlp(rng, [8] * 5, activation="relu")
     calib = CalibrationSet(samples=rng.standard_normal((16, 8)), seed=0, source="test")
     compressed = replace_tail(model, 1, 2)
-    report = layerwise_error(model, compressed, calib)
-    for idx, err in report.per_layer[:-1]:
+    errors = layerwise_error(model, compressed, calib)
+    for idx, err in enumerate(errors[:-1], 1):
         assert err <= 1e-12, f"layer {idx} should be untouched"
-    assert report.per_layer[-1][1] > 0
+    assert errors[-1] > 0
 
 
 def test_layerwise_error_matches_independent_recomputation():
@@ -178,12 +178,12 @@ def test_layerwise_error_matches_independent_recomputation():
     model = make_mlp(rng, [8] * 5, activation="relu")
     calib = CalibrationSet(samples=rng.standard_normal((16, 8)), seed=0, source="test")
     compressed = replace_tail(model, 2, 3)
-    report = layerwise_error(model, compressed, calib)
+    errors = layerwise_error(model, compressed, calib)
     # independent end-to-end recomputation of the final error
     y_ref = forward(model, calib.samples)[-1]
     y_got = forward(compressed, calib.samples)[-1]
     expected = np.linalg.norm(y_got - y_ref) / np.linalg.norm(y_ref)
-    assert report.final_error == pytest.approx(expected, abs=1e-10)
+    assert errors[-1] == pytest.approx(expected, abs=1e-10)
 
 
 def test_layerwise_error_zero_norm_layer_is_nan():
@@ -194,8 +194,8 @@ def test_layerwise_error_zero_norm_layer_is_nan():
         input_dim=3,
     )
     calib = CalibrationSet(samples=np.abs(np.random.default_rng(1).standard_normal((4, 3))))
-    report = layerwise_error(model, model, calib)
-    assert math.isnan(report.per_layer[0][1])
+    errors = layerwise_error(model, model, calib)
+    assert math.isnan(errors[0])
 
 
 def test_layerwise_error_requires_same_skeleton():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from resvd.calibration import ScalingContext
-from resvd.compensation import CompensationConfig, compress_matrix
+from resvd.compensation import compress_matrix
 from resvd.linalg import frobenius_error, rank_budget
 from resvd.oracle import (
     MacCheckResult,
@@ -51,8 +51,7 @@ class TestTheorem3Suite:
             gram = x.T @ x + 0.5 * np.eye(n)
             s = np.linalg.cholesky(gram)
             ctx = ScalingContext(s=s, s_inv=np.linalg.inv(s), ridge=0.5)
-            cfg = CompensationConfig(layer_ratio=0.3, beta=0.05)
-            pair = compress_matrix(w, ctx, cfg)
+            pair = compress_matrix(w, ctx, 0.3, 0.05)
             pipeline_err = frobenius_error(w, pair.product())
 
             budget = rank_budget(16, n, 0.3, 0.05)

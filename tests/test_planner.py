@@ -3,6 +3,7 @@ selection against a brute-force oracle, and budget bookkeeping."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -173,7 +174,7 @@ class TestPlan:
             best_k, best_err = None, math.inf
             for k, ratio in enumerate_candidates(6, cfg, layer_shapes=[[(16, 16)]] * 6):
                 trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
-                err = layerwise_error(model, trial, calib).final_error
+                err = layerwise_error(model, trial, calib)[-1]
                 if err < best_err:
                     best_k, best_err = k, err
             assert chosen.k == best_k, f"seed {seed}"
@@ -193,9 +194,8 @@ class TestPlan:
         assert all(row.status == "ok" for row in chosen.candidate_table)
         for row in chosen.candidate_table:
             trial = compress_tail_layers(model, contexts, row.k, row.layer_ratio, cfg.beta)
-            assert row.final_error == layerwise_error(model, trial, calib).final_error, row.k
-        report = layerwise_error(model, chosen.compressed, calib)
-        assert chosen.layer_errors == tuple(err for _, err in report.per_layer)
+            assert row.final_error == layerwise_error(model, trial, calib)[-1], row.k
+        assert chosen.layer_errors == layerwise_error(model, chosen.compressed, calib)
         rebuilt = compress_model(model, calib, chosen)
         assert model_bytes(chosen.compressed) == model_bytes(rebuilt)
 
@@ -211,10 +211,10 @@ class TestPlan:
         state = planner_mod.calibrate(model, calib)
         for k in (2, 3, 4):
             trial = compress_tail_layers(model, state.contexts, k, 5 * 0.3 / k, 0.05)
-            want = [err for _, err in layerwise_error(model, trial, calib).per_layer]
+            want = layerwise_error(model, trial, calib)
             got = state.layer_errors(trial, k)
             assert got[0] == want[0] == 0.0
-            assert all(math.isnan(v) for v in got[1:] + tuple(want[1:])), k
+            assert all(math.isnan(v) for v in got[1:] + want[1:]), k
         with pytest.raises(InfeasiblePlanError):
             plan(model, calib, PlannerConfig(overall_ratio=0.3))
 
@@ -324,7 +324,7 @@ class TestCompressModel:
         calib = make_calib(rng, 48, 24)
         chosen = plan(model, calib, PlannerConfig(overall_ratio=0.4, beta=0.05))
         with_comp = compress_model(model, calib, chosen)
-        without = compress_model(model, calib, chosen, beta=0.0)
+        without = compress_model(model, calib, dataclasses.replace(chosen, beta=0.0))
         assert parameter_count(with_comp) == parameter_count(without)
 
     def test_plan_then_compress_is_deterministic(self):
