@@ -4,7 +4,9 @@ Whitening follows the Cholesky-of-Gram construction: for a weight matrix
 with input activations X, ``S`` is the lower Cholesky factor of
 ``X^T X + ridge*I``. Truncating ``W S`` instead of ``W`` then minimizes the
 activation-weighted output loss, and weights are reconstructed through
-``S^{-1}``.
+``S^{-1}``. Activations so large that ``X^T X`` overflows float64, like a
+Gram matrix that is not positive definite, raise
+:class:`~resvd.errors.SingularWhiteningError`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionError, SingularWhiteningError
 from .linalg import as_matrix
@@ -69,9 +70,9 @@ class ScalingContext:
         n = self.s.shape[0]
         if self.s.shape != (n, n) or self.s_inv.shape != (n, n):
             raise DimensionError("scaling matrices must be square and same-sized")
-        if np.any(np.diag(self.s) <= 0):
+        if not np.all(np.diag(self.s) > 0):
             raise SingularWhiteningError("whitening factor has a non-positive diagonal")
-        if np.max(np.abs(self.s @ self.s_inv - np.eye(n))) > 1e-6:
+        if not np.max(np.abs(self.s @ self.s_inv - np.eye(n))) <= 1e-6:
             raise SingularWhiteningError(
                 "whitening factor is too ill-conditioned to invert; increase the ridge"
             )
@@ -86,12 +87,17 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
             ``1e-6 * trace(X^T X)/n``; pass 0.0 for strict whitening.
 
     Raises:
-        SingularWhiteningError: when the regularized Gram matrix is not
-            positive definite (try a larger ridge, unless ``x`` is all zero).
+        SingularWhiteningError: when the Gram matrix overflows float64, or
+            the regularized Gram matrix is not positive definite (try a
+            larger ridge, unless ``x`` is all zero).
     """
     arr = as_matrix(x, "activations")
     n = arr.shape[1]
-    gram = arr.T @ arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = arr.T @ arr
+    if not np.isfinite(gram).all():
+        raise SingularWhiteningError("activation Gram matrix overflows float64; "
+                                     "the activations are too large")
     trace = float(np.trace(gram))
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * trace / n
@@ -107,7 +113,7 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
         raise SingularWhiteningError(
             f"activation Gram matrix is not positive definite (ridge={ridge!r}); {advice}"
         ) from exc
-    s_inv = solve_triangular(s, np.eye(n), lower=True)
+    s_inv = np.linalg.inv(s)
     return ScalingContext(s=s, s_inv=s_inv, ridge=float(ridge))
 
 
@@ -133,9 +139,7 @@ def capture_activations(model: SequentialModel, calib: CalibrationSet) -> dict[s
 
 
 def whitening_contexts(
-    model: SequentialModel,
-    activations: dict[str, np.ndarray],
-    ridge: float | None = None,
+    activations: dict[str, np.ndarray], ridge: float | None = None
 ) -> dict[str, ScalingContext]:
     """One ScalingContext per captured weight matrix, keyed like the activation map.
 

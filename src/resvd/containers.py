@@ -133,7 +133,11 @@ def _read_tensor(root: Path, entry_doc: dict, where: str, name: str) -> np.ndarr
     fpath = root / fname
     if not fpath.is_file():
         raise FormatError(f"{where}: tensor file {fname} is missing")
-    flat = np.frombuffer(fpath.read_bytes(), dtype=_NP_DTYPE[entry_doc["dtype"]])
+    blob, dtype = fpath.read_bytes(), np.dtype(_NP_DTYPE[entry_doc["dtype"]])
+    if len(blob) % dtype.itemsize:
+        raise FormatError(f"{where}: tensor file {fname} of matrix {name!r} holds "
+                          f"{len(blob)} bytes, not a whole number of {dtype.itemsize}-byte values")
+    flat = np.frombuffer(blob, dtype=dtype)
     if not np.isfinite(flat).all():
         raise FormatError(
             f"{where}: tensor file {fname} of matrix {name!r} holds a non-finite value"

@@ -41,8 +41,9 @@ class NumericalError(CompressionError):
 
 
 class SingularWhiteningError(NumericalError):
-    """The activation Gram matrix is not positive definite.
+    """The activation Gram matrix overflows or is not positive definite.
 
     Raised when Cholesky whitening fails; a larger ridge usually fixes it,
-    unless the activations are all zero.
+    unless the activations are all zero. Also raised when the activations
+    are so large that their Gram matrix overflows float64.
     """

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError
 from .linalg import FactorPair, as_matrix
@@ -35,7 +34,8 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(x, 0.0)
     if name == "silu":
-        return x * expit(x)
+        # sigmoid(x) = (1 + tanh(x/2)) / 2 cannot overflow for any finite x
+        return x * (0.5 + 0.5 * np.tanh(0.5 * x))
     raise ValueError(f"unknown activation {name!r}")
 
 

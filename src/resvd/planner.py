@@ -197,7 +197,7 @@ def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
     reference = inputs[1:] + tuple(tail_outputs(model, 1, inputs[-1]))
     return CalibratedModel(
         model=model,
-        contexts=whitening_contexts(model, captured),
+        contexts=whitening_contexts(captured),
         inputs=inputs,
         reference=reference,
         reference_norms=tuple(float(np.linalg.norm(y)) for y in reference),

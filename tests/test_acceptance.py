@@ -165,7 +165,7 @@ def test_criterion_6_planner_matches_brute_force():
 
         chosen = plan(model, calib, cfg)
 
-        contexts = whitening_contexts(model, capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib))
         best_k, best_err = None, math.inf
         shapes = [[(width, width)]] * n_layers
         for k, ratio in enumerate_candidates(n_layers, cfg, layer_shapes=shapes):
@@ -193,7 +193,7 @@ def test_criterion_7_prefix_layers_error_free(demo):
 def test_criterion_8_planned_tail_beats_uniform(demo):
     model, calib = demo
     chosen = plan(model, calib, PlannerConfig(overall_ratio=0.2, seed=7))
-    contexts = whitening_contexts(model, capture_activations(model, calib))
+    contexts = whitening_contexts(capture_activations(model, calib))
     uniform = compress_tail_layers(model, contexts, k=model.n_layers,
                                    layer_ratio=0.2, beta=0.05)
     uniform_err = layerwise_error(model, uniform, calib)[-1]

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from resvd.calibration import CalibrationSet, capture_activations, whiten, whitening_contexts
+from resvd.calibration import (
+    CalibrationSet,
+    ScalingContext,
+    capture_activations,
+    whiten,
+    whitening_contexts,
+)
 from resvd.errors import DimensionError, NumericalError, SingularWhiteningError
 from resvd.model import Layer, MatrixEntry, SequentialModel
 
@@ -129,6 +135,16 @@ def test_whiten_rejects_negative_ridge_and_bad_input():
         whiten(np.eye(2), ridge=-1.0)
     with pytest.raises(NumericalError):
         whiten(np.array([[np.inf, 0.0]]))
+    with pytest.raises(SingularWhiteningError, match="overflows float64"):
+        whiten(np.array([[1e308, 1.0], [2.0, 3.0]]))
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_scaling_context_rejects_nan_factor(where):
+    s = np.eye(3)
+    s[(1, 1) if where == "diagonal" else (2, 0)] = np.nan
+    with pytest.raises(SingularWhiteningError):
+        ScalingContext(s=s, s_inv=np.eye(3), ridge=0.0)
 
 
 def test_whitening_contexts_cover_every_matrix():
@@ -141,7 +157,7 @@ def test_whitening_contexts_cover_every_matrix():
         input_dim=4,
     )
     calib = CalibrationSet(samples=rng.standard_normal((20, 4)))
-    contexts = whitening_contexts(model, capture_activations(model, calib))
+    contexts = whitening_contexts(capture_activations(model, calib))
     assert set(contexts) == {"l0/w", "l1/w"}
     for ctx in contexts.values():
         n = ctx.s.shape[0]

@@ -8,10 +8,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,7 +292,7 @@ FILE_CORRUPTIONS = st.one_of(
               st.integers(0, 2), st.floats(0.0, 1.0, exclude_max=True)),
     st.tuples(st.just("header"), st.integers(0, 23), st.integers(1, 255)),
     st.tuples(st.just("csv"), st.integers(0, 23), st.integers(0, 5),
-              st.sampled_from([math.nan, math.inf, -math.inf])),
+              st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])),
 )
 
 
@@ -433,6 +435,25 @@ class TestPlanCommand:
         assert "layer2/w" in err
         assert "all zero" in err and "increase the ridge" not in err
 
+    def test_overflowing_calibration_names_the_matrix(self, tmp_path, capsys):
+        # One finite 1e308 overflows layer0's Gram matrix; numpy must not warn
+        # (pytest would capture a RuntimeWarning that stderr never shows).
+        demo = gen_demo(tmp_path / "demo", layers=3, width=6, samples=24)
+        calib = tmp_path / "calib.csv"
+        save_calibration_csv(load_calibration(demo / "calib.bin"), calib)
+        lines = calib.read_text().splitlines()
+        lines[0] = ",".join(["1e308"] + lines[0].split(",")[1:])
+        calib.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["plan", "--model", str(demo), "--calib", str(calib), "--ratio", "0.2"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert len(err.splitlines()) == 1
+        assert "layer0/w" in err and "overflow" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestAnalyze:
     def test_identical_models_all_zero(self, tmp_path, capsys):
@@ -526,6 +547,15 @@ class TestTopLevel:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_cli_import_loads_no_scipy(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, resvd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_console_script_version(self):
         out = subprocess.run([sys.executable, "-m", "resvd.cli", "--version"],

@@ -152,12 +152,16 @@ class TestModelDir:
             load_model(tmp_path / "m")
 
     def test_truncated_tensor_file(self, tmp_path):
+        # A cut of whole values fails the size check; a cut of 3 bytes leaves
+        # a partial value, which must name the file and the matrix too.
         rng = np.random.default_rng(7)
         save_model(small_model(rng), tmp_path / "m")
         blob = (tmp_path / "m" / "front__w.bin").read_bytes()
-        (tmp_path / "m" / "front__w.bin").write_bytes(blob[:-8])
-        with pytest.raises(FormatError, match="file holds"):
-            load_model(tmp_path / "m")
+        for cut, message in ((8, "file holds"),
+                             (3, r"tensor file front__w\.bin of matrix 'w' holds \d+ bytes")):
+            (tmp_path / "m" / "front__w.bin").write_bytes(blob[:-cut])
+            with pytest.raises(FormatError, match=message):
+                load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("store_dtype", ["f64", "f32"])

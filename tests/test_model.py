@@ -1,6 +1,7 @@
 """Forward pass, error reports, and parameter/MAC accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from resvd.model import (
     Layer,
     MatrixEntry,
     SequentialModel,
+    apply_activation,
     forward,
     layerwise_error,
     mac_count,
@@ -62,14 +64,26 @@ def test_forward_identity_layer():
     np.testing.assert_allclose(forward(model, x)[-1], x)
 
 
-def test_forward_matches_naive_oracle():
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_forward_matches_naive_oracle(activation):
     rng = np.random.default_rng(99)
-    model = make_mlp(rng, [4, 5, 6, 3], activation="relu")
+    model = make_mlp(rng, [4, 5, 6, 3], activation=activation)
     x = rng.standard_normal((7, 4))
     ours = forward(model, x)
     oracle = naive_forward(model, x)
     for a, b in zip(ours, oracle):
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def test_silu_is_finite_and_exact_at_extremes():
+    x = np.array([-1e308, -1000.0, 0.0, 1000.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply_activation("silu", x)
+    # x * sigmoid(x) in float64: sigmoid(-1000) underflows to 0, sigmoid(1000) rounds to 1
+    want = np.array([0.0, 0.0, 0.0, 1000.0, 1e308])
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_forward_rejects_wrong_width():

@@ -123,7 +123,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(11)
         model = make_mlp(rng, 5, 12)
         calib = make_calib(rng, 40, 12)
-        contexts = whitening_contexts(model, capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib))
         out = compress_tail_layers(model, contexts, k=2, layer_ratio=0.4, beta=0.05)
         for i in range(3):
             assert out.layers[i] is model.layers[i]
@@ -134,7 +134,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(12)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(model, capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib))
         out = compress_tail_layers(model, contexts, k=3, layer_ratio=0.3, beta=0.05)
         assert all(layer.entries[0].is_factored for layer in out.layers)
 
@@ -142,7 +142,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(13)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(model, capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib))
         once = compress_tail_layers(model, contexts, k=3, layer_ratio=0.3, beta=0.05)
         with pytest.raises(CompressionError):
             compress_tail_layers(once, contexts, k=1, layer_ratio=0.3, beta=0.05)
@@ -151,7 +151,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(14)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(model, capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib))
         with pytest.raises(ValueError):
             compress_tail_layers(model, contexts, k=0, layer_ratio=0.3, beta=0.05)
         with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ class TestPlan:
 
             chosen = plan(model, calib, cfg)
 
-            contexts = whitening_contexts(model, capture_activations(model, calib))
+            contexts = whitening_contexts(capture_activations(model, calib))
             best_k, best_err = None, math.inf
             for k, ratio in enumerate_candidates(6, cfg, layer_shapes=[[(16, 16)]] * 6):
                 trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
@@ -190,7 +190,7 @@ class TestPlan:
         calib = make_calib(rng, 40, 14)
         cfg = PlannerConfig(overall_ratio=0.3)
         chosen = plan(model, calib, cfg)
-        contexts = whitening_contexts(model, capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib))
         assert all(row.status == "ok" for row in chosen.candidate_table)
         for row in chosen.candidate_table:
             trial = compress_tail_layers(model, contexts, row.k, row.layer_ratio, cfg.beta)
@@ -207,7 +207,7 @@ class TestPlan:
         model = make_multi_entry_mlp(rng, 5, 12, 2, dead_layer=1)
         calib = make_calib(rng, 40, 12)
         monkeypatch.setattr(planner_mod, "whitening_contexts",
-                            lambda m, acts: whitening_contexts(m, acts, ridge=1e-3))
+                            lambda acts: whitening_contexts(acts, ridge=1e-3))
         state = planner_mod.calibrate(model, calib)
         for k in (2, 3, 4):
             trial = compress_tail_layers(model, state.contexts, k, 5 * 0.3 / k, 0.05)
