@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, SingularWhiteningError
+from .errors import DimensionError, NumericalError, SingularWhiteningError
 from .linalg import as_matrix
 from .model import SequentialModel, apply_activation
 
@@ -95,10 +95,10 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
     n = arr.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = arr.T @ arr
-    if not np.isfinite(gram).all():
+        trace = float(np.trace(gram))  # the default ridge scales with it
+    if not (np.isfinite(gram).all() and np.isfinite(trace)):
         raise SingularWhiteningError("activation Gram matrix overflows float64; "
                                      "the activations are too large")
-    trace = float(np.trace(gram))
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * trace / n
     if ridge < 0:
@@ -122,6 +122,10 @@ def capture_activations(model: SequentialModel, calib: CalibrationSet) -> dict[s
 
     Keys are ``"<layer>/<matrix>"`` in forward order. All sample rows are
     stacked into one activation matrix per weight; no per-batch averaging.
+
+    Raises:
+        NumericalError: naming the first matrix whose output overflows
+            float64, before an activation could hide it.
     """
     if calib.input_dim != model.input_dim:
         raise DimensionError(
@@ -132,8 +136,12 @@ def capture_activations(model: SequentialModel, calib: CalibrationSet) -> dict[s
     h = calib.samples
     for layer in model.layers:
         for entry in layer.entries:
-            captured[f"{layer.name}/{entry.name}"] = h
-            h = entry.apply(h)
+            key = f"{layer.name}/{entry.name}"
+            captured[key] = h
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = entry.apply(h)
+            if not np.isfinite(h).all():
+                raise NumericalError(f"{key}: output overflows float64 on the calibration set")
         h = apply_activation(layer.activation, h)
     return captured
 

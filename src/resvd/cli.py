@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .containers import (
     format_error_report,
     load_calibration_auto,
     load_model,
+    plan_header,
     save_error_report,
     save_model,
     save_plan,
@@ -40,10 +40,11 @@ from .errors import (
 from .model import STORE_DTYPES, layerwise_error
 from .oracle import run_all
 from .planner import CompressionPlan, PlannerConfig, plan
-# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 6).
+# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 4).
 from .planner import compress_model  # noqa: F401
 
 PLAN_CSV_HEADER = "k,layer_ratio,final_error"
+_TOOL = {"name": "resvd", "version": __version__}
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -51,81 +52,65 @@ EXIT_FORMAT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-
-def _tool() -> dict:
-    return {"name": "resvd", "version": __version__}
-
-
-def _ratio_arg(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return v
+# (exception types, stderr label, exit code); the first match wins
+_FAILURES = (
+    (FormatError, "format error", EXIT_FORMAT),
+    (OSError, "io error", EXIT_FORMAT),
+    ((InfeasiblePlanError, InfeasibleBudgetError), "infeasible", EXIT_INFEASIBLE),
+    (NumericalError, "numerical failure", EXIT_NUMERICAL),
+    (CompressionError, "error", EXIT_FAILED),
+    (ValueError, "invalid configuration", EXIT_FORMAT),
+)
 
 
-def _beta_arg(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= v < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
-    return v
+def _checked(parse, ok, bounds: str):
+    """argparse ``type``: ``parse`` the text, then require ``ok(value)``, worded by ``bounds``."""
+    noun = "a number" if parse is float else "an integer"
+
+    def check(text: str):
+        try:
+            v = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}")
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return v
+
+    return check
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return v
+_ratio_arg = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_beta_arg = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_nonneg_int = _checked(int, lambda v: v >= 0, ">= 0")
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return v
-
-
-def _load_calib(path: str, samples: int, seed: int) -> CalibrationSet:
-    calib = load_calibration_auto(path)
-    if 0 < samples < calib.num_samples:
-        return calib.subsample(samples, seed)
+def _load_calib(args: argparse.Namespace) -> CalibrationSet:
+    calib = load_calibration_auto(args.calib)
+    if 0 < args.samples < calib.num_samples:
+        return calib.subsample(args.samples, args.seed)
     return calib
 
 
-def _effective_beta(args: argparse.Namespace) -> float:
-    # --baseline is shorthand for a zero residual share; keep the echo in sync
-    return 0.0 if args.baseline else args.beta
+def _planner_config(args: argparse.Namespace) -> PlannerConfig:
+    # --baseline is shorthand for a zero residual share
+    return PlannerConfig(overall_ratio=args.ratio, step=args.step,
+                         beta=0.0 if args.baseline else args.beta, seed=args.seed)
 
 
-def _run_config(args: argparse.Namespace) -> dict:
+def _run_config(args: argparse.Namespace, cfg: PlannerConfig) -> dict:
     """Invocation echo written into compress's manifest and plan for provenance."""
     return {
-        "overall_ratio": args.ratio,
-        "beta": _effective_beta(args),
-        "step": args.step,
+        "overall_ratio": cfg.overall_ratio,
+        "beta": cfg.beta,
+        "step": cfg.step,
         "calib_samples": args.samples,
-        "seed": args.seed,
+        "seed": cfg.seed,
         "model_path": args.model,
         "calib_path": args.calib,
         "out_path": args.out,
         "out_dtype": args.dtype,
     }
-
-
-def _planner_config(args: argparse.Namespace) -> PlannerConfig:
-    return PlannerConfig(overall_ratio=args.ratio, step=args.step,
-                         beta=_effective_beta(args), seed=args.seed)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,41 +121,21 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    calib = _load_calib(args.calib, args.samples, args.seed)
     cfg = _planner_config(args)
-    run = _run_config(args)
-
-    chosen = plan(model, calib, cfg)
+    chosen = plan(load_model(args.model), _load_calib(args), cfg)
+    run = _run_config(args, cfg)
     compressed = chosen.compressed
-    meta = dict(compressed.meta)
-    meta["compression"] = {
-        "k": chosen.k,
-        "layer_ratio": chosen.layer_ratio,
-        "overall_ratio": chosen.overall_ratio,
-        "beta": chosen.beta,
-        "seed": chosen.seed,
-        "n_layers": chosen.n_layers,
-        "chosen_error": chosen.chosen_error,
-        "tool": _tool(),
-        "config": run,
-    }
-    if args.dtype != "f64":
-        layers = tuple(
-            dataclasses.replace(
-                layer,
-                entries=tuple(dataclasses.replace(e, store_dtype=args.dtype)
-                              for e in layer.entries),
-            )
-            for layer in compressed.layers
-        )
-    else:
-        layers = compressed.layers
+    layers = tuple(
+        dataclasses.replace(layer, entries=tuple(
+            dataclasses.replace(e, store_dtype=args.dtype) for e in layer.entries))
+        for layer in compressed.layers
+    )
+    meta = {**compressed.meta, "compression": plan_header(chosen, _TOOL, run)}
     compressed = dataclasses.replace(compressed, layers=layers, meta=meta)
 
     out = Path(args.out)
     save_model(compressed, out)
-    save_plan(chosen, out / "plan.json", tool=_tool(), config=run)
+    save_plan(chosen, out / "plan.json", tool=_TOOL, config=run)
     save_error_report(chosen.layer_errors, out / "errors.csv")
     print(f"compressed {chosen.k}/{chosen.n_layers} layers at "
           f"layer_ratio={chosen.layer_ratio:.6g}, "
@@ -179,17 +144,14 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _plan_csv(chosen: CompressionPlan) -> str:
-    lines = [PLAN_CSV_HEADER]
-    for row in chosen.candidate_table:
-        err = row.final_error if row.status == "ok" else math.nan
-        lines.append("%d,%.17g,%.17g" % (row.k, row.layer_ratio, err))
+    # a failed candidate's final_error is nan
+    lines = [PLAN_CSV_HEADER] + ["%d,%.17g,%.17g" % (row.k, row.layer_ratio, row.final_error)
+                                 for row in chosen.candidate_table]
     return "\n".join(lines) + "\n"
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    calib = _load_calib(args.calib, args.samples, args.seed)
-    chosen = plan(model, calib, _planner_config(args))
+    chosen = plan(load_model(args.model), _load_calib(args), _planner_config(args))
     _emit(_plan_csv(chosen), args.out)
     return EXIT_OK
 
@@ -197,7 +159,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     original = load_model(args.original)
     compressed = load_model(args.compressed)
-    calib = _load_calib(args.calib, args.samples, args.seed)
+    calib = _load_calib(args)
     _emit(format_error_report(layerwise_error(original, compressed, calib)), args.out)
     return EXIT_OK
 
@@ -206,7 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_all(trials=args.trials, seed=args.seed)
     doc = {
         "format": "resvd-verify",
-        "tool": _tool(),
+        "tool": _TOOL,
         "config": {"trials": args.trials, "seed": args.seed, "out_path": args.out},
         "trials": args.trials,
         "seed": args.seed,
@@ -232,41 +194,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"resvd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_ratio=True):
-        p.add_argument("--model", required=True, help="model directory")
-        p.add_argument("--calib", required=True, help="calibration file (binary or CSV)")
-        if with_ratio:
-            p.add_argument("--ratio", type=_ratio_arg, required=True,
-                           help="overall parameter reduction target in (0, 1)")
-            p.add_argument("--beta", type=_beta_arg, default=0.05,
-                           help="residual rank share (default 0.05)")
-            p.add_argument("--baseline", action="store_true",
-                           help="direct truncation only, no residual stage")
-            p.add_argument("--step", type=_positive_int, default=1,
-                           help="stride for candidate tail sizes (default 1)")
-        p.add_argument("--samples", type=_nonneg_int, default=256,
-                       help="calibration rows to use, 0 = all (default 256)")
-        p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    calibrated = argparse.ArgumentParser(add_help=False)
+    calibrated.add_argument("--calib", required=True, help="calibration file (binary or CSV)")
+    calibrated.add_argument("--samples", type=_nonneg_int, default=256,
+                            help="calibration rows to use, 0 = all (default 256)")
+    calibrated.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
 
-    p = sub.add_parser("compress", help="compress a model and write reports")
-    add_common(p)
+    planned = argparse.ArgumentParser(add_help=False, parents=[calibrated])
+    planned.add_argument("--model", required=True, help="model directory")
+    planned.add_argument("--ratio", type=_ratio_arg, required=True,
+                         help="overall parameter reduction target in (0, 1)")
+    planned.add_argument("--beta", type=_beta_arg, default=0.05,
+                         help="residual rank share (default 0.05)")
+    planned.add_argument("--baseline", action="store_true",
+                         help="direct truncation only, no residual stage")
+    planned.add_argument("--step", type=_positive_int, default=1,
+                         help="stride for candidate tail sizes (default 1)")
+
+    p = sub.add_parser("compress", parents=[planned],
+                       help="compress a model and write reports")
     p.add_argument("--out", required=True, help="output model directory")
     p.add_argument("--dtype", choices=STORE_DTYPES, default="f64",
-                   help="tensor storage dtype for the output (default f64)")
+                   help="storage dtype of every output tensor (default f64)")
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("plan", help="print the candidate table without compressing")
-    add_common(p)
+    p = sub.add_parser("plan", parents=[planned],
+                       help="print the candidate table without compressing")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("analyze", help="layer-wise error CSV for a model pair")
+    p = sub.add_parser("analyze", parents=[calibrated],
+                       help="layer-wise error CSV for a model pair")
     p.add_argument("--original", required=True, help="original model directory")
     p.add_argument("--compressed", required=True, help="compressed model directory")
-    p.add_argument("--calib", required=True, help="calibration file (binary or CSV)")
-    p.add_argument("--samples", type=_nonneg_int, default=256,
-                   help="calibration rows to use, 0 = all (default 256)")
-    p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
@@ -296,24 +256,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"resvd: format error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
-        print(f"resvd: io error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (InfeasiblePlanError, InfeasibleBudgetError) as exc:
-        print(f"resvd: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericalError as exc:
-        print(f"resvd: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CompressionError as exc:
-        print(f"resvd: error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except ValueError as exc:
-        print(f"resvd: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    except (CompressionError, OSError, ValueError) as exc:
+        label, code = next((label, code) for kinds, label, code in _FAILURES
+                           if isinstance(exc, kinds))
+        print(f"resvd: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

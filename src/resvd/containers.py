@@ -63,6 +63,21 @@ def _require_typed(doc: dict, key: str, where: str, kind: type, what: str):
     return value
 
 
+def _load_json(path: Path, fmt: str, version: int) -> dict:
+    """The JSON object in ``path``, checked to declare format ``fmt`` at ``version``."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: must hold a JSON object")
+    if _require(doc, "format", str(path)) != fmt:
+        raise FormatError(f"{path}: format is {doc['format']!r}, expected {fmt!r}")
+    if _require(doc, "version", str(path)) != version:
+        raise FormatError(f"{path}: unsupported version {doc['version']!r}")
+    return doc
+
+
 def _require_objects(doc: dict, key: str, where: str) -> list[dict]:
     value = _require(doc, key, where)
     if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
@@ -86,32 +101,14 @@ def save_model(model: SequentialModel, path: str | Path) -> None:
             if fname in seen_files:
                 raise FormatError(f"tensor file name collision: {fname}")
             seen_files.add(fname)
-            np_dtype = _NP_DTYPE[e.store_dtype]
+            entry_doc = {"name": e.name, "rows": e.rows, "cols": e.cols, "dtype": e.store_dtype,
+                         "kind": "factored" if e.is_factored else "dense", "file": fname}
+            arrays = (e.dense,)
             if e.is_factored:
-                blob = (
-                    e.factors.u_hat.astype(np_dtype).tobytes()
-                    + e.factors.v_hat.astype(np_dtype).tobytes()
-                )
-                entry_doc = {
-                    "name": e.name,
-                    "rows": e.rows,
-                    "cols": e.cols,
-                    "dtype": e.store_dtype,
-                    "kind": "factored",
-                    "rank": e.factors.rank,
-                    "file": fname,
-                }
-            else:
-                blob = e.dense.astype(np_dtype).tobytes()
-                entry_doc = {
-                    "name": e.name,
-                    "rows": e.rows,
-                    "cols": e.cols,
-                    "dtype": e.store_dtype,
-                    "kind": "dense",
-                    "file": fname,
-                }
-            (root / fname).write_bytes(blob)
+                entry_doc["rank"] = e.factors.rank
+                arrays = (e.factors.u_hat, e.factors.v_hat)
+            np_dtype = _NP_DTYPE[e.store_dtype]
+            (root / fname).write_bytes(b"".join(a.astype(np_dtype).tobytes() for a in arrays))
             matrices.append(entry_doc)
         layers_doc.append(
             {"name": layer.name, "activation": layer.activation, "matrices": matrices}
@@ -182,17 +179,8 @@ def load_model(path: str | Path) -> SequentialModel:
     mpath = root / "manifest.json"
     if not mpath.is_file():
         raise FormatError(f"{root}: no manifest.json")
-    try:
-        doc = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{mpath}: not valid JSON ({exc})") from exc
+    doc = _load_json(mpath, MODEL_FORMAT, MODEL_VERSION)
     where = str(mpath)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: manifest must be a JSON object")
-    if _require(doc, "format", where) != MODEL_FORMAT:
-        raise FormatError(f"{where}: format is {doc['format']!r}, expected {MODEL_FORMAT!r}")
-    if _require(doc, "version", where) != MODEL_VERSION:
-        raise FormatError(f"{where}: unsupported version {doc['version']!r}")
     input_dim = _require_typed(doc, "input_dim", where, int, "an integer")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -292,6 +280,21 @@ def load_calibration_auto(path: str | Path) -> CalibrationSet:
 # --- plans ---
 
 
+def plan_header(plan: CompressionPlan, tool: dict | None, config: dict | None) -> dict:
+    """The chosen plan's summary, shared by ``plan.json`` and a compressed manifest's meta."""
+    return {
+        "tool": tool or {},
+        "config": config or {},
+        "n_layers": plan.n_layers,
+        "overall_ratio": plan.overall_ratio,
+        "beta": plan.beta,
+        "seed": plan.seed,
+        "k": plan.k,
+        "layer_ratio": plan.layer_ratio,
+        "chosen_error": plan.chosen_error,
+    }
+
+
 def save_plan(
     plan: CompressionPlan,
     path: str | Path,
@@ -302,15 +305,7 @@ def save_plan(
     doc = {
         "format": PLAN_FORMAT,
         "version": PLAN_VERSION,
-        "tool": tool or {},
-        "config": config or {},
-        "n_layers": plan.n_layers,
-        "overall_ratio": plan.overall_ratio,
-        "beta": plan.beta,
-        "seed": plan.seed,
-        "k": plan.k,
-        "layer_ratio": plan.layer_ratio,
-        "chosen_error": plan.chosen_error,
+        **plan_header(plan, tool, config),
         "candidates": [
             {
                 "k": row.k,
@@ -326,15 +321,8 @@ def save_plan(
 
 
 def load_plan(path: str | Path) -> CompressionPlan:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _load_json(Path(path), PLAN_FORMAT, PLAN_VERSION)
     where = str(path)
-    if _require(doc, "format", where) != PLAN_FORMAT:
-        raise FormatError(f"{where}: format is {doc['format']!r}, expected {PLAN_FORMAT!r}")
-    if _require(doc, "version", where) != PLAN_VERSION:
-        raise FormatError(f"{where}: unsupported version {doc['version']!r}")
     rows = []
     for rdoc in _require(doc, "candidates", where):
         err = rdoc.get("final_error")

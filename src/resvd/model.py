@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 from .linalg import FactorPair, as_matrix
 
 if TYPE_CHECKING:
@@ -170,17 +170,40 @@ class SequentialModel:
 
 
 def forward(model: SequentialModel, x) -> list[np.ndarray]:
-    """Run all layers on a batch of row vectors, returning every layer's output."""
+    """Run all layers on a batch of row vectors, returning every layer's output.
+
+    An output that overflows float64 comes back non-finite, without a numpy
+    warning; :func:`check_finite` reports it.
+    """
     h = as_matrix(x, "input")
     if h.shape[1] != model.input_dim:
         raise DimensionError(
             f"input width {h.shape[1]} != model input_dim {model.input_dim}"
         )
     outputs = []
-    for layer in model.layers:
-        h = layer.forward(h)
-        outputs.append(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in model.layers:
+            h = layer.forward(h)
+            outputs.append(h)
     return outputs
+
+
+def output_norms(outputs: Sequence[np.ndarray]) -> tuple[float, ...]:
+    """Frobenius norm of each output; one that overflows float64 is inf, and numpy stays quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(float(np.linalg.norm(y)) for y in outputs)
+
+
+def check_finite(model: SequentialModel, norms: Sequence[float]) -> None:
+    """Raise :class:`NumericalError` naming the first layer whose output norm is not finite.
+
+    A norm is finite only when the output it measures is, so this also
+    catches outputs that overflowed in :func:`forward`.
+    """
+    for layer, norm in zip(model.layers, norms, strict=True):
+        if not math.isfinite(norm):
+            raise NumericalError(
+                f"{layer.name}: output norm overflows float64 on the calibration set")
 
 
 def tail_errors(
@@ -199,8 +222,9 @@ def tail_errors(
     they agree by construction.
     """
     got = tail_outputs(model, k, x)
-    return [math.nan if norm == 0.0 else float(np.linalg.norm(y - y_ref)) / norm
-            for y, y_ref, norm in zip(got, reference, reference_norms, strict=True)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [math.nan if norm == 0.0 else float(np.linalg.norm(y - y_ref)) / norm
+                for y, y_ref, norm in zip(got, reference, reference_norms, strict=True)]
 
 
 def tail_outputs(model: SequentialModel, k: int, x) -> list[np.ndarray]:
@@ -245,9 +269,14 @@ def layerwise_error(
     continues. The errors come from :func:`tail_errors` over all layers, the
     function that scores the planner's candidates, so the two agree by
     construction.
+
+    Raises:
+        NumericalError: naming the first layer of ``original`` whose output
+            or its norm overflows float64.
     """
     if not same_skeleton(original, compressed):
         raise DimensionError("models do not share an architecture skeleton")
     ref = forward(original, calib.samples)
-    norms = [float(np.linalg.norm(y)) for y in ref]
+    norms = output_norms(ref)
+    check_finite(original, norms)
     return tuple(tail_errors(compressed, compressed.n_layers, calib.samples, ref, norms))

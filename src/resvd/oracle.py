@@ -51,6 +51,15 @@ def _truncated(u, sigma, vt, r):
     return (u[:, :r] * sigma[:r]) @ vt[:r]
 
 
+def _two_stage(w, u, sigma, vt, s_inv, r_i: int, r_r: int) -> np.ndarray:
+    """Whitened truncation at rank ``r_i`` plus the best rank-``r_r`` fit of its residual."""
+    stage1 = _truncated(u, sigma, vt, r_i) @ s_inv
+    if r_r == 0:
+        return stage1
+    ru, rsig, rvt = np.linalg.svd(w - stage1, full_matrices=False)
+    return stage1 + _truncated(ru, rsig, rvt, r_r)
+
+
 def _spd_whitener(rng, n: int):
     """Random lower-triangular S with bounded condition, plus its inverse."""
     x = rng.standard_normal((4 * n, n))
@@ -97,13 +106,7 @@ def check_theorem3(
 
         u, sigma, vt = np.linalg.svd(w @ s, full_matrices=False)
         direct = np.linalg.norm(w - _truncated(u, sigma, vt, r) @ s_inv)
-
-        stage1 = _truncated(u, sigma, vt, r_i) @ s_inv
-        approx = stage1
-        if r_r > 0:
-            ru, rsig, rvt = np.linalg.svd(w - stage1, full_matrices=False)
-            approx = stage1 + _truncated(ru, rsig, rvt, r_r)
-        compensated = np.linalg.norm(w - approx)
+        compensated = np.linalg.norm(w - _two_stage(w, u, sigma, vt, s_inv, r_i, r_r))
 
         violation = compensated - direct
         max_violation = max(max_violation, violation)
@@ -113,7 +116,8 @@ def check_theorem3(
                 f"compensated {compensated:.12g} > direct {direct:.12g}"
             )
 
-        degenerate = np.linalg.norm(w - _truncated(u, sigma, vt, r) @ s_inv)
+        _, r0_i, r0_r = _budget(m, n, ratio, 0.0)
+        degenerate = np.linalg.norm(w - _two_stage(w, u, sigma, vt, s_inv, r0_i, r0_r))
         drift = abs(degenerate - direct)
         max_violation = max(max_violation, drift)
         if drift > tolerance:

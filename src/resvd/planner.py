@@ -27,10 +27,18 @@ import numpy as np
 
 from .calibration import CalibrationSet, ScalingContext, capture_activations, whitening_contexts
 from .compensation import compress_matrix
-from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError
+from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError, NumericalError
 from .linalg import rank_budget
-from .model import Layer, MatrixEntry, SequentialModel, tail_errors, tail_outputs
-# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 6).
+from .model import (
+    Layer,
+    MatrixEntry,
+    SequentialModel,
+    check_finite,
+    output_norms,
+    tail_errors,
+    tail_outputs,
+)
+# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 4).
 from .model import layerwise_error  # noqa: F401
 
 LayerShapes = list[list[tuple[int, int]]]
@@ -177,13 +185,13 @@ class CalibratedModel:
         Equal to ``layerwise_error(model, trial, calib)`` by construction: the
         tail is scored by :func:`~resvd.model.tail_errors`, which that function
         calls too, and the trial shares the prefix layers, whose outputs are
-        the reference itself and so score exactly 0.0 (nan at zero norm).
+        the reference itself and so score exactly 0.0 (:func:`calibrate`
+        rejects a zero reference norm).
         """
         split = self.model.n_layers - k
-        prefix = [math.nan if norm == 0.0 else 0.0 for norm in self.reference_norms[:split]]
         tail = tail_errors(trial, k, self.inputs[split],
                            self.reference[split:], self.reference_norms[split:])
-        return tuple(prefix + tail)
+        return (0.0,) * split + tuple(tail)
 
 
 def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
@@ -191,17 +199,25 @@ def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
 
     A layer's output is the captured input of the next one; only the last
     layer takes one extra forward pass.
+
+    Raises:
+        NumericalError: naming the first layer whose output (or its norm)
+            overflows float64 or is all zeros, or the first matrix that cannot
+            be whitened. The layers have no bias, so after a zero output every
+            later one is zero too and no candidate can be scored.
     """
     captured = capture_activations(model, calib)
     inputs = tuple(captured[f"{layer.name}/{layer.entries[0].name}"] for layer in model.layers)
     reference = inputs[1:] + tuple(tail_outputs(model, 1, inputs[-1]))
-    return CalibratedModel(
-        model=model,
-        contexts=whitening_contexts(captured),
-        inputs=inputs,
-        reference=reference,
-        reference_norms=tuple(float(np.linalg.norm(y)) for y in reference),
-    )
+    norms = output_norms(reference)
+    if 0.0 in norms:
+        dead = model.layers[norms.index(0.0)].name
+        raise NumericalError(f"{dead}: output is all zeros on the calibration set, "
+                             "so the model outputs nothing to compress against")
+    contexts = whitening_contexts(captured)
+    check_finite(model, norms)  # after whitening, whose Gram check names the matrix instead
+    return CalibratedModel(model=model, contexts=contexts, inputs=inputs,
+                           reference=reference, reference_norms=norms)
 
 
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
@@ -220,13 +236,11 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         try:
             trial = compress_tail_layers(model, state.contexts, k, ratio, cfg.beta)
             errors = state.layer_errors(trial, k)
+            if math.isnan(errors[-1]):
+                raise NumericalError("final-layer error undefined")
         except CompressionError as exc:
             table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
                                          status="failed", reason=str(exc)))
-            continue
-        if math.isnan(errors[-1]):
-            table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
-                                         status="failed", reason="final-layer error undefined"))
             continue
         table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=errors[-1]))
         if best is None or errors[-1] < best[0].final_error:  # ties go to the smaller k

@@ -42,6 +42,19 @@ def test_second_layer_sees_post_activation_output():
     np.testing.assert_allclose(captured["l1/w"], expected, atol=1e-12)
 
 
+def test_capture_names_the_matrix_whose_output_overflows():
+    # l1's output overflows to -inf, which its relu would turn into zeros;
+    # capture names the matrix before the activation can hide it.
+    model = SequentialModel(
+        layers=(dense_layer("l0", np.eye(2), "relu"),
+                dense_layer("l1", np.full((2, 2), -1e300), "relu"),
+                dense_layer("l2", np.eye(2))),
+        input_dim=2,
+    )
+    with pytest.raises(NumericalError, match=r"^l1/w: output overflows float64"):
+        capture_activations(model, CalibrationSet(samples=np.full((3, 2), 1e10)))
+
+
 def test_capture_keys_in_forward_order():
     rng = np.random.default_rng(3)
     layer = Layer(
@@ -137,6 +150,13 @@ def test_whiten_rejects_negative_ridge_and_bad_input():
         whiten(np.array([[np.inf, 0.0]]))
     with pytest.raises(SingularWhiteningError, match="overflows float64"):
         whiten(np.array([[1e308, 1.0], [2.0, 3.0]]))
+
+
+def test_whiten_rejects_an_overflowing_gram_trace():
+    # Every Gram entry is finite, but the trace the default ridge scales with
+    # is not; numpy must not warn on the way.
+    with pytest.raises(SingularWhiteningError, match="overflows float64"):
+        whiten(np.diag([1.2e154, 1.2e154]))
 
 
 @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])

@@ -4,6 +4,7 @@ consistency between the artifacts the commands produce."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,7 +27,13 @@ import resvd.calibration
 import resvd.compensation
 import resvd.planner
 from resvd.cli import main
-from resvd.containers import load_calibration, load_model, load_plan, save_calibration_csv
+from resvd.containers import (
+    load_calibration,
+    load_model,
+    load_plan,
+    save_calibration_csv,
+    save_model,
+)
 from resvd.model import forward
 
 
@@ -39,6 +46,25 @@ def gen_demo(path: Path, layers=6, width=32, samples=64, seed=7) -> Path:
                "--width", str(width), "--samples", str(samples), "--seed", str(seed)])
     assert rc == 0
     return path
+
+
+def overflowing_csv(demo: Path, dest: Path, cells: int) -> Path:
+    """``demo``'s calibration as CSV with the first ``cells`` values of row 1 set to 1e308."""
+    save_calibration_csv(load_calibration(demo / "calib.bin"), dest)
+    lines = dest.read_text().splitlines()
+    row = lines[0].split(",")
+    lines[0] = ",".join(["1e308"] * cells + row[cells:])
+    dest.write_text("\n".join(lines) + "\n")
+    return dest
+
+
+def run_without_warnings(argv: list[str]) -> int:
+    """``main(argv)``, asserting numpy raised no RuntimeWarning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return rc
 
 
 class TestGenDemo:
@@ -166,6 +192,24 @@ class TestCompress:
         model = load_model(out)
         assert all(e.store_dtype == "f32"
                    for layer in model.layers for e in layer.entries)
+
+    def test_default_dtype_writes_every_tensor_as_f64(self, tmp_path):
+        # An f32 model compressed at the default --dtype: the prefix layers it
+        # leaves dense are written as f64 too, as the manifest's config says.
+        demo = gen_demo(tmp_path / "demo")
+        model = load_model(demo)
+        save_model(dataclasses.replace(model, layers=tuple(
+            dataclasses.replace(layer, entries=tuple(
+                dataclasses.replace(e, store_dtype="f32") for e in layer.entries))
+            for layer in model.layers)), tmp_path / "m32")
+        out = tmp_path / "out"
+        assert main(["compress", "--model", str(tmp_path / "m32"),
+                     "--calib", str(demo / "calib.bin"), "--ratio", "0.2",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["meta"]["compression"]["config"]["out_dtype"] == "f64"
+        kinds = {(m["kind"], m["dtype"]) for layer in doc["layers"] for m in layer["matrices"]}
+        assert kinds == {("dense", "f64"), ("factored", "f64")}
 
     def test_missing_model_exits_2(self, tmp_path):
         demo = gen_demo(tmp_path / "demo")
@@ -419,9 +463,9 @@ class TestPlanCommand:
                    "--ratio", "0.99"])
         assert rc == 3
 
-    def test_dead_layer_names_the_matrix_it_cannot_whiten(self, tmp_path, capsys):
+    def test_dead_layer_is_named_before_whitening(self, tmp_path, capsys):
         # layer1 sees relu outputs (>= 0) through weights <= 0, so it outputs
-        # all zeros and layer2's input has nothing to whiten against.
+        # all zeros, and so does every later layer: the model outputs nothing.
         demo = gen_demo(tmp_path / "demo", layers=5, width=12, samples=24)
         tensor = demo / "layer1__w.bin"
         values = np.frombuffer(tensor.read_bytes(), dtype="<f8")
@@ -431,9 +475,8 @@ class TestPlanCommand:
                    "--ratio", "0.2"])
         err = capsys.readouterr().err
         assert rc == 4
-        assert len(err.splitlines()) == 1
-        assert "layer2/w" in err
-        assert "all zero" in err and "increase the ridge" not in err
+        assert err == ("resvd: numerical failure: layer1: output is all zeros on the "
+                       "calibration set, so the model outputs nothing to compress against\n")
 
     def test_overflowing_calibration_names_the_matrix(self, tmp_path, capsys):
         # One finite 1e308 overflows layer0's Gram matrix; numpy must not warn
@@ -453,6 +496,19 @@ class TestPlanCommand:
         assert len(err.splitlines()) == 1
         assert "layer0/w" in err and "overflow" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+    def test_overflowing_layer_output_is_named(self, tmp_path, capsys):
+        # A first row of 1e308s overflows layer0's output while activations
+        # are captured: one line names the matrix, and numpy does not warn.
+        demo = gen_demo(tmp_path / "demo", layers=3, width=6, samples=24)
+        calib = overflowing_csv(demo, tmp_path / "calib.csv", cells=6)
+        capsys.readouterr()
+        rc = run_without_warnings(["plan", "--model", str(demo), "--calib", str(calib),
+                                   "--ratio", "0.2", "--samples", "0"])
+        assert rc == 4
+        assert capsys.readouterr().err == ("resvd: numerical failure: layer0/w: output "
+                                           "overflows float64 on the calibration set\n")
 
 
 class TestAnalyze:
@@ -504,6 +560,21 @@ class TestAnalyze:
         stored, fresh = self._errors_csv_pair(tmp_path, ["--baseline"],
                                               ["--samples", "40", "--seed", "3"])
         assert stored == fresh
+
+    def test_overflowing_reference_norm_exits_4(self, tmp_path, capsys):
+        # One 1e308 keeps every output finite but overflows layer0's output
+        # norm; scored anyway, 0/inf would read as a perfect layer.
+        demo = gen_demo(tmp_path / "demo", layers=3, width=6, samples=24)
+        out = tmp_path / "out"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+        calib = overflowing_csv(demo, tmp_path / "calib.csv", cells=1)
+        capsys.readouterr()
+        rc = run_without_warnings(["analyze", "--original", str(demo), "--compressed", str(out),
+                                   "--calib", str(calib), "--samples", "0"])
+        assert rc == 4
+        assert capsys.readouterr() == ("", "resvd: numerical failure: layer0: output norm "
+                                           "overflows float64 on the calibration set\n")
 
     def test_skeleton_mismatch_is_an_error(self, tmp_path):
         a = gen_demo(tmp_path / "a", layers=4)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resvd.calibration import ScalingContext, whiten
 from resvd.compensation import compress_matrix, direct_truncate_matrix
@@ -70,6 +72,38 @@ def test_superiority_inequality_holds_across_trials():
         erc_err = frobenius_error(compress_matrix(w, ctx, ratio, 0.05).product(), w)
         direct_err = frobenius_error(direct_truncate_matrix(w, ctx, budget.r).product(), w)
         assert erc_err <= direct_err + 1e-9, f"violated at trial {trial} ({m}x{n}, {ratio})"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    shape=st.sampled_from([(96, 6), (6, 96), (128, 4), (4, 128), (4, 4), (24, 24)]),
+    samples=st.sampled_from(["few", "many"]),
+    dead_share=st.sampled_from([0.0, 0.25, 0.75]),
+    ratio=st.sampled_from([0.2, 0.3, 0.5]),
+    beta=st.sampled_from([0.05, 0.2, 0.45]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_superiority_on_extreme_shapes_and_rank_deficient_activations(
+        shape, samples, dead_share, ratio, beta, seed):
+    # m >> n, n >> m and width 4, whitened at the default ridge against
+    # activations of deficient rank: fewer samples than the width, or relu
+    # units that never fire (zero columns).
+    m, n = shape
+    try:
+        budget = rank_budget(m, n, ratio, beta)
+    except InfeasibleBudgetError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((max(n // 2, 1) if samples == "few" else 4 * n, n))
+    dead = int(dead_share * n)
+    x = np.maximum(x, 0.0)
+    x[:, :dead] = 0.0
+    assume(x.any())
+    ctx = whiten(x)
+    w = rng.standard_normal((m, n))
+    erc_err = frobenius_error(compress_matrix(w, ctx, ratio, beta).product(), w)
+    direct_err = frobenius_error(direct_truncate_matrix(w, ctx, budget.r).product(), w)
+    assert erc_err <= direct_err + 1e-9
 
 
 def test_residual_stage_is_optimal_among_random_competitors():

@@ -365,6 +365,12 @@ class TestPlanFile:
         with pytest.raises(FormatError):
             load_plan(tmp_path / "p.json")
 
+    @pytest.mark.parametrize("text", ["5", "[1]", "null"])
+    def test_non_object_rejected(self, tmp_path, text):
+        (tmp_path / "p.json").write_text(text)
+        with pytest.raises(FormatError, match="must hold a JSON object"):
+            load_plan(tmp_path / "p.json")
+
     def test_missing_key(self, tmp_path):
         save_plan(self.make_plan(), tmp_path / "p.json")
         doc = json.loads((tmp_path / "p.json").read_text())

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+import resvd.oracle as oracle_mod
 from resvd.calibration import ScalingContext
 from resvd.compensation import compress_matrix
 from resvd.linalg import frobenius_error, rank_budget
@@ -61,6 +62,21 @@ class TestTheorem3Suite:
             oracle_est = stage1 + (ru[:, : budget.r_r] * rsig[: budget.r_r]) @ rvt[: budget.r_r]
             oracle_err = np.linalg.norm(w - oracle_est)
             assert pipeline_err == pytest.approx(oracle_err, abs=1e-9)
+
+    def test_catches_a_broken_beta_zero_budget(self, monkeypatch):
+        # A beta = 0 split that still spends rank on the residual stage is no
+        # longer plain truncation; the degenerate leg must report the drift.
+        real = oracle_mod._budget
+
+        def leaky(m, n, layer_ratio, beta):
+            r, r_i, r_r = real(m, n, layer_ratio, beta)
+            return (r, r - 1, 1) if beta == 0.0 else (r, r_i, r_r)
+
+        monkeypatch.setattr(oracle_mod, "_budget", leaky)
+        report = check_theorem3(trials=20, seed=0)
+        assert not report.passed
+        assert report.max_violation > report.tolerance
+        assert any("beta=0 split drifted" in f for f in report.failures)
 
     def test_report_is_json_serializable(self):
         report = check_theorem3(trials=5, seed=3)

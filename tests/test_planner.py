@@ -12,7 +12,7 @@ import pytest
 
 import resvd.planner as planner_mod
 from resvd.calibration import CalibrationSet, capture_activations, whitening_contexts
-from resvd.errors import CompressionError, InfeasiblePlanError
+from resvd.errors import CompressionError, InfeasiblePlanError, NumericalError
 from resvd.model import Layer, MatrixEntry, SequentialModel, layerwise_error, parameter_count
 from resvd.planner import (
     CompressionPlan,
@@ -199,24 +199,36 @@ class TestPlan:
         rebuilt = compress_model(model, calib, chosen)
         assert model_bytes(chosen.compressed) == model_bytes(rebuilt)
 
-    def test_zero_output_layer_scores_nan_like_full_forward(self, monkeypatch):
-        # A relu layer whose output is all zero has an undefined (nan) error,
-        # and so does every layer after it. Its zero output cannot be whitened
-        # at the default ridge, so the contexts here take an explicit one.
+    def test_zero_output_layer_rejected_before_whitening(self):
+        # A relu layer whose output is all zero zeroes every later layer too,
+        # so no candidate's error is defined: calibrate names the layer before
+        # whitening its successor, which would fail at the default ridge.
+        # layerwise_error still scores such a pair: 0.0, then nan.
         rng = np.random.default_rng(28)
         model = make_multi_entry_mlp(rng, 5, 12, 2, dead_layer=1)
         calib = make_calib(rng, 40, 12)
-        monkeypatch.setattr(planner_mod, "whitening_contexts",
-                            lambda acts: whitening_contexts(acts, ridge=1e-3))
-        state = planner_mod.calibrate(model, calib)
+        for run in (lambda: planner_mod.calibrate(model, calib),
+                    lambda: plan(model, calib, PlannerConfig(overall_ratio=0.3))):
+            with pytest.raises(NumericalError, match=r"^layer1: output is all zeros"):
+                run()
+        contexts = whitening_contexts(capture_activations(model, calib), ridge=1e-3)
         for k in (2, 3, 4):
-            trial = compress_tail_layers(model, state.contexts, k, 5 * 0.3 / k, 0.05)
-            want = layerwise_error(model, trial, calib)
-            got = state.layer_errors(trial, k)
-            assert got[0] == want[0] == 0.0
-            assert all(math.isnan(v) for v in got[1:] + want[1:]), k
-        with pytest.raises(InfeasiblePlanError):
-            plan(model, calib, PlannerConfig(overall_ratio=0.3))
+            trial = compress_tail_layers(model, contexts, k, 5 * 0.3 / k, 0.05)
+            errors = layerwise_error(model, trial, calib)
+            assert errors[0] == 0.0
+            assert all(math.isnan(v) for v in errors[1:]), k
+
+    def test_overflowing_output_norm_is_named(self):
+        # The last layer's outputs are finite but their norm is not; scored
+        # anyway, every candidate would read error/inf = 0, a perfect score.
+        rng = np.random.default_rng(29)
+        model = make_mlp(rng, 4, 6)
+        last = model.layers[-1]
+        big = MatrixEntry(name="w", rows=6, cols=6, dense=last.entries[0].dense * 1e200)
+        model = dataclasses.replace(
+            model, layers=model.layers[:-1] + (dataclasses.replace(last, entries=(big,)),))
+        with pytest.raises(NumericalError, match=r"^layer3: output norm overflows float64"):
+            plan(model, make_calib(rng, 24, 6), PlannerConfig(overall_ratio=0.3))
 
     def test_argmin_over_reported_table(self):
         rng = np.random.default_rng(21)
