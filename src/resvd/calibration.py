@@ -117,11 +117,15 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
     return ScalingContext(s=s, s_inv=s_inv, ridge=float(ridge))
 
 
-def capture_activations(model: SequentialModel, calib: CalibrationSet) -> dict[str, np.ndarray]:
-    """Inputs seen by every weight matrix during forward passes over the calibration set.
+def capture_activations(
+    model: SequentialModel, calib: CalibrationSet
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Inputs seen by every weight matrix over the calibration set, and the model's output.
 
     Keys are ``"<layer>/<matrix>"`` in forward order. All sample rows are
     stacked into one activation matrix per weight; no per-batch averaging.
+    Activations are applied in place on each layer's fresh matmul output, so
+    no captured array is ever written.
 
     Raises:
         NumericalError: naming the first matrix whose output overflows
@@ -143,7 +147,7 @@ def capture_activations(model: SequentialModel, calib: CalibrationSet) -> dict[s
             if not np.isfinite(h).all():
                 raise NumericalError(f"{key}: output overflows float64 on the calibration set")
         h = apply_activation(layer.activation, h)
-    return captured
+    return captured, h
 
 
 def whitening_contexts(

@@ -16,6 +16,7 @@ import json
 import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,11 +238,47 @@ def load_calibration(path: str | Path) -> CalibrationSet:
 
 
 def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
-    lines = [",".join("%.17g" % v for v in row) for row in calib.samples]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:  # a file object, so a ".gz" name is never gzipped
+        np.savetxt(fh, calib.samples, fmt="%.17g", delimiter=",")
+
+
+# The bytes on which np.loadtxt and the line loop provably agree: printable
+# ASCII, tab and the newline characters. Other control characters and
+# non-ASCII separators end a line for str.splitlines (\x0c, \u2028) or are
+# stripped by loadtxt but not by float() (\x1f), so loadtxt reads "1\x0c,2"
+# as one row where the line loop sees two lines and rejects them.
+_CSV_FAST_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
 def load_calibration_csv(path: str | Path) -> CalibrationSet:
+    """Parse a bare numeric CSV at C speed, falling back to a line loop for diagnostics.
+
+    The fast path takes only what the line loop would accept to the same
+    array; for anything else (a parse error, no rows, a non-finite value,
+    an unusual byte) the line loop decides, so every accepted file loads
+    the same and every rejected one gives the same one-line message.
+    """
+    samples = _load_csv_fast(path)
+    if samples is None:
+        samples = _load_csv_lines(path)
+    return CalibrationSet(samples=samples, source=str(path))
+
+
+def _load_csv_fast(path: str | Path) -> np.ndarray | None:
+    with open(path, "rb") as fh:  # in chunks, so the check holds no copy of the file
+        if any(chunk.translate(None, _CSV_FAST_BYTES)
+               for chunk in iter(lambda: fh.read(1 << 20), b"")):
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            samples = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
+    except (ValueError, Warning):  # whatever loadtxt rejects or warns about, the line loop decides
+        return None
+    return samples if np.isfinite(samples).all() else None
+
+
+def _load_csv_lines(path: str | Path) -> np.ndarray:
     rows: list[list[float]] = []
     line_numbers: list[int] = []
     try:
@@ -265,7 +302,7 @@ def load_calibration_csv(path: str | Path) -> CalibrationSet:
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}:{line_numbers[bad[0]]}: non-finite value")
-    return CalibrationSet(samples=samples, source=str(path))
+    return samples
 
 
 def load_calibration_auto(path: str | Path) -> CalibrationSet:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,14 +28,24 @@ STORE_DTYPES = ("f64", "f32")
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
+def apply_activation(name: str, h: np.ndarray) -> np.ndarray:
+    """Apply activation ``name`` to ``h`` in place and return ``h``.
+
+    Callers pass an array they own, such as a fresh matmul output.
+    """
     if name == "identity":
-        return x
+        return h
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(h, 0.0, out=h)
     if name == "silu":
-        # sigmoid(x) = (1 + tanh(x/2)) / 2 cannot overflow for any finite x
-        return x * (0.5 + 0.5 * np.tanh(0.5 * x))
+        # h * (0.5 + 0.5 * tanh(0.5 * h)), step for step, so results match the
+        # allocating form bit for bit; sigmoid written this way cannot overflow
+        t = np.multiply(h, 0.5)
+        np.tanh(t, out=t)
+        t *= 0.5
+        t += 0.5
+        h *= t
+        return h
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -132,8 +142,9 @@ class Layer:
         return self.entries[-1].rows
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """This layer's output for ``x``; ``x`` itself is never written."""
         h = x
-        for e in self.entries:
+        for e in self.entries:  # at least one, so h ends as a fresh array
             h = e.apply(h)
         return apply_activation(self.activation, h)
 
@@ -175,23 +186,44 @@ def forward(model: SequentialModel, x) -> list[np.ndarray]:
     An output that overflows float64 comes back non-finite, without a numpy
     warning; :func:`check_finite` reports it.
     """
+    return list(_walk(model.layers, _model_input(model, x)))
+
+
+def _model_input(model: SequentialModel, x) -> np.ndarray:
     h = as_matrix(x, "input")
     if h.shape[1] != model.input_dim:
         raise DimensionError(
             f"input width {h.shape[1]} != model input_dim {model.input_dim}"
         )
-    outputs = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for layer in model.layers:
+    return h
+
+
+def _walk(layers: Sequence[Layer], h: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield each layer's output in turn, fed ``h`` as the first one's input.
+
+    Every forward pass in the package is this loop. Each output is a fresh
+    array the next layer only reads, so a consumer that drops it after use
+    keeps one working array alive, and ``h`` is never written.
+    """
+    for layer in layers:
+        with np.errstate(over="ignore", invalid="ignore"):
             h = layer.forward(h)
-            outputs.append(h)
-    return outputs
+        yield h
+
+
+def _norm(y: np.ndarray) -> float:
+    """Frobenius norm; one that overflows float64 is inf, and numpy stays quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(y))
 
 
 def output_norms(outputs: Sequence[np.ndarray]) -> tuple[float, ...]:
-    """Frobenius norm of each output; one that overflows float64 is inf, and numpy stays quiet."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(float(np.linalg.norm(y)) for y in outputs)
+    """Frobenius norm of each output (see :func:`_norm`)."""
+    return tuple(_norm(y) for y in outputs)
+
+
+def _overflow(layer: Layer) -> NumericalError:
+    return NumericalError(f"{layer.name}: output norm overflows float64 on the calibration set")
 
 
 def check_finite(model: SequentialModel, norms: Sequence[float]) -> None:
@@ -202,8 +234,26 @@ def check_finite(model: SequentialModel, norms: Sequence[float]) -> None:
     """
     for layer, norm in zip(model.layers, norms, strict=True):
         if not math.isfinite(norm):
-            raise NumericalError(
-                f"{layer.name}: output norm overflows float64 on the calibration set")
+            raise _overflow(layer)
+
+
+def _relative_errors(
+    outputs: Iterable[np.ndarray], reference: Iterable[tuple[np.ndarray, float]]
+) -> list[float]:
+    """``|y - y_ref| / |y_ref|`` for each output, nan where the reference norm is zero.
+
+    The difference goes through one reused buffer, so scoring allocates
+    nothing per layer while the widths stay the same.
+    """
+    errors = []
+    diff = None
+    for y, (y_ref, norm) in zip(outputs, reference, strict=True):
+        if diff is None or diff.shape != y.shape:
+            diff = np.empty_like(y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(y, y_ref, out=diff)
+        errors.append(math.nan if norm == 0.0 else _norm(diff) / norm)
+    return errors
 
 
 def tail_errors(
@@ -217,20 +267,13 @@ def tail_errors(
 
     ``reference`` and ``reference_norms`` hold those layers' expected outputs
     and the outputs' Frobenius norms; an error is nan where the norm is zero.
-    This is the one place relative errors are computed: :func:`layerwise_error`
-    and :meth:`resvd.planner.CalibratedModel.layer_errors` both call it, so
-    they agree by construction.
+    Each layer is scored as soon as it runs. This and :func:`layerwise_error`
+    are the only places relative errors are computed, both through one
+    scoring loop, so the planner's candidate scores and ``analyze`` agree by
+    construction.
     """
-    got = tail_outputs(model, k, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [math.nan if norm == 0.0 else float(np.linalg.norm(y - y_ref)) / norm
-                for y, y_ref, norm in zip(got, reference, reference_norms, strict=True)]
-
-
-def tail_outputs(model: SequentialModel, k: int, x) -> list[np.ndarray]:
-    """Outputs of the last ``k`` layers, fed ``x`` as the input of layer ``N-k``."""
-    layers = model.layers[model.n_layers - k :]
-    return forward(SequentialModel(layers=layers, input_dim=layers[0].input_dim), x)
+    return _relative_errors(_walk(model.layers[model.n_layers - k :], x),
+                            zip(reference, reference_norms, strict=True))
 
 
 def parameter_count(model: SequentialModel) -> int:
@@ -265,10 +308,11 @@ def layerwise_error(
 
     Both models consume the same inputs at layer 0; the compressed model runs
     its own forward pass, so errors introduced early propagate downstream.
-    A layer whose reference output has zero norm reports nan and the scan
-    continues. The errors come from :func:`tail_errors` over all layers, the
-    function that scores the planner's candidates, so the two agree by
-    construction.
+    The two passes walk in step, each layer scored and dropped as it runs,
+    so memory stays at a few outputs whatever the depth. A layer whose
+    reference output has zero norm reports nan and the scan continues. The
+    errors come from the loop that scores the planner's candidates
+    (:func:`tail_errors`), so the two agree by construction.
 
     Raises:
         NumericalError: naming the first layer of ``original`` whose output
@@ -276,7 +320,13 @@ def layerwise_error(
     """
     if not same_skeleton(original, compressed):
         raise DimensionError("models do not share an architecture skeleton")
-    ref = forward(original, calib.samples)
-    norms = output_norms(ref)
-    check_finite(original, norms)
-    return tuple(tail_errors(compressed, compressed.n_layers, calib.samples, ref, norms))
+    x = _model_input(original, calib.samples)
+
+    def reference() -> Iterator[tuple[np.ndarray, float]]:
+        for layer, y in zip(original.layers, _walk(original.layers, x)):
+            norm = _norm(y)
+            if not math.isfinite(norm):
+                raise _overflow(layer)
+            yield y, norm
+
+    return tuple(_relative_errors(_walk(compressed.layers, x), reference()))

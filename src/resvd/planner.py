@@ -36,7 +36,6 @@ from .model import (
     check_finite,
     output_norms,
     tail_errors,
-    tail_outputs,
 )
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 4).
 from .model import layerwise_error  # noqa: F401
@@ -183,10 +182,10 @@ class CalibratedModel:
         """Per-layer relative errors of a trial that factored only the last ``k`` layers.
 
         Equal to ``layerwise_error(model, trial, calib)`` by construction: the
-        tail is scored by :func:`~resvd.model.tail_errors`, which that function
-        calls too, and the trial shares the prefix layers, whose outputs are
-        the reference itself and so score exactly 0.0 (:func:`calibrate`
-        rejects a zero reference norm).
+        tail is scored by :func:`~resvd.model.tail_errors`, whose walk and
+        scoring loop that function shares, and the trial shares the prefix
+        layers, whose outputs are the reference itself and so score exactly
+        0.0 (:func:`calibrate` rejects a zero reference norm).
         """
         split = self.model.n_layers - k
         tail = tail_errors(trial, k, self.inputs[split],
@@ -197,8 +196,8 @@ class CalibratedModel:
 def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
     """Capture activations once, whiten every matrix, and record each layer's output.
 
-    A layer's output is the captured input of the next one; only the last
-    layer takes one extra forward pass.
+    A layer's output is the captured input of the next one, and the capture
+    pass returns the last layer's output, so every layer runs once.
 
     Raises:
         NumericalError: naming the first layer whose output (or its norm)
@@ -206,9 +205,9 @@ def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
             be whitened. The layers have no bias, so after a zero output every
             later one is zero too and no candidate can be scored.
     """
-    captured = capture_activations(model, calib)
+    captured, output = capture_activations(model, calib)
     inputs = tuple(captured[f"{layer.name}/{layer.entries[0].name}"] for layer in model.layers)
-    reference = inputs[1:] + tuple(tail_outputs(model, 1, inputs[-1]))
+    reference = inputs[1:] + (output,)
     norms = output_norms(reference)
     if 0.0 in norms:
         dead = model.layers[norms.index(0.0)].name

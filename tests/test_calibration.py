@@ -11,7 +11,7 @@ from resvd.calibration import (
     whitening_contexts,
 )
 from resvd.errors import DimensionError, NumericalError, SingularWhiteningError
-from resvd.model import Layer, MatrixEntry, SequentialModel
+from resvd.model import Layer, MatrixEntry, SequentialModel, forward
 
 
 def dense_layer(name, w, activation="identity"):
@@ -23,8 +23,9 @@ def test_first_layer_sees_raw_input():
     model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),), input_dim=3)
     x = np.arange(12.0).reshape(4, 3)
     calib = CalibrationSet(samples=x, seed=0, source="test")
-    captured = capture_activations(model, calib)
+    captured, output = capture_activations(model, calib)
     np.testing.assert_array_equal(captured["l0/w"], x)
+    np.testing.assert_array_equal(output, x)
 
 
 def test_second_layer_sees_post_activation_output():
@@ -36,7 +37,7 @@ def test_second_layer_sees_post_activation_output():
         input_dim=3,
     )
     x = rng.standard_normal((7, 3))
-    captured = capture_activations(model, CalibrationSet(samples=x))
+    captured, _ = capture_activations(model, CalibrationSet(samples=x))
     # naive recomputation of the ReLU output feeding layer 1
     expected = np.maximum(x @ w1.T, 0.0)
     np.testing.assert_allclose(captured["l1/w"], expected, atol=1e-12)
@@ -66,12 +67,16 @@ def test_capture_keys_in_forward_order():
         activation="relu",
     )
     model = SequentialModel(layers=(layer, dense_layer("out", np.eye(4))), input_dim=4)
-    captured = capture_activations(model, CalibrationSet(samples=rng.standard_normal((3, 4))))
+    x = rng.standard_normal((3, 4))
+    captured, output = capture_activations(model, CalibrationSet(samples=x))
     assert list(captured) == ["mlp/up", "mlp/down", "out/w"]
     # the second entry sees the intermediate product, pre-activation
     np.testing.assert_allclose(
         captured["mlp/down"], captured["mlp/up"] @ layer.entries[0].dense.T, atol=1e-12
     )
+    # the in-place relu leaves the captured product alone; the output is the model's
+    assert (captured["mlp/down"] < 0).any()
+    np.testing.assert_array_equal(output, forward(model, x)[-1])
 
 
 def test_zero_sample_calibration_rejected():
@@ -177,7 +182,7 @@ def test_whitening_contexts_cover_every_matrix():
         input_dim=4,
     )
     calib = CalibrationSet(samples=rng.standard_normal((20, 4)))
-    contexts = whitening_contexts(capture_activations(model, calib))
+    contexts = whitening_contexts(capture_activations(model, calib)[0])
     assert set(contexts) == {"l0/w", "l1/w"}
     for ctx in contexts.values():
         n = ctx.s.shape[0]

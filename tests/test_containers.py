@@ -6,14 +6,19 @@ from __future__ import annotations
 import json
 import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resvd.calibration import CalibrationSet
 from resvd.containers import (
     ERROR_CSV_HEADER,
+    _load_csv_fast,
+    _load_csv_lines,
     load_calibration,
     load_calibration_auto,
     load_calibration_csv,
@@ -63,6 +68,54 @@ def small_model(rng, store_dtype="f64"):
 
 def dir_bytes(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+# CSV files: well-formed rows of numbers in the forms a writer might use,
+# the three newline conventions, and in about half the files one flaw: a
+# malformed token, a ragged row, a whitespace-only line, a byte on which
+# loadtxt and str.splitlines disagree, or a byte that is not UTF-8.
+_CSV_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([" 1 ", "\t2", "+1e3", ".5", "5.", "-0.0", "1E-320"]),
+)
+_CSV_FLAWS = st.one_of(
+    st.tuples(st.just("token"), st.sampled_from(
+        ["", "1_0", "0x10", "1e", "oops", "1e999", "-inf", "nan", "1 2", "\u0661"])),
+    st.tuples(st.just("line"), st.sampled_from(["1,2,3,4", " ", "\t ", "\x0c"])),
+    st.tuples(st.just("char"), st.sampled_from(
+        ["\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\ufeff"])),
+    st.just(("bytes", "\xff")),
+)
+
+
+@st.composite
+def csv_files(draw) -> bytes:
+    cols = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_CSV_NUMBER, min_size=cols, max_size=cols), max_size=5))
+    lines = [",".join(row) for row in rows] + draw(st.sampled_from([[], [""]]))
+    kind, flaw = draw(st.one_of(st.just((None, None)), _CSV_FLAWS))
+    at = draw(st.integers(0, len(lines)))
+    if kind == "token" and rows:
+        lines[at % len(rows)] = ",".join([flaw] + rows[at % len(rows)][1:])
+    elif kind == "line":
+        lines.insert(at, flaw)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(line + newline for line in lines)
+    if kind == "char":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + flaw + text[at:]
+    data = text.encode()
+    return data + b"\xff" if kind == "bytes" else data
+
+
+def _csv_outcome(load, path):
+    try:
+        samples = load(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return samples.shape, samples.tobytes()
 
 
 class TestModelDir:
@@ -292,6 +345,43 @@ class TestCalibrationContainer:
         (tmp_path / "c.csv").write_text(f"1,2\n\n3,{token}\n")
         with pytest.raises(FormatError, match=r"c\.csv:3: non-finite value"):
             load_calibration_csv(tmp_path / "c.csv")
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=csv_files())
+    def test_csv_fast_path_agrees_with_the_line_loop(self, data):
+        # Through the fast path or its fallback, every file loads to the
+        # line loop's array or fails with the line loop's message.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            path.write_bytes(data)
+            want = _csv_outcome(_load_csv_lines, path)
+            fast = _load_csv_fast(path)
+            if fast is not None:
+                assert (fast.shape, fast.tobytes()) == want
+            assert _csv_outcome(lambda p: load_calibration_csv(p).samples, path) == want
+
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n", "1,2\r\n\n3,4", "5", "1\n2\n", " 1 ,\t2\r"])
+    def test_csv_fast_path_takes_plain_files(self, tmp_path, text):
+        (tmp_path / "c.csv").write_text(text, newline="")
+        fast = _load_csv_fast(tmp_path / "c.csv")
+        assert fast is not None
+        np.testing.assert_array_equal(fast, _load_csv_lines(tmp_path / "c.csv"))
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+    def test_csv_line_separator_inside_a_row_is_the_line_loops_call(self, tmp_path, sep):
+        # loadtxt reads "1<sep>,2" as one row; the line loop sees the lines
+        # "1" and ",2" and rejects the second
+        (tmp_path / "c.csv").write_text(f"1{sep},2\n", newline="")
+        assert _load_csv_fast(tmp_path / "c.csv") is None
+        with pytest.raises(FormatError, match=r"c\.csv:2: not numeric"):
+            load_calibration_csv(tmp_path / "c.csv")
+
+    def test_csv_writer_matches_the_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(23)
+        samples = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-300, 300, (5, 3))
+        save_calibration_csv(CalibrationSet(samples=samples), tmp_path / "c.csv.gz")
+        want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in samples)
+        assert (tmp_path / "c.csv.gz").read_bytes() == want.encode()
 
     def test_csv_empty(self, tmp_path):
         (tmp_path / "c.csv").write_text("\n")

@@ -86,6 +86,36 @@ def test_silu_is_finite_and_exact_at_extremes():
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("activation", ["identity", "relu", "silu"])
+def test_forward_never_writes_its_input(activation):
+    rng = np.random.default_rng(98)
+    for model in (SequentialModel(layers=(dense_layer("l0", np.eye(4), activation),), input_dim=4),
+                  make_mlp(rng, [4, 5, 4], activation=activation, last=activation)):
+        x = rng.standard_normal((6, 4))
+        before = x.copy()
+        outputs = forward(model, x)
+        assert np.array_equal(x, before)
+        assert all(not np.shares_memory(y, x) for y in outputs)
+        assert np.array_equal(model.layers[0].forward(x), outputs[0])
+        assert np.array_equal(x, before)
+
+
+def test_in_place_activations_equal_the_allocating_formulas():
+    rng = np.random.default_rng(97)
+    x = np.concatenate([
+        rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 8, 4096),
+        [-1e308, -1000.0, -40.0, -5e-324, -0.0, 0.0, 5e-324, 40.0, 1000.0, 1e308],
+    ])
+    for name, want in (("silu", x * (0.5 + 0.5 * np.tanh(0.5 * x))),
+                       ("relu", np.maximum(x, 0.0)),
+                       ("identity", x)):
+        h = x.copy()
+        got = apply_activation(name, h)
+        assert got is h
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
 def test_forward_rejects_wrong_width():
     model = SequentialModel(layers=(dense_layer("l0", np.eye(4)),), input_dim=4)
     with pytest.raises(DimensionError):

@@ -69,6 +69,37 @@ def make_calib(rng, n, dim, seed=0):
     return CalibrationSet(samples=rng.standard_normal((n, dim)), seed=seed)
 
 
+def with_silu(model):
+    """``model`` with every other hidden layer switched from relu to silu."""
+    layers = tuple(dataclasses.replace(layer, activation="silu")
+                   if i % 2 and layer.activation == "relu" else layer
+                   for i, layer in enumerate(model.layers))
+    return dataclasses.replace(model, layers=layers)
+
+
+def allocating_forward(model, x):
+    """Every layer's output, each activation allocating a fresh array."""
+    out, h = [], x
+    for layer in model.layers:
+        for e in layer.entries:
+            h = e.apply(h)
+        if layer.activation == "relu":
+            h = np.maximum(h, 0.0)
+        elif layer.activation == "silu":
+            h = h * (0.5 + 0.5 * np.tanh(0.5 * h))
+        out.append(h)
+    return out
+
+
+def two_pass_layerwise_error(original, compressed, x):
+    """Per-layer relative errors as computed before scoring walked both
+    models in step: every reference output first, then the compressed ones."""
+    ref = allocating_forward(original, x)
+    norms = [float(np.linalg.norm(y)) for y in ref]
+    return tuple(math.nan if norm == 0.0 else float(np.linalg.norm(y - y_ref)) / norm
+                 for y, y_ref, norm in zip(allocating_forward(compressed, x), ref, norms))
+
+
 class TestEnumerateCandidates:
     def test_hand_case_32_layers(self):
         cfg = PlannerConfig(overall_ratio=0.2, step=1)
@@ -123,7 +154,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(11)
         model = make_mlp(rng, 5, 12)
         calib = make_calib(rng, 40, 12)
-        contexts = whitening_contexts(capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib)[0])
         out = compress_tail_layers(model, contexts, k=2, layer_ratio=0.4, beta=0.05)
         for i in range(3):
             assert out.layers[i] is model.layers[i]
@@ -134,7 +165,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(12)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib)[0])
         out = compress_tail_layers(model, contexts, k=3, layer_ratio=0.3, beta=0.05)
         assert all(layer.entries[0].is_factored for layer in out.layers)
 
@@ -142,7 +173,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(13)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib)[0])
         once = compress_tail_layers(model, contexts, k=3, layer_ratio=0.3, beta=0.05)
         with pytest.raises(CompressionError):
             compress_tail_layers(once, contexts, k=1, layer_ratio=0.3, beta=0.05)
@@ -151,7 +182,7 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(14)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib)[0])
         with pytest.raises(ValueError):
             compress_tail_layers(model, contexts, k=0, layer_ratio=0.3, beta=0.05)
         with pytest.raises(ValueError):
@@ -170,7 +201,7 @@ class TestPlan:
 
             chosen = plan(model, calib, cfg)
 
-            contexts = whitening_contexts(capture_activations(model, calib))
+            contexts = whitening_contexts(capture_activations(model, calib)[0])
             best_k, best_err = None, math.inf
             for k, ratio in enumerate_candidates(6, cfg, layer_shapes=[[(16, 16)]] * 6):
                 trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
@@ -190,7 +221,7 @@ class TestPlan:
         calib = make_calib(rng, 40, 14)
         cfg = PlannerConfig(overall_ratio=0.3)
         chosen = plan(model, calib, cfg)
-        contexts = whitening_contexts(capture_activations(model, calib))
+        contexts = whitening_contexts(capture_activations(model, calib)[0])
         assert all(row.status == "ok" for row in chosen.candidate_table)
         for row in chosen.candidate_table:
             trial = compress_tail_layers(model, contexts, row.k, row.layer_ratio, cfg.beta)
@@ -198,6 +229,51 @@ class TestPlan:
         assert chosen.layer_errors == layerwise_error(model, chosen.compressed, calib)
         rebuilt = compress_model(model, calib, chosen)
         assert model_bytes(chosen.compressed) == model_bytes(rebuilt)
+
+    @pytest.mark.parametrize("entries", [1, 2])
+    def test_scores_equal_the_two_pass_formula_exactly(self, entries):
+        # The planner's scores and layerwise_error share one scoring loop, so
+        # the test above cannot see that loop drift; an independent copy of
+        # the two-pass formula can.
+        rng = np.random.default_rng(30)
+        model = with_silu(make_multi_entry_mlp(rng, 6, 14, entries))
+        calib = make_calib(rng, 40, 14)
+        cfg = PlannerConfig(overall_ratio=0.3)
+        chosen = plan(model, calib, cfg)
+        contexts = whitening_contexts(capture_activations(model, calib)[0])
+        for row in chosen.candidate_table:
+            trial = compress_tail_layers(model, contexts, row.k, row.layer_ratio, cfg.beta)
+            want = two_pass_layerwise_error(model, trial, calib.samples)
+            assert layerwise_error(model, trial, calib) == want, row.k
+            assert row.final_error == want[-1], row.k
+        assert chosen.layer_errors == two_pass_layerwise_error(model, chosen.compressed,
+                                                               calib.samples)
+
+    def test_plan_writes_neither_calibration_nor_captured_inputs(self, monkeypatch):
+        # Activations run in place on fresh matmul outputs only: planning
+        # leaves the calibration rows and every captured layer input as
+        # they were, and the references are the model's own layer outputs.
+        rng = np.random.default_rng(31)
+        model = with_silu(make_multi_entry_mlp(rng, 6, 14, 2))
+        calib = make_calib(rng, 40, 14)
+        samples = calib.samples.copy()
+        states = []
+
+        def calibrate(*args):
+            state = real_calibrate(*args)
+            states.append((state, [x.copy() for x in state.inputs]))
+            return state
+
+        real_calibrate = planner_mod.calibrate
+        monkeypatch.setattr(planner_mod, "calibrate", calibrate)
+        plan(model, calib, PlannerConfig(overall_ratio=0.3))
+        (state, inputs), = states
+        assert np.array_equal(calib.samples, samples)
+        assert state.inputs[0] is calib.samples
+        for got, before in zip(state.inputs, inputs, strict=True):
+            assert np.array_equal(got, before)
+        for got, want in zip(state.reference, allocating_forward(model, samples), strict=True):
+            assert np.array_equal(got, want)
 
     def test_zero_output_layer_rejected_before_whitening(self):
         # A relu layer whose output is all zero zeroes every later layer too,
@@ -211,7 +287,7 @@ class TestPlan:
                     lambda: plan(model, calib, PlannerConfig(overall_ratio=0.3))):
             with pytest.raises(NumericalError, match=r"^layer1: output is all zeros"):
                 run()
-        contexts = whitening_contexts(capture_activations(model, calib), ridge=1e-3)
+        contexts = whitening_contexts(capture_activations(model, calib)[0], ridge=1e-3)
         for k in (2, 3, 4):
             trial = compress_tail_layers(model, contexts, k, 5 * 0.3 / k, 0.05)
             errors = layerwise_error(model, trial, calib)
