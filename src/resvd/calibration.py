@@ -11,7 +11,7 @@ Gram matrix that is not positive definite, raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +24,9 @@ DEFAULT_RIDGE_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """A batch of calibration rows plus the seed and source they came from."""
+    """A batch of calibration rows, one input vector per row."""
 
     samples: np.ndarray
-    seed: int = 0
-    source: str = "unknown"
 
     def __post_init__(self):
         object.__setattr__(self, "samples", as_matrix(self.samples, "calibration samples"))
@@ -46,25 +44,19 @@ class CalibrationSet:
         if n < 1:
             raise ValueError("subsample size must be >= 1")
         if n >= self.num_samples:
-            return CalibrationSet(samples=self.samples, seed=seed, source=self.source)
+            return self
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(self.num_samples, size=n, replace=False))
-        return CalibrationSet(samples=self.samples[idx], seed=seed, source=self.source)
+        return CalibrationSet(samples=self.samples[idx])
 
 
 @dataclass(frozen=True)
 class ScalingContext:
-    """Whitening matrix S (lower-triangular, positive diagonal) and its inverse.
-
-    ``whitened`` caches ``svd(W S)`` for the last weight array factored
-    against this context (see :func:`resvd.compensation.whitened_svd`), so
-    repeated trials on one weight decompose it once.
-    """
+    """Whitening matrix S (lower-triangular, positive diagonal) and its inverse."""
 
     s: np.ndarray
     s_inv: np.ndarray
     ridge: float
-    whitened: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.s.shape[0]

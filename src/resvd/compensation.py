@@ -23,45 +23,44 @@ from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, svd, truncat
 
 
 def whitened_svd(w: np.ndarray, ctx: ScalingContext, name: str = "matrix") -> SvdFactors:
-    """Sign-fixed ``svd(W S)``; no rank enters it, so every budget shares it.
-
-    ``ctx`` keeps the result for ``w``: asking again with the same array
-    returns it without a second decomposition.
-    """
-    hit = ctx.whitened.get(id(w))
-    if hit is not None:  # the entry holds ``w`` itself, so the id was not reused
-        return hit[1]
-    factors = svd(w @ ctx.s, name=f"{name} (whitened)")
-    ctx.whitened.clear()  # one weight per context: hold at most one factorization
-    ctx.whitened[id(w)] = (w, factors)
-    return factors
+    """Sign-fixed ``svd(W S)``; no rank enters it, so every budget can truncate one result."""
+    return svd(w @ ctx.s, name=f"{name} (whitened)")
 
 
-def _whitened_stage(w: np.ndarray, ctx: ScalingContext, r: int, name: str) -> FactorPair:
+def _weight(w, ctx: ScalingContext, name: str) -> np.ndarray:
+    """``w`` as a float64 matrix, checked to be as wide as ``ctx`` whitens."""
+    arr = as_matrix(w, name)
+    if ctx.s.shape[0] != arr.shape[1]:
+        raise DimensionError(
+            f"{name}: scaling context is {ctx.s.shape[0]}x{ctx.s.shape[0]} "
+            f"but the weight expects width {arr.shape[1]}"
+        )
+    return arr
+
+
+def _whitened_stage(whitened: SvdFactors, ctx: ScalingContext, r: int) -> FactorPair:
     # Truncate WS, then absorb S^{-1} into the right factor so that
     # u_hat @ v_hat == SVD_r(WS) S^{-1} exactly.
-    pair = truncate(whitened_svd(w, ctx, name), r)
+    pair = truncate(whitened, r)
     return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ ctx.s_inv, rank=r)
 
 
 def compress_matrix(w, ctx: ScalingContext, layer_ratio: float, beta: float,
-                    name: str = "matrix") -> FactorPair:
+                    name: str = "matrix", whitened: SvdFactors | None = None) -> FactorPair:
     """Residual-compensated low-rank factorization of one weight matrix.
 
     ``layer_ratio`` is the share of the matrix's parameters to remove and
     ``beta`` the residual share of the rank budget; :func:`rank_budget`
-    checks both ranges. With ``beta == 0`` the result is bit-identical to
+    checks both ranges. ``whitened``, when given, must be
+    ``whitened_svd(w, ctx)``; it spares that decomposition. With
+    ``beta == 0`` the result is bit-identical to
     :func:`direct_truncate_matrix` at the same budget.
     """
-    arr = as_matrix(w, name)
-    m, n = arr.shape
-    if ctx.s.shape[0] != n:
-        raise DimensionError(
-            f"{name}: scaling context is {ctx.s.shape[0]}x{ctx.s.shape[0]} "
-            f"but the weight expects width {n}"
-        )
-    budget = rank_budget(m, n, layer_ratio, beta)
-    stage1 = _whitened_stage(arr, ctx, budget.r_i, name)
+    arr = _weight(w, ctx, name)
+    budget = rank_budget(*arr.shape, layer_ratio, beta)
+    if whitened is None:
+        whitened = whitened_svd(arr, ctx, name)
+    stage1 = _whitened_stage(whitened, ctx, budget.r_i)
     if budget.r_r == 0:
         return stage1
     residual = arr - stage1.u_hat @ stage1.v_hat
@@ -75,10 +74,5 @@ def compress_matrix(w, ctx: ScalingContext, layer_ratio: float, beta: float,
 
 def direct_truncate_matrix(w, ctx: ScalingContext, r: int, name: str = "matrix") -> FactorPair:
     """Single-stage whitened truncation at rank ``r`` (the comparison baseline)."""
-    arr = as_matrix(w, name)
-    if ctx.s.shape[0] != arr.shape[1]:
-        raise DimensionError(
-            f"{name}: scaling context is {ctx.s.shape[0]}x{ctx.s.shape[0]} "
-            f"but the weight expects width {arr.shape[1]}"
-        )
-    return _whitened_stage(arr, ctx, r, name)
+    arr = _weight(w, ctx, name)
+    return _whitened_stage(whitened_svd(arr, ctx, name), ctx, r)

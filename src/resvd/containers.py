@@ -234,7 +234,7 @@ def load_calibration(path: str | Path) -> CalibrationSet:
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}: row {bad[0] + 1} holds a non-finite value")
-    return CalibrationSet(samples=samples.astype(np.float64), source=str(path))
+    return CalibrationSet(samples=samples.astype(np.float64))
 
 
 def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
@@ -261,7 +261,7 @@ def load_calibration_csv(path: str | Path) -> CalibrationSet:
     samples = _load_csv_fast(path)
     if samples is None:
         samples = _load_csv_lines(path)
-    return CalibrationSet(samples=samples, source=str(path))
+    return CalibrationSet(samples=samples)
 
 
 def _load_csv_fast(path: str | Path) -> np.ndarray | None:
@@ -361,7 +361,7 @@ def load_plan(path: str | Path) -> CompressionPlan:
     doc = _load_json(Path(path), PLAN_FORMAT, PLAN_VERSION)
     where = str(path)
     rows = []
-    for rdoc in _require(doc, "candidates", where):
+    for rdoc in _require_objects(doc, "candidates", where):
         err = rdoc.get("final_error")
         rows.append(
             CandidateResult(

@@ -66,8 +66,7 @@ def demo_model(n_layers: int = DEMO_LAYERS, width: int = DEMO_WIDTH,
 def demo_calibration(n_samples: int = DEMO_SAMPLES, width: int = DEMO_WIDTH,
                      seed: int = DEMO_SEED) -> CalibrationSet:
     rng = np.random.default_rng([seed, 1])
-    return CalibrationSet(samples=rng.standard_normal((n_samples, width)),
-                          seed=seed, source="demo")
+    return CalibrationSet(samples=rng.standard_normal((n_samples, width)))
 
 
 def generate(out_dir: str | Path, n_layers: int = DEMO_LAYERS, width: int = DEMO_WIDTH,

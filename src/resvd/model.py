@@ -201,9 +201,10 @@ def _model_input(model: SequentialModel, x) -> np.ndarray:
 def _walk(layers: Sequence[Layer], h: np.ndarray) -> Iterator[np.ndarray]:
     """Yield each layer's output in turn, fed ``h`` as the first one's input.
 
-    Every forward pass in the package is this loop. Each output is a fresh
-    array the next layer only reads, so a consumer that drops it after use
-    keeps one working array alive, and ``h`` is never written.
+    Every forward pass but the one that captures each matrix's input is this
+    loop. Each output is a fresh array the next layer only reads, so a
+    consumer that drops it after use keeps one working array alive, and
+    ``h`` is never written.
     """
     for layer in layers:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -8,9 +8,9 @@ with the lowest error wins, ties going to the smaller ``k``.
 
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`: one activation capture, one whitening context per
-matrix, and each layer's reference output and its norm. The contexts also
-keep each matrix's whitened SVD ``svd(W S)`` once a trial has computed it.
-A candidate therefore only truncates cached factors, runs the residual stage
+matrix, each layer's reference output and its norm, and the whitened SVD
+``svd(W S)`` of every matrix in the largest tail any candidate compresses.
+A candidate therefore only truncates those factors, runs the residual stage
 for its own ``r_i``, and runs forward through its ``k`` tail layers from the
 captured input of layer ``N-k``; the untouched prefix layers score exactly
 zero. The plan keeps the winning trial model and its per-layer errors, so
@@ -26,9 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .calibration import CalibrationSet, ScalingContext, capture_activations, whitening_contexts
-from .compensation import compress_matrix
+from .compensation import compress_matrix, whitened_svd
 from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError, NumericalError
-from .linalg import rank_budget
+from .linalg import SvdFactors, rank_budget
 from .model import (
     Layer,
     MatrixEntry,
@@ -137,29 +137,23 @@ def _budget_feasible(shapes: LayerShapes, k: int, ratio: float, beta: float) -> 
 
 
 def compress_tail_layers(
-    model: SequentialModel,
-    contexts: dict[str, ScalingContext],
-    k: int,
-    layer_ratio: float,
-    beta: float,
+    state: CalibratedModel, k: int, layer_ratio: float, beta: float
 ) -> SequentialModel:
-    """New model with the last ``k`` layers factored; the prefix is shared as-is."""
+    """New model with the last ``k`` layers factored from ``state``; the prefix is shared as-is.
+
+    ``k`` may not exceed the tail :func:`calibrate` factored.
+    """
+    model = state.model
     if not 1 <= k <= model.n_layers:
         raise ValueError(f"k={k} outside [1, {model.n_layers}]")
     layers = list(model.layers[: model.n_layers - k])
     for layer in model.layers[model.n_layers - k :]:
         entries = []
         for e in layer.entries:
-            if e.is_factored:
-                raise CompressionError(
-                    f"entry {layer.name}/{e.name} is already factored; "
-                    "compression expects a dense model"
-                )
             key = f"{layer.name}/{e.name}"
-            pair = compress_matrix(e.dense, contexts[key], layer_ratio, beta, name=key)
-            entries.append(
-                MatrixEntry(name=e.name, rows=e.rows, cols=e.cols, factors=pair)
-            )
+            pair = compress_matrix(e.dense, state.contexts[key], layer_ratio, beta,
+                                   name=key, whitened=state.whitened[key])
+            entries.append(MatrixEntry(name=e.name, rows=e.rows, cols=e.cols, factors=pair))
         layers.append(Layer(name=layer.name, entries=tuple(entries), activation=layer.activation))
     return SequentialModel(layers=tuple(layers), input_dim=model.input_dim, meta=dict(model.meta))
 
@@ -168,12 +162,16 @@ def compress_tail_layers(
 class CalibratedModel:
     """The part of every trial that does not depend on ``k``; see :func:`calibrate`.
 
-    ``inputs[i]`` is what layer ``i`` receives on the calibration set and
-    ``reference[i]`` what it outputs, so ``reference[i] is inputs[i + 1]``.
+    ``contexts`` whitens every matrix and ``whitened`` holds ``svd(W S)`` for
+    each matrix of the tail :func:`calibrate` was given, both keyed
+    ``"<layer>/<matrix>"``. ``inputs[i]`` is what layer ``i`` receives on the
+    calibration set and ``reference[i]`` what it outputs, so
+    ``reference[i] is inputs[i + 1]``.
     """
 
     model: SequentialModel
     contexts: dict[str, ScalingContext]
+    whitened: dict[str, SvdFactors]
     inputs: tuple[np.ndarray, ...]
     reference: tuple[np.ndarray, ...]
     reference_norms: tuple[float, ...]
@@ -193,18 +191,32 @@ class CalibratedModel:
         return (0.0,) * split + tuple(tail)
 
 
-def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
-    """Capture activations once, whiten every matrix, and record each layer's output.
+def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> CalibratedModel:
+    """The state every trial of at most ``k`` tail layers shares, each part computed once.
 
-    A layer's output is the captured input of the next one, and the capture
-    pass returns the last layer's output, so every layer runs once.
+    One capture pass gives every matrix's input and, since a layer's output
+    is the captured input of the next one and the pass returns the last
+    layer's output, every reference output: each layer runs once. Every
+    matrix is whitened, and every matrix of the last ``k`` layers gets its
+    whitened SVD, which trials only truncate.
 
     Raises:
+        ValueError: when ``k`` is outside ``[1, N]``.
+        CompressionError: naming the first matrix of the last ``k`` layers
+            that is already factored, before any work is done.
         NumericalError: naming the first layer whose output (or its norm)
-            overflows float64 or is all zeros, or the first matrix that cannot
-            be whitened. The layers have no bias, so after a zero output every
-            later one is zero too and no candidate can be scored.
+            overflows float64 or is all zeros (the layers have no bias, so every
+            later output is zero and no candidate's error is defined), or the
+            first matrix that cannot be whitened or whose whitened SVD fails.
     """
+    if not 1 <= k <= model.n_layers:
+        raise ValueError(f"k={k} outside [1, {model.n_layers}]")
+    tail = [(f"{layer.name}/{e.name}", e)
+            for layer in model.layers[model.n_layers - k :] for e in layer.entries]
+    for key, e in tail:
+        if e.is_factored:
+            raise CompressionError(f"entry {key} is already factored; "
+                                   "compression expects a dense model")
     captured, output = capture_activations(model, calib)
     inputs = tuple(captured[f"{layer.name}/{layer.entries[0].name}"] for layer in model.layers)
     reference = inputs[1:] + (output,)
@@ -215,25 +227,26 @@ def calibrate(model: SequentialModel, calib: CalibrationSet) -> CalibratedModel:
                              "so the model outputs nothing to compress against")
     contexts = whitening_contexts(captured)
     check_finite(model, norms)  # after whitening, whose Gram check names the matrix instead
-    return CalibratedModel(model=model, contexts=contexts, inputs=inputs,
+    whitened = {key: whitened_svd(e.dense, contexts[key], key) for key, e in tail}
+    return CalibratedModel(model=model, contexts=contexts, whitened=whitened, inputs=inputs,
                            reference=reference, reference_norms=norms)
 
 
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
     """Score every feasible tail-layer candidate and pick the error argmin.
 
-    The calibrated state is built once and shared by every trial.
-    Candidates whose compression fails are kept in the table as failed rows
-    and skipped by the argmin. The plan carries the winning trial model and
-    its per-layer errors.
+    The calibrated state is built once, for the largest candidate ``k``,
+    and shared by every trial. Candidates whose compression fails are kept
+    in the table as failed rows and skipped by the argmin. The plan carries
+    the winning trial model and its per-layer errors.
     """
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
-    state = calibrate(model, calib)
+    state = calibrate(model, calib, candidates[-1][0])
     table: list[CandidateResult] = []
     best = None
     for k, ratio in candidates:
         try:
-            trial = compress_tail_layers(model, state.contexts, k, ratio, cfg.beta)
+            trial = compress_tail_layers(state, k, ratio, cfg.beta)
             errors = state.layer_errors(trial, k)
             if math.isnan(errors[-1]):
                 raise NumericalError("final-layer error undefined")
@@ -268,5 +281,5 @@ def compress_model(model: SequentialModel, calib: CalibrationSet,
         raise CompressionError(
             f"plan was made for {chosen.n_layers} layers, model has {model.n_layers}"
         )
-    contexts = calibrate(model, calib).contexts
-    return compress_tail_layers(model, contexts, chosen.k, chosen.layer_ratio, chosen.beta)
+    state = calibrate(model, calib, chosen.k)
+    return compress_tail_layers(state, chosen.k, chosen.layer_ratio, chosen.beta)

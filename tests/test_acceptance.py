@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resvd.calibration import CalibrationSet, ScalingContext, capture_activations, whitening_contexts
+from resvd.calibration import CalibrationSet, ScalingContext
 from resvd.cli import main
 from resvd.compensation import compress_matrix, direct_truncate_matrix
 from resvd.demo import demo_calibration, demo_model
@@ -30,6 +30,7 @@ from resvd.model import (
 from resvd.oracle import check_theorem3
 from resvd.planner import (
     PlannerConfig,
+    calibrate,
     compress_model,
     compress_tail_layers,
     enumerate_candidates,
@@ -160,16 +161,16 @@ def test_criterion_6_planner_matches_brute_force():
                 activation="identity" if i == n_layers - 1 else "relu",
             ))
         model = SequentialModel(layers=tuple(layers), input_dim=width)
-        calib = CalibrationSet(samples=rng.standard_normal((48, width)), seed=seed)
+        calib = CalibrationSet(samples=rng.standard_normal((48, width)))
         cfg = PlannerConfig(overall_ratio=0.3, seed=seed)
 
         chosen = plan(model, calib, cfg)
 
-        contexts = whitening_contexts(capture_activations(model, calib)[0])
+        state = calibrate(model, calib, n_layers)
         best_k, best_err = None, math.inf
         shapes = [[(width, width)]] * n_layers
         for k, ratio in enumerate_candidates(n_layers, cfg, layer_shapes=shapes):
-            trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
+            trial = compress_tail_layers(state, k, ratio, cfg.beta)
             err = layerwise_error(model, trial, calib)[-1]
             if err < best_err:
                 best_k, best_err = k, err
@@ -193,8 +194,8 @@ def test_criterion_7_prefix_layers_error_free(demo):
 def test_criterion_8_planned_tail_beats_uniform(demo):
     model, calib = demo
     chosen = plan(model, calib, PlannerConfig(overall_ratio=0.2, seed=7))
-    contexts = whitening_contexts(capture_activations(model, calib)[0])
-    uniform = compress_tail_layers(model, contexts, k=model.n_layers,
+    state = calibrate(model, calib, model.n_layers)
+    uniform = compress_tail_layers(state, k=model.n_layers,
                                    layer_ratio=0.2, beta=0.05)
     uniform_err = layerwise_error(model, uniform, calib)[-1]
     assert chosen.chosen_error < uniform_err, (chosen.chosen_error, uniform_err)

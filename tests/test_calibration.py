@@ -22,7 +22,7 @@ def dense_layer(name, w, activation="identity"):
 def test_first_layer_sees_raw_input():
     model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),), input_dim=3)
     x = np.arange(12.0).reshape(4, 3)
-    calib = CalibrationSet(samples=x, seed=0, source="test")
+    calib = CalibrationSet(samples=x)
     captured, output = capture_activations(model, calib)
     np.testing.assert_array_equal(captured["l0/w"], x)
     np.testing.assert_array_equal(output, x)
@@ -191,10 +191,10 @@ def test_whitening_contexts_cover_every_matrix():
 
 def test_subsample_is_seeded_and_stable():
     rng = np.random.default_rng(5)
-    calib = CalibrationSet(samples=rng.standard_normal((50, 3)), seed=0, source="full")
+    calib = CalibrationSet(samples=rng.standard_normal((50, 3)))
     a = calib.subsample(10, seed=42)
     b = calib.subsample(10, seed=42)
     assert a.samples.tobytes() == b.samples.tobytes()
-    assert a.num_samples == 10 and a.seed == 42
+    assert a.num_samples == 10
     c = calib.subsample(100, seed=1)
     assert c.num_samples == 50

@@ -463,6 +463,21 @@ class TestPlanCommand:
                    "--ratio", "0.99"])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["plan", "compress"])
+    def test_compressed_input_names_the_factored_entry(self, tmp_path, capsys, command):
+        # The largest candidate tail holds factored entries, so the run stops
+        # once, naming the first, instead of failing every candidate.
+        demo = gen_demo(tmp_path / "demo")
+        once = tmp_path / "once"
+        calib = ["--calib", str(demo / "calib.bin"), "--ratio", "0.2"]
+        assert main(["compress", "--model", str(demo), *calib, "--out", str(once)]) == 0
+        first = 6 - json.loads((once / "plan.json").read_text())["k"]
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "twice")] if command == "compress" else []
+        assert main([command, "--model", str(once), *calib, *out]) == 1
+        assert capsys.readouterr().err == (f"resvd: error: entry layer{first}/w is already "
+                                           "factored; compression expects a dense model\n")
+
     def test_dead_layer_is_named_before_whitening(self, tmp_path, capsys):
         # layer1 sees relu outputs (>= 0) through weights <= 0, so it outputs
         # all zeros, and so does every later layer: the model outputs nothing.

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resvd.calibration import ScalingContext, whiten
-from resvd.compensation import compress_matrix, direct_truncate_matrix
+from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_svd
 from resvd.errors import DimensionError, InfeasibleBudgetError
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
 
@@ -36,6 +36,17 @@ def test_beta_zero_degenerates_to_direct_truncation():
         assert erc.v_hat.tobytes() == direct.v_hat.tobytes()
         np.testing.assert_allclose(erc.product(), direct.product(), atol=1e-10)
     del rng
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.3])
+def test_precomputed_whitened_svd_gives_the_same_factors(beta):
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((14, 10))
+    ctx = random_ctx(rng, 10)
+    given = compress_matrix(w, ctx, 0.3, beta, whitened=whitened_svd(w, ctx))
+    own = compress_matrix(w, ctx, 0.3, beta)
+    assert np.array_equal(given.u_hat, own.u_hat)
+    assert np.array_equal(given.v_hat, own.v_hat)
 
 
 def test_full_rank_budget_reproduces_weight():

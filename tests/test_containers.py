@@ -267,7 +267,6 @@ class TestCalibrationContainer:
         save_calibration(calib, tmp_path / "c.bin")
         back = load_calibration(tmp_path / "c.bin")
         np.testing.assert_array_equal(back.samples, calib.samples)
-        assert back.source == str(tmp_path / "c.bin")
 
     def test_header_layout_is_exact(self, tmp_path):
         calib = CalibrationSet(samples=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
@@ -467,6 +466,15 @@ class TestPlanFile:
         del doc["k"]
         (tmp_path / "p.json").write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="'k'"):
+            load_plan(tmp_path / "p.json")
+
+    @pytest.mark.parametrize("candidates", [5, ["x"], [None], {"k": 2}])
+    def test_candidates_not_a_list_of_objects(self, tmp_path, candidates):
+        save_plan(self.make_plan(), tmp_path / "p.json")
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["candidates"] = candidates
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="candidates must be a list of objects"):
             load_plan(tmp_path / "p.json")
 
 

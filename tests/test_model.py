@@ -179,7 +179,7 @@ def test_multi_entry_layer_chains_within_layer():
 def test_layerwise_error_identical_models():
     rng = np.random.default_rng(7)
     model = make_mlp(rng, [4, 4, 4, 4])
-    calib = CalibrationSet(samples=rng.standard_normal((10, 4)), seed=7, source="test")
+    calib = CalibrationSet(samples=rng.standard_normal((10, 4)))
     errors = layerwise_error(model, model, calib)
     assert len(errors) == model.n_layers
     assert all(err <= 1e-12 for err in errors)
@@ -209,7 +209,7 @@ def replace_tail(model, k, r):
 def test_layerwise_error_zero_prefix_when_tail_compressed():
     rng = np.random.default_rng(13)
     model = make_mlp(rng, [8] * 5, activation="relu")
-    calib = CalibrationSet(samples=rng.standard_normal((16, 8)), seed=0, source="test")
+    calib = CalibrationSet(samples=rng.standard_normal((16, 8)))
     compressed = replace_tail(model, 1, 2)
     errors = layerwise_error(model, compressed, calib)
     for idx, err in enumerate(errors[:-1], 1):
@@ -220,7 +220,7 @@ def test_layerwise_error_zero_prefix_when_tail_compressed():
 def test_layerwise_error_matches_independent_recomputation():
     rng = np.random.default_rng(55)
     model = make_mlp(rng, [8] * 5, activation="relu")
-    calib = CalibrationSet(samples=rng.standard_normal((16, 8)), seed=0, source="test")
+    calib = CalibrationSet(samples=rng.standard_normal((16, 8)))
     compressed = replace_tail(model, 2, 3)
     errors = layerwise_error(model, compressed, calib)
     # independent end-to-end recomputation of the final error

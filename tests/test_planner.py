@@ -10,13 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import resvd.compensation
 import resvd.planner as planner_mod
 from resvd.calibration import CalibrationSet, capture_activations, whitening_contexts
+from resvd.compensation import whitened_svd
 from resvd.errors import CompressionError, InfeasiblePlanError, NumericalError
 from resvd.model import Layer, MatrixEntry, SequentialModel, layerwise_error, parameter_count
 from resvd.planner import (
+    CalibratedModel,
     CompressionPlan,
     PlannerConfig,
+    calibrate,
     compress_model,
     compress_tail_layers,
     enumerate_candidates,
@@ -65,8 +69,8 @@ def model_bytes(model):
     ]
 
 
-def make_calib(rng, n, dim, seed=0):
-    return CalibrationSet(samples=rng.standard_normal((n, dim)), seed=seed)
+def make_calib(rng, n, dim):
+    return CalibrationSet(samples=rng.standard_normal((n, dim)))
 
 
 def with_silu(model):
@@ -154,8 +158,8 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(11)
         model = make_mlp(rng, 5, 12)
         calib = make_calib(rng, 40, 12)
-        contexts = whitening_contexts(capture_activations(model, calib)[0])
-        out = compress_tail_layers(model, contexts, k=2, layer_ratio=0.4, beta=0.05)
+        state = calibrate(model, calib, 2)
+        out = compress_tail_layers(state, k=2, layer_ratio=0.4, beta=0.05)
         for i in range(3):
             assert out.layers[i] is model.layers[i]
         for i in range(3, 5):
@@ -165,28 +169,28 @@ class TestCompressTailLayers:
         rng = np.random.default_rng(12)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(capture_activations(model, calib)[0])
-        out = compress_tail_layers(model, contexts, k=3, layer_ratio=0.3, beta=0.05)
+        state = calibrate(model, calib, 3)
+        out = compress_tail_layers(state, k=3, layer_ratio=0.3, beta=0.05)
         assert all(layer.entries[0].is_factored for layer in out.layers)
 
     def test_rejects_factored_input(self):
         rng = np.random.default_rng(13)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(capture_activations(model, calib)[0])
-        once = compress_tail_layers(model, contexts, k=3, layer_ratio=0.3, beta=0.05)
+        state = calibrate(model, calib, 3)
+        once = compress_tail_layers(state, k=3, layer_ratio=0.3, beta=0.05)
         with pytest.raises(CompressionError):
-            compress_tail_layers(once, contexts, k=1, layer_ratio=0.3, beta=0.05)
+            calibrate(once, calib, 1)
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(14)
         model = make_mlp(rng, 3, 10)
         calib = make_calib(rng, 30, 10)
-        contexts = whitening_contexts(capture_activations(model, calib)[0])
+        state = calibrate(model, calib, 3)
         with pytest.raises(ValueError):
-            compress_tail_layers(model, contexts, k=0, layer_ratio=0.3, beta=0.05)
+            compress_tail_layers(state, k=0, layer_ratio=0.3, beta=0.05)
         with pytest.raises(ValueError):
-            compress_tail_layers(model, contexts, k=4, layer_ratio=0.3, beta=0.05)
+            compress_tail_layers(state, k=4, layer_ratio=0.3, beta=0.05)
 
 
 class TestPlan:
@@ -201,10 +205,10 @@ class TestPlan:
 
             chosen = plan(model, calib, cfg)
 
-            contexts = whitening_contexts(capture_activations(model, calib)[0])
+            state = calibrate(model, calib, 6)
             best_k, best_err = None, math.inf
             for k, ratio in enumerate_candidates(6, cfg, layer_shapes=[[(16, 16)]] * 6):
-                trial = compress_tail_layers(model, contexts, k, ratio, cfg.beta)
+                trial = compress_tail_layers(state, k, ratio, cfg.beta)
                 err = layerwise_error(model, trial, calib)[-1]
                 if err < best_err:
                     best_k, best_err = k, err
@@ -221,10 +225,10 @@ class TestPlan:
         calib = make_calib(rng, 40, 14)
         cfg = PlannerConfig(overall_ratio=0.3)
         chosen = plan(model, calib, cfg)
-        contexts = whitening_contexts(capture_activations(model, calib)[0])
+        state = calibrate(model, calib, 6)
         assert all(row.status == "ok" for row in chosen.candidate_table)
         for row in chosen.candidate_table:
-            trial = compress_tail_layers(model, contexts, row.k, row.layer_ratio, cfg.beta)
+            trial = compress_tail_layers(state, row.k, row.layer_ratio, cfg.beta)
             assert row.final_error == layerwise_error(model, trial, calib)[-1], row.k
         assert chosen.layer_errors == layerwise_error(model, chosen.compressed, calib)
         rebuilt = compress_model(model, calib, chosen)
@@ -240,9 +244,9 @@ class TestPlan:
         calib = make_calib(rng, 40, 14)
         cfg = PlannerConfig(overall_ratio=0.3)
         chosen = plan(model, calib, cfg)
-        contexts = whitening_contexts(capture_activations(model, calib)[0])
+        state = calibrate(model, calib, 6)
         for row in chosen.candidate_table:
-            trial = compress_tail_layers(model, contexts, row.k, row.layer_ratio, cfg.beta)
+            trial = compress_tail_layers(state, row.k, row.layer_ratio, cfg.beta)
             want = two_pass_layerwise_error(model, trial, calib.samples)
             assert layerwise_error(model, trial, calib) == want, row.k
             assert row.final_error == want[-1], row.k
@@ -283,13 +287,17 @@ class TestPlan:
         rng = np.random.default_rng(28)
         model = make_multi_entry_mlp(rng, 5, 12, 2, dead_layer=1)
         calib = make_calib(rng, 40, 12)
-        for run in (lambda: planner_mod.calibrate(model, calib),
+        for run in (lambda: planner_mod.calibrate(model, calib, 4),
                     lambda: plan(model, calib, PlannerConfig(overall_ratio=0.3))):
             with pytest.raises(NumericalError, match=r"^layer1: output is all zeros"):
                 run()
         contexts = whitening_contexts(capture_activations(model, calib)[0], ridge=1e-3)
+        dense = {f"{layer.name}/{e.name}": e.dense for layer in model.layers for e in layer.entries}
+        whitened = {key: whitened_svd(w, contexts[key]) for key, w in dense.items()}
+        state = CalibratedModel(model=model, contexts=contexts, whitened=whitened,
+                                inputs=(), reference=(), reference_norms=())
         for k in (2, 3, 4):
-            trial = compress_tail_layers(model, contexts, k, 5 * 0.3 / k, 0.05)
+            trial = compress_tail_layers(state, k, 5 * 0.3 / k, 0.05)
             errors = layerwise_error(model, trial, calib)
             assert errors[0] == 0.0
             assert all(math.isnan(v) for v in errors[1:]), k
@@ -342,10 +350,10 @@ class TestPlan:
         calib = make_calib(rng, 40, 12)
         real = planner_mod.compress_tail_layers
 
-        def flaky(model, contexts, k, layer_ratio, beta):
+        def flaky(state, k, layer_ratio, beta):
             if k == 2:
                 raise CompressionError("injected failure")
-            return real(model, contexts, k, layer_ratio, beta)
+            return real(state, k, layer_ratio, beta)
 
         monkeypatch.setattr(planner_mod, "compress_tail_layers", flaky)
         chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3))
@@ -360,7 +368,7 @@ class TestPlan:
         model = make_mlp(rng, 4, 12)
         calib = make_calib(rng, 40, 12)
 
-        def broken(model, contexts, k, layer_ratio, beta):
+        def broken(state, k, layer_ratio, beta):
             raise CompressionError("nope")
 
         monkeypatch.setattr(planner_mod, "compress_tail_layers", broken)
@@ -382,6 +390,24 @@ class TestCompressModel:
             )
         for i in range(split, model.n_layers):
             assert out.layers[i].entries[0].is_factored
+
+    def test_factors_each_tail_matrix_once(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        model = make_multi_entry_mlp(rng, 6, 14, 2)
+        calib = make_calib(rng, 40, 14)
+        chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3))
+        factored = []
+
+        def svd(w, name="matrix"):
+            if name.endswith(" (whitened)"):
+                factored.append(name.removesuffix(" (whitened)"))
+            return real_svd(w, name=name)
+
+        real_svd = resvd.compensation.svd
+        monkeypatch.setattr(resvd.compensation, "svd", svd)
+        compress_model(model, calib, chosen)
+        assert sorted(factored) == [f"layer{i}/w{j}" for i in range(6 - chosen.k, 6)
+                                    for j in range(2)]
 
     def test_parameter_ratio_within_flooring_slack(self):
         rng = np.random.default_rng(32)

@@ -1,15 +1,20 @@
-"""The benchmark tracer wraps package functions by name; every name must resolve.
+"""The benchmark tracer wraps package functions by name and counts the calls behind them.
 
 ``perfbench/tracer.py`` replaces attributes such as ``resvd.cli.compress_model``
 and ``resvd.planner.layerwise_error`` in place. A rename or deletion of one
-of them would otherwise fail only the traced benchmark run.
+of them, or a move that takes a counted call past its wrapper, would
+otherwise fail only the traced benchmark run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
+
+from resvd.cli import main
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +41,26 @@ def test_install_wraps_every_name_and_uninstall_restores_it(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_plan_counts_each_quantity_where_the_tracer_looks(monkeypatch, tmp_path):
+    # One whitening per matrix, one whitened SVD per matrix of the largest
+    # tail, and one compress_matrix per matrix of every candidate's tail.
+    assert main(["gen-demo", "--out", str(tmp_path), "--layers", "4", "--width", "8",
+                 "--samples", "32"]) == 0
+    tracer_mod = load_tracer(monkeypatch)
+    tracer = tracer_mod.Tracer()
+    out = io.StringIO()
+    try:
+        tracer_mod.install(tracer)
+        with contextlib.redirect_stdout(out):
+            assert main(["plan", "--model", str(tmp_path), "--calib",
+                         str(tmp_path / "calib.bin"), "--ratio", "0.2"]) == 0
+    finally:
+        tracer.uninstall()
+    ks = [int(line.split(",")[0]) for line in out.getvalue().splitlines()[1:]]
+    assert ks == [2, 3]
+    metrics = tracer_mod.layer_metrics(tracer)
+    assert metrics["calibration.whiten.calls"] == 4
+    assert metrics["linalg.svd_whitened.calls"] == max(ks)
+    assert metrics["compensation.compress_matrix.calls"] == sum(ks)
