@@ -16,7 +16,12 @@ from .calibration import (
     whiten,
     whitening_contexts,
 )
-from .compensation import compress_matrix, direct_truncate_matrix
+from .compensation import (
+    WhitenedWeight,
+    compress_matrix,
+    direct_truncate_matrix,
+    whitened_weight,
+)
 from .errors import (
     CompressionError,
     DimensionError,
@@ -91,6 +96,7 @@ __all__ = [
     "SequentialModel",
     "SingularWhiteningError",
     "SvdFactors",
+    "WhitenedWeight",
     "capture_activations",
     "check_delta_decomposition",
     "check_mac_formula",
@@ -113,6 +119,7 @@ __all__ = [
     "svd",
     "truncate",
     "whiten",
+    "whitened_weight",
     "whitening_contexts",
     "__version__",
 ]

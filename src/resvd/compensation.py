@@ -15,6 +15,8 @@ competitor to the optimal residual truncation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .calibration import ScalingContext
@@ -22,48 +24,43 @@ from .errors import DimensionError
 from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, svd, truncate
 
 
-def whitened_svd(w: np.ndarray, ctx: ScalingContext, name: str = "matrix") -> SvdFactors:
-    """Sign-fixed ``svd(W S)``; no rank enters it, so every budget can truncate one result."""
-    return svd(w @ ctx.s, name=f"{name} (whitened)")
+@dataclass(frozen=True, eq=False)
+class WhitenedWeight:
+    """``w``, its whitener's inverse and the sign-fixed ``svd(w @ S)``: see :func:`whitened_weight`.
+
+    No rank enters it, so every rank budget truncates the same factors.
+    """
+
+    w: np.ndarray
+    s_inv: np.ndarray
+    factors: SvdFactors
 
 
-def _weight(w, ctx: ScalingContext, name: str) -> np.ndarray:
-    """``w`` as a float64 matrix, checked to be as wide as ``ctx`` whitens."""
+def whitened_weight(w, ctx: ScalingContext, name: str = "matrix") -> WhitenedWeight:
+    """``w`` as a float64 matrix checked to be as wide as ``ctx`` whitens, with ``svd(W S)``."""
     arr = as_matrix(w, name)
     if ctx.s.shape[0] != arr.shape[1]:
         raise DimensionError(
             f"{name}: scaling context is {ctx.s.shape[0]}x{ctx.s.shape[0]} "
             f"but the weight expects width {arr.shape[1]}"
         )
-    return arr
+    return WhitenedWeight(arr, ctx.s_inv, svd(arr @ ctx.s, name=f"{name} (whitened)"))
 
 
-def _whitened_stage(whitened: SvdFactors, ctx: ScalingContext, r: int) -> FactorPair:
-    # Truncate WS, then absorb S^{-1} into the right factor so that
-    # u_hat @ v_hat == SVD_r(WS) S^{-1} exactly.
-    pair = truncate(whitened, r)
-    return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ ctx.s_inv, rank=r)
-
-
-def compress_matrix(w, ctx: ScalingContext, layer_ratio: float, beta: float,
-                    name: str = "matrix", whitened: SvdFactors | None = None) -> FactorPair:
+def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
+                    name: str = "matrix") -> FactorPair:
     """Residual-compensated low-rank factorization of one weight matrix.
 
     ``layer_ratio`` is the share of the matrix's parameters to remove and
     ``beta`` the residual share of the rank budget; :func:`rank_budget`
-    checks both ranges. ``whitened``, when given, must be
-    ``whitened_svd(w, ctx)``; it spares that decomposition. With
-    ``beta == 0`` the result is bit-identical to
+    checks both ranges. With ``beta == 0`` the result is bit-identical to
     :func:`direct_truncate_matrix` at the same budget.
     """
-    arr = _weight(w, ctx, name)
-    budget = rank_budget(*arr.shape, layer_ratio, beta)
-    if whitened is None:
-        whitened = whitened_svd(arr, ctx, name)
-    stage1 = _whitened_stage(whitened, ctx, budget.r_i)
+    budget = rank_budget(*weight.w.shape, layer_ratio, beta)
+    stage1 = direct_truncate_matrix(weight, budget.r_i)
     if budget.r_r == 0:
         return stage1
-    residual = arr - stage1.u_hat @ stage1.v_hat
+    residual = weight.w - stage1.u_hat @ stage1.v_hat
     stage2 = truncate(svd(residual, name=f"{name} (residual)"), budget.r_r)
     return FactorPair(
         u_hat=np.hstack([stage1.u_hat, stage2.u_hat]),
@@ -72,7 +69,10 @@ def compress_matrix(w, ctx: ScalingContext, layer_ratio: float, beta: float,
     )
 
 
-def direct_truncate_matrix(w, ctx: ScalingContext, r: int, name: str = "matrix") -> FactorPair:
-    """Single-stage whitened truncation at rank ``r`` (the comparison baseline)."""
-    arr = _weight(w, ctx, name)
-    return _whitened_stage(whitened_svd(arr, ctx, name), ctx, r)
+def direct_truncate_matrix(weight: WhitenedWeight, r: int) -> FactorPair:
+    """Whitened truncation ``SVD_r(W S) S^{-1}``: the comparison baseline, and stage 1.
+
+    ``S^{-1}`` is folded into the right factor, so the product is exact.
+    """
+    pair = truncate(weight.factors, r)
+    return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ weight.s_inv, rank=r)

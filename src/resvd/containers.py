@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationSet
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, NumericalError
 from .linalg import FactorPair
 from .model import ACTIVATIONS, STORE_DTYPES, Layer, MatrixEntry, SequentialModel
 from .planner import CandidateResult, CompressionPlan
@@ -56,7 +56,8 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _require_typed(doc: dict, key: str, where: str, kind: type, what: str):
+def _require_typed(doc: dict, key: str, where: str,
+                   kind: type | tuple[type, ...], what: str):
     """``doc[key]`` when it is a ``kind``; JSON true/false never pass as integers."""
     value = _require(doc, key, where)
     if isinstance(value, bool) or not isinstance(value, kind):
@@ -90,7 +91,12 @@ def _require_objects(doc: dict, key: str, where: str) -> list[dict]:
 
 
 def save_model(model: SequentialModel, path: str | Path) -> None:
-    """Write ``manifest.json`` plus one tensor file per matrix entry."""
+    """Write ``manifest.json`` plus one tensor file per matrix entry.
+
+    Raises:
+        NumericalError: naming the first matrix holding a value beyond the
+            range of its store dtype, before its tensor file is written.
+    """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     layers_doc = []
@@ -108,8 +114,12 @@ def save_model(model: SequentialModel, path: str | Path) -> None:
             if e.is_factored:
                 entry_doc["rank"] = e.factors.rank
                 arrays = (e.factors.u_hat, e.factors.v_hat)
-            np_dtype = _NP_DTYPE[e.store_dtype]
-            (root / fname).write_bytes(b"".join(a.astype(np_dtype).tobytes() for a in arrays))
+            with np.errstate(over="ignore"):
+                stored = [a.astype(_NP_DTYPE[e.store_dtype]) for a in arrays]
+            if not all(np.isfinite(a).all() for a in stored):
+                raise NumericalError(f"{layer.name}/{e.name}: a value overflows "
+                                     f"{e.store_dtype} and cannot be stored")
+            (root / fname).write_bytes(b"".join(a.tobytes() for a in stored))
             matrices.append(entry_doc)
         layers_doc.append(
             {"name": layer.name, "activation": layer.activation, "matrices": matrices}
@@ -361,30 +371,29 @@ def load_plan(path: str | Path) -> CompressionPlan:
     doc = _load_json(Path(path), PLAN_FORMAT, PLAN_VERSION)
     where = str(path)
     rows = []
-    for rdoc in _require_objects(doc, "candidates", where):
-        err = rdoc.get("final_error")
+    for i, rdoc in enumerate(_require_objects(doc, "candidates", where)):
+        at = f"{where} candidates[{i}]"
+        err = _require_typed(rdoc, "final_error", at, (int, float, type(None)),
+                             "a number or null")
         rows.append(
             CandidateResult(
-                k=_require(rdoc, "k", where),
-                layer_ratio=_require(rdoc, "layer_ratio", where),
+                k=_require_typed(rdoc, "k", at, int, "an integer"),
+                layer_ratio=_require_typed(rdoc, "layer_ratio", at, (int, float), "a number"),
                 final_error=math.nan if err is None else float(err),
-                status=rdoc.get("status", "ok"),
-                reason=rdoc.get("reason", ""),
+                status=_require_typed(rdoc, "status", at, str, "a string"),
+                reason=_require_typed(rdoc, "reason", at, str, "a string"),
             )
         )
-    try:
-        return CompressionPlan(
-            k=_require(doc, "k", where),
-            layer_ratio=_require(doc, "layer_ratio", where),
-            candidate_table=tuple(rows),
-            chosen_error=_require(doc, "chosen_error", where),
-            n_layers=_require(doc, "n_layers", where),
-            overall_ratio=_require(doc, "overall_ratio", where),
-            beta=_require(doc, "beta", where),
-            seed=_require(doc, "seed", where),
-        )
-    except TypeError as exc:
-        raise FormatError(f"{where}: malformed plan ({exc})") from exc
+    return CompressionPlan(
+        k=_require_typed(doc, "k", where, int, "an integer"),
+        layer_ratio=_require_typed(doc, "layer_ratio", where, (int, float), "a number"),
+        candidate_table=tuple(rows),
+        chosen_error=_require_typed(doc, "chosen_error", where, (int, float), "a number"),
+        n_layers=_require_typed(doc, "n_layers", where, int, "an integer"),
+        overall_ratio=_require_typed(doc, "overall_ratio", where, (int, float), "a number"),
+        beta=_require_typed(doc, "beta", where, (int, float), "a number"),
+        seed=_require_typed(doc, "seed", where, int, "an integer"),
+    )
 
 
 # --- layer error reports ---

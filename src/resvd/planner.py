@@ -7,14 +7,14 @@ final layer's relative output error on the calibration set; the candidate
 with the lowest error wins, ties going to the smaller ``k``.
 
 What does not depend on ``k`` is computed once per (model, calibration)
-pair by :func:`calibrate`: one activation capture, one whitening context per
-matrix, each layer's reference output and its norm, and the whitened SVD
-``svd(W S)`` of every matrix in the largest tail any candidate compresses.
-A candidate therefore only truncates those factors, runs the residual stage
-for its own ``r_i``, and runs forward through its ``k`` tail layers from the
-captured input of layer ``N-k``; the untouched prefix layers score exactly
-zero. The plan keeps the winning trial model and its per-layer errors, so
-``compress`` writes them without rebuilding either.
+pair by :func:`calibrate`: one activation capture, each layer's reference
+output and its norm, and one :class:`~resvd.compensation.WhitenedWeight`
+(whitening and ``svd(W S)``) per matrix of the largest tail any candidate
+compresses; prefix matrices are never whitened. A candidate only truncates
+those factors, runs the residual stage for its own ``r_i``, and runs forward
+through its ``k`` tail layers from the captured input of layer ``N-k``; the
+untouched prefix layers score exactly zero. The plan keeps the winning trial
+model and its per-layer errors, so ``compress`` writes them without rebuilding either.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import CalibrationSet, ScalingContext, capture_activations, whitening_contexts
-from .compensation import compress_matrix, whitened_svd
+from .calibration import CalibrationSet, capture_activations, whitening_contexts
+from .compensation import WhitenedWeight, compress_matrix, whitened_weight
 from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError, NumericalError
-from .linalg import SvdFactors, rank_budget
+from .linalg import rank_budget
 from .model import (
     Layer,
     MatrixEntry,
@@ -141,18 +141,20 @@ def compress_tail_layers(
 ) -> SequentialModel:
     """New model with the last ``k`` layers factored from ``state``; the prefix is shared as-is.
 
-    ``k`` may not exceed the tail :func:`calibrate` factored.
+    Raises:
+        ValueError: when ``k`` is outside ``[1, state.tail]``, the tail
+            :func:`calibrate` whitened.
     """
     model = state.model
-    if not 1 <= k <= model.n_layers:
-        raise ValueError(f"k={k} outside [1, {model.n_layers}]")
+    if not 1 <= k <= state.tail:
+        raise ValueError(f"k={k} outside [1, {state.tail}]: calibrate whitened only the "
+                         f"last {state.tail} of {model.n_layers} layers")
     layers = list(model.layers[: model.n_layers - k])
     for layer in model.layers[model.n_layers - k :]:
         entries = []
         for e in layer.entries:
             key = f"{layer.name}/{e.name}"
-            pair = compress_matrix(e.dense, state.contexts[key], layer_ratio, beta,
-                                   name=key, whitened=state.whitened[key])
+            pair = compress_matrix(state.whitened[key], layer_ratio, beta, name=key)
             entries.append(MatrixEntry(name=e.name, rows=e.rows, cols=e.cols, factors=pair))
         layers.append(Layer(name=layer.name, entries=tuple(entries), activation=layer.activation))
     return SequentialModel(layers=tuple(layers), input_dim=model.input_dim, meta=dict(model.meta))
@@ -162,19 +164,23 @@ def compress_tail_layers(
 class CalibratedModel:
     """The part of every trial that does not depend on ``k``; see :func:`calibrate`.
 
-    ``contexts`` whitens every matrix and ``whitened`` holds ``svd(W S)`` for
-    each matrix of the tail :func:`calibrate` was given, both keyed
-    ``"<layer>/<matrix>"``. ``inputs[i]`` is what layer ``i`` receives on the
-    calibration set and ``reference[i]`` what it outputs, so
-    ``reference[i] is inputs[i + 1]``.
+    ``whitened`` holds a :class:`~resvd.compensation.WhitenedWeight` for each
+    matrix of the tail :func:`calibrate` was given, keyed ``"<layer>/<matrix>"``.
+    ``activations[i]`` is what layer ``i`` receives on the calibration set,
+    so ``activations[i + 1]`` is what it outputs (``N + 1`` arrays in all),
+    with Frobenius norm ``reference_norms[i]``.
     """
 
     model: SequentialModel
-    contexts: dict[str, ScalingContext]
-    whitened: dict[str, SvdFactors]
-    inputs: tuple[np.ndarray, ...]
-    reference: tuple[np.ndarray, ...]
+    whitened: dict[str, WhitenedWeight]
+    activations: tuple[np.ndarray, ...]
     reference_norms: tuple[float, ...]
+
+    @property
+    def tail(self) -> int:
+        """How many tail layers ``whitened`` covers."""
+        return sum(f"{layer.name}/{layer.entries[0].name}" in self.whitened
+                   for layer in self.model.layers)
 
     def layer_errors(self, trial: SequentialModel, k: int) -> tuple[float, ...]:
         """Per-layer relative errors of a trial that factored only the last ``k`` layers.
@@ -186,8 +192,8 @@ class CalibratedModel:
         0.0 (:func:`calibrate` rejects a zero reference norm).
         """
         split = self.model.n_layers - k
-        tail = tail_errors(trial, k, self.inputs[split],
-                           self.reference[split:], self.reference_norms[split:])
+        tail = tail_errors(trial, k, self.activations[split],
+                           self.activations[split + 1 :], self.reference_norms[split:])
         return (0.0,) * split + tuple(tail)
 
 
@@ -196,9 +202,9 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> Calibrat
 
     One capture pass gives every matrix's input and, since a layer's output
     is the captured input of the next one and the pass returns the last
-    layer's output, every reference output: each layer runs once. Every
-    matrix is whitened, and every matrix of the last ``k`` layers gets its
-    whitened SVD, which trials only truncate.
+    layer's output, every reference output: each layer runs once. Only the
+    matrices of the last ``k`` layers are whitened, each into the
+    :class:`~resvd.compensation.WhitenedWeight` that trials only truncate.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
@@ -207,7 +213,7 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> Calibrat
         NumericalError: naming the first layer whose output (or its norm)
             overflows float64 or is all zeros (the layers have no bias, so every
             later output is zero and no candidate's error is defined), or the
-            first matrix that cannot be whitened or whose whitened SVD fails.
+            first tail matrix that cannot be whitened or whose whitened SVD fails.
     """
     if not 1 <= k <= model.n_layers:
         raise ValueError(f"k={k} outside [1, {model.n_layers}]")
@@ -218,18 +224,18 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> Calibrat
             raise CompressionError(f"entry {key} is already factored; "
                                    "compression expects a dense model")
     captured, output = capture_activations(model, calib)
-    inputs = tuple(captured[f"{layer.name}/{layer.entries[0].name}"] for layer in model.layers)
-    reference = inputs[1:] + (output,)
-    norms = output_norms(reference)
+    activations = tuple(captured[f"{layer.name}/{layer.entries[0].name}"]
+                        for layer in model.layers) + (output,)
+    norms = output_norms(activations[1:])
     if 0.0 in norms:
         dead = model.layers[norms.index(0.0)].name
         raise NumericalError(f"{dead}: output is all zeros on the calibration set, "
                              "so the model outputs nothing to compress against")
-    contexts = whitening_contexts(captured)
+    contexts = whitening_contexts({key: captured[key] for key, _ in tail})
     check_finite(model, norms)  # after whitening, whose Gram check names the matrix instead
-    whitened = {key: whitened_svd(e.dense, contexts[key], key) for key, e in tail}
-    return CalibratedModel(model=model, contexts=contexts, whitened=whitened, inputs=inputs,
-                           reference=reference, reference_norms=norms)
+    whitened = {key: whitened_weight(e.dense, contexts[key], key) for key, e in tail}
+    return CalibratedModel(model=model, whitened=whitened, activations=activations,
+                           reference_norms=norms)
 
 
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:

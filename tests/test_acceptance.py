@@ -16,7 +16,7 @@ import pytest
 
 from resvd.calibration import CalibrationSet, ScalingContext
 from resvd.cli import main
-from resvd.compensation import compress_matrix, direct_truncate_matrix
+from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_weight
 from resvd.demo import demo_calibration, demo_model
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
 from resvd.model import (
@@ -103,9 +103,10 @@ def test_criterion_3_beta_degeneration():
             if i % 5 == 0
             else random_context(rng, n)
         )
-        two_stage = compress_matrix(w, ctx, 0.3, 0.0)
+        weight = whitened_weight(w, ctx)
+        two_stage = compress_matrix(weight, 0.3, 0.0)
         r = rank_budget(m, n, 0.3, 0.0).r
-        direct = direct_truncate_matrix(w, ctx, r)
+        direct = direct_truncate_matrix(weight, r)
         worst = max(worst, float(np.max(np.abs(two_stage.product() - direct.product()))))
     assert worst <= 1e-10
     print(f"\nPASS criterion 3: beta=0 equals direct truncation elementwise "

@@ -48,12 +48,12 @@ def gen_demo(path: Path, layers=6, width=32, samples=64, seed=7) -> Path:
     return path
 
 
-def overflowing_csv(demo: Path, dest: Path, cells: int) -> Path:
-    """``demo``'s calibration as CSV with the first ``cells`` values of row 1 set to 1e308."""
+def overflowing_csv(demo: Path, dest: Path, cells: int, value: str = "1e308") -> Path:
+    """``demo``'s calibration as CSV with the first ``cells`` values of row 1 set to ``value``."""
     save_calibration_csv(load_calibration(demo / "calib.bin"), dest)
     lines = dest.read_text().splitlines()
     row = lines[0].split(",")
-    lines[0] = ",".join(["1e308"] * cells + row[cells:])
+    lines[0] = ",".join([value] * cells + row[cells:])
     dest.write_text("\n".join(lines) + "\n")
     return dest
 
@@ -180,7 +180,7 @@ class TestCompress:
         k_max = max(c["k"] for c in json.loads((out / "plan.json").read_text())["candidates"])
         tail = {f"layer{i}/w" for i in range(6 - k_max, 6)}
         assert calls["capture"] == 1
-        assert calls["whiten"] == 6  # one per matrix
+        assert calls["whiten"] == len(tail)  # one per tail matrix
         assert sorted(calls["whitened_svd"]) == sorted(tail)  # each tail matrix once
 
     def test_f32_output(self, tmp_path):
@@ -192,6 +192,20 @@ class TestCompress:
         model = load_model(out)
         assert all(e.store_dtype == "f32"
                    for layer in model.layers for e in layer.entries)
+
+    def test_f32_overflow_is_named_not_written_as_inf(self, tmp_path, capsys):
+        # layer0 stays dense, and its weights, finite in float64, exceed the
+        # float32 range: the run stops on it instead of writing inf.
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=32)
+        tensor = demo / "layer0__w.bin"
+        tensor.write_bytes((np.frombuffer(tensor.read_bytes(), dtype="<f8") * 1e40).tobytes())
+        capsys.readouterr()
+        rc = run_without_warnings(["compress", "--model", str(demo), "--calib",
+                                   str(demo / "calib.bin"), "--ratio", "0.2",
+                                   "--out", str(tmp_path / "out"), "--dtype", "f32"])
+        assert rc == 4
+        assert capsys.readouterr().err == ("resvd: numerical failure: layer0/w: a value "
+                                           "overflows f32 and cannot be stored\n")
 
     def test_default_dtype_writes_every_tensor_as_f64(self, tmp_path):
         # An f32 model compressed at the default --dtype: the prefix layers it
@@ -494,8 +508,10 @@ class TestPlanCommand:
                        "calibration set, so the model outputs nothing to compress against\n")
 
     def test_overflowing_calibration_names_the_matrix(self, tmp_path, capsys):
-        # One finite 1e308 overflows layer0's Gram matrix; numpy must not warn
-        # (pytest would capture a RuntimeWarning that stderr never shows).
+        # One finite 1e308 overflows the Gram matrices of layer0, which no
+        # candidate compresses and so is never whitened, and of layer1, the
+        # first matrix that is; numpy must not warn (pytest would capture a
+        # RuntimeWarning that stderr never shows).
         demo = gen_demo(tmp_path / "demo", layers=3, width=6, samples=24)
         calib = tmp_path / "calib.csv"
         save_calibration_csv(load_calibration(demo / "calib.bin"), calib)
@@ -509,8 +525,23 @@ class TestPlanCommand:
         err = capsys.readouterr().err
         assert rc == 4
         assert len(err.splitlines()) == 1
-        assert "layer0/w" in err and "overflow" in err
+        assert "layer1/w" in err and "overflow" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflow_only_in_a_prefix_gram_matrix_plans(self, tmp_path, capsys):
+        # A 1e200 in the calibration overflows only layer0's Gram matrix
+        # (layer0's weights, scaled by 1e-200, bring its output back to
+        # order one); no candidate compresses layer0, so nothing whitens it.
+        demo = gen_demo(tmp_path / "demo", layers=3, width=6, samples=24)
+        tensor = demo / "layer0__w.bin"
+        tensor.write_bytes((np.frombuffer(tensor.read_bytes(), dtype="<f8") * 1e-200).tobytes())
+        calib = overflowing_csv(demo, tmp_path / "calib.csv", cells=1, value="1e200")
+        capsys.readouterr()
+        rc = run_without_warnings(["plan", "--model", str(demo), "--calib", str(calib),
+                                   "--ratio", "0.2"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2"]
 
 
     def test_overflowing_layer_output_is_named(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resvd.calibration import ScalingContext, whiten
-from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_svd
+from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_weight
 from resvd.errors import DimensionError, InfeasibleBudgetError
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
 
@@ -28,25 +28,14 @@ def test_beta_zero_degenerates_to_direct_truncation():
         n = int(trial.integers(6, 20))
         m = int(trial.integers(6, 20))
         w = trial.standard_normal((m, n))
-        ctx = random_ctx(trial, n)
-        erc = compress_matrix(w, ctx, 0.5, 0.0)
-        direct = direct_truncate_matrix(w, ctx, rank_budget(m, n, 0.5, 0.0).r)
+        weight = whitened_weight(w, random_ctx(trial, n))
+        erc = compress_matrix(weight, 0.5, 0.0)
+        direct = direct_truncate_matrix(weight, rank_budget(m, n, 0.5, 0.0).r)
         # bit-equal under the fixed sign convention
         assert erc.u_hat.tobytes() == direct.u_hat.tobytes()
         assert erc.v_hat.tobytes() == direct.v_hat.tobytes()
         np.testing.assert_allclose(erc.product(), direct.product(), atol=1e-10)
     del rng
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.05, 0.3])
-def test_precomputed_whitened_svd_gives_the_same_factors(beta):
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal((14, 10))
-    ctx = random_ctx(rng, 10)
-    given = compress_matrix(w, ctx, 0.3, beta, whitened=whitened_svd(w, ctx))
-    own = compress_matrix(w, ctx, 0.3, beta)
-    assert np.array_equal(given.u_hat, own.u_hat)
-    assert np.array_equal(given.v_hat, own.v_hat)
 
 
 def test_full_rank_budget_reproduces_weight():
@@ -55,17 +44,17 @@ def test_full_rank_budget_reproduces_weight():
     ctx = random_ctx(rng, 8)
     # layer_ratio 0 gives r = floor(alpha) = 4 for square 8x8; to reach full
     # rank use direct truncation at r = 8 explicitly.
-    pair = direct_truncate_matrix(w, ctx, 8)
+    pair = direct_truncate_matrix(whitened_weight(w, ctx), 8)
     assert frobenius_error(pair.product(), w) <= 1e-8 * np.linalg.norm(w)
 
 
 def test_compensation_beats_direct_truncation_on_seeded_case():
     rng = np.random.default_rng(2024)
     w = rng.standard_normal((16, 16))
-    ctx = random_ctx(rng, 16)
-    erc_err = frobenius_error(compress_matrix(w, ctx, 0.5, 0.05).product(), w)
+    weight = whitened_weight(w, random_ctx(rng, 16))
+    erc_err = frobenius_error(compress_matrix(weight, 0.5, 0.05).product(), w)
     r = rank_budget(16, 16, 0.5, 0.05).r
-    direct_err = frobenius_error(direct_truncate_matrix(w, ctx, r).product(), w)
+    direct_err = frobenius_error(direct_truncate_matrix(weight, r).product(), w)
     assert erc_err <= direct_err
 
 
@@ -78,10 +67,10 @@ def test_superiority_inequality_holds_across_trials():
         n = int(rng.integers(8, 65))
         ratio = float(rng.choice([0.2, 0.3, 0.5]))
         w = rng.standard_normal((m, n))
-        ctx = random_ctx(rng, n)
+        weight = whitened_weight(w, random_ctx(rng, n))
         budget = rank_budget(m, n, ratio, 0.05)
-        erc_err = frobenius_error(compress_matrix(w, ctx, ratio, 0.05).product(), w)
-        direct_err = frobenius_error(direct_truncate_matrix(w, ctx, budget.r).product(), w)
+        erc_err = frobenius_error(compress_matrix(weight, ratio, 0.05).product(), w)
+        direct_err = frobenius_error(direct_truncate_matrix(weight, budget.r).product(), w)
         assert erc_err <= direct_err + 1e-9, f"violated at trial {trial} ({m}x{n}, {ratio})"
 
 
@@ -110,10 +99,10 @@ def test_superiority_on_extreme_shapes_and_rank_deficient_activations(
     x = np.maximum(x, 0.0)
     x[:, :dead] = 0.0
     assume(x.any())
-    ctx = whiten(x)
     w = rng.standard_normal((m, n))
-    erc_err = frobenius_error(compress_matrix(w, ctx, ratio, beta).product(), w)
-    direct_err = frobenius_error(direct_truncate_matrix(w, ctx, budget.r).product(), w)
+    weight = whitened_weight(w, whiten(x))
+    erc_err = frobenius_error(compress_matrix(weight, ratio, beta).product(), w)
+    direct_err = frobenius_error(direct_truncate_matrix(weight, budget.r).product(), w)
     assert erc_err <= direct_err + 1e-9
 
 
@@ -122,7 +111,7 @@ def test_residual_stage_is_optimal_among_random_competitors():
     w = rng.standard_normal((24, 18))
     ctx = random_ctx(rng, 18)
     budget = rank_budget(24, 18, 0.3, 0.05)
-    stage1 = direct_truncate_matrix(w, ctx, budget.r_i)
+    stage1 = direct_truncate_matrix(whitened_weight(w, ctx), budget.r_i)
     residual = w - stage1.product()
     best = frobenius_error(truncate(svd(residual), budget.r_r).product(), residual)
     for _ in range(20):
@@ -135,7 +124,7 @@ def test_rank_accounting():
     w = rng.standard_normal((20, 12))
     ctx = random_ctx(rng, 12)
     budget = rank_budget(20, 12, 0.4, 0.05)
-    pair = compress_matrix(w, ctx, 0.4, 0.05)
+    pair = compress_matrix(whitened_weight(w, ctx), 0.4, 0.05)
     assert pair.rank == budget.r == budget.r_i + budget.r_r
     assert pair.param_count == (20 + 12) * budget.r
 
@@ -143,7 +132,7 @@ def test_rank_accounting():
 def test_identity_context_matches_plain_svd():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((10, 10))
-    pair = direct_truncate_matrix(w, identity_ctx(10), 4)
+    pair = direct_truncate_matrix(whitened_weight(w, identity_ctx(10)), 4)
     plain = truncate(svd(w), 4)
     np.testing.assert_allclose(pair.product(), plain.product(), atol=1e-10)
 
@@ -156,7 +145,7 @@ def test_direct_truncation_matches_independent_script():
     r = 3
     u, s, vt = np.linalg.svd(w @ ctx.s, full_matrices=False)
     expected = (u[:, :r] * s[:r]) @ vt[:r] @ np.linalg.inv(ctx.s)
-    got = direct_truncate_matrix(w, ctx, r).product()
+    got = direct_truncate_matrix(whitened_weight(w, ctx), r).product()
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -166,15 +155,15 @@ def test_compressed_product_invariant_to_activation_scale():
     rng = np.random.default_rng(66)
     w = rng.standard_normal((12, 9))
     x = rng.standard_normal((30, 9))
-    base = compress_matrix(w, whiten(x, ridge=0.0), 0.4, 0.05).product()
-    scaled = compress_matrix(w, whiten(7.0 * x, ridge=0.0), 0.4, 0.05).product()
-    np.testing.assert_allclose(base, scaled, atol=1e-8)
+    base = compress_matrix(whitened_weight(w, whiten(x, ridge=0.0)), 0.4, 0.05)
+    scaled = compress_matrix(whitened_weight(w, whiten(7.0 * x, ridge=0.0)), 0.4, 0.05)
+    np.testing.assert_allclose(base.product(), scaled.product(), atol=1e-8)
 
 
 def test_dimension_and_budget_errors_propagate():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((6, 4))
     with pytest.raises(DimensionError):
-        compress_matrix(w, identity_ctx(5), 0.2, 0.05)
+        compress_matrix(whitened_weight(w, identity_ctx(5)), 0.2, 0.05)
     with pytest.raises(InfeasibleBudgetError):
-        compress_matrix(w, identity_ctx(4), 0.9, 0.05)
+        compress_matrix(whitened_weight(w, identity_ctx(4)), 0.9, 0.05)

@@ -477,6 +477,32 @@ class TestPlanFile:
         with pytest.raises(FormatError, match="candidates must be a list of objects"):
             load_plan(tmp_path / "p.json")
 
+    @pytest.mark.parametrize("row, key, value", [
+        (0, "final_error", "abc"),
+        (0, "final_error", [1]),
+        (0, "final_error", True),
+        (0, "k", 2.5),
+        (0, "layer_ratio", "0.8"),
+        (0, "status", None),
+        (1, "reason", 3),
+        (None, "k", "x"),
+        (None, "k", 2.5),
+        (None, "k", True),
+        (None, "chosen_error", "x"),
+        (None, "n_layers", "x"),
+        (None, "seed", 7.0),
+        (None, "beta", False),
+        (None, "overall_ratio", None),
+        (None, "layer_ratio", [0.4]),
+    ])
+    def test_field_of_the_wrong_type(self, tmp_path, row, key, value):
+        save_plan(self.make_plan(), tmp_path / "p.json")
+        doc = json.loads((tmp_path / "p.json").read_text())
+        (doc if row is None else doc["candidates"][row])[key] = value
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"{key} must be "):
+            load_plan(tmp_path / "p.json")
+
 
 class TestErrorReportCsv:
     def test_round_trip_with_nan(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 import resvd.oracle as oracle_mod
 from resvd.calibration import ScalingContext
-from resvd.compensation import compress_matrix
+from resvd.compensation import compress_matrix, whitened_weight
 from resvd.linalg import frobenius_error, rank_budget
 from resvd.oracle import (
     MacCheckResult,
@@ -52,7 +52,7 @@ class TestTheorem3Suite:
             gram = x.T @ x + 0.5 * np.eye(n)
             s = np.linalg.cholesky(gram)
             ctx = ScalingContext(s=s, s_inv=np.linalg.inv(s), ridge=0.5)
-            pair = compress_matrix(w, ctx, 0.3, 0.05)
+            pair = compress_matrix(whitened_weight(w, ctx), 0.3, 0.05)
             pipeline_err = frobenius_error(w, pair.product())
 
             budget = rank_budget(16, n, 0.3, 0.05)

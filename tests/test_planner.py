@@ -13,7 +13,7 @@ import pytest
 import resvd.compensation
 import resvd.planner as planner_mod
 from resvd.calibration import CalibrationSet, capture_activations, whitening_contexts
-from resvd.compensation import whitened_svd
+from resvd.compensation import whitened_weight
 from resvd.errors import CompressionError, InfeasiblePlanError, NumericalError
 from resvd.model import Layer, MatrixEntry, SequentialModel, layerwise_error, parameter_count
 from resvd.planner import (
@@ -191,6 +191,9 @@ class TestCompressTailLayers:
             compress_tail_layers(state, k=0, layer_ratio=0.3, beta=0.05)
         with pytest.raises(ValueError):
             compress_tail_layers(state, k=4, layer_ratio=0.3, beta=0.05)
+        state = calibrate(model, calib, 2)
+        with pytest.raises(ValueError, match=r"^k=3 .*last 2 of 3 layers"):
+            compress_tail_layers(state, k=3, layer_ratio=0.3, beta=0.05)
 
 
 class TestPlan:
@@ -265,7 +268,7 @@ class TestPlan:
 
         def calibrate(*args):
             state = real_calibrate(*args)
-            states.append((state, [x.copy() for x in state.inputs]))
+            states.append((state, [x.copy() for x in state.activations[:-1]]))
             return state
 
         real_calibrate = planner_mod.calibrate
@@ -273,10 +276,11 @@ class TestPlan:
         plan(model, calib, PlannerConfig(overall_ratio=0.3))
         (state, inputs), = states
         assert np.array_equal(calib.samples, samples)
-        assert state.inputs[0] is calib.samples
-        for got, before in zip(state.inputs, inputs, strict=True):
+        assert state.activations[0] is calib.samples
+        for got, before in zip(state.activations[:-1], inputs, strict=True):
             assert np.array_equal(got, before)
-        for got, want in zip(state.reference, allocating_forward(model, samples), strict=True):
+        for got, want in zip(state.activations[1:], allocating_forward(model, samples),
+                             strict=True):
             assert np.array_equal(got, want)
 
     def test_zero_output_layer_rejected_before_whitening(self):
@@ -293,9 +297,9 @@ class TestPlan:
                 run()
         contexts = whitening_contexts(capture_activations(model, calib)[0], ridge=1e-3)
         dense = {f"{layer.name}/{e.name}": e.dense for layer in model.layers for e in layer.entries}
-        whitened = {key: whitened_svd(w, contexts[key]) for key, w in dense.items()}
-        state = CalibratedModel(model=model, contexts=contexts, whitened=whitened,
-                                inputs=(), reference=(), reference_norms=())
+        whitened = {key: whitened_weight(w, contexts[key]) for key, w in dense.items()}
+        state = CalibratedModel(model=model, whitened=whitened, activations=(),
+                                reference_norms=())
         for k in (2, 3, 4):
             trial = compress_tail_layers(state, k, 5 * 0.3 / k, 0.05)
             errors = layerwise_error(model, trial, calib)
