@@ -5,7 +5,14 @@ the weight itself and a plain truncation of the leftover residual:
 
 1. factor ``W S`` at rank ``r_i`` and fold ``S^{-1}`` into the right factor,
    giving the intermediate approximation ``W_ri``;
-2. factor the residual ``W - W_ri`` at rank ``r_r`` in unwhitened space;
+2. factor the residual ``W - W_ri`` at rank ``r_r`` in unwhitened space, in
+   the tail coordinates of ``W S = U diag(sigma) V^T``: the residual is
+   exactly ``U[:, r_i:] M`` with ``M = diag(sigma[r_i:]) V^T[r_i:] S^{-1}``,
+   and ``U``'s columns are orthonormal, so its top ``r_r`` triplets are those
+   of ``M`` with the left vectors lifted by ``U[:, r_i:]``. They come from the
+   top ``r_r`` eigenvectors ``A`` of the small Gram matrix ``M M^T`` and one
+   Rayleigh-Ritz step, the SVD of the ``r_r x n`` matrix ``A^T M``; the
+   m x n residual is never formed;
 3. concatenate both factor pairs (stage-1 columns first).
 
 The combined product is never worse than truncating ``W S`` at rank ``r``
@@ -20,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ScalingContext
-from .errors import DimensionError
-from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, svd, truncate
+from .errors import DimensionError, NumericalError
+from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, sign_fixed, svd, truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +67,7 @@ def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
     stage1 = direct_truncate_matrix(weight, budget.r_i)
     if budget.r_r == 0:
         return stage1
-    residual = weight.w - stage1.u_hat @ stage1.v_hat
-    stage2 = truncate(svd(residual, name=f"{name} (residual)"), budget.r_r)
+    stage2 = truncate(_residual_factors(weight, budget.r_i, budget.r_r, name), budget.r_r)
     return FactorPair(
         u_hat=np.hstack([stage1.u_hat, stage2.u_hat]),
         v_hat=np.vstack([stage1.v_hat, stage2.v_hat]),
@@ -76,3 +82,23 @@ def direct_truncate_matrix(weight: WhitenedWeight, r: int) -> FactorPair:
     """
     pair = truncate(weight.factors, r)
     return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ weight.s_inv, rank=r)
+
+
+def _residual_factors(weight: WhitenedWeight, r_i: int, r_r: int, name: str) -> SvdFactors:
+    """Top ``r_r`` singular triplets of ``W - W_ri``, in the tail coordinates of ``svd(W S)``.
+
+    ``M`` is divided by ``sigma[r_i]`` (1 when that is 0) so its Gram matrix
+    cannot overflow; the singular values are scaled back at the end.
+    """
+    f = weight.factors
+    tail = f.sigma[r_i:]
+    scale = tail[0] if tail[0] > 0.0 else 1.0
+    m = (tail / scale)[:, np.newaxis] * (f.vt[r_i:] @ weight.s_inv)
+    try:
+        _, vecs = np.linalg.eigh(m @ m.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigendecomposition failed to converge on {name} (residual)") from exc
+    top = vecs[:, : -r_r - 1 : -1]  # eigh sorts ascending; largest first
+    ritz = svd(top.T @ m, name=f"{name} (residual)")
+    return sign_fixed(f.u[:, r_i:] @ (top @ ritz.u), scale * ritz.sigma, ritz.vt)

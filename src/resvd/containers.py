@@ -93,21 +93,21 @@ def _require_objects(doc: dict, key: str, where: str) -> list[dict]:
 def save_model(model: SequentialModel, path: str | Path) -> None:
     """Write ``manifest.json`` plus one tensor file per matrix entry.
 
+    Every tensor is cast to its store dtype and checked before anything is
+    written, so a model that cannot be stored leaves ``path`` untouched.
+
     Raises:
         NumericalError: naming the first matrix holding a value beyond the
-            range of its store dtype, before its tensor file is written.
+            range of its store dtype.
     """
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     layers_doc = []
-    seen_files: set[str] = set()
+    tensors: dict[str, list[np.ndarray]] = {}
     for layer in model.layers:
         matrices = []
         for e in layer.entries:
             fname = f"{layer.name}__{e.name}.bin"
-            if fname in seen_files:
+            if fname in tensors:
                 raise FormatError(f"tensor file name collision: {fname}")
-            seen_files.add(fname)
             entry_doc = {"name": e.name, "rows": e.rows, "cols": e.cols, "dtype": e.store_dtype,
                          "kind": "factored" if e.is_factored else "dense", "file": fname}
             arrays = (e.dense,)
@@ -119,7 +119,7 @@ def save_model(model: SequentialModel, path: str | Path) -> None:
             if not all(np.isfinite(a).all() for a in stored):
                 raise NumericalError(f"{layer.name}/{e.name}: a value overflows "
                                      f"{e.store_dtype} and cannot be stored")
-            (root / fname).write_bytes(b"".join(a.tobytes() for a in stored))
+            tensors[fname] = stored
             matrices.append(entry_doc)
         layers_doc.append(
             {"name": layer.name, "activation": layer.activation, "matrices": matrices}
@@ -131,6 +131,10 @@ def save_model(model: SequentialModel, path: str | Path) -> None:
         "meta": model.meta,
         "layers": layers_doc,
     }
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    for fname, stored in tensors.items():
+        (root / fname).write_bytes(b"".join(a.tobytes() for a in stored))
     (root / "manifest.json").write_text(_dump_json(doc))
 
 

@@ -111,7 +111,16 @@ def svd(w, name: str = "matrix") -> SvdFactors:
         u, sigma, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge on {name}") from exc
-    # Sign fix: np.argmax picks the first maximal |entry|, making ties deterministic.
+    return sign_fixed(u, sigma, vt)
+
+
+def sign_fixed(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray) -> SvdFactors:
+    """``SvdFactors`` under :func:`svd`'s sign convention, flipping ``u`` and ``vt`` in place.
+
+    The largest-magnitude entry of each column of ``u`` is made
+    non-negative, and the matching row of ``vt`` flips with it.
+    """
+    # np.argmax picks the first maximal |entry|, making ties deterministic.
     peaks = np.argmax(np.abs(u), axis=0)
     flip = u[peaks, np.arange(u.shape[1])] < 0
     u[:, flip] *= -1.0

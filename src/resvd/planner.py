@@ -245,11 +245,16 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     and shared by every trial. Candidates whose compression fails are kept
     in the table as failed rows and skipped by the argmin. The plan carries
     the winning trial model and its per-layer errors.
+
+    Raises:
+        NumericalError: the first candidate's, when every candidate failed
+            and the first failed numerically (it names the matrix).
+        InfeasiblePlanError: when every candidate failed otherwise.
     """
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
     state = calibrate(model, calib, candidates[-1][0])
     table: list[CandidateResult] = []
-    best = None
+    best = first_failure = None
     for k, ratio in candidates:
         try:
             trial = compress_tail_layers(state, k, ratio, cfg.beta)
@@ -259,11 +264,14 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         except CompressionError as exc:
             table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
                                          status="failed", reason=str(exc)))
+            first_failure = first_failure or exc
             continue
         table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=errors[-1]))
         if best is None or errors[-1] < best[0].final_error:  # ties go to the smaller k
             best = (table[-1], trial, errors)
     if best is None:
+        if isinstance(first_failure, NumericalError):
+            raise first_failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
     row, trial, errors = best
     return CompressionPlan(

@@ -207,6 +207,24 @@ class TestCompress:
         assert capsys.readouterr().err == ("resvd: numerical failure: layer0/w: a value "
                                            "overflows f32 and cannot be stored\n")
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_unstorable_model_writes_no_file(self, tmp_path, capsys, existing):
+        # layer1 stays dense and overflows f32 after layer0 was cast: neither
+        # a new --out nor an existing model directory there gets any file.
+        demo = gen_demo(tmp_path / "demo", layers=6, width=8, samples=32)
+        tensor = demo / "layer1__w.bin"
+        tensor.write_bytes((np.frombuffer(tensor.read_bytes(), dtype="<f8") * 1e40).tobytes())
+        out = gen_demo(tmp_path / "out", seed=8) if existing else tmp_path / "out"
+        before = dir_bytes(out) if existing else None
+        capsys.readouterr()
+        rc = run_without_warnings(["compress", "--model", str(demo), "--calib",
+                                   str(demo / "calib.bin"), "--ratio", "0.2",
+                                   "--out", str(out), "--dtype", "f32"])
+        assert rc == 4
+        assert capsys.readouterr().err == ("resvd: numerical failure: layer1/w: a value "
+                                           "overflows f32 and cannot be stored\n")
+        assert (dir_bytes(out) == before) if existing else not out.exists()
+
     def test_default_dtype_writes_every_tensor_as_f64(self, tmp_path):
         # An f32 model compressed at the default --dtype: the prefix layers it
         # leaves dense are written as f64 too, as the manifest's config says.
@@ -543,6 +561,22 @@ class TestPlanCommand:
         assert (rc, err) == (0, "")
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2"]
 
+
+    def test_residual_eigh_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # Every candidate's residual eigendecomposition fails; the first
+        # candidate (k=1) fails on the last layer's matrix, which is named.
+        demo = gen_demo(tmp_path / "demo", layers=3)
+
+        def eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2"])
+        assert rc == 4
+        assert capsys.readouterr().err == ("resvd: numerical failure: eigendecomposition "
+                                           "failed to converge on layer2/w (residual)\n")
 
     def test_overflowing_layer_output_is_named(self, tmp_path, capsys):
         # A first row of 1e308s overflows layer0's output while activations

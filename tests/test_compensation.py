@@ -5,10 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import resvd.compensation as compensation_mod
+import resvd.planner as planner_mod
 from resvd.calibration import ScalingContext, whiten
 from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_weight
+from resvd.demo import demo_calibration, demo_model
 from resvd.errors import DimensionError, InfeasibleBudgetError
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
+from resvd.planner import PlannerConfig, plan
 
 
 def identity_ctx(n):
@@ -104,6 +108,82 @@ def test_superiority_on_extreme_shapes_and_rank_deficient_activations(
     erc_err = frobenius_error(compress_matrix(weight, ratio, beta).product(), w)
     direct_err = frobenius_error(direct_truncate_matrix(weight, budget.r).product(), w)
     assert erc_err <= direct_err + 1e-9
+
+
+def whitened_spectrum(kind, p, rng):
+    """Singular values of ``W S`` for the tail-coordinate property test."""
+    if kind == "flat":
+        return np.ones(p)
+    if kind == "paired":  # every value twice: degenerate residual singular values
+        return np.repeat(np.geomspace(1.0, 1e-3, (p + 1) // 2), 2)[:p]
+    if kind == "decay":
+        return np.geomspace(1.0, 1e-14, p)
+    if kind == "deficient":
+        return np.where(np.arange(p) < max(p // 3, 1), np.geomspace(1.0, 1e-2, p), 0.0)
+    return np.sort(rng.random(p))[::-1]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    shape=st.sampled_from([(160, 160), (96, 6), (6, 96), (200, 40), (40, 200), (4, 4)]),
+    spectrum=st.sampled_from(["flat", "paired", "decay", "deficient", "random"]),
+    scale=st.sampled_from([1.0, 1e150, 1e-150, 1e170, 1e-170]),
+    whitener=st.sampled_from(["identity", "random"]),
+    ratio=st.sampled_from([0.2, 0.3, 0.5]),
+    beta=st.sampled_from([0.05, 0.2, 0.45]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_stage_matches_the_dense_residual_svd(
+        shape, spectrum, scale, whitener, ratio, beta, seed):
+    # The residual stage, factored in the whitened SVD's tail coordinates,
+    # leaves the same unwhitened error as truncating svd(W - stage 1). W is
+    # built so that W S has the drawn spectrum; at 1e+-170 the Gram matrix of
+    # the tail coordinates would leave the float64 range unless rescaled.
+    m, n = shape
+    try:
+        budget = rank_budget(m, n, ratio, beta)
+    except InfeasibleBudgetError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    ctx = identity_ctx(n) if whitener == "identity" else whiten(rng.standard_normal((2 * n, n)))
+    p = min(m, n)
+    q1 = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    w = scale * ((q1 * whitened_spectrum(spectrum, p, rng)) @ q2.T @ ctx.s_inv)
+    weight = whitened_weight(w, ctx)
+    pair = compress_matrix(weight, ratio, beta)
+    assert np.isfinite(pair.u_hat).all() and np.isfinite(pair.v_hat).all()
+    # The dense truncation's error is the norm of the residual's discarded
+    # singular values. Computing only those keeps the reference clear of
+    # LAPACK's gesdd, which with vectors fails to converge on a few 160x160
+    # residuals.
+    residual = (w - direct_truncate_matrix(weight, budget.r_i).product()) / scale
+    want = np.linalg.norm(np.linalg.svd(residual, compute_uv=False)[budget.r_r:])
+    got = np.linalg.norm((w - pair.product()) / scale)
+    assert abs(got - want) <= 1e-12 * np.linalg.norm(w / scale)
+
+
+def test_residual_svd_factors_an_r_r_row_matrix(monkeypatch):
+    # The residual stage never goes back to an SVD of the m x n residual:
+    # every " (residual)" SVD a plan runs factors exactly r_r rows.
+    model, calib = demo_model(4, 24, seed=3), demo_calibration(64, 24, seed=4)
+    expected, seen = [], []
+    real_compress, real_svd = planner_mod.compress_matrix, compensation_mod.svd
+
+    def compress(weight, layer_ratio, beta, name="matrix"):
+        expected.append(rank_budget(*weight.w.shape, layer_ratio, beta).r_r)
+        return real_compress(weight, layer_ratio, beta, name)
+
+    def svd_spy(w, name="matrix"):
+        if name.endswith(" (residual)"):
+            seen.append((expected[-1], w.shape[0]))
+        return real_svd(w, name=name)
+
+    monkeypatch.setattr(planner_mod, "compress_matrix", compress)
+    monkeypatch.setattr(compensation_mod, "svd", svd_spy)
+    plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=0.1))
+    assert len(seen) == sum(r_r > 0 for r_r in expected) > 0
+    assert all(rows == r_r for r_r, rows in seen)
 
 
 def test_residual_stage_is_optimal_among_random_competitors():
