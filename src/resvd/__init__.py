@@ -5,121 +5,45 @@ calibration activations: a whitened truncation takes most of the rank
 budget and a second pass over the residual spends the rest. A planner
 decides how many tail layers to compress so a model-wide parameter
 target is met at the lowest final-layer error.
+
+The exported names resolve lazily (PEP 562): ``import resvd`` loads no
+submodule, and each name imports its module on first use, so a command
+loads only the modules it runs.
 """
 
 from __future__ import annotations
 
-from .calibration import (
-    CalibrationSet,
-    ScalingContext,
-    capture_activations,
-    whiten,
-    whitening_contexts,
-)
-from .compensation import (
-    WhitenedWeight,
-    compress_matrix,
-    direct_truncate_matrix,
-    whitened_weight,
-)
-from .errors import (
-    CompressionError,
-    DimensionError,
-    FormatError,
-    InfeasibleBudgetError,
-    InfeasiblePlanError,
-    InvalidRankError,
-    NumericalError,
-    SingularWhiteningError,
-)
-from .linalg import (
-    FactorPair,
-    RankBudget,
-    SvdFactors,
-    frobenius_error,
-    rank_budget,
-    svd,
-    truncate,
-)
-from .model import (
-    ACTIVATIONS,
-    Layer,
-    MatrixEntry,
-    SequentialModel,
-    forward,
-    layerwise_error,
-    mac_count,
-    parameter_count,
-)
-from .oracle import (
-    MacCheckResult,
-    OracleReport,
-    check_delta_decomposition,
-    check_mac_formula,
-    check_theorem3,
-    delta_suite,
-    mac_suite,
-    run_all,
-)
-from .planner import (
-    CandidateResult,
-    CompressionPlan,
-    PlannerConfig,
-    compress_model,
-    compress_tail_layers,
-    enumerate_candidates,
-    plan,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVATIONS",
-    "CalibrationSet",
-    "CandidateResult",
-    "CompressionError",
-    "CompressionPlan",
-    "DimensionError",
-    "FactorPair",
-    "FormatError",
-    "InfeasibleBudgetError",
-    "InfeasiblePlanError",
-    "InvalidRankError",
-    "Layer",
-    "MacCheckResult",
-    "MatrixEntry",
-    "NumericalError",
-    "OracleReport",
-    "PlannerConfig",
-    "RankBudget",
-    "ScalingContext",
-    "SequentialModel",
-    "SingularWhiteningError",
-    "SvdFactors",
-    "WhitenedWeight",
-    "capture_activations",
-    "check_delta_decomposition",
-    "check_mac_formula",
-    "check_theorem3",
-    "compress_matrix",
-    "compress_model",
-    "compress_tail_layers",
-    "delta_suite",
-    "direct_truncate_matrix",
-    "enumerate_candidates",
-    "forward",
-    "frobenius_error",
-    "layerwise_error",
-    "mac_count",
-    "mac_suite",
-    "parameter_count",
-    "plan",
-    "rank_budget",
-    "run_all",
-    "svd",
-    "truncate",
-    "whiten",
-    "whitened_weight",
-    "whitening_contexts",
-    "__version__",
-]
+# submodule -> the names it exports here
+_EXPORTS = {
+    "calibration": ("CalibrationSet", "ScalingContext", "capture_activations", "whiten",
+                    "whitening_contexts"),
+    "compensation": ("WhitenedWeight", "compress_matrix", "direct_truncate_matrix",
+                     "whitened_weight"),
+    "errors": ("CompressionError", "DimensionError", "FormatError", "InfeasibleBudgetError",
+               "InfeasiblePlanError", "InvalidRankError", "NumericalError",
+               "SingularWhiteningError"),
+    "linalg": ("FactorPair", "RankBudget", "SvdFactors", "frobenius_error", "rank_budget",
+               "svd", "truncate"),
+    "model": ("ACTIVATIONS", "Layer", "MatrixEntry", "SequentialModel", "forward",
+              "layerwise_error", "mac_count", "parameter_count"),
+    "oracle": ("MacCheckResult", "OracleReport", "check_delta_decomposition",
+               "check_mac_formula", "check_theorem3", "delta_suite", "mac_suite", "run_all"),
+    "planner": ("CandidateResult", "CompressionPlan", "PlannerConfig", "compress_model",
+                "compress_tail_layers", "enumerate_candidates", "plan"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -29,7 +29,6 @@ from .containers import (
     save_model,
     save_plan,
 )
-from .demo import DEMO_LAYERS, DEMO_SAMPLES, DEMO_SEED, DEMO_WIDTH, generate
 from .errors import (
     CompressionError,
     FormatError,
@@ -38,9 +37,8 @@ from .errors import (
     NumericalError,
 )
 from .model import STORE_DTYPES, layerwise_error
-from .oracle import run_all
 from .planner import CompressionPlan, PlannerConfig, plan
-# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 4).
+# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
 from .planner import compress_model  # noqa: F401
 
 PLAN_CSV_HEADER = "k,layer_ratio,final_error"
@@ -165,6 +163,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import run_all  # only verify loads the oracles
+
     reports = run_all(trials=args.trials, seed=args.seed)
     doc = {
         "format": "resvd-verify",
@@ -179,9 +179,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if doc["passed"] else EXIT_FAILED
 
 
+# gen-demo options left unset fall back to demo.generate's own defaults
+_DEMO_OPTIONS = ("n_layers", "width", "samples", "seed")
+
+
 def cmd_gen_demo(args: argparse.Namespace) -> int:
-    doc = generate(args.out, n_layers=args.layers, width=args.width,
-                   samples=args.samples, seed=args.seed)
+    from .demo import generate  # only gen-demo loads the generator (and hashlib)
+
+    doc = generate(args.out, **{k: v for k, v in vars(args).items() if k in _DEMO_OPTIONS})
     print(f"demo written to {args.out} (output sha256 {doc['output_sha256'][:12]}…)")
     return EXIT_OK
 
@@ -237,12 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen-demo", help="generate a seeded demo model + calibration")
+    p = sub.add_parser("gen-demo", help="generate a seeded demo model + calibration",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--layers", type=_positive_int, default=DEMO_LAYERS)
-    p.add_argument("--width", type=_positive_int, default=DEMO_WIDTH)
-    p.add_argument("--samples", type=_positive_int, default=DEMO_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEMO_SEED)
+    p.add_argument("--layers", dest="n_layers", metavar="LAYERS", type=_positive_int)
+    p.add_argument("--width", type=_positive_int)
+    p.add_argument("--samples", type=_positive_int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_gen_demo)
 
     return parser

@@ -105,13 +105,54 @@ def svd(w, name: str = "matrix") -> SvdFactors:
 
     The largest-magnitude entry of each left singular vector is forced
     non-negative so repeated runs produce byte-identical factors.
+
+    LAPACK's divide-and-conquer SVD can fail to converge on an ordinary
+    finite matrix. The routes of :data:`_SVD_ROUTES` are then tried in
+    order; only a matrix none of them factors raises. A matrix the first
+    route factors never reaches the others, so its bytes do not depend on
+    them.
+
+    Raises:
+        NumericalError: naming ``name`` when every route fails.
     """
     arr = as_matrix(w, name)
-    try:
-        u, sigma, vt = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge on {name}") from exc
-    return sign_fixed(u, sigma, vt)
+    for route in _SVD_ROUTES:
+        try:
+            u, sigma, vt = route(arr)
+        except np.linalg.LinAlgError as exc:
+            failure = exc
+            continue
+        return sign_fixed(u, sigma, vt)
+    raise NumericalError(f"SVD failed to converge on {name}") from failure
+
+
+def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.linalg.svd(a, full_matrices=False)
+
+
+def _svd_of_transpose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a = U Σ Vᵀ`` read off the SVD of ``aᵀ = V Σ Uᵀ``."""
+    v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
+    return np.ascontiguousarray(ut.T), sigma, np.ascontiguousarray(v.T)
+
+
+def _svd_of_qr_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD of the square triangular factor of a QR, lifted back by Q.
+
+    A tall ``a = Q R`` has ``a = (Q U) Σ Vᵀ`` for ``R = U Σ Vᵀ``; a wide
+    ``a`` factors its transpose the same way, so Q lifts the right factor.
+    """
+    if a.shape[0] >= a.shape[1]:
+        q, r = np.linalg.qr(a)
+        u, sigma, vt = np.linalg.svd(r)
+        return q @ u, sigma, vt
+    q, r = np.linalg.qr(a.T)
+    u, sigma, vt = np.linalg.svd(r.T)
+    return u, sigma, vt @ q.T
+
+
+# Tried in order by :func:`svd` until one converges.
+_SVD_ROUTES = (_thin_svd, _svd_of_transpose, _svd_of_qr_factor)
 
 
 def sign_fixed(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray) -> SvdFactors:

@@ -202,9 +202,10 @@ def _walk(layers: Sequence[Layer], h: np.ndarray) -> Iterator[np.ndarray]:
     """Yield each layer's output in turn, fed ``h`` as the first one's input.
 
     Every forward pass but the one that captures each matrix's input is this
-    loop. Each output is a fresh array the next layer only reads, so a
-    consumer that drops it after use keeps one working array alive, and
-    ``h`` is never written.
+    loop. Each output is a fresh array the next layer only reads, so once
+    the next output is out, a consumer owns the previous one: it may write
+    it or drop it, and keeps at most two working arrays alive. ``h`` is
+    never written.
     """
     for layer in layers:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -243,18 +244,31 @@ def _relative_errors(
 ) -> list[float]:
     """``|y - y_ref| / |y_ref|`` for each output, nan where the reference norm is zero.
 
-    The difference goes through one reused buffer, so scoring allocates
-    nothing per layer while the widths stay the same.
+    The outputs must be arrays the caller owns, such as :func:`_walk`'s:
+    each one is scored only once the walk has produced the next, which was
+    its last reader, by writing the difference into the output itself, so
+    scoring allocates nothing. The references are only read.
     """
     errors = []
-    diff = None
-    for y, (y_ref, norm) in zip(outputs, reference, strict=True):
-        if diff is None or diff.shape != y.shape:
-            diff = np.empty_like(y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(y, y_ref, out=diff)
-        errors.append(math.nan if norm == 0.0 else _norm(diff) / norm)
+    # The last output and its reference, until the next is out. It is a
+    # tuple of its own: zip reuses its result tuple, which would keep a
+    # scored output alive through the next layer.
+    pending = None
+    for y, ref in zip(outputs, reference, strict=True):
+        if pending is not None:
+            errors.append(_relative_error(*pending))
+        pending = y, ref
+    if pending is not None:
+        errors.append(_relative_error(*pending))
     return errors
+
+
+def _relative_error(y: np.ndarray, reference: tuple[np.ndarray, float]) -> float:
+    # a call, not loop locals, so ``y`` is released as soon as it is scored
+    y_ref, norm = reference
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(y, y_ref, out=y)
+    return math.nan if norm == 0.0 else _norm(y) / norm
 
 
 def tail_errors(
@@ -268,10 +282,10 @@ def tail_errors(
 
     ``reference`` and ``reference_norms`` hold those layers' expected outputs
     and the outputs' Frobenius norms; an error is nan where the norm is zero.
-    Each layer is scored as soon as it runs. This and :func:`layerwise_error`
-    are the only places relative errors are computed, both through one
-    scoring loop, so the planner's candidate scores and ``analyze`` agree by
-    construction.
+    Each layer is scored in place once the next has run; ``reference`` is
+    only read. This and :func:`layerwise_error` are the only places relative
+    errors are computed, both through one scoring loop, so the planner's
+    candidate scores and ``analyze`` agree by construction.
     """
     return _relative_errors(_walk(model.layers[model.n_layers - k :], x),
                             zip(reference, reference_norms, strict=True))
@@ -309,11 +323,12 @@ def layerwise_error(
 
     Both models consume the same inputs at layer 0; the compressed model runs
     its own forward pass, so errors introduced early propagate downstream.
-    The two passes walk in step, each layer scored and dropped as it runs,
-    so memory stays at a few outputs whatever the depth. A layer whose
-    reference output has zero norm reports nan and the scan continues. The
-    errors come from the loop that scores the planner's candidates
-    (:func:`tail_errors`), so the two agree by construction.
+    The two passes walk in step, each compressed output scored in place
+    and dropped once the next is out, so at most four outputs are held
+    whatever the depth. A layer whose reference output has zero norm
+    reports nan and the scan continues. The errors come from the loop that
+    scores the planner's candidates (:func:`tail_errors`), so the two agree
+    by construction.
 
     Raises:
         NumericalError: naming the first layer of ``original`` whose output

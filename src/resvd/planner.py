@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,8 +37,11 @@ from .model import (
     output_norms,
     tail_errors,
 )
-# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 4).
+# Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
 from .model import layerwise_error  # noqa: F401
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LayerShapes = list[list[tuple[int, int]]]
 
@@ -86,6 +89,8 @@ class CompressionPlan:
     @property
     def layer_ratio_exact(self) -> Fraction:
         """R_l as an exact rational, so k * R_l == N * R_o identically."""
+        from fractions import Fraction  # only callers that want it pay for the import
+
         return Fraction(self.overall_ratio) * self.n_layers / self.k
 
 
@@ -101,7 +106,7 @@ def enumerate_candidates(
     """Valid (k, R_l) pairs in ascending k.
 
     Candidates run over k in {s, 2s, ..., N-s} with R_l = N*R_o/k < 1
-    (checked in exact rational arithmetic). When ``layer_shapes`` is given,
+    (checked exactly, in integers). When ``layer_shapes`` is given,
     candidates whose tail layers cannot afford even rank 1 are dropped too.
 
     Raises:
@@ -109,10 +114,11 @@ def enumerate_candidates(
     """
     if n_layers < 2:
         raise InfeasiblePlanError(f"need at least 2 layers to plan, got {n_layers}")
-    budget = Fraction(cfg.overall_ratio) * n_layers
+    # R_o = num/den exactly, so R_l = N*R_o/k < 1 is N*num < k*den in integers
+    num, den = cfg.overall_ratio.as_integer_ratio()
     out: list[tuple[int, float]] = []
     for k in range(cfg.step, n_layers - cfg.step + 1, cfg.step):
-        if not budget < k:  # R_l >= 1: the tail cannot absorb the whole budget
+        if not n_layers * num < k * den:  # R_l >= 1: the tail cannot absorb the whole budget
             continue
         ratio = (n_layers * cfg.overall_ratio) / k
         if layer_shapes is not None and not _budget_feasible(layer_shapes, k, ratio, cfg.beta):

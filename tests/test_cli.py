@@ -67,6 +67,22 @@ def run_without_warnings(argv: list[str]) -> int:
     return rc
 
 
+# Runs ``resvd.cli`` as ``python -m resvd.cli <args>`` does, then writes to
+# stderr, as its last line, the exit code and which modules that only
+# ``verify`` or ``gen-demo`` need were loaded.
+IMPORT_PROBE = """
+import json, runpy, sys
+try:
+    runpy.run_module("resvd.cli", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+lazy = ("resvd.oracle", "resvd.demo", "hashlib", "fractions")
+print(json.dumps({"exit": code, "loaded": [m for m in lazy if m in sys.modules]}),
+      file=sys.stderr)
+"""
+
+
 class TestGenDemo:
     def test_same_seed_byte_identical(self, tmp_path):
         gen_demo(tmp_path / "a", seed=3)
@@ -96,6 +112,11 @@ class TestGenDemo:
         digest = hashlib.sha256(forward(model, calib.samples)[-1].tobytes()).hexdigest()
         assert doc["output_sha256"] == digest
         assert doc["config"]["seed"] == 7
+
+    def test_unset_options_take_the_generator_defaults(self, tmp_path):
+        assert main(["gen-demo", "--out", str(tmp_path / "d")]) == 0
+        doc = json.loads((tmp_path / "d" / "checksum.json").read_text())
+        assert doc["config"] == {"n_layers": 8, "width": 64, "samples": 256, "seed": 7}
 
 
 class TestCompress:
@@ -578,6 +599,48 @@ class TestPlanCommand:
         assert capsys.readouterr().err == ("resvd: numerical failure: eigendecomposition "
                                            "failed to converge on layer2/w (residual)\n")
 
+    @pytest.mark.parametrize("fails", [1, 2])
+    def test_svd_that_fails_to_converge_is_retried(self, tmp_path, capsys, monkeypatch, fails):
+        # The first whitened SVD (layer1/w) fails once, then twice: the
+        # transpose, then the QR route factors it, and the plan keeps every
+        # candidate with the errors of the run that did not fail.
+        demo = gen_demo(tmp_path / "demo", layers=3)
+        argv = ["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                "--ratio", "0.2"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        want = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        real, calls = np.linalg.svd, []
+
+        def svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            if len(calls) <= fails:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        got = [line.split(",") for line in out.splitlines()]
+        assert err == ""
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        np.testing.assert_allclose([float(row[2]) for row in got[1:]],
+                                   [float(row[2]) for row in want[1:]], rtol=1e-9)
+
+    def test_svd_failing_every_route_is_one_line(self, tmp_path, capsys, monkeypatch):
+        demo = gen_demo(tmp_path / "demo", layers=3)
+
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2"])
+        assert rc == 4
+        assert capsys.readouterr().err == ("resvd: numerical failure: SVD failed to converge "
+                                           "on layer1/w (whitened)\n")
+
     def test_overflowing_layer_output_is_named(self, tmp_path, capsys):
         # A first row of 1e308s overflows layer0's output while activations
         # are captured: one line names the matrix, and numpy does not warn.
@@ -707,6 +770,34 @@ class TestTopLevel:
             capture_output=True, text=True, env=env)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_each_command_imports_only_what_it_runs(self, tmp_path):
+        # Each command runs as ``python -m resvd.cli`` would and reports which
+        # of the modules only verify or gen-demo need it loaded; those two
+        # load theirs, which shows the probe sees them.
+        demo = gen_demo(tmp_path / "demo", layers=3, width=8, samples=24)
+        calib, out = str(demo / "calib.bin"), str(tmp_path / "out")
+        planned = ["--model", str(demo), "--calib", calib, "--ratio", "0.2"]
+        runs = {
+            "plan": ["plan", *planned],
+            "compress": ["compress", *planned, "--out", out],
+            "analyze": ["analyze", "--original", str(demo), "--compressed", out,
+                        "--calib", calib],
+            "verify": ["verify", "--trials", "2"],
+            "gen-demo": ["gen-demo", "--out", str(tmp_path / "gen"), "--layers", "2",
+                         "--width", "4", "--samples", "4"],
+        }
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        loaded = {}
+        for command, argv in runs.items():  # compress writes what analyze reads
+            proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                                  capture_output=True, text=True, env=env)
+            report = json.loads(proc.stderr.splitlines()[-1])
+            assert report["exit"] == 0, (command, proc.stderr)
+            loaded[command] = report["loaded"]
+        assert loaded["plan"] == loaded["compress"] == loaded["analyze"] == []
+        assert "resvd.oracle" in loaded["verify"]
+        assert {"resvd.demo", "hashlib"} <= set(loaded["gen-demo"])
 
     def test_console_script_version(self):
         out = subprocess.run([sys.executable, "-m", "resvd.cli", "--version"],

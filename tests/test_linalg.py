@@ -57,6 +57,55 @@ def test_svd_sign_convention_deterministic():
     assert np.all(f1.u[peaks, np.arange(6)] >= 0)
 
 
+def failing_svd(monkeypatch, fails):
+    """Make ``np.linalg.svd`` raise on its first ``fails`` calls; return the shapes it is given."""
+    real, shapes = np.linalg.svd, []
+
+    def svd_(a, *args, **kwargs):
+        shapes.append(a.shape)
+        if len(shapes) <= fails:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_)
+    return shapes
+
+
+def distinct_spectrum(rng, m, n):
+    """An m x n matrix with well-separated singular values 2^-j."""
+    p = min(m, n)
+    q1, _ = np.linalg.qr(rng.standard_normal((m, p)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    return (q1 * 2.0 ** -np.arange(p)) @ q2.T
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9), (7, 7)])
+@pytest.mark.parametrize("fails", [1, 2])
+def test_svd_retries_the_transpose_then_the_qr_factor(monkeypatch, shape, fails):
+    # After the primary route fails, the transpose is factored; after that
+    # fails too, the square R of a QR. Either gives the primary factors,
+    # under the same sign convention, within 1e-12 relative.
+    w = distinct_spectrum(np.random.default_rng(5), *shape)
+    want = svd(w)
+    shapes = failing_svd(monkeypatch, fails)
+    got = svd(w, name="W")
+    m, n = shape
+    assert shapes == [(m, n), (n, m), (min(m, n),) * 2][: fails + 1]
+    assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-12 * want.sigma[0]
+    assert np.max(np.abs(got.u - want.u)) <= 1e-12
+    assert np.max(np.abs(got.vt - want.vt)) <= 1e-12
+    for a in (got.u, got.vt):
+        assert a.flags.c_contiguous
+
+
+def test_svd_failing_every_route_names_the_matrix(monkeypatch):
+    shapes = failing_svd(monkeypatch, fails=3)
+    with pytest.raises(NumericalError, match=r"^SVD failed to converge on W$") as info:
+        svd(np.random.default_rng(6).standard_normal((5, 4)), name="W")
+    assert len(shapes) == 3
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_truncate_full_rank_exact():
     w = np.diag([3.0, 2.0, 1.0])
     pair = truncate(svd(w), 3)

@@ -1,6 +1,7 @@
 """Forward pass, error reports, and parameter/MAC accounting."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from resvd.model import (
     layerwise_error,
     mac_count,
     parameter_count,
+    tail_errors,
 )
 
 
@@ -228,6 +230,75 @@ def test_layerwise_error_matches_independent_recomputation():
     y_got = forward(compressed, calib.samples)[-1]
     expected = np.linalg.norm(y_got - y_ref) / np.linalg.norm(y_ref)
     assert errors[-1] == pytest.approx(expected, abs=1e-10)
+
+
+def diff_buffer_errors(outputs, references):
+    """Relative errors with each difference in a buffer of its own, as
+    scoring computed them before it subtracted in place."""
+    errors = []
+    for y, y_ref in zip(outputs, references, strict=True):
+        diff = np.empty_like(y)
+        np.subtract(y, y_ref, out=diff)
+        norm = float(np.linalg.norm(y_ref))
+        errors.append(math.nan if norm == 0.0 else float(np.linalg.norm(diff)) / norm)
+    return errors
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
+    # Scoring subtracts each reference into its layer's own output once the
+    # next layer has read that output: the errors match the diff-buffer
+    # formula exactly, and neither the calibration rows nor the references
+    # given to tail_errors are written. The widths differ layer to layer.
+    rng = np.random.default_rng(61)
+    model = make_mlp(rng, [9, 7, 11, 6, 8], activation=activation)
+    calib = CalibrationSet(samples=rng.standard_normal((20, 9)))
+    samples = calib.samples.copy()
+    k = 3
+    compressed = replace_tail(model, k, 2)
+    refs = forward(model, samples)
+    want = diff_buffer_errors(forward(compressed, samples), refs)
+    assert all(err > 0 for err in want[-k:])
+
+    assert layerwise_error(model, compressed, calib) == tuple(want)
+    assert np.array_equal(calib.samples, samples)
+
+    kept = [y.copy() for y in refs]
+    norms = [float(np.linalg.norm(y)) for y in refs[-k:]]
+    assert tail_errors(compressed, k, refs[-k - 1], refs[-k:], norms) == want[-k:]
+    for got, before in zip(refs, kept, strict=True):
+        assert np.array_equal(got, before)
+
+
+def peak_arrays(run, nbytes):
+    """Peak of the bytes ``run()`` holds at once, in arrays of ``nbytes`` each."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / nbytes
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_scoring_holds_two_outputs_per_walk():
+    # An output is dropped as soon as it is scored, once the next one is
+    # out, and scoring allocates no difference buffer: layerwise_error's two
+    # walks hold at most four outputs at once, tail_errors' one walk two.
+    rng = np.random.default_rng(62)
+    model = make_mlp(rng, [32] * 7, activation="relu")
+    compressed = replace_tail(model, 6, 4)
+    calib = CalibrationSet(samples=rng.standard_normal((2048, 32)))
+    size = calib.samples.nbytes
+    refs = forward(model, calib.samples)
+    norms = [float(np.linalg.norm(y)) for y in refs[1:]]
+    assert 3.9 < peak_arrays(lambda: layerwise_error(model, compressed, calib), size) < 4.5
+    assert 1.9 < peak_arrays(lambda: tail_errors(compressed, 5, refs[0], refs[1:], norms),
+                             size) < 2.5
 
 
 def test_layerwise_error_zero_norm_layer_is_nan():

@@ -257,9 +257,11 @@ class TestPlan:
                                                                calib.samples)
 
     def test_plan_writes_neither_calibration_nor_captured_inputs(self, monkeypatch):
-        # Activations run in place on fresh matmul outputs only: planning
-        # leaves the calibration rows and every captured layer input as
-        # they were, and the references are the model's own layer outputs.
+        # Activations run in place on fresh matmul outputs only, and scoring
+        # subtracts in place into each trial output alone: planning leaves
+        # the calibration rows and every captured layer input and reference
+        # output as they were, and the references are the model's own
+        # layer outputs.
         rng = np.random.default_rng(31)
         model = with_silu(make_multi_entry_mlp(rng, 6, 14, 2))
         calib = make_calib(rng, 40, 14)
@@ -268,16 +270,16 @@ class TestPlan:
 
         def calibrate(*args):
             state = real_calibrate(*args)
-            states.append((state, [x.copy() for x in state.activations[:-1]]))
+            states.append((state, [x.copy() for x in state.activations]))
             return state
 
         real_calibrate = planner_mod.calibrate
         monkeypatch.setattr(planner_mod, "calibrate", calibrate)
         plan(model, calib, PlannerConfig(overall_ratio=0.3))
-        (state, inputs), = states
+        (state, before_scoring), = states
         assert np.array_equal(calib.samples, samples)
         assert state.activations[0] is calib.samples
-        for got, before in zip(state.activations[:-1], inputs, strict=True):
+        for got, before in zip(state.activations, before_scoring, strict=True):
             assert np.array_equal(got, before)
         for got, want in zip(state.activations[1:], allocating_forward(model, samples),
                              strict=True):
