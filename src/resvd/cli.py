@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .calibration import CalibrationSet
 from .containers import (
+    STORE_DTYPES,
     format_error_report,
     load_calibration_auto,
     load_model,
@@ -36,7 +37,7 @@ from .errors import (
     InfeasiblePlanError,
     NumericalError,
 )
-from .model import STORE_DTYPES, layerwise_error
+from .model import layerwise_error
 from .planner import CompressionPlan, PlannerConfig, plan
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
 from .planner import compress_model  # noqa: F401
@@ -122,17 +123,9 @@ def cmd_compress(args: argparse.Namespace) -> int:
     cfg = _planner_config(args)
     chosen = plan(load_model(args.model), _load_calib(args), cfg)
     run = _run_config(args, cfg)
-    compressed = chosen.compressed
-    layers = tuple(
-        dataclasses.replace(layer, entries=tuple(
-            dataclasses.replace(e, store_dtype=args.dtype) for e in layer.entries))
-        for layer in compressed.layers
-    )
-    meta = {**compressed.meta, "compression": plan_header(chosen, _TOOL, run)}
-    compressed = dataclasses.replace(compressed, layers=layers, meta=meta)
-
+    meta = {**chosen.compressed.meta, "compression": plan_header(chosen, _TOOL, run)}
     out = Path(args.out)
-    save_model(compressed, out)
+    save_model(dataclasses.replace(chosen.compressed, meta=meta), out, dtype=args.dtype)
     save_plan(chosen, out / "plan.json", tool=_TOOL, config=run)
     save_error_report(chosen.layer_errors, out / "errors.csv")
     print(f"compressed {chosen.k}/{chosen.n_layers} layers at "

@@ -71,7 +71,6 @@ def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
     return FactorPair(
         u_hat=np.hstack([stage1.u_hat, stage2.u_hat]),
         v_hat=np.vstack([stage1.v_hat, stage2.v_hat]),
-        rank=budget.r,
     )
 
 
@@ -81,7 +80,7 @@ def direct_truncate_matrix(weight: WhitenedWeight, r: int) -> FactorPair:
     ``S^{-1}`` is folded into the right factor, so the product is exact.
     """
     pair = truncate(weight.factors, r)
-    return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ weight.s_inv, rank=r)
+    return FactorPair(u_hat=pair.u_hat, v_hat=pair.v_hat @ weight.s_inv)
 
 
 def _residual_factors(weight: WhitenedWeight, r_i: int, r_r: int, name: str) -> SvdFactors:

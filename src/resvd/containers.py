@@ -6,15 +6,15 @@ store u_hat then v_hat back to back). Calibration sets are either the
 binary container (magic ``ERCC``) or bare numeric CSV. Plans and error
 reports are deterministic JSON and CSV.
 
-Matrices tagged f32 are upconverted to f64 in memory and written back as
-f32, so a load/save cycle is byte-identical either way.
+Tensors are float64 in memory whatever their file holds. The writer takes
+the precision of every tensor file as its ``dtype`` argument, so a model
+loaded from f32 files and saved with ``dtype="f32"`` is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import struct
 import warnings
 from pathlib import Path
@@ -24,7 +24,7 @@ import numpy as np
 from .calibration import CalibrationSet
 from .errors import DimensionError, FormatError, NumericalError
 from .linalg import FactorPair
-from .model import ACTIVATIONS, STORE_DTYPES, Layer, MatrixEntry, SequentialModel
+from .model import ACTIVATIONS, NAME_RE, Layer, MatrixEntry, SequentialModel
 from .planner import CandidateResult, CompressionPlan
 
 MODEL_FORMAT = "resvd-model"
@@ -36,8 +36,8 @@ CALIB_MAGIC = b"ERCC"
 CALIB_VERSION = 1
 _CALIB_HEADER = struct.Struct("<4sIQQ")
 
-_FILE_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _NP_DTYPE = {"f64": "<f8", "f32": "<f4"}
+STORE_DTYPES = tuple(_NP_DTYPE)
 
 ERROR_CSV_HEADER = "layer_index,relative_error"
 
@@ -90,16 +90,19 @@ def _require_objects(doc: dict, key: str, where: str) -> list[dict]:
 # --- model directories ---
 
 
-def save_model(model: SequentialModel, path: str | Path) -> None:
-    """Write ``manifest.json`` plus one tensor file per matrix entry.
+def save_model(model: SequentialModel, path: str | Path, dtype: str = "f64") -> None:
+    """Write ``manifest.json`` plus one tensor file per matrix entry, each in ``dtype``.
 
-    Every tensor is cast to its store dtype and checked before anything is
+    Every tensor is cast to ``dtype`` and checked before anything is
     written, so a model that cannot be stored leaves ``path`` untouched.
 
     Raises:
+        ValueError: when ``dtype`` is not one of :data:`STORE_DTYPES`.
         NumericalError: naming the first matrix holding a value beyond the
-            range of its store dtype.
+            range of ``dtype``.
     """
+    if dtype not in STORE_DTYPES:
+        raise ValueError(f"dtype must be one of {STORE_DTYPES}, got {dtype!r}")
     layers_doc = []
     tensors: dict[str, list[np.ndarray]] = {}
     for layer in model.layers:
@@ -108,17 +111,17 @@ def save_model(model: SequentialModel, path: str | Path) -> None:
             fname = f"{layer.name}__{e.name}.bin"
             if fname in tensors:
                 raise FormatError(f"tensor file name collision: {fname}")
-            entry_doc = {"name": e.name, "rows": e.rows, "cols": e.cols, "dtype": e.store_dtype,
+            entry_doc = {"name": e.name, "rows": e.rows, "cols": e.cols, "dtype": dtype,
                          "kind": "factored" if e.is_factored else "dense", "file": fname}
             arrays = (e.dense,)
             if e.is_factored:
                 entry_doc["rank"] = e.factors.rank
                 arrays = (e.factors.u_hat, e.factors.v_hat)
             with np.errstate(over="ignore"):
-                stored = [a.astype(_NP_DTYPE[e.store_dtype]) for a in arrays]
+                stored = [a.astype(_NP_DTYPE[dtype]) for a in arrays]
             if not all(np.isfinite(a).all() for a in stored):
                 raise NumericalError(f"{layer.name}/{e.name}: a value overflows "
-                                     f"{e.store_dtype} and cannot be stored")
+                                     f"{dtype} and cannot be stored")
             tensors[fname] = stored
             matrices.append(entry_doc)
         layers_doc.append(
@@ -140,7 +143,7 @@ def save_model(model: SequentialModel, path: str | Path) -> None:
 
 def _read_tensor(root: Path, entry_doc: dict, where: str, name: str) -> np.ndarray:
     fname = _require(entry_doc, "file", where)
-    if not isinstance(fname, str) or not _FILE_RE.match(fname):
+    if not isinstance(fname, str) or not NAME_RE.match(fname):
         raise FormatError(f"{where}: bad tensor file name {fname!r}")
     fpath = root / fname
     if not fpath.is_file():
@@ -174,7 +177,7 @@ def _load_entry(root: Path, entry_doc: dict, where: str) -> MatrixEntry:
                 f"{where}: expected {rows * cols} values, file holds {flat.size}"
             )
         dense = flat.reshape(rows, cols).astype(np.float64)
-        return MatrixEntry(name=name, rows=rows, cols=cols, dense=dense, store_dtype=dtype)
+        return MatrixEntry(name=name, dense=dense)
     if kind == "factored":
         rank = _require_typed(entry_doc, "rank", where, int, "an integer")
         if not 1 <= rank <= min(rows, cols):
@@ -184,8 +187,7 @@ def _load_entry(root: Path, entry_doc: dict, where: str) -> MatrixEntry:
             raise FormatError(f"{where}: expected {want} values, file holds {flat.size}")
         u_hat = flat[: rows * rank].reshape(rows, rank).astype(np.float64)
         v_hat = flat[rows * rank :].reshape(rank, cols).astype(np.float64)
-        pair = FactorPair(u_hat=u_hat, v_hat=v_hat, rank=rank)
-        return MatrixEntry(name=name, rows=rows, cols=cols, factors=pair, store_dtype=dtype)
+        return MatrixEntry(name=name, factors=FactorPair(u_hat=u_hat, v_hat=v_hat))
     raise FormatError(f"{where}: unknown kind {kind!r}")
 
 
@@ -214,7 +216,11 @@ def load_model(path: str | Path) -> SequentialModel:
                 for edoc in _require_objects(ldoc, "matrices", f"{where} [{lname}]")
             )
             layers.append(Layer(name=lname, entries=entries, activation=activation))
-        return SequentialModel(layers=tuple(layers), input_dim=input_dim, meta=meta)
+        model = SequentialModel(layers=tuple(layers), meta=meta)
+        if model.input_dim != input_dim:
+            raise DimensionError(f"model input_dim {input_dim} != first layer width "
+                                 f"{model.input_dim}")
+        return model
     except (ValueError, DimensionError) as exc:
         raise FormatError(f"{where}: inconsistent model ({exc})") from exc
 

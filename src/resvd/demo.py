@@ -55,12 +55,12 @@ def demo_model(n_layers: int = DEMO_LAYERS, width: int = DEMO_WIDTH,
         layers.append(
             Layer(
                 name=f"layer{i}",
-                entries=(MatrixEntry(name="w", rows=width, cols=width, dense=w),),
+                entries=(MatrixEntry(name="w", dense=w),),
                 activation="identity" if last else "relu",
             )
         )
     meta = {"generator": "demo", "seed": seed, "n_layers": n_layers, "width": width}
-    return SequentialModel(layers=tuple(layers), input_dim=width, meta=meta)
+    return SequentialModel(layers=tuple(layers), meta=meta)
 
 
 def demo_calibration(n_samples: int = DEMO_SAMPLES, width: int = DEMO_WIDTH,

@@ -54,17 +54,18 @@ class FactorPair:
 
     u_hat: np.ndarray
     v_hat: np.ndarray
-    rank: int
 
     def __post_init__(self):
         m, r1 = self.u_hat.shape
         r2, n = self.v_hat.shape
-        if r1 != self.rank or r2 != self.rank:
-            raise DimensionError(
-                f"factor ranks {r1}/{r2} disagree with declared rank {self.rank}"
-            )
-        if self.rank > min(m, n):
-            raise InvalidRankError(f"rank {self.rank} exceeds min{(m, n)}")
+        if r1 != r2:
+            raise DimensionError(f"factor ranks {r1}/{r2} disagree")
+        if r1 > min(m, n):
+            raise InvalidRankError(f"rank {r1} exceeds min{(m, n)}")
+
+    @property
+    def rank(self) -> int:
+        return self.u_hat.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -76,7 +77,7 @@ class FactorPair:
         return (m + n) * self.rank
 
     def product(self) -> np.ndarray:
-        """Materialize ``u_hat @ v_hat`` (tests and error reports only)."""
+        """Materialize ``u_hat @ v_hat`` (tests only)."""
         return self.u_hat @ self.v_hat
 
 
@@ -85,19 +86,21 @@ class RankBudget:
     """Split of a target rank into intermediate and residual parts.
 
     ``alpha = m*n/(m+n)`` is the rank at which a factored representation
-    holds exactly as many parameters as the dense matrix; ``r = r_i + r_r``.
+    holds exactly as many parameters as the dense matrix.
     """
 
     alpha: float
-    r: int
     r_i: int
     r_r: int
 
     def __post_init__(self):
-        if self.r != self.r_i + self.r_r or self.r_i < 1 or self.r_r < 0:
-            raise InvalidRankError(
-                f"inconsistent budget r={self.r}, r_i={self.r_i}, r_r={self.r_r}"
-            )
+        if self.r_i < 1 or self.r_r < 0:
+            raise InvalidRankError(f"invalid budget r_i={self.r_i}, r_r={self.r_r}")
+
+    @property
+    def r(self) -> int:
+        """The target rank, ``r_i + r_r``."""
+        return self.r_i + self.r_r
 
 
 def svd(w, name: str = "matrix") -> SvdFactors:
@@ -181,7 +184,7 @@ def truncate(f: SvdFactors, r: int) -> FactorPair:
     root = np.sqrt(f.sigma[:r])
     u_hat = f.u[:, :r] * root[np.newaxis, :]
     v_hat = root[:, np.newaxis] * f.vt[:r, :]
-    return FactorPair(u_hat=u_hat, v_hat=v_hat, rank=r)
+    return FactorPair(u_hat=u_hat, v_hat=v_hat)
 
 
 def rank_budget(m: int, n: int, layer_ratio: float, beta: float) -> RankBudget:
@@ -209,7 +212,7 @@ def rank_budget(m: int, n: int, layer_ratio: float, beta: float) -> RankBudget:
         r_r = min(max(round(alpha * beta), 1), r - 1)
     else:
         r_r = 0
-    return RankBudget(alpha=alpha, r=r, r_i=r - r_r, r_r=r_r)
+    return RankBudget(alpha=alpha, r_i=r - r_r, r_r=r_r)
 
 
 def frobenius_error(a, b) -> float:

@@ -23,9 +23,9 @@ if TYPE_CHECKING:
     from .calibration import CalibrationSet
 
 ACTIVATIONS = ("identity", "relu", "silu")
-STORE_DTYPES = ("f64", "f32")
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+# Layer and matrix names; they also name tensor files, so no path can hide in one.
+NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def apply_activation(name: str, h: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ def apply_activation(name: str, h: np.ndarray) -> np.ndarray:
 
 
 def _check_name(kind: str, name: str) -> None:
-    if not _NAME_RE.match(name):
+    if not NAME_RE.match(name):
         raise ValueError(f"{kind} name {name!r} must match [A-Za-z0-9._-]+")
 
 
@@ -58,34 +58,32 @@ def _check_name(kind: str, name: str) -> None:
 class MatrixEntry:
     """One named weight of shape (rows, cols), stored dense or factored.
 
-    ``rows``/``cols`` always record the original dense shape so compression
-    ratios stay exact after factorization. ``store_dtype`` remembers the
-    on-disk precision so containers round-trip byte-identically.
+    ``rows`` and ``cols`` are read off the stored arrays; a factored entry
+    keeps the original dense shape, so compression ratios stay exact. Values
+    are float64 in memory; the precision on disk is an argument of
+    :func:`~resvd.containers.save_model`, not of the entry.
     """
 
     name: str
-    rows: int
-    cols: int
     dense: np.ndarray | None = None
     factors: FactorPair | None = None
-    store_dtype: str = "f64"
 
     def __post_init__(self):
         _check_name("matrix", self.name)
-        if self.store_dtype not in STORE_DTYPES:
-            raise ValueError(f"store_dtype must be one of {STORE_DTYPES}")
         if (self.dense is None) == (self.factors is None):
             raise ValueError("exactly one of dense/factors must be set")
-        if self.dense is not None and self.dense.shape != (self.rows, self.cols):
+        if self.dense is not None and self.dense.ndim != 2:
             raise DimensionError(
-                f"entry {self.name!r}: dense shape {self.dense.shape} != "
-                f"declared ({self.rows}, {self.cols})"
+                f"entry {self.name!r}: dense weight must be 2-D, got shape {self.dense.shape}"
             )
-        if self.factors is not None and self.factors.shape != (self.rows, self.cols):
-            raise DimensionError(
-                f"entry {self.name!r}: factored shape {self.factors.shape} != "
-                f"declared ({self.rows}, {self.cols})"
-            )
+
+    @property
+    def rows(self) -> int:
+        return (self.dense if self.factors is None else self.factors.u_hat).shape[0]
+
+    @property
+    def cols(self) -> int:
+        return (self.dense if self.factors is None else self.factors.v_hat).shape[1]
 
     @property
     def is_factored(self) -> bool:
@@ -152,7 +150,6 @@ class Layer:
 @dataclass(frozen=True)
 class SequentialModel:
     layers: tuple[Layer, ...]
-    input_dim: int
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
@@ -163,17 +160,16 @@ class SequentialModel:
             if layer.name in seen:
                 raise ValueError(f"duplicate layer name {layer.name!r}")
             seen.add(layer.name)
-        if self.layers[0].input_dim != self.input_dim:
-            raise DimensionError(
-                f"model input_dim {self.input_dim} != first layer width "
-                f"{self.layers[0].input_dim}"
-            )
         for a, b in zip(self.layers, self.layers[1:]):
             if a.output_dim != b.input_dim:
                 raise DimensionError(
                     f"layer {a.name!r} outputs width {a.output_dim} but "
                     f"{b.name!r} expects {b.input_dim}"
                 )
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].input_dim
 
     @property
     def n_layers(self) -> int:
@@ -303,7 +299,7 @@ def mac_count(model: SequentialModel, batch: int) -> int:
 
 
 def same_skeleton(a: SequentialModel, b: SequentialModel) -> bool:
-    if a.n_layers != b.n_layers or a.input_dim != b.input_dim:
+    if a.n_layers != b.n_layers:
         return False
     for la, lb in zip(a.layers, b.layers):
         if la.activation != lb.activation or len(la.entries) != len(lb.entries):

@@ -161,9 +161,9 @@ def compress_tail_layers(
         for e in layer.entries:
             key = f"{layer.name}/{e.name}"
             pair = compress_matrix(state.whitened[key], layer_ratio, beta, name=key)
-            entries.append(MatrixEntry(name=e.name, rows=e.rows, cols=e.cols, factors=pair))
+            entries.append(MatrixEntry(name=e.name, factors=pair))
         layers.append(Layer(name=layer.name, entries=tuple(entries), activation=layer.activation))
-    return SequentialModel(layers=tuple(layers), input_dim=model.input_dim, meta=dict(model.meta))
+    return SequentialModel(layers=tuple(layers), meta=dict(model.meta))
 
 
 @dataclass(frozen=True, eq=False)

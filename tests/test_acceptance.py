@@ -158,10 +158,10 @@ def test_criterion_6_planner_matches_brute_force():
             w = rng.standard_normal((width, width)) / np.sqrt(width)
             layers.append(Layer(
                 name=f"layer{i}",
-                entries=(MatrixEntry(name="w", rows=width, cols=width, dense=w),),
+                entries=(MatrixEntry(name="w", dense=w),),
                 activation="identity" if i == n_layers - 1 else "relu",
             ))
-        model = SequentialModel(layers=tuple(layers), input_dim=width)
+        model = SequentialModel(layers=tuple(layers))
         calib = CalibrationSet(samples=rng.standard_normal((48, width)))
         cfg = PlannerConfig(overall_ratio=0.3, seed=seed)
 

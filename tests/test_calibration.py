@@ -15,12 +15,11 @@ from resvd.model import Layer, MatrixEntry, SequentialModel, forward
 
 
 def dense_layer(name, w, activation="identity"):
-    m, n = w.shape
-    return Layer(name=name, entries=(MatrixEntry(name="w", rows=m, cols=n, dense=w),), activation=activation)
+    return Layer(name=name, entries=(MatrixEntry(name="w", dense=w),), activation=activation)
 
 
 def test_first_layer_sees_raw_input():
-    model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),), input_dim=3)
+    model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),))
     x = np.arange(12.0).reshape(4, 3)
     calib = CalibrationSet(samples=x)
     captured, output = capture_activations(model, calib)
@@ -34,7 +33,6 @@ def test_second_layer_sees_post_activation_output():
     w2 = rng.standard_normal((2, 5))
     model = SequentialModel(
         layers=(dense_layer("l0", w1, "relu"), dense_layer("l1", w2)),
-        input_dim=3,
     )
     x = rng.standard_normal((7, 3))
     captured, _ = capture_activations(model, CalibrationSet(samples=x))
@@ -50,7 +48,6 @@ def test_capture_names_the_matrix_whose_output_overflows():
         layers=(dense_layer("l0", np.eye(2), "relu"),
                 dense_layer("l1", np.full((2, 2), -1e300), "relu"),
                 dense_layer("l2", np.eye(2))),
-        input_dim=2,
     )
     with pytest.raises(NumericalError, match=r"^l1/w: output overflows float64"):
         capture_activations(model, CalibrationSet(samples=np.full((3, 2), 1e10)))
@@ -61,12 +58,12 @@ def test_capture_keys_in_forward_order():
     layer = Layer(
         name="mlp",
         entries=(
-            MatrixEntry(name="up", rows=6, cols=4, dense=rng.standard_normal((6, 4))),
-            MatrixEntry(name="down", rows=4, cols=6, dense=rng.standard_normal((4, 6))),
+            MatrixEntry(name="up", dense=rng.standard_normal((6, 4))),
+            MatrixEntry(name="down", dense=rng.standard_normal((4, 6))),
         ),
         activation="relu",
     )
-    model = SequentialModel(layers=(layer, dense_layer("out", np.eye(4))), input_dim=4)
+    model = SequentialModel(layers=(layer, dense_layer("out", np.eye(4))))
     x = rng.standard_normal((3, 4))
     captured, output = capture_activations(model, CalibrationSet(samples=x))
     assert list(captured) == ["mlp/up", "mlp/down", "out/w"]
@@ -85,7 +82,7 @@ def test_zero_sample_calibration_rejected():
 
 
 def test_capture_rejects_width_mismatch():
-    model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),), input_dim=3)
+    model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),))
     with pytest.raises(DimensionError):
         capture_activations(model, CalibrationSet(samples=np.zeros((2, 4))))
 
@@ -179,7 +176,6 @@ def test_whitening_contexts_cover_every_matrix():
             dense_layer("l0", rng.standard_normal((6, 4)), "relu"),
             dense_layer("l1", rng.standard_normal((3, 6))),
         ),
-        input_dim=4,
     )
     calib = CalibrationSet(samples=rng.standard_normal((20, 4)))
     contexts = whitening_contexts(capture_activations(model, calib)[0])

@@ -4,7 +4,6 @@ consistency between the artifacts the commands produce."""
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -210,9 +209,8 @@ class TestCompress:
         rc = main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
                    "--ratio", "0.2", "--out", str(out), "--dtype", "f32"])
         assert rc == 0
-        model = load_model(out)
-        assert all(e.store_dtype == "f32"
-                   for layer in model.layers for e in layer.entries)
+        doc = json.loads((out / "manifest.json").read_text())
+        assert {m["dtype"] for layer in doc["layers"] for m in layer["matrices"]} == {"f32"}
 
     def test_f32_overflow_is_named_not_written_as_inf(self, tmp_path, capsys):
         # layer0 stays dense, and its weights, finite in float64, exceed the
@@ -250,11 +248,7 @@ class TestCompress:
         # An f32 model compressed at the default --dtype: the prefix layers it
         # leaves dense are written as f64 too, as the manifest's config says.
         demo = gen_demo(tmp_path / "demo")
-        model = load_model(demo)
-        save_model(dataclasses.replace(model, layers=tuple(
-            dataclasses.replace(layer, entries=tuple(
-                dataclasses.replace(e, store_dtype="f32") for e in layer.entries))
-            for layer in model.layers)), tmp_path / "m32")
+        save_model(load_model(demo), tmp_path / "m32", dtype="f32")
         out = tmp_path / "out"
         assert main(["compress", "--model", str(tmp_path / "m32"),
                      "--calib", str(demo / "calib.bin"), "--ratio", "0.2",

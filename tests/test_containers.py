@@ -32,38 +32,29 @@ from resvd.containers import (
     save_plan,
 )
 from resvd.errors import FormatError
+from resvd.demo import demo_model
 from resvd.linalg import FactorPair
 from resvd.model import Layer, MatrixEntry, SequentialModel, forward
 from resvd.planner import CandidateResult, CompressionPlan
 
 
-def small_model(rng, store_dtype="f64"):
+def small_model(rng):
     w0 = rng.standard_normal((6, 4))
     u = rng.standard_normal((5, 2))
     v = rng.standard_normal((2, 6))
     layers = (
         Layer(
             name="front",
-            entries=(
-                MatrixEntry(name="w", rows=6, cols=4, dense=w0, store_dtype=store_dtype),
-            ),
+            entries=(MatrixEntry(name="w", dense=w0),),
             activation="relu",
         ),
         Layer(
             name="back",
-            entries=(
-                MatrixEntry(
-                    name="w",
-                    rows=5,
-                    cols=6,
-                    factors=FactorPair(u_hat=u, v_hat=v, rank=2),
-                    store_dtype=store_dtype,
-                ),
-            ),
+            entries=(MatrixEntry(name="w", factors=FactorPair(u_hat=u, v_hat=v)),),
             activation="identity",
         ),
     )
-    return SequentialModel(layers=layers, input_dim=4, meta={"origin": "test"})
+    return SequentialModel(layers=layers, meta={"origin": "test"})
 
 
 def dir_bytes(root: Path) -> dict[str, bytes]:
@@ -142,20 +133,58 @@ class TestModelDir:
         save_model(load_model(tmp_path / "a"), tmp_path / "b")
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
-    def test_f32_round_trip_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_f32_round_trip_is_byte_identical(self, tmp_path, dtype):
         rng = np.random.default_rng(2)
-        model = small_model(rng, store_dtype="f32")
-        save_model(model, tmp_path / "a")
+        save_model(small_model(rng), tmp_path / "a", dtype=dtype)
         back = load_model(tmp_path / "a")
-        assert back.layers[0].entries[0].store_dtype == "f32"
         assert back.layers[0].entries[0].dense.dtype == np.float64
-        save_model(back, tmp_path / "b")
+        save_model(back, tmp_path / "b", dtype=dtype)
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+    def test_unknown_dtype_rejected_before_writing(self, tmp_path):
+        rng = np.random.default_rng(12)
+        save_model(small_model(rng), tmp_path / "m")
+        before = dir_bytes(tmp_path / "m")
+        with pytest.raises(ValueError, match=r"dtype must be one of \('f64', 'f32'\), got 'f16'"):
+            save_model(small_model(rng), tmp_path / "m", dtype="f16")
+        assert dir_bytes(tmp_path / "m") == before
+        with pytest.raises(ValueError):
+            save_model(small_model(rng), tmp_path / "new", dtype="f16")
+        assert not (tmp_path / "new").exists()
+
+    def test_mixed_precision_manifest_loads(self, tmp_path):
+        # save_model writes one dtype per directory, but the reader takes a
+        # manifest that mixes them and reads each tensor in its own dtype.
+        rng = np.random.default_rng(13)
+        model = small_model(rng)
+        save_model(model, tmp_path / "m", dtype="f32")
+        save_model(model, tmp_path / "d")
+        (tmp_path / "m" / "back__w.bin").write_bytes((tmp_path / "d" / "back__w.bin").read_bytes())
+        doc = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        doc["layers"][1]["matrices"][0]["dtype"] = "f64"
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(doc))
+        back = load_model(tmp_path / "m")
+        np.testing.assert_array_equal(back.layers[1].entries[0].factors.u_hat,
+                                      model.layers[1].entries[0].factors.u_hat)
+        np.testing.assert_array_equal(back.layers[0].entries[0].dense,
+                                      model.layers[0].entries[0].dense.astype(np.float32))
+
+    def test_input_dim_must_match_first_layer_width(self, tmp_path):
+        save_model(demo_model(n_layers=2, width=16), tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["input_dim"] = 8
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as info:
+            load_model(tmp_path / "m")
+        assert str(info.value) == (f"{manifest}: inconsistent model "
+                                   f"(model input_dim 8 != first layer width 16)")
 
     def test_f32_files_are_half_size(self, tmp_path):
         rng = np.random.default_rng(3)
-        save_model(small_model(rng, "f64"), tmp_path / "a")
-        save_model(small_model(rng, "f32"), tmp_path / "b")
+        save_model(small_model(rng), tmp_path / "a")
+        save_model(small_model(rng), tmp_path / "b", dtype="f32")
         a = (tmp_path / "a" / "front__w.bin").stat().st_size
         b = (tmp_path / "b" / "front__w.bin").stat().st_size
         assert a == 2 * b == 6 * 4 * 8
@@ -217,14 +246,13 @@ class TestModelDir:
                 load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("store_dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
     @pytest.mark.parametrize("fname", ["front__w.bin", "back__w.bin"])  # dense, factored
-    def test_non_finite_tensor_rejected(self, tmp_path, bad, store_dtype, fname):
+    def test_non_finite_tensor_rejected(self, tmp_path, bad, dtype, fname):
         rng = np.random.default_rng(11)
-        save_model(small_model(rng, store_dtype), tmp_path / "m")
+        save_model(small_model(rng), tmp_path / "m", dtype=dtype)
         path = tmp_path / "m" / fname
-        dtype = {"f64": "<f8", "f32": "<f4"}[store_dtype]
-        values = np.frombuffer(path.read_bytes(), dtype=dtype).copy()
+        values = np.frombuffer(path.read_bytes(), dtype={"f64": "<f8", "f32": "<f4"}[dtype]).copy()
         values[3] = bad
         path.write_bytes(values.tobytes())
         with pytest.raises(FormatError,

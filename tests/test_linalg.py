@@ -229,10 +229,15 @@ def test_product_invariant_under_sign_flips():
 
 
 def test_factor_pair_parameter_count():
-    pair = FactorPair(u_hat=np.zeros((6, 2)), v_hat=np.zeros((2, 9)), rank=2)
+    pair = FactorPair(u_hat=np.zeros((6, 2)), v_hat=np.zeros((2, 9)))
     assert pair.param_count == (6 + 9) * 2
     with pytest.raises(InvalidRankError):
-        FactorPair(u_hat=np.zeros((3, 4)), v_hat=np.zeros((4, 5)), rank=4)
+        FactorPair(u_hat=np.zeros((3, 4)), v_hat=np.zeros((4, 5)))
+
+
+def test_factor_pair_inner_dimensions_must_agree():
+    with pytest.raises(DimensionError, match="factor ranks 2/3 disagree"):
+        FactorPair(u_hat=np.zeros((6, 2)), v_hat=np.zeros((3, 9)))
 
 
 def test_as_matrix_validation():

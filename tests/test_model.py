@@ -9,7 +9,7 @@ import pytest
 
 from resvd.calibration import CalibrationSet
 from resvd.errors import DimensionError
-from resvd.linalg import svd, truncate
+from resvd.linalg import FactorPair, RankBudget, svd, truncate
 from resvd.model import (
     Layer,
     MatrixEntry,
@@ -24,8 +24,7 @@ from resvd.model import (
 
 
 def dense_layer(name, w, activation="identity"):
-    m, n = w.shape
-    return Layer(name=name, entries=(MatrixEntry(name="w", rows=m, cols=n, dense=w),), activation=activation)
+    return Layer(name=name, entries=(MatrixEntry(name="w", dense=w),), activation=activation)
 
 
 def make_mlp(rng, widths, activation="relu", last="identity"):
@@ -33,7 +32,7 @@ def make_mlp(rng, widths, activation="relu", last="identity"):
     for i, (n, m) in enumerate(zip(widths, widths[1:])):
         act = last if i == len(widths) - 2 else activation
         layers.append(dense_layer(f"layer{i}", rng.standard_normal((m, n)), act))
-    return SequentialModel(layers=tuple(layers), input_dim=widths[0])
+    return SequentialModel(layers=tuple(layers))
 
 
 def naive_forward(model, x):
@@ -61,7 +60,7 @@ def naive_forward(model, x):
 
 
 def test_forward_identity_layer():
-    model = SequentialModel(layers=(dense_layer("l0", np.eye(4)),), input_dim=4)
+    model = SequentialModel(layers=(dense_layer("l0", np.eye(4)),))
     x = np.arange(8.0).reshape(2, 4)
     np.testing.assert_allclose(forward(model, x)[-1], x)
 
@@ -91,7 +90,7 @@ def test_silu_is_finite_and_exact_at_extremes():
 @pytest.mark.parametrize("activation", ["identity", "relu", "silu"])
 def test_forward_never_writes_its_input(activation):
     rng = np.random.default_rng(98)
-    for model in (SequentialModel(layers=(dense_layer("l0", np.eye(4), activation),), input_dim=4),
+    for model in (SequentialModel(layers=(dense_layer("l0", np.eye(4), activation),)),
                   make_mlp(rng, [4, 5, 4], activation=activation, last=activation)):
         x = rng.standard_normal((6, 4))
         before = x.copy()
@@ -119,7 +118,7 @@ def test_in_place_activations_equal_the_allocating_formulas():
 
 
 def test_forward_rejects_wrong_width():
-    model = SequentialModel(layers=(dense_layer("l0", np.eye(4)),), input_dim=4)
+    model = SequentialModel(layers=(dense_layer("l0", np.eye(4)),))
     with pytest.raises(DimensionError):
         forward(model, np.zeros((2, 5)))
 
@@ -128,16 +127,15 @@ def test_factored_full_rank_matches_dense():
     rng = np.random.default_rng(12)
     w = rng.standard_normal((6, 6))
     pair = truncate(svd(w), 6)
-    dense = SequentialModel(layers=(dense_layer("l0", w, "silu"),), input_dim=6)
+    dense = SequentialModel(layers=(dense_layer("l0", w, "silu"),))
     fact = SequentialModel(
         layers=(
             Layer(
                 name="l0",
-                entries=(MatrixEntry(name="w", rows=6, cols=6, factors=pair),),
+                entries=(MatrixEntry(name="w", factors=pair),),
                 activation="silu",
             ),
         ),
-        input_dim=6,
     )
     x = rng.standard_normal((5, 6))
     np.testing.assert_allclose(forward(fact, x)[-1], forward(dense, x)[-1], atol=1e-8)
@@ -147,9 +145,27 @@ def test_factored_evaluation_equals_materialized_product():
     rng = np.random.default_rng(21)
     w = rng.standard_normal((8, 5))
     pair = truncate(svd(w), 3)
-    entry = MatrixEntry(name="w", rows=8, cols=5, factors=pair)
+    entry = MatrixEntry(name="w", factors=pair)
     x = rng.standard_normal((4, 5))
     np.testing.assert_allclose(entry.apply(x), x @ pair.product().T, atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: MatrixEntry(name="w", rows=3, cols=3, dense=w),
+    lambda w: MatrixEntry(name="w", dense=w, store_dtype="f32"),
+    lambda w: SequentialModel(layers=(dense_layer("l0", w),), input_dim=3),
+    lambda w: FactorPair(u_hat=w[:, :2], v_hat=w[:2], rank=2),
+    lambda w: RankBudget(alpha=1.5, r=2, r_i=2, r_r=0),
+], ids=["rows-cols", "store-dtype", "input-dim", "rank", "budget-r"])
+def test_removed_size_keywords_are_type_errors(make):
+    with pytest.raises(TypeError):
+        make(np.eye(3))
+
+
+@pytest.mark.parametrize("dense", [np.zeros(4), np.zeros((2, 2, 2))])
+def test_dense_entry_must_be_2d(dense):
+    with pytest.raises(DimensionError, match="dense weight must be 2-D"):
+        MatrixEntry(name="w", dense=dense)
 
 
 def test_dim_chain_validated_at_construction():
@@ -157,7 +173,7 @@ def test_dim_chain_validated_at_construction():
     a = dense_layer("a", rng.standard_normal((5, 4)))
     b = dense_layer("b", rng.standard_normal((3, 6)))  # expects width 6, gets 5
     with pytest.raises(DimensionError):
-        SequentialModel(layers=(a, b), input_dim=4)
+        SequentialModel(layers=(a, b))
 
 
 def test_multi_entry_layer_chains_within_layer():
@@ -167,12 +183,12 @@ def test_multi_entry_layer_chains_within_layer():
     layer = Layer(
         name="mlp",
         entries=(
-            MatrixEntry(name="up", rows=6, cols=4, dense=w1),
-            MatrixEntry(name="down", rows=3, cols=6, dense=w2),
+            MatrixEntry(name="up", dense=w1),
+            MatrixEntry(name="down", dense=w2),
         ),
         activation="relu",
     )
-    model = SequentialModel(layers=(layer,), input_dim=4)
+    model = SequentialModel(layers=(layer,))
     x = rng.standard_normal((2, 4))
     expected = np.maximum((x @ w1.T) @ w2.T, 0.0)
     np.testing.assert_allclose(forward(model, x)[-1], expected, atol=1e-12)
@@ -190,8 +206,6 @@ def test_layerwise_error_identical_models():
 def compress_entry(entry, r):
     return MatrixEntry(
         name=entry.name,
-        rows=entry.rows,
-        cols=entry.cols,
         factors=truncate(svd(entry.dense), r),
     )
 
@@ -205,7 +219,7 @@ def replace_tail(model, k, r):
             entries=tuple(compress_entry(e, r) for e in old.entries),
             activation=old.activation,
         )
-    return SequentialModel(layers=tuple(layers), input_dim=model.input_dim)
+    return SequentialModel(layers=tuple(layers))
 
 
 def test_layerwise_error_zero_prefix_when_tail_compressed():
@@ -306,7 +320,6 @@ def test_layerwise_error_zero_norm_layer_is_nan():
     w = -np.eye(3)
     model = SequentialModel(
         layers=(dense_layer("l0", w, "relu"), dense_layer("l1", np.eye(3))),
-        input_dim=3,
     )
     calib = CalibrationSet(samples=np.abs(np.random.default_rng(1).standard_normal((4, 3))))
     errors = layerwise_error(model, model, calib)
@@ -324,12 +337,11 @@ def test_layerwise_error_requires_same_skeleton():
 
 def test_parameter_count_dense_and_factored():
     w = np.zeros((64, 64))
-    dense = SequentialModel(layers=(dense_layer("l0", w),), input_dim=64)
+    dense = SequentialModel(layers=(dense_layer("l0", w),))
     assert parameter_count(dense) == 4096
     pair = truncate(svd(np.random.default_rng(3).standard_normal((64, 64))), 16)
     fact = SequentialModel(
-        layers=(Layer(name="l0", entries=(MatrixEntry(name="w", rows=64, cols=64, factors=pair),)),),
-        input_dim=64,
+        layers=(Layer(name="l0", entries=(MatrixEntry(name="w", factors=pair),)),),
     )
     assert parameter_count(fact) == (64 + 64) * 16
     assert parameter_count(fact) / parameter_count(dense) == 0.5
@@ -338,12 +350,11 @@ def test_parameter_count_dense_and_factored():
 def test_mac_count_dense_and_factored():
     rng = np.random.default_rng(9)
     w = rng.standard_normal((64, 64))
-    dense = SequentialModel(layers=(dense_layer("l0", w),), input_dim=64)
+    dense = SequentialModel(layers=(dense_layer("l0", w),))
     assert mac_count(dense, batch=3) == 3 * 64 * 64
     pair = truncate(svd(w), 16)
     fact = SequentialModel(
-        layers=(Layer(name="l0", entries=(MatrixEntry(name="w", rows=64, cols=64, factors=pair),)),),
-        input_dim=64,
+        layers=(Layer(name="l0", entries=(MatrixEntry(name="w", factors=pair),)),),
     )
     assert mac_count(fact, batch=3) == 3 * 64 * 16 + 3 * 16 * 64
 
@@ -363,7 +374,7 @@ def test_uniform_compression_hits_ratio_within_flooring_slack():
             compress_entry(e, rank_budget(e.rows, e.cols, ratio, 0.0).r) for e in layer.entries
         )
         compressed_layers.append(Layer(name=layer.name, entries=entries, activation=layer.activation))
-    compressed = SequentialModel(layers=tuple(compressed_layers), input_dim=model.input_dim)
+    compressed = SequentialModel(layers=tuple(compressed_layers))
     got = parameter_count(compressed) / parameter_count(model)
     m = n = 48
     slack = (m + n) / (m * n)

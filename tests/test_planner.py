@@ -36,11 +36,11 @@ def make_mlp(rng, n_layers, width, activation="relu", last="identity"):
         layers.append(
             Layer(
                 name=f"layer{i}",
-                entries=(MatrixEntry(name="w", rows=width, cols=width, dense=w),),
+                entries=(MatrixEntry(name="w", dense=w),),
                 activation=act,
             )
         )
-    return SequentialModel(layers=tuple(layers), input_dim=width)
+    return SequentialModel(layers=tuple(layers))
 
 
 def make_multi_entry_mlp(rng, n_layers, width, entries, dead_layer=None):
@@ -54,12 +54,12 @@ def make_multi_entry_mlp(rng, n_layers, width, entries, dead_layer=None):
         layers.append(
             Layer(
                 name=f"layer{i}",
-                entries=tuple(MatrixEntry(name=f"w{j}", rows=width, cols=width, dense=w)
+                entries=tuple(MatrixEntry(name=f"w{j}", dense=w)
                               for j, w in enumerate(ws)),
                 activation="identity" if i == n_layers - 1 else "relu",
             )
         )
-    return SequentialModel(layers=tuple(layers), input_dim=width)
+    return SequentialModel(layers=tuple(layers))
 
 
 def model_bytes(model):
@@ -314,7 +314,7 @@ class TestPlan:
         rng = np.random.default_rng(29)
         model = make_mlp(rng, 4, 6)
         last = model.layers[-1]
-        big = MatrixEntry(name="w", rows=6, cols=6, dense=last.entries[0].dense * 1e200)
+        big = MatrixEntry(name="w", dense=last.entries[0].dense * 1e200)
         model = dataclasses.replace(
             model, layers=model.layers[:-1] + (dataclasses.replace(last, entries=(big,)),))
         with pytest.raises(NumericalError, match=r"^layer3: output norm overflows float64"):
