@@ -279,12 +279,29 @@ def tail_errors(
     ``reference`` and ``reference_norms`` hold those layers' expected outputs
     and the outputs' Frobenius norms; an error is nan where the norm is zero.
     Each layer is scored in place once the next has run; ``reference`` is
-    only read. This and :func:`layerwise_error` are the only places relative
-    errors are computed, both through one scoring loop, so the planner's
-    candidate scores and ``analyze`` agree by construction.
+    only read. This, :func:`final_layer_error` and :func:`layerwise_error`
+    are the only places relative errors are computed, all through
+    :func:`_walk` and :func:`_relative_error`, so the planner's scores, its
+    ``errors.csv`` and ``analyze`` agree by construction.
     """
     return _relative_errors(_walk(model.layers[model.n_layers - k :], x),
                             zip(reference, reference_norms, strict=True))
+
+
+def final_layer_error(
+    model: SequentialModel, k: int, x, reference: np.ndarray, reference_norm: float
+) -> float:
+    """The last entry of :func:`tail_errors`, bit for bit, without scoring the layers before it.
+
+    The last ``k`` layers run on ``x`` through the same walk; each output
+    but the final one is dropped unscored once the next is out, so at most
+    two outputs are alive. ``reference`` is only read.
+    """
+    if not 1 <= k <= model.n_layers:
+        raise ValueError(f"k={k} outside [1, {model.n_layers}]")
+    for y in _walk(model.layers[model.n_layers - k :], x):
+        pass
+    return _relative_error(y, (reference, reference_norm))
 
 
 def parameter_count(model: SequentialModel) -> int:

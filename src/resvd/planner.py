@@ -4,7 +4,9 @@ Only the last ``k`` of ``N`` layers are compressed; the layer ratio
 ``R_l = N*R_o/k`` keeps the model-wide parameter reduction at ``R_o``.
 Each candidate ``k`` is scored by compressing a trial copy and measuring the
 final layer's relative output error on the calibration set; the candidate
-with the lowest error wins, ties going to the smaller ``k``.
+with the lowest error wins, ties going to the smaller ``k``. Only that error
+is computed per candidate: the per-layer errors ``errors.csv`` reports are
+computed once, for the winner.
 
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`: one activation capture, each layer's reference
@@ -34,6 +36,7 @@ from .model import (
     MatrixEntry,
     SequentialModel,
     check_finite,
+    final_layer_error,
     output_norms,
     tail_errors,
 )
@@ -82,7 +85,9 @@ class CompressionPlan:
     beta: float
     seed: int
     # The winning trial and its per-layer errors, held in memory for
-    # ``compress``; plan files never store them.
+    # ``compress``; plan files never store them. Only the winner's
+    # per-layer errors are computed; every other candidate scores its
+    # final layer alone.
     compressed: SequentialModel | None = field(default=None, compare=False, repr=False)
     layer_errors: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
@@ -202,6 +207,12 @@ class CalibratedModel:
                            self.activations[split + 1 :], self.reference_norms[split:])
         return (0.0,) * split + tuple(tail)
 
+    def final_error(self, trial: SequentialModel, k: int) -> float:
+        """The last entry of :meth:`layer_errors`, bit for bit; no other layer is scored."""
+        split = self.model.n_layers - k
+        return final_layer_error(trial, k, self.activations[split],
+                                 self.activations[-1], self.reference_norms[-1])
+
 
 def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> CalibratedModel:
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
@@ -248,9 +259,10 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     """Score every feasible tail-layer candidate and pick the error argmin.
 
     The calibrated state is built once, for the largest candidate ``k``,
-    and shared by every trial. Candidates whose compression fails are kept
-    in the table as failed rows and skipped by the argmin. The plan carries
-    the winning trial model and its per-layer errors.
+    and shared by every trial. Each trial scores its final layer only.
+    Candidates whose compression fails are kept in the table as failed rows
+    and skipped by the argmin. The plan carries the winning trial model and
+    its per-layer errors, the one per-layer walk the plan runs.
 
     Raises:
         NumericalError: the first candidate's, when every candidate failed
@@ -264,22 +276,22 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     for k, ratio in candidates:
         try:
             trial = compress_tail_layers(state, k, ratio, cfg.beta)
-            errors = state.layer_errors(trial, k)
-            if math.isnan(errors[-1]):
+            error = state.final_error(trial, k)
+            if math.isnan(error):
                 raise NumericalError("final-layer error undefined")
         except CompressionError as exc:
             table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
                                          status="failed", reason=str(exc)))
             first_failure = first_failure or exc
             continue
-        table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=errors[-1]))
-        if best is None or errors[-1] < best[0].final_error:  # ties go to the smaller k
-            best = (table[-1], trial, errors)
+        table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
+        if best is None or error < best[0].final_error:  # ties go to the smaller k
+            best = (table[-1], trial)
     if best is None:
         if isinstance(first_failure, NumericalError):
             raise first_failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
-    row, trial, errors = best
+    row, trial = best
     return CompressionPlan(
         k=row.k,
         layer_ratio=row.layer_ratio,
@@ -290,7 +302,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         beta=cfg.beta,
         seed=cfg.seed,
         compressed=trial,
-        layer_errors=errors,
+        layer_errors=state.layer_errors(trial, row.k),
     )
 
 

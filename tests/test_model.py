@@ -15,6 +15,7 @@ from resvd.model import (
     MatrixEntry,
     SequentialModel,
     apply_activation,
+    final_layer_error,
     forward,
     layerwise_error,
     mac_count,
@@ -263,7 +264,7 @@ def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
     # Scoring subtracts each reference into its layer's own output once the
     # next layer has read that output: the errors match the diff-buffer
     # formula exactly, and neither the calibration rows nor the references
-    # given to tail_errors are written. The widths differ layer to layer.
+    # given to tail_errors and final_layer_error are written. The widths differ layer to layer.
     rng = np.random.default_rng(61)
     model = make_mlp(rng, [9, 7, 11, 6, 8], activation=activation)
     calib = CalibrationSet(samples=rng.standard_normal((20, 9)))
@@ -280,6 +281,7 @@ def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
     kept = [y.copy() for y in refs]
     norms = [float(np.linalg.norm(y)) for y in refs[-k:]]
     assert tail_errors(compressed, k, refs[-k - 1], refs[-k:], norms) == want[-k:]
+    assert final_layer_error(compressed, k, refs[-k - 1], refs[-1], norms[-1]) == want[-1]
     for got, before in zip(refs, kept, strict=True):
         assert np.array_equal(got, before)
 
@@ -302,7 +304,8 @@ def peak_arrays(run, nbytes):
 def test_scoring_holds_two_outputs_per_walk():
     # An output is dropped as soon as it is scored, once the next one is
     # out, and scoring allocates no difference buffer: layerwise_error's two
-    # walks hold at most four outputs at once, tail_errors' one walk two.
+    # walks hold at most four outputs at once, tail_errors' one walk two,
+    # and final_layer_error, which drops each output unscored, two.
     rng = np.random.default_rng(62)
     model = make_mlp(rng, [32] * 7, activation="relu")
     compressed = replace_tail(model, 6, 4)
@@ -313,6 +316,8 @@ def test_scoring_holds_two_outputs_per_walk():
     assert 3.9 < peak_arrays(lambda: layerwise_error(model, compressed, calib), size) < 4.5
     assert 1.9 < peak_arrays(lambda: tail_errors(compressed, 5, refs[0], refs[1:], norms),
                              size) < 2.5
+    assert 1.9 < peak_arrays(lambda: final_layer_error(compressed, 5, refs[0], refs[-1],
+                                                       norms[-1]), size) < 2.5
 
 
 def test_layerwise_error_zero_norm_layer_is_nan():

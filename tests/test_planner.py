@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import resvd.compensation
+import resvd.model as model_mod
 import resvd.planner as planner_mod
 from resvd.calibration import CalibrationSet, capture_activations, whitening_contexts
 from resvd.compensation import whitened_weight
@@ -255,6 +256,45 @@ class TestPlan:
             assert row.final_error == want[-1], row.k
         assert chosen.layer_errors == two_pass_layerwise_error(model, chosen.compressed,
                                                                calib.samples)
+
+    def test_plan_scores_each_candidate_once_and_walks_only_the_winner(self, monkeypatch):
+        # One relative error per candidate, always its final layer's, then
+        # the winner's k per-layer errors for errors.csv, and nothing else.
+        rng = np.random.default_rng(32)
+        model = make_multi_entry_mlp(rng, 6, 14, 2)
+        calib = make_calib(rng, 40, 14)
+        scored = []
+
+        def relative_error(y, reference):
+            scored.append(reference[1])
+            return real(y, reference)
+
+        real = model_mod._relative_error
+        monkeypatch.setattr(model_mod, "_relative_error", relative_error)
+        chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3))
+        ok = [row for row in chosen.candidate_table if row.status == "ok"]
+        assert len(ok) == len(chosen.candidate_table) > 1
+        assert len(scored) == len(ok) + chosen.k
+        norms = calibrate(model, calib, 6).reference_norms
+        assert scored[: len(ok)] == [norms[-1]] * len(ok)
+        assert scored[len(ok) :] == list(norms[-chosen.k :])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_final_errors_equal_the_last_entry_of_a_full_walk(self, beta):
+        # Scoring the final layer alone gives, bit for bit, the last entry of
+        # every layer's error from a test-local walk of the whole model.
+        rng = np.random.default_rng(33)
+        model = with_silu(make_multi_entry_mlp(rng, 6, 14, 2))
+        calib = make_calib(rng, 40, 14)
+        cfg = PlannerConfig(overall_ratio=0.3, beta=beta)
+        chosen = plan(model, calib, cfg)
+        state = calibrate(model, calib, 6)
+        assert all(row.status == "ok" for row in chosen.candidate_table)
+        for row in chosen.candidate_table:
+            trial = compress_tail_layers(state, row.k, row.layer_ratio, beta)
+            want = two_pass_layerwise_error(model, trial, calib.samples)
+            assert row.final_error == want[-1], row.k
+        assert chosen.layer_errors == layerwise_error(model, chosen.compressed, calib)
 
     def test_plan_writes_neither_calibration_nor_captured_inputs(self, monkeypatch):
         # Activations run in place on fresh matmul outputs only, and scoring
