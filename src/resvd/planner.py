@@ -11,9 +11,10 @@ computed once, for the winner.
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`: one activation capture, each layer's reference
 output and its norm, and one :class:`~resvd.compensation.WhitenedWeight`
-(whitening and ``svd(W S)``) per matrix of the largest tail any candidate
-compresses; prefix matrices are never whitened. A candidate only truncates
-those factors, runs the residual stage for its own ``r_i``, and runs forward
+(whitening, ``svd(W S)``, ``P = V^T S^{-1}`` and a Gram matrix of ``P``) per
+matrix of the largest tail any candidate compresses; prefix matrices are
+never whitened. A candidate only slices those arrays, runs the residual
+stage's small eigendecomposition for its own ``r_i``, and runs forward
 through its ``k`` tail layers from the captured input of layer ``N-k``; the
 untouched prefix layers score exactly zero. The plan keeps the winning trial
 model and its per-layer errors, so ``compress`` writes them without rebuilding either.

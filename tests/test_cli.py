@@ -577,21 +577,55 @@ class TestPlanCommand:
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2"]
 
 
-    def test_residual_eigh_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # Every candidate's residual eigendecomposition fails; the first
-        # candidate (k=1) fails on the last layer's matrix, which is named.
+    def test_residual_eigh_failure_falls_back_to_the_svd(self, tmp_path, capsys, monkeypatch):
+        # Every residual eigendecomposition fails: the SVD of the scaled
+        # tail block gives the same residual factors, so the plan keeps
+        # every candidate with the errors of the run that did not fail.
         demo = gen_demo(tmp_path / "demo", layers=3)
+        argv = ["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                "--ratio", "0.2"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        want = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        calls = []
 
         def eigh(a):
+            calls.append(a.shape)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        got = [line.split(",") for line in out.splitlines()]
+        assert calls and err == ""
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        np.testing.assert_allclose([float(row[2]) for row in got[1:]],
+                                   [float(row[2]) for row in want[1:]], rtol=1e-9)
+
+    def test_residual_eigh_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # Every candidate's residual eigendecomposition fails, and so does
+        # every route of the SVD it falls back to; the first candidate (k=1)
+        # fails on the last layer's matrix, which is named.
+        demo = gen_demo(tmp_path / "demo", layers=3)
+        real_svd, failed = np.linalg.svd, []
+
+        def eigh(a):
+            failed.append(a.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        def svd(*args, **kwargs):  # the whitened SVDs run before any eigh
+            if failed:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "svd", svd)
         capsys.readouterr()
         rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
                    "--ratio", "0.2"])
         assert rc == 4
-        assert capsys.readouterr().err == ("resvd: numerical failure: eigendecomposition "
-                                           "failed to converge on layer2/w (residual)\n")
+        assert capsys.readouterr().err == ("resvd: numerical failure: SVD failed to converge "
+                                           "on layer2/w (residual fallback)\n")
 
     @pytest.mark.parametrize("fails", [1, 2])
     def test_svd_that_fails_to_converge_is_retried(self, tmp_path, capsys, monkeypatch, fails):

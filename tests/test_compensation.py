@@ -10,7 +10,7 @@ import resvd.planner as planner_mod
 from resvd.calibration import ScalingContext, whiten
 from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_weight
 from resvd.demo import demo_calibration, demo_model
-from resvd.errors import DimensionError, InfeasibleBudgetError
+from resvd.errors import DimensionError, InfeasibleBudgetError, NumericalError
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
 from resvd.planner import PlannerConfig, plan
 
@@ -128,39 +128,50 @@ def whitened_spectrum(kind, p, rng):
     shape=st.sampled_from([(160, 160), (96, 6), (6, 96), (200, 40), (40, 200), (4, 4)]),
     spectrum=st.sampled_from(["flat", "paired", "decay", "deficient", "random"]),
     scale=st.sampled_from([1.0, 1e150, 1e-150, 1e170, 1e-170]),
+    activation_scale=st.sampled_from([1.0, 1e150, 1e-150]),
     whitener=st.sampled_from(["identity", "random"]),
     ratio=st.sampled_from([0.2, 0.3, 0.5]),
     beta=st.sampled_from([0.05, 0.2, 0.45]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_residual_stage_matches_the_dense_residual_svd(
-        shape, spectrum, scale, whitener, ratio, beta, seed):
+        shape, spectrum, scale, activation_scale, whitener, ratio, beta, seed):
     # The residual stage, factored in the whitened SVD's tail coordinates,
     # leaves the same unwhitened error as truncating svd(W - stage 1). W is
     # built so that W S has the drawn spectrum; at 1e+-170 the Gram matrix of
     # the tail coordinates would leave the float64 range unless rescaled.
+    # The activations are scaled before whitening, so S^{-1} and the rows of
+    # V^T S^{-1} run to 1e+-150 as well; W, of magnitude
+    # scale/activation_scale, must itself stay a normal float64.
+    magnitude = scale / activation_scale
+    assume(1e-301 < magnitude < 1e301)
     m, n = shape
     try:
         budget = rank_budget(m, n, ratio, beta)
     except InfeasibleBudgetError:
         assume(False)
     rng = np.random.default_rng(seed)
-    ctx = identity_ctx(n) if whitener == "identity" else whiten(rng.standard_normal((2 * n, n)))
+    if whitener == "identity":
+        ctx = ScalingContext(s=activation_scale * np.eye(n), s_inv=np.eye(n) / activation_scale,
+                             ridge=0.0)
+    else:
+        ctx = whiten(activation_scale * rng.standard_normal((2 * n, n)))
     p = min(m, n)
     q1 = np.linalg.qr(rng.standard_normal((m, p)))[0]
     q2 = np.linalg.qr(rng.standard_normal((n, p)))[0]
     w = scale * ((q1 * whitened_spectrum(spectrum, p, rng)) @ q2.T @ ctx.s_inv)
     weight = whitened_weight(w, ctx)
+    assert np.abs(weight.gram).max() <= n  # the Gram matrix of P itself reaches 1e+-300
     pair = compress_matrix(weight, ratio, beta)
     assert np.isfinite(pair.u_hat).all() and np.isfinite(pair.v_hat).all()
     # The dense truncation's error is the norm of the residual's discarded
     # singular values. Computing only those keeps the reference clear of
     # LAPACK's gesdd, which with vectors fails to converge on a few 160x160
     # residuals.
-    residual = (w - direct_truncate_matrix(weight, budget.r_i).product()) / scale
+    residual = (w - direct_truncate_matrix(weight, budget.r_i).product()) / magnitude
     want = np.linalg.norm(np.linalg.svd(residual, compute_uv=False)[budget.r_r:])
-    got = np.linalg.norm((w - pair.product()) / scale)
-    assert abs(got - want) <= 1e-12 * np.linalg.norm(w / scale)
+    got = np.linalg.norm((w - pair.product()) / magnitude)
+    assert abs(got - want) <= 1e-12 * np.linalg.norm(w / magnitude)
 
 
 def test_residual_svd_factors_an_r_r_row_matrix(monkeypatch):
@@ -184,6 +195,42 @@ def test_residual_svd_factors_an_r_r_row_matrix(monkeypatch):
     plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=0.1))
     assert len(seen) == sum(r_r > 0 for r_r in expected) > 0
     assert all(rows == r_r for r_r, rows in seen)
+
+
+def failing_eigh(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("shape", [(24, 18), (18, 24), (20, 20)])
+def test_residual_eigh_failure_falls_back_to_the_svd(monkeypatch, shape):
+    # With eigh failing, the SVD of the scaled tail block gives the same
+    # residual truncation: the error matches the primary route's.
+    rng = np.random.default_rng(71)
+    m, n = shape
+    w = rng.standard_normal((m, n))
+    weight = whitened_weight(w, random_ctx(rng, n))
+    assert rank_budget(m, n, 0.3, 0.2).r_r > 1
+    primary = compress_matrix(weight, 0.3, 0.2)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    fallback = compress_matrix(weight, 0.3, 0.2)
+    gap = frobenius_error(fallback.product(), w) - frobenius_error(primary.product(), w)
+    assert abs(gap) <= 1e-12 * np.linalg.norm(w)
+    assert frobenius_error(fallback.product(), primary.product()) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_residual_eigh_and_svd_failure_names_the_matrix(monkeypatch):
+    rng = np.random.default_rng(72)
+    w = rng.standard_normal((20, 20))
+    weight = whitened_weight(w, random_ctx(rng, 20))
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(NumericalError, match=r"^SVD failed to converge on layer3/w "
+                                             r"\(residual fallback\)$"):
+        compress_matrix(weight, 0.3, 0.2, name="layer3/w")
 
 
 def test_residual_stage_is_optimal_among_random_competitors():
