@@ -251,7 +251,8 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> Calibrat
                              "so the model outputs nothing to compress against")
     contexts = whitening_contexts({key: captured[key] for key, _ in tail})
     check_finite(model, norms)  # after whitening, whose Gram check names the matrix instead
-    whitened = {key: whitened_weight(e.dense, contexts[key], key) for key, e in tail}
+    # pop, so each S and S^-1 is freed as soon as its weight is whitened
+    whitened = {key: whitened_weight(e.dense, contexts.pop(key), key) for key, e in tail}
     return CalibratedModel(model=model, whitened=whitened, activations=activations,
                            reference_norms=norms)
 
