@@ -105,35 +105,8 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
         raise SingularWhiteningError(
             f"activation Gram matrix is not positive definite (ridge={ridge!r}); {advice}"
         ) from exc
-    return ScalingContext(s=s, s_inv=lower_triangular_inverse(s), ridge=float(ridge))
-
-
-# Diagonal blocks at most this wide are inverted directly.
-_DIRECT_INVERSE = 32
-
-
-def lower_triangular_inverse(s: np.ndarray) -> np.ndarray:
-    """Inverse of the lower-triangular ``s`` by recursive 2x2 blocks; zero above the diagonal.
-
-    ``[[A, 0], [C, D]]`` has inverse ``[[A^-1, 0], [-D^-1 C A^-1, D^-1]]``,
-    so beyond the small diagonal blocks all the work is matrix products,
-    and nothing above the diagonal is ever written.
-    """
-    out = np.zeros_like(s)
-    _invert_lower_into(s, out)
-    return out
-
-
-def _invert_lower_into(s: np.ndarray, out: np.ndarray) -> None:
-    n = s.shape[0]
-    if n <= _DIRECT_INVERSE:
-        # LU's pivoting can leave rounding above the diagonal; the inverse has none
-        out[...] = np.tril(np.linalg.inv(s))
-        return
-    h = n // 2
-    _invert_lower_into(s[:h, :h], out[:h, :h])
-    _invert_lower_into(s[h:, h:], out[h:, h:])
-    out[h:, :h] = -(out[h:, h:] @ (s[h:, :h] @ out[:h, :h]))
+    s_inv = np.linalg.inv(s)
+    return ScalingContext(s=s, s_inv=s_inv, ridge=float(ridge))
 
 
 def capture_activations(

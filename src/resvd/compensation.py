@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ScalingContext
-from .errors import DimensionError, InvalidRankError
+from .errors import DimensionError
 from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, sign_fixed, svd, truncate
 
 
@@ -39,17 +39,15 @@ from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, sign_fixed, 
 class WhitenedWeight:
     """``w`` in the coordinates of ``svd(W S) = U diag(sigma) V^T``: see :func:`whitened_weight`.
 
-    ``vt_s_inv`` is ``P = V^T S^{-1}``, so ``u @ diag(sigma) @ vt_s_inv`` is
-    ``w``. ``gram`` is the Gram matrix of ``P`` with each row divided by its
-    largest magnitude, ``row_scale``, so no entry exceeds the width ``n``
-    whatever the scale of ``w`` or of the activations. No rank enters it, so
-    every rank budget takes slices of the same arrays.
+    ``factors`` is ``(U, sigma, P)`` with ``P = V^T S^{-1}``, so its product
+    is ``w`` itself. ``gram`` is the Gram matrix of ``P`` with each row
+    divided by its largest magnitude, ``row_scale``, so no entry exceeds the
+    width ``n`` whatever the scale of ``w`` or of the activations. No rank
+    enters it, so every rank budget takes slices of the same arrays.
     """
 
     w: np.ndarray
-    u: np.ndarray
-    sigma: np.ndarray
-    vt_s_inv: np.ndarray
+    factors: SvdFactors
     row_scale: np.ndarray
     gram: np.ndarray
 
@@ -68,7 +66,7 @@ def whitened_weight(w, ctx: ScalingContext, name: str = "matrix") -> WhitenedWei
     # no row is zero: V^T has orthonormal rows and S^{-1} is nonsingular
     row_scale = np.max(np.abs(p), axis=1)
     unit = p / row_scale[:, np.newaxis]
-    return WhitenedWeight(arr, f.u, f.sigma, p, row_scale, unit @ unit.T)
+    return WhitenedWeight(arr, SvdFactors(f.u, f.sigma, p), row_scale, unit @ unit.T)
 
 
 def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
@@ -94,15 +92,10 @@ def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
 def direct_truncate_matrix(weight: WhitenedWeight, r: int) -> FactorPair:
     """Whitened truncation ``SVD_r(W S) S^{-1}``: the comparison baseline, and stage 1.
 
-    The factors are ``U_r sqrt(sigma_r)`` and ``sqrt(sigma_r) P_r``, with
-    ``S^{-1}`` already folded into ``P``, so the product is exact.
+    ``S^{-1}`` is already folded into the right factor ``P``, so the
+    product is exact.
     """
-    p = weight.sigma.shape[0]
-    if not 1 <= r <= p:
-        raise InvalidRankError(f"rank {r} outside [1, {p}]")
-    root = np.sqrt(weight.sigma[:r])
-    return FactorPair(u_hat=weight.u[:, :r] * root,
-                      v_hat=root[:, np.newaxis] * weight.vt_s_inv[:r])
+    return truncate(weight.factors, r)
 
 
 def _residual_factors(weight: WhitenedWeight, r_i: int, r_r: int, name: str) -> SvdFactors:
@@ -116,18 +109,19 @@ def _residual_factors(weight: WhitenedWeight, r_i: int, r_r: int, name: str) -> 
     the triplets come from :func:`svd` of ``M / c`` instead, with its own
     retries; only when that fails too is the matrix named.
     """
-    tail = weight.sigma[r_i:] * weight.row_scale[r_i:]
+    f = weight.factors
+    tail = f.sigma[r_i:] * weight.row_scale[r_i:]
     scale = tail.max() or 1.0
     d = tail / scale
-    p_tail = weight.vt_s_inv[r_i:]
-    m_rows = (weight.sigma[r_i:] / scale)[:, np.newaxis]  # M / c = m_rows * p_tail
+    p_tail = f.vt[r_i:]
+    m_rows = (f.sigma[r_i:] / scale)[:, np.newaxis]  # M / c = m_rows * p_tail
     try:
         _, vecs = np.linalg.eigh(d[:, np.newaxis] * weight.gram[r_i:, r_i:] * d)
     except np.linalg.LinAlgError:
-        f = svd(m_rows * p_tail, name=f"{name} (residual fallback)")
-        left, sigma, vt = f.u[:, :r_r], f.sigma[:r_r], f.vt[:r_r]
+        dense = svd(m_rows * p_tail, name=f"{name} (residual fallback)")
+        left, sigma, vt = dense.u[:, :r_r], dense.sigma[:r_r], dense.vt[:r_r]
     else:
         top = vecs[:, : -r_r - 1 : -1]  # eigh sorts ascending; largest first
         ritz = svd((top * m_rows).T @ p_tail, name=f"{name} (residual)")
         left, sigma, vt = top @ ritz.u, ritz.sigma, ritz.vt
-    return sign_fixed(weight.u[:, r_i:] @ left, scale * sigma, vt)
+    return sign_fixed(f.u[:, r_i:] @ left, scale * sigma, vt)

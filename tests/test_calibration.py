@@ -7,7 +7,6 @@ from resvd.calibration import (
     CalibrationSet,
     ScalingContext,
     capture_activations,
-    lower_triangular_inverse,
     whiten,
     whitening_contexts,
 )
@@ -114,21 +113,6 @@ def test_whiten_default_ridge_rescues_rank_deficiency():
     assert ctx.ridge > 0
     n = 2
     np.testing.assert_allclose(ctx.s @ ctx.s_inv, np.eye(n), atol=1e-6)
-
-
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 160, 257])
-def test_lower_triangular_inverse_by_blocks(n):
-    # Sizes around the direct-inverse block width and odd splits: the inverse
-    # is exactly zero above the diagonal and whiten returns it. Columns of
-    # unequal scale make LU pivot on the diagonal blocks.
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((2 * n, n)) * 10.0 ** rng.uniform(-1.0, 1.0, n)
-    s = np.linalg.cholesky(x.T @ x)
-    s_inv = lower_triangular_inverse(s)
-    assert not np.triu(s_inv, 1).any()
-    assert np.max(np.abs(s @ s_inv - np.eye(n))) <= 1e-12
-    ctx = whiten(x, ridge=0.0)
-    assert np.array_equal(ctx.s_inv, lower_triangular_inverse(ctx.s))
 
 
 def test_whitening_identity_holds_for_random_contexts():

@@ -123,7 +123,7 @@ def whitened_spectrum(kind, p, rng):
     return np.sort(rng.random(p))[::-1]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=450, derandomize=True, deadline=None)
 @given(
     shape=st.sampled_from([(160, 160), (96, 6), (6, 96), (200, 40), (40, 200), (4, 4)]),
     spectrum=st.sampled_from(["flat", "paired", "decay", "deficient", "random"]),
