@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names it exports here
 _EXPORTS = {
-    "calibration": ("CalibrationSet", "ScalingContext", "capture_activations", "whiten",
-                    "whitening_contexts"),
+    "calibration": ("CalibrationSet", "ScalingContext", "capture_activations", "whiten"),
     "compensation": ("WhitenedWeight", "compress_matrix", "direct_truncate_matrix",
                      "whitened_weight"),
     "errors": ("CompressionError", "DimensionError", "FormatError", "InfeasibleBudgetError",

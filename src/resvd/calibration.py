@@ -1,4 +1,4 @@
-"""Calibration samples, activation capture, and whitening contexts.
+"""Calibration samples, whitening contexts, and the calibration pass that builds them.
 
 Whitening follows the Cholesky-of-Gram construction: for a weight matrix
 with input activations X, ``S`` is the lower Cholesky factor of
@@ -12,12 +12,15 @@ Gram matrix that is not positive definite, raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, SingularWhiteningError
 from .linalg import as_matrix
-from .model import SequentialModel, apply_activation
+from .model import SequentialModel, apply_activation, output_norm
+
+T = TypeVar("T")
 
 DEFAULT_RIDGE_SCALE = 1e-6
 
@@ -110,49 +113,59 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
 
 
 def capture_activations(
-    model: SequentialModel, calib: CalibrationSet
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Inputs seen by every weight matrix over the calibration set, and the model's output.
+    model: SequentialModel,
+    calib: CalibrationSet,
+    tail: int,
+    factor: Callable[[np.ndarray, ScalingContext, str], T],
+) -> tuple[dict[str, T], tuple[float, ...], np.ndarray]:
+    """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
 
-    Keys are ``"<layer>/<matrix>"`` in forward order. All sample rows are
-    stacked into one activation matrix per weight; no per-batch averaging.
-    Activations are applied in place on each layer's fresh matmul output, so
-    no captured array is ever written.
+    Each matrix of those layers is passed, with the :func:`whiten` context
+    of its input and its key ``"<layer>/<matrix>"``, to ``factor(w, ctx,
+    key)`` while that input is live, so no input outlives the next matrix
+    and no context outlives its ``factor`` call. Returns ``factor``'s
+    results keyed in forward order, every layer's output norm (see
+    :func:`~resvd.model.output_norm`) and the model's output: whatever the
+    depth, the pass holds two activation arrays at a time. Activations are
+    applied in place on each layer's fresh matmul output, so
+    ``calib.samples`` is never written.
 
     Raises:
+        DimensionError: when the calibration width is not the model's.
         NumericalError: naming the first matrix whose output overflows
-            float64, before an activation could hide it.
+            float64, before an activation could hide it, or the first layer
+            whose output is all zeros, before any later input is whitened:
+            the layers have no bias, so every later output is zero too and
+            no relative error is defined.
+        SingularWhiteningError: naming the first tail matrix whose input
+            cannot be whitened.
     """
     if calib.input_dim != model.input_dim:
         raise DimensionError(
             f"calibration width {calib.input_dim} != input width "
             f"{model.input_dim} of layer {model.layers[0].name!r}"
         )
-    captured: dict[str, np.ndarray] = {}
+    split = model.n_layers - tail
+    factored: dict[str, T] = {}
+    norms = []
     h = calib.samples
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
         for entry in layer.entries:
             key = f"{layer.name}/{entry.name}"
-            captured[key] = h
             with np.errstate(over="ignore", invalid="ignore"):
-                h = entry.apply(h)
-            if not np.isfinite(h).all():
+                out = entry.apply(h)
+            if not np.isfinite(out).all():
                 raise NumericalError(f"{key}: output overflows float64 on the calibration set")
+            if i >= split:
+                try:
+                    ctx = whiten(h)
+                except SingularWhiteningError as exc:
+                    raise SingularWhiteningError(f"{key}: {exc}") from exc
+                factored[key] = factor(entry.dense, ctx, key)
+            h = out
         h = apply_activation(layer.activation, h)
-    return captured, h
-
-
-def whitening_contexts(
-    activations: dict[str, np.ndarray], ridge: float | None = None
-) -> dict[str, ScalingContext]:
-    """One ScalingContext per captured weight matrix, keyed like the activation map.
-
-    A whitening failure names the key of the matrix it failed on.
-    """
-    contexts = {}
-    for key, x in activations.items():
-        try:
-            contexts[key] = whiten(x, ridge)
-        except SingularWhiteningError as exc:
-            raise SingularWhiteningError(f"{key}: {exc}") from exc
-    return contexts
+        norms.append(output_norm(h))
+        if norms[-1] == 0.0:
+            raise NumericalError(f"{layer.name}: output is all zeros on the calibration set, "
+                                 "so the model outputs nothing to compress against")
+    return factored, tuple(norms), h

@@ -197,11 +197,11 @@ def _model_input(model: SequentialModel, x) -> np.ndarray:
 def _walk(layers: Sequence[Layer], h: np.ndarray) -> Iterator[np.ndarray]:
     """Yield each layer's output in turn, fed ``h`` as the first one's input.
 
-    Every forward pass but the one that captures each matrix's input is this
-    loop. Each output is a fresh array the next layer only reads, so once
-    the next output is out, a consumer owns the previous one: it may write
-    it or drop it, and keeps at most two working arrays alive. ``h`` is
-    never written.
+    Every forward pass but the calibration pass, which whitens each
+    matrix's input, is this loop. Each output is a fresh array the next
+    layer only reads, so once the next output is out, a consumer owns the
+    previous one: it may write it or drop it, and keeps at most two working
+    arrays alive. ``h`` is never written.
     """
     for layer in layers:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -209,15 +209,10 @@ def _walk(layers: Sequence[Layer], h: np.ndarray) -> Iterator[np.ndarray]:
         yield h
 
 
-def _norm(y: np.ndarray) -> float:
+def output_norm(y: np.ndarray) -> float:
     """Frobenius norm; one that overflows float64 is inf, and numpy stays quiet."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.linalg.norm(y))
-
-
-def output_norms(outputs: Sequence[np.ndarray]) -> tuple[float, ...]:
-    """Frobenius norm of each output (see :func:`_norm`)."""
-    return tuple(_norm(y) for y in outputs)
 
 
 def _overflow(layer: Layer) -> NumericalError:
@@ -264,28 +259,35 @@ def _relative_error(y: np.ndarray, reference: tuple[np.ndarray, float]) -> float
     y_ref, norm = reference
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(y, y_ref, out=y)
-    return math.nan if norm == 0.0 else _norm(y) / norm
+    return math.nan if norm == 0.0 else output_norm(y) / norm
 
 
 def tail_errors(
     model: SequentialModel,
     k: int,
     x,
-    reference: Sequence[np.ndarray],
+    reference: Iterable[np.ndarray],
     reference_norms: Sequence[float],
 ) -> list[float]:
     """Relative output error of each of the last ``k`` layers, fed ``x`` as their input.
 
-    ``reference`` and ``reference_norms`` hold those layers' expected outputs
+    ``reference`` and ``reference_norms`` give those layers' expected outputs
     and the outputs' Frobenius norms; an error is nan where the norm is zero.
     Each layer is scored in place once the next has run; ``reference`` is
-    only read. This, :func:`final_layer_error` and :func:`layerwise_error`
-    are the only places relative errors are computed, all through
-    :func:`_walk` and :func:`_relative_error`, so the planner's scores, its
-    ``errors.csv`` and ``analyze`` agree by construction.
+    only read, so it may be a :func:`_walk` of the original layers from the
+    same ``x``, which holds two outputs of its own whatever ``k``. This,
+    :func:`final_layer_error` and :func:`layerwise_error` are the only places
+    relative errors are computed, all through :func:`_walk` and
+    :func:`_relative_error`, so the planner's scores, its ``errors.csv`` and
+    ``analyze`` agree by construction.
     """
-    return _relative_errors(_walk(model.layers[model.n_layers - k :], x),
-                            zip(reference, reference_norms, strict=True))
+    def paired() -> Iterator[tuple[np.ndarray, float]]:
+        # Fresh tuples, not zip's: when ``reference`` is a walk, zip's reused
+        # result tuple would keep a scored reference alive through the next layer.
+        for y_ref, norm in zip(reference, reference_norms, strict=True):
+            yield y_ref, norm
+
+    return _relative_errors(_walk(model.layers[model.n_layers - k :], x), paired())
 
 
 def final_layer_error(
@@ -353,7 +355,7 @@ def layerwise_error(
 
     def reference() -> Iterator[tuple[np.ndarray, float]]:
         for layer, y in zip(original.layers, _walk(original.layers, x)):
-            norm = _norm(y)
+            norm = output_norm(y)
             if not math.isfinite(norm):
                 raise _overflow(layer)
             yield y, norm

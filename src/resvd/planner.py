@@ -9,15 +9,20 @@ is computed per candidate: the per-layer errors ``errors.csv`` reports are
 computed once, for the winner.
 
 What does not depend on ``k`` is computed once per (model, calibration)
-pair by :func:`calibrate`: one activation capture, each layer's reference
-output and its norm, and one :class:`~resvd.compensation.WhitenedWeight`
-(whitening, ``svd(W S)``, ``P = V^T S^{-1}`` and a Gram matrix of ``P``) per
-matrix of the largest tail any candidate compresses; prefix matrices are
-never whitened. A candidate only slices those arrays, runs the residual
-stage's small eigendecomposition for its own ``r_i``, and runs forward
-through its ``k`` tail layers from the captured input of layer ``N-k``; the
-untouched prefix layers score exactly zero. The plan keeps the winning trial
-model and its per-layer errors, so ``compress`` writes them without rebuilding either.
+pair by :func:`calibrate`, in one streaming pass over the layers: each
+layer's reference output norm, the model's output, and one
+:class:`~resvd.compensation.WhitenedWeight` (whitening, ``svd(W S)``,
+``P = V^T S^{-1}`` and a Gram matrix of ``P``) per matrix of the largest
+tail any candidate compresses, formed while that matrix's input is live;
+prefix matrices are never whitened, and no layer's activations are kept.
+A candidate only slices those arrays, runs the residual stage's small
+eigendecomposition for its own ``r_i``, and runs forward through its ``k``
+tail layers from the original model's input to layer ``N-k``. Candidates
+are scored largest ``k`` first, so one walk of the original layers reaches
+each of those inputs in turn; the untouched prefix layers score exactly
+zero. The plan keeps the winning trial model and its per-layer errors, so
+``compress`` writes them without rebuilding either. Activations held stay
+O(S·W) for ``S`` calibration rows of width ``W``, whatever the depth.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calibration import CalibrationSet, capture_activations, whitening_contexts
+from .calibration import CalibrationSet, capture_activations
 from .compensation import WhitenedWeight, compress_matrix, whitened_weight
 from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError, NumericalError
 from .linalg import rank_budget
@@ -36,9 +41,9 @@ from .model import (
     Layer,
     MatrixEntry,
     SequentialModel,
+    _walk,
     check_finite,
     final_layer_error,
-    output_norms,
     tail_errors,
 )
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
@@ -178,15 +183,16 @@ class CalibratedModel:
 
     ``whitened`` holds a :class:`~resvd.compensation.WhitenedWeight` for each
     matrix of the tail :func:`calibrate` was given, keyed ``"<layer>/<matrix>"``.
-    ``activations[i]`` is what layer ``i`` receives on the calibration set,
-    so ``activations[i + 1]`` is what it outputs (``N + 1`` arrays in all),
-    with Frobenius norm ``reference_norms[i]``.
+    ``reference_norms[i]`` is the Frobenius norm of layer ``i``'s output on
+    the calibration set, and ``output`` the last layer's output. No other
+    activation is kept: a trial's input is the original model's input to
+    its first factored layer, which the caller walks to (see :func:`plan`).
     """
 
     model: SequentialModel
     whitened: dict[str, WhitenedWeight]
-    activations: tuple[np.ndarray, ...]
     reference_norms: tuple[float, ...]
+    output: np.ndarray
 
     @property
     def tail(self) -> int:
@@ -194,117 +200,116 @@ class CalibratedModel:
         return sum(f"{layer.name}/{layer.entries[0].name}" in self.whitened
                    for layer in self.model.layers)
 
-    def layer_errors(self, trial: SequentialModel, k: int) -> tuple[float, ...]:
+    def layer_errors(self, trial: SequentialModel, k: int, x: np.ndarray) -> tuple[float, ...]:
         """Per-layer relative errors of a trial that factored only the last ``k`` layers.
 
-        Equal to ``layerwise_error(model, trial, calib)`` by construction: the
-        tail is scored by :func:`~resvd.model.tail_errors`, whose walk and
-        scoring loop that function shares, and the trial shares the prefix
-        layers, whose outputs are the reference itself and so score exactly
-        0.0 (:func:`calibrate` rejects a zero reference norm).
+        ``x`` is what the original model feeds layer ``N - k``. Equal to
+        ``layerwise_error(model, trial, calib)`` by construction: the tail is
+        scored by :func:`~resvd.model.tail_errors` against a walk of the
+        original tail layers from ``x``, the walk and scoring loop that
+        function runs, and the trial shares the prefix layers, whose outputs
+        are the reference itself and so score exactly 0.0 (:func:`calibrate`
+        rejects a zero reference norm).
         """
         split = self.model.n_layers - k
-        tail = tail_errors(trial, k, self.activations[split],
-                           self.activations[split + 1 :], self.reference_norms[split:])
+        tail = tail_errors(trial, k, x, _walk(self.model.layers[split:], x),
+                           self.reference_norms[split:])
         return (0.0,) * split + tuple(tail)
 
-    def final_error(self, trial: SequentialModel, k: int) -> float:
+    def final_error(self, trial: SequentialModel, k: int, x: np.ndarray) -> float:
         """The last entry of :meth:`layer_errors`, bit for bit; no other layer is scored."""
-        split = self.model.n_layers - k
-        return final_layer_error(trial, k, self.activations[split],
-                                 self.activations[-1], self.reference_norms[-1])
+        return final_layer_error(trial, k, x, self.output, self.reference_norms[-1])
 
 
 def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> CalibratedModel:
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
 
-    One capture pass gives every matrix's input and, since a layer's output
-    is the captured input of the next one and the pass returns the last
-    layer's output, every reference output: each layer runs once. Only the
-    matrices of the last ``k`` layers are whitened, each into the
-    :class:`~resvd.compensation.WhitenedWeight` that trials only truncate.
+    One streaming pass, :func:`~resvd.calibration.capture_activations`,
+    runs each layer once. It whitens each matrix of the last ``k`` layers
+    into the :class:`~resvd.compensation.WhitenedWeight` that trials only
+    truncate while that matrix's input is live, takes each layer's output
+    norm as the layer finishes, and keeps only the model's output. Its
+    memory is two activation arrays plus the tail's whitened factors,
+    whatever the depth.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
         CompressionError: naming the first matrix of the last ``k`` layers
             that is already factored, before any work is done.
-        NumericalError: naming the first layer whose output (or its norm)
-            overflows float64 or is all zeros (the layers have no bias, so every
-            later output is zero and no candidate's error is defined), or the
-            first tail matrix that cannot be whitened or whose whitened SVD fails.
+        NumericalError: naming the first fault in forward order: a matrix
+            whose output overflows float64, a layer whose output is all zeros
+            (the layers have no bias, so every later output is zero and no
+            candidate's error is defined), or a tail matrix that cannot be
+            whitened or whose whitened SVD fails; failing those, the first
+            layer whose output norm overflows.
     """
     if not 1 <= k <= model.n_layers:
         raise ValueError(f"k={k} outside [1, {model.n_layers}]")
-    tail = [(f"{layer.name}/{e.name}", e)
-            for layer in model.layers[model.n_layers - k :] for e in layer.entries]
-    for key, e in tail:
-        if e.is_factored:
-            raise CompressionError(f"entry {key} is already factored; "
-                                   "compression expects a dense model")
-    captured, output = capture_activations(model, calib)
-    activations = tuple(captured[f"{layer.name}/{layer.entries[0].name}"]
-                        for layer in model.layers) + (output,)
-    norms = output_norms(activations[1:])
-    if 0.0 in norms:
-        dead = model.layers[norms.index(0.0)].name
-        raise NumericalError(f"{dead}: output is all zeros on the calibration set, "
-                             "so the model outputs nothing to compress against")
-    contexts = whitening_contexts({key: captured[key] for key, _ in tail})
-    check_finite(model, norms)  # after whitening, whose Gram check names the matrix instead
-    # pop, so each S and S^-1 is freed as soon as its weight is whitened
-    whitened = {key: whitened_weight(e.dense, contexts.pop(key), key) for key, e in tail}
-    return CalibratedModel(model=model, whitened=whitened, activations=activations,
-                           reference_norms=norms)
+    for layer in model.layers[model.n_layers - k :]:
+        for e in layer.entries:
+            if e.is_factored:
+                raise CompressionError(f"entry {layer.name}/{e.name} is already factored; "
+                                       "compression expects a dense model")
+    whitened, norms, output = capture_activations(model, calib, k, whitened_weight)
+    check_finite(model, norms)  # after the pass, whose Gram check names the matrix instead
+    return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
 
 
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
     """Score every feasible tail-layer candidate and pick the error argmin.
 
     The calibrated state is built once, for the largest candidate ``k``,
-    and shared by every trial. Each trial scores its final layer only.
-    Candidates whose compression fails are kept in the table as failed rows
-    and skipped by the argmin. The plan carries the winning trial model and
-    its per-layer errors, the one per-layer walk the plan runs.
+    and shared by every trial. Candidates are scored largest ``k`` first,
+    so one walk of the original layers reaches each trial's input in turn;
+    each trial scores its final layer only. Candidates whose compression
+    fails are kept in the table as failed rows and skipped by the argmin.
+    The plan carries the winning trial model and its per-layer errors,
+    scored from the winner's input, which is held until the end.
 
     Raises:
-        NumericalError: the first candidate's, when every candidate failed
-            and the first failed numerically (it names the matrix).
+        NumericalError: the smallest candidate's, when every candidate
+            failed and that one failed numerically (it names the matrix).
         InfeasiblePlanError: when every candidate failed otherwise.
     """
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
     state = calibrate(model, calib, candidates[-1][0])
-    table: list[CandidateResult] = []
-    best = first_failure = None
-    for k, ratio in candidates:
+    inputs = _walk(model.layers, calib.samples)
+    x, at = calib.samples, 0  # x is what the original model feeds layer ``at``
+    rows: list[CandidateResult] = []
+    best = failure = None
+    for k, ratio in reversed(candidates):
+        while at < model.n_layers - k:
+            x, at = next(inputs), at + 1
         try:
             trial = compress_tail_layers(state, k, ratio, cfg.beta)
-            error = state.final_error(trial, k)
+            error = state.final_error(trial, k, x)
             if math.isnan(error):
                 raise NumericalError("final-layer error undefined")
         except CompressionError as exc:
-            table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
-                                         status="failed", reason=str(exc)))
-            first_failure = first_failure or exc
+            rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
+                                        status="failed", reason=str(exc)))
+            failure = exc  # the last one scored is the smallest k's
             continue
-        table.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
-        if best is None or error < best[0].final_error:  # ties go to the smaller k
-            best = (table[-1], trial)
+        rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
+        if best is None or error <= best[0].final_error:  # ties go to the smaller k, scored later
+            best = (rows[-1], trial, x)
     if best is None:
-        if isinstance(first_failure, NumericalError):
-            raise first_failure
+        if isinstance(failure, NumericalError):
+            raise failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
-    row, trial = best
+    row, trial, x = best
+    del inputs  # and with it the last input walked to, unless it is the winner's
     return CompressionPlan(
         k=row.k,
         layer_ratio=row.layer_ratio,
-        candidate_table=tuple(table),
+        candidate_table=tuple(reversed(rows)),
         chosen_error=row.final_error,
         n_layers=model.n_layers,
         overall_ratio=cfg.overall_ratio,
         beta=cfg.beta,
         seed=cfg.seed,
         compressed=trial,
-        layer_errors=state.layer_errors(trial, row.k),
+        layer_errors=state.layer_errors(trial, row.k, x),
     )
 
 

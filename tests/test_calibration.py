@@ -1,4 +1,4 @@
-"""Activation capture and whitening-context construction."""
+"""The calibration pass and whitening-context construction."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from resvd.calibration import (
     ScalingContext,
     capture_activations,
     whiten,
-    whitening_contexts,
 )
 from resvd.errors import DimensionError, NumericalError, SingularWhiteningError
 from resvd.model import Layer, MatrixEntry, SequentialModel, forward
@@ -18,13 +17,26 @@ def dense_layer(name, w, activation="identity"):
     return Layer(name=name, entries=(MatrixEntry(name="w", dense=w),), activation=activation)
 
 
+def whitened_inputs(model, calib):
+    """The pass over the whole model: each matrix's whitening context, the norms, the output."""
+    return capture_activations(model, calib, model.n_layers, lambda w, ctx, key: ctx)
+
+
+def assert_whitened_from(ctx, x):
+    """``ctx`` is, bit for bit, the context :func:`whiten` builds from ``x``."""
+    want = whiten(x)
+    assert ctx.s.tobytes() == want.s.tobytes()
+    assert ctx.s_inv.tobytes() == want.s_inv.tobytes()
+
+
 def test_first_layer_sees_raw_input():
     model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),))
     x = np.arange(12.0).reshape(4, 3)
     calib = CalibrationSet(samples=x)
-    captured, output = capture_activations(model, calib)
-    np.testing.assert_array_equal(captured["l0/w"], x)
+    contexts, norms, output = whitened_inputs(model, calib)
+    assert_whitened_from(contexts["l0/w"], x)
     np.testing.assert_array_equal(output, x)
+    assert norms == (float(np.linalg.norm(x)),)
 
 
 def test_second_layer_sees_post_activation_output():
@@ -35,22 +47,22 @@ def test_second_layer_sees_post_activation_output():
         layers=(dense_layer("l0", w1, "relu"), dense_layer("l1", w2)),
     )
     x = rng.standard_normal((7, 3))
-    captured, _ = capture_activations(model, CalibrationSet(samples=x))
+    contexts, _, _ = whitened_inputs(model, CalibrationSet(samples=x))
     # naive recomputation of the ReLU output feeding layer 1
     expected = np.maximum(x @ w1.T, 0.0)
-    np.testing.assert_allclose(captured["l1/w"], expected, atol=1e-12)
+    assert_whitened_from(contexts["l1/w"], expected)
 
 
 def test_capture_names_the_matrix_whose_output_overflows():
     # l1's output overflows to -inf, which its relu would turn into zeros;
-    # capture names the matrix before the activation can hide it.
+    # the pass names the matrix before the activation can hide it.
     model = SequentialModel(
         layers=(dense_layer("l0", np.eye(2), "relu"),
                 dense_layer("l1", np.full((2, 2), -1e300), "relu"),
                 dense_layer("l2", np.eye(2))),
     )
     with pytest.raises(NumericalError, match=r"^l1/w: output overflows float64"):
-        capture_activations(model, CalibrationSet(samples=np.full((3, 2), 1e10)))
+        whitened_inputs(model, CalibrationSet(samples=np.full((3, 2), 1e10)))
 
 
 def test_capture_keys_in_forward_order():
@@ -65,15 +77,39 @@ def test_capture_keys_in_forward_order():
     )
     model = SequentialModel(layers=(layer, dense_layer("out", np.eye(4))))
     x = rng.standard_normal((3, 4))
-    captured, output = capture_activations(model, CalibrationSet(samples=x))
-    assert list(captured) == ["mlp/up", "mlp/down", "out/w"]
+    samples = x.copy()
+    contexts, norms, output = whitened_inputs(model, CalibrationSet(samples=x))
+    assert list(contexts) == ["mlp/up", "mlp/down", "out/w"]
     # the second entry sees the intermediate product, pre-activation
-    np.testing.assert_allclose(
-        captured["mlp/down"], captured["mlp/up"] @ layer.entries[0].dense.T, atol=1e-12
+    product = x @ layer.entries[0].dense.T
+    assert (product < 0).any()
+    assert_whitened_from(contexts["mlp/down"], product)
+    # the output and norms are the model's; the calibration rows are never written
+    outputs = forward(model, x)
+    np.testing.assert_array_equal(output, outputs[-1])
+    assert norms == tuple(float(np.linalg.norm(y)) for y in outputs)
+    np.testing.assert_array_equal(x, samples)
+
+
+def test_capture_whitens_the_tail_only():
+    # Prefix matrices run but are never whitened, and each tail matrix's
+    # factor call gets its own dense weight and key.
+    rng = np.random.default_rng(4)
+    model = SequentialModel(
+        layers=tuple(dense_layer(f"l{i}", rng.standard_normal((4, 4)), "relu")
+                     for i in range(4)),
     )
-    # the in-place relu leaves the captured product alone; the output is the model's
-    assert (captured["mlp/down"] < 0).any()
-    np.testing.assert_array_equal(output, forward(model, x)[-1])
+    calib = CalibrationSet(samples=rng.standard_normal((10, 4)))
+    calls = []
+
+    def factor(w, ctx, key):
+        calls.append(key)
+        return w
+
+    weights, norms, _ = capture_activations(model, calib, 2, factor)
+    assert calls == ["l2/w", "l3/w"]
+    assert all(weights[f"l{i}/w"] is model.layers[i].entries[0].dense for i in (2, 3))
+    assert len(norms) == 4
 
 
 def test_zero_sample_calibration_rejected():
@@ -84,7 +120,7 @@ def test_zero_sample_calibration_rejected():
 def test_capture_rejects_width_mismatch():
     model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),))
     with pytest.raises(DimensionError):
-        capture_activations(model, CalibrationSet(samples=np.zeros((2, 4))))
+        whitened_inputs(model, CalibrationSet(samples=np.zeros((2, 4))))
 
 
 def test_whiten_identity_gram():
@@ -178,7 +214,7 @@ def test_whitening_contexts_cover_every_matrix():
         ),
     )
     calib = CalibrationSet(samples=rng.standard_normal((20, 4)))
-    contexts = whitening_contexts(capture_activations(model, calib)[0])
+    contexts, _, _ = whitened_inputs(model, calib)
     assert set(contexts) == {"l0/w", "l1/w"}
     for ctx in contexts.values():
         n = ctx.s.shape[0]

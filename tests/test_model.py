@@ -14,6 +14,7 @@ from resvd.model import (
     Layer,
     MatrixEntry,
     SequentialModel,
+    _walk,
     apply_activation,
     final_layer_error,
     forward,
@@ -304,8 +305,9 @@ def peak_arrays(run, nbytes):
 def test_scoring_holds_two_outputs_per_walk():
     # An output is dropped as soon as it is scored, once the next one is
     # out, and scoring allocates no difference buffer: layerwise_error's two
-    # walks hold at most four outputs at once, tail_errors' one walk two,
-    # and final_layer_error, which drops each output unscored, two.
+    # walks hold at most four outputs at once, tail_errors' one walk two (and
+    # four when its reference is a walk of the original layers too), and
+    # final_layer_error, which drops each output unscored, two.
     rng = np.random.default_rng(62)
     model = make_mlp(rng, [32] * 7, activation="relu")
     compressed = replace_tail(model, 6, 4)
@@ -316,6 +318,9 @@ def test_scoring_holds_two_outputs_per_walk():
     assert 3.9 < peak_arrays(lambda: layerwise_error(model, compressed, calib), size) < 4.5
     assert 1.9 < peak_arrays(lambda: tail_errors(compressed, 5, refs[0], refs[1:], norms),
                              size) < 2.5
+    assert 3.9 < peak_arrays(lambda: tail_errors(compressed, 5, refs[0],
+                                                 _walk(model.layers[1:], refs[0]), norms),
+                             size) < 4.5
     assert 1.9 < peak_arrays(lambda: final_layer_error(compressed, 5, refs[0], refs[-1],
                                                        norms[-1]), size) < 2.5
 

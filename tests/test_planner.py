@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 import resvd.compensation
 import resvd.model as model_mod
 import resvd.planner as planner_mod
-from resvd.calibration import CalibrationSet, capture_activations, whitening_contexts
+from resvd.calibration import CalibrationSet, whiten
 from resvd.compensation import whitened_weight
+from resvd.demo import demo_calibration, demo_model
 from resvd.errors import CompressionError, InfeasiblePlanError, NumericalError
 from resvd.model import Layer, MatrixEntry, SequentialModel, layerwise_error, parameter_count
 from resvd.planner import (
@@ -103,6 +105,21 @@ def two_pass_layerwise_error(original, compressed, x):
     norms = [float(np.linalg.norm(y)) for y in ref]
     return tuple(math.nan if norm == 0.0 else float(np.linalg.norm(y - y_ref)) / norm
                  for y, y_ref, norm in zip(allocating_forward(compressed, x), ref, norms))
+
+
+def peak_arrays(run, nbytes):
+    """Peak of the bytes ``run()`` holds at once, in arrays of ``nbytes`` each."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / nbytes
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 class TestEnumerateCandidates:
@@ -299,9 +316,8 @@ class TestPlan:
     def test_plan_writes_neither_calibration_nor_captured_inputs(self, monkeypatch):
         # Activations run in place on fresh matmul outputs only, and scoring
         # subtracts in place into each trial output alone: planning leaves
-        # the calibration rows and every captured layer input and reference
-        # output as they were, and the references are the model's own
-        # layer outputs.
+        # the calibration rows and the held reference output as they were,
+        # and that output is the model's own.
         rng = np.random.default_rng(31)
         model = with_silu(make_multi_entry_mlp(rng, 6, 14, 2))
         calib = make_calib(rng, 40, 14)
@@ -310,7 +326,7 @@ class TestPlan:
 
         def calibrate(*args):
             state = real_calibrate(*args)
-            states.append((state, [x.copy() for x in state.activations]))
+            states.append((state, state.output.copy()))
             return state
 
         real_calibrate = planner_mod.calibrate
@@ -318,12 +334,8 @@ class TestPlan:
         plan(model, calib, PlannerConfig(overall_ratio=0.3))
         (state, before_scoring), = states
         assert np.array_equal(calib.samples, samples)
-        assert state.activations[0] is calib.samples
-        for got, before in zip(state.activations, before_scoring, strict=True):
-            assert np.array_equal(got, before)
-        for got, want in zip(state.activations[1:], allocating_forward(model, samples),
-                             strict=True):
-            assert np.array_equal(got, want)
+        assert np.array_equal(state.output, before_scoring)
+        assert np.array_equal(state.output, allocating_forward(model, samples)[-1])
 
     def test_zero_output_layer_rejected_before_whitening(self):
         # A relu layer whose output is all zero zeroes every later layer too,
@@ -337,16 +349,36 @@ class TestPlan:
                     lambda: plan(model, calib, PlannerConfig(overall_ratio=0.3))):
             with pytest.raises(NumericalError, match=r"^layer1: output is all zeros"):
                 run()
-        contexts = whitening_contexts(capture_activations(model, calib)[0], ridge=1e-3)
-        dense = {f"{layer.name}/{e.name}": e.dense for layer in model.layers for e in layer.entries}
-        whitened = {key: whitened_weight(w, contexts[key]) for key, w in dense.items()}
-        state = CalibratedModel(model=model, whitened=whitened, activations=(),
-                                reference_norms=())
+        whitened, h = {}, calib.samples
+        for layer in model.layers:
+            for e in layer.entries:
+                key = f"{layer.name}/{e.name}"
+                whitened[key] = whitened_weight(e.dense, whiten(h, ridge=1e-3), key)
+                h = e.apply(h)
+            h = model_mod.apply_activation(layer.activation, h)
+        state = CalibratedModel(model=model, whitened=whitened, reference_norms=(),
+                                output=h)
         for k in (2, 3, 4):
             trial = compress_tail_layers(state, k, 5 * 0.3 / k, 0.05)
             errors = layerwise_error(model, trial, calib)
             assert errors[0] == 0.0
             assert all(math.isnan(v) for v in errors[1:]), k
+
+    def test_plan_memory_does_not_grow_with_depth(self):
+        # The calibration pass keeps only the model's output, and one walk of
+        # the original layers feeds each candidate its input: plan holds a few
+        # activation arrays plus the tail's whitened factors, whatever the
+        # depth. Holding every layer's activations took 10.7 arrays at 8
+        # layers and 35.7 at 32.
+        peaks = {}
+        for n_layers in (8, 32):
+            model = demo_model(n_layers=n_layers, width=16, seed=0)
+            calib = demo_calibration(n_samples=2048, width=16, seed=0)
+            peaks[n_layers] = peak_arrays(
+                lambda: plan(model, calib, PlannerConfig(overall_ratio=0.2)),
+                calib.samples.nbytes)
+        assert peaks[32] < peaks[8] + 1, peaks
+        assert peaks[32] < 10, peaks
 
     def test_overflowing_output_norm_is_named(self):
         # The last layer's outputs are finite but their norm is not; scored
