@@ -368,8 +368,7 @@ class TestPlan:
         # The calibration pass keeps only the model's output, and one walk of
         # the original layers feeds each candidate its input: plan holds a few
         # activation arrays plus the tail's whitened factors, whatever the
-        # depth. Holding every layer's activations took 10.7 arrays at 8
-        # layers and 35.7 at 32.
+        # depth.
         peaks = {}
         for n_layers in (8, 32):
             model = demo_model(n_layers=n_layers, width=16, seed=0)
@@ -402,6 +401,27 @@ class TestPlan:
         first = next(row for row in ok if row.final_error == low)
         assert chosen.k == first.k
         assert chosen.chosen_error == low
+
+    def test_ties_and_the_reraised_failure_go_to_the_smallest_k(self, monkeypatch):
+        # Candidates are scored largest k first; the table, the tie-break
+        # and the failure re-raised when every candidate fails still follow
+        # ascending k.
+        rng = np.random.default_rng(23)
+        model = make_mlp(rng, 6, 12)
+        calib = make_calib(rng, 36, 12)
+        cfg = PlannerConfig(overall_ratio=0.3)
+        ks = [k for k, _ in enumerate_candidates(6, cfg, layer_shapes=[[(12, 12)]] * 6)]
+        monkeypatch.setattr(planner_mod, "final_layer_error", lambda *args: 0.5)
+        chosen = plan(model, calib, cfg)
+        assert [row.k for row in chosen.candidate_table] == ks
+        assert chosen.k == ks[0]
+
+        def failing(state, k, *args):
+            raise NumericalError(f"k={k} failed")
+
+        monkeypatch.setattr(planner_mod, "compress_tail_layers", failing)
+        with pytest.raises(NumericalError, match=rf"^k={ks[0]} failed$"):
+            plan(model, calib, cfg)
 
     def test_table_is_ascending_and_complete(self):
         rng = np.random.default_rng(22)
