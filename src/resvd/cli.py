@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
@@ -263,7 +264,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # Move every object left alive into the permanent generation, so the
+    # collections at interpreter shutdown skip numpy's and resvd's heap.
+    # This holds because every file the command wrote is closed by now, and
+    # shutdown still flushes stdio and runs atexit handlers. Only the process
+    # entry point does this; main() is also called in-process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -329,6 +329,36 @@ def same_skeleton(a: SequentialModel, b: SequentialModel) -> bool:
     return True
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are float64 arrays of one shape holding the same bits.
+
+    Unlike ``==``, this tells 0.0 from -0.0. Arrays of any other dtype never match.
+    """
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _same_entry(a: MatrixEntry, b: MatrixEntry) -> bool:
+    if a.factors is None or b.factors is None:
+        return a.factors is b.factors and _same_bits(a.dense, b.dense)
+    return (_same_bits(a.factors.u_hat, b.factors.u_hat)
+            and _same_bits(a.factors.v_hat, b.factors.v_hat))
+
+
+def _shared_prefix(a: SequentialModel, b: SequentialModel) -> int:
+    """How many leading layers of ``b`` store ``a``'s arrays bit for bit.
+
+    Only called on models of one skeleton, so those layers also share their
+    shapes and activations and compute the same outputs.
+    """
+    shared = 0
+    for la, lb in zip(a.layers, b.layers):
+        if not all(map(_same_entry, la.entries, lb.entries)):
+            break
+        shared += 1
+    return shared
+
+
 def layerwise_error(
     original: SequentialModel,
     compressed: SequentialModel,
@@ -336,14 +366,20 @@ def layerwise_error(
 ) -> tuple[float, ...]:
     """Relative Frobenius error of each layer's output over shared calibration inputs.
 
-    Both models consume the same inputs at layer 0; the compressed model runs
-    its own forward pass, so errors introduced early propagate downstream.
-    The two passes walk in step, each compressed output scored in place
-    and dropped once the next is out, so at most four outputs are held
-    whatever the depth. A layer whose reference output has zero norm
-    reports nan and the scan continues. The errors come from the loop that
-    scores the planner's candidates (:func:`tail_errors`), so the two agree
-    by construction.
+    Both models consume the same inputs at layer 0, and errors introduced
+    early propagate downstream. The leading layers in which ``compressed``
+    stores the original's arrays bit for bit compute the original's
+    outputs, so only the original walks them: each scores exactly 0.0, or
+    nan where its reference norm is zero. The compressed model's own walk
+    starts at the first layer that differs, fed the reference output
+    there, which both walks only read. From there the two walks go in
+    step, each compressed output scored in place and dropped once the next
+    is out, so at most four outputs are held whatever the depth. A layer
+    whose reference output has zero norm reports nan and the scan
+    continues. The errors come from the loop that scores the planner's
+    candidates (:func:`tail_errors`), so the two agree by construction. A
+    prefix stored at lower precision, such as a ``--dtype f32`` output,
+    does not match and is walked by both models.
 
     Raises:
         NumericalError: naming the first layer of ``original`` whose output
@@ -360,4 +396,12 @@ def layerwise_error(
                 raise _overflow(layer)
             yield y, norm
 
-    return tuple(_relative_errors(_walk(compressed.layers, x), reference()))
+    references = reference()
+    errors, h = [], x
+    for _ in range(_shared_prefix(original, compressed)):
+        h, norm = next(references)
+        errors.append(math.nan if norm == 0.0 else 0.0)
+    outputs = _walk(compressed.layers[len(errors) :], h)
+    del h  # each walk holds its input only as long as it needs it
+    errors += _relative_errors(outputs, references)
+    return tuple(errors)

@@ -4,6 +4,7 @@ consistency between the artifacts the commands produce."""
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resvd.calibration
+import resvd.cli
 import resvd.compensation
 import resvd.planner
 from resvd.cli import main
@@ -778,6 +780,57 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["format"] == "resvd-verify"
+
+
+def run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m resvd.cli <argv>`` in a child process, on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "resvd.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestEntryPoint:
+    def test_entry_freezes_the_heap_then_exits_with_mains_code(self, monkeypatch):
+        monkeypatch.setattr(resvd.cli, "main", lambda: 3)
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                resvd.cli.entry()
+            assert exc.value.code == 3
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, tmp_path):
+        demo = gen_demo(tmp_path / "demo", layers=3, width=8, samples=24)
+        out = tmp_path / "out"
+        before = gc.get_freeze_count()
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+        assert main(["analyze", "--original", str(demo), "--compressed", str(out),
+                     "--calib", str(demo / "calib.bin"), "--out", str(tmp_path / "a.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_child_analyze_prints_what_main_prints(self, tmp_path, capsys):
+        demo = gen_demo(tmp_path / "demo")
+        out = tmp_path / "out"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+        argv = ["analyze", "--original", str(demo), "--compressed", str(out),
+                "--calib", str(demo / "calib.bin")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        in_process = capsys.readouterr().out
+        proc = run_module(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == in_process
+
+    def test_child_with_missing_model_exits_2_with_one_line(self, tmp_path):
+        demo = gen_demo(tmp_path / "demo", layers=3, width=8, samples=24)
+        proc = run_module(["plan", "--model", str(tmp_path / "nope"),
+                           "--calib", str(demo / "calib.bin"), "--ratio", "0.2"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"resvd: format error: {tmp_path / 'nope'}: no manifest.json\n"
 
 
 class TestTopLevel:

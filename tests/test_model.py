@@ -287,6 +287,86 @@ def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
         assert np.array_equal(got, before)
 
 
+def with_layer(model, i, layer):
+    return SequentialModel(layers=model.layers[:i] + (layer,) + model.layers[i + 1 :])
+
+
+def rebuilt(model, stored=np.copy):
+    """``model`` with ``stored(a)`` in place of every array ``a`` it stores;
+    by default each weight gets an array of its own, as in a model read from disk."""
+    def entry(e):
+        if e.factors is None:
+            return MatrixEntry(name=e.name, dense=stored(e.dense))
+        return MatrixEntry(name=e.name, factors=FactorPair(stored(e.factors.u_hat),
+                                                           stored(e.factors.v_hat)))
+
+    return SequentialModel(layers=tuple(
+        Layer(name=layer.name, entries=tuple(map(entry, layer.entries)),
+              activation=layer.activation)
+        for layer in model.layers))
+
+
+@pytest.mark.parametrize("nudged", [0, 2, 4])
+def test_one_ulp_in_a_prefix_weight_is_scored_from_its_layer_on(nudged):
+    # layerwise_error walks only the original through the leading layers the
+    # compressed model stores bit for bit; one ulp in one weight ends that run,
+    # and that layer and every later one, dense and identical to the original
+    # or not, scores what two full walks score.
+    rng = np.random.default_rng(71)
+    model = make_mlp(rng, [8] * 8, activation="relu")
+    calib = CalibrationSet(samples=rng.standard_normal((16, 8)))
+    compressed = rebuilt(replace_tail(model, 2, 3))
+    layer = compressed.layers[nudged]
+    x = forward(model, calib.samples)[nudged - 1] if nudged else calib.samples
+
+    def nudge(i, j):
+        w = layer.entries[0].dense.copy()
+        w[i, j] = np.nextafter(w[i, j], np.inf)
+        return dense_layer(layer.name, w, layer.activation)
+
+    # most one-ulp changes round away in the layer's sums; take one that does not
+    layer = next(nudge(i, j) for i, j in np.ndindex(8, 8)
+                 if not np.array_equal(nudge(i, j).forward(x), layer.forward(x)))
+    compressed = with_layer(compressed, nudged, layer)
+    want = diff_buffer_errors(forward(compressed, calib.samples), forward(model, calib.samples))
+
+    got = layerwise_error(model, compressed, calib)
+    assert got == tuple(want)
+    assert got[:nudged] == (0.0,) * nudged
+    assert got[nudged] > 0
+
+
+def test_layers_after_a_differing_layer_are_scored_though_identical():
+    # Only the leading run of identical layers is skipped: a layer that stores
+    # the original's weight but sits after a differing layer sees a different
+    # input, so it is walked and scored like any other.
+    rng = np.random.default_rng(72)
+    model = make_mlp(rng, [8] * 6, activation="silu")
+    calib = CalibrationSet(samples=rng.standard_normal((16, 8)))
+    compressed = with_layer(rebuilt(model), 1, replace_tail(model, 4, 2).layers[1])
+    want = diff_buffer_errors(forward(compressed, calib.samples), forward(model, calib.samples))
+
+    got = layerwise_error(model, compressed, calib)
+    assert got == tuple(want)
+    assert got[0] == 0.0 and all(err > 0 for err in got[1:])
+    assert layerwise_error(model, rebuilt(model), calib) == (0.0,) * model.n_layers
+
+
+def test_a_prefix_rounded_to_f32_is_walked_by_both_models():
+    # A --dtype f32 output rounds every weight, so no layer matches bit for
+    # bit and the whole compressed model is walked.
+    rng = np.random.default_rng(73)
+    model = make_mlp(rng, [8] * 5, activation="relu")
+    calib = CalibrationSet(samples=rng.standard_normal((16, 8)))
+    rounded = rebuilt(replace_tail(model, 1, 3),
+                      lambda a: a.astype(np.float32).astype(np.float64))
+    want = diff_buffer_errors(forward(rounded, calib.samples), forward(model, calib.samples))
+
+    got = layerwise_error(model, rounded, calib)
+    assert got == tuple(want)
+    assert all(err > 0 for err in got)
+
+
 def peak_arrays(run, nbytes):
     """Peak of the bytes ``run()`` holds at once, in arrays of ``nbytes`` each."""
     started = not tracemalloc.is_tracing()
@@ -323,6 +403,18 @@ def test_scoring_holds_two_outputs_per_walk():
                              size) < 4.5
     assert 1.9 < peak_arrays(lambda: final_layer_error(compressed, 5, refs[0], refs[-1],
                                                        norms[-1]), size) < 2.5
+
+
+def test_skipping_a_shared_prefix_holds_no_extra_output():
+    # The compressed walk starts from the last shared reference output, and
+    # holds it only until its first layer has read it: the four-output bound
+    # of two walks in step still holds.
+    rng = np.random.default_rng(63)
+    model = make_mlp(rng, [32] * 7, activation="relu")
+    compressed = rebuilt(replace_tail(model, 3, 4))
+    calib = CalibrationSet(samples=rng.standard_normal((2048, 32)))
+    assert 3.9 < peak_arrays(lambda: layerwise_error(model, compressed, calib),
+                             calib.samples.nbytes) < 4.5
 
 
 def test_layerwise_error_zero_norm_layer_is_nan():
