@@ -4,7 +4,9 @@ A model is a directory: ``manifest.json`` describing layers plus one raw
 tensor file per matrix entry (little-endian, row-major; factored entries
 store u_hat then v_hat back to back). Calibration sets are either the
 binary container (magic ``ERCC``) or bare numeric CSV. Plans and error
-reports are deterministic JSON and CSV.
+reports are deterministic JSON and CSV. Loaded calibration rows are
+read-only, whichever reader built them, and a CSV is parsed only the first
+time it is loaded (see :mod:`resvd.csv_cache`).
 
 Tensors are float64 in memory whatever their file holds. The writer takes
 the precision of every tensor file as its ``dtype`` argument, so a model
@@ -230,12 +232,20 @@ def load_model(path: str | Path) -> SequentialModel:
 
 def save_calibration(calib: CalibrationSet, path: str | Path) -> None:
     """Binary container: ERCC magic, version, rows, cols, then f64 payload."""
-    rows, cols = calib.samples.shape
-    header = _CALIB_HEADER.pack(CALIB_MAGIC, CALIB_VERSION, rows, cols)
-    Path(path).write_bytes(header + calib.samples.astype("<f8").tobytes())
+    samples = np.ascontiguousarray(calib.samples, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(_CALIB_HEADER.pack(CALIB_MAGIC, CALIB_VERSION, *samples.shape))
+        fh.write(samples.data)  # the payload straight from the array, not a copy of it
+
+
+def _read_only(samples: np.ndarray) -> CalibrationSet:
+    calib = CalibrationSet(samples=samples)
+    calib.samples.flags.writeable = False
+    return calib
 
 
 def load_calibration(path: str | Path) -> CalibrationSet:
+    """Read an ERCC container; its rows are a read-only view of the file's bytes."""
     raw = Path(path).read_bytes()
     if len(raw) < _CALIB_HEADER.size:
         raise FormatError(f"{path}: too short for a calibration header")
@@ -244,17 +254,16 @@ def load_calibration(path: str | Path) -> CalibrationSet:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != CALIB_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    want = rows * cols * 8
-    payload = raw[_CALIB_HEADER.size :]
-    if len(payload) != want:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {want}")
+    want, payload = rows * cols * 8, len(raw) - _CALIB_HEADER.size
+    if payload != want:
+        raise FormatError(f"{path}: payload is {payload} bytes, expected {want}")
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: empty calibration set")
-    samples = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+    samples = np.frombuffer(raw, dtype="<f8", offset=_CALIB_HEADER.size).reshape(rows, cols)
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}: row {bad[0] + 1} holds a non-finite value")
-    return CalibrationSet(samples=samples.astype(np.float64))
+    return _read_only(samples)
 
 
 def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
@@ -276,19 +285,42 @@ def load_calibration_csv(path: str | Path) -> CalibrationSet:
     The fast path takes only what the line loop would accept to the same
     array; for anything else (a parse error, no rows, a non-finite value,
     an unusual byte) the line loop decides, so every accepted file loads
-    the same and every rejected one gives the same one-line message.
+    the same and every rejected one gives the same one-line message. A file
+    parsed before is read back from :mod:`resvd.csv_cache`; only a
+    successful parse is cached.
     """
-    samples = _load_csv_fast(path)
-    if samples is None:
-        samples = _load_csv_lines(path)
-    return CalibrationSet(samples=samples)
+    from . import csv_cache  # only a CSV load compiles and runs the cache
+
+    plain, digest = _scan_csv(path)
+    entry = csv_cache.entry_for(digest)
+    calib = csv_cache.load(entry)
+    if calib is None:
+        samples = _load_csv_fast(path) if plain else None
+        if samples is None:
+            samples = _load_csv_lines(path)
+        calib = _read_only(samples)
+        csv_cache.store(calib, entry)
+    return calib
+
+
+def _scan_csv(path: str | Path) -> tuple[bool, str]:
+    """Whether every byte of ``path`` is one of ``_CSV_FAST_BYTES``, and their sha256."""
+    import hashlib  # here, so only a CSV load maps OpenSSL
+
+    digest = hashlib.sha256()
+    plain = True
+    with open(path, "rb") as fh:  # in chunks, so the pass holds no copy of the file
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+            plain = plain and not chunk.translate(None, _CSV_FAST_BYTES)
+    return plain, digest.hexdigest()
 
 
 def _load_csv_fast(path: str | Path) -> np.ndarray | None:
-    with open(path, "rb") as fh:  # in chunks, so the check holds no copy of the file
-        if any(chunk.translate(None, _CSV_FAST_BYTES)
-               for chunk in iter(lambda: fh.read(1 << 20), b"")):
-            return None
+    """``np.loadtxt``'s array, or None where the line loop must decide.
+
+    Only for files whose every byte :func:`_scan_csv` found plain.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import resvd.calibration
 import resvd.cli
 import resvd.compensation
+import resvd.containers
 import resvd.planner
 from resvd.cli import main
 from resvd.containers import (
@@ -78,7 +79,7 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-lazy = ("resvd.oracle", "resvd.demo", "hashlib", "fractions")
+lazy = ("resvd.oracle", "resvd.demo", "resvd.csv_cache", "hashlib", "fractions")
 print(json.dumps({"exit": code, "loaded": [m for m in lazy if m in sys.modules]}),
       file=sys.stderr)
 """
@@ -831,6 +832,66 @@ class TestEntryPoint:
                            "--calib", str(demo / "calib.bin"), "--ratio", "0.2"])
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"resvd: format error: {tmp_path / 'nope'}: no manifest.json\n"
+
+
+class TestCalibrationCache:
+    def csv_demo(self, root: Path) -> tuple[Path, Path]:
+        demo = gen_demo(root / "demo", layers=3, width=8, samples=24)
+        save_calibration_csv(load_calibration(demo / "calib.bin"), root / "c.csv")
+        return demo, root / "c.csv"
+
+    def test_compress_directory_is_byte_identical_cold_and_warm(self, tmp_path, monkeypatch):
+        demo, calib = self.csv_demo(tmp_path)
+        out = tmp_path / "out"
+        argv = ["compress", "--model", str(demo), "--calib", str(calib), "--ratio", "0.2",
+                "--out", str(out)]
+        cache = Path(os.environ["XDG_CACHE_HOME"], "resvd")
+        assert not cache.exists()
+        assert main(argv) == 0
+        cold = dir_bytes(out)
+        assert len(list(cache.iterdir())) == 1
+        shutil.rmtree(out)
+        for name in ("_load_csv_fast", "_load_csv_lines"):  # warm: a parse would raise
+            monkeypatch.setattr(resvd.containers, name, None)
+        assert main(argv) == 0
+        assert dir_bytes(out) == cold
+
+    def test_unusable_location_still_loads_quietly(self, tmp_path, monkeypatch):
+        # a regular file where the directory should be; tests run as root,
+        # so a directory's permissions would not stop the write
+        demo, calib = self.csv_demo(tmp_path)
+        argv = ["plan", "--model", str(demo), "--calib", str(calib), "--ratio", "0.2"]
+        want = run_module(argv)
+        assert (want.returncode, want.stderr) == (0, "")
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        for _ in range(2):
+            proc = run_module(argv)
+            assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", want.stdout)
+        assert (tmp_path / "file").read_text() == ""
+
+
+class TestBlasThreads:
+    def test_plan_agrees_across_blas_thread_counts(self, tmp_path, monkeypatch):
+        # Output bytes hold for one numpy build at one BLAS thread count;
+        # across thread counts the plan must agree up to rounding.
+        demo = tmp_path / "demo"
+        assert main(["gen-demo", "--out", str(demo)]) == 0  # the default 8x64 demo
+        tables = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            proc = run_module(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                               "--ratio", "0.2"])
+            assert (proc.returncode, proc.stderr) == (0, ""), threads
+            tables[threads] = [(int(k), float(ratio), float(error)) for k, ratio, error
+                               in (line.split(",") for line in proc.stdout.splitlines()[1:])]
+        one, two = tables["1"], tables["2"]
+        assert [(k, r, math.isnan(e)) for k, r, e in one] == \
+               [(k, r, math.isnan(e)) for k, r, e in two]
+        chosen = [min((e, k) for k, _, e in table if not math.isnan(e))[1] for table in (one, two)]
+        assert chosen[0] == chosen[1]
+        for (_, _, a), (_, _, b) in zip(one, two):
+            assert math.isnan(a) or abs(a - b) <= 1e-12 * abs(a)
 
 
 class TestTopLevel:

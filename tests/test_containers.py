@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resvd.containers
 from resvd.calibration import CalibrationSet
 from resvd.containers import (
     ERROR_CSV_HEADER,
     _load_csv_fast,
     _load_csv_lines,
+    _scan_csv,
     load_calibration,
     load_calibration_auto,
     load_calibration_csv,
@@ -31,6 +35,7 @@ from resvd.containers import (
     save_model,
     save_plan,
 )
+from resvd.csv_cache import MAX_ENTRIES
 from resvd.errors import FormatError
 from resvd.demo import demo_model
 from resvd.linalg import FactorPair
@@ -382,7 +387,7 @@ class TestCalibrationContainer:
             path = Path(tmp) / "c.csv"
             path.write_bytes(data)
             want = _csv_outcome(_load_csv_lines, path)
-            fast = _load_csv_fast(path)
+            fast = _load_csv_fast(path) if _scan_csv(path)[0] else None
             if fast is not None:
                 assert (fast.shape, fast.tobytes()) == want
             assert _csv_outcome(lambda p: load_calibration_csv(p).samples, path) == want
@@ -390,6 +395,7 @@ class TestCalibrationContainer:
     @pytest.mark.parametrize("text", ["1,2\n3,4\n", "1,2\r\n\n3,4", "5", "1\n2\n", " 1 ,\t2\r"])
     def test_csv_fast_path_takes_plain_files(self, tmp_path, text):
         (tmp_path / "c.csv").write_text(text, newline="")
+        assert _scan_csv(tmp_path / "c.csv")[0]
         fast = _load_csv_fast(tmp_path / "c.csv")
         assert fast is not None
         np.testing.assert_array_equal(fast, _load_csv_lines(tmp_path / "c.csv"))
@@ -399,7 +405,7 @@ class TestCalibrationContainer:
         # loadtxt reads "1<sep>,2" as one row; the line loop sees the lines
         # "1" and ",2" and rejects the second
         (tmp_path / "c.csv").write_text(f"1{sep},2\n", newline="")
-        assert _load_csv_fast(tmp_path / "c.csv") is None
+        assert not _scan_csv(tmp_path / "c.csv")[0]
         with pytest.raises(FormatError, match=r"c\.csv:2: not numeric"):
             load_calibration_csv(tmp_path / "c.csv")
 
@@ -424,6 +430,161 @@ class TestCalibrationContainer:
                                       calib.samples)
         np.testing.assert_array_equal(load_calibration_auto(tmp_path / "c.csv").samples,
                                       calib.samples)
+
+    def test_load_holds_one_payload(self, tmp_path):
+        # the file's bytes are the array's buffer: no slice or dtype copy on top
+        rows, cols = 4096, 64
+        calib = CalibrationSet(samples=np.random.default_rng(24).standard_normal((rows, cols)))
+        save_calibration(calib, tmp_path / "c.bin")
+        payload = rows * cols * 8
+        tracemalloc.start()
+        try:
+            back = load_calibration(tmp_path / "c.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.samples, calib.samples)
+        assert payload < peak < 1.25 * payload
+
+    @pytest.mark.parametrize("route", ["binary", "fast", "lines"])
+    def test_loaded_rows_are_read_only(self, tmp_path, route):
+        path = tmp_path / "c"
+        if route == "binary":
+            save_calibration(CalibrationSet(samples=np.ones((3, 2))), path)
+            load = load_calibration
+        else:  # a no-break space is a byte the fast path leaves to the line loop
+            path.write_text("1,2\n3,4\n" if route == "fast" else "1\u00a0,2\n3,4\n")
+            assert _scan_csv(path)[0] == (route == "fast")
+            load = load_calibration_csv
+        first = load(path).samples
+        for samples in (first, load(path).samples):  # a CSV's second load is a cache hit
+            assert not samples.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                samples[0, 0] = 0.0
+            assert samples.tobytes() == first.tobytes()
+
+
+def _cache_files() -> list[Path]:
+    root = Path(os.environ["XDG_CACHE_HOME"], "resvd")
+    return sorted(root.iterdir()) if root.is_dir() else []
+
+
+def _no_parse(monkeypatch) -> None:
+    """Make every CSV parse fail, so only a cache hit can load."""
+    def parse(path):
+        raise AssertionError(f"{path} was parsed")
+    monkeypatch.setattr(resvd.containers, "_load_csv_fast", parse)
+    monkeypatch.setattr(resvd.containers, "_load_csv_lines", parse)
+
+
+class TestCalibrationCache:
+    def write_csv(self, path: Path, rows=7, cols=3, seed=25) -> CalibrationSet:
+        calib = CalibrationSet(samples=np.random.default_rng(seed).standard_normal((rows, cols)))
+        save_calibration_csv(calib, path)
+        return calib
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=csv_files())
+    def test_cold_and_warm_loads_are_bit_identical(self, data):
+        # the second load of each accepted file is a hit and returns the
+        # parse's bits; a rejected file caches nothing and fails the same twice
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("XDG_CACHE_HOME", str(Path(tmp, "cache")))
+            path = Path(tmp) / "c.csv"
+            path.write_bytes(data)
+            want = _csv_outcome(_load_csv_lines, path)
+            load = lambda p: load_calibration_csv(p).samples  # noqa: E731
+            assert _csv_outcome(load, path) == want
+            assert len(_cache_files()) == (want[0] != "error")
+            if want[0] != "error":
+                _no_parse(mp)
+            assert _csv_outcome(load, path) == want
+
+    @pytest.mark.parametrize("damage", ["truncate", "magic"])
+    def test_damaged_entry_is_reparsed_and_rewritten(self, tmp_path, damage):
+        calib = self.write_csv(tmp_path / "c.csv")
+        load_calibration_csv(tmp_path / "c.csv")
+        [entry] = _cache_files()
+        np.testing.assert_array_equal(load_calibration(entry).samples, calib.samples)
+        good = entry.read_bytes()
+        entry.write_bytes(good[:-5] if damage == "truncate" else b"NOPE" + good[4:])
+        back = load_calibration_csv(tmp_path / "c.csv")
+        np.testing.assert_array_equal(back.samples, calib.samples)
+        assert _cache_files() == [entry]
+        assert entry.read_bytes() == good
+
+    def test_one_byte_edit_misses(self, tmp_path):
+        self.write_csv(tmp_path / "c.csv")
+        before = load_calibration_csv(tmp_path / "c.csv").samples
+        text = (tmp_path / "c.csv").read_bytes()
+        at = text.rindex(b".") + 1  # the first decimal of the last value
+        digit = b"1" if text[at : at + 1] == b"0" else b"0"
+        (tmp_path / "c.csv").write_bytes(text[:at] + digit + text[at + 1 :])
+        after = load_calibration_csv(tmp_path / "c.csv").samples
+        np.testing.assert_array_equal(after, _load_csv_lines(tmp_path / "c.csv"))
+        assert after.tobytes() != before.tobytes()
+        assert len(_cache_files()) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3\n", r"c\.csv:2: expected 2 columns, got 1"),
+        ("1,2\n3,oops\n", r"c\.csv:2: not numeric"),
+        ("1,nan\n", r"c\.csv:1: non-finite value"),
+        ("\n", r"c\.csv: no samples"),
+    ])
+    def test_rejected_csv_writes_no_entry(self, tmp_path, text, message):
+        (tmp_path / "c.csv").write_text(text)
+        for _ in range(2):
+            with pytest.raises(FormatError, match=message):
+                load_calibration_csv(tmp_path / "c.csv")
+        assert _cache_files() == []
+
+    def test_unusable_location_is_skipped(self, tmp_path, monkeypatch):
+        # a regular file where the cache directory should be: as root, a
+        # directory's permissions would not stop the write
+        calib = self.write_csv(tmp_path / "c.csv")
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        for _ in range(2):
+            np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
+                                          calib.samples)
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_no_home_means_no_cache(self, tmp_path, monkeypatch):
+        calib = self.write_csv(tmp_path / "c.csv")
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)  # "~" stays "~"
+        monkeypatch.chdir(tmp_path)
+        np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
+                                      calib.samples)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+    def test_relative_xdg_cache_home_falls_back_to_home(self, tmp_path, monkeypatch):
+        self.write_csv(tmp_path / "c.csv")
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        load_calibration_csv(tmp_path / "c.csv")
+        assert len(list((tmp_path / "home" / ".cache" / "resvd").iterdir())) == 1
+        assert not (tmp_path / "relative").exists()
+
+    def test_oldest_entries_are_evicted_and_a_hit_counts_as_use(self, tmp_path):
+        paths = [tmp_path / f"c{i}.csv" for i in range(MAX_ENTRIES + 2)]
+        entries = []
+        for i, path in enumerate(paths[:MAX_ENTRIES]):
+            self.write_csv(path, seed=i)
+            load_calibration_csv(path)
+            [entry] = set(_cache_files()) - set(entries)
+            os.utime(entry, ns=(i * 10**9, i * 10**9))  # distinct ages, oldest first
+            entries.append(entry)
+        load_calibration_csv(paths[0])  # a hit: entry 0 is now the newest
+        for i, path in enumerate(paths[MAX_ENTRIES:]):
+            self.write_csv(path, seed=MAX_ENTRIES + i)
+            load_calibration_csv(path)
+        kept = set(_cache_files())
+        assert len(kept) == MAX_ENTRIES
+        assert entries[0] in kept
+        assert not kept & {entries[1], entries[2]}
+        assert not list(tmp_path.glob("**/*.tmp"))
 
 
 class TestPlanFile:
