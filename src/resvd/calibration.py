@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, SingularWhiteningError
 from .linalg import as_matrix
-from .model import SequentialModel, apply_activation, output_norm
+from .model import SequentialModel, Workspace, apply_activation, output_norm
 
 T = TypeVar("T")
 
@@ -117,6 +117,7 @@ def capture_activations(
     calib: CalibrationSet,
     tail: int,
     factor: Callable[[np.ndarray, ScalingContext, str], T],
+    ws: Workspace | None = None,
 ) -> tuple[dict[str, T], tuple[float, ...], np.ndarray]:
     """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
 
@@ -125,9 +126,12 @@ def capture_activations(
     key)`` while that input is live, so no input outlives the next matrix
     and no context outlives its ``factor`` call. Returns ``factor``'s
     results keyed in forward order, every layer's output norm (see
-    :func:`~resvd.model.output_norm`) and the model's output: whatever the
-    depth, the pass holds two activation arrays at a time. Activations are
-    applied in place on each layer's fresh matmul output, so
+    :func:`~resvd.model.output_norm`) and the model's output. Every output
+    but the model's, which the caller keeps and so is a fresh array, is
+    written into a buffer of ``ws`` (one of the pass's own when None) that
+    its layer's input does not occupy, so the pass holds two of its
+    buffers whatever the depth, plus the scratch pair for the entries
+    within a layer. Activations are applied in place on those outputs, so
     ``calib.samples`` is never written.
 
     Raises:
@@ -145,16 +149,23 @@ def capture_activations(
             f"calibration width {calib.input_dim} != input width "
             f"{model.input_dim} of layer {model.layers[0].name!r}"
         )
+    if ws is None:
+        ws = Workspace(calib.num_samples, model)
     split = model.n_layers - tail
     factored: dict[str, T] = {}
     norms = []
     h = calib.samples
     for i, layer in enumerate(model.layers):
+        if i == model.n_layers - 1:
+            out = np.empty((calib.num_samples, layer.output_dim))
+        else:
+            out = ws.free(layer.output_dim, h)
         for entry in layer.entries:
             key = f"{layer.name}/{entry.name}"
+            target = out if entry is layer.entries[-1] else ws.between(entry.rows, h)
             with np.errstate(over="ignore", invalid="ignore"):
-                out = entry.apply(h)
-            if not np.isfinite(out).all():
+                y = entry.apply(h, target, ws)
+            if not np.isfinite(y).all():
                 raise NumericalError(f"{key}: output overflows float64 on the calibration set")
             if i >= split:
                 try:
@@ -162,7 +173,7 @@ def capture_activations(
                 except SingularWhiteningError as exc:
                     raise SingularWhiteningError(f"{key}: {exc}") from exc
                 factored[key] = factor(entry.dense, ctx, key)
-            h = out
+            h = y
         h = apply_activation(layer.activation, h)
         norms.append(output_norm(h))
         if norms[-1] == 0.0:

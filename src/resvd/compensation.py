@@ -83,9 +83,14 @@ def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
     if budget.r_r == 0:
         return stage1
     stage2 = truncate(_residual_factors(weight, budget.r_i, budget.r_r, name), budget.r_r)
+    return join_stages(stage1, stage2)
+
+
+def join_stages(stage1: FactorPair, residual: FactorPair) -> FactorPair:
+    """One factor pair: ``stage1``'s columns first, then the residual stage's (step 3 above)."""
     return FactorPair(
-        u_hat=np.hstack([stage1.u_hat, stage2.u_hat]),
-        v_hat=np.vstack([stage1.v_hat, stage2.v_hat]),
+        u_hat=np.hstack([stage1.u_hat, residual.u_hat]),
+        v_hat=np.vstack([stage1.v_hat, residual.v_hat]),
     )
 
 

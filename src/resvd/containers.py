@@ -15,6 +15,7 @@ loaded from f32 files and saved with ``dtype="f32"`` is byte-identical.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -286,55 +287,65 @@ def load_calibration_csv(path: str | Path) -> CalibrationSet:
     array; for anything else (a parse error, no rows, a non-finite value,
     an unusual byte) the line loop decides, so every accepted file loads
     the same and every rejected one gives the same one-line message. A file
-    parsed before is read back from :mod:`resvd.csv_cache`; only a
-    successful parse is cached.
+    parsed before is read back from :mod:`resvd.csv_cache`, found by the
+    sha256 of its bytes alone. A miss reads the file once more and parses
+    exactly the bytes it read, cached under their own sha256, so an entry
+    always holds the rows of the bytes its name hashes, even when the file
+    changes between the two reads. Only a successful parse is cached.
     """
     from . import csv_cache  # only a CSV load compiles and runs the cache
 
-    plain, digest = _scan_csv(path)
-    entry = csv_cache.entry_for(digest)
-    calib = csv_cache.load(entry)
+    calib = csv_cache.load(csv_cache.entry_for(_sha256(path)))
     if calib is None:
-        samples = _load_csv_fast(path) if plain else None
+        raw = Path(path).read_bytes()
+        samples = _load_csv_fast(raw) if _is_plain(raw) else None
         if samples is None:
-            samples = _load_csv_lines(path)
+            samples = _load_csv_lines(path, raw)
         calib = _read_only(samples)
-        csv_cache.store(calib, entry)
+        csv_cache.store(calib, csv_cache.entry_for(_sha256(raw)))
     return calib
 
 
-def _scan_csv(path: str | Path) -> tuple[bool, str]:
-    """Whether every byte of ``path`` is one of ``_CSV_FAST_BYTES``, and their sha256."""
+def _sha256(source: str | Path | bytes) -> str:
+    """The sha256 of ``source``'s bytes, or of the file at ``source``, read in chunks."""
     import hashlib  # here, so only a CSV load maps OpenSSL
 
+    if isinstance(source, bytes):
+        return hashlib.sha256(source).hexdigest()
     digest = hashlib.sha256()
-    plain = True
-    with open(path, "rb") as fh:  # in chunks, so the pass holds no copy of the file
+    with open(source, "rb") as fh:  # in chunks, so a cache hit holds no copy of the file
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-            plain = plain and not chunk.translate(None, _CSV_FAST_BYTES)
-    return plain, digest.hexdigest()
+    return digest.hexdigest()
 
 
-def _load_csv_fast(path: str | Path) -> np.ndarray | None:
-    """``np.loadtxt``'s array, or None where the line loop must decide.
+def _is_plain(raw: bytes) -> bool:
+    """Whether every byte of ``raw`` is one of ``_CSV_FAST_BYTES``."""
+    return not raw.translate(None, _CSV_FAST_BYTES)
 
-    Only for files whose every byte :func:`_scan_csv` found plain.
+
+def _load_csv_fast(raw: bytes) -> np.ndarray | None:
+    """``np.loadtxt``'s array for the CSV bytes ``raw``, or None where the line loop must decide.
+
+    Only for bytes :func:`_is_plain` accepts. Split into lines as
+    a text-mode read splits them, they parse as the file itself would.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
-            samples = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
+            samples = np.loadtxt(raw.splitlines(), delimiter=",", ndmin=2, comments=None,
+                                 dtype=np.float64)
     except (ValueError, Warning):  # whatever loadtxt rejects or warns about, the line loop decides
         return None
     return samples if np.isfinite(samples).all() else None
 
 
-def _load_csv_lines(path: str | Path) -> np.ndarray:
+def _load_csv_lines(path: str | Path, raw: bytes) -> np.ndarray:
+    """The CSV bytes ``raw`` of ``path`` parsed line by line; diagnostics name ``path`` and a line."""
     rows: list[list[float]] = []
     line_numbers: list[int] = []
-    try:
-        text = Path(path).read_text()
+    try:  # decoded as a text-mode read of the file decodes it
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: neither an ERCC container nor a text CSV ({exc})") from exc
     for ln, line in enumerate(text.splitlines(), start=1):

@@ -4,7 +4,10 @@ A model is an ordered stack of layers; each layer applies its weight entries
 in sequence as ``h -> h @ W^T`` and finishes with one elementwise activation.
 Entries hold either a dense matrix or a low-rank :class:`~resvd.linalg.FactorPair`;
 factored entries are evaluated as ``(h @ v_hat^T) @ u_hat^T`` without ever
-materializing the product.
+materializing the product. Forward passes that keep no output past the next
+write each one into a :class:`Workspace`, so the activations they hold are
+arrays the workspace owns, not what the allocator keeps of a fresh array per
+layer.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,10 +104,19 @@ class MatrixEntry:
             return batch * self.cols * r + batch * r * self.rows
         return batch * self.rows * self.cols
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.factors is not None:
-            return (x @ self.factors.v_hat.T) @ self.factors.u_hat.T
-        return x @ self.dense.T
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None,
+              ws: Workspace | None = None) -> np.ndarray:
+        """``x @ W^T``, written into ``out`` when given, else into a fresh array.
+
+        A factored entry's inner product goes into ``ws``'s rank scratch,
+        or into a fresh array without ``ws``. Each product is the same GEMM
+        wherever it is written, so the bits do not depend on ``out``.
+        """
+        if self.factors is None:
+            return np.matmul(x, self.dense.T, out=out)
+        inner = None if ws is None else ws.inner(self.factors.rank)
+        return np.matmul(np.matmul(x, self.factors.v_hat.T, out=inner),
+                         self.factors.u_hat.T, out=out)
 
 
 @dataclass(frozen=True)
@@ -139,12 +151,18 @@ class Layer:
     def output_dim(self) -> int:
         return self.entries[-1].rows
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """This layer's output for ``x``; ``x`` itself is never written."""
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None,
+                ws: Workspace | None = None) -> np.ndarray:
+        """This layer's output for ``x``, written into ``out`` when given; ``x`` is never written.
+
+        Every entry but the last writes into the member of ``ws``'s scratch
+        pair that its input does not occupy, or into a fresh array without
+        ``ws``; the activation then runs in place on the last entry's output.
+        """
         h = x
-        for e in self.entries:  # at least one, so h ends as a fresh array
-            h = e.apply(h)
-        return apply_activation(self.activation, h)
+        for e in self.entries[:-1]:
+            h = e.apply(h, None if ws is None else ws.between(e.rows, h), ws)
+        return apply_activation(self.activation, self.entries[-1].apply(h, out, ws))
 
 
 @dataclass(frozen=True)
@@ -176,13 +194,68 @@ class SequentialModel:
         return len(self.layers)
 
 
+class Workspace:
+    """The arrays that the forward passes of one command write their outputs into.
+
+    Three buffers of ``rows × width`` float64, ``width`` being the widest
+    layer output of ``model``, hold layer outputs. A walk writes each output
+    into a buffer that holds neither the layer's input nor an array its
+    caller still reads (:meth:`free`), so one walk cycles through two
+    buffers and two walks in step fit in three. Within a layer, each entry
+    but the last writes into a scratch pair (:meth:`between`), so a layer
+    never writes over its own input or a buffer its caller holds, and a
+    factored entry's inner product goes into a ``rows × rank`` scratch
+    (:meth:`inner`). Each buffer is allocated on first use, and the rank
+    scratch grows to the largest rank applied. Only models of ``model``'s
+    skeleton, on ``rows`` rows, may run in it. A command makes one per call
+    and shares it between its passes; none lives at module level.
+    """
+
+    def __init__(self, rows: int, model: SequentialModel):
+        self.rows = rows
+        self._width = max(layer.output_dim for layer in model.layers)
+        self._pair_width = max((e.rows for layer in model.layers for e in layer.entries[:-1]),
+                               default=0)
+        self._buffers: list[np.ndarray | None] = [None] * 3
+        self._pair: list[np.ndarray | None] = [None] * 2
+        self._inner = np.empty(0)
+
+    def free(self, width: int, *held: np.ndarray | None) -> np.ndarray:
+        """A ``rows × width`` view of the first output buffer that no array in ``held`` occupies."""
+        return self._view(self._buffers, self._width, width, held)
+
+    def between(self, width: int, h: np.ndarray) -> np.ndarray:
+        """A ``rows × width`` view of the scratch-pair member that ``h`` does not occupy."""
+        return self._view(self._pair, self._pair_width, width, (h,))
+
+    def inner(self, rank: int) -> np.ndarray:
+        """A ``rows × rank`` view of the rank scratch."""
+        if self._inner.size < self.rows * rank:
+            self._inner = np.empty(self.rows * rank)
+        return self._inner[: self.rows * rank].reshape(self.rows, rank)
+
+    def buffers(self) -> list[np.ndarray]:
+        """Every array allocated so far, for checks that nothing outside shares their memory."""
+        return [b for b in self._buffers + self._pair + [self._inner] if b is not None]
+
+    def _view(self, pool: list[np.ndarray | None], size: int, width: int,
+              held: Iterable[np.ndarray | None]) -> np.ndarray:
+        for i, buf in enumerate(pool):
+            if buf is None:
+                buf = pool[i] = np.empty(self.rows * size)
+            if not any(a is not None and np.may_share_memory(a, buf) for a in held):
+                return buf[: self.rows * width].reshape(self.rows, width)
+        raise RuntimeError("every workspace buffer is held")
+
+
 def forward(model: SequentialModel, x) -> list[np.ndarray]:
     """Run all layers on a batch of row vectors, returning every layer's output.
 
-    An output that overflows float64 comes back non-finite, without a numpy
+    Each output is a fresh array, since all of them outlive the pass. An
+    output that overflows float64 comes back non-finite, without a numpy
     warning; :func:`check_finite` reports it.
     """
-    return list(_walk(model.layers, _model_input(model, x)))
+    return list(_walk(model.layers, _model_input(model, x), None))
 
 
 def _model_input(model: SequentialModel, x) -> np.ndarray:
@@ -194,18 +267,21 @@ def _model_input(model: SequentialModel, x) -> np.ndarray:
     return h
 
 
-def _walk(layers: Sequence[Layer], h: np.ndarray) -> Iterator[np.ndarray]:
+def _walk(layers: Sequence[Layer], h: np.ndarray, ws: Workspace | None,
+          keep: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield each layer's output in turn, fed ``h`` as the first one's input.
 
-    Every forward pass but the calibration pass, which whitens each
-    matrix's input, is this loop. Each output is a fresh array the next
-    layer only reads, so once the next output is out, a consumer owns the
-    previous one: it may write it or drop it, and keeps at most two working
-    arrays alive. ``h`` is never written.
+    Each output goes into the first buffer of ``ws`` that holds neither its
+    input nor ``keep``, or into a fresh array when ``ws`` is None. So once
+    the next output is out, the one before it is the consumer's to write or
+    drop, and any later output may overwrite it. ``h`` and ``keep`` are
+    never written. The calibration pass, which checks and whitens each
+    matrix's input, and :func:`_errors_in_step` run the same layer applies
+    in loops of their own.
     """
     for layer in layers:
         with np.errstate(over="ignore", invalid="ignore"):
-            h = layer.forward(h)
+            h = layer.forward(h, None if ws is None else ws.free(layer.output_dim, h, keep), ws)
         yield h
 
 
@@ -230,78 +306,91 @@ def check_finite(model: SequentialModel, norms: Sequence[float]) -> None:
             raise _overflow(layer)
 
 
-def _relative_errors(
-    outputs: Iterable[np.ndarray], reference: Iterable[tuple[np.ndarray, float]]
-) -> list[float]:
-    """``|y - y_ref| / |y_ref|`` for each output, nan where the reference norm is zero.
-
-    The outputs must be arrays the caller owns, such as :func:`_walk`'s:
-    each one is scored only once the walk has produced the next, which was
-    its last reader, by writing the difference into the output itself, so
-    scoring allocates nothing. The references are only read.
-    """
-    errors = []
-    # The last output and its reference, until the next is out. It is a
-    # tuple of its own: zip reuses its result tuple, which would keep a
-    # scored output alive through the next layer.
-    pending = None
-    for y, ref in zip(outputs, reference, strict=True):
-        if pending is not None:
-            errors.append(_relative_error(*pending))
-        pending = y, ref
-    if pending is not None:
-        errors.append(_relative_error(*pending))
-    return errors
-
-
 def _relative_error(y: np.ndarray, reference: tuple[np.ndarray, float]) -> float:
-    # a call, not loop locals, so ``y`` is released as soon as it is scored
+    """``|y - y_ref| / |y_ref|`` for ``reference = (y_ref, norm)``, nan where the norm is zero.
+
+    The difference is written into ``y``, which the caller owns and no
+    longer reads, so scoring allocates nothing; ``y_ref`` is only read.
+    """
     y_ref, norm = reference
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(y, y_ref, out=y)
     return math.nan if norm == 0.0 else output_norm(y) / norm
 
 
+def _errors_in_step(
+    layers: Sequence[Layer],
+    reference: Sequence[Layer],
+    h: np.ndarray,
+    ws: Workspace,
+    reference_norm: Callable[[int, np.ndarray], float],
+) -> list[float]:
+    """Relative error of each of ``layers``' outputs against ``reference``'s, both walked from ``h``.
+
+    Each step writes the next output of ``layers``, scores the previous
+    one in place against its reference output, and only then advances the
+    reference, into the buffer that scoring freed. So the two walks hold
+    three outputs at a time, all in ``ws``, and ``h`` is never written.
+    ``reference_norm(i, y_ref)`` gives the norm of reference output ``i``
+    and may raise on it.
+    """
+    errors = []
+    y = y_ref = h
+    for i, (layer, ref_layer) in enumerate(zip(layers, reference, strict=True)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_next = layer.forward(y, ws.free(layer.output_dim, y, y_ref), ws)
+            if i:
+                errors.append(_relative_error(y, (y_ref, norm)))
+            y_ref = ref_layer.forward(y_ref, ws.free(ref_layer.output_dim, y_ref, y_next), ws)
+        norm = reference_norm(i, y_ref)
+        y = y_next
+    if layers:
+        errors.append(_relative_error(y, (y_ref, norm)))
+    return errors
+
+
 def tail_errors(
     model: SequentialModel,
     k: int,
     x,
-    reference: Iterable[np.ndarray],
+    reference: Sequence[Layer],
     reference_norms: Sequence[float],
+    ws: Workspace | None = None,
 ) -> list[float]:
     """Relative output error of each of the last ``k`` layers, fed ``x`` as their input.
 
-    ``reference`` and ``reference_norms`` give those layers' expected outputs
-    and the outputs' Frobenius norms; an error is nan where the norm is zero.
-    Each layer is scored in place once the next has run; ``reference`` is
-    only read, so it may be a :func:`_walk` of the original layers from the
-    same ``x``, which holds two outputs of its own whatever ``k``. This,
-    :func:`final_layer_error` and :func:`layerwise_error` are the only places
-    relative errors are computed, all through :func:`_walk` and
-    :func:`_relative_error`, so the planner's scores, its ``errors.csv`` and
-    ``analyze`` agree by construction.
+    ``reference`` holds the original layers those ``k`` replace, walked from
+    the same ``x`` in step with them, and ``reference_norms`` the Frobenius
+    norms of the original outputs; an error is nan where the norm is zero.
+    Both walks run in ``ws`` (one of their own when None), three outputs at
+    a time whatever ``k``, and ``x`` is only read. This,
+    :func:`final_layer_error` and :func:`layerwise_error` are the only
+    places relative errors are computed, all through
+    :func:`_relative_error` on the same layer applies, so the planner's
+    scores, its ``errors.csv`` and ``analyze`` agree by construction.
     """
-    def paired() -> Iterator[tuple[np.ndarray, float]]:
-        # Fresh tuples, not zip's: when ``reference`` is a walk, zip's reused
-        # result tuple would keep a scored reference alive through the next layer.
-        for y_ref, norm in zip(reference, reference_norms, strict=True):
-            yield y_ref, norm
-
-    return _relative_errors(_walk(model.layers[model.n_layers - k :], x), paired())
+    tail = model.layers[model.n_layers - k :]
+    if ws is None:
+        ws = Workspace(len(x), model)
+    return _errors_in_step(tail, reference, x, ws, lambda i, y_ref: reference_norms[i])
 
 
 def final_layer_error(
-    model: SequentialModel, k: int, x, reference: np.ndarray, reference_norm: float
+    model: SequentialModel, k: int, x, reference: np.ndarray, reference_norm: float,
+    ws: Workspace | None = None,
 ) -> float:
     """The last entry of :func:`tail_errors`, bit for bit, without scoring the layers before it.
 
-    The last ``k`` layers run on ``x`` through the same walk; each output
-    but the final one is dropped unscored once the next is out, so at most
-    two outputs are alive. ``reference`` is only read.
+    The last ``k`` layers run on ``x`` through :func:`_walk` in ``ws`` (one
+    of its own when None), in the two buffers ``x`` does not occupy, so a
+    caller may walk on from ``x`` afterwards. ``x`` and ``reference`` are
+    only read.
     """
     if not 1 <= k <= model.n_layers:
         raise ValueError(f"k={k} outside [1, {model.n_layers}]")
-    for y in _walk(model.layers[model.n_layers - k :], x):
+    if ws is None:
+        ws = Workspace(len(x), model)
+    for y in _walk(model.layers[model.n_layers - k :], x, ws, keep=x):
         pass
     return _relative_error(y, (reference, reference_norm))
 
@@ -370,16 +459,15 @@ def layerwise_error(
     early propagate downstream. The leading layers in which ``compressed``
     stores the original's arrays bit for bit compute the original's
     outputs, so only the original walks them: each scores exactly 0.0, or
-    nan where its reference norm is zero. The compressed model's own walk
-    starts at the first layer that differs, fed the reference output
-    there, which both walks only read. From there the two walks go in
-    step, each compressed output scored in place and dropped once the next
-    is out, so at most four outputs are held whatever the depth. A layer
-    whose reference output has zero norm reports nan and the scan
-    continues. The errors come from the loop that scores the planner's
-    candidates (:func:`tail_errors`), so the two agree by construction. A
-    prefix stored at lower precision, such as a ``--dtype f32`` output,
-    does not match and is walked by both models.
+    nan where its reference norm is zero. From the first layer that
+    differs, fed the reference output there, the two models walk in step
+    through :func:`_errors_in_step`, the loop that scores the planner's
+    winner (:func:`tail_errors`), so the two agree by construction. Every
+    pass runs in one :class:`Workspace` of this call's own, so at most three
+    outputs are held whatever the depth. A layer whose reference output has
+    zero norm reports nan and the scan continues. A prefix stored at lower
+    precision, such as a ``--dtype f32`` output, does not match and is
+    walked by both models.
 
     Raises:
         NumericalError: naming the first layer of ``original`` whose output
@@ -387,21 +475,19 @@ def layerwise_error(
     """
     if not same_skeleton(original, compressed):
         raise DimensionError("models do not share an architecture skeleton")
-    x = _model_input(original, calib.samples)
+    h = _model_input(original, calib.samples)
+    ws = Workspace(len(h), original)
+    shared = _shared_prefix(original, compressed)
 
-    def reference() -> Iterator[tuple[np.ndarray, float]]:
-        for layer, y in zip(original.layers, _walk(original.layers, x)):
-            norm = output_norm(y)
-            if not math.isfinite(norm):
-                raise _overflow(layer)
-            yield y, norm
+    def reference_norm(i: int, y: np.ndarray) -> float:
+        norm = output_norm(y)
+        if not math.isfinite(norm):
+            raise _overflow(original.layers[i])
+        return norm
 
-    references = reference()
-    errors, h = [], x
-    for _ in range(_shared_prefix(original, compressed)):
-        h, norm = next(references)
-        errors.append(math.nan if norm == 0.0 else 0.0)
-    outputs = _walk(compressed.layers[len(errors) :], h)
-    del h  # each walk holds its input only as long as it needs it
-    errors += _relative_errors(outputs, references)
+    errors = []
+    for i, h in enumerate(_walk(original.layers[:shared], h, ws)):
+        errors.append(math.nan if reference_norm(i, h) == 0.0 else 0.0)
+    errors += _errors_in_step(compressed.layers[shared:], original.layers[shared:], h, ws,
+                              lambda i, y: reference_norm(shared + i, y))
     return tuple(errors)

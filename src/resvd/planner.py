@@ -20,27 +20,38 @@ eigendecomposition for its own ``r_i``, and runs forward through its ``k``
 tail layers from the original model's input to layer ``N-k``. Candidates
 are scored largest ``k`` first, so one walk of the original layers reaches
 each of those inputs in turn; the untouched prefix layers score exactly
-zero. The plan keeps the winning trial model and its per-layer errors, so
-``compress`` writes them without rebuilding either. Activations held stay
-O(S·W) for ``S`` calibration rows of width ``W``, whatever the depth.
+zero. Only one trial exists at a time: the best so far keeps only its
+residual stages, and the winner is rebuilt from them after the scan without
+an SVD. The plan carries it and its per-layer errors, so ``compress``
+writes them without computing either again. Every pass of a plan
+writes its activations into one :class:`~resvd.model.Workspace` of three
+``S×W`` buffers for ``S`` calibration rows of width ``W``, so activations
+held stay those buffers and the model's output, whatever the depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .calibration import CalibrationSet, capture_activations
-from .compensation import WhitenedWeight, compress_matrix, whitened_weight
+from .compensation import (
+    WhitenedWeight,
+    compress_matrix,
+    direct_truncate_matrix,
+    join_stages,
+    whitened_weight,
+)
 from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError, NumericalError
-from .linalg import rank_budget
+from .linalg import FactorPair, rank_budget
 from .model import (
     Layer,
     MatrixEntry,
     SequentialModel,
+    Workspace,
     _walk,
     check_finite,
     final_layer_error,
@@ -162,19 +173,58 @@ def compress_tail_layers(
         ValueError: when ``k`` is outside ``[1, state.tail]``, the tail
             :func:`calibrate` whitened.
     """
+    return _tail_model(state, k, lambda key: compress_matrix(state.whitened[key], layer_ratio,
+                                                             beta, name=key))
+
+
+def _tail_model(state: CalibratedModel, k: int,
+                factor: Callable[[str], FactorPair]) -> SequentialModel:
+    """``state``'s model with each matrix of the last ``k`` layers replaced by ``factor(key)``."""
     model = state.model
     if not 1 <= k <= state.tail:
         raise ValueError(f"k={k} outside [1, {state.tail}]: calibrate whitened only the "
                          f"last {state.tail} of {model.n_layers} layers")
     layers = list(model.layers[: model.n_layers - k])
     for layer in model.layers[model.n_layers - k :]:
-        entries = []
-        for e in layer.entries:
-            key = f"{layer.name}/{e.name}"
-            pair = compress_matrix(state.whitened[key], layer_ratio, beta, name=key)
-            entries.append(MatrixEntry(name=e.name, factors=pair))
-        layers.append(Layer(name=layer.name, entries=tuple(entries), activation=layer.activation))
+        entries = tuple(MatrixEntry(name=e.name, factors=factor(f"{layer.name}/{e.name}"))
+                        for e in layer.entries)
+        layers.append(Layer(name=layer.name, entries=entries, activation=layer.activation))
     return SequentialModel(layers=tuple(layers), meta=dict(model.meta))
+
+
+def _residual_stages(trial: SequentialModel, k: int, layer_ratio: float,
+                     beta: float) -> dict[str, FactorPair]:
+    """Copies of the residual-stage factors of each matrix ``trial`` factored, keyed like ``whitened``.
+
+    :func:`~resvd.compensation.compress_matrix` puts the whitened
+    truncation's ``r_i`` columns first and the residual stage's after
+    them. A matrix whose budget has no residual stage has no entry.
+    """
+    residual = {}
+    for layer in trial.layers[trial.n_layers - k :]:
+        for e in layer.entries:
+            r_i = rank_budget(e.rows, e.cols, layer_ratio, beta).r_i
+            if e.factors.rank > r_i:
+                residual[f"{layer.name}/{e.name}"] = FactorPair(
+                    u_hat=e.factors.u_hat[:, r_i:].copy(), v_hat=e.factors.v_hat[r_i:].copy())
+    return residual
+
+
+def _rejoined(state: CalibratedModel, k: int, layer_ratio: float, beta: float,
+              residual: dict[str, FactorPair]) -> SequentialModel:
+    """``compress_tail_layers(state, k, layer_ratio, beta)``, bit for bit, from its residual stages.
+
+    Each matrix's whitened truncation is cut again from ``state``'s SVD of
+    it, a slice and a scaling, and joined to its residual stage as
+    :func:`~resvd.compensation.compress_matrix` joins them; no SVD runs.
+    """
+    def factor(key: str) -> FactorPair:
+        weight = state.whitened[key]
+        stage1 = direct_truncate_matrix(weight,
+                                        rank_budget(*weight.w.shape, layer_ratio, beta).r_i)
+        return join_stages(stage1, residual[key]) if key in residual else stage1
+
+    return _tail_model(state, k, factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,37 +250,49 @@ class CalibratedModel:
         return sum(f"{layer.name}/{layer.entries[0].name}" in self.whitened
                    for layer in self.model.layers)
 
-    def layer_errors(self, trial: SequentialModel, k: int, x: np.ndarray) -> tuple[float, ...]:
-        """Per-layer relative errors of a trial that factored only the last ``k`` layers.
+    def final_error(self, trial: SequentialModel, k: int, x: np.ndarray,
+                    ws: Workspace) -> float:
+        """The last entry of :func:`layer_errors` for ``trial``, bit for bit; no other layer is scored.
 
-        ``x`` is what the original model feeds layer ``N - k``. Equal to
-        ``layerwise_error(model, trial, calib)`` by construction: the tail is
-        scored by :func:`~resvd.model.tail_errors` against a walk of the
-        original tail layers from ``x``, the walk and scoring loop that
-        function runs, and the trial shares the prefix layers, whose outputs
-        are the reference itself and so score exactly 0.0 (:func:`calibrate`
-        rejects a zero reference norm).
+        ``x`` is what the original model feeds layer ``N - k``, and stays
+        as it is, so the caller may walk on from it.
         """
-        split = self.model.n_layers - k
-        tail = tail_errors(trial, k, x, _walk(self.model.layers[split:], x),
-                           self.reference_norms[split:])
-        return (0.0,) * split + tuple(tail)
-
-    def final_error(self, trial: SequentialModel, k: int, x: np.ndarray) -> float:
-        """The last entry of :meth:`layer_errors`, bit for bit; no other layer is scored."""
-        return final_layer_error(trial, k, x, self.output, self.reference_norms[-1])
+        return final_layer_error(trial, k, x, self.output, self.reference_norms[-1], ws)
 
 
-def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> CalibratedModel:
+def layer_errors(model: SequentialModel, reference_norms: Sequence[float],
+                 trial: SequentialModel, k: int, calib: CalibrationSet,
+                 ws: Workspace) -> tuple[float, ...]:
+    """Per-layer relative errors of a trial that factored only the last ``k`` layers of ``model``.
+
+    ``reference_norms`` are ``model``'s output norms (a
+    :class:`CalibratedModel`'s). Equal to ``layerwise_error(model, trial,
+    calib)`` by construction: the original prefix is walked from the
+    calibration rows to the trial's input, and the tail is scored by
+    :func:`~resvd.model.tail_errors` against the original tail layers
+    walked in step from there, the loop that function runs. The trial
+    shares the prefix layers, whose outputs are the reference itself and so
+    score exactly 0.0 (:func:`calibrate` rejects a zero reference norm).
+    """
+    split = model.n_layers - k
+    x = calib.samples
+    for x in _walk(model.layers[:split], x, ws):
+        pass
+    tail = tail_errors(trial, k, x, model.layers[split:], reference_norms[split:], ws)
+    return (0.0,) * split + tuple(tail)
+
+
+def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
+              ws: Workspace | None = None) -> CalibratedModel:
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
 
     One streaming pass, :func:`~resvd.calibration.capture_activations`,
     runs each layer once. It whitens each matrix of the last ``k`` layers
     into the :class:`~resvd.compensation.WhitenedWeight` that trials only
     truncate while that matrix's input is live, takes each layer's output
-    norm as the layer finishes, and keeps only the model's output. Its
-    memory is two activation arrays plus the tail's whitened factors,
-    whatever the depth.
+    norm as the layer finishes, and keeps only the model's output. It runs
+    in ``ws`` (one of its own when None) and holds two of its buffers, the
+    model's output and the tail's whitened factors, whatever the depth.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
@@ -250,9 +312,19 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int) -> Calibrat
             if e.is_factored:
                 raise CompressionError(f"entry {layer.name}/{e.name} is already factored; "
                                        "compression expects a dense model")
-    whitened, norms, output = capture_activations(model, calib, k, whitened_weight)
+    whitened, norms, output = capture_activations(model, calib, k, whitened_weight, ws)
     check_finite(model, norms)  # after the pass, whose Gram check names the matrix instead
     return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
+
+
+def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: np.ndarray,
+            ws: Workspace) -> tuple[SequentialModel, float]:
+    """Candidate ``k``'s trial and its final-layer error, from ``x``, the trial's input."""
+    trial = compress_tail_layers(state, k, layer_ratio, beta)
+    error = state.final_error(trial, k, x, ws)
+    if math.isnan(error):
+        raise NumericalError("final-layer error undefined")
+    return trial, error
 
 
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
@@ -263,8 +335,13 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     so one walk of the original layers reaches each trial's input in turn;
     each trial scores its final layer only. Candidates whose compression
     fails are kept in the table as failed rows and skipped by the argmin.
-    The plan carries the winning trial model and its per-layer errors,
-    scored from the winner's input, which is held until the end.
+    Only one trial exists at a time: the best so far keeps its residual
+    stages, and the winning trial is rebuilt from them (:func:`_rejoined`)
+    once the scan ends. Then the calibrated state is released, and the
+    winner's per-layer errors (:func:`layer_errors`) are scored from its
+    input, walked to again. Every pass runs in one
+    :class:`~resvd.model.Workspace`, so activations held stay three
+    buffers, the model's output and scratch, whatever the depth.
 
     Raises:
         NumericalError: the smallest candidate's, when every candidate
@@ -272,8 +349,9 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         InfeasiblePlanError: when every candidate failed otherwise.
     """
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
-    state = calibrate(model, calib, candidates[-1][0])
-    inputs = _walk(model.layers, calib.samples)
+    ws = Workspace(calib.num_samples, model)
+    state = calibrate(model, calib, candidates[-1][0], ws)
+    inputs = _walk(model.layers, calib.samples, ws)
     x, at = calib.samples, 0  # x is what the original model feeds layer ``at``
     rows: list[CandidateResult] = []
     best = failure = None
@@ -281,10 +359,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         while at < model.n_layers - k:
             x, at = next(inputs), at + 1
         try:
-            trial = compress_tail_layers(state, k, ratio, cfg.beta)
-            error = state.final_error(trial, k, x)
-            if math.isnan(error):
-                raise NumericalError("final-layer error undefined")
+            trial, error = _scored(state, k, ratio, cfg.beta, x, ws)
         except CompressionError as exc:
             rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
                                         status="failed", reason=str(exc)))
@@ -292,13 +367,17 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
             continue
         rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
         if best is None or error <= best[0].final_error:  # ties go to the smaller k, scored later
-            best = (rows[-1], trial, x)
+            best = None  # the last best's residual stages go before this one's are copied
+            best = (rows[-1], _residual_stages(trial, k, ratio, cfg.beta))
+        del trial  # the next trial is built once this one is gone
     if best is None:
         if isinstance(failure, NumericalError):
             raise failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
-    row, trial, x = best
-    del inputs  # and with it the last input walked to, unless it is the winner's
+    row, residual = best
+    trial = _rejoined(state, row.k, row.layer_ratio, cfg.beta, residual)
+    norms = state.reference_norms
+    del state  # its whitened factors and the model's output go before the winner's pass
     return CompressionPlan(
         k=row.k,
         layer_ratio=row.layer_ratio,
@@ -309,7 +388,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         beta=cfg.beta,
         seed=cfg.seed,
         compressed=trial,
-        layer_errors=state.layer_errors(trial, row.k, x),
+        layer_errors=layer_errors(model, norms, trial, row.k, calib, ws),
     )
 
 

@@ -3,6 +3,7 @@ hand-built binary fixtures."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resvd.containers
+import resvd.csv_cache
 from resvd.calibration import CalibrationSet
 from resvd.containers import (
     ERROR_CSV_HEADER,
+    _is_plain,
     _load_csv_fast,
     _load_csv_lines,
-    _scan_csv,
     load_calibration,
     load_calibration_auto,
     load_calibration_csv,
@@ -35,7 +37,7 @@ from resvd.containers import (
     save_model,
     save_plan,
 )
-from resvd.csv_cache import MAX_ENTRIES
+from resvd.csv_cache import FORMAT_TAG, MAX_ENTRIES
 from resvd.errors import FormatError
 from resvd.demo import demo_model
 from resvd.linalg import FactorPair
@@ -104,6 +106,11 @@ def csv_files(draw) -> bytes:
         text = text[:at] + flaw + text[at:]
     data = text.encode()
     return data + b"\xff" if kind == "bytes" else data
+
+
+def _parse_lines(path):
+    """The line loop's parse of the file at ``path``."""
+    return _load_csv_lines(path, path.read_bytes())
 
 
 def _csv_outcome(load, path):
@@ -386,8 +393,9 @@ class TestCalibrationContainer:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.csv"
             path.write_bytes(data)
-            want = _csv_outcome(_load_csv_lines, path)
-            fast = _load_csv_fast(path) if _scan_csv(path)[0] else None
+            want = _csv_outcome(_parse_lines, path)
+            raw = path.read_bytes()
+            fast = _load_csv_fast(raw) if _is_plain(raw) else None
             if fast is not None:
                 assert (fast.shape, fast.tobytes()) == want
             assert _csv_outcome(lambda p: load_calibration_csv(p).samples, path) == want
@@ -395,17 +403,18 @@ class TestCalibrationContainer:
     @pytest.mark.parametrize("text", ["1,2\n3,4\n", "1,2\r\n\n3,4", "5", "1\n2\n", " 1 ,\t2\r"])
     def test_csv_fast_path_takes_plain_files(self, tmp_path, text):
         (tmp_path / "c.csv").write_text(text, newline="")
-        assert _scan_csv(tmp_path / "c.csv")[0]
-        fast = _load_csv_fast(tmp_path / "c.csv")
+        raw = (tmp_path / "c.csv").read_bytes()
+        assert _is_plain(raw)
+        fast = _load_csv_fast(raw)
         assert fast is not None
-        np.testing.assert_array_equal(fast, _load_csv_lines(tmp_path / "c.csv"))
+        np.testing.assert_array_equal(fast, _parse_lines(tmp_path / "c.csv"))
 
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
     def test_csv_line_separator_inside_a_row_is_the_line_loops_call(self, tmp_path, sep):
         # loadtxt reads "1<sep>,2" as one row; the line loop sees the lines
         # "1" and ",2" and rejects the second
         (tmp_path / "c.csv").write_text(f"1{sep},2\n", newline="")
-        assert not _scan_csv(tmp_path / "c.csv")[0]
+        assert not _is_plain((tmp_path / "c.csv").read_bytes())
         with pytest.raises(FormatError, match=r"c\.csv:2: not numeric"):
             load_calibration_csv(tmp_path / "c.csv")
 
@@ -454,7 +463,7 @@ class TestCalibrationContainer:
             load = load_calibration
         else:  # a no-break space is a byte the fast path leaves to the line loop
             path.write_text("1,2\n3,4\n" if route == "fast" else "1\u00a0,2\n3,4\n")
-            assert _scan_csv(path)[0] == (route == "fast")
+            assert _is_plain(path.read_bytes()) == (route == "fast")
             load = load_calibration_csv
         first = load(path).samples
         for samples in (first, load(path).samples):  # a CSV's second load is a cache hit
@@ -471,8 +480,8 @@ def _cache_files() -> list[Path]:
 
 def _no_parse(monkeypatch) -> None:
     """Make every CSV parse fail, so only a cache hit can load."""
-    def parse(path):
-        raise AssertionError(f"{path} was parsed")
+    def parse(*args):
+        raise AssertionError("a CSV was parsed")
     monkeypatch.setattr(resvd.containers, "_load_csv_fast", parse)
     monkeypatch.setattr(resvd.containers, "_load_csv_lines", parse)
 
@@ -492,7 +501,7 @@ class TestCalibrationCache:
             mp.setenv("XDG_CACHE_HOME", str(Path(tmp, "cache")))
             path = Path(tmp) / "c.csv"
             path.write_bytes(data)
-            want = _csv_outcome(_load_csv_lines, path)
+            want = _csv_outcome(_parse_lines, path)
             load = lambda p: load_calibration_csv(p).samples  # noqa: E731
             assert _csv_outcome(load, path) == want
             assert len(_cache_files()) == (want[0] != "error")
@@ -513,6 +522,58 @@ class TestCalibrationCache:
         assert _cache_files() == [entry]
         assert entry.read_bytes() == good
 
+    def test_a_file_rewritten_during_a_load_is_cached_under_the_bytes_parsed(
+            self, tmp_path, monkeypatch):
+        # The lookup hashes the file and a miss reads it again. When the file
+        # changes in between, the miss parses the bytes it read and caches
+        # them under their own sha256, so a later load of the first content
+        # still gets that content's rows.
+        first = self.write_csv(tmp_path / "c.csv", seed=26)
+        first_bytes = (tmp_path / "c.csv").read_bytes()
+        second = self.write_csv(tmp_path / "d.csv", seed=27)
+        second_bytes = (tmp_path / "d.csv").read_bytes()
+        looked_up = []
+
+        def entry_for(digest):
+            if not looked_up:  # the first call names the lookup, right after the digest
+                (tmp_path / "c.csv").write_bytes(second_bytes)
+            looked_up.append(digest)
+            return real(digest)
+
+        real = resvd.csv_cache.entry_for
+        monkeypatch.setattr(resvd.csv_cache, "entry_for", entry_for)
+        got = load_calibration_csv(tmp_path / "c.csv").samples
+        assert looked_up[0] == hashlib.sha256(first_bytes).hexdigest()
+        np.testing.assert_array_equal(got, second.samples)
+        [entry] = _cache_files()
+        assert entry.name == f"{FORMAT_TAG}-{hashlib.sha256(second_bytes).hexdigest()}.ercc"
+        np.testing.assert_array_equal(load_calibration(entry).samples, second.samples)
+
+        (tmp_path / "c.csv").write_bytes(first_bytes)
+        np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
+                                      first.samples)
+        assert len(_cache_files()) == 2
+
+    def test_a_hit_reads_the_file_once_and_checks_no_byte_class(self, tmp_path, monkeypatch):
+        # A hit costs the sha256 of the file alone: neither the whole-file
+        # read nor the plain-byte check that only a parse needs.
+        calib = self.write_csv(tmp_path / "c.csv")
+        load_calibration_csv(tmp_path / "c.csv")
+
+        def never(*args):
+            raise AssertionError("a hit looked at the bytes beyond their sha256")
+
+        def read_bytes(path):  # the cache entry is read whole; the CSV must not be
+            if path == tmp_path / "c.csv":
+                never()
+            return real(path)
+
+        real = Path.read_bytes
+        monkeypatch.setattr(resvd.containers, "_is_plain", never)
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
+                                      calib.samples)
+
     def test_one_byte_edit_misses(self, tmp_path):
         self.write_csv(tmp_path / "c.csv")
         before = load_calibration_csv(tmp_path / "c.csv").samples
@@ -521,7 +582,7 @@ class TestCalibrationCache:
         digit = b"1" if text[at : at + 1] == b"0" else b"0"
         (tmp_path / "c.csv").write_bytes(text[:at] + digit + text[at + 1 :])
         after = load_calibration_csv(tmp_path / "c.csv").samples
-        np.testing.assert_array_equal(after, _load_csv_lines(tmp_path / "c.csv"))
+        np.testing.assert_array_equal(after, _parse_lines(tmp_path / "c.csv"))
         assert after.tobytes() != before.tobytes()
         assert len(_cache_files()) == 2
 

@@ -14,6 +14,7 @@ from resvd.model import (
     Layer,
     MatrixEntry,
     SequentialModel,
+    Workspace,
     _walk,
     apply_activation,
     final_layer_error,
@@ -264,8 +265,9 @@ def diff_buffer_errors(outputs, references):
 def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
     # Scoring subtracts each reference into its layer's own output once the
     # next layer has read that output: the errors match the diff-buffer
-    # formula exactly, and neither the calibration rows nor the references
-    # given to tail_errors and final_layer_error are written. The widths differ layer to layer.
+    # formula exactly, and neither the calibration rows nor the inputs and
+    # reference given to tail_errors and final_layer_error are written. The
+    # widths differ layer to layer.
     rng = np.random.default_rng(61)
     model = make_mlp(rng, [9, 7, 11, 6, 8], activation=activation)
     calib = CalibrationSet(samples=rng.standard_normal((20, 9)))
@@ -281,10 +283,57 @@ def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
 
     kept = [y.copy() for y in refs]
     norms = [float(np.linalg.norm(y)) for y in refs[-k:]]
-    assert tail_errors(compressed, k, refs[-k - 1], refs[-k:], norms) == want[-k:]
+    assert tail_errors(compressed, k, refs[-k - 1], model.layers[-k:], norms) == want[-k:]
     assert final_layer_error(compressed, k, refs[-k - 1], refs[-1], norms[-1]) == want[-1]
     for got, before in zip(refs, kept, strict=True):
         assert np.array_equal(got, before)
+
+
+def fresh_forward(model, x):
+    """Every layer's output with each product and activation a fresh array."""
+    outs, h = [], x
+    for layer in model.layers:
+        for e in layer.entries:
+            if e.factors is None:
+                h = h @ e.dense.T
+            else:
+                h = (h @ e.factors.v_hat.T) @ e.factors.u_hat.T
+        if layer.activation == "relu":
+            h = np.maximum(h, 0.0)
+        elif layer.activation == "silu":
+            h = h * (0.5 + 0.5 * np.tanh(0.5 * h))
+        outs.append(h)
+    return outs
+
+
+def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
+    # Rectangular layers of two and three entries, each wider or narrower
+    # than the next, so entries run through the scratch pair at widths of
+    # their own; factored tail entries run through the rank scratch. Every
+    # walk output and every score equals the fresh-array computation.
+    rng = np.random.default_rng(64)
+    shapes = [[(14, 9), (6, 14)], [(11, 6), (13, 11), (8, 13)], [(5, 8), (12, 5)],
+              [(7, 12), (10, 7)], [(9, 10)]]
+    model = SequentialModel(layers=tuple(
+        Layer(name=f"layer{i}", activation="silu" if i < len(shapes) - 1 else "identity",
+              entries=tuple(MatrixEntry(name=f"w{j}", dense=rng.standard_normal(shape))
+                            for j, shape in enumerate(layer)))
+        for i, layer in enumerate(shapes)))
+    k = 3
+    compressed = replace_tail(model, k, 2)
+    calib = CalibrationSet(samples=rng.standard_normal((33, 9)))
+    refs, outs = fresh_forward(model, calib.samples), fresh_forward(compressed, calib.samples)
+    want = diff_buffer_errors(outs, refs)
+    assert all(err > 0 for err in want[-k:])
+
+    ws = Workspace(calib.num_samples, model)
+    for got, fresh in zip(_walk(compressed.layers, calib.samples, ws), outs, strict=True):
+        assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
+    norms = [float(np.linalg.norm(y)) for y in refs[-k:]]
+    assert layerwise_error(model, compressed, calib) == tuple(want)
+    assert layerwise_error(model, rebuilt(compressed), calib) == tuple(want)
+    assert tail_errors(compressed, k, refs[-k - 1], model.layers[-k:], norms) == want[-k:]
+    assert final_layer_error(compressed, k, refs[-k - 1], refs[-1], norms[-1]) == want[-1]
 
 
 def with_layer(model, i, layer):
@@ -383,11 +432,11 @@ def peak_arrays(run, nbytes):
 
 
 def test_scoring_holds_two_outputs_per_walk():
-    # An output is dropped as soon as it is scored, once the next one is
-    # out, and scoring allocates no difference buffer: layerwise_error's two
-    # walks hold at most four outputs at once, tail_errors' one walk two (and
-    # four when its reference is a walk of the original layers too), and
-    # final_layer_error, which drops each output unscored, two.
+    # Every output goes into one of a workspace's three buffers: two walks
+    # in step (layerwise_error, tail_errors) hold all three, plus the rank
+    # scratch of the factored layers (rank 4 of width 32, an eighth of an
+    # output), and final_layer_error's one walk two of them. A workspace
+    # that has run once allocates nothing more.
     rng = np.random.default_rng(62)
     model = make_mlp(rng, [32] * 7, activation="relu")
     compressed = replace_tail(model, 6, 4)
@@ -395,26 +444,30 @@ def test_scoring_holds_two_outputs_per_walk():
     size = calib.samples.nbytes
     refs = forward(model, calib.samples)
     norms = [float(np.linalg.norm(y)) for y in refs[1:]]
-    assert 3.9 < peak_arrays(lambda: layerwise_error(model, compressed, calib), size) < 4.5
-    assert 1.9 < peak_arrays(lambda: tail_errors(compressed, 5, refs[0], refs[1:], norms),
-                             size) < 2.5
-    assert 3.9 < peak_arrays(lambda: tail_errors(compressed, 5, refs[0],
-                                                 _walk(model.layers[1:], refs[0]), norms),
-                             size) < 4.5
-    assert 1.9 < peak_arrays(lambda: final_layer_error(compressed, 5, refs[0], refs[-1],
-                                                       norms[-1]), size) < 2.5
+    assert 3.0 < peak_arrays(lambda: layerwise_error(model, compressed, calib), size) < 3.3
+    assert 3.0 < peak_arrays(lambda: tail_errors(compressed, 5, refs[0], model.layers[1:], norms),
+                             size) < 3.3
+    assert 2.0 < peak_arrays(lambda: final_layer_error(compressed, 5, refs[0], refs[-1],
+                                                       norms[-1]), size) < 2.3
+    ws = Workspace(len(refs[0]), model)
+    want = tail_errors(compressed, 5, refs[0], model.layers[1:], norms, ws)
+    assert peak_arrays(lambda: tail_errors(compressed, 5, refs[0], model.layers[1:], norms, ws),
+                       size) < 0.01
+    assert peak_arrays(lambda: final_layer_error(compressed, 5, refs[0], refs[-1], norms[-1],
+                                                 ws), size) < 0.01
+    assert tail_errors(compressed, 5, refs[0], model.layers[1:], norms, ws) == want
 
 
 def test_skipping_a_shared_prefix_holds_no_extra_output():
-    # The compressed walk starts from the last shared reference output, and
-    # holds it only until its first layer has read it: the four-output bound
-    # of two walks in step still holds.
+    # The compressed walk starts from the last shared reference output, in
+    # the buffer that walk wrote it to: the three-buffer bound of two walks
+    # in step still holds.
     rng = np.random.default_rng(63)
     model = make_mlp(rng, [32] * 7, activation="relu")
     compressed = rebuilt(replace_tail(model, 3, 4))
     calib = CalibrationSet(samples=rng.standard_normal((2048, 32)))
-    assert 3.9 < peak_arrays(lambda: layerwise_error(model, compressed, calib),
-                             calib.samples.nbytes) < 4.5
+    assert 3.0 < peak_arrays(lambda: layerwise_error(model, compressed, calib),
+                             calib.samples.nbytes) < 3.3
 
 
 def test_layerwise_error_zero_norm_layer_is_nan():

@@ -337,6 +337,60 @@ class TestPlan:
         assert np.array_equal(state.output, before_scoring)
         assert np.array_equal(state.output, allocating_forward(model, samples)[-1])
 
+    def test_a_second_plan_leaves_the_first_as_it_was(self, monkeypatch):
+        # Each plan runs in a workspace of its own, and nothing a plan
+        # returns or keeps lives in one: a second plan in the same process
+        # leaves the first one's trial, errors and table as they were, and
+        # the calibrated output shares no memory with any workspace buffer.
+        rng = np.random.default_rng(34)
+        model = with_silu(make_multi_entry_mlp(rng, 6, 14, 3))
+        cfg = PlannerConfig(overall_ratio=0.3)
+        workspaces, states = [], []
+
+        class Recorded(model_mod.Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                workspaces.append(self)
+
+        def calibrate(*args):
+            states.append(real_calibrate(*args))
+            return states[-1]
+
+        real_calibrate = planner_mod.calibrate
+        monkeypatch.setattr(planner_mod, "Workspace", Recorded)
+        monkeypatch.setattr(planner_mod, "calibrate", calibrate)
+        first = plan(model, make_calib(rng, 40, 14), cfg)
+        kept = (model_bytes(first.compressed), first.layer_errors, first.candidate_table)
+        output = states[0].output.copy()
+        second = plan(model, make_calib(rng, 40, 14), cfg)
+        assert second.layer_errors != first.layer_errors
+        assert (model_bytes(first.compressed), first.layer_errors, first.candidate_table) == kept
+        assert np.array_equal(states[0].output, output)
+
+        assert len(workspaces) == 2
+        buffers = [b for ws in workspaces for b in ws.buffers()]
+        assert len(buffers) == 2 * 6  # three outputs, the scratch pair and the rank scratch
+        kept_arrays = [a for chosen in (first, second) for layer in chosen.compressed.layers
+                       for e in layer.entries if e.is_factored
+                       for a in (e.factors.u_hat, e.factors.v_hat)]
+        for a in [state.output for state in states] + kept_arrays:
+            assert not any(np.may_share_memory(a, b) for b in buffers)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_the_winner_rebuilt_after_the_scan_is_the_trial_scored(self, beta):
+        # The scan keeps only the best trial's residual stages and cuts the
+        # whitened truncation again once it ends: the plan's trial stores
+        # what compress_tail_layers builds for the winner, bit for bit.
+        rng = np.random.default_rng(35)
+        model = make_multi_entry_mlp(rng, 6, 14, 2)
+        calib = make_calib(rng, 40, 14)
+        chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=beta))
+        trial = compress_tail_layers(calibrate(model, calib, 6), chosen.k, chosen.layer_ratio, beta)
+        assert model_bytes(chosen.compressed) == model_bytes(trial)
+        factored = [e.factors.rank for layer in trial.layers for e in layer.entries
+                    if e.is_factored]
+        assert len(factored) == 2 * chosen.k and all(r > 1 for r in factored)
+
     def test_zero_output_layer_rejected_before_whitening(self):
         # A relu layer whose output is all zero zeroes every later layer too,
         # so no candidate's error is defined: calibrate names the layer before
