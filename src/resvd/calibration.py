@@ -131,8 +131,8 @@ def capture_activations(
     written into a buffer of ``ws`` (one of the pass's own when None) that
     its layer's input does not occupy, so the pass holds two of its
     buffers whatever the depth, plus the scratch pair for the entries
-    within a layer. Activations are applied in place on those outputs, so
-    ``calib.samples`` is never written.
+    within a layer and silu's sigmoid. Activations are applied in place on
+    those outputs, so ``calib.samples`` is never written.
 
     Raises:
         DimensionError: when the calibration width is not the model's.
@@ -174,7 +174,7 @@ def capture_activations(
                     raise SingularWhiteningError(f"{key}: {exc}") from exc
                 factored[key] = factor(entry.dense, ctx, key)
             h = y
-        h = apply_activation(layer.activation, h)
+        h = apply_activation(layer.activation, h, ws)
         norms.append(output_norm(h))
         if norms[-1] == 0.0:
             raise NumericalError(f"{layer.name}: output is all zeros on the calibration set, "

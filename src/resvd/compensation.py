@@ -12,13 +12,15 @@ the weight itself and a plain truncation of the leftover residual:
    ``M = diag(sigma[r_i:]) P[r_i:]``, and ``U``'s columns are orthonormal,
    so its top ``r_r`` triplets are those of ``M`` with the left vectors
    lifted by ``U[:, r_i:]``. They come from the top ``r_r`` eigenvectors
-   ``A`` of ``M M^T``, a scaled trailing block of one Gram matrix of ``P``,
-   and one Rayleigh-Ritz step, the SVD of the ``r_r x n`` matrix ``A^T M``;
-   neither the m x n residual nor ``M`` itself is formed;
+   ``A`` of ``M M^T``, formed from ``M`` scaled so no entry exceeds 1, and
+   one Rayleigh-Ritz step, the SVD of the ``r_r x n`` matrix ``A^T M``; the
+   m x n residual is never formed;
 3. concatenate both factor pairs (stage-1 columns first).
 
-``P`` and its Gram matrix depend on the matrix alone, so
-:func:`whitened_weight` forms them once and every rank budget takes slices.
+``U``, ``sigma`` and ``P`` depend on the matrix alone, so
+:func:`whitened_weight` forms them once and every rank budget takes slices;
+each budget forms its own ``M`` from ``P``, the one array the residual
+stage needs.
 The combined product is never worse than truncating ``W S`` at rank ``r``
 directly, because the discarded whitened tail is itself a rank-``r_r``
 competitor to the optimal residual truncation.
@@ -40,21 +42,17 @@ class WhitenedWeight:
     """``w`` in the coordinates of ``svd(W S) = U diag(sigma) V^T``: see :func:`whitened_weight`.
 
     ``factors`` is ``(U, sigma, P)`` with ``P = V^T S^{-1}``, so its product
-    is ``w`` itself. ``gram`` is the Gram matrix of ``P`` with each row
-    divided by its largest magnitude, ``row_scale``, so no entry exceeds the
-    width ``n`` whatever the scale of ``w`` or of the activations. No rank
-    enters it, so every rank budget takes slices of the same arrays.
+    is ``w`` itself. No rank enters it, so every rank budget takes slices of
+    the same two arrays, ``U`` and ``P``.
     """
 
     w: np.ndarray
     factors: SvdFactors
-    row_scale: np.ndarray
-    gram: np.ndarray
 
 
 def whitened_weight(w, ctx: ScalingContext, name: str = "matrix") -> WhitenedWeight:
-    """``w`` as a float64 matrix checked to be as wide as ``ctx`` whitens, with ``svd(W S)``,
-    ``P = V^T S^{-1}`` and the row-scaled Gram matrix of ``P``."""
+    """``w`` as a float64 matrix checked to be as wide as ``ctx`` whitens, with ``svd(W S)``
+    and ``P = V^T S^{-1}``."""
     arr = as_matrix(w, name)
     if ctx.s.shape[0] != arr.shape[1]:
         raise DimensionError(
@@ -62,11 +60,7 @@ def whitened_weight(w, ctx: ScalingContext, name: str = "matrix") -> WhitenedWei
             f"but the weight expects width {arr.shape[1]}"
         )
     f = svd(arr @ ctx.s, name=f"{name} (whitened)")
-    p = f.vt @ ctx.s_inv
-    # no row is zero: V^T has orthonormal rows and S^{-1} is nonsingular
-    row_scale = np.max(np.abs(p), axis=1)
-    unit = p / row_scale[:, np.newaxis]
-    return WhitenedWeight(arr, SvdFactors(f.u, f.sigma, p), row_scale, unit @ unit.T)
+    return WhitenedWeight(arr, SvdFactors(f.u, f.sigma, f.vt @ ctx.s_inv))
 
 
 def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
@@ -103,30 +97,37 @@ def direct_truncate_matrix(weight: WhitenedWeight, r: int) -> FactorPair:
     return truncate(weight.factors, r)
 
 
+def _scaled_tail(weight: WhitenedWeight, r_i: int) -> tuple[np.ndarray, float]:
+    """``(M / c, c)`` for ``M = diag(sigma[r_i:]) P[r_i:]`` and ``c`` its largest entry magnitude.
+
+    ``c`` is 1 when ``M`` is 0. Rounding is monotone, so no entry of
+    ``M / c`` exceeds 1 and no entry of its Gram matrix exceeds the width
+    ``n``, whatever the scale of ``w`` or of the activations.
+    """
+    f = weight.factors
+    m = f.sigma[r_i:, np.newaxis] * f.vt[r_i:]
+    scale = float(max(m.max(), -m.min())) or 1.0
+    m /= scale
+    return m, scale
+
+
 def _residual_factors(weight: WhitenedWeight, r_i: int, r_r: int, name: str) -> SvdFactors:
     """Top ``r_r`` singular triplets of ``W - W_ri``, in the tail coordinates of ``svd(W S)``.
 
-    ``M M^T`` is ``c^2 D G D``, with ``G`` the trailing block of
-    ``weight.gram``, ``D = diag(sigma * row_scale) / c`` over the tail and
-    ``c`` the largest entry of ``sigma * row_scale`` there (1 when all are
-    0). Every entry of ``D`` is at most 1, so ``D G D`` cannot overflow;
-    ``c`` scales the singular values back at the end. Should ``eigh`` fail,
-    the triplets come from :func:`svd` of ``M / c`` instead, with its own
-    retries; only when that fails too is the matrix named.
+    They are those of ``m = M / c`` (:func:`_scaled_tail`), whose Gram
+    matrix cannot overflow, with ``c`` scaling the singular values back at
+    the end. Should ``eigh`` fail, the triplets come from :func:`svd` of
+    ``m`` instead, with its own retries; only when that fails too is the
+    matrix named.
     """
-    f = weight.factors
-    tail = f.sigma[r_i:] * weight.row_scale[r_i:]
-    scale = tail.max() or 1.0
-    d = tail / scale
-    p_tail = f.vt[r_i:]
-    m_rows = (f.sigma[r_i:] / scale)[:, np.newaxis]  # M / c = m_rows * p_tail
+    m, scale = _scaled_tail(weight, r_i)
     try:
-        _, vecs = np.linalg.eigh(d[:, np.newaxis] * weight.gram[r_i:, r_i:] * d)
+        _, vecs = np.linalg.eigh(m @ m.T)
     except np.linalg.LinAlgError:
-        dense = svd(m_rows * p_tail, name=f"{name} (residual fallback)")
+        dense = svd(m, name=f"{name} (residual fallback)")
         left, sigma, vt = dense.u[:, :r_r], dense.sigma[:r_r], dense.vt[:r_r]
     else:
         top = vecs[:, : -r_r - 1 : -1]  # eigh sorts ascending; largest first
-        ritz = svd((top * m_rows).T @ p_tail, name=f"{name} (residual)")
+        ritz = svd(top.T @ m, name=f"{name} (residual)")
         left, sigma, vt = top @ ritz.u, ritz.sigma, ritz.vt
-    return sign_fixed(f.u[:, r_i:] @ left, scale * sigma, vt)
+    return sign_fixed(weight.factors.u[:, r_i:] @ left, scale * sigma, vt)

@@ -31,10 +31,12 @@ ACTIVATIONS = ("identity", "relu", "silu")
 NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def apply_activation(name: str, h: np.ndarray) -> np.ndarray:
+def apply_activation(name: str, h: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Apply activation ``name`` to ``h`` in place and return ``h``.
 
-    Callers pass an array they own, such as a fresh matmul output.
+    Callers pass an array they own, such as a fresh matmul output. silu's
+    sigmoid goes into the member of ``ws``'s scratch pair that ``h`` does
+    not occupy, or into a fresh array without ``ws``.
     """
     if name == "identity":
         return h
@@ -43,7 +45,7 @@ def apply_activation(name: str, h: np.ndarray) -> np.ndarray:
     if name == "silu":
         # h * (0.5 + 0.5 * tanh(0.5 * h)), step for step, so results match the
         # allocating form bit for bit; sigmoid written this way cannot overflow
-        t = np.multiply(h, 0.5)
+        t = np.multiply(h, 0.5, out=None if ws is None else ws.between(h.shape[1], h))
         np.tanh(t, out=t)
         t *= 0.5
         t += 0.5
@@ -157,12 +159,13 @@ class Layer:
 
         Every entry but the last writes into the member of ``ws``'s scratch
         pair that its input does not occupy, or into a fresh array without
-        ``ws``; the activation then runs in place on the last entry's output.
+        ``ws``; the activation then runs in place on the last entry's output,
+        taking any temporary from that pair too.
         """
         h = x
         for e in self.entries[:-1]:
             h = e.apply(h, None if ws is None else ws.between(e.rows, h), ws)
-        return apply_activation(self.activation, self.entries[-1].apply(h, out, ws))
+        return apply_activation(self.activation, self.entries[-1].apply(h, out, ws), ws)
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,8 @@ class Workspace:
     caller still reads (:meth:`free`), so one walk cycles through two
     buffers and two walks in step fit in three. Within a layer, each entry
     but the last writes into a scratch pair (:meth:`between`), so a layer
-    never writes over its own input or a buffer its caller holds, and a
+    never writes over its own input or a buffer its caller holds; a silu
+    layer takes its sigmoid from that pair once its entries are done; and a
     factored entry's inner product goes into a ``rows × rank`` scratch
     (:meth:`inner`). Each buffer is allocated on first use, and the rank
     scratch grows to the largest rank applied. Only models of ``model``'s
@@ -214,8 +218,9 @@ class Workspace:
     def __init__(self, rows: int, model: SequentialModel):
         self.rows = rows
         self._width = max(layer.output_dim for layer in model.layers)
-        self._pair_width = max((e.rows for layer in model.layers for e in layer.entries[:-1]),
-                               default=0)
+        self._pair_width = max([e.rows for layer in model.layers for e in layer.entries[:-1]]
+                               + [layer.output_dim for layer in model.layers
+                                  if layer.activation == "silu"], default=0)
         self._buffers: list[np.ndarray | None] = [None] * 3
         self._pair: list[np.ndarray | None] = [None] * 2
         self._inner = np.empty(0)
@@ -364,7 +369,7 @@ def tail_errors(
     norms of the original outputs; an error is nan where the norm is zero.
     Both walks run in ``ws`` (one of their own when None), three outputs at
     a time whatever ``k``, and ``x`` is only read. This,
-    :func:`final_layer_error` and :func:`layerwise_error` are the only
+    :func:`layerwise_error` and the planner's candidate scan are the only
     places relative errors are computed, all through
     :func:`_relative_error` on the same layer applies, so the planner's
     scores, its ``errors.csv`` and ``analyze`` agree by construction.
@@ -373,26 +378,6 @@ def tail_errors(
     if ws is None:
         ws = Workspace(len(x), model)
     return _errors_in_step(tail, reference, x, ws, lambda i, y_ref: reference_norms[i])
-
-
-def final_layer_error(
-    model: SequentialModel, k: int, x, reference: np.ndarray, reference_norm: float,
-    ws: Workspace | None = None,
-) -> float:
-    """The last entry of :func:`tail_errors`, bit for bit, without scoring the layers before it.
-
-    The last ``k`` layers run on ``x`` through :func:`_walk` in ``ws`` (one
-    of its own when None), in the two buffers ``x`` does not occupy, so a
-    caller may walk on from ``x`` afterwards. ``x`` and ``reference`` are
-    only read.
-    """
-    if not 1 <= k <= model.n_layers:
-        raise ValueError(f"k={k} outside [1, {model.n_layers}]")
-    if ws is None:
-        ws = Workspace(len(x), model)
-    for y in _walk(model.layers[model.n_layers - k :], x, ws, keep=x):
-        pass
-    return _relative_error(y, (reference, reference_norm))
 
 
 def parameter_count(model: SequentialModel) -> int:

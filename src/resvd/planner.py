@@ -11,22 +11,24 @@ computed once, for the winner.
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`, in one streaming pass over the layers: each
 layer's reference output norm, the model's output, and one
-:class:`~resvd.compensation.WhitenedWeight` (whitening, ``svd(W S)``,
-``P = V^T S^{-1}`` and a Gram matrix of ``P``) per matrix of the largest
-tail any candidate compresses, formed while that matrix's input is live;
-prefix matrices are never whitened, and no layer's activations are kept.
-A candidate only slices those arrays, runs the residual stage's small
+:class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U``, sigma
+and ``P = V^T S^{-1}`` of ``svd(W S)``) per matrix of the largest tail any
+candidate compresses, formed while that matrix's input is live; prefix
+matrices are never whitened, and no layer's activations are kept. A
+candidate only slices those arrays, runs the residual stage's small
 eigendecomposition for its own ``r_i``, and runs forward through its ``k``
 tail layers from the original model's input to layer ``N-k``. Candidates
 are scored largest ``k`` first, so one walk of the original layers reaches
 each of those inputs in turn; the untouched prefix layers score exactly
-zero. Only one trial exists at a time: the best so far keeps only its
-residual stages, and the winner is rebuilt from them after the scan without
-an SVD. The plan carries it and its per-layer errors, so ``compress``
-writes them without computing either again. Every pass of a plan
-writes its activations into one :class:`~resvd.model.Workspace` of three
-``S×W`` buffers for ``S`` calibration rows of width ``W``, so activations
-held stay those buffers and the model's output, whatever the depth.
+zero. A trial is built one layer at a time, each layer factored just before
+it runs and dropped after, so only one layer of one trial exists at a
+time: each candidate keeps only its residual stages, the best so far's
+outlive the scan, and the winner is rebuilt from them without an SVD. The
+plan carries it and its per-layer errors, so ``compress`` writes them
+without computing either again. Every pass of a plan writes its
+activations into one :class:`~resvd.model.Workspace` of three ``S×W``
+buffers for ``S`` calibration rows of width ``W``, so activations held stay
+those buffers and the model's output, whatever the depth.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from . import model as model_ops
 from .calibration import CalibrationSet, capture_activations
 from .compensation import (
     WhitenedWeight,
@@ -54,7 +57,6 @@ from .model import (
     Workspace,
     _walk,
     check_finite,
-    final_layer_error,
     tail_errors,
 )
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
@@ -184,30 +186,17 @@ def _tail_model(state: CalibratedModel, k: int,
     if not 1 <= k <= state.tail:
         raise ValueError(f"k={k} outside [1, {state.tail}]: calibrate whitened only the "
                          f"last {state.tail} of {model.n_layers} layers")
-    layers = list(model.layers[: model.n_layers - k])
-    for layer in model.layers[model.n_layers - k :]:
-        entries = tuple(MatrixEntry(name=e.name, factors=factor(f"{layer.name}/{e.name}"))
-                        for e in layer.entries)
-        layers.append(Layer(name=layer.name, entries=entries, activation=layer.activation))
-    return SequentialModel(layers=tuple(layers), meta=dict(model.meta))
+    split = model.n_layers - k
+    layers = model.layers[:split] + tuple(_factored(layer, factor)
+                                          for layer in model.layers[split:])
+    return SequentialModel(layers=layers, meta=dict(model.meta))
 
 
-def _residual_stages(trial: SequentialModel, k: int, layer_ratio: float,
-                     beta: float) -> dict[str, FactorPair]:
-    """Copies of the residual-stage factors of each matrix ``trial`` factored, keyed like ``whitened``.
-
-    :func:`~resvd.compensation.compress_matrix` puts the whitened
-    truncation's ``r_i`` columns first and the residual stage's after
-    them. A matrix whose budget has no residual stage has no entry.
-    """
-    residual = {}
-    for layer in trial.layers[trial.n_layers - k :]:
-        for e in layer.entries:
-            r_i = rank_budget(e.rows, e.cols, layer_ratio, beta).r_i
-            if e.factors.rank > r_i:
-                residual[f"{layer.name}/{e.name}"] = FactorPair(
-                    u_hat=e.factors.u_hat[:, r_i:].copy(), v_hat=e.factors.v_hat[r_i:].copy())
-    return residual
+def _factored(layer: Layer, factor: Callable[[str], FactorPair]) -> Layer:
+    """``layer`` with each matrix replaced by ``factor("<layer>/<matrix>")``."""
+    entries = tuple(MatrixEntry(name=e.name, factors=factor(f"{layer.name}/{e.name}"))
+                    for e in layer.entries)
+    return Layer(name=layer.name, entries=entries, activation=layer.activation)
 
 
 def _rejoined(state: CalibratedModel, k: int, layer_ratio: float, beta: float,
@@ -249,15 +238,6 @@ class CalibratedModel:
         """How many tail layers ``whitened`` covers."""
         return sum(f"{layer.name}/{layer.entries[0].name}" in self.whitened
                    for layer in self.model.layers)
-
-    def final_error(self, trial: SequentialModel, k: int, x: np.ndarray,
-                    ws: Workspace) -> float:
-        """The last entry of :func:`layer_errors` for ``trial``, bit for bit; no other layer is scored.
-
-        ``x`` is what the original model feeds layer ``N - k``, and stays
-        as it is, so the caller may walk on from it.
-        """
-        return final_layer_error(trial, k, x, self.output, self.reference_norms[-1], ws)
 
 
 def layer_errors(model: SequentialModel, reference_norms: Sequence[float],
@@ -318,13 +298,41 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
 
 
 def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: np.ndarray,
-            ws: Workspace) -> tuple[SequentialModel, float]:
-    """Candidate ``k``'s trial and its final-layer error, from ``x``, the trial's input."""
-    trial = compress_tail_layers(state, k, layer_ratio, beta)
-    error = state.final_error(trial, k, x, ws)
+            ws: Workspace) -> tuple[float, dict[str, FactorPair]]:
+    """Candidate ``k``'s final-layer error from ``x``, the trial's input, and its residual stages.
+
+    Each of the trial's ``k`` layers is factored by
+    :func:`~resvd.compensation.compress_matrix` just before it runs and
+    dropped once it has, so no two of them are held at once. Only a copy of
+    each matrix's residual-stage columns outlives its layer, keyed like
+    ``state.whitened``; ``compress_matrix`` puts them after the whitened
+    truncation's ``r_i``, and a matrix whose budget has no residual stage
+    has no entry. The layers run through :func:`~resvd.model._walk` and the
+    last output is scored by ``_relative_error``, as
+    :func:`~resvd.model.tail_errors` scores it, so the error is that
+    function's last entry bit for bit. ``x`` is only read, so the caller
+    may walk on from it.
+    """
+    residual = {}
+
+    def factor(key: str) -> FactorPair:
+        pair = compress_matrix(state.whitened[key], layer_ratio, beta, name=key)
+        r_i = rank_budget(*pair.shape, layer_ratio, beta).r_i
+        if pair.rank > r_i:
+            residual[key] = FactorPair(u_hat=pair.u_hat[:, r_i:].copy(),
+                                       v_hat=pair.v_hat[r_i:].copy())
+        return pair
+
+    y = x
+    for layer in state.model.layers[state.model.n_layers - k :]:
+        trial = _factored(layer, factor)
+        y, = _walk((trial,), y, ws, keep=x)
+        del trial  # the next layer is factored once this one is gone
+    # through model's own name, so whatever wraps it there sees every score
+    error = model_ops._relative_error(y, (state.output, state.reference_norms[-1]))
     if math.isnan(error):
         raise NumericalError("final-layer error undefined")
-    return trial, error
+    return error, residual
 
 
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
@@ -335,13 +343,14 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     so one walk of the original layers reaches each trial's input in turn;
     each trial scores its final layer only. Candidates whose compression
     fails are kept in the table as failed rows and skipped by the argmin.
-    Only one trial exists at a time: the best so far keeps its residual
-    stages, and the winning trial is rebuilt from them (:func:`_rejoined`)
-    once the scan ends. Then the calibrated state is released, and the
-    winner's per-layer errors (:func:`layer_errors`) are scored from its
-    input, walked to again. Every pass runs in one
-    :class:`~resvd.model.Workspace`, so activations held stay three
-    buffers, the model's output and scratch, whatever the depth.
+    Only one layer of one trial exists at a time (:func:`_scored`): the
+    best so far keeps its residual stages, and the winning trial is rebuilt
+    from them (:func:`_rejoined`) once the scan ends. Then the calibrated
+    state is released, and the winner's per-layer errors
+    (:func:`layer_errors`) are scored from its input, walked to again.
+    Every pass runs in one :class:`~resvd.model.Workspace`, so activations
+    held stay three buffers, the model's output and scratch, whatever the
+    depth.
 
     Raises:
         NumericalError: the smallest candidate's, when every candidate
@@ -359,7 +368,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         while at < model.n_layers - k:
             x, at = next(inputs), at + 1
         try:
-            trial, error = _scored(state, k, ratio, cfg.beta, x, ws)
+            error, residual = _scored(state, k, ratio, cfg.beta, x, ws)
         except CompressionError as exc:
             rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
                                         status="failed", reason=str(exc)))
@@ -367,9 +376,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
             continue
         rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
         if best is None or error <= best[0].final_error:  # ties go to the smaller k, scored later
-            best = None  # the last best's residual stages go before this one's are copied
-            best = (rows[-1], _residual_stages(trial, k, ratio, cfg.beta))
-        del trial  # the next trial is built once this one is gone
+            best = (rows[-1], residual)
     if best is None:
         if isinstance(failure, NumericalError):
             raise failure

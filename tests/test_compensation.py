@@ -161,7 +161,10 @@ def test_residual_stage_matches_the_dense_residual_svd(
     q2 = np.linalg.qr(rng.standard_normal((n, p)))[0]
     w = scale * ((q1 * whitened_spectrum(spectrum, p, rng)) @ q2.T @ ctx.s_inv)
     weight = whitened_weight(w, ctx)
-    assert np.abs(weight.gram).max() <= n  # the Gram matrix of P itself reaches 1e+-300
+    # M M^T itself reaches 1e+-300; M / c keeps every entry within 1, its Gram within n
+    m, _ = compensation_mod._scaled_tail(weight, budget.r_i)
+    assert np.abs(m).max() <= 1.0
+    assert np.abs(m @ m.T).max() <= n
     pair = compress_matrix(weight, ratio, beta)
     assert np.isfinite(pair.u_hat).all() and np.isfinite(pair.v_hat).all()
     # The dense truncation's error is the norm of the residual's discarded

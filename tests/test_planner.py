@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -418,6 +419,51 @@ class TestPlan:
             assert errors[0] == 0.0
             assert all(math.isnan(v) for v in errors[1:]), k
 
+    def test_calibrated_state_holds_two_arrays_per_tail_matrix(self):
+        # Each whitened record keeps U and P = V^T S^{-1} of svd(W S) besides
+        # the weight the model already holds. On wide square matrices and few
+        # rows the activations are small, so the state calibrate returns
+        # holds two n x n arrays per tail matrix and little else.
+        rng = np.random.default_rng(37)
+        n, k = 96, 3
+        model = make_mlp(rng, 4, n)
+        calib = make_calib(rng, 8, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state = calibrate(model, calib, k)
+            held = (tracemalloc.get_traced_memory()[0] - base) / (n * n * 8)
+        finally:
+            tracemalloc.stop()
+        assert len(state.whitened) == k
+        assert 2 * k < held < 2 * k + 0.3, held
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_the_scan_holds_one_trial_layer_at_a_time(self, monkeypatch, beta):
+        # Each candidate factors its tail layers one at a time, each just
+        # before it runs, and drops each once it has run: whenever a matrix
+        # is factored, every factor pair built for another layer, of this
+        # candidate or an earlier one, is gone.
+        rng = np.random.default_rng(38)
+        model = make_multi_entry_mlp(rng, 6, 14, 2)
+        calib = make_calib(rng, 40, 14)
+        built, overlaps = [], []
+        real = planner_mod.compress_matrix
+
+        def compress_matrix(weight, layer_ratio, beta, name="matrix"):
+            layer = (layer_ratio, name.split("/")[0])
+            overlaps.extend((layer, other) for other, pair in built
+                            if other != layer and pair() is not None)
+            pair = real(weight, layer_ratio, beta, name)
+            built.append((layer, weakref.ref(pair)))
+            return pair
+
+        monkeypatch.setattr(planner_mod, "compress_matrix", compress_matrix)
+        chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=beta))
+        assert len(chosen.candidate_table) > 1
+        assert len(built) == 2 * sum(row.k for row in chosen.candidate_table)
+        assert overlaps == []
+
     def test_plan_memory_does_not_grow_with_depth(self):
         # The calibration pass keeps only the model's output, and one walk of
         # the original layers feeds each candidate its input: plan holds a few
@@ -465,7 +511,8 @@ class TestPlan:
         calib = make_calib(rng, 36, 12)
         cfg = PlannerConfig(overall_ratio=0.3)
         ks = [k for k, _ in enumerate_candidates(6, cfg, layer_shapes=[[(12, 12)]] * 6)]
-        monkeypatch.setattr(planner_mod, "final_layer_error", lambda *args: 0.5)
+        real = planner_mod._scored
+        monkeypatch.setattr(planner_mod, "_scored", lambda *args: (0.5, real(*args)[1]))
         chosen = plan(model, calib, cfg)
         assert [row.k for row in chosen.candidate_table] == ks
         assert chosen.k == ks[0]
@@ -473,7 +520,7 @@ class TestPlan:
         def failing(state, k, *args):
             raise NumericalError(f"k={k} failed")
 
-        monkeypatch.setattr(planner_mod, "compress_tail_layers", failing)
+        monkeypatch.setattr(planner_mod, "_scored", failing)
         with pytest.raises(NumericalError, match=rf"^k={ks[0]} failed$"):
             plan(model, calib, cfg)
 
@@ -500,14 +547,14 @@ class TestPlan:
         rng = np.random.default_rng(25)
         model = make_mlp(rng, 5, 12)
         calib = make_calib(rng, 40, 12)
-        real = planner_mod.compress_tail_layers
+        real = planner_mod._scored
 
-        def flaky(state, k, layer_ratio, beta):
+        def flaky(state, k, *args):
             if k == 2:
                 raise CompressionError("injected failure")
-            return real(state, k, layer_ratio, beta)
+            return real(state, k, *args)
 
-        monkeypatch.setattr(planner_mod, "compress_tail_layers", flaky)
+        monkeypatch.setattr(planner_mod, "_scored", flaky)
         chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3))
         failed = [row for row in chosen.candidate_table if row.status == "failed"]
         assert [row.k for row in failed] == [2]
@@ -520,10 +567,10 @@ class TestPlan:
         model = make_mlp(rng, 4, 12)
         calib = make_calib(rng, 40, 12)
 
-        def broken(state, k, layer_ratio, beta):
+        def broken(state, k, *args):
             raise CompressionError("nope")
 
-        monkeypatch.setattr(planner_mod, "compress_tail_layers", broken)
+        monkeypatch.setattr(planner_mod, "_scored", broken)
         with pytest.raises(InfeasiblePlanError):
             plan(model, calib, PlannerConfig(overall_ratio=0.3))
 
