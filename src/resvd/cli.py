@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: ``compress`` (plan, then write the plan's winning trial model
-and its per-layer error report, so nothing is recomputed after planning),
+and its per-layer error report, scored by the ``layerwise_error`` call that
+``analyze`` makes),
 ``plan`` (candidate table only), ``analyze`` (layer-wise error CSV for a
 model pair), ``verify`` (theory oracles, JSON report), and ``gen-demo``
 (seeded demo workload). Exit codes: 0 success, 1 a failed ``verify`` or
@@ -122,13 +123,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_compress(args: argparse.Namespace) -> int:
     cfg = _planner_config(args)
-    chosen = plan(load_model(args.model), _load_calib(args), cfg)
+    model, calib = load_model(args.model), _load_calib(args)
+    chosen = plan(model, calib, cfg)
+    errors = layerwise_error(model, chosen.compressed, calib)
     run = _run_config(args, cfg)
     meta = {**chosen.compressed.meta, "compression": plan_header(chosen, _TOOL, run)}
     out = Path(args.out)
     save_model(dataclasses.replace(chosen.compressed, meta=meta), out, dtype=args.dtype)
     save_plan(chosen, out / "plan.json", tool=_TOOL, config=run)
-    save_error_report(chosen.layer_errors, out / "errors.csv")
+    save_error_report(errors, out / "errors.csv")
     print(f"compressed {chosen.k}/{chosen.n_layers} layers at "
           f"layer_ratio={chosen.layer_ratio:.6g}, "
           f"final_error={chosen.chosen_error:.6g} -> {out}")
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrated.add_argument("--calib", required=True, help="calibration file (binary or CSV)")
     calibrated.add_argument("--samples", type=_nonneg_int, default=256,
                             help="calibration rows to use, 0 = all (default 256)")
-    calibrated.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    calibrated.add_argument("--seed", type=_nonneg_int, default=0, help="run seed (default 0)")
 
     planned = argparse.ArgumentParser(add_help=False, parents=[calibrated])
     planned.add_argument("--model", required=True, help="model directory")
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theory oracles")
     p.add_argument("--trials", type=_positive_int, default=100,
                    help="trials per suite (default 100)")
-    p.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
+    p.add_argument("--seed", type=_nonneg_int, default=0, help="oracle seed (default 0)")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", dest="n_layers", metavar="LAYERS", type=_positive_int)
     p.add_argument("--width", type=_positive_int)
     p.add_argument("--samples", type=_positive_int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_nonneg_int)
     p.set_defaults(func=cmd_gen_demo)
 
     return parser

@@ -72,6 +72,8 @@ def _load_json(path: Path, fmt: str, version: int) -> dict:
     """The JSON object in ``path``, checked to declare format ``fmt`` at ``version``."""
     try:
         doc = json.loads(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: cannot be decoded as text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -464,7 +466,10 @@ def save_error_report(per_layer: tuple[float, ...] | list[float], path: str | Pa
 
 
 def load_error_report(path: str | Path) -> list[float]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: cannot be decoded as text ({exc})") from exc
     if not lines or lines[0].strip() != ERROR_CSV_HEADER:
         raise FormatError(f"{path}: missing header {ERROR_CSV_HEADER!r}")
     out: list[float] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -280,9 +280,11 @@ def _walk(layers: Sequence[Layer], h: np.ndarray, ws: Workspace | None,
     input nor ``keep``, or into a fresh array when ``ws`` is None. So once
     the next output is out, the one before it is the consumer's to write or
     drop, and any later output may overwrite it. ``h`` and ``keep`` are
-    never written. The calibration pass, which checks and whitens each
-    matrix's input, and :func:`_errors_in_step` run the same layer applies
-    in loops of their own.
+    never written. The planner's scan walks the original layers and each
+    trial layer through this, and :func:`layerwise_error` the prefix a
+    compressed model shares; the calibration pass, which checks and whitens
+    each matrix's input, and :func:`_errors_in_step` run the same layer
+    applies in loops of their own.
     """
     for layer in layers:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -323,12 +325,23 @@ def _relative_error(y: np.ndarray, reference: tuple[np.ndarray, float]) -> float
     return math.nan if norm == 0.0 else output_norm(y) / norm
 
 
+def _reference_norm(layer: Layer, y_ref: np.ndarray) -> float:
+    """The norm of ``layer``'s reference output ``y_ref``.
+
+    Raises:
+        NumericalError: naming ``layer`` (:func:`_overflow`), when the norm is not finite.
+    """
+    norm = output_norm(y_ref)
+    if not math.isfinite(norm):
+        raise _overflow(layer)
+    return norm
+
+
 def _errors_in_step(
     layers: Sequence[Layer],
     reference: Sequence[Layer],
     h: np.ndarray,
     ws: Workspace,
-    reference_norm: Callable[[int, np.ndarray], float],
 ) -> list[float]:
     """Relative error of each of ``layers``' outputs against ``reference``'s, both walked from ``h``.
 
@@ -336,8 +349,11 @@ def _errors_in_step(
     one in place against its reference output, and only then advances the
     reference, into the buffer that scoring freed. So the two walks hold
     three outputs at a time, all in ``ws``, and ``h`` is never written.
-    ``reference_norm(i, y_ref)`` gives the norm of reference output ``i``
-    and may raise on it.
+    An error is nan where its reference norm is zero.
+
+    Raises:
+        NumericalError: naming the first layer of ``reference`` whose
+            output norm overflows float64.
     """
     errors = []
     y = y_ref = h
@@ -347,37 +363,11 @@ def _errors_in_step(
             if i:
                 errors.append(_relative_error(y, (y_ref, norm)))
             y_ref = ref_layer.forward(y_ref, ws.free(ref_layer.output_dim, y_ref, y_next), ws)
-        norm = reference_norm(i, y_ref)
+        norm = _reference_norm(ref_layer, y_ref)
         y = y_next
     if layers:
         errors.append(_relative_error(y, (y_ref, norm)))
     return errors
-
-
-def tail_errors(
-    model: SequentialModel,
-    k: int,
-    x,
-    reference: Sequence[Layer],
-    reference_norms: Sequence[float],
-    ws: Workspace | None = None,
-) -> list[float]:
-    """Relative output error of each of the last ``k`` layers, fed ``x`` as their input.
-
-    ``reference`` holds the original layers those ``k`` replace, walked from
-    the same ``x`` in step with them, and ``reference_norms`` the Frobenius
-    norms of the original outputs; an error is nan where the norm is zero.
-    Both walks run in ``ws`` (one of their own when None), three outputs at
-    a time whatever ``k``, and ``x`` is only read. This,
-    :func:`layerwise_error` and the planner's candidate scan are the only
-    places relative errors are computed, all through
-    :func:`_relative_error` on the same layer applies, so the planner's
-    scores, its ``errors.csv`` and ``analyze`` agree by construction.
-    """
-    tail = model.layers[model.n_layers - k :]
-    if ws is None:
-        ws = Workspace(len(x), model)
-    return _errors_in_step(tail, reference, x, ws, lambda i, y_ref: reference_norms[i])
 
 
 def parameter_count(model: SequentialModel) -> int:
@@ -423,11 +413,13 @@ def _shared_prefix(a: SequentialModel, b: SequentialModel) -> int:
     """How many leading layers of ``b`` store ``a``'s arrays bit for bit.
 
     Only called on models of one skeleton, so those layers also share their
-    shapes and activations and compute the same outputs.
+    shapes and activations and compute the same outputs. A layer object
+    both models hold, as a trial holds its original's prefix, matches
+    without its arrays being compared.
     """
     shared = 0
     for la, lb in zip(a.layers, b.layers):
-        if not all(map(_same_entry, la.entries, lb.entries)):
+        if la is not lb and not all(map(_same_entry, la.entries, lb.entries)):
             break
         shared += 1
     return shared
@@ -446,13 +438,13 @@ def layerwise_error(
     outputs, so only the original walks them: each scores exactly 0.0, or
     nan where its reference norm is zero. From the first layer that
     differs, fed the reference output there, the two models walk in step
-    through :func:`_errors_in_step`, the loop that scores the planner's
-    winner (:func:`tail_errors`), so the two agree by construction. Every
-    pass runs in one :class:`Workspace` of this call's own, so at most three
-    outputs are held whatever the depth. A layer whose reference output has
-    zero norm reports nan and the scan continues. A prefix stored at lower
-    precision, such as a ``--dtype f32`` output, does not match and is
-    walked by both models.
+    through :func:`_errors_in_step`. ``compress`` writes its
+    ``errors.csv`` with this call and ``analyze`` its CSV, so the two
+    agree by construction. Every pass runs in one :class:`Workspace` of
+    this call's own, so at most three outputs are held whatever the depth.
+    A layer whose reference output has zero norm reports nan and the scan
+    continues. A prefix stored at lower precision, such as a ``--dtype
+    f32`` output, does not match and is walked by both models.
 
     Raises:
         NumericalError: naming the first layer of ``original`` whose output
@@ -463,16 +455,8 @@ def layerwise_error(
     h = _model_input(original, calib.samples)
     ws = Workspace(len(h), original)
     shared = _shared_prefix(original, compressed)
-
-    def reference_norm(i: int, y: np.ndarray) -> float:
-        norm = output_norm(y)
-        if not math.isfinite(norm):
-            raise _overflow(original.layers[i])
-        return norm
-
     errors = []
-    for i, h in enumerate(_walk(original.layers[:shared], h, ws)):
-        errors.append(math.nan if reference_norm(i, h) == 0.0 else 0.0)
-    errors += _errors_in_step(compressed.layers[shared:], original.layers[shared:], h, ws,
-                              lambda i, y: reference_norm(shared + i, y))
+    for layer, h in zip(original.layers[:shared], _walk(original.layers[:shared], h, ws)):
+        errors.append(math.nan if _reference_norm(layer, h) == 0.0 else 0.0)
+    errors += _errors_in_step(compressed.layers[shared:], original.layers[shared:], h, ws)
     return tuple(errors)

@@ -5,8 +5,9 @@ Only the last ``k`` of ``N`` layers are compressed; the layer ratio
 Each candidate ``k`` is scored by compressing a trial copy and measuring the
 final layer's relative output error on the calibration set; the candidate
 with the lowest error wins, ties going to the smaller ``k``. Only that error
-is computed per candidate: the per-layer errors ``errors.csv`` reports are
-computed once, for the winner.
+is computed per candidate, and no per-layer curve at all: ``compress``
+scores the winner's per-layer errors for ``errors.csv`` with
+:func:`~resvd.model.layerwise_error`, the call ``analyze`` makes.
 
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`, in one streaming pass over the layers: each
@@ -24,18 +25,18 @@ zero. A trial is built one layer at a time, each layer factored just before
 it runs and dropped after, so only one layer of one trial exists at a
 time: each candidate keeps only its residual stages, the best so far's
 outlive the scan, and the winner is rebuilt from them without an SVD. The
-plan carries it and its per-layer errors, so ``compress`` writes them
-without computing either again. Every pass of a plan writes its
-activations into one :class:`~resvd.model.Workspace` of three ``S×W``
-buffers for ``S`` calibration rows of width ``W``, so activations held stay
-those buffers and the model's output, whatever the depth.
+plan carries it, so ``compress`` writes it without factoring it again.
+Every pass of a plan writes its activations into one
+:class:`~resvd.model.Workspace` of three ``S×W`` buffers for ``S``
+calibration rows of width ``W``, so activations held stay those buffers and
+the model's output, whatever the depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -57,7 +58,6 @@ from .model import (
     Workspace,
     _walk,
     check_finite,
-    tail_errors,
 )
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
 from .model import layerwise_error  # noqa: F401
@@ -103,12 +103,9 @@ class CompressionPlan:
     overall_ratio: float
     beta: float
     seed: int
-    # The winning trial and its per-layer errors, held in memory for
-    # ``compress``; plan files never store them. Only the winner's
-    # per-layer errors are computed; every other candidate scores its
-    # final layer alone.
+    # The winning trial, held in memory for ``compress``; plan files never
+    # store it.
     compressed: SequentialModel | None = field(default=None, compare=False, repr=False)
-    layer_errors: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def layer_ratio_exact(self) -> Fraction:
@@ -240,28 +237,6 @@ class CalibratedModel:
                    for layer in self.model.layers)
 
 
-def layer_errors(model: SequentialModel, reference_norms: Sequence[float],
-                 trial: SequentialModel, k: int, calib: CalibrationSet,
-                 ws: Workspace) -> tuple[float, ...]:
-    """Per-layer relative errors of a trial that factored only the last ``k`` layers of ``model``.
-
-    ``reference_norms`` are ``model``'s output norms (a
-    :class:`CalibratedModel`'s). Equal to ``layerwise_error(model, trial,
-    calib)`` by construction: the original prefix is walked from the
-    calibration rows to the trial's input, and the tail is scored by
-    :func:`~resvd.model.tail_errors` against the original tail layers
-    walked in step from there, the loop that function runs. The trial
-    shares the prefix layers, whose outputs are the reference itself and so
-    score exactly 0.0 (:func:`calibrate` rejects a zero reference norm).
-    """
-    split = model.n_layers - k
-    x = calib.samples
-    for x in _walk(model.layers[:split], x, ws):
-        pass
-    tail = tail_errors(trial, k, x, model.layers[split:], reference_norms[split:], ws)
-    return (0.0,) * split + tuple(tail)
-
-
 def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
               ws: Workspace | None = None) -> CalibratedModel:
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
@@ -308,10 +283,11 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
     ``state.whitened``; ``compress_matrix`` puts them after the whitened
     truncation's ``r_i``, and a matrix whose budget has no residual stage
     has no entry. The layers run through :func:`~resvd.model._walk` and the
-    last output is scored by ``_relative_error``, as
-    :func:`~resvd.model.tail_errors` scores it, so the error is that
-    function's last entry bit for bit. ``x`` is only read, so the caller
-    may walk on from it.
+    last output is scored by ``_relative_error`` against the calibrated
+    output and its norm, the layer applies and the subtraction that
+    :func:`~resvd.model.layerwise_error` runs, so the error is the last
+    entry of that function's curve for the trial, bit for bit. ``x`` is
+    only read, so the caller may walk on from it.
     """
     residual = {}
 
@@ -345,12 +321,10 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     fails are kept in the table as failed rows and skipped by the argmin.
     Only one layer of one trial exists at a time (:func:`_scored`): the
     best so far keeps its residual stages, and the winning trial is rebuilt
-    from them (:func:`_rejoined`) once the scan ends. Then the calibrated
-    state is released, and the winner's per-layer errors
-    (:func:`layer_errors`) are scored from its input, walked to again.
-    Every pass runs in one :class:`~resvd.model.Workspace`, so activations
-    held stay three buffers, the model's output and scratch, whatever the
-    depth.
+    from them (:func:`_rejoined`) once the scan ends, for ``compress`` to
+    write; no per-layer pass runs here. Every pass runs in one
+    :class:`~resvd.model.Workspace`, so activations held stay three
+    buffers, the model's output and scratch, whatever the depth.
 
     Raises:
         NumericalError: the smallest candidate's, when every candidate
@@ -382,9 +356,6 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
             raise failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
     row, residual = best
-    trial = _rejoined(state, row.k, row.layer_ratio, cfg.beta, residual)
-    norms = state.reference_norms
-    del state  # its whitened factors and the model's output go before the winner's pass
     return CompressionPlan(
         k=row.k,
         layer_ratio=row.layer_ratio,
@@ -394,8 +365,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         overall_ratio=cfg.overall_ratio,
         beta=cfg.beta,
         seed=cfg.seed,
-        compressed=trial,
-        layer_errors=layer_errors(model, norms, trial, row.k, calib, ws),
+        compressed=_rejoined(state, row.k, row.layer_ratio, cfg.beta, residual),
     )
 
 

@@ -27,6 +27,7 @@ import resvd.calibration
 import resvd.cli
 import resvd.compensation
 import resvd.containers
+import resvd.model
 import resvd.planner
 from resvd.cli import main
 from resvd.containers import (
@@ -206,6 +207,29 @@ class TestCompress:
         assert calls["whiten"] == len(tail)  # one per tail matrix
         assert sorted(calls["whitened_svd"]) == sorted(tail)  # each tail matrix once
 
+    def test_errors_csv_scores_the_winners_tail_after_the_plan(self, tmp_path, monkeypatch):
+        # plan scores each candidate once, at its final layer; compress then
+        # scores the winner's k tail layers once each through layerwise_error,
+        # and the prefix the trial shares with the model scores nothing.
+        demo = gen_demo(tmp_path / "demo", layers=6, width=16, samples=48)
+        scored = []
+
+        def relative_error(y, reference):
+            scored.append(reference[1])
+            return real(y, reference)
+
+        real = resvd.model._relative_error
+        monkeypatch.setattr(resvd.model, "_relative_error", relative_error)
+        out = tmp_path / "out"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+        doc = json.loads((out / "plan.json").read_text())
+        ok = [row for row in doc["candidates"] if row["status"] == "ok"]
+        assert len(ok) > 1
+        norms = [float(np.linalg.norm(y))
+                 for y in forward(load_model(demo), load_calibration(demo / "calib.bin").samples)]
+        assert scored == [norms[-1]] * len(ok) + norms[-doc["k"]:]
+
     def test_f32_output(self, tmp_path):
         demo = gen_demo(tmp_path / "demo")
         out = tmp_path / "out"
@@ -282,6 +306,30 @@ class TestCompress:
                    "--ratio", "1.5", "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("case", ["plan", "plan-all-rows", "compress", "analyze", "verify",
+                                      "gen-demo"])
+    def test_negative_seed_is_a_usage_error_naming_the_option(self, tmp_path, capsys, case):
+        # Rejected while parsing, whether or not the seed would be used:
+        # with --samples 0 no row is drawn, yet plan.json would record it.
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        calib = ["--calib", str(demo / "calib.bin")]
+        argv = {
+            "plan": ["plan", "--model", str(demo), "--ratio", "0.2", *calib, "--samples", "10"],
+            "plan-all-rows": ["plan", "--model", str(demo), "--ratio", "0.2", *calib,
+                              "--samples", "0"],
+            "compress": ["compress", "--model", str(demo), "--ratio", "0.2", *calib,
+                         "--samples", "0", "--out", str(tmp_path / "out")],
+            "analyze": ["analyze", "--original", str(demo), "--compressed", str(demo), *calib],
+            "verify": ["verify", "--trials", "1"],
+            "gen-demo": ["gen-demo", "--out", str(tmp_path / "out")],
+        }[case]
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("argument --seed: must be >= 0, got -1")
+        assert not (tmp_path / "out").exists()
+
     def test_csv_calibration_accepted(self, tmp_path):
         demo = gen_demo(tmp_path / "demo", width=16, samples=24)
         calib = load_calibration(demo / "calib.bin")
@@ -326,6 +374,21 @@ class TestMalformedInput:
         assert rc == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("resvd: format error:")
+
+    @pytest.mark.parametrize("command", ["plan", "analyze"])
+    def test_manifest_that_is_not_text_is_a_one_line_format_error(self, tmp_path, capsys,
+                                                                  command):
+        demo = gen_demo(tmp_path / "demo", layers=4, width=16, samples=24)
+        manifest = demo / "manifest.json"
+        manifest.write_bytes(b"\xff\xfe{")
+        models = {"plan": ["--model", str(demo), "--ratio", "0.2"],
+                  "analyze": ["--original", str(demo), "--compressed", str(demo)]}[command]
+        capsys.readouterr()
+        rc = main([command, *models, "--calib", str(demo / "calib.bin")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"resvd: format error: {manifest}: cannot be decoded as text (")
 
     def test_non_finite_tensor_exits_2(self, tmp_path, capsys):
         demo = gen_demo(tmp_path / "demo", layers=4, width=16, samples=24)
@@ -749,6 +812,31 @@ class TestAnalyze:
         assert rc == 4
         assert capsys.readouterr() == ("", "resvd: numerical failure: layer0: output norm "
                                            "overflows float64 on the calibration set\n")
+
+    def test_only_analyze_compares_the_shared_prefix_bit_for_bit(self, tmp_path, monkeypatch):
+        # The trial compress scores holds the model's own prefix layers, so
+        # it compares no weight; analyze loads both models from disk and
+        # compares each prefix weight once, up to the first factored layer,
+        # and still writes compress's bytes.
+        demo = gen_demo(tmp_path / "demo")
+        compared = []
+
+        def same_bits(a, b):
+            compared.append(a.shape)
+            return real(a, b)
+
+        real = resvd.model._same_bits
+        monkeypatch.setattr(resvd.model, "_same_bits", same_bits)
+        out, dest = tmp_path / "out", tmp_path / "a.csv"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+        assert compared == []
+        assert main(["analyze", "--original", str(demo), "--compressed", str(out),
+                     "--calib", str(demo / "calib.bin"), "--out", str(dest)]) == 0
+        k = json.loads((out / "plan.json").read_text())["k"]
+        assert 6 - k >= 1
+        assert len(compared) == 6 - k
+        assert dest.read_bytes() == (out / "errors.csv").read_bytes()
 
     def test_skeleton_mismatch_is_an_error(self, tmp_path):
         a = gen_demo(tmp_path / "a", layers=4)

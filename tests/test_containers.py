@@ -704,6 +704,11 @@ class TestPlanFile:
         with pytest.raises(FormatError):
             load_plan(tmp_path / "p.json")
 
+    def test_bytes_that_are_not_text_are_a_format_error(self, tmp_path):
+        (tmp_path / "p.json").write_bytes(b"\xff\xfe{")
+        with pytest.raises(FormatError, match=r"p\.json: cannot be decoded as text"):
+            load_plan(tmp_path / "p.json")
+
     @pytest.mark.parametrize("text", ["5", "[1]", "null"])
     def test_non_object_rejected(self, tmp_path, text):
         (tmp_path / "p.json").write_text(text)
@@ -788,4 +793,9 @@ class TestErrorReportCsv:
     def test_no_rows(self, tmp_path):
         (tmp_path / "e.csv").write_text(ERROR_CSV_HEADER + "\n")
         with pytest.raises(FormatError, match="no data"):
+            load_error_report(tmp_path / "e.csv")
+
+    def test_bytes_that_are_not_text_are_a_format_error(self, tmp_path):
+        (tmp_path / "e.csv").write_bytes(ERROR_CSV_HEADER.encode() + b"\n1,\xff\n")
+        with pytest.raises(FormatError, match=r"e\.csv: cannot be decoded as text"):
             load_error_report(tmp_path / "e.csv")

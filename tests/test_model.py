@@ -15,13 +15,13 @@ from resvd.model import (
     MatrixEntry,
     SequentialModel,
     Workspace,
+    _errors_in_step,
     _walk,
     apply_activation,
     forward,
     layerwise_error,
     mac_count,
     parameter_count,
-    tail_errors,
 )
 
 
@@ -264,8 +264,8 @@ def diff_buffer_errors(outputs, references):
 def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
     # Scoring subtracts each reference into its layer's own output once the
     # next layer has read that output: the errors match the diff-buffer
-    # formula exactly, and neither the calibration rows nor the inputs and
-    # reference given to tail_errors are written. The widths differ layer to
+    # formula exactly, and neither the calibration rows nor the input and
+    # reference outputs given to _errors_in_step are written. The widths differ layer to
     # layer.
     rng = np.random.default_rng(61)
     model = make_mlp(rng, [9, 7, 11, 6, 8], activation=activation)
@@ -281,8 +281,9 @@ def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
     assert np.array_equal(calib.samples, samples)
 
     kept = [y.copy() for y in refs]
-    norms = [float(np.linalg.norm(y)) for y in refs[-k:]]
-    assert tail_errors(compressed, k, refs[-k - 1], model.layers[-k:], norms) == want[-k:]
+    ws = Workspace(calib.num_samples, model)
+    assert _errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
+                           ws) == want[-k:]
     for got, before in zip(refs, kept, strict=True):
         assert np.array_equal(got, before)
 
@@ -327,10 +328,10 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
     ws = Workspace(calib.num_samples, model)
     for got, fresh in zip(_walk(compressed.layers, calib.samples, ws), outs, strict=True):
         assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
-    norms = [float(np.linalg.norm(y)) for y in refs[-k:]]
     assert layerwise_error(model, compressed, calib) == tuple(want)
     assert layerwise_error(model, rebuilt(compressed), calib) == tuple(want)
-    assert tail_errors(compressed, k, refs[-k - 1], model.layers[-k:], norms) == want[-k:]
+    assert _errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
+                           ws) == want[-k:]
 
 
 def with_layer(model, i, layer):
@@ -438,28 +439,29 @@ def check_scoring_peaks(activation, held):
     calib = CalibrationSet(samples=rng.standard_normal((2048, 32)))
     size = calib.samples.nbytes
     refs = forward(model, calib.samples)
-    norms = [float(np.linalg.norm(y)) for y in refs[1:]]
 
     def walk(ws):
         for _ in _walk(compressed.layers[1:], refs[0], ws, keep=refs[0]):
             pass
 
+    def in_step(ws):
+        return _errors_in_step(compressed.layers[1:], model.layers[1:], refs[0], ws)
+
     assert held < peak_arrays(lambda: layerwise_error(model, compressed, calib), size) < held + 0.3
-    assert held < peak_arrays(lambda: tail_errors(compressed, 5, refs[0], model.layers[1:], norms),
+    assert held < peak_arrays(lambda: in_step(Workspace(len(refs[0]), model)),
                               size) < held + 0.3
     assert held - 1 < peak_arrays(lambda: walk(Workspace(len(refs[0]), model)),
                                   size) < held - 0.7
     ws = Workspace(len(refs[0]), model)
-    want = tail_errors(compressed, 5, refs[0], model.layers[1:], norms, ws)
-    assert peak_arrays(lambda: tail_errors(compressed, 5, refs[0], model.layers[1:], norms, ws),
-                       size) < 0.01
+    want = in_step(ws)
+    assert peak_arrays(lambda: in_step(ws), size) < 0.01
     assert peak_arrays(lambda: walk(ws), size) < 0.01
-    assert tail_errors(compressed, 5, refs[0], model.layers[1:], norms, ws) == want
+    assert in_step(ws) == want
 
 
 def test_scoring_holds_two_outputs_per_walk():
     # Every output goes into one of a workspace's three buffers: two walks
-    # in step (layerwise_error, tail_errors) hold all three, plus the rank
+    # in step (layerwise_error, _errors_in_step) hold all three, plus the rank
     # scratch of the factored layers (rank 4 of width 32, an eighth of an
     # output), and one walk two of them. A workspace that has run once
     # allocates nothing more.
