@@ -8,7 +8,7 @@ model pair), ``verify`` (theory oracles, JSON report), and ``gen-demo``
 (seeded demo workload). Exit codes: 0 success, 1 a failed ``verify`` or
 any other compression error, 2 parse or format problems (including NaN or
 infinite values in calibration or tensor files), 3 infeasible budget, 4
-numerical failure.
+numerical failure, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import gc
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .calibration import CalibrationSet
@@ -52,15 +54,18 @@ EXIT_FAILED = 1
 EXIT_FORMAT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+EXIT_MEMORY = 5
 
 # (exception types, stderr label, exit code); the first match wins
 _FAILURES = (
     (FormatError, "format error", EXIT_FORMAT),
     (OSError, "io error", EXIT_FORMAT),
     ((InfeasiblePlanError, InfeasibleBudgetError), "infeasible", EXIT_INFEASIBLE),
-    (NumericalError, "numerical failure", EXIT_NUMERICAL),
+    # LinAlgError subclasses ValueError, so it must come first
+    ((NumericalError, np.linalg.LinAlgError), "numerical failure", EXIT_NUMERICAL),
     (CompressionError, "error", EXIT_FAILED),
     (ValueError, "invalid configuration", EXIT_FORMAT),
+    (MemoryError, "out of memory", EXIT_MEMORY),
 )
 
 
@@ -122,6 +127,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
+    if Path(args.out).resolve() == Path(args.model).resolve():
+        raise ValueError(f"--out {args.out} is the --model directory; "
+                         "compress does not overwrite its input")
     cfg = _planner_config(args)
     model, calib = load_model(args.model), _load_calib(args)
     chosen = plan(model, calib, cfg)
@@ -259,10 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CompressionError, OSError, ValueError) as exc:
+    except (CompressionError, OSError, ValueError, MemoryError) as exc:
         label, code = next((label, code) for kinds, label, code in _FAILURES
                            if isinstance(exc, kinds))
-        print(f"resvd: {label}: {exc}", file=sys.stderr)
+        print(f"resvd: {label}: {exc}" if str(exc) else f"resvd: {label}", file=sys.stderr)
         return code
 
 

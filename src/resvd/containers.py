@@ -463,29 +463,3 @@ def format_error_report(per_layer: tuple[float, ...] | list[float]) -> str:
 
 def save_error_report(per_layer: tuple[float, ...] | list[float], path: str | Path) -> None:
     Path(path).write_text(format_error_report(per_layer))
-
-
-def load_error_report(path: str | Path) -> list[float]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: cannot be decoded as text ({exc})") from exc
-    if not lines or lines[0].strip() != ERROR_CSV_HEADER:
-        raise FormatError(f"{path}: missing header {ERROR_CSV_HEADER!r}")
-    out: list[float] = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{ln}: expected 2 columns")
-        try:
-            idx, val = int(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{ln}: not numeric ({exc})") from exc
-        if idx != len(out) + 1:
-            raise FormatError(f"{path}:{ln}: layer_index {idx} out of order")
-        out.append(val)
-    if not out:
-        raise FormatError(f"{path}: no data rows")
-    return out

@@ -4,10 +4,9 @@ A model is an ordered stack of layers; each layer applies its weight entries
 in sequence as ``h -> h @ W^T`` and finishes with one elementwise activation.
 Entries hold either a dense matrix or a low-rank :class:`~resvd.linalg.FactorPair`;
 factored entries are evaluated as ``(h @ v_hat^T) @ u_hat^T`` without ever
-materializing the product. Forward passes that keep no output past the next
-write each one into a :class:`Workspace`, so the activations they hold are
-arrays the workspace owns, not what the allocator keeps of a fresh array per
-layer.
+materializing the product. Every forward pass writes its outputs into a
+:class:`Workspace`, through :meth:`Layer.steps`, the one place that picks
+where an output goes; :func:`forward` copies out the outputs it returns.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ ACTIVATIONS = ("identity", "relu", "silu")
 NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def apply_activation(name: str, h: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def apply_activation(name: str, h: np.ndarray, ws: Workspace) -> np.ndarray:
     """Apply activation ``name`` to ``h`` in place and return ``h``.
 
-    Callers pass an array they own, such as a fresh matmul output. silu's
+    Callers pass an array they own, such as a layer's output. silu's
     sigmoid goes into the member of ``ws``'s scratch pair that ``h`` does
-    not occupy, or into a fresh array without ``ws``.
+    not occupy.
     """
     if name == "identity":
         return h
@@ -45,7 +44,7 @@ def apply_activation(name: str, h: np.ndarray, ws: Workspace | None = None) -> n
     if name == "silu":
         # h * (0.5 + 0.5 * tanh(0.5 * h)), step for step, so results match the
         # allocating form bit for bit; sigmoid written this way cannot overflow
-        t = np.multiply(h, 0.5, out=None if ws is None else ws.between(h.shape[1], h))
+        t = np.multiply(h, 0.5, out=ws.between(h.shape[1], h))
         np.tanh(t, out=t)
         t *= 0.5
         t += 0.5
@@ -106,18 +105,16 @@ class MatrixEntry:
             return batch * self.cols * r + batch * r * self.rows
         return batch * self.rows * self.cols
 
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None,
-              ws: Workspace | None = None) -> np.ndarray:
-        """``x @ W^T``, written into ``out`` when given, else into a fresh array.
+    def apply(self, x: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+        """``x @ W^T``, written into ``out``.
 
-        A factored entry's inner product goes into ``ws``'s rank scratch,
-        or into a fresh array without ``ws``. Each product is the same GEMM
-        wherever it is written, so the bits do not depend on ``out``.
+        A factored entry's inner product goes into ``ws``'s rank scratch.
+        Each product is the same GEMM wherever it is written, so the bits
+        do not depend on ``out``.
         """
         if self.factors is None:
             return np.matmul(x, self.dense.T, out=out)
-        inner = None if ws is None else ws.inner(self.factors.rank)
-        return np.matmul(np.matmul(x, self.factors.v_hat.T, out=inner),
+        return np.matmul(np.matmul(x, self.factors.v_hat.T, out=ws.inner(self.factors.rank)),
                          self.factors.u_hat.T, out=out)
 
 
@@ -153,19 +150,32 @@ class Layer:
     def output_dim(self) -> int:
         return self.entries[-1].rows
 
-    def forward(self, x: np.ndarray, out: np.ndarray | None = None,
-                ws: Workspace | None = None) -> np.ndarray:
-        """This layer's output for ``x``, written into ``out`` when given; ``x`` is never written.
+    def steps(self, x: np.ndarray, ws: Workspace,
+              *held: np.ndarray) -> Iterator[tuple[MatrixEntry, np.ndarray, np.ndarray]]:
+        """Run this layer on ``x``, yielding ``(entry, input, output)`` as each entry's product is out.
 
-        Every entry but the last writes into the member of ``ws``'s scratch
-        pair that its input does not occupy, or into a fresh array without
-        ``ws``; the activation then runs in place on the last entry's output,
-        taking any temporary from that pair too.
+        The layer's output goes into a buffer of ``ws`` that neither ``x``
+        nor ``held`` occupies, and every other entry's into the member of
+        the scratch pair that its input does not. Once the last yield is
+        resumed, the activation runs in place on the layer's output. An
+        output that overflows float64 comes out non-finite, without a numpy
+        warning.
         """
+        out = ws.free(self.output_dim, x, *held)
         h = x
-        for e in self.entries[:-1]:
-            h = e.apply(h, None if ws is None else ws.between(e.rows, h), ws)
-        return apply_activation(self.activation, self.entries[-1].apply(h, out, ws), ws)
+        for e in self.entries:
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = e.apply(h, out if e is self.entries[-1] else ws.between(e.rows, h), ws)
+            yield e, h, y
+            h = y
+        with np.errstate(over="ignore", invalid="ignore"):
+            apply_activation(self.activation, out, ws)
+
+    def forward(self, x: np.ndarray, ws: Workspace, *held: np.ndarray) -> np.ndarray:
+        """This layer's output for ``x``: :meth:`steps` run to the end."""
+        for _, _, y in self.steps(x, ws, *held):
+            pass
+        return y
 
 
 @dataclass(frozen=True)
@@ -201,16 +211,16 @@ class Workspace:
     """The arrays that the forward passes of one command write their outputs into.
 
     Three buffers of ``rows × width`` float64, ``width`` being the widest
-    layer output of ``model``, hold layer outputs. A walk writes each output
-    into a buffer that holds neither the layer's input nor an array its
-    caller still reads (:meth:`free`), so one walk cycles through two
-    buffers and two walks in step fit in three. Within a layer, each entry
-    but the last writes into a scratch pair (:meth:`between`), so a layer
-    never writes over its own input or a buffer its caller holds; a silu
-    layer takes its sigmoid from that pair once its entries are done; and a
-    factored entry's inner product goes into a ``rows × rank`` scratch
-    (:meth:`inner`). Each buffer is allocated on first use, and the rank
-    scratch grows to the largest rank applied. Only models of ``model``'s
+    layer output of ``model``, hold layer outputs. :meth:`Layer.steps`
+    picks every buffer: it writes each layer's output into one that holds
+    neither the layer's input nor an array its caller still reads
+    (:meth:`free`), so one walk cycles through two buffers and two walks in
+    step fit in three. Within a layer, each entry but the last writes into
+    a scratch pair (:meth:`between`), so a layer never writes over its own
+    input or a buffer its caller holds; a silu layer takes its sigmoid from
+    that pair once its entries are done; and a factored entry's inner
+    product goes into a ``rows × rank`` scratch (:meth:`inner`). Each
+    buffer is allocated on first use, and the rank scratch grows to the largest rank applied. Only models of ``model``'s
     skeleton, on ``rows`` rows, may run in it. A command makes one per call
     and shares it between its passes; none lives at module level.
     """
@@ -225,7 +235,7 @@ class Workspace:
         self._pair: list[np.ndarray | None] = [None] * 2
         self._inner = np.empty(0)
 
-    def free(self, width: int, *held: np.ndarray | None) -> np.ndarray:
+    def free(self, width: int, *held: np.ndarray) -> np.ndarray:
         """A ``rows × width`` view of the first output buffer that no array in ``held`` occupies."""
         return self._view(self._buffers, self._width, width, held)
 
@@ -244,11 +254,11 @@ class Workspace:
         return [b for b in self._buffers + self._pair + [self._inner] if b is not None]
 
     def _view(self, pool: list[np.ndarray | None], size: int, width: int,
-              held: Iterable[np.ndarray | None]) -> np.ndarray:
+              held: Iterable[np.ndarray]) -> np.ndarray:
         for i, buf in enumerate(pool):
             if buf is None:
                 buf = pool[i] = np.empty(self.rows * size)
-            if not any(a is not None and np.may_share_memory(a, buf) for a in held):
+            if not any(np.may_share_memory(a, buf) for a in held):
                 return buf[: self.rows * width].reshape(self.rows, width)
         raise RuntimeError("every workspace buffer is held")
 
@@ -256,11 +266,13 @@ class Workspace:
 def forward(model: SequentialModel, x) -> list[np.ndarray]:
     """Run all layers on a batch of row vectors, returning every layer's output.
 
-    Each output is a fresh array, since all of them outlive the pass. An
-    output that overflows float64 comes back non-finite, without a numpy
-    warning; :func:`check_finite` reports it.
+    The pass runs in a :class:`Workspace` of its own, and each output is
+    copied out of it, since all of them outlive the pass. An output that
+    overflows float64 comes back non-finite, without a numpy warning;
+    :func:`check_finite` reports it.
     """
-    return list(_walk(model.layers, _model_input(model, x), None))
+    h = _model_input(model, x)
+    return [y.copy() for y in _walk(model.layers, h, Workspace(len(h), model))]
 
 
 def _model_input(model: SequentialModel, x) -> np.ndarray:
@@ -272,23 +284,18 @@ def _model_input(model: SequentialModel, x) -> np.ndarray:
     return h
 
 
-def _walk(layers: Sequence[Layer], h: np.ndarray, ws: Workspace | None,
-          keep: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def _walk(layers: Sequence[Layer], h: np.ndarray, ws: Workspace) -> Iterator[np.ndarray]:
     """Yield each layer's output in turn, fed ``h`` as the first one's input.
 
-    Each output goes into the first buffer of ``ws`` that holds neither its
-    input nor ``keep``, or into a fresh array when ``ws`` is None. So once
-    the next output is out, the one before it is the consumer's to write or
-    drop, and any later output may overwrite it. ``h`` and ``keep`` are
-    never written. The planner's scan walks the original layers and each
-    trial layer through this, and :func:`layerwise_error` the prefix a
-    compressed model shares; the calibration pass, which checks and whitens
-    each matrix's input, and :func:`_errors_in_step` run the same layer
-    applies in loops of their own.
+    Each output goes into the first buffer of ``ws`` that does not hold its
+    input (:meth:`Layer.forward`). So once the next output is out, the one
+    before it is the consumer's to write or drop, and any later output may
+    overwrite it; ``h`` is never written. The planner walks the original
+    layers through this to reach each trial's input, and
+    :func:`layerwise_error` the prefix a compressed model shares.
     """
     for layer in layers:
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = layer.forward(h, None if ws is None else ws.free(layer.output_dim, h, keep), ws)
+        h = layer.forward(h, ws)
         yield h
 
 
@@ -358,11 +365,10 @@ def _errors_in_step(
     errors = []
     y = y_ref = h
     for i, (layer, ref_layer) in enumerate(zip(layers, reference, strict=True)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_next = layer.forward(y, ws.free(layer.output_dim, y, y_ref), ws)
-            if i:
-                errors.append(_relative_error(y, (y_ref, norm)))
-            y_ref = ref_layer.forward(y_ref, ws.free(ref_layer.output_dim, y_ref, y_next), ws)
+        y_next = layer.forward(y, ws, y_ref)
+        if i:
+            errors.append(_relative_error(y, (y_ref, norm)))
+        y_ref = ref_layer.forward(y_ref, ws, y_next)
         norm = _reference_norm(ref_layer, y_ref)
         y = y_next
     if layers:

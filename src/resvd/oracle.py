@@ -47,6 +47,21 @@ def _budget(m: int, n: int, layer_ratio: float, beta: float) -> tuple[int, int, 
     return r, r - r_r, r_r
 
 
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd(a, full_matrices=False)``, retried on ``a``'s transpose if it fails.
+
+    The transpose has the same singular values with its factors swapped, so
+    a trial whose LAPACK call does not converge is still run, not skipped.
+    """
+    try:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        if not compute_uv:
+            return np.linalg.svd(a.T, compute_uv=False)
+        u, sigma, vt = np.linalg.svd(a.T, full_matrices=False)
+        return vt.T, sigma, u.T
+
+
 def _truncated(u, sigma, vt, r):
     return (u[:, :r] * sigma[:r]) @ vt[:r]
 
@@ -56,7 +71,7 @@ def _two_stage(w, u, sigma, vt, s_inv, r_i: int, r_r: int) -> np.ndarray:
     stage1 = _truncated(u, sigma, vt, r_i) @ s_inv
     if r_r == 0:
         return stage1
-    ru, rsig, rvt = np.linalg.svd(w - stage1, full_matrices=False)
+    ru, rsig, rvt = _svd(w - stage1)
     return stage1 + _truncated(ru, rsig, rvt, r_r)
 
 
@@ -104,7 +119,7 @@ def check_theorem3(
             continue
         executed += 1
 
-        u, sigma, vt = np.linalg.svd(w @ s, full_matrices=False)
+        u, sigma, vt = _svd(w @ s)
         direct = np.linalg.norm(w - _truncated(u, sigma, vt, r) @ s_inv)
         compensated = np.linalg.norm(w - _two_stage(w, u, sigma, vt, s_inv, r_i, r_r))
 
@@ -146,13 +161,13 @@ def _delta_deviation(w: np.ndarray, s: np.ndarray, r_i: int, r: int) -> float:
     if not 1 <= r_i <= r <= min(w.shape):
         raise ValueError(f"need 1 <= r_i <= r <= {min(w.shape)}, got r_i={r_i}, r={r}")
     s_inv = np.linalg.inv(s)
-    u, sigma, vt = np.linalg.svd(w @ s, full_matrices=False)
+    u, sigma, vt = _svd(w @ s)
     full = _truncated(u, sigma, vt, r) @ s_inv
     head = _truncated(u, sigma, vt, r_i) @ s_inv
     delta = (_truncated(u, sigma, vt, r) - _truncated(u, sigma, vt, r_i)) @ s_inv
 
     identity_dev = float(np.max(np.abs(full - (head + delta))))
-    tail = np.linalg.svd(delta, compute_uv=False)
+    tail = _svd(delta, compute_uv=False)
     rank_dev = float(tail[r - r_i]) if r - r_i < tail.size else 0.0
     return max(identity_dev, rank_dev)
 

@@ -267,6 +267,8 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
             if e.is_factored:
                 raise CompressionError(f"entry {layer.name}/{e.name} is already factored; "
                                        "compression expects a dense model")
+    if ws is None:
+        ws = Workspace(calib.num_samples, model)
     whitened, norms, output = capture_activations(model, calib, k, whitened_weight, ws)
     check_finite(model, norms)  # after the pass, whose Gram check names the matrix instead
     return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
@@ -282,12 +284,12 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
     each matrix's residual-stage columns outlives its layer, keyed like
     ``state.whitened``; ``compress_matrix`` puts them after the whitened
     truncation's ``r_i``, and a matrix whose budget has no residual stage
-    has no entry. The layers run through :func:`~resvd.model._walk` and the
-    last output is scored by ``_relative_error`` against the calibrated
-    output and its norm, the layer applies and the subtraction that
-    :func:`~resvd.model.layerwise_error` runs, so the error is the last
-    entry of that function's curve for the trial, bit for bit. ``x`` is
-    only read, so the caller may walk on from it.
+    has no entry. Each layer runs through :meth:`~resvd.model.Layer.forward`
+    and the last output is scored by ``_relative_error`` against the
+    calibrated output and its norm, the layer applies and the subtraction
+    that :func:`~resvd.model.layerwise_error` runs, so the error is the
+    last entry of that function's curve for the trial, bit for bit. Every
+    layer holds ``x``, which is only read, so the caller may walk on from it.
     """
     residual = {}
 
@@ -302,7 +304,7 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
     y = x
     for layer in state.model.layers[state.model.n_layers - k :]:
         trial = _factored(layer, factor)
-        y, = _walk((trial,), y, ws, keep=x)
+        y = trial.forward(y, ws, x)
         del trial  # the next layer is factored once this one is gone
     # through model's own name, so whatever wraps it there sees every score
     error = model_ops._relative_error(y, (state.output, state.reference_norms[-1]))

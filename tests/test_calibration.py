@@ -10,7 +10,7 @@ from resvd.calibration import (
     whiten,
 )
 from resvd.errors import DimensionError, NumericalError, SingularWhiteningError
-from resvd.model import Layer, MatrixEntry, SequentialModel, forward
+from resvd.model import Layer, MatrixEntry, SequentialModel, Workspace, forward
 
 
 def dense_layer(name, w, activation="identity"):
@@ -19,7 +19,8 @@ def dense_layer(name, w, activation="identity"):
 
 def whitened_inputs(model, calib):
     """The pass over the whole model: each matrix's whitening context, the norms, the output."""
-    return capture_activations(model, calib, model.n_layers, lambda w, ctx, key: ctx)
+    return capture_activations(model, calib, model.n_layers, lambda w, ctx, key: ctx,
+                               Workspace(calib.num_samples, model))
 
 
 def assert_whitened_from(ctx, x):
@@ -106,7 +107,8 @@ def test_capture_whitens_the_tail_only():
         calls.append(key)
         return w
 
-    weights, norms, _ = capture_activations(model, calib, 2, factor)
+    weights, norms, _ = capture_activations(model, calib, 2, factor,
+                                            Workspace(calib.num_samples, model))
     assert calls == ["l2/w", "l3/w"]
     assert all(weights[f"l{i}/w"] is model.layers[i].entries[0].dense for i in (2, 3))
     assert len(norms) == 4

@@ -27,6 +27,7 @@ import resvd.calibration
 import resvd.cli
 import resvd.compensation
 import resvd.containers
+import resvd.demo
 import resvd.model
 import resvd.planner
 from resvd.cli import main
@@ -115,6 +116,22 @@ class TestGenDemo:
         digest = hashlib.sha256(forward(model, calib.samples)[-1].tobytes()).hexdigest()
         assert doc["output_sha256"] == digest
         assert doc["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 71.1 PiB for an array with shape (100000000, 100000000) "
+        "and data type float64",
+        "",
+    ])
+    def test_out_of_memory_is_one_line_exit_5(self, tmp_path, capsys, monkeypatch, message):
+        # No array is allocated: the generator raises as numpy would.
+        def generate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(resvd.demo, "generate", generate)
+        capsys.readouterr()
+        assert main(["gen-demo", "--out", str(tmp_path / "big")]) == 5
+        assert capsys.readouterr() == ("", f"resvd: out of memory: {message}\n" if message
+                                       else "resvd: out of memory\n")
 
     def test_unset_options_take_the_generator_defaults(self, tmp_path):
         assert main(["gen-demo", "--out", str(tmp_path / "d")]) == 0
@@ -299,6 +316,21 @@ class TestCompress:
         rc = main(["compress", "--model", str(demo), "--calib", str(bad),
                    "--ratio", "0.2", "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("spelling", ["same", "dot"])
+    def test_out_equal_to_model_is_refused_before_anything_is_written(self, tmp_path, capsys,
+                                                                      spelling):
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        before = dir_bytes(demo)
+        out = str(demo) if spelling == "same" else f"{demo}/."
+        capsys.readouterr()
+        rc = main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2", "--out", out])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"resvd: invalid configuration: --out {out} is the "
+                                       "--model directory; compress does not overwrite its "
+                                       "input\n")
+        assert dir_bytes(demo) == before
 
     def test_bad_ratio_value_exits_2(self, tmp_path):
         demo = gen_demo(tmp_path / "demo")
@@ -860,6 +892,17 @@ class TestVerify:
             assert suite["passed"] is True
         assert doc["tool"]["name"] == "resvd"
         assert doc["config"] == {"trials": 20, "seed": 0, "out_path": str(dest)}
+
+    def test_an_svd_that_fails_on_every_route_is_a_numerical_failure(self, capsys,
+                                                                     monkeypatch):
+        # LinAlgError subclasses ValueError; it must not read as a bad configuration.
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        capsys.readouterr()
+        assert main(["verify", "--trials", "1"]) == 4
+        assert capsys.readouterr() == ("", "resvd: numerical failure: SVD did not converge\n")
 
     def test_trials_zero_rejected(self):
         assert main(["verify", "--trials", "0"]) == 2

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from resvd.calibration import CalibrationSet
+from resvd.calibration import CalibrationSet, capture_activations, whiten
 from resvd.errors import DimensionError
 from resvd.linalg import FactorPair, RankBudget, svd, truncate
 from resvd.model import (
@@ -78,13 +78,19 @@ def test_forward_matches_naive_oracle(activation):
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+def activation_workspace(h):
+    """A workspace for ``h``'s rows whose scratch pair holds a sigmoid of ``h``'s width."""
+    return Workspace(len(h), SequentialModel(
+        layers=(dense_layer("l0", np.zeros((h.shape[1], 1)), "silu"),)))
+
+
 def test_silu_is_finite_and_exact_at_extremes():
-    x = np.array([-1e308, -1000.0, 0.0, 1000.0, 1e308])
+    x = np.array([[-1e308, -1000.0, 0.0, 1000.0, 1e308]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = apply_activation("silu", x)
+        got = apply_activation("silu", x, activation_workspace(x))
     # x * sigmoid(x) in float64: sigmoid(-1000) underflows to 0, sigmoid(1000) rounds to 1
-    want = np.array([0.0, 0.0, 0.0, 1000.0, 1e308])
+    want = np.array([[0.0, 0.0, 0.0, 1000.0, 1e308]])
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(got, want)
 
@@ -99,7 +105,7 @@ def test_forward_never_writes_its_input(activation):
         outputs = forward(model, x)
         assert np.array_equal(x, before)
         assert all(not np.shares_memory(y, x) for y in outputs)
-        assert np.array_equal(model.layers[0].forward(x), outputs[0])
+        assert np.array_equal(model.layers[0].forward(x, Workspace(len(x), model)), outputs[0])
         assert np.array_equal(x, before)
 
 
@@ -108,12 +114,12 @@ def test_in_place_activations_equal_the_allocating_formulas():
     x = np.concatenate([
         rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 8, 4096),
         [-1e308, -1000.0, -40.0, -5e-324, -0.0, 0.0, 5e-324, 40.0, 1000.0, 1e308],
-    ])
+    ]).reshape(1, -1)
     for name, want in (("silu", x * (0.5 + 0.5 * np.tanh(0.5 * x))),
                        ("relu", np.maximum(x, 0.0)),
                        ("identity", x)):
         h = x.copy()
-        got = apply_activation(name, h)
+        got = apply_activation(name, h, activation_workspace(h))
         assert got is h
         assert np.array_equal(got, want), name
         assert np.array_equal(np.signbit(got), np.signbit(want)), name
@@ -149,7 +155,9 @@ def test_factored_evaluation_equals_materialized_product():
     pair = truncate(svd(w), 3)
     entry = MatrixEntry(name="w", factors=pair)
     x = rng.standard_normal((4, 5))
-    np.testing.assert_allclose(entry.apply(x), x @ pair.product().T, atol=1e-9)
+    ws = Workspace(len(x), SequentialModel(layers=(Layer(name="l0", entries=(entry,)),)))
+    np.testing.assert_allclose(entry.apply(x, np.empty((4, 8)), ws), x @ pair.product().T,
+                               atol=1e-9)
 
 
 @pytest.mark.parametrize("make", [
@@ -309,7 +317,8 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
     # Rectangular layers of two and three entries, each wider or narrower
     # than the next, so entries run through the scratch pair at widths of
     # their own; factored tail entries run through the rank scratch. Every
-    # walk output and every score equals the fresh-array computation.
+    # walk output and every score equals the fresh-array computation, and so
+    # do the calibration pass's norms, output and each matrix's whitening.
     rng = np.random.default_rng(64)
     shapes = [[(14, 9), (6, 14)], [(11, 6), (13, 11), (8, 13)], [(5, 8), (12, 5)],
               [(7, 12), (10, 7)], [(9, 10)]]
@@ -332,6 +341,17 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
     assert layerwise_error(model, rebuilt(compressed), calib) == tuple(want)
     assert _errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
                            ws) == want[-k:]
+
+    contexts, norms, output = capture_activations(model, calib, model.n_layers,
+                                                  lambda w, ctx, key: ctx, ws)
+    assert norms == tuple(float(np.linalg.norm(y)) for y in refs)
+    assert np.array_equal(output.view(np.uint64), refs[-1].view(np.uint64))
+    for layer, h in zip(model.layers, [calib.samples] + refs[:-1]):
+        for e in layer.entries:
+            ctx, fresh = contexts[f"{layer.name}/{e.name}"], whiten(h)
+            assert ctx.s.tobytes() == fresh.s.tobytes()
+            assert ctx.s_inv.tobytes() == fresh.s_inv.tobytes()
+            h = h @ e.dense.T
 
 
 def with_layer(model, i, layer):
@@ -372,8 +392,10 @@ def test_one_ulp_in_a_prefix_weight_is_scored_from_its_layer_on(nudged):
         return dense_layer(layer.name, w, layer.activation)
 
     # most one-ulp changes round away in the layer's sums; take one that does not
+    ws = Workspace(len(x), model)
+    y = layer.forward(x, ws)
     layer = next(nudge(i, j) for i, j in np.ndindex(8, 8)
-                 if not np.array_equal(nudge(i, j).forward(x), layer.forward(x)))
+                 if not np.array_equal(nudge(i, j).forward(x, ws, y), y))
     compressed = with_layer(compressed, nudged, layer)
     want = diff_buffer_errors(forward(compressed, calib.samples), forward(model, calib.samples))
 
@@ -441,7 +463,7 @@ def check_scoring_peaks(activation, held):
     refs = forward(model, calib.samples)
 
     def walk(ws):
-        for _ in _walk(compressed.layers[1:], refs[0], ws, keep=refs[0]):
+        for _ in _walk(compressed.layers[1:], refs[0], ws):
             pass
 
     def in_step(ws):

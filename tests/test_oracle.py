@@ -78,6 +78,28 @@ class TestTheorem3Suite:
         assert report.max_violation > report.tolerance
         assert any("beta=0 split drifted" in f for f in report.failures)
 
+    @pytest.mark.parametrize("fails", [1, 2])
+    def test_an_svd_that_fails_is_retried_on_the_transpose_not_skipped(self, monkeypatch,
+                                                                        fails):
+        # One failed call is retried on the transpose and every trial still
+        # runs; when the retry fails too, the error propagates.
+        real, shapes = np.linalg.svd, []
+
+        def svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            if len(shapes) <= fails:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        if fails == 2:
+            with pytest.raises(np.linalg.LinAlgError):
+                check_theorem3(trials=5)
+        else:
+            report = check_theorem3(trials=5)
+            assert (report.trials, report.passed) == (5, True)
+        assert shapes[1] == shapes[0][::-1]
+
     def test_report_is_json_serializable(self):
         report = check_theorem3(trials=5, seed=3)
         text = json.dumps(report.as_dict())

@@ -86,11 +86,12 @@ def with_silu(model):
 
 
 def allocating_forward(model, x):
-    """Every layer's output, each activation allocating a fresh array."""
+    """Every layer's output, each product and activation allocating a fresh array."""
     out, h = [], x
+    ws = model_mod.Workspace(len(x), model)
     for layer in model.layers:
         for e in layer.entries:
-            h = e.apply(h)
+            h = e.apply(h, np.empty((len(h), e.rows)), ws)
         if layer.activation == "relu":
             h = np.maximum(h, 0.0)
         elif layer.activation == "silu":
@@ -401,12 +402,13 @@ class TestPlan:
             with pytest.raises(NumericalError, match=r"^layer1: output is all zeros"):
                 run()
         whitened, h = {}, calib.samples
+        ws = model_mod.Workspace(len(h), model)
         for layer in model.layers:
             for e in layer.entries:
                 key = f"{layer.name}/{e.name}"
                 whitened[key] = whitened_weight(e.dense, whiten(h, ridge=1e-3), key)
-                h = e.apply(h)
-            h = model_mod.apply_activation(layer.activation, h)
+                h = e.apply(h, np.empty((len(h), e.rows)), ws)
+            h = model_mod.apply_activation(layer.activation, h, ws)
         state = CalibratedModel(model=model, whitened=whitened, reference_norms=(),
                                 output=h)
         for k in (2, 3, 4):
