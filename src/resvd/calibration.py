@@ -11,6 +11,7 @@ Gram matrix that is not positive definite, raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, SingularWhiteningError
 from .linalg import as_matrix
-from .model import SequentialModel, Workspace, output_norm
+from .model import SequentialModel, Workspace, squared_norm
 
 T = TypeVar("T")
 
@@ -73,23 +74,27 @@ class ScalingContext:
             )
 
 
-def whiten(x, ridge: float | None = None) -> ScalingContext:
-    """Build a ScalingContext from an activation matrix.
+def whiten(gram, ridge: float | None = None) -> ScalingContext:
+    """Build a ScalingContext from the Gram matrix ``X^T X`` of an activation matrix ``X``.
+
+    The calibration pass sums ``gram`` over its row blocks, so no caller
+    holds ``X`` itself.
 
     Args:
-        x: activations, one row per observed input.
+        gram: ``X^T X``, square; an entry that overflowed is inf or nan.
         ridge: diagonal regularizer added to the Gram matrix. ``None`` picks
             ``1e-6 * trace(X^T X)/n``; pass 0.0 for strict whitening.
 
     Raises:
         SingularWhiteningError: when the Gram matrix overflows float64, or
             the regularized Gram matrix is not positive definite (try a
-            larger ridge, unless ``x`` is all zero).
+            larger ridge, unless ``X`` is all zero).
     """
-    arr = as_matrix(x, "activations")
-    n = arr.shape[1]
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise DimensionError(f"Gram matrix must be square, got shape {gram.shape}")
+    n = gram.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = arr.T @ arr
         trace = float(np.trace(gram))  # the default ridge scales with it
     if not (np.isfinite(gram).all() and np.isfinite(trace)):
         raise SingularWhiteningError("activation Gram matrix overflows float64; "
@@ -112,6 +117,17 @@ def whiten(x, ridge: float | None = None) -> ScalingContext:
     return ScalingContext(s=s, s_inv=s_inv, ridge=float(ridge))
 
 
+def gram(x: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+    """``x^T x``, added into ``total`` when one is given; an entry that
+    overflows is inf or nan, and numpy stays quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x.T @ x
+        if total is None:
+            return g
+        total += g
+        return total
+
+
 def capture_activations(
     model: SequentialModel,
     calib: CalibrationSet,
@@ -121,27 +137,34 @@ def capture_activations(
 ) -> tuple[dict[str, T], tuple[float, ...], np.ndarray]:
     """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
 
-    Each matrix of those layers is passed, with the :func:`whiten` context
-    of its input and its key ``"<layer>/<matrix>"``, to ``factor(w, ctx,
-    key)`` while that input is live, so no input outlives the next matrix
-    and no context outlives its ``factor`` call. Returns ``factor``'s
-    results keyed in forward order, every layer's output norm (see
-    :func:`~resvd.model.output_norm`) and a copy of the model's output,
-    which the caller keeps. Each layer runs through
-    :meth:`~resvd.model.Layer.steps`, which writes every output into
-    ``ws``, so the pass holds two of its buffers whatever the depth, plus
-    the scratch pair for the entries within a layer and silu's sigmoid;
-    ``calib.samples`` is never written.
+    The pass walks the rows in the blocks of ``ws``. Each block runs every
+    layer through :meth:`~resvd.model.Layer.steps`, which writes every
+    output into ``ws``, so the pass holds two block buffers whatever the
+    depth and the row count, plus the scratch pair for the entries within a
+    layer and silu's sigmoid; ``calib.samples`` is never written. Each
+    block adds its inputs' :func:`gram` to each tail matrix's sum, and its
+    outputs' squared norm to each layer's, and writes its model output
+    into the one full-size output array. Once the last block is through,
+    each matrix of those layers is passed, in forward order, with the
+    :func:`whiten` context of its summed Gram matrix and its key
+    ``"<layer>/<matrix>"``, to ``factor(w, ctx, key)``; each Gram matrix is
+    dropped once whitened, and no context outlives its ``factor`` call. In
+    a run of one block each Gram matrix is the one ``x.T @ x`` product and
+    each norm the one dot product ``np.linalg.norm`` takes the root of, so
+    the results do not depend on the blocks but through rounding. Returns
+    ``factor``'s results keyed in forward order, every layer's output norm
+    and the model's output, which the caller keeps.
 
     Raises:
         DimensionError: when the calibration width is not the model's.
-        NumericalError: naming the first matrix whose output overflows
-            float64, before an activation could hide it, or the first layer
-            whose output is all zeros, before any later input is whitened:
-            the layers have no bias, so every later output is zero too and
-            no relative error is defined.
+        NumericalError: naming the first fault in forward order, over every
+            block: a matrix whose output overflows float64 in any block,
+            before an activation could hide it, or a layer whose output is
+            all zeros, before any later input is whitened: the layers have
+            no bias, so every later output is zero too and no relative
+            error is defined.
         SingularWhiteningError: naming the first tail matrix whose input
-            cannot be whitened.
+            cannot be whitened, unless a fault above comes before it.
     """
     if calib.input_dim != model.input_dim:
         raise DimensionError(
@@ -149,23 +172,47 @@ def capture_activations(
             f"{model.input_dim} of layer {model.layers[0].name!r}"
         )
     split = model.n_layers - tail
+    # (layer, entry) of the first output that overflows in the blocks so far;
+    # no later block walks past it, since nothing from there on is kept
+    fault = (model.n_layers, 0)
+    grams: dict[str, np.ndarray] = {}
+    squares = [0.0] * model.n_layers
+
+    def walk(h: np.ndarray) -> np.ndarray | None:
+        """The block ``h``'s model output, or None when it stops at a fault."""
+        nonlocal fault
+        for i, layer in enumerate(model.layers):
+            for j, (entry, x, y) in enumerate(layer.steps(h, ws)):
+                if (i, j) == fault:
+                    return None
+                if i >= split:
+                    key = f"{layer.name}/{entry.name}"
+                    grams[key] = gram(x, grams.get(key))
+                if not np.isfinite(y).all():
+                    fault = (i, j)
+                    return None
+            h = y  # the activation has run on it in place
+            squares[i] += squared_norm(h)
+        return h
+
+    output = np.empty((calib.num_samples, model.layers[-1].output_dim))
+    for rows in ws.blocks:
+        y = walk(calib.samples[rows])
+        if y is not None:
+            output[rows] = y
     factored: dict[str, T] = {}
-    norms = []
-    h = calib.samples
     for i, layer in enumerate(model.layers):
-        for entry, x, y in layer.steps(h, ws):
+        for j, entry in enumerate(layer.entries):
             key = f"{layer.name}/{entry.name}"
-            if not np.isfinite(y).all():
+            if (i, j) == fault:
                 raise NumericalError(f"{key}: output overflows float64 on the calibration set")
             if i >= split:
                 try:
-                    ctx = whiten(x)
+                    ctx = whiten(grams.pop(key))
                 except SingularWhiteningError as exc:
                     raise SingularWhiteningError(f"{key}: {exc}") from exc
                 factored[key] = factor(entry.dense, ctx, key)
-        h = y  # the activation has run on it in place
-        norms.append(output_norm(h))
-        if norms[-1] == 0.0:
+        if squares[i] == 0.0:
             raise NumericalError(f"{layer.name}: output is all zeros on the calibration set, "
                                  "so the model outputs nothing to compress against")
-    return factored, tuple(norms), h.copy()
+    return factored, tuple(math.sqrt(sq) for sq in squares), output

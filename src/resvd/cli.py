@@ -126,6 +126,25 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
+    """Refuse an ``--out`` that resolves to ``--calib`` or to a path under a model directory.
+
+    Called before anything is loaded or written, so a refused run leaves
+    every input as it was.
+    """
+    if not args.out:
+        return
+    out = Path(args.out).resolve()
+    if out == Path(args.calib).resolve():
+        raise ValueError(f"--out {args.out} is the --calib file; "
+                         f"{args.command} does not overwrite its input")
+    for flag in model_dirs:
+        root = Path(getattr(args, flag)).resolve()
+        if out == root or root in out.parents:
+            raise ValueError(f"--out {args.out} is inside the --{flag} directory; "
+                             f"{args.command} does not overwrite its input")
+
+
 def cmd_compress(args: argparse.Namespace) -> int:
     if Path(args.out).resolve() == Path(args.model).resolve():
         raise ValueError(f"--out {args.out} is the --model directory; "
@@ -154,12 +173,14 @@ def _plan_csv(chosen: CompressionPlan) -> str:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    _refuse_to_overwrite(args, "model")
     chosen = plan(load_model(args.model), _load_calib(args), _planner_config(args))
     _emit(_plan_csv(chosen), args.out)
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _refuse_to_overwrite(args, "original", "compressed")
     original = load_model(args.original)
     compressed = load_model(args.compressed)
     calib = _load_calib(args)

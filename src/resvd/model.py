@@ -4,9 +4,11 @@ A model is an ordered stack of layers; each layer applies its weight entries
 in sequence as ``h -> h @ W^T`` and finishes with one elementwise activation.
 Entries hold either a dense matrix or a low-rank :class:`~resvd.linalg.FactorPair`;
 factored entries are evaluated as ``(h @ v_hat^T) @ u_hat^T`` without ever
-materializing the product. Every forward pass writes its outputs into a
-:class:`Workspace`, through :meth:`Layer.steps`, the one place that picks
-where an output goes; :func:`forward` copies out the outputs it returns.
+materializing the product. Every forward pass walks the rows in the blocks
+of a :class:`Workspace` and writes its outputs into it, through
+:meth:`Layer.steps`, the one place that picks where an output goes;
+:func:`forward` copies out the outputs it returns. Norms and errors are
+sums of squares over the blocks, taken in block order.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ ACTIVATIONS = ("identity", "relu", "silu")
 
 # Layer and matrix names; they also name tensor files, so no path can hide in one.
 NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+
+# Bytes of one workspace output buffer: a pass over more rows than fit at the
+# widest layer output walks them in blocks (see Workspace).
+BLOCK_BYTES = 2 << 20
 
 
 def apply_activation(name: str, h: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -114,7 +120,8 @@ class MatrixEntry:
         """
         if self.factors is None:
             return np.matmul(x, self.dense.T, out=out)
-        return np.matmul(np.matmul(x, self.factors.v_hat.T, out=ws.inner(self.factors.rank)),
+        return np.matmul(np.matmul(x, self.factors.v_hat.T,
+                                   out=ws.inner(len(x), self.factors.rank)),
                          self.factors.u_hat.T, out=out)
 
 
@@ -161,7 +168,7 @@ class Layer:
         output that overflows float64 comes out non-finite, without a numpy
         warning.
         """
-        out = ws.free(self.output_dim, x, *held)
+        out = ws.free(len(x), self.output_dim, x, *held)
         h = x
         for e in self.entries:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -210,24 +217,33 @@ class SequentialModel:
 class Workspace:
     """The arrays that the forward passes of one command write their outputs into.
 
-    Three buffers of ``rows × width`` float64, ``width`` being the widest
-    layer output of ``model``, hold layer outputs. :meth:`Layer.steps`
-    picks every buffer: it writes each layer's output into one that holds
-    neither the layer's input nor an array its caller still reads
-    (:meth:`free`), so one walk cycles through two buffers and two walks in
-    step fit in three. Within a layer, each entry but the last writes into
-    a scratch pair (:meth:`between`), so a layer never writes over its own
-    input or a buffer its caller holds; a silu layer takes its sigmoid from
-    that pair once its entries are done; and a factored entry's inner
-    product goes into a ``rows × rank`` scratch (:meth:`inner`). Each
-    buffer is allocated on first use, and the rank scratch grows to the largest rank applied. Only models of ``model``'s
-    skeleton, on ``rows`` rows, may run in it. A command makes one per call
-    and shares it between its passes; none lives at module level.
+    A pass over ``rows`` rows walks them in :attr:`blocks` of at most
+    :attr:`rows` rows each: as few blocks as keep one block of the widest
+    layer output ``W`` within :data:`BLOCK_BYTES`, as even as can be, so
+    ``n = ceil(rows / (BLOCK_BYTES // 8W))`` blocks of ``ceil(rows / n)``
+    rows, the last one ragged. A run of one block is the single pass over
+    every row, bit for bit. Three buffers of ``B × W`` float64 hold layer
+    outputs.
+    :meth:`Layer.steps` picks every buffer: it writes each layer's output
+    into one that holds neither the layer's input nor an array its caller
+    still reads (:meth:`free`), so one walk cycles through two buffers and
+    two walks in step fit in three. Within a layer, each entry but the last
+    writes into a scratch pair (:meth:`between`), so a layer never writes
+    over its own input or a buffer its caller holds; a silu layer takes its
+    sigmoid from that pair once its entries are done; and a factored entry's
+    inner product goes into a ``B × rank`` scratch (:meth:`inner`). Each
+    buffer is allocated on first use, and the rank scratch grows to the
+    largest rank applied. Only models of ``model``'s skeleton, on blocks of
+    at most ``B`` rows, may run in it. A command makes one per call and
+    shares it between its passes; none lives at module level.
     """
 
     def __init__(self, rows: int, model: SequentialModel):
-        self.rows = rows
         self._width = max(layer.output_dim for layer in model.layers)
+        n_blocks = -(-rows // max(1, BLOCK_BYTES // (8 * self._width)))
+        self.rows = -(-rows // n_blocks)
+        self.blocks = tuple(slice(start, min(start + self.rows, rows))
+                            for start in range(0, rows, self.rows))
         self._pair_width = max([e.rows for layer in model.layers for e in layer.entries[:-1]]
                                + [layer.output_dim for layer in model.layers
                                   if layer.activation == "silu"], default=0)
@@ -235,44 +251,49 @@ class Workspace:
         self._pair: list[np.ndarray | None] = [None] * 2
         self._inner = np.empty(0)
 
-    def free(self, width: int, *held: np.ndarray) -> np.ndarray:
+    def free(self, rows: int, width: int, *held: np.ndarray) -> np.ndarray:
         """A ``rows × width`` view of the first output buffer that no array in ``held`` occupies."""
-        return self._view(self._buffers, self._width, width, held)
+        return self._view(self._buffers, self._width, rows, width, held)
 
     def between(self, width: int, h: np.ndarray) -> np.ndarray:
-        """A ``rows × width`` view of the scratch-pair member that ``h`` does not occupy."""
-        return self._view(self._pair, self._pair_width, width, (h,))
+        """A view, as tall as ``h`` and ``width`` wide, of the scratch-pair member ``h`` does not occupy."""
+        return self._view(self._pair, self._pair_width, len(h), width, (h,))
 
-    def inner(self, rank: int) -> np.ndarray:
+    def inner(self, rows: int, rank: int) -> np.ndarray:
         """A ``rows × rank`` view of the rank scratch."""
         if self._inner.size < self.rows * rank:
             self._inner = np.empty(self.rows * rank)
-        return self._inner[: self.rows * rank].reshape(self.rows, rank)
+        return self._inner[: rows * rank].reshape(rows, rank)
 
     def buffers(self) -> list[np.ndarray]:
         """Every array allocated so far, for checks that nothing outside shares their memory."""
         return [b for b in self._buffers + self._pair + [self._inner] if b is not None]
 
-    def _view(self, pool: list[np.ndarray | None], size: int, width: int,
+    def _view(self, pool: list[np.ndarray | None], size: int, rows: int, width: int,
               held: Iterable[np.ndarray]) -> np.ndarray:
         for i, buf in enumerate(pool):
             if buf is None:
                 buf = pool[i] = np.empty(self.rows * size)
             if not any(np.may_share_memory(a, buf) for a in held):
-                return buf[: self.rows * width].reshape(self.rows, width)
+                return buf[: rows * width].reshape(rows, width)
         raise RuntimeError("every workspace buffer is held")
 
 
 def forward(model: SequentialModel, x) -> list[np.ndarray]:
     """Run all layers on a batch of row vectors, returning every layer's output.
 
-    The pass runs in a :class:`Workspace` of its own, and each output is
-    copied out of it, since all of them outlive the pass. An output that
-    overflows float64 comes back non-finite, without a numpy warning;
-    :func:`check_finite` reports it.
+    The pass runs in a :class:`Workspace` of its own, and each block's
+    outputs are copied out of it into full-size arrays, since all of them
+    outlive the pass. An output that overflows float64 comes back
+    non-finite, without a numpy warning; :func:`check_finite` reports it.
     """
     h = _model_input(model, x)
-    return [y.copy() for y in _walk(model.layers, h, Workspace(len(h), model))]
+    ws = Workspace(len(h), model)
+    outputs = [np.empty((len(h), layer.output_dim)) for layer in model.layers]
+    for rows in ws.blocks:
+        for out, y in zip(outputs, _walk(model.layers, h[rows], ws)):
+            out[rows] = y
+    return outputs
 
 
 def _model_input(model: SequentialModel, x) -> np.ndarray:
@@ -299,10 +320,14 @@ def _walk(layers: Sequence[Layer], h: np.ndarray, ws: Workspace) -> Iterator[np.
         yield h
 
 
-def output_norm(y: np.ndarray) -> float:
-    """Frobenius norm; one that overflows float64 is inf, and numpy stays quiet."""
+def squared_norm(y: np.ndarray) -> float:
+    """Squared Frobenius norm, the dot product ``np.linalg.norm`` takes the root of.
+
+    One that overflows float64 is inf, and numpy stays quiet.
+    """
+    flat = y.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(y))
+        return float(flat.dot(flat))
 
 
 def _overflow(layer: Layer) -> NumericalError:
@@ -320,60 +345,54 @@ def check_finite(model: SequentialModel, norms: Sequence[float]) -> None:
             raise _overflow(layer)
 
 
-def _relative_error(y: np.ndarray, reference: tuple[np.ndarray, float]) -> float:
-    """``|y - y_ref| / |y_ref|`` for ``reference = (y_ref, norm)``, nan where the norm is zero.
+def _squared_error(y: np.ndarray, y_ref: np.ndarray) -> float:
+    """``|y - y_ref|²``, the squared numerator of one block's relative error.
 
     The difference is written into ``y``, which the caller owns and no
     longer reads, so scoring allocates nothing; ``y_ref`` is only read.
     """
-    y_ref, norm = reference
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(y, y_ref, out=y)
-    return math.nan if norm == 0.0 else output_norm(y) / norm
+    return squared_norm(y)
 
 
-def _reference_norm(layer: Layer, y_ref: np.ndarray) -> float:
-    """The norm of ``layer``'s reference output ``y_ref``.
+def _relative_error(squared_error: float, norm: float) -> float:
+    """``sqrt(squared_error) / norm``, nan where the reference norm is zero.
 
-    Raises:
-        NumericalError: naming ``layer`` (:func:`_overflow`), when the norm is not finite.
+    ``squared_error`` is :func:`_squared_error` summed over the blocks in
+    order; the planner and :func:`layerwise_error` both finish an error
+    here, so their final errors agree bit for bit.
     """
-    norm = output_norm(y_ref)
-    if not math.isfinite(norm):
-        raise _overflow(layer)
-    return norm
+    return math.nan if norm == 0.0 else math.sqrt(squared_error) / norm
 
 
-def _errors_in_step(
+def _squares_in_step(
     layers: Sequence[Layer],
     reference: Sequence[Layer],
     h: np.ndarray,
     ws: Workspace,
-) -> list[float]:
-    """Relative error of each of ``layers``' outputs against ``reference``'s, both walked from ``h``.
+) -> list[tuple[float, float]]:
+    """``(|y - y_ref|², |y_ref|²)`` for each of ``layers``' outputs against ``reference``'s,
+    both walked from the block ``h``.
 
     Each step writes the next output of ``layers``, scores the previous
     one in place against its reference output, and only then advances the
     reference, into the buffer that scoring freed. So the two walks hold
     three outputs at a time, all in ``ws``, and ``h`` is never written.
-    An error is nan where its reference norm is zero.
-
-    Raises:
-        NumericalError: naming the first layer of ``reference`` whose
-            output norm overflows float64.
+    A square that overflows is inf.
     """
-    errors = []
+    squares = []
     y = y_ref = h
     for i, (layer, ref_layer) in enumerate(zip(layers, reference, strict=True)):
         y_next = layer.forward(y, ws, y_ref)
         if i:
-            errors.append(_relative_error(y, (y_ref, norm)))
+            squares.append((_squared_error(y, y_ref), ref_squared))
         y_ref = ref_layer.forward(y_ref, ws, y_next)
-        norm = _reference_norm(ref_layer, y_ref)
+        ref_squared = squared_norm(y_ref)
         y = y_next
     if layers:
-        errors.append(_relative_error(y, (y_ref, norm)))
-    return errors
+        squares.append((_squared_error(y, y_ref), ref_squared))
+    return squares
 
 
 def parameter_count(model: SequentialModel) -> int:
@@ -444,13 +463,16 @@ def layerwise_error(
     outputs, so only the original walks them: each scores exactly 0.0, or
     nan where its reference norm is zero. From the first layer that
     differs, fed the reference output there, the two models walk in step
-    through :func:`_errors_in_step`. ``compress`` writes its
+    through :func:`_squares_in_step`. Each block of a :class:`Workspace`
+    of this call's own is walked so in turn, so at most three block outputs
+    are held whatever the depth and the row count; each layer's squared
+    error and squared reference norm are summed over the blocks in order,
+    as the planner sums a candidate's. ``compress`` writes its
     ``errors.csv`` with this call and ``analyze`` its CSV, so the two
-    agree by construction. Every pass runs in one :class:`Workspace` of
-    this call's own, so at most three outputs are held whatever the depth.
-    A layer whose reference output has zero norm reports nan and the scan
-    continues. A prefix stored at lower precision, such as a ``--dtype
-    f32`` output, does not match and is walked by both models.
+    agree by construction. A layer whose reference output has zero norm
+    reports nan and the scan continues. A prefix stored at lower
+    precision, such as a ``--dtype f32`` output, does not match and is
+    walked by both models.
 
     Raises:
         NumericalError: naming the first layer of ``original`` whose output
@@ -461,8 +483,17 @@ def layerwise_error(
     h = _model_input(original, calib.samples)
     ws = Workspace(len(h), original)
     shared = _shared_prefix(original, compressed)
-    errors = []
-    for layer, h in zip(original.layers[:shared], _walk(original.layers[:shared], h, ws)):
-        errors.append(math.nan if _reference_norm(layer, h) == 0.0 else 0.0)
-    errors += _errors_in_step(compressed.layers[shared:], original.layers[shared:], h, ws)
-    return tuple(errors)
+    errors_sq = [0.0] * original.n_layers
+    refs_sq = [0.0] * original.n_layers
+    for rows in ws.blocks:
+        x = h[rows]
+        squares = []
+        for x in _walk(original.layers[:shared], x, ws):
+            squares.append((0.0, squared_norm(x)))
+        squares += _squares_in_step(compressed.layers[shared:], original.layers[shared:], x, ws)
+        for i, (error_sq, ref_sq) in enumerate(squares):
+            errors_sq[i] += error_sq
+            refs_sq[i] += ref_sq
+    norms = [math.sqrt(ref_sq) for ref_sq in refs_sq]
+    check_finite(original, norms)
+    return tuple(map(_relative_error, errors_sq, norms))

@@ -14,7 +14,7 @@ pair by :func:`calibrate`, in one streaming pass over the layers: each
 layer's reference output norm, the model's output, and one
 :class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U``, sigma
 and ``P = V^T S^{-1}`` of ``svd(W S)``) per matrix of the largest tail any
-candidate compresses, formed while that matrix's input is live; prefix
+candidate compresses, formed from that matrix's input Gram matrix; prefix
 matrices are never whitened, and no layer's activations are kept. A
 candidate only slices those arrays, runs the residual stage's small
 eigendecomposition for its own ``r_i``, and runs forward through its ``k``
@@ -23,13 +23,15 @@ are scored largest ``k`` first, so one walk of the original layers reaches
 each of those inputs in turn; the untouched prefix layers score exactly
 zero. A trial is built one layer at a time, each layer factored just before
 it runs and dropped after, so only one layer of one trial exists at a
-time: each candidate keeps only its residual stages, the best so far's
-outlive the scan, and the winner is rebuilt from them without an SVD. The
-plan carries it, so ``compress`` writes it without factoring it again.
-Every pass of a plan writes its activations into one
-:class:`~resvd.model.Workspace` of three ``S×W`` buffers for ``S``
-calibration rows of width ``W``, so activations held stay those buffers and
-the model's output, whatever the depth.
+time: each candidate keeps only its residual stages, the best's outlive
+the scan, and the winner is rebuilt from them without an SVD. The plan
+carries it, so ``compress`` writes it without factoring it again.
+Every pass of a plan walks the ``S`` calibration rows in the blocks of one
+:class:`~resvd.model.Workspace`, of ``B`` rows each, and writes its
+activations into its three ``B×W`` buffers for rows of width ``W``. The
+calibration pass sums each Gram matrix and squared norm over the blocks,
+and the scan each candidate's squared error, so activations held stay
+those buffers and the model's output, whatever the depth and ``S``.
 """
 
 from __future__ import annotations
@@ -196,9 +198,10 @@ def _factored(layer: Layer, factor: Callable[[str], FactorPair]) -> Layer:
     return Layer(name=layer.name, entries=entries, activation=layer.activation)
 
 
-def _rejoined(state: CalibratedModel, k: int, layer_ratio: float, beta: float,
-              residual: dict[str, FactorPair]) -> SequentialModel:
-    """``compress_tail_layers(state, k, layer_ratio, beta)``, bit for bit, from its residual stages.
+def _rejoin(state: CalibratedModel, layer_ratio: float, beta: float,
+            residual: dict[str, FactorPair]) -> Callable[[str], FactorPair]:
+    """``compress_matrix(state.whitened[key], layer_ratio, beta)`` as a function of ``key``,
+    bit for bit, from the matrix's residual stage.
 
     Each matrix's whitened truncation is cut again from ``state``'s SVD of
     it, a slice and a scaling, and joined to its residual stage as
@@ -210,7 +213,7 @@ def _rejoined(state: CalibratedModel, k: int, layer_ratio: float, beta: float,
                                         rank_budget(*weight.w.shape, layer_ratio, beta).r_i)
         return join_stages(stage1, residual[key]) if key in residual else stage1
 
-    return _tail_model(state, k, factor)
+    return factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,12 +245,13 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
 
     One streaming pass, :func:`~resvd.calibration.capture_activations`,
-    runs each layer once. It whitens each matrix of the last ``k`` layers
+    runs each layer once on each block of ``ws`` (one of its own when
+    None). It sums each tail matrix's input Gram matrix and each layer's
+    squared output norm over the blocks and keeps only the model's output;
+    after the last block it whitens each matrix of the last ``k`` layers
     into the :class:`~resvd.compensation.WhitenedWeight` that trials only
-    truncate while that matrix's input is live, takes each layer's output
-    norm as the layer finishes, and keeps only the model's output. It runs
-    in ``ws`` (one of its own when None) and holds two of its buffers, the
-    model's output and the tail's whitened factors, whatever the depth.
+    truncate. It holds two block buffers, the model's output, the tail's
+    Gram matrices and whitened factors, whatever the depth and row count.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
@@ -275,31 +279,39 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
 
 
 def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: np.ndarray,
-            ws: Workspace) -> tuple[float, dict[str, FactorPair]]:
-    """Candidate ``k``'s final-layer error from ``x``, the trial's input, and its residual stages.
+            rows: slice, ws: Workspace, residual: dict[str, FactorPair] | None = None,
+            ) -> tuple[float, dict[str, FactorPair]]:
+    """Candidate ``k``'s squared final-layer error on one block, from ``x``, the trial's input
+    on the calibration rows ``rows``, and its residual stages.
 
-    Each of the trial's ``k`` layers is factored by
-    :func:`~resvd.compensation.compress_matrix` just before it runs and
-    dropped once it has, so no two of them are held at once. Only a copy of
-    each matrix's residual-stage columns outlives its layer, keyed like
+    Each of the trial's ``k`` layers is factored just before it runs and
+    dropped once it has, so no two of them are held at once. With no
+    ``residual``, as in the first block, each matrix is factored by
+    :func:`~resvd.compensation.compress_matrix`, and only a copy of its
+    residual-stage columns outlives its layer, keyed like
     ``state.whitened``; ``compress_matrix`` puts them after the whitened
     truncation's ``r_i``, and a matrix whose budget has no residual stage
-    has no entry. Each layer runs through :meth:`~resvd.model.Layer.forward`
-    and the last output is scored by ``_relative_error`` against the
-    calibrated output and its norm, the layer applies and the subtraction
-    that :func:`~resvd.model.layerwise_error` runs, so the error is the
-    last entry of that function's curve for the trial, bit for bit. Every
-    layer holds ``x``, which is only read, so the caller may walk on from it.
+    has no entry. Given those stages, as in every later block, the layer
+    is rebuilt from them (:func:`_rejoin`), the same factors with no SVD.
+    Each layer runs through :meth:`~resvd.model.Layer.forward` and the
+    last output is scored against the calibrated output's rows, the layer
+    applies and the subtraction that :func:`~resvd.model.layerwise_error`
+    runs, so the error summed over the blocks is the last entry of that
+    function's curve for the trial, bit for bit. Every layer holds ``x``,
+    which is only read, so the caller may walk on from it.
     """
-    residual = {}
+    if residual is None:
+        residual = {}
 
-    def factor(key: str) -> FactorPair:
-        pair = compress_matrix(state.whitened[key], layer_ratio, beta, name=key)
-        r_i = rank_budget(*pair.shape, layer_ratio, beta).r_i
-        if pair.rank > r_i:
-            residual[key] = FactorPair(u_hat=pair.u_hat[:, r_i:].copy(),
-                                       v_hat=pair.v_hat[r_i:].copy())
-        return pair
+        def factor(key: str) -> FactorPair:
+            pair = compress_matrix(state.whitened[key], layer_ratio, beta, name=key)
+            r_i = rank_budget(*pair.shape, layer_ratio, beta).r_i
+            if pair.rank > r_i:
+                residual[key] = FactorPair(u_hat=pair.u_hat[:, r_i:].copy(),
+                                           v_hat=pair.v_hat[r_i:].copy())
+            return pair
+    else:
+        factor = _rejoin(state, layer_ratio, beta, residual)
 
     y = x
     for layer in state.model.layers[state.model.n_layers - k :]:
@@ -307,26 +319,27 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
         y = trial.forward(y, ws, x)
         del trial  # the next layer is factored once this one is gone
     # through model's own name, so whatever wraps it there sees every score
-    error = model_ops._relative_error(y, (state.output, state.reference_norms[-1]))
-    if math.isnan(error):
-        raise NumericalError("final-layer error undefined")
-    return error, residual
+    return model_ops._squared_error(y, state.output[rows]), residual
 
 
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
     """Score every feasible tail-layer candidate and pick the error argmin.
 
     The calibrated state is built once, for the largest candidate ``k``,
-    and shared by every trial. Candidates are scored largest ``k`` first,
-    so one walk of the original layers reaches each trial's input in turn;
-    each trial scores its final layer only. Candidates whose compression
-    fails are kept in the table as failed rows and skipped by the argmin.
-    Only one layer of one trial exists at a time (:func:`_scored`): the
-    best so far keeps its residual stages, and the winning trial is rebuilt
-    from them (:func:`_rejoined`) once the scan ends, for ``compress`` to
-    write; no per-layer pass runs here. Every pass runs in one
-    :class:`~resvd.model.Workspace`, so activations held stay three
-    buffers, the model's output and scratch, whatever the depth.
+    and shared by every trial. The scan walks the calibration rows in the
+    blocks of one :class:`~resvd.model.Workspace`. In each block,
+    candidates are scored largest ``k`` first, so one walk of the original
+    layers reaches each trial's input in turn; each trial scores its final
+    layer only, and its squared error is summed over the blocks in order.
+    Candidates whose compression fails are kept in the table as failed
+    rows and skipped by the argmin. Only one layer of one trial exists at
+    a time (:func:`_scored`). Every candidate keeps its residual stages
+    until the last block, where only the best so far keeps them; the
+    winning trial is rebuilt from them (:func:`_rejoin`) once the scan
+    ends, for ``compress`` to write, so a run of one block holds what one
+    pass over every row held. No per-layer pass runs here. Activations
+    held stay three block buffers, the model's output and scratch, whatever
+    the depth.
 
     Raises:
         NumericalError: the smallest candidate's, when every candidate
@@ -336,38 +349,59 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
     ws = Workspace(calib.num_samples, model)
     state = calibrate(model, calib, candidates[-1][0], ws)
-    inputs = _walk(model.layers, calib.samples, ws)
-    x, at = calib.samples, 0  # x is what the original model feeds layer ``at``
+    squares = dict.fromkeys((k for k, _ in candidates), 0.0)
+    stages: dict[int, dict[str, FactorPair]] = {}
+    failures: dict[int, CompressionError] = {}
     rows: list[CandidateResult] = []
     best = failure = None
-    for k, ratio in reversed(candidates):
-        while at < model.n_layers - k:
-            x, at = next(inputs), at + 1
-        try:
-            error, residual = _scored(state, k, ratio, cfg.beta, x, ws)
-        except CompressionError as exc:
-            rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
-                                        status="failed", reason=str(exc)))
-            failure = exc  # the last one scored is the smallest k's
-            continue
-        rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
-        if best is None or error <= best[0].final_error:  # ties go to the smaller k, scored later
-            best = (rows[-1], residual)
+    for block in ws.blocks:
+        last = block is ws.blocks[-1]
+        x, at = calib.samples[block], 0  # x is what the original model feeds layer ``at``
+        inputs = _walk(model.layers, x, ws)
+        for k, ratio in reversed(candidates):
+            if k not in failures:
+                while at < model.n_layers - k:
+                    x, at = next(inputs), at + 1
+                try:
+                    square, stages[k] = _scored(state, k, ratio, cfg.beta, x, block, ws,
+                                                stages.get(k))
+                    squares[k] += square
+                    if last:
+                        error = model_ops._relative_error(squares[k], state.reference_norms[-1])
+                        if math.isnan(error):
+                            raise NumericalError("final-layer error undefined")
+                except CompressionError as exc:
+                    failures[k] = exc
+                    stages.pop(k, None)
+            if not last:
+                continue
+            if k in failures:
+                rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
+                                            status="failed", reason=str(failures[k])))
+                failure = failures[k]  # the last one scored is the smallest k's
+                continue
+            rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
+            if best is None or error <= best.final_error:  # ties go to the smaller k, scored later
+                if best is not None:
+                    del stages[best.k]
+                best = rows[-1]
+            else:
+                del stages[k]
     if best is None:
         if isinstance(failure, NumericalError):
             raise failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
-    row, residual = best
     return CompressionPlan(
-        k=row.k,
-        layer_ratio=row.layer_ratio,
+        k=best.k,
+        layer_ratio=best.layer_ratio,
         candidate_table=tuple(reversed(rows)),
-        chosen_error=row.final_error,
+        chosen_error=best.final_error,
         n_layers=model.n_layers,
         overall_ratio=cfg.overall_ratio,
         beta=cfg.beta,
         seed=cfg.seed,
-        compressed=_rejoined(state, row.k, row.layer_ratio, cfg.beta, residual),
+        compressed=_tail_model(state, best.k, _rejoin(state, best.layer_ratio, cfg.beta,
+                                                      stages[best.k])),
     )
 
 

@@ -7,6 +7,7 @@ from resvd.calibration import (
     CalibrationSet,
     ScalingContext,
     capture_activations,
+    gram,
     whiten,
 )
 from resvd.errors import DimensionError, NumericalError, SingularWhiteningError
@@ -25,7 +26,7 @@ def whitened_inputs(model, calib):
 
 def assert_whitened_from(ctx, x):
     """``ctx`` is, bit for bit, the context :func:`whiten` builds from ``x``."""
-    want = whiten(x)
+    want = whiten(gram(x))
     assert ctx.s.tobytes() == want.s.tobytes()
     assert ctx.s_inv.tobytes() == want.s_inv.tobytes()
 
@@ -127,7 +128,7 @@ def test_capture_rejects_width_mismatch():
 
 def test_whiten_identity_gram():
     # Orthonormal rows: X^T X = I, so S and its inverse are both I.
-    ctx = whiten(np.eye(4), ridge=0.0)
+    ctx = whiten(gram(np.eye(4)), ridge=0.0)
     np.testing.assert_allclose(ctx.s, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(ctx.s_inv, np.eye(4), atol=1e-12)
 
@@ -135,19 +136,19 @@ def test_whiten_identity_gram():
 def test_whiten_hand_cholesky():
     # X^T X + I = diag(5, 1) whose Cholesky factor is diag(sqrt5, 1).
     x = np.array([[2.0, 0.0], [0.0, 0.0]])
-    ctx = whiten(x, ridge=1.0)
+    ctx = whiten(gram(x), ridge=1.0)
     np.testing.assert_allclose(ctx.s, np.diag([np.sqrt(5.0), 1.0]), atol=1e-12)
 
 
 def test_whiten_rank_deficient_raises():
     x = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(SingularWhiteningError):
-        whiten(x, ridge=0.0)
+        whiten(gram(x), ridge=0.0)
 
 
 def test_whiten_default_ridge_rescues_rank_deficiency():
     x = np.array([[1.0, 0.0], [2.0, 0.0]])
-    ctx = whiten(x)  # default ridge = 1e-6 * trace/n
+    ctx = whiten(gram(x))  # default ridge = 1e-6 * trace/n
     assert ctx.ridge > 0
     n = 2
     np.testing.assert_allclose(ctx.s @ ctx.s_inv, np.eye(n), atol=1e-6)
@@ -158,7 +159,7 @@ def test_whitening_identity_holds_for_random_contexts():
     for _ in range(20):
         n = int(rng.integers(2, 12))
         x = rng.standard_normal((n + 3, n))
-        ctx = whiten(x, ridge=None)
+        ctx = whiten(gram(x), ridge=None)
         np.testing.assert_allclose(ctx.s @ ctx.s_inv, np.eye(n), atol=1e-6)
         assert np.all(np.diag(ctx.s) > 0)
         # lower-triangular
@@ -169,34 +170,34 @@ def test_whitening_scales_linearly_with_input():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((10, 4))
     c = 3.5
-    a = whiten(x, ridge=0.0)
-    b = whiten(c * x, ridge=0.0)
+    a = whiten(gram(x), ridge=0.0)
+    b = whiten(gram(c * x), ridge=0.0)
     np.testing.assert_allclose(b.s, c * a.s, rtol=1e-10)
 
 
 def test_whitening_deterministic():
     rng = np.random.default_rng(77)
     x = rng.standard_normal((12, 5))
-    a = whiten(x.copy())
-    b = whiten(x.copy())
+    a = whiten(gram(x.copy()))
+    b = whiten(gram(x.copy()))
     assert a.s.tobytes() == b.s.tobytes()
     assert a.s_inv.tobytes() == b.s_inv.tobytes()
 
 
 def test_whiten_rejects_negative_ridge_and_bad_input():
     with pytest.raises(ValueError):
-        whiten(np.eye(2), ridge=-1.0)
+        whiten(gram(np.eye(2)), ridge=-1.0)
     with pytest.raises(NumericalError):
-        whiten(np.array([[np.inf, 0.0]]))
+        whiten(gram(np.array([[np.inf, 0.0]])))
     with pytest.raises(SingularWhiteningError, match="overflows float64"):
-        whiten(np.array([[1e308, 1.0], [2.0, 3.0]]))
+        whiten(gram(np.array([[1e308, 1.0], [2.0, 3.0]])))
 
 
 def test_whiten_rejects_an_overflowing_gram_trace():
     # Every Gram entry is finite, but the trace the default ridge scales with
     # is not; numpy must not warn on the way.
     with pytest.raises(SingularWhiteningError, match="overflows float64"):
-        whiten(np.diag([1.2e154, 1.2e154]))
+        whiten(gram(np.diag([1.2e154, 1.2e154])))
 
 
 @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])

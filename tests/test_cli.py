@@ -7,6 +7,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -231,12 +232,12 @@ class TestCompress:
         demo = gen_demo(tmp_path / "demo", layers=6, width=16, samples=48)
         scored = []
 
-        def relative_error(y, reference):
-            scored.append(reference[1])
-            return real(y, reference)
+        def squared_error(y, y_ref):
+            scored.append(float(np.linalg.norm(y_ref)))
+            return real(y, y_ref)
 
-        real = resvd.model._relative_error
-        monkeypatch.setattr(resvd.model, "_relative_error", relative_error)
+        real = resvd.model._squared_error
+        monkeypatch.setattr(resvd.model, "_squared_error", squared_error)
         out = tmp_path / "out"
         assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
                      "--ratio", "0.2", "--out", str(out)]) == 0
@@ -602,6 +603,24 @@ class TestPlanCommand:
         assert rc == 0
         assert dest.read_text().startswith("k,layer_ratio,final_error\n")
 
+    @pytest.mark.parametrize("target", ["calib.bin", "manifest.json", "new.csv"])
+    def test_out_onto_an_input_is_refused_before_anything_is_written(self, tmp_path, capsys,
+                                                                     target):
+        # The calibration file, a file of the model and a new file in the
+        # model's directory: each exits 2 with one line, and the inputs keep
+        # their bytes.
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        before = dir_bytes(demo)
+        out = demo / target
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2", "--out", str(out)])
+        what = "is the --calib file" if target == "calib.bin" else "is inside the --model directory"
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"resvd: invalid configuration: --out {out} {what}; "
+                                       "plan does not overwrite its input\n")
+        assert dir_bytes(demo) == before
+
     def test_infeasible_exits_3(self, tmp_path):
         demo = gen_demo(tmp_path / "demo", layers=4)
         rc = main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
@@ -781,6 +800,30 @@ class TestPlanCommand:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("target", ["demo/calib.bin", "demo/manifest.json",
+                                        "out/errors.csv"])
+    def test_out_onto_an_input_is_refused_before_anything_is_written(self, tmp_path, capsys,
+                                                                     target):
+        # The calibration file, a file of --original and one of --compressed:
+        # each exits 2 with one line before anything is loaded, and every
+        # input keeps its bytes.
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        out = tmp_path / "out"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+        before = (dir_bytes(demo), dir_bytes(out))
+        dest = tmp_path / target
+        capsys.readouterr()
+        rc = main(["analyze", "--original", str(demo), "--compressed", str(out),
+                   "--calib", str(demo / "calib.bin"), "--out", str(dest)])
+        what = {"demo/calib.bin": "is the --calib file",
+                "demo/manifest.json": "is inside the --original directory",
+                "out/errors.csv": "is inside the --compressed directory"}[target]
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"resvd: invalid configuration: --out {dest} {what}; "
+                                       "analyze does not overwrite its input\n")
+        assert (dir_bytes(demo), dir_bytes(out)) == before
+
     def test_identical_models_all_zero(self, tmp_path, capsys):
         demo = gen_demo(tmp_path / "demo")
         capsys.readouterr()
@@ -912,6 +955,97 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["format"] == "resvd-verify"
+
+
+def failing_at(real, n: int, exc: BaseException):
+    """``real``, except that its ``n``-th call raises ``exc``."""
+    calls = 0
+
+    def wrapper(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise exc
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+class TestFaultInjection:
+    # Each np.linalg routine the commands call fails at each call a clean run
+    # makes, one call per run; so does each array the package allocates with
+    # np.empty, by raising MemoryError without allocating. Every run either
+    # recovers and writes no stderr, or ends in one stderr line with the
+    # exit code the README documents. The rows run as one block and as
+    # three, since the calibration pass whitens after its walk.
+    ROUTINES = ("svd", "eigh", "cholesky", "inv", "qr")
+    ROWS, WIDTH = 40, 8
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        demo = gen_demo(tmp_path / "demo", layers=4, width=self.WIDTH, samples=self.ROWS)
+        compressed = tmp_path / "compressed"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(compressed)]) == 0
+        runs = itertools.count()
+        planned = ["--model", str(demo), "--calib", str(demo / "calib.bin"), "--ratio", "0.2"]
+        return {
+            "plan": lambda: ["plan", *planned],
+            "compress": lambda: ["compress", *planned, "--out", str(tmp_path / f"o{next(runs)}")],
+            "analyze": lambda: ["analyze", "--original", str(demo), "--compressed",
+                                str(compressed), "--calib", str(demo / "calib.bin")],
+        }
+
+    def run(self, capsys, argv, codes):
+        capsys.readouterr()
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert err == ""
+        else:
+            assert rc in codes and err.count("\n") == 1 and err.startswith("resvd: "), (rc, err)
+        return rc
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("command", ["plan", "compress", "analyze"])
+    def test_every_failure_is_one_line_with_its_exit_code(self, capsys, monkeypatch, argv,
+                                                          command, blocks):
+        # 40 rows of width 8 in blocks of at most 14 rows run as 14, 14 and 12
+        monkeypatch.setattr(resvd.model, "BLOCK_BYTES",
+                            8 * self.WIDTH * (self.ROWS if blocks == 1 else 14))
+        skeleton = load_model(Path(argv["analyze"]()[2]))
+        assert len(resvd.model.Workspace(self.ROWS, skeleton).blocks) == blocks
+        counts = dict.fromkeys((*self.ROUTINES, "empty"), 0)
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in self.ROUTINES:
+                patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+            patch.setattr(np, "empty", counting("empty", np.empty))
+            assert self.run(capsys, argv[command](), ()) == 0
+        assert counts["empty"] > 0
+        assert (counts["svd"] > 0) == (command != "analyze")
+
+        failed = set()
+        for name in self.ROUTINES:
+            for n in range(1, counts[name] + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, name, failing_at(
+                        getattr(np.linalg, name), n, np.linalg.LinAlgError("injected")))
+                    if self.run(capsys, argv[command](), (resvd.cli.EXIT_NUMERICAL,)):
+                        failed.add(name)
+        # a failed SVD is retried and a failed eigh falls back to one, but
+        # whitening has no second route
+        assert failed == ({"cholesky", "inv"} if command != "analyze" else set())
+        for n in range(1, counts["empty"] + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "empty", failing_at(np.empty, n, MemoryError("injected")))
+                assert self.run(capsys, argv[command](), (resvd.cli.EXIT_MEMORY,)) == 5
 
 
 def run_module(argv: list[str]) -> subprocess.CompletedProcess:

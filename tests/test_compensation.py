@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import resvd.compensation as compensation_mod
 import resvd.planner as planner_mod
-from resvd.calibration import ScalingContext, whiten
+from resvd.calibration import ScalingContext, gram, whiten
 from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_weight
 from resvd.demo import demo_calibration, demo_model
 from resvd.errors import DimensionError, InfeasibleBudgetError, NumericalError
@@ -22,7 +22,7 @@ def identity_ctx(n):
 def random_ctx(rng, n):
     # Cholesky factor of a well-conditioned random SPD matrix.
     a = rng.standard_normal((n + 4, n))
-    return whiten(a, ridge=0.1 * n)
+    return whiten(gram(a), ridge=0.1 * n)
 
 
 def test_beta_zero_degenerates_to_direct_truncation():
@@ -104,7 +104,7 @@ def test_superiority_on_extreme_shapes_and_rank_deficient_activations(
     x[:, :dead] = 0.0
     assume(x.any())
     w = rng.standard_normal((m, n))
-    weight = whitened_weight(w, whiten(x))
+    weight = whitened_weight(w, whiten(gram(x)))
     erc_err = frobenius_error(compress_matrix(weight, ratio, beta).product(), w)
     direct_err = frobenius_error(direct_truncate_matrix(weight, budget.r).product(), w)
     assert erc_err <= direct_err + 1e-9
@@ -155,7 +155,7 @@ def test_residual_stage_matches_the_dense_residual_svd(
         ctx = ScalingContext(s=activation_scale * np.eye(n), s_inv=np.eye(n) / activation_scale,
                              ridge=0.0)
     else:
-        ctx = whiten(activation_scale * rng.standard_normal((2 * n, n)))
+        ctx = whiten(gram(activation_scale * rng.standard_normal((2 * n, n))))
     p = min(m, n)
     q1 = np.linalg.qr(rng.standard_normal((m, p)))[0]
     q2 = np.linalg.qr(rng.standard_normal((n, p)))[0]
@@ -285,8 +285,8 @@ def test_compressed_product_invariant_to_activation_scale():
     rng = np.random.default_rng(66)
     w = rng.standard_normal((12, 9))
     x = rng.standard_normal((30, 9))
-    base = compress_matrix(whitened_weight(w, whiten(x, ridge=0.0)), 0.4, 0.05)
-    scaled = compress_matrix(whitened_weight(w, whiten(7.0 * x, ridge=0.0)), 0.4, 0.05)
+    base = compress_matrix(whitened_weight(w, whiten(gram(x), ridge=0.0)), 0.4, 0.05)
+    scaled = compress_matrix(whitened_weight(w, whiten(gram(7.0 * x), ridge=0.0)), 0.4, 0.05)
     np.testing.assert_allclose(base.product(), scaled.product(), atol=1e-8)
 
 

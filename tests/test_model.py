@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from resvd.calibration import CalibrationSet, capture_activations, whiten
+from resvd.calibration import CalibrationSet, capture_activations, gram, whiten
 from resvd.errors import DimensionError
 from resvd.linalg import FactorPair, RankBudget, svd, truncate
 from resvd.model import (
@@ -15,7 +15,8 @@ from resvd.model import (
     MatrixEntry,
     SequentialModel,
     Workspace,
-    _errors_in_step,
+    _relative_error,
+    _squares_in_step,
     _walk,
     apply_activation,
     forward,
@@ -256,6 +257,12 @@ def test_layerwise_error_matches_independent_recomputation():
     assert errors[-1] == pytest.approx(expected, abs=1e-10)
 
 
+def errors_in_step(layers, reference, h, ws):
+    """Each layer's relative error, finished from the squares of ``h`` as one block."""
+    return [_relative_error(error_sq, math.sqrt(ref_sq))
+            for error_sq, ref_sq in _squares_in_step(layers, reference, h, ws)]
+
+
 def diff_buffer_errors(outputs, references):
     """Relative errors with each difference in a buffer of its own, as
     scoring computed them before it subtracted in place."""
@@ -273,7 +280,7 @@ def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
     # Scoring subtracts each reference into its layer's own output once the
     # next layer has read that output: the errors match the diff-buffer
     # formula exactly, and neither the calibration rows nor the input and
-    # reference outputs given to _errors_in_step are written. The widths differ layer to
+    # reference outputs given to _squares_in_step are written. The widths differ layer to
     # layer.
     rng = np.random.default_rng(61)
     model = make_mlp(rng, [9, 7, 11, 6, 8], activation=activation)
@@ -290,7 +297,7 @@ def test_in_place_scoring_equals_a_diff_buffer_bit_for_bit(activation):
 
     kept = [y.copy() for y in refs]
     ws = Workspace(calib.num_samples, model)
-    assert _errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
+    assert errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
                            ws) == want[-k:]
     for got, before in zip(refs, kept, strict=True):
         assert np.array_equal(got, before)
@@ -339,7 +346,7 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
         assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
     assert layerwise_error(model, compressed, calib) == tuple(want)
     assert layerwise_error(model, rebuilt(compressed), calib) == tuple(want)
-    assert _errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
+    assert errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
                            ws) == want[-k:]
 
     contexts, norms, output = capture_activations(model, calib, model.n_layers,
@@ -348,7 +355,7 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
     assert np.array_equal(output.view(np.uint64), refs[-1].view(np.uint64))
     for layer, h in zip(model.layers, [calib.samples] + refs[:-1]):
         for e in layer.entries:
-            ctx, fresh = contexts[f"{layer.name}/{e.name}"], whiten(h)
+            ctx, fresh = contexts[f"{layer.name}/{e.name}"], whiten(gram(h))
             assert ctx.s.tobytes() == fresh.s.tobytes()
             assert ctx.s_inv.tobytes() == fresh.s_inv.tobytes()
             h = h @ e.dense.T
@@ -467,7 +474,7 @@ def check_scoring_peaks(activation, held):
             pass
 
     def in_step(ws):
-        return _errors_in_step(compressed.layers[1:], model.layers[1:], refs[0], ws)
+        return errors_in_step(compressed.layers[1:], model.layers[1:], refs[0], ws)
 
     assert held < peak_arrays(lambda: layerwise_error(model, compressed, calib), size) < held + 0.3
     assert held < peak_arrays(lambda: in_step(Workspace(len(refs[0]), model)),
@@ -483,7 +490,7 @@ def check_scoring_peaks(activation, held):
 
 def test_scoring_holds_two_outputs_per_walk():
     # Every output goes into one of a workspace's three buffers: two walks
-    # in step (layerwise_error, _errors_in_step) hold all three, plus the rank
+    # in step (layerwise_error, _squares_in_step) hold all three, plus the rank
     # scratch of the factored layers (rank 4 of width 32, an eighth of an
     # output), and one walk two of them. A workspace that has run once
     # allocates nothing more.

@@ -12,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import resvd.calibration
 import resvd.compensation
 import resvd.model as model_mod
 import resvd.planner as planner_mod
-from resvd.calibration import CalibrationSet, whiten
+from resvd.calibration import CalibrationSet, gram, whiten
 from resvd.compensation import whitened_weight
 from resvd.demo import demo_calibration, demo_model
 from resvd.errors import CompressionError, InfeasiblePlanError, NumericalError
@@ -283,12 +284,12 @@ class TestPlan:
         calib = make_calib(rng, 40, 14)
         scored = []
 
-        def relative_error(y, reference):
-            scored.append(reference[1])
-            return real(y, reference)
+        def squared_error(y, y_ref):
+            scored.append(float(np.linalg.norm(y_ref)))
+            return real(y, y_ref)
 
-        real = model_mod._relative_error
-        monkeypatch.setattr(model_mod, "_relative_error", relative_error)
+        real = model_mod._squared_error
+        monkeypatch.setattr(model_mod, "_squared_error", squared_error)
         chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3))
         ok = [row for row in chosen.candidate_table if row.status == "ok"]
         assert len(ok) == len(chosen.candidate_table) > 1
@@ -406,7 +407,7 @@ class TestPlan:
         for layer in model.layers:
             for e in layer.entries:
                 key = f"{layer.name}/{e.name}"
-                whitened[key] = whitened_weight(e.dense, whiten(h, ridge=1e-3), key)
+                whitened[key] = whitened_weight(e.dense, whiten(gram(h), ridge=1e-3), key)
                 h = e.apply(h, np.empty((len(h), e.rows)), ws)
             h = model_mod.apply_activation(layer.activation, h, ws)
         state = CalibratedModel(model=model, whitened=whitened, reference_norms=(),
@@ -571,6 +572,142 @@ class TestPlan:
         monkeypatch.setattr(planner_mod, "_scored", broken)
         with pytest.raises(InfeasiblePlanError):
             plan(model, calib, PlannerConfig(overall_ratio=0.3))
+
+
+def block_bytes(rows, width, blocks):
+    """A ``BLOCK_BYTES`` under which ``rows`` rows of ``width`` run as ``blocks`` blocks."""
+    return 8 * width * -(-rows // blocks)
+
+
+class TestRowBlocks:
+    # The same inputs at 1, 2 and 3 blocks: 41 rows run as 41, as 21 + 20 and
+    # as 14 + 14 + 13, so every run of several blocks ends in a ragged one.
+    ROWS, WIDTH = 41, 14
+
+    def planned(self, monkeypatch, beta):
+        rng = np.random.default_rng(39)
+        model = with_silu(make_multi_entry_mlp(rng, 6, self.WIDTH, 2))
+        calib = make_calib(rng, self.ROWS, self.WIDTH)
+        runs = {}
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(model_mod, "BLOCK_BYTES", block_bytes(self.ROWS, self.WIDTH, blocks))
+            sizes = [r.stop - r.start for r in model_mod.Workspace(self.ROWS, model).blocks]
+            assert len(sizes) == blocks and sum(sizes) == self.ROWS
+            assert blocks == 1 or sizes[-1] < sizes[0]
+            chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=beta))
+            runs[blocks] = (chosen, calibrate(model, calib, 6),
+                            layerwise_error(model, chosen.compressed, calib))
+        return model, calib, runs
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_blocks_choose_the_same_k_within_rounding(self, monkeypatch, beta):
+        _, _, runs = self.planned(monkeypatch, beta)
+        one = runs[1][0]
+        for blocks, (chosen, _, _) in runs.items():
+            assert chosen.k == one.k, blocks
+            table = [(row.k, row.status) for row in chosen.candidate_table]
+            assert table == [(row.k, row.status) for row in one.candidate_table], blocks
+            np.testing.assert_allclose([row.final_error for row in chosen.candidate_table],
+                                       [row.final_error for row in one.candidate_table],
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_every_score_is_the_last_entry_of_layerwise_error_bit_for_bit(self, monkeypatch,
+                                                                          beta):
+        # The planner and layerwise_error sum one block's squares after
+        # another in the same order, so each candidate's score is the last
+        # entry of its trial's curve, at any block count.
+        model, calib, runs = self.planned(monkeypatch, beta)
+        for blocks, (chosen, state, errors) in runs.items():
+            monkeypatch.setattr(model_mod, "BLOCK_BYTES", block_bytes(self.ROWS, self.WIDTH, blocks))
+            assert chosen.chosen_error == errors[-1], blocks
+            for row in chosen.candidate_table:
+                trial = compress_tail_layers(state, row.k, row.layer_ratio, beta)
+                assert row.final_error == layerwise_error(model, trial, calib)[-1], (blocks, row.k)
+
+    def test_blocks_walk_the_rows_one_pass_walks(self, monkeypatch):
+        # forward copies each block's outputs out, and the calibration pass
+        # sums each Gram matrix and squared norm over the blocks: each
+        # agrees with the one-block pass within rounding, and one block is
+        # the single pass, bit for bit.
+        rng = np.random.default_rng(40)
+        model = with_silu(make_multi_entry_mlp(rng, 5, self.WIDTH, 2))
+        calib = make_calib(rng, self.ROWS, self.WIDTH)
+        grams = {}
+
+        def whiten(gram, ridge=None):
+            grams.setdefault(blocks, []).append(gram.copy())
+            return real_whiten(gram, ridge)
+
+        real_whiten = resvd.calibration.whiten
+        monkeypatch.setattr(resvd.calibration, "whiten", whiten)
+        passes = {}
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(model_mod, "BLOCK_BYTES", block_bytes(self.ROWS, self.WIDTH, blocks))
+            passes[blocks] = (model_mod.forward(model, calib.samples), calibrate(model, calib, 5))
+        outputs, state = passes[1]
+        h = calib.samples
+        for layer, y in zip(model.layers, outputs):
+            for e in layer.entries:
+                assert grams[1].pop(0).tobytes() == (h.T @ h).tobytes()
+                h = h @ e.dense.T
+            h = y
+        assert state.reference_norms == tuple(float(np.linalg.norm(y)) for y in outputs)
+        for blocks in (2, 3):
+            got, got_state = passes[blocks]
+            for a, b in zip(got, outputs, strict=True):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got_state.output, state.output, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got_state.reference_norms, state.reference_norms,
+                                       rtol=1e-12, atol=0.0)
+            for key, weight in state.whitened.items():
+                np.testing.assert_allclose(got_state.whitened[key].factors.sigma,
+                                           weight.factors.sigma, rtol=1e-10)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_the_first_fault_in_forward_order_is_named_across_blocks(self, monkeypatch,
+                                                                     blocks):
+        # Six layers scale by 1e60 each: rows of order one overflow at layer5,
+        # the rows of order 1e130 in the second half already at layer2. The
+        # first block walks to layer5 first, yet every run names layer2.
+        model = SequentialModel(layers=tuple(
+            Layer(name=f"layer{i}", entries=(MatrixEntry(name="w", dense=1e60 * np.eye(2)),))
+            for i in range(6)))
+        samples = np.ones((6, 2))
+        samples[3:] = 1e130
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", block_bytes(6, 2, blocks))
+        assert len(model_mod.Workspace(6, model).blocks) == blocks
+        with pytest.raises(NumericalError, match=r"^layer2/w: output overflows float64"):
+            calibrate(model, CalibrationSet(samples=samples), 1)
+
+    def test_workspace_and_plan_memory_do_not_grow_with_rows(self, monkeypatch):
+        # At 8x the rows the workspace holds the same block buffers, and plan
+        # holds beyond the model's output what it holds at 1x, whatever the
+        # row count: no activation of all the rows is ever held but that output.
+        width, per_block = 16, 512
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", 8 * width * per_block)
+        model = demo_model(n_layers=8, width=width, seed=0)
+        workspaces = []
+
+        class Recorded(model_mod.Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                workspaces.append(self)
+
+        monkeypatch.setattr(planner_mod, "Workspace", Recorded)
+        held, beyond = {}, {}
+        for times in (1, 8):
+            calib = demo_calibration(n_samples=times * per_block, width=width, seed=0)
+            output = calib.samples.nbytes  # the model's output is as wide as its input
+            peak = peak_arrays(lambda: plan(model, calib, PlannerConfig(overall_ratio=0.2)), 1)
+            ws, = workspaces[-1:]
+            assert len(ws.blocks) == times
+            held[times] = sum(b.nbytes for b in ws.buffers())
+            beyond[times] = peak - output
+        block = 8 * width * per_block
+        assert abs(held[8] - held[1]) <= block, held
+        assert beyond[8] < beyond[1] + block, beyond
+        assert beyond[8] < 6 * block, beyond
 
 
 class TestCompressModel:
