@@ -3,10 +3,12 @@
 Whitening follows the Cholesky-of-Gram construction: for a weight matrix
 with input activations X, ``S`` is the lower Cholesky factor of
 ``X^T X + ridge*I``. Truncating ``W S`` instead of ``W`` then minimizes the
-activation-weighted output loss, and weights are reconstructed through
-``S^{-1}``. Activations so large that ``X^T X`` overflows float64, like a
-Gram matrix that is not positive definite, raise
-:class:`~resvd.errors.SingularWhiteningError`.
+activation-weighted output loss. No weight is reconstructed through
+``S^{-1}``: with ``svd(W S) = U diag(sigma) V^T``, the truncation is the
+projection of ``W`` onto ``U``'s leading columns (see
+:mod:`resvd.compensation`), so ``S`` is never inverted. Activations so
+large that ``X^T X`` overflows float64, like a Gram matrix that is not
+positive definite, raise :class:`~resvd.errors.SingularWhiteningError`.
 """
 
 from __future__ import annotations
@@ -56,22 +58,19 @@ class CalibrationSet:
 
 @dataclass(frozen=True)
 class ScalingContext:
-    """Whitening matrix S (lower-triangular, positive diagonal) and its inverse."""
+    """Whitening matrix S: lower-triangular, finite, with a positive diagonal."""
 
     s: np.ndarray
-    s_inv: np.ndarray
     ridge: float
 
     def __post_init__(self):
         n = self.s.shape[0]
-        if self.s.shape != (n, n) or self.s_inv.shape != (n, n):
-            raise DimensionError("scaling matrices must be square and same-sized")
+        if self.s.shape != (n, n):
+            raise DimensionError("scaling matrix must be square")
+        if not np.isfinite(self.s).all():
+            raise SingularWhiteningError("whitening factor has a non-finite entry")
         if not np.all(np.diag(self.s) > 0):
             raise SingularWhiteningError("whitening factor has a non-positive diagonal")
-        if not np.max(np.abs(self.s @ self.s_inv - np.eye(n))) <= 1e-6:
-            raise SingularWhiteningError(
-                "whitening factor is too ill-conditioned to invert; increase the ridge"
-            )
 
 
 def whiten(gram, ridge: float | None = None) -> ScalingContext:
@@ -113,8 +112,7 @@ def whiten(gram, ridge: float | None = None) -> ScalingContext:
         raise SingularWhiteningError(
             f"activation Gram matrix is not positive definite (ridge={ridge!r}); {advice}"
         ) from exc
-    s_inv = np.linalg.inv(s)
-    return ScalingContext(s=s, s_inv=s_inv, ridge=float(ridge))
+    return ScalingContext(s=s, ridge=float(ridge))
 
 
 def gram(x: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:

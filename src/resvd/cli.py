@@ -141,14 +141,13 @@ def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
     for flag in model_dirs:
         root = Path(getattr(args, flag)).resolve()
         if out == root or root in out.parents:
-            raise ValueError(f"--out {args.out} is inside the --{flag} directory; "
+            where = "the" if out == root else "inside the"
+            raise ValueError(f"--out {args.out} is {where} --{flag} directory; "
                              f"{args.command} does not overwrite its input")
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    if Path(args.out).resolve() == Path(args.model).resolve():
-        raise ValueError(f"--out {args.out} is the --model directory; "
-                         "compress does not overwrite its input")
+    _refuse_to_overwrite(args, "model")
     cfg = _planner_config(args)
     model, calib = load_model(args.model), _load_calib(args)
     chosen = plan(model, calib, cfg)

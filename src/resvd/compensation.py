@@ -1,26 +1,28 @@
 """Two-stage whitened truncation with residual compensation.
 
 The rank budget ``r = r_i + r_r`` is split between a whitened truncation of
-the weight itself and a plain truncation of the leftover residual:
+the weight itself and a plain truncation of the leftover residual. With
+``W S = U diag(sigma) V^T``, multiplying on the left by ``U^T`` gives
+``U^T W = diag(sigma) V^T S^{-1}``, so every quantity both stages need is a
+product of ``U``'s columns with ``W``; neither ``V`` nor ``S^{-1}`` is kept:
 
-1. factor ``W S = U diag(sigma) V^T`` at rank ``r_i``; with
-   ``P = V^T S^{-1}``, ``U diag(sigma) P`` is ``W`` itself, so the
-   intermediate approximation ``W_ri`` is ``U[:, :r_i] diag(sigma[:r_i])
-   P[:r_i]``;
+1. the whitened truncation ``SVD_{r_i}(W S) S^{-1}`` is the projection
+   ``W_ri = U_i U_i^T W`` onto ``U``'s first ``r_i`` columns, factored as
+   ``U_i sqrt(sigma_i)`` times ``sigma_i^{-1/2} U_i^T W``;
 2. factor the residual ``W - W_ri`` at rank ``r_r`` in unwhitened space, in
    those tail coordinates: the residual is exactly ``U[:, r_i:] M`` with
-   ``M = diag(sigma[r_i:]) P[r_i:]``, and ``U``'s columns are orthonormal,
-   so its top ``r_r`` triplets are those of ``M`` with the left vectors
-   lifted by ``U[:, r_i:]``. They come from the top ``r_r`` eigenvectors
-   ``A`` of ``M M^T``, formed from ``M`` scaled so no entry exceeds 1, and
-   one Rayleigh-Ritz step, the SVD of the ``r_r x n`` matrix ``A^T M``; the
+   ``M = U[:, r_i:]^T W``, and ``U``'s columns are orthonormal, so its top
+   ``r_r`` triplets are those of ``M`` with the left vectors lifted by
+   ``U[:, r_i:]``. They come from the top ``r_r`` eigenvectors ``A`` of
+   ``M M^T``, formed from ``M`` scaled so no entry exceeds 1, and one
+   Rayleigh-Ritz step, the SVD of the ``r_r x n`` matrix ``A^T M``; the
    m x n residual is never formed;
 3. concatenate both factor pairs (stage-1 columns first).
 
-``U``, ``sigma`` and ``P`` depend on the matrix alone, so
-:func:`whitened_weight` forms them once and every rank budget takes slices;
-each budget forms its own ``M`` from ``P``, the one array the residual
-stage needs.
+``U`` and ``sigma`` depend on the matrix alone, so :func:`whitened_weight`
+forms them once and every rank budget takes slices; each budget forms its
+own products with ``W``, so ``U`` is the one array kept per matrix beyond
+the weight itself.
 The combined product is never worse than truncating ``W S`` at rank ``r``
 directly, because the discarded whitened tail is itself a rank-``r_r``
 competitor to the optimal residual truncation.
@@ -33,26 +35,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ScalingContext
-from .errors import DimensionError
+from .errors import DimensionError, InvalidRankError
 from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, sign_fixed, svd, truncate
 
 
 @dataclass(frozen=True, eq=False)
 class WhitenedWeight:
-    """``w`` in the coordinates of ``svd(W S) = U diag(sigma) V^T``: see :func:`whitened_weight`.
+    """``w`` with ``u`` and ``sigma`` of ``svd(W S) = U diag(sigma) V^T``: see
+    :func:`whitened_weight`.
 
-    ``factors`` is ``(U, sigma, P)`` with ``P = V^T S^{-1}``, so its product
-    is ``w`` itself. No rank enters it, so every rank budget takes slices of
-    the same two arrays, ``U`` and ``P``.
+    No rank enters it, so every rank budget takes slices of the one array
+    ``u`` and multiplies them with ``w``, which the model already holds.
     """
 
     w: np.ndarray
-    factors: SvdFactors
+    u: np.ndarray
+    sigma: np.ndarray
 
 
 def whitened_weight(w, ctx: ScalingContext, name: str = "matrix") -> WhitenedWeight:
-    """``w`` as a float64 matrix checked to be as wide as ``ctx`` whitens, with ``svd(W S)``
-    and ``P = V^T S^{-1}``."""
+    """``w`` as a float64 matrix checked to be as wide as ``ctx`` whitens, with ``U`` and
+    ``sigma`` of ``svd(W S)``."""
     arr = as_matrix(w, name)
     if ctx.s.shape[0] != arr.shape[1]:
         raise DimensionError(
@@ -60,7 +63,7 @@ def whitened_weight(w, ctx: ScalingContext, name: str = "matrix") -> WhitenedWei
             f"but the weight expects width {arr.shape[1]}"
         )
     f = svd(arr @ ctx.s, name=f"{name} (whitened)")
-    return WhitenedWeight(arr, SvdFactors(f.u, f.sigma, f.vt @ ctx.s_inv))
+    return WhitenedWeight(arr, f.u, f.sigma)
 
 
 def compress_matrix(weight: WhitenedWeight, layer_ratio: float, beta: float,
@@ -91,21 +94,32 @@ def join_stages(stage1: FactorPair, residual: FactorPair) -> FactorPair:
 def direct_truncate_matrix(weight: WhitenedWeight, r: int) -> FactorPair:
     """Whitened truncation ``SVD_r(W S) S^{-1}``: the comparison baseline, and stage 1.
 
-    ``S^{-1}`` is already folded into the right factor ``P``, so the
-    product is exact.
+    It is the projection ``U_r U_r^T W``, returned as ``u_hat = U_r
+    sqrt(sigma_r)`` and ``v_hat = sigma_r^{-1/2} U_r^T W``, so both factors
+    carry balanced scales as in :func:`~resvd.linalg.truncate`. A row of
+    ``v_hat`` whose singular value is 0 is 0: its column of ``u_hat`` is 0
+    too, and ``U``'s column there is orthogonal to ``W``'s rows.
     """
-    return truncate(weight.factors, r)
+    p = weight.sigma.shape[0]
+    if not 1 <= r <= p:
+        raise InvalidRankError(f"rank {r} outside [1, {p}]")
+    u = weight.u[:, :r]
+    root = np.sqrt(weight.sigma[:r])
+    live = np.count_nonzero(root)  # sigma is non-increasing, so its zeros come last
+    v_hat = u.T @ weight.w
+    v_hat[:live] /= root[:live, np.newaxis]
+    v_hat[live:] = 0.0
+    return FactorPair(u_hat=u * root, v_hat=v_hat)
 
 
 def _scaled_tail(weight: WhitenedWeight, r_i: int) -> tuple[np.ndarray, float]:
-    """``(M / c, c)`` for ``M = diag(sigma[r_i:]) P[r_i:]`` and ``c`` its largest entry magnitude.
+    """``(M / c, c)`` for ``M = U[:, r_i:]^T W`` and ``c`` its largest entry magnitude.
 
     ``c`` is 1 when ``M`` is 0. Rounding is monotone, so no entry of
     ``M / c`` exceeds 1 and no entry of its Gram matrix exceeds the width
     ``n``, whatever the scale of ``w`` or of the activations.
     """
-    f = weight.factors
-    m = f.sigma[r_i:, np.newaxis] * f.vt[r_i:]
+    m = weight.u[:, r_i:].T @ weight.w
     scale = float(max(m.max(), -m.min())) or 1.0
     m /= scale
     return m, scale
@@ -130,4 +144,4 @@ def _residual_factors(weight: WhitenedWeight, r_i: int, r_r: int, name: str) -> 
         top = vecs[:, : -r_r - 1 : -1]  # eigh sorts ascending; largest first
         ritz = svd(top.T @ m, name=f"{name} (residual)")
         left, sigma, vt = top @ ritz.u, ritz.sigma, ritz.vt
-    return sign_fixed(weight.factors.u[:, r_i:] @ left, scale * sigma, vt)
+    return sign_fixed(weight.u[:, r_i:] @ left, scale * sigma, vt)

@@ -12,20 +12,22 @@ scores the winner's per-layer errors for ``errors.csv`` with
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`, in one streaming pass over the layers: each
 layer's reference output norm, the model's output, and one
-:class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U``, sigma
-and ``P = V^T S^{-1}`` of ``svd(W S)``) per matrix of the largest tail any
-candidate compresses, formed from that matrix's input Gram matrix; prefix
-matrices are never whitened, and no layer's activations are kept. A
-candidate only slices those arrays, runs the residual stage's small
-eigendecomposition for its own ``r_i``, and runs forward through its ``k``
-tail layers from the original model's input to layer ``N-k``. Candidates
-are scored largest ``k`` first, so one walk of the original layers reaches
-each of those inputs in turn; the untouched prefix layers score exactly
-zero. A trial is built one layer at a time, each layer factored just before
-it runs and dropped after, so only one layer of one trial exists at a
-time: each candidate keeps only its residual stages, the best's outlive
-the scan, and the winner is rebuilt from them without an SVD. The plan
-carries it, so ``compress`` writes it without factoring it again.
+:class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U`` and
+sigma of ``svd(W S)``) per matrix of the largest tail any candidate
+compresses, formed from that matrix's input Gram matrix; prefix matrices
+are never whitened, and no layer's activations are kept. A candidate only
+slices ``U``, multiplies the slices with the weight for both stages
+(``U^T W`` is ``diag(sigma) V^T S^{-1}``, so ``S`` is never inverted), runs
+the residual stage's small eigendecomposition for its own ``r_i``, and
+runs forward through its ``k`` tail layers from the original model's input
+to layer ``N-k``. Candidates are scored largest ``k`` first, so one walk of
+the original layers reaches each of those inputs in turn; the untouched
+prefix layers score exactly zero. A trial is built one layer at a time,
+each layer factored just before it runs and dropped after, so only one
+layer of one trial exists at a time: each candidate keeps only its
+residual stages, the best's outlive the scan, and the winner is rebuilt
+from them without an SVD. The plan carries it, so ``compress`` writes it
+without factoring it again.
 Every pass of a plan walks the ``S`` calibration rows in the blocks of one
 :class:`~resvd.model.Workspace`, of ``B`` rows each, and writes its
 activations into its three ``B×W`` buffers for rows of width ``W``. The
@@ -203,9 +205,11 @@ def _rejoin(state: CalibratedModel, layer_ratio: float, beta: float,
     """``compress_matrix(state.whitened[key], layer_ratio, beta)`` as a function of ``key``,
     bit for bit, from the matrix's residual stage.
 
-    Each matrix's whitened truncation is cut again from ``state``'s SVD of
-    it, a slice and a scaling, and joined to its residual stage as
-    :func:`~resvd.compensation.compress_matrix` joins them; no SVD runs.
+    Each matrix's whitened truncation is projected again by the same
+    :func:`~resvd.compensation.direct_truncate_matrix` call that
+    ``compress_matrix`` makes, from a slice of ``state``'s ``U`` and the
+    weight, and joined to its residual stage as ``compress_matrix`` joins
+    them; no SVD runs.
     """
     def factor(key: str) -> FactorPair:
         weight = state.whitened[key]

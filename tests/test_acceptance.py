@@ -48,7 +48,7 @@ def demo():
 def random_context(rng, n: int) -> ScalingContext:
     x = rng.standard_normal((4 * n, n))
     s = np.linalg.cholesky(x.T @ x + 0.5 * np.eye(n))
-    return ScalingContext(s=s, s_inv=np.linalg.inv(s), ridge=0.5)
+    return ScalingContext(s=s, ridge=0.5)
 
 
 def test_criterion_1_theorem3_suite():
@@ -99,7 +99,7 @@ def test_criterion_3_beta_degeneration():
         n = int(rng.integers(8, 49))
         w = rng.standard_normal((m, n))
         ctx = (
-            ScalingContext(s=np.eye(n), s_inv=np.eye(n), ridge=0.0)
+            ScalingContext(s=np.eye(n), ridge=0.0)
             if i % 5 == 0
             else random_context(rng, n)
         )

@@ -28,7 +28,13 @@ def assert_whitened_from(ctx, x):
     """``ctx`` is, bit for bit, the context :func:`whiten` builds from ``x``."""
     want = whiten(gram(x))
     assert ctx.s.tobytes() == want.s.tobytes()
-    assert ctx.s_inv.tobytes() == want.s_inv.tobytes()
+
+
+def assert_factors(ctx, g):
+    """``ctx.s`` is a Cholesky factor of the Gram matrix ``g`` plus its ridge."""
+    n = g.shape[0]
+    np.testing.assert_allclose(ctx.s @ ctx.s.T, g + ctx.ridge * np.eye(n),
+                               rtol=0.0, atol=1e-12 * np.abs(g).max())
 
 
 def test_first_layer_sees_raw_input():
@@ -127,10 +133,10 @@ def test_capture_rejects_width_mismatch():
 
 
 def test_whiten_identity_gram():
-    # Orthonormal rows: X^T X = I, so S and its inverse are both I.
+    # Orthonormal rows: X^T X = I, so S is I and S S^T is X^T X.
     ctx = whiten(gram(np.eye(4)), ridge=0.0)
     np.testing.assert_allclose(ctx.s, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(ctx.s_inv, np.eye(4), atol=1e-12)
+    assert_factors(ctx, np.eye(4))
 
 
 def test_whiten_hand_cholesky():
@@ -150,8 +156,7 @@ def test_whiten_default_ridge_rescues_rank_deficiency():
     x = np.array([[1.0, 0.0], [2.0, 0.0]])
     ctx = whiten(gram(x))  # default ridge = 1e-6 * trace/n
     assert ctx.ridge > 0
-    n = 2
-    np.testing.assert_allclose(ctx.s @ ctx.s_inv, np.eye(n), atol=1e-6)
+    assert_factors(ctx, gram(x))
 
 
 def test_whitening_identity_holds_for_random_contexts():
@@ -160,7 +165,7 @@ def test_whitening_identity_holds_for_random_contexts():
         n = int(rng.integers(2, 12))
         x = rng.standard_normal((n + 3, n))
         ctx = whiten(gram(x), ridge=None)
-        np.testing.assert_allclose(ctx.s @ ctx.s_inv, np.eye(n), atol=1e-6)
+        assert_factors(ctx, gram(x))
         assert np.all(np.diag(ctx.s) > 0)
         # lower-triangular
         assert np.allclose(ctx.s, np.tril(ctx.s))
@@ -181,7 +186,6 @@ def test_whitening_deterministic():
     a = whiten(gram(x.copy()))
     b = whiten(gram(x.copy()))
     assert a.s.tobytes() == b.s.tobytes()
-    assert a.s_inv.tobytes() == b.s_inv.tobytes()
 
 
 def test_whiten_rejects_negative_ridge_and_bad_input():
@@ -205,7 +209,7 @@ def test_scaling_context_rejects_nan_factor(where):
     s = np.eye(3)
     s[(1, 1) if where == "diagonal" else (2, 0)] = np.nan
     with pytest.raises(SingularWhiteningError):
-        ScalingContext(s=s, s_inv=np.eye(3), ridge=0.0)
+        ScalingContext(s=s, ridge=0.0)
 
 
 def test_whitening_contexts_cover_every_matrix():
@@ -219,9 +223,9 @@ def test_whitening_contexts_cover_every_matrix():
     calib = CalibrationSet(samples=rng.standard_normal((20, 4)))
     contexts, _, _ = whitened_inputs(model, calib)
     assert set(contexts) == {"l0/w", "l1/w"}
-    for ctx in contexts.values():
-        n = ctx.s.shape[0]
-        np.testing.assert_allclose(ctx.s @ ctx.s_inv, np.eye(n), atol=1e-6)
+    hidden = np.maximum(calib.samples @ model.layers[0].entries[0].dense.T, 0.0)
+    assert_factors(contexts["l0/w"], gram(calib.samples))
+    assert_factors(contexts["l1/w"], gram(hidden))
 
 
 def test_subsample_is_seeded_and_stable():

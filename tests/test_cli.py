@@ -4,6 +4,7 @@ consistency between the artifacts the commands produce."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -289,6 +290,33 @@ class TestCompress:
                                            "overflows f32 and cannot be stored\n")
         assert (dir_bytes(out) == before) if existing else not out.exists()
 
+    def test_degenerate_tail_weights_write_finite_f32_tensors(self, tmp_path):
+        # Tail weights of rank 1 and with all but two or one rows zero, at
+        # ranks far above theirs: the whitened SVD has singular values at or
+        # near 0, and every stored f32 tensor stays finite.
+        demo = gen_demo(tmp_path / "demo")
+        model = load_model(demo)
+        rng = np.random.default_rng(5)
+        width = model.input_dim
+        weights = {3: np.outer(rng.standard_normal(width), rng.standard_normal(width)),
+                   4: np.zeros((width, width)), 5: np.zeros((width, width))}
+        weights[4][[0, 7]] = rng.standard_normal((2, width))
+        weights[5][3] = rng.standard_normal(width)
+        layers = tuple(dataclasses.replace(layer, entries=(
+            dataclasses.replace(layer.entries[0], dense=weights[i]),)) if i in weights else layer
+            for i, layer in enumerate(model.layers))
+        save_model(dataclasses.replace(model, layers=layers), tmp_path / "degenerate")
+        out = tmp_path / "out"
+        assert run_without_warnings(["compress", "--model", str(tmp_path / "degenerate"),
+                                     "--calib", str(demo / "calib.bin"), "--ratio", "0.2",
+                                     "--dtype", "f32", "--out", str(out)]) == 0
+        stored = load_model(out)
+        assert any(e.is_factored for layer in stored.layers[3:] for e in layer.entries)
+        for layer in stored.layers:
+            for e in layer.entries:
+                arrays = (e.factors.u_hat, e.factors.v_hat) if e.is_factored else (e.dense,)
+                assert all(np.isfinite(a).all() for a in arrays), (layer.name, e.name)
+
     def test_default_dtype_writes_every_tensor_as_f64(self, tmp_path):
         # An f32 model compressed at the default --dtype: the prefix layers it
         # leaves dense are written as f64 too, as the manifest's config says.
@@ -332,6 +360,28 @@ class TestCompress:
                                        "--model directory; compress does not overwrite its "
                                        "input\n")
         assert dir_bytes(demo) == before
+
+    @pytest.mark.parametrize("target", ["calib.bin", "sub"])
+    def test_out_onto_the_calibration_or_into_the_model_is_refused_before_loading(
+            self, tmp_path, capsys, monkeypatch, target):
+        # The calibration file and a new directory inside the model's: each
+        # exits 2 with one line before either input is loaded, and every
+        # input keeps its bytes.
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        before = dir_bytes(demo)
+        loaded = []
+        monkeypatch.setattr(resvd.cli, "load_model", loaded.append)
+        monkeypatch.setattr(resvd.cli, "load_calibration_auto", loaded.append)
+        out = demo / target
+        capsys.readouterr()
+        rc = main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "0.2", "--out", str(out)])
+        what = "is the --calib file" if target == "calib.bin" else "is inside the --model directory"
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"resvd: invalid configuration: --out {out} {what}; "
+                                       "compress does not overwrite its input\n")
+        assert loaded == []
+        assert dir_bytes(demo) == before and not (demo / "sub").exists()
 
     def test_bad_ratio_value_exits_2(self, tmp_path):
         demo = gen_demo(tmp_path / "demo")
@@ -957,14 +1007,14 @@ class TestVerify:
         assert doc["format"] == "resvd-verify"
 
 
-def failing_at(real, n: int, exc: BaseException):
-    """``real``, except that its ``n``-th call raises ``exc``."""
+def failing_at(real, n: int, exc: BaseException, times: int = 1):
+    """``real``, except that its ``n``-th call and the ``times - 1`` after it raise ``exc``."""
     calls = 0
 
     def wrapper(*args, **kwargs):
         nonlocal calls
         calls += 1
-        if calls == n:
+        if n <= calls < n + times:
             raise exc
         return real(*args, **kwargs)
 
@@ -1040,12 +1090,56 @@ class TestFaultInjection:
                     if self.run(capsys, argv[command](), (resvd.cli.EXIT_NUMERICAL,)):
                         failed.add(name)
         # a failed SVD is retried and a failed eigh falls back to one, but
-        # whitening has no second route
-        assert failed == ({"cholesky", "inv"} if command != "analyze" else set())
+        # whitening has no second route; nothing inverts its factor
+        assert counts["inv"] == 0
+        assert failed == ({"cholesky"} if command != "analyze" else set())
         for n in range(1, counts["empty"] + 1):
             with monkeypatch.context() as patch:
                 patch.setattr(np, "empty", failing_at(np.empty, n, MemoryError("injected")))
                 assert self.run(capsys, argv[command](), (resvd.cli.EXIT_MEMORY,)) == 5
+
+    @pytest.mark.parametrize("command", ["plan", "compress"])
+    def test_the_qr_route_factors_each_matrix_the_first_two_routes_fail_on(
+            self, capsys, monkeypatch, argv, command):
+        # np.linalg.svd fails at each call a clean run makes and at the next,
+        # so the thin SVD and the transpose route both fail on that matrix and
+        # the QR route factors it. Each run recovers with empty stderr; with
+        # np.linalg.qr failing there too, each either still recovers, when
+        # the failed SVD was a candidate's, or ends in one line with exit 4.
+        clean = 0
+
+        def counting(*args, **kwargs):
+            nonlocal clean
+            clean += 1
+            return real_svd(*args, **kwargs)
+
+        real_svd, real_qr = np.linalg.svd, np.linalg.qr
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counting)
+            assert self.run(capsys, argv[command](), ()) == 0
+        assert clean > 0
+        codes = set()
+        for n, qr_fails in itertools.product(range(1, clean + 1), (False, True)):
+            qr_calls = []
+
+            def qr(*args, **kwargs):
+                qr_calls.append(args)
+                if qr_fails:
+                    raise np.linalg.LinAlgError("injected")
+                return real_qr(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", failing_at(
+                    real_svd, n, np.linalg.LinAlgError("injected"), times=2))
+                patch.setattr(np.linalg, "qr", qr)
+                if qr_fails:
+                    codes.add(self.run(capsys, argv[command](), (resvd.cli.EXIT_NUMERICAL,)))
+                else:
+                    assert self.run(capsys, argv[command](), ()) == 0
+            assert len(qr_calls) == 1
+        # a whitened SVD that fails every route ends the run; a candidate's
+        # makes that candidate a failed row
+        assert codes == {0, resvd.cli.EXIT_NUMERICAL}
 
 
 def run_module(argv: list[str]) -> subprocess.CompletedProcess:

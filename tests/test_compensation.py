@@ -16,7 +16,7 @@ from resvd.planner import PlannerConfig, plan
 
 
 def identity_ctx(n):
-    return ScalingContext(s=np.eye(n), s_inv=np.eye(n), ridge=0.0)
+    return ScalingContext(s=np.eye(n), ridge=0.0)
 
 
 def random_ctx(rng, n):
@@ -50,6 +50,57 @@ def test_full_rank_budget_reproduces_weight():
     # rank use direct truncation at r = 8 explicitly.
     pair = direct_truncate_matrix(whitened_weight(w, ctx), 8)
     assert frobenius_error(pair.product(), w) <= 1e-8 * np.linalg.norm(w)
+
+
+def degenerate_weight(kind, rng, m, n):
+    """A weight of rank 1 (``"rank1"``), or with all but two rows zero (``"zero_rows"``) or all
+    but one (``"one_row"``, whose whitened SVD has singular values of exactly 0)."""
+    if kind == "rank1":
+        return np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    w = np.zeros((m, n))
+    kept = 1 if kind == "one_row" else 2
+    w[rng.choice(m, size=kept, replace=False)] = rng.standard_normal((kept, n))
+    return w
+
+
+@pytest.mark.parametrize("kind", ["rank1", "zero_rows", "one_row"])
+@pytest.mark.parametrize("shape", [(12, 10), (10, 12), (16, 16)])
+def test_stage1_of_a_degenerate_weight_is_its_projection(kind, shape):
+    # At every r_i, far above the weight's rank too, stage 1 is the projection
+    # U_i U_i^T W with finite factors, and each row of v_hat (and column of
+    # u_hat) whose singular value is 0 is 0.
+    m, n = shape
+    rng = np.random.default_rng(17)
+    w = degenerate_weight(kind, rng, m, n)
+    weight = whitened_weight(w, random_ctx(rng, n))
+    if kind == "one_row":
+        assert (weight.sigma == 0).any()
+    for r in range(1, min(m, n) + 1):
+        pair = direct_truncate_matrix(weight, r)
+        assert np.isfinite(pair.u_hat).all() and np.isfinite(pair.v_hat).all()
+        dead = weight.sigma[:r] == 0
+        assert not pair.v_hat[dead].any() and not pair.u_hat[:, dead].any()
+        u = weight.u[:, :r]
+        assert frobenius_error(pair.product(), u @ (u.T @ w)) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_ill_conditioned_whitening_compresses():
+    # S is positive definite with a condition number above 1e11. Nothing
+    # inverts it, so the weight compresses to finite factors, and stage 1 is
+    # the projection onto the leading U columns.
+    rng = np.random.default_rng(19)
+    n = 12
+    x = rng.standard_normal((40, n)) * np.geomspace(1.0, 1e-12, n)
+    ctx = whiten(gram(x), ridge=0.0)
+    assert np.linalg.cond(ctx.s) > 1e11
+    w = rng.standard_normal((10, n))
+    weight = whitened_weight(w, ctx)
+    pair = compress_matrix(weight, 0.3, 0.2)
+    assert np.isfinite(pair.u_hat).all() and np.isfinite(pair.v_hat).all()
+    r_i = rank_budget(10, n, 0.3, 0.2).r_i
+    u = weight.u[:, :r_i]
+    stage1 = direct_truncate_matrix(weight, r_i).product()
+    assert frobenius_error(stage1, u @ (u.T @ w)) <= 1e-12 * np.linalg.norm(w)
 
 
 def test_compensation_beats_direct_truncation_on_seeded_case():
@@ -152,14 +203,13 @@ def test_residual_stage_matches_the_dense_residual_svd(
         assume(False)
     rng = np.random.default_rng(seed)
     if whitener == "identity":
-        ctx = ScalingContext(s=activation_scale * np.eye(n), s_inv=np.eye(n) / activation_scale,
-                             ridge=0.0)
+        ctx = ScalingContext(s=activation_scale * np.eye(n), ridge=0.0)
     else:
         ctx = whiten(gram(activation_scale * rng.standard_normal((2 * n, n))))
     p = min(m, n)
     q1 = np.linalg.qr(rng.standard_normal((m, p)))[0]
     q2 = np.linalg.qr(rng.standard_normal((n, p)))[0]
-    w = scale * ((q1 * whitened_spectrum(spectrum, p, rng)) @ q2.T @ ctx.s_inv)
+    w = scale * ((q1 * whitened_spectrum(spectrum, p, rng)) @ q2.T @ np.linalg.inv(ctx.s))
     weight = whitened_weight(w, ctx)
     # M M^T itself reaches 1e+-300; M / c keeps every entry within 1, its Gram within n
     m, _ = compensation_mod._scaled_tail(weight, budget.r_i)

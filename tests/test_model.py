@@ -357,7 +357,6 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
         for e in layer.entries:
             ctx, fresh = contexts[f"{layer.name}/{e.name}"], whiten(gram(h))
             assert ctx.s.tobytes() == fresh.s.tobytes()
-            assert ctx.s_inv.tobytes() == fresh.s_inv.tobytes()
             h = h @ e.dense.T
 
 

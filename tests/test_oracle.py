@@ -51,13 +51,13 @@ class TestTheorem3Suite:
             x = rng.standard_normal((4 * n, n))
             gram = x.T @ x + 0.5 * np.eye(n)
             s = np.linalg.cholesky(gram)
-            ctx = ScalingContext(s=s, s_inv=np.linalg.inv(s), ridge=0.5)
+            ctx = ScalingContext(s=s, ridge=0.5)
             pair = compress_matrix(whitened_weight(w, ctx), 0.3, 0.05)
             pipeline_err = frobenius_error(w, pair.product())
 
             budget = rank_budget(16, n, 0.3, 0.05)
             u, sigma, vt = np.linalg.svd(w @ s, full_matrices=False)
-            stage1 = (u[:, : budget.r_i] * sigma[: budget.r_i]) @ vt[: budget.r_i] @ ctx.s_inv
+            stage1 = (u[:, : budget.r_i] * sigma[: budget.r_i]) @ vt[: budget.r_i] @ np.linalg.inv(s)
             ru, rsig, rvt = np.linalg.svd(w - stage1, full_matrices=False)
             oracle_est = stage1 + (ru[:, : budget.r_r] * rsig[: budget.r_r]) @ rvt[: budget.r_r]
             oracle_err = np.linalg.norm(w - oracle_est)

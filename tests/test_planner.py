@@ -419,10 +419,11 @@ class TestPlan:
             assert all(math.isnan(v) for v in errors[1:]), k
 
     def test_calibrated_state_holds_two_arrays_per_tail_matrix(self):
-        # Each whitened record keeps U and P = V^T S^{-1} of svd(W S) besides
-        # the weight the model already holds. On wide square matrices and few
-        # rows the activations are small, so the state calibrate returns
-        # holds two n x n arrays per tail matrix and little else.
+        # Each whitened record holds two arrays: the weight, which the model
+        # already holds, and U of svd(W S) (with sigma); V^T and S^{-1} are
+        # never kept. On wide square matrices and few rows the activations
+        # are small, so the state calibrate returns holds one new n x n array
+        # per tail matrix and little else.
         rng = np.random.default_rng(37)
         n, k = 96, 3
         model = make_mlp(rng, 4, n)
@@ -435,7 +436,7 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert len(state.whitened) == k
-        assert 2 * k < held < 2 * k + 0.3, held
+        assert k < held < k + 0.3, held
 
     @pytest.mark.parametrize("beta", [0.0, 0.05])
     def test_the_scan_holds_one_trial_layer_at_a_time(self, monkeypatch, beta):
@@ -661,8 +662,8 @@ class TestRowBlocks:
             np.testing.assert_allclose(got_state.reference_norms, state.reference_norms,
                                        rtol=1e-12, atol=0.0)
             for key, weight in state.whitened.items():
-                np.testing.assert_allclose(got_state.whitened[key].factors.sigma,
-                                           weight.factors.sigma, rtol=1e-10)
+                np.testing.assert_allclose(got_state.whitened[key].sigma, weight.sigma,
+                                           rtol=1e-10)
 
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_the_first_fault_in_forward_order_is_named_across_blocks(self, monkeypatch,
