@@ -13,13 +13,17 @@ positive definite, raise :class:`~resvd.errors.SingularWhiteningError`.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, SingularWhiteningError
+from .errors import DimensionError, FormatError, NumericalError, SingularWhiteningError
 from .linalg import as_matrix
 from .model import SequentialModel, Workspace, squared_norm
 
@@ -27,33 +31,138 @@ T = TypeVar("T")
 
 DEFAULT_RIDGE_SCALE = 1e-6
 
+# The most bytes a file-backed set reads at once beyond a block's own rows:
+# a subsample's rows go through a scratch of this size, and a load checks
+# the rows finite a chunk of this size at a time.
+READ_CHUNK_BYTES = 1 << 18
 
-@dataclass(frozen=True)
+
+class RowFile:
+    """Float64 rows stored little-endian and row-major from byte ``offset`` of an open file.
+
+    ``fd`` is a raw descriptor that this object owns: it is closed once no
+    set refers to the object (or by :attr:`close`), so no file object is
+    left for the garbage collector to warn about. Rows are read from that
+    descriptor, so a file replaced by rename after it was opened still
+    serves its old rows; a file rewritten in place is not supported.
+    """
+
+    def __init__(self, path, fd: int, offset: int, shape: tuple[int, int]):
+        self.path, self.offset, self.shape = path, offset, shape
+        self._fd = fd
+        self.close = weakref.finalize(self, os.close, fd)
+
+    def read(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``start`` to ``start + len(out)`` into the C-contiguous float64 ``out``.
+
+        Raises:
+            FormatError: naming the path, when the file ends before the
+                last of those rows (it was truncated after it was checked),
+                or naming the first of them that holds a non-finite value.
+        """
+        view = memoryview(out).cast("B")
+        at = self.offset + start * self.shape[1] * 8
+        while view:
+            n = os.preadv(self._fd, [view], at)
+            if n == 0:
+                raise FormatError(f"{self.path}: ends before row {start + len(out)}; "
+                                  "it was truncated while in use")
+            view, at = view[n:], at + n
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
+        # min and max propagate nan and allocate no array of out's size
+        if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
+            raise FormatError(f"{self.path}: row {start + bad + 1} holds a non-finite value")
+        return out
+
+
 class CalibrationSet:
-    """A batch of calibration rows, one input vector per row."""
+    """Calibration rows, one input vector per row, held in memory or read from a file.
 
-    samples: np.ndarray
+    ``CalibrationSet(samples=array)`` holds ``array``;
+    :func:`~resvd.containers.load_calibration` makes a set that reads its
+    rows from an ERCC file through a :class:`RowFile`. A :meth:`subsample`
+    keeps a sorted index into its parent's rows and copies none. Every pass
+    takes each block's rows from :meth:`block`; :attr:`samples` gives every
+    row at once, which a file-backed set reads whole, so no pass uses it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", as_matrix(self.samples, "calibration samples"))
+    def __init__(self, samples=None, *, file: RowFile | None = None):
+        if (samples is None) == (file is None):
+            raise ValueError("exactly one of samples/file must be set")
+        self._array = None if samples is None else as_matrix(samples, "calibration samples")
+        self._file = file
+        self._index: np.ndarray | None = None  # sorted rows of the parent, for a subsample
+        self.num_samples, self.input_dim = (self._array if file is None else file).shape
 
     @property
-    def num_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.samples.shape[1]
+    def samples(self) -> np.ndarray:
+        """Every row, read-only: an in-memory set's array, or a fresh read of every row."""
+        if self._array is not None and self._index is None:
+            return self._array
+        out = self._read(slice(0, self.num_samples),
+                         np.empty((self.num_samples, self.input_dim)))
+        out.flags.writeable = False
+        return out
 
     def subsample(self, n: int, seed: int) -> "CalibrationSet":
-        """Seeded random row selection without replacement (all rows if n >= size)."""
+        """Seeded random row selection without replacement (all rows if n >= size).
+
+        The selection is a sorted index of this set's rows, so no row is
+        copied: a subsample of a file-backed set reads its rows from the
+        file, block by block, as its parent does.
+        """
         if n < 1:
             raise ValueError("subsample size must be >= 1")
         if n >= self.num_samples:
             return self
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(self.num_samples, size=n, replace=False))
-        return CalibrationSet(samples=self.samples[idx])
+        chosen = copy.copy(self)
+        chosen._index = idx if self._index is None else self._index[idx]
+        chosen.num_samples = n
+        return chosen
+
+    def block(self, rows: slice, ws: Workspace) -> np.ndarray:
+        """The rows ``rows`` of this set, for one block of a pass in ``ws``, which only reads them.
+
+        An in-memory set with no index gives a view of its array. Any other
+        set writes them into the first of ``ws``'s output buffers, in which
+        a pass holds nothing at the start of a block, so they last until the
+        walk from them writes its second output: a file-backed set reads
+        them from the file with ``os.preadv`` and checks them finite as it
+        reads, and a subsample gathers its index's rows, from its array or
+        from the file. The same rows reach a pass either way, so its results
+        do not depend on where the set keeps them.
+        """
+        if self._array is not None and self._index is None:
+            return self._array[rows]
+        return self._read(rows, ws.free(rows.stop - rows.start, self.input_dim))
+
+    def _read(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """The rows ``rows`` written into ``out``; see :meth:`block`.
+
+        A subsample of a file reads the file in chunks of at most
+        :data:`READ_CHUNK_BYTES`, each from one wanted row to the last
+        wanted row within a chunk's reach, and gathers its wanted rows, so
+        the gaps read stay shorter than a chunk.
+        """
+        if self._index is None:
+            return self._file.read(rows.start, out)
+        index = self._index[rows]
+        # mode="clip" lets take write into ``out`` unbuffered; every index is in range
+        if self._file is None:
+            return np.take(self._array, index, axis=0, out=out, mode="clip")
+        chunk = np.empty((max(1, READ_CHUNK_BYTES // (8 * self.input_dim)), self.input_dim))
+        done = 0
+        while done < len(index):
+            first = int(index[done])
+            stop = int(np.searchsorted(index, first + len(chunk)))
+            span = self._file.read(first, chunk[: index[stop - 1] + 1 - first])
+            np.take(span, index[done:stop] - first, axis=0, out=out[done:stop], mode="clip")
+            done = stop
+        return out
 
 
 @dataclass(frozen=True)
@@ -139,10 +248,11 @@ def capture_activations(
     layer through :meth:`~resvd.model.Layer.steps`, which writes every
     output into ``ws``, so the pass holds two block buffers whatever the
     depth and the row count, plus the scratch pair for the entries within a
-    layer and silu's sigmoid; ``calib.samples`` is never written. Each
-    block adds its inputs' :func:`gram` to each tail matrix's sum, and its
-    outputs' squared norm to each layer's, and writes its model output
-    into the one full-size output array. Once the last block is through,
+    layer and silu's sigmoid, and a third buffer where a block's rows are
+    read into one (:meth:`CalibrationSet.block`); those rows are never
+    written. Each block adds its inputs' :func:`gram` to each tail matrix's sum, and its
+    outputs' squared norm to each layer's, and writes its model output into
+    the one full-size output array. Once the last block is through,
     each matrix of those layers is passed, in forward order, with the
     :func:`whiten` context of its summed Gram matrix and its key
     ``"<layer>/<matrix>"``, to ``factor(w, ctx, key)``; each Gram matrix is
@@ -195,7 +305,7 @@ def capture_activations(
 
     output = np.empty((calib.num_samples, model.layers[-1].output_dim))
     for rows in ws.blocks:
-        y = walk(calib.samples[rows])
+        y = walk(calib.block(rows, ws))
         if y is not None:
             output[rows] = y
     factored: dict[str, T] = {}

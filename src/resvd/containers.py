@@ -4,9 +4,12 @@ A model is a directory: ``manifest.json`` describing layers plus one raw
 tensor file per matrix entry (little-endian, row-major; factored entries
 store u_hat then v_hat back to back). Calibration sets are either the
 binary container (magic ``ERCC``) or bare numeric CSV. Plans and error
-reports are deterministic JSON and CSV. Loaded calibration rows are
-read-only, whichever reader built them, and a CSV is parsed only the first
-time it is loaded (see :mod:`resvd.csv_cache`).
+reports are deterministic JSON and CSV. A loaded ERCC file is checked and
+then read block by block as each pass needs its rows, so no command holds
+the calibration set; a CSV is parsed only the first time it is loaded, and
+later loads read the ERCC entry the parse left (see
+:mod:`resvd.csv_cache`). Calibration rows are never written, whichever
+reader built them.
 
 Tensors are float64 in memory whatever their file holds. The writer takes
 the precision of every tensor file as its ``dtype`` argument, so a model
@@ -18,13 +21,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationSet
+from .calibration import READ_CHUNK_BYTES, CalibrationSet, RowFile
 from .errors import DimensionError, FormatError, NumericalError
 from .linalg import FactorPair
 from .model import ACTIVATIONS, NAME_RE, Layer, MatrixEntry, SequentialModel
@@ -241,32 +245,50 @@ def save_calibration(calib: CalibrationSet, path: str | Path) -> None:
         fh.write(samples.data)  # the payload straight from the array, not a copy of it
 
 
-def _read_only(samples: np.ndarray) -> CalibrationSet:
-    calib = CalibrationSet(samples=samples)
-    calib.samples.flags.writeable = False
-    return calib
-
-
 def load_calibration(path: str | Path) -> CalibrationSet:
-    """Read an ERCC container; its rows are a read-only view of the file's bytes."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _CALIB_HEADER.size:
+    """Check an ERCC container and return a set that reads its rows from the file.
+
+    The header and the file's size are checked, and then every row is
+    checked finite, :data:`~resvd.calibration.READ_CHUNK_BYTES` at a time,
+    so the check holds no copy of the payload. The set keeps the file open
+    by a raw descriptor, closed once no set refers to it, and each pass
+    reads the rows of each block from that descriptor
+    (:meth:`~resvd.calibration.CalibrationSet.block`), checking them finite
+    again. So a file replaced by rename still serves the rows checked here,
+    and a file truncated after this check is a one-line ``FormatError``
+    naming ``path`` at the first read past its end. A file rewritten in
+    place while a command runs is not supported.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        rows = RowFile(path, fd, _CALIB_HEADER.size, _calib_shape(path, fd))
+    except BaseException:
+        os.close(fd)
+        raise
+    # from here on, a failure drops ``rows``, which closes the file
+    n, cols = rows.shape
+    chunk = np.empty((max(1, READ_CHUNK_BYTES // (8 * cols)), cols))
+    for start in range(0, n, len(chunk)):
+        rows.read(start, chunk[: n - start])
+    return CalibrationSet(file=rows)
+
+
+def _calib_shape(path: str | Path, fd: int) -> tuple[int, int]:
+    """The (rows, cols) the ERCC header of the file open at ``fd`` declares and its size holds."""
+    header = os.pread(fd, _CALIB_HEADER.size, 0)
+    if len(header) < _CALIB_HEADER.size:
         raise FormatError(f"{path}: too short for a calibration header")
-    magic, version, rows, cols = _CALIB_HEADER.unpack_from(raw)
+    magic, version, rows, cols = _CALIB_HEADER.unpack(header)
     if magic != CALIB_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != CALIB_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    want, payload = rows * cols * 8, len(raw) - _CALIB_HEADER.size
+    want, payload = rows * cols * 8, os.fstat(fd).st_size - _CALIB_HEADER.size
     if payload != want:
         raise FormatError(f"{path}: payload is {payload} bytes, expected {want}")
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: empty calibration set")
-    samples = np.frombuffer(raw, dtype="<f8", offset=_CALIB_HEADER.size).reshape(rows, cols)
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: row {bad[0] + 1} holds a non-finite value")
-    return _read_only(samples)
+    return rows, cols
 
 
 def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
@@ -290,10 +312,12 @@ def load_calibration_csv(path: str | Path) -> CalibrationSet:
     an unusual byte) the line loop decides, so every accepted file loads
     the same and every rejected one gives the same one-line message. A file
     parsed before is read back from :mod:`resvd.csv_cache`, found by the
-    sha256 of its bytes alone. A miss reads the file once more and parses
-    exactly the bytes it read, cached under their own sha256, so an entry
-    always holds the rows of the bytes its name hashes, even when the file
-    changes between the two reads. Only a successful parse is cached.
+    sha256 of its bytes alone, as a set that reads the entry's rows block
+    by block (:func:`load_calibration`). A miss reads the file once more
+    and parses exactly the bytes it read, into a set held in memory, cached
+    under their own sha256, so an entry always holds the rows of the bytes
+    its name hashes, even when the file changes between the two reads. Only
+    a successful parse is cached.
     """
     from . import csv_cache  # only a CSV load compiles and runs the cache
 
@@ -303,7 +327,8 @@ def load_calibration_csv(path: str | Path) -> CalibrationSet:
         samples = _load_csv_fast(raw) if _is_plain(raw) else None
         if samples is None:
             samples = _load_csv_lines(path, raw)
-        calib = _read_only(samples)
+        samples.flags.writeable = False
+        calib = CalibrationSet(samples=samples)
         csv_cache.store(calib, csv_cache.entry_for(_sha256(raw)))
     return calib
 

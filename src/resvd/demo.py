@@ -17,7 +17,7 @@ import numpy as np
 
 from .calibration import CalibrationSet
 from .containers import save_calibration, save_model
-from .model import Layer, MatrixEntry, SequentialModel, forward
+from .model import Layer, MatrixEntry, SequentialModel, Workspace, _walk
 
 DEMO_LAYERS = 8
 DEMO_WIDTH = 64
@@ -74,7 +74,10 @@ def generate(out_dir: str | Path, n_layers: int = DEMO_LAYERS, width: int = DEMO
     """Write a loadable model dir with calib.bin and checksum.json inside.
 
     The checksum covers the model's output on the calibration set, which
-    pins both the weights and the sample draw at once.
+    pins both the weights and the sample draw at once. It is fed one
+    :class:`~resvd.model.Workspace` block of that output at a time; the
+    blocks are row-major slices of it in order, so the digest is that of
+    the whole output's bytes, and no full-size output is held.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -82,12 +85,16 @@ def generate(out_dir: str | Path, n_layers: int = DEMO_LAYERS, width: int = DEMO
     calib = demo_calibration(n_samples=samples, width=width, seed=seed)
     save_model(model, root)
     save_calibration(calib, root / "calib.bin")
-    digest = hashlib.sha256(forward(model, calib.samples)[-1].tobytes()).hexdigest()
+    digest = hashlib.sha256()
+    ws = Workspace(samples, model)
+    for rows in ws.blocks:
+        *_, y = _walk(model.layers, calib.block(rows, ws), ws)
+        digest.update(y)
     doc = {
         "format": "resvd-demo",
         "config": {"n_layers": n_layers, "width": width,
                    "samples": samples, "seed": seed},
-        "output_sha256": digest,
+        "output_sha256": digest.hexdigest(),
     }
     (root / "checksum.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc

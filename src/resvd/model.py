@@ -231,22 +231,28 @@ class Workspace:
     writes into a scratch pair (:meth:`between`), so a layer never writes
     over its own input or a buffer its caller holds; a silu layer takes its
     sigmoid from that pair once its entries are done; and a factored entry's
-    inner product goes into a ``B × rank`` scratch (:meth:`inner`). Each
-    buffer is allocated on first use, and the rank scratch grows to the
-    largest rank applied. Only models of ``model``'s skeleton, on blocks of
-    at most ``B`` rows, may run in it. A command makes one per call and
-    shares it between its passes; none lives at module level.
+    inner product goes into a ``B × rank`` scratch (:meth:`inner`). A
+    calibration set that does not hold its rows as one array reads each
+    block's rows into the first output buffer (:meth:`free`, at the start
+    of the block, when the pass holds no output), so the output buffers
+    are as wide as the model's input where that is wider than ``W``; ``B``
+    still comes from ``W``. Each buffer is allocated on first use, and the
+    rank scratch grows to the largest rank applied. Only models of
+    ``model``'s skeleton, on blocks of at most ``B`` rows, may run in it. A
+    command makes one per call and shares it between its passes; none lives
+    at module level.
     """
 
     def __init__(self, rows: int, model: SequentialModel):
-        self._width = max(layer.output_dim for layer in model.layers)
-        n_blocks = -(-rows // max(1, BLOCK_BYTES // (8 * self._width)))
+        width = max(layer.output_dim for layer in model.layers)
+        n_blocks = -(-rows // max(1, BLOCK_BYTES // (8 * width)))
         self.rows = -(-rows // n_blocks)
         self.blocks = tuple(slice(start, min(start + self.rows, rows))
                             for start in range(0, rows, self.rows))
         self._pair_width = max([e.rows for layer in model.layers for e in layer.entries[:-1]]
                                + [layer.output_dim for layer in model.layers
                                   if layer.activation == "silu"], default=0)
+        self._width = max(width, model.input_dim)  # a block's rows may be read into a buffer
         self._buffers: list[np.ndarray | None] = [None] * 3
         self._pair: list[np.ndarray | None] = [None] * 2
         self._inner = np.empty(0)
@@ -464,9 +470,11 @@ def layerwise_error(
     nan where its reference norm is zero. From the first layer that
     differs, fed the reference output there, the two models walk in step
     through :func:`_squares_in_step`. Each block of a :class:`Workspace`
-    of this call's own is walked so in turn, so at most three block outputs
-    are held whatever the depth and the row count; each layer's squared
-    error and squared reference norm are summed over the blocks in order,
+    of this call's own is walked so in turn, from its rows as
+    :meth:`~resvd.calibration.CalibrationSet.block` gives them, so the
+    pass holds three block buffers whatever the depth and the row count;
+    each layer's squared error and squared reference norm are summed over
+    the blocks in order,
     as the planner sums a candidate's. ``compress`` writes its
     ``errors.csv`` with this call and ``analyze`` its CSV, so the two
     agree by construction. A layer whose reference output has zero norm
@@ -480,13 +488,16 @@ def layerwise_error(
     """
     if not same_skeleton(original, compressed):
         raise DimensionError("models do not share an architecture skeleton")
-    h = _model_input(original, calib.samples)
-    ws = Workspace(len(h), original)
+    if calib.input_dim != original.input_dim:
+        raise DimensionError(
+            f"input width {calib.input_dim} != model input_dim {original.input_dim}"
+        )
+    ws = Workspace(calib.num_samples, original)
     shared = _shared_prefix(original, compressed)
     errors_sq = [0.0] * original.n_layers
     refs_sq = [0.0] * original.n_layers
     for rows in ws.blocks:
-        x = h[rows]
+        x = calib.block(rows, ws)
         squares = []
         for x in _walk(original.layers[:shared], x, ws):
             squares.append((0.0, squared_norm(x)))

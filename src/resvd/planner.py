@@ -326,6 +326,26 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
     return model_ops._squared_error(y, state.output[rows]), residual
 
 
+def _too_thin(model: SequentialModel, k: int, layer_ratio: float, beta: float,
+              rows: int) -> InfeasiblePlanError | None:
+    """Why ``rows`` calibration rows cannot score candidate ``k``, or None when they can.
+
+    A matrix whose kept rank ``r`` is at least the row count fits those rows
+    exactly up to the ridge, so the candidate's error would measure the
+    ridge and not the compression. The first such matrix of the last ``k``
+    layers is named.
+    """
+    for layer in model.layers[model.n_layers - k :]:
+        for e in layer.entries:
+            r = rank_budget(e.rows, e.cols, layer_ratio, beta).r
+            if rows <= r:
+                return InfeasiblePlanError(
+                    f"{layer.name}/{e.name}: calibration rows in use ({rows}) do not exceed "
+                    f"the kept rank {r}, so its error would measure the ridge, not the "
+                    "compression")
+    return None
+
+
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
     """Score every feasible tail-layer candidate and pick the error argmin.
 
@@ -336,9 +356,13 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     layers reaches each trial's input in turn; each trial scores its final
     layer only, and its squared error is summed over the blocks in order.
     Candidates whose compression fails are kept in the table as failed
-    rows and skipped by the argmin. Only one layer of one trial exists at
-    a time (:func:`_scored`). Every candidate keeps its residual stages
-    until the last block, where only the best so far keeps them; the
+    rows and skipped by the argmin, and so is each candidate with a matrix
+    whose kept rank is at least the calibration's row count
+    (:func:`_too_thin`): those are never calibrated or scored, and the
+    calibrated state covers the largest ``k`` that is. Only one layer of
+    one trial exists at a time (:func:`_scored`). Every candidate keeps its
+    residual stages until the last block, where only the best so far keeps
+    them; the
     winning trial is rebuilt from them (:func:`_rejoin`) once the scan
     ends, for ``compress`` to write, so a run of one block holds what one
     pass over every row held. No per-layer pass runs here. Activations
@@ -348,19 +372,26 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     Raises:
         NumericalError: the smallest candidate's, when every candidate
             failed and that one failed numerically (it names the matrix).
-        InfeasiblePlanError: when every candidate failed otherwise.
+        InfeasiblePlanError: the smallest candidate's, naming the matrix,
+            when it has too few calibration rows, raised before any pass
+            when every candidate has; when every candidate failed otherwise.
     """
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
+    failures: dict[int, CompressionError] = {
+        k: thin for k, ratio in candidates
+        if (thin := _too_thin(model, k, ratio, cfg.beta, calib.num_samples))}
+    scored = [k for k, _ in candidates if k not in failures]
+    if not scored:
+        raise failures[candidates[0][0]]
     ws = Workspace(calib.num_samples, model)
-    state = calibrate(model, calib, candidates[-1][0], ws)
-    squares = dict.fromkeys((k for k, _ in candidates), 0.0)
+    state = calibrate(model, calib, scored[-1], ws)
+    squares = dict.fromkeys(scored, 0.0)
     stages: dict[int, dict[str, FactorPair]] = {}
-    failures: dict[int, CompressionError] = {}
     rows: list[CandidateResult] = []
     best = failure = None
     for block in ws.blocks:
         last = block is ws.blocks[-1]
-        x, at = calib.samples[block], 0  # x is what the original model feeds layer ``at``
+        x, at = calib.block(block, ws), 0  # x is what the original model feeds layer ``at``
         inputs = _walk(model.layers, x, ws)
         for k, ratio in reversed(candidates):
             if k not in failures:
@@ -392,7 +423,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
             else:
                 del stages[k]
     if best is None:
-        if isinstance(failure, NumericalError):
+        if isinstance(failure, (NumericalError, InfeasiblePlanError)):
             raise failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
     return CompressionPlan(

@@ -1,8 +1,9 @@
-"""The calibration pass and whitening-context construction."""
+"""The calibration pass, calibration sets and whitening-context construction."""
 
 import numpy as np
 import pytest
 
+import resvd.calibration
 from resvd.calibration import (
     CalibrationSet,
     ScalingContext,
@@ -10,7 +11,8 @@ from resvd.calibration import (
     gram,
     whiten,
 )
-from resvd.errors import DimensionError, NumericalError, SingularWhiteningError
+from resvd.containers import load_calibration, save_calibration
+from resvd.errors import DimensionError, FormatError, NumericalError, SingularWhiteningError
 from resvd.model import Layer, MatrixEntry, SequentialModel, Workspace, forward
 
 
@@ -237,3 +239,94 @@ def test_subsample_is_seeded_and_stable():
     assert a.num_samples == 10
     c = calib.subsample(100, seed=1)
     assert c.num_samples == 50
+
+
+def identity_model(width):
+    return SequentialModel(layers=(dense_layer("l0", np.eye(width)),))
+
+
+def blocks_of(calib, rows_per_block):
+    """Every block of ``calib`` in a workspace of ``rows_per_block`` rows, copied out."""
+    ws = Workspace(rows_per_block, identity_model(calib.input_dim))
+    return [calib.block(slice(start, min(start + rows_per_block, calib.num_samples)), ws).copy()
+            for start in range(0, calib.num_samples, rows_per_block)]
+
+
+@pytest.mark.parametrize("chunk_bytes", [8 * 7, 8 * 7 * 5, resvd.calibration.READ_CHUNK_BYTES])
+def test_file_backed_blocks_equal_in_memory_blocks(tmp_path, monkeypatch, chunk_bytes):
+    # The same rows, whole and subsampled (dense, sparse, and a subsample of a
+    # subsample), come out bit-identical block by block whether the set holds
+    # them or reads them from its file, whatever chunks a gather reads in.
+    monkeypatch.setattr(resvd.calibration, "READ_CHUNK_BYTES", chunk_bytes)
+    rows = np.random.default_rng(41).standard_normal((300, 7))
+    rows[5, 2] = -0.0
+    memory = CalibrationSet(samples=rows)
+    save_calibration(memory, tmp_path / "c.bin")
+    file = load_calibration(tmp_path / "c.bin")
+    pairs = [(memory, file)]
+    for n, seed in ((225, 1), (17, 2), (299, 3)):
+        pairs.append((memory.subsample(n, seed), file.subsample(n, seed)))
+    pairs.append((pairs[1][0].subsample(40, 4), pairs[1][1].subsample(40, 4)))
+    for a, b in pairs:
+        assert (a.num_samples, a.input_dim) == (b.num_samples, b.input_dim)
+        assert a.samples.tobytes() == b.samples.tobytes()
+        for per_block in (1, 13, a.num_samples):
+            got, want = blocks_of(b, per_block), blocks_of(a, per_block)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert np.concatenate(got).tobytes() == a.samples.tobytes()
+
+
+def test_a_subsample_is_an_index_of_its_parents_rows():
+    rows = np.random.default_rng(42).standard_normal((50, 3))
+    sub = CalibrationSet(samples=rows).subsample(10, seed=42)
+    idx = np.sort(np.random.default_rng(42).choice(50, size=10, replace=False))
+    assert sub.samples.tobytes() == rows[idx].tobytes()
+    again = sub.subsample(4, seed=1)
+    pick = np.sort(np.random.default_rng(1).choice(10, size=4, replace=False))
+    assert again.samples.tobytes() == rows[idx[pick]].tobytes()
+
+
+def test_file_backed_set_reads_from_the_descriptor_opened_at_load(tmp_path):
+    # A file replaced by rename still serves the rows that were checked.
+    rows = np.random.default_rng(43).standard_normal((20, 4))
+    save_calibration(CalibrationSet(samples=rows), tmp_path / "c.bin")
+    calib = load_calibration(tmp_path / "c.bin")
+    save_calibration(CalibrationSet(samples=rows + 1.0), tmp_path / "new.bin")
+    (tmp_path / "new.bin").replace(tmp_path / "c.bin")
+    assert calib.samples.tobytes() == rows.tobytes()
+    (tmp_path / "c.bin").unlink()
+    assert calib.subsample(5, seed=0).samples.tobytes() == rows[
+        np.sort(np.random.default_rng(0).choice(20, size=5, replace=False))].tobytes()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncate", r"c\.bin: ends before row 12; it was truncated while in use$"),
+    ("nan", r"c\.bin: row 9 holds a non-finite value$"),
+])
+def test_a_block_damaged_after_load_is_a_format_error(tmp_path, damage, message):
+    rows = np.random.default_rng(44).standard_normal((12, 4))
+    save_calibration(CalibrationSet(samples=rows), tmp_path / "c.bin")
+    calib = load_calibration(tmp_path / "c.bin")
+    raw = bytearray((tmp_path / "c.bin").read_bytes())
+    if damage == "truncate":
+        del raw[-5:]
+    else:
+        raw[-8 * 4 * 4 : -8 * 4 * 4 + 8] = np.float64(np.nan).tobytes()  # row 9 of 12
+    with open(tmp_path / "c.bin", "r+b") as fh:  # in place, as the docs forbid
+        fh.truncate(0)
+        fh.write(raw)
+    ws = Workspace(12, identity_model(4))
+    assert calib.block(slice(0, 6), ws).tobytes() == rows[:6].tobytes()
+    with pytest.raises(FormatError, match=message):
+        calib.block(slice(6, 12), ws)
+
+
+def test_a_loaded_file_is_closed_once_no_set_refers_to_it(tmp_path):
+    save_calibration(CalibrationSet(samples=np.ones((3, 2))), tmp_path / "c.bin")
+    calib = load_calibration(tmp_path / "c.bin")
+    sub = calib.subsample(2, seed=0)
+    close = calib._file.close
+    del calib
+    assert close.alive  # the subsample still reads through it
+    del sub
+    assert not close.alive

@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -110,11 +111,15 @@ class TestGenDemo:
         calib = load_calibration(tmp_path / "d" / "calib.bin")
         assert calib.samples.shape == (24, 16)
 
-    def test_checksum_matches_forward(self, tmp_path):
-        gen_demo(tmp_path / "d")
+    @pytest.mark.parametrize("extra, blocks", [([], 1), (["--samples", "8192"], 2)])
+    def test_checksum_matches_forward(self, tmp_path, extra, blocks):
+        # gen-demo hashes the last layer's output one block at a time; the
+        # digest is that of the whole output forward returns
+        assert main(["gen-demo", "--out", str(tmp_path / "d"), *extra]) == 0
         doc = json.loads((tmp_path / "d" / "checksum.json").read_text())
         model = load_model(tmp_path / "d")
         calib = load_calibration(tmp_path / "d" / "calib.bin")
+        assert len(resvd.model.Workspace(calib.num_samples, model).blocks) == blocks
         digest = hashlib.sha256(forward(model, calib.samples)[-1].tobytes()).hexdigest()
         assert doc["output_sha256"] == digest
         assert doc["config"]["seed"] == 7
@@ -670,6 +675,35 @@ class TestPlanCommand:
         assert capsys.readouterr() == ("", f"resvd: invalid configuration: --out {out} {what}; "
                                        "plan does not overwrite its input\n")
         assert dir_bytes(demo) == before
+
+    @pytest.mark.parametrize("command", ["plan", "compress"])
+    @pytest.mark.parametrize("calib", ["one-row csv", "--samples 1"])
+    def test_one_calibration_row_is_refused_with_one_line(self, tmp_path, capsys, command,
+                                                          calib):
+        # 4 layers of width 8 at R_o = 0.2: both candidates keep rank 2, which
+        # one row cannot measure, so no candidate is scored: exit 3.
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        if calib == "one-row csv":
+            (tmp_path / "one.csv").write_text(",".join(["0.5"] * 8) + "\n")
+            rows = ["--calib", str(tmp_path / "one.csv")]
+        else:
+            rows = ["--calib", str(demo / "calib.bin"), "--samples", "1"]
+        out = ["--out", str(tmp_path / "out")] if command == "compress" else []
+        capsys.readouterr()
+        assert main([command, "--model", str(demo), *rows, "--ratio", "0.2", *out]) == 3
+        assert capsys.readouterr() == ("", (
+            "resvd: infeasible: layer2/w: calibration rows in use (1) do not exceed the kept "
+            "rank 2, so its error would measure the ridge, not the compression\n"))
+        assert not (tmp_path / "out").exists()
+
+    def test_rows_just_above_the_kept_rank_plan(self, tmp_path, capsys):
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        capsys.readouterr()
+        assert main(["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--samples", "3", "--ratio", "0.2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "3"]
+        assert not any(math.isnan(float(row.split(",")[2])) for row in rows)
 
     def test_infeasible_exits_3(self, tmp_path):
         demo = gen_demo(tmp_path / "demo", layers=4)
@@ -1228,6 +1262,161 @@ class TestCalibrationCache:
             proc = run_module(argv)
             assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", want.stdout)
         assert (tmp_path / "file").read_text() == ""
+
+
+def traced_peak(run) -> int:
+    """The most bytes ``run()`` holds at once beyond what was held before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFileBackedCalibration:
+    # An ERCC file, or a CSV's cache entry, is read block by block from the
+    # descriptor its load opened. 40 rows of width 8 run as blocks of at
+    # most 14 rows.
+    ROWS, WIDTH = 40, 8
+
+    @pytest.fixture
+    def demo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(resvd.model, "BLOCK_BYTES", 8 * self.WIDTH * 14)
+        demo = gen_demo(tmp_path / "demo", layers=4, width=self.WIDTH, samples=self.ROWS)
+        save_calibration_csv(load_calibration(demo / "calib.bin"), tmp_path / "c.csv")
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--samples", "0", "--out", str(tmp_path / "ref")]) == 0
+        return demo
+
+    @staticmethod
+    def argv(demo: Path, command: str, calib: Path, out: Path, samples: str) -> list[str]:
+        rows = ["--calib", str(calib), "--samples", samples]
+        if command == "analyze":
+            return ["analyze", "--original", str(demo), "--compressed",
+                    str(demo.parent / "ref"), *rows, "--out", str(out)]
+        return [command, "--model", str(demo), *rows, "--ratio", "0.2", "--out", str(out)]
+
+    @pytest.mark.parametrize("samples", ["0", "30"])
+    @pytest.mark.parametrize("command, stage", [
+        ("compress", "load"), ("compress", "scan"), ("compress", "errors"),
+        ("plan", "scan"), ("analyze", "load"),
+    ])
+    def test_a_file_truncated_while_in_use_is_one_line_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, demo, command, stage, samples):
+        # The file loses its last rows after the load checked it: after the
+        # load, after the calibration pass, or before errors.csv is scored.
+        # The first read past its end names it, exit 2, and --out never exists.
+        calib = tmp_path / "c.bin"
+        shutil.copy(demo / "calib.bin", calib)
+
+        def truncating(owner, name, before):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                if before:
+                    os.truncate(calib, 24 + 8 * self.WIDTH * 20 + 3)
+                result = real(*args)
+                if not before:
+                    os.truncate(calib, 24 + 8 * self.WIDTH * 20 + 3)
+                return result
+            monkeypatch.setattr(owner, name, wrapper)
+
+        hook = {"load": (resvd.cli, "load_calibration_auto", False),
+                "scan": (resvd.planner, "calibrate", False),
+                "errors": (resvd.cli, "layerwise_error", True)}[stage]
+        truncating(*hook)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(self.argv(demo, command, calib, out, samples)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"resvd: format error: {calib}: ends before row "), err
+        assert err.endswith("; it was truncated while in use\n"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["unlink the cache entry", "replace the file"])
+    def test_a_file_removed_or_replaced_while_in_use_serves_the_rows_it_loaded(
+            self, tmp_path, monkeypatch, demo, change):
+        # A warm CSV whose cache entry another process evicts, and an ERCC
+        # file replaced by rename, both after the load: each run exits 0 with
+        # the bytes of an undisturbed run.
+        csv = change == "unlink the cache entry"
+        calib = tmp_path / ("c.csv" if csv else "c.bin")
+        if not csv:
+            shutil.copy(demo / "calib.bin", calib)
+        argv = self.argv(demo, "compress", calib, tmp_path / "out", "0")
+        assert main(argv) == 0  # a CSV's first load parses and fills the cache
+        want = dir_bytes(tmp_path / "out")
+        shutil.rmtree(tmp_path / "out")
+        cache = Path(os.environ["XDG_CACHE_HOME"], "resvd")
+        assert cache.is_dir() == csv
+        for name in ("_load_csv_fast", "_load_csv_lines"):  # warm: a parse would raise
+            monkeypatch.setattr(resvd.containers, name, None)
+
+        def load(path):
+            loaded = real(path)
+            if csv:
+                for entry in cache.iterdir():
+                    entry.unlink()
+            else:
+                (tmp_path / "other.bin").write_bytes(b"ERCC")
+                (tmp_path / "other.bin").replace(calib)
+            return loaded
+
+        real = resvd.cli.load_calibration_auto
+        monkeypatch.setattr(resvd.cli, "load_calibration_auto", load)
+        assert main(argv) == 0
+        assert dir_bytes(tmp_path / "out") == want
+
+    @pytest.mark.parametrize("samples", ["0", "30"])
+    @pytest.mark.parametrize("command", ["plan", "compress", "analyze"])
+    @pytest.mark.parametrize("source", ["ercc", "warm csv"])
+    def test_no_pass_reads_the_whole_set(self, tmp_path, monkeypatch, demo, command, source,
+                                         samples):
+        calib = demo / "calib.bin" if source == "ercc" else tmp_path / "c.csv"
+        if source == "warm csv":
+            assert main(self.argv(demo, "plan", calib, tmp_path / "cold.csv", samples)) == 0
+        real = resvd.calibration.CalibrationSet.samples
+
+        def samples_of(calib_set):
+            if calib_set._file is not None:
+                raise AssertionError("a pass read every row of a file-backed set")
+            return real.fget(calib_set)
+
+        monkeypatch.setattr(resvd.calibration.CalibrationSet, "samples", property(samples_of))
+        assert main(self.argv(demo, command, calib, tmp_path / "out", samples)) == 0
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path, monkeypatch):
+        # One and eight blocks of rows, a block being one chunk of the load's
+        # check: analyze, load included, holds no more at 8x the rows, and
+        # plan holds more by its model output alone.
+        width = 16
+        per_block = resvd.calibration.READ_CHUNK_BYTES // (8 * width)
+        monkeypatch.setattr(resvd.model, "BLOCK_BYTES", 8 * width * per_block)
+        peaks = {}
+        for times in (1, 8):
+            demo = gen_demo(tmp_path / f"demo{times}", layers=8, width=width,
+                            samples=times * per_block)
+            rows = ["--calib", str(demo / "calib.bin"), "--samples", "0"]
+            if times == 1:
+                assert main(["compress", "--model", str(demo), *rows, "--ratio", "0.2",
+                             "--out", str(tmp_path / "ref")]) == 0
+            peaks[times] = {
+                "analyze": traced_peak(lambda: main(
+                    ["analyze", "--original", str(demo), "--compressed", str(tmp_path / "ref"),
+                     *rows, "--out", str(tmp_path / "a.csv")])),
+                "plan": traced_peak(lambda: main(
+                    ["plan", "--model", str(demo), *rows, "--ratio", "0.2",
+                     "--out", str(tmp_path / "p.csv")])),
+            }
+        # the rows added are 7 blocks; what else moves is tens of KiB of
+        # Python objects, whichever way
+        block = 8 * width * per_block  # also the model's output per block of rows
+        slack = block // 8
+        assert peaks[8]["analyze"] < peaks[1]["analyze"] + slack, peaks
+        assert peaks[8]["plan"] < peaks[1]["plan"] + 7 * block + slack, peaks
 
 
 class TestBlasThreads:

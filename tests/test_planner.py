@@ -14,6 +14,7 @@ import pytest
 
 import resvd.calibration
 import resvd.compensation
+import resvd.linalg
 import resvd.model as model_mod
 import resvd.planner as planner_mod
 from resvd.calibration import CalibrationSet, gram, whiten
@@ -573,6 +574,61 @@ class TestPlan:
         monkeypatch.setattr(planner_mod, "_scored", broken)
         with pytest.raises(InfeasiblePlanError):
             plan(model, calib, PlannerConfig(overall_ratio=0.3))
+
+
+class TestThinCalibration:
+    # 6 layers of width 32 at R_o = 0.2: candidates k = 2..5 keep ranks
+    # r = 6, 9, 11 and 12 in each tail matrix (alpha = 16).
+    RANKS = {2: 6, 3: 9, 4: 11, 5: 12}
+
+    def planned(self, monkeypatch, rows, check=True):
+        rng = np.random.default_rng(45)
+        model = make_mlp(rng, 6, 32)
+        calib = make_calib(rng, 64, 32).subsample(rows, seed=1)
+        if not check:
+            monkeypatch.setattr(planner_mod, "_too_thin", lambda *args: None)
+        return plan(model, calib, PlannerConfig(overall_ratio=0.2))
+
+    def test_kept_ranks(self):
+        cfg = PlannerConfig(overall_ratio=0.2)
+        shapes = [[(32, 32)]] * 6
+        for k, ratio in enumerate_candidates(6, cfg, shapes):
+            assert resvd.linalg.rank_budget(32, 32, ratio, cfg.beta).r == self.RANKS[k]
+
+    def test_rows_just_above_every_kept_rank_plan_as_without_the_check(self, monkeypatch):
+        got = self.planned(monkeypatch, max(self.RANKS.values()) + 1)
+        want = self.planned(monkeypatch, max(self.RANKS.values()) + 1, check=False)
+        assert all(row.status == "ok" for row in got.candidate_table)
+        assert got == want
+        assert model_bytes(got.compressed) == model_bytes(want.compressed)
+
+    @pytest.mark.parametrize("rows", [12, 11, 7])
+    def test_a_candidate_with_no_more_rows_than_a_kept_rank_is_a_failed_row(self, monkeypatch,
+                                                                            rows):
+        # Each candidate whose kept rank reaches the row count fails, naming
+        # its first tail matrix; the others score what they score unchecked.
+        got = self.planned(monkeypatch, rows)
+        want = self.planned(monkeypatch, rows, check=False)
+        for row, unchecked in zip(got.candidate_table, want.candidate_table, strict=True):
+            if rows <= self.RANKS[row.k]:
+                assert row.status == "failed" and math.isnan(row.final_error)
+                assert row.reason == (
+                    f"layer{6 - row.k}/w: calibration rows in use ({rows}) do not exceed the "
+                    f"kept rank {self.RANKS[row.k]}, so its error would measure the ridge, "
+                    "not the compression")
+            else:
+                assert row == unchecked
+        best = min((row.final_error, row.k) for row in got.candidate_table
+                   if row.status == "ok")
+        assert (got.chosen_error, got.k) == best
+
+    def test_every_candidate_too_thin_raises_the_smallest_ones_reason_before_any_pass(
+            self, monkeypatch):
+        monkeypatch.setattr(planner_mod, "calibrate", None)  # no pass may run
+        with pytest.raises(InfeasiblePlanError,
+                           match=r"^layer4/w: calibration rows in use \(6\) do not exceed "
+                                 r"the kept rank 6,"):
+            self.planned(monkeypatch, 6)
 
 
 def block_bytes(rows, width, blocks):
