@@ -127,10 +127,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
-    """Refuse an ``--out`` that resolves to ``--calib`` or to a path under a model directory.
+    """Refuse an ``--out`` that resolves to ``--calib`` or to a path under a model directory,
+    or that cannot be written as the command writes it.
 
-    Called before anything is loaded or written, so a refused run leaves
-    every input as it was.
+    ``compress`` writes a directory, so its ``--out``'s nearest existing path
+    must be a directory; ``plan`` and ``analyze`` write a file, so theirs
+    must not be one. Called before anything is loaded or written, so a
+    refused run leaves every input as it was and spends no work.
     """
     if not args.out:
         return
@@ -144,6 +147,15 @@ def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
             where = "the" if out == root else "inside the"
             raise ValueError(f"--out {args.out} is {where} --{flag} directory; "
                              f"{args.command} does not overwrite its input")
+    if args.command != "compress":
+        if out.is_dir():
+            raise ValueError(f"--out {args.out} is a directory; {args.command} writes a file")
+        return
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        where = "is" if existing == out else f"lies under {existing}, which is"
+        raise ValueError(f"--out {args.out} {where} not a directory; "
+                         "compress writes a model directory")
 
 
 def cmd_compress(args: argparse.Namespace) -> int:

@@ -22,12 +22,12 @@ the residual stage's small eigendecomposition for its own ``r_i``, and
 runs forward through its ``k`` tail layers from the original model's input
 to layer ``N-k``. Candidates are scored largest ``k`` first, so one walk of
 the original layers reaches each of those inputs in turn; the untouched
-prefix layers score exactly zero. A trial is built one layer at a time,
-each layer factored just before it runs and dropped after, so only one
-layer of one trial exists at a time: each candidate keeps only its
-residual stages, the best's outlive the scan, and the winner is rebuilt
-from them without an SVD. The plan carries it, so ``compress`` writes it
-without factoring it again.
+prefix layers score exactly zero. One function, :func:`_trial_factor`,
+builds every factored layer, the scan's and the winner's: it factors each
+matrix of a candidate once, keeps only its residual stage, and builds it
+again from that stage with no SVD. Only one layer of one trial exists at a
+time. The plan carries the winner, so ``compress`` writes it without
+factoring it again.
 Every pass of a plan walks the ``S`` calibration rows in the blocks of one
 :class:`~resvd.model.Workspace`, of ``B`` rows each, and writes its
 activations into its three ``B×W`` buffers for rows of width ``W``. The
@@ -176,8 +176,7 @@ def compress_tail_layers(
         ValueError: when ``k`` is outside ``[1, state.tail]``, the tail
             :func:`calibrate` whitened.
     """
-    return _tail_model(state, k, lambda key: compress_matrix(state.whitened[key], layer_ratio,
-                                                             beta, name=key))
+    return _tail_model(state, k, _trial_factor(state, layer_ratio, beta, {}))
 
 
 def _tail_model(state: CalibratedModel, k: int,
@@ -200,22 +199,31 @@ def _factored(layer: Layer, factor: Callable[[str], FactorPair]) -> Layer:
     return Layer(name=layer.name, entries=entries, activation=layer.activation)
 
 
-def _rejoin(state: CalibratedModel, layer_ratio: float, beta: float,
-            residual: dict[str, FactorPair]) -> Callable[[str], FactorPair]:
+def _trial_factor(state: CalibratedModel, layer_ratio: float, beta: float,
+                  residual: dict[str, FactorPair | None]) -> Callable[[str], FactorPair]:
     """``compress_matrix(state.whitened[key], layer_ratio, beta)`` as a function of ``key``,
-    bit for bit, from the matrix's residual stage.
+    running that call only the first time a key is asked for.
 
-    Each matrix's whitened truncation is projected again by the same
+    The first call for a key runs :func:`~resvd.compensation.compress_matrix`
+    and keeps in ``residual``, the candidate's memo, a copy of the pair's
+    residual-stage columns, which ``compress_matrix`` puts after the
+    whitened truncation's ``r_i``, or None when the budget has no residual
+    stage. Every later call projects the whitened truncation again with the
     :func:`~resvd.compensation.direct_truncate_matrix` call that
     ``compress_matrix`` makes, from a slice of ``state``'s ``U`` and the
-    weight, and joined to its residual stage as ``compress_matrix`` joins
-    them; no SVD runs.
+    weight, and joins the kept stage as ``compress_matrix`` joins it: the
+    same factors, bit for bit, with no SVD.
     """
     def factor(key: str) -> FactorPair:
         weight = state.whitened[key]
-        stage1 = direct_truncate_matrix(weight,
-                                        rank_budget(*weight.w.shape, layer_ratio, beta).r_i)
-        return join_stages(stage1, residual[key]) if key in residual else stage1
+        r_i = rank_budget(*weight.w.shape, layer_ratio, beta).r_i
+        if key not in residual:
+            pair = compress_matrix(weight, layer_ratio, beta, name=key)
+            residual[key] = FactorPair(u_hat=pair.u_hat[:, r_i:].copy(),
+                                       v_hat=pair.v_hat[r_i:].copy()) if pair.rank > r_i else None
+            return pair
+        stage1 = direct_truncate_matrix(weight, r_i)
+        return stage1 if residual[key] is None else join_stages(stage1, residual[key])
 
     return factor
 
@@ -283,47 +291,30 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
 
 
 def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: np.ndarray,
-            rows: slice, ws: Workspace, residual: dict[str, FactorPair] | None = None,
-            ) -> tuple[float, dict[str, FactorPair]]:
+            rows: slice, ws: Workspace, residual: dict[str, FactorPair | None]) -> float:
     """Candidate ``k``'s squared final-layer error on one block, from ``x``, the trial's input
-    on the calibration rows ``rows``, and its residual stages.
+    on the calibration rows ``rows``.
 
-    Each of the trial's ``k`` layers is factored just before it runs and
-    dropped once it has, so no two of them are held at once. With no
-    ``residual``, as in the first block, each matrix is factored by
-    :func:`~resvd.compensation.compress_matrix`, and only a copy of its
-    residual-stage columns outlives its layer, keyed like
-    ``state.whitened``; ``compress_matrix`` puts them after the whitened
-    truncation's ``r_i``, and a matrix whose budget has no residual stage
-    has no entry. Given those stages, as in every later block, the layer
-    is rebuilt from them (:func:`_rejoin`), the same factors with no SVD.
-    Each layer runs through :meth:`~resvd.model.Layer.forward` and the
-    last output is scored against the calibrated output's rows, the layer
-    applies and the subtraction that :func:`~resvd.model.layerwise_error`
-    runs, so the error summed over the blocks is the last entry of that
-    function's curve for the trial, bit for bit. Every layer holds ``x``,
-    which is only read, so the caller may walk on from it.
+    Each of the trial's ``k`` layers is factored just before it runs, by
+    :func:`_trial_factor` with ``residual`` as the candidate's memo, and
+    dropped once it has, so no two of them are held at once: the first
+    block that scores a candidate fills the memo, and every later one
+    builds the same factors from it with no SVD. Each layer runs through
+    :meth:`~resvd.model.Layer.forward` and the last output is scored
+    against the calibrated output's rows, the layer applies and the
+    subtraction that :func:`~resvd.model.layerwise_error` runs, so the
+    error summed over the blocks is the last entry of that function's
+    curve for the trial, bit for bit. Every layer holds ``x``, which is
+    only read, so the caller may walk on from it.
     """
-    if residual is None:
-        residual = {}
-
-        def factor(key: str) -> FactorPair:
-            pair = compress_matrix(state.whitened[key], layer_ratio, beta, name=key)
-            r_i = rank_budget(*pair.shape, layer_ratio, beta).r_i
-            if pair.rank > r_i:
-                residual[key] = FactorPair(u_hat=pair.u_hat[:, r_i:].copy(),
-                                           v_hat=pair.v_hat[r_i:].copy())
-            return pair
-    else:
-        factor = _rejoin(state, layer_ratio, beta, residual)
-
+    factor = _trial_factor(state, layer_ratio, beta, residual)
     y = x
     for layer in state.model.layers[state.model.n_layers - k :]:
         trial = _factored(layer, factor)
         y = trial.forward(y, ws, x)
         del trial  # the next layer is factored once this one is gone
     # through model's own name, so whatever wraps it there sees every score
-    return model_ops._squared_error(y, state.output[rows]), residual
+    return model_ops._squared_error(y, state.output[rows])
 
 
 def _too_thin(model: SequentialModel, k: int, layer_ratio: float, beta: float,
@@ -354,20 +345,21 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     blocks of one :class:`~resvd.model.Workspace`. In each block,
     candidates are scored largest ``k`` first, so one walk of the original
     layers reaches each trial's input in turn; each trial scores its final
-    layer only, and its squared error is summed over the blocks in order.
-    Candidates whose compression fails are kept in the table as failed
-    rows and skipped by the argmin, and so is each candidate with a matrix
-    whose kept rank is at least the calibration's row count
-    (:func:`_too_thin`): those are never calibrated or scored, and the
-    calibrated state covers the largest ``k`` that is. Only one layer of
-    one trial exists at a time (:func:`_scored`). Every candidate keeps its
-    residual stages until the last block, where only the best so far keeps
-    them; the
-    winning trial is rebuilt from them (:func:`_rejoin`) once the scan
-    ends, for ``compress`` to write, so a run of one block holds what one
-    pass over every row held. No per-layer pass runs here. Activations
-    held stay three block buffers, the model's output and scratch, whatever
-    the depth.
+    layer only (:func:`_scored`), and its squared error is summed over the
+    blocks in order. Every trial layer, in every block, and the winner
+    ``plan`` returns for ``compress`` to write are built by one function,
+    :func:`_trial_factor`, from the candidate's memo: each matrix is
+    factored once, and only one layer of one trial exists at a time. Every
+    candidate keeps its memo until the last block, where only the best so
+    far keeps it, so a run of one block holds what one pass over every row
+    held. Candidates whose compression fails, in any block, are failed
+    rows of the table, built once the scan ends, and skipped by the
+    argmin; so is each candidate with a matrix whose kept rank is at least
+    the calibration's row count (:func:`_too_thin`): those are never
+    calibrated or scored, and the calibrated state covers the largest
+    ``k`` that is. No per-layer pass runs here. Activations held stay
+    three block buffers, the model's output and scratch, whatever the
+    depth.
 
     Raises:
         NumericalError: the smallest candidate's, when every candidate
@@ -386,57 +378,55 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     ws = Workspace(calib.num_samples, model)
     state = calibrate(model, calib, scored[-1], ws)
     squares = dict.fromkeys(scored, 0.0)
-    stages: dict[int, dict[str, FactorPair]] = {}
-    rows: list[CandidateResult] = []
-    best = failure = None
+    memos: dict[int, dict[str, FactorPair | None]] = {k: {} for k in scored}
+    errors: dict[int, float] = {}
+    best = None
     for block in ws.blocks:
         last = block is ws.blocks[-1]
         x, at = calib.block(block, ws), 0  # x is what the original model feeds layer ``at``
         inputs = _walk(model.layers, x, ws)
         for k, ratio in reversed(candidates):
-            if k not in failures:
-                while at < model.n_layers - k:
-                    x, at = next(inputs), at + 1
-                try:
-                    square, stages[k] = _scored(state, k, ratio, cfg.beta, x, block, ws,
-                                                stages.get(k))
-                    squares[k] += square
-                    if last:
-                        error = model_ops._relative_error(squares[k], state.reference_norms[-1])
-                        if math.isnan(error):
-                            raise NumericalError("final-layer error undefined")
-                except CompressionError as exc:
-                    failures[k] = exc
-                    stages.pop(k, None)
-            if not last:
-                continue
             if k in failures:
-                rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=math.nan,
-                                            status="failed", reason=str(failures[k])))
-                failure = failures[k]  # the last one scored is the smallest k's
                 continue
-            rows.append(CandidateResult(k=k, layer_ratio=ratio, final_error=error))
-            if best is None or error <= best.final_error:  # ties go to the smaller k, scored later
-                if best is not None:
-                    del stages[best.k]
-                best = rows[-1]
-            else:
-                del stages[k]
+            while at < model.n_layers - k:
+                x, at = next(inputs), at + 1
+            try:
+                squares[k] += _scored(state, k, ratio, cfg.beta, x, block, ws, memos[k])
+                if last:
+                    error = model_ops._relative_error(squares[k], state.reference_norms[-1])
+                    if math.isnan(error):
+                        raise NumericalError("final-layer error undefined")
+            except CompressionError as exc:
+                failures[k] = exc
+                del memos[k]
+                continue
+            if last:
+                errors[k] = error
+                if best is None or error <= errors[best]:  # ties go to the smaller k, scored later
+                    memos.pop(best, None)
+                    best = k
+                else:
+                    del memos[k]
     if best is None:
+        failure = failures[candidates[0][0]]
         if isinstance(failure, (NumericalError, InfeasiblePlanError)):
             raise failure
         raise InfeasiblePlanError("every candidate failed during trial compression")
+    ratio = dict(candidates)[best]
     return CompressionPlan(
-        k=best.k,
-        layer_ratio=best.layer_ratio,
-        candidate_table=tuple(reversed(rows)),
-        chosen_error=best.final_error,
+        k=best,
+        layer_ratio=ratio,
+        candidate_table=tuple(
+            CandidateResult(k=k, layer_ratio=r, final_error=math.nan, status="failed",
+                            reason=str(failures[k])) if k in failures
+            else CandidateResult(k=k, layer_ratio=r, final_error=errors[k])
+            for k, r in candidates),
+        chosen_error=errors[best],
         n_layers=model.n_layers,
         overall_ratio=cfg.overall_ratio,
         beta=cfg.beta,
         seed=cfg.seed,
-        compressed=_tail_model(state, best.k, _rejoin(state, best.layer_ratio, cfg.beta,
-                                                      stages[best.k])),
+        compressed=_tail_model(state, best, _trial_factor(state, ratio, cfg.beta, memos[best])),
     )
 
 

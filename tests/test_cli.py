@@ -433,6 +433,38 @@ class TestCompress:
         assert a["chosen_error"] == b["chosen_error"]
 
 
+@pytest.mark.parametrize("command, target", [("plan", "dir"), ("analyze", "dir"),
+                                             ("compress", "file"), ("compress", "file/sub")])
+def test_out_of_the_wrong_kind_is_refused_before_loading(tmp_path, capsys, monkeypatch,
+                                                          command, target):
+    # plan and analyze write a file, so an --out that is a directory is
+    # refused; compress writes a directory, so an --out that is a file, or
+    # lies under one, is refused. Each exits 2 with one line before any
+    # input is loaded, and the directory and the file keep what they held.
+    demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+
+    def loaded(path):
+        raise AssertionError(f"{path} was loaded")
+
+    monkeypatch.setattr(resvd.cli, "load_model", loaded)
+    monkeypatch.setattr(resvd.cli, "load_calibration_auto", loaded)
+    inputs = (["--original", str(demo), "--compressed", str(demo)] if command == "analyze"
+              else ["--model", str(demo), "--ratio", "0.2"])
+    out = tmp_path / target
+    capsys.readouterr()
+    rc = main([command, *inputs, "--calib", str(demo / "calib.bin"), "--out", str(out)])
+    what = {"dir": f"is a directory; {command} writes a file",
+            "file": "is not a directory; compress writes a model directory",
+            "file/sub": f"lies under {(tmp_path / 'file').resolve()}, which is not a directory; "
+                        "compress writes a model directory"}[target]
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"resvd: invalid configuration: --out {out} {what}\n")
+    assert list((tmp_path / "dir").iterdir()) == []
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 MALFORMED_MANIFESTS = {
     "layers-not-a-list": lambda doc: doc.update(layers=3),
     "layer-not-an-object": lambda doc: doc.update(layers=[3]),

@@ -512,8 +512,7 @@ class TestPlan:
         calib = make_calib(rng, 36, 12)
         cfg = PlannerConfig(overall_ratio=0.3)
         ks = [k for k, _ in enumerate_candidates(6, cfg, layer_shapes=[[(12, 12)]] * 6)]
-        real = planner_mod._scored
-        monkeypatch.setattr(planner_mod, "_scored", lambda *args: (0.5, real(*args)[1]))
+        monkeypatch.setattr(planner_mod, "_scored", lambda *args: 0.5)
         chosen = plan(model, calib, cfg)
         assert [row.k for row in chosen.candidate_table] == ks
         assert chosen.k == ks[0]
@@ -736,6 +735,55 @@ class TestRowBlocks:
         assert len(model_mod.Workspace(6, model).blocks) == blocks
         with pytest.raises(NumericalError, match=r"^layer2/w: output overflows float64"):
             calibrate(model, CalibrationSet(samples=samples), 1)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_a_candidate_that_fails_after_its_first_block_is_a_failed_row(self, monkeypatch,
+                                                                         beta):
+        # At 3 blocks, each candidate in turn fails on its second block, after
+        # its first block factored it. It is a failed row with its reason;
+        # every other row is the unfaulted run's, bit for bit; and the winner
+        # is the unfaulted one, or, when that one failed, the argmin of the
+        # rest, built as compress_tail_layers builds it.
+        rng = np.random.default_rng(39)
+        model = with_silu(make_multi_entry_mlp(rng, 6, self.WIDTH, 2))
+        calib = make_calib(rng, self.ROWS, self.WIDTH)
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", block_bytes(self.ROWS, self.WIDTH, 3))
+        cfg = PlannerConfig(overall_ratio=0.3, beta=beta)
+        unfaulted = plan(model, calib, cfg)
+        assert all(row.status == "ok" for row in unfaulted.candidate_table)
+        state = calibrate(model, calib, 6)
+        real = planner_mod._scored
+
+        def planned_failing(failing):
+            blocks = []
+
+            def flaky(state, k, *args):
+                if k == failing:
+                    blocks.append(k)
+                    if len(blocks) == 2:
+                        raise CompressionError(f"k={k} failed in its second block")
+                return real(state, k, *args)
+
+            monkeypatch.setattr(planner_mod, "_scored", flaky)
+            chosen = plan(model, calib, cfg)
+            assert len(blocks) == 2  # its third block was not scored
+            return chosen
+
+        for failing in [row.k for row in unfaulted.candidate_table]:
+            chosen = planned_failing(failing)
+            for row, want in zip(chosen.candidate_table, unfaulted.candidate_table, strict=True):
+                if row.k == failing:
+                    assert row.status == "failed" and math.isnan(row.final_error)
+                    assert row.reason == f"k={failing} failed in its second block"
+                else:
+                    assert row == want
+            rest = min((row.final_error, row.k) for row in unfaulted.candidate_table
+                       if row.k != failing)
+            assert (chosen.chosen_error, chosen.k) == rest
+            if failing != unfaulted.k:
+                assert model_bytes(chosen.compressed) == model_bytes(unfaulted.compressed)
+            trial = compress_tail_layers(state, chosen.k, chosen.layer_ratio, beta)
+            assert model_bytes(chosen.compressed) == model_bytes(trial), failing
 
     def test_workspace_and_plan_memory_do_not_grow_with_rows(self, monkeypatch):
         # At 8x the rows the workspace holds the same block buffers, and plan

@@ -14,7 +14,11 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
+import resvd.model
 from resvd.cli import main
+from resvd.containers import load_model
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,11 +47,17 @@ def test_install_wraps_every_name_and_uninstall_restores_it(monkeypatch):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
 
 
-def test_plan_counts_each_quantity_where_the_tracer_looks(monkeypatch, tmp_path):
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_plan_counts_each_quantity_where_the_tracer_looks(monkeypatch, tmp_path, blocks):
     # One whitening and one whitened SVD per matrix of the largest tail, and
-    # one compress_matrix per matrix of every candidate's tail.
+    # one compress_matrix and one residual SVD per matrix of every
+    # candidate's tail, at any block count: a later block builds each trial
+    # from the first block's factors and runs neither again.
     assert main(["gen-demo", "--out", str(tmp_path), "--layers", "4", "--width", "8",
                  "--samples", "32"]) == 0
+    # 32 rows of width 8, in ``blocks`` blocks
+    monkeypatch.setattr(resvd.model, "BLOCK_BYTES", 8 * 8 * -(-32 // blocks))
+    assert len(resvd.model.Workspace(32, load_model(tmp_path)).blocks) == blocks
     tracer_mod = load_tracer(monkeypatch)
     tracer = tracer_mod.Tracer()
     out = io.StringIO()
@@ -64,3 +74,4 @@ def test_plan_counts_each_quantity_where_the_tracer_looks(monkeypatch, tmp_path)
     assert metrics["calibration.whiten.calls"] == max(ks)
     assert metrics["linalg.svd_whitened.calls"] == max(ks)
     assert metrics["compensation.compress_matrix.calls"] == sum(ks)
+    assert metrics["linalg.svd_residual.calls"] == sum(ks)
