@@ -17,6 +17,7 @@ import copy
 import math
 import os
 import sys
+import tempfile
 import weakref
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -40,8 +41,8 @@ READ_CHUNK_BYTES = 1 << 18
 class RowFile:
     """Float64 rows stored little-endian and row-major from byte ``offset`` of an open file.
 
-    ``fd`` is a raw descriptor that this object owns: it is closed once no
-    set refers to the object (or by :attr:`close`), so no file object is
+    ``fd`` is a raw descriptor that this object owns: it is closed once
+    nothing refers to the object (or by :attr:`close`), so no file object is
     left for the garbage collector to warn about. Rows are read from that
     descriptor, so a file replaced by rename after it was opened still
     serves its old rows; a file rewritten in place is not supported.
@@ -51,6 +52,39 @@ class RowFile:
         self.path, self.offset, self.shape = path, offset, shape
         self._fd = fd
         self.close = weakref.finalize(self, os.close, fd)
+
+    @classmethod
+    def spill(cls, what: str, shape: tuple[int, int]) -> "RowFile":
+        """An empty file for ``shape`` rows of ``what``, filled by :meth:`write`.
+
+        :func:`tempfile.TemporaryFile` makes it under ``TMPDIR`` with no
+        name, so it is gone once its descriptor is closed.
+
+        Raises:
+            OSError: naming the directory, when the file cannot be made.
+        """
+        where = f"{what} spilled under {tempfile.gettempdir()}"
+        try:
+            with tempfile.TemporaryFile() as f:
+                fd = os.dup(f.fileno())
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, where) from exc
+        return cls(where, fd, 0, shape)
+
+    def write(self, start: int, rows: np.ndarray) -> None:
+        """Store the float64 ``rows`` as rows ``start`` to ``start + len(rows)``.
+
+        Raises:
+            OSError: naming the path, when the write fails.
+        """
+        view = memoryview(np.ascontiguousarray(rows, dtype="<f8")).cast("B")
+        at = self.offset + start * self.shape[1] * 8
+        try:
+            while view:
+                n = os.pwrite(self._fd, view, at)
+                view, at = view[n:], at + n
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self.path) from exc
 
     def read(self, start: int, out: np.ndarray) -> np.ndarray:
         """Rows ``start`` to ``start + len(out)`` into the C-contiguous float64 ``out``.
@@ -241,7 +275,7 @@ def capture_activations(
     tail: int,
     factor: Callable[[np.ndarray, ScalingContext, str], T],
     ws: Workspace,
-) -> tuple[dict[str, T], tuple[float, ...], np.ndarray]:
+) -> tuple[dict[str, T], tuple[float, ...], RowFile]:
     """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
 
     The pass walks the rows in the blocks of ``ws``. Each block runs every
@@ -251,9 +285,11 @@ def capture_activations(
     layer and silu's sigmoid, and a third buffer where a block's rows are
     read into one (:meth:`CalibrationSet.block`); those rows are never
     written. Each block adds its inputs' :func:`gram` to each tail matrix's sum, and its
-    outputs' squared norm to each layer's, and writes its model output into
-    the one full-size output array. Once the last block is through,
-    each matrix of those layers is passed, in forward order, with the
+    outputs' squared norm to each layer's, and writes its model output to
+    a :meth:`RowFile.spill` file, so no array grows with the row count
+    ``S``: the file takes ``S·W·8`` bytes for an output ``W`` wide. Once
+    the last block is through, each matrix of those layers is passed, in
+    forward order, with the
     :func:`whiten` context of its summed Gram matrix and its key
     ``"<layer>/<matrix>"``, to ``factor(w, ctx, key)``; each Gram matrix is
     dropped once whitened, and no context outlives its ``factor`` call. In
@@ -261,9 +297,10 @@ def capture_activations(
     each norm the one dot product ``np.linalg.norm`` takes the root of, so
     the results do not depend on the blocks but through rounding. Returns
     ``factor``'s results keyed in forward order, every layer's output norm
-    and the model's output, which the caller keeps.
+    and the model's output, in that file, which goes once the caller drops it.
 
     Raises:
+        OSError: naming the file, when it cannot be made or written.
         DimensionError: when the calibration width is not the model's.
         NumericalError: naming the first fault in forward order, over every
             block: a matrix whose output overflows float64 in any block,
@@ -303,11 +340,11 @@ def capture_activations(
             squares[i] += squared_norm(h)
         return h
 
-    output = np.empty((calib.num_samples, model.layers[-1].output_dim))
+    output = RowFile.spill("the model output", (calib.num_samples, model.layers[-1].output_dim))
     for rows in ws.blocks:
         y = walk(calib.block(rows, ws))
         if y is not None:
-            output[rows] = y
+            output.write(rows.start, y)
     factored: dict[str, T] = {}
     for i, layer in enumerate(model.layers):
         for j, entry in enumerate(layer.entries):

@@ -131,14 +131,16 @@ def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
     or that cannot be written as the command writes it.
 
     ``compress`` writes a directory, so its ``--out``'s nearest existing path
-    must be a directory; ``plan`` and ``analyze`` write a file, so theirs
-    must not be one. Called before anything is loaded or written, so a
-    refused run leaves every input as it was and spends no work.
+    must be a directory; ``plan``, ``analyze`` and ``verify`` write a file,
+    so theirs must not be a directory, and the directory it goes in must
+    exist. Called before anything is loaded, run or written, so a refused
+    run leaves every input as it was and spends no work.
     """
     if not args.out:
         return
     out = Path(args.out).resolve()
-    if out == Path(args.calib).resolve():
+    calib = getattr(args, "calib", None)
+    if calib is not None and out == Path(calib).resolve():
         raise ValueError(f"--out {args.out} is the --calib file; "
                          f"{args.command} does not overwrite its input")
     for flag in model_dirs:
@@ -147,15 +149,19 @@ def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
             where = "the" if out == root else "inside the"
             raise ValueError(f"--out {args.out} is {where} --{flag} directory; "
                              f"{args.command} does not overwrite its input")
-    if args.command != "compress":
-        if out.is_dir():
-            raise ValueError(f"--out {args.out} is a directory; {args.command} writes a file")
+    if args.command == "compress":
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            where = "is" if existing == out else f"lies under {existing}, which is"
+            raise ValueError(f"--out {args.out} {where} not a directory; "
+                             "compress writes a model directory")
         return
-    existing = next(path for path in (out, *out.parents) if path.exists())
-    if not existing.is_dir():
-        where = "is" if existing == out else f"lies under {existing}, which is"
-        raise ValueError(f"--out {args.out} {where} not a directory; "
-                         "compress writes a model directory")
+    if out.is_dir():
+        raise ValueError(f"--out {args.out} is a directory; {args.command} writes a file")
+    if not out.parent.is_dir():
+        what = "is not a directory" if out.parent.exists() else "does not exist"
+        raise ValueError(f"--out {args.out} goes in {out.parent}, which {what}; "
+                         f"{args.command} writes a file there")
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
@@ -200,6 +206,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _refuse_to_overwrite(args)
     from .oracle import run_all  # only verify loads the oracles
 
     reports = run_all(trials=args.trials, seed=args.seed)

@@ -11,7 +11,8 @@ scores the winner's per-layer errors for ``errors.csv`` with
 
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`, in one streaming pass over the layers: each
-layer's reference output norm, the model's output, and one
+layer's reference output norm, the model's output, spilled to an unlinked
+temporary file, and one
 :class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U`` and
 sigma of ``svd(W S)``) per matrix of the largest tail any candidate
 compresses, formed from that matrix's input Gram matrix; prefix matrices
@@ -32,12 +33,14 @@ Every pass of a plan walks the ``S`` calibration rows in the blocks of one
 :class:`~resvd.model.Workspace`, of ``B`` rows each, and writes its
 activations into its three ``B×W`` buffers for rows of width ``W``. The
 calibration pass sums each Gram matrix and squared norm over the blocks,
-and the scan each candidate's squared error, so activations held stay
-those buffers and the model's output, whatever the depth and ``S``.
+and the scan each candidate's squared error against the model's output,
+read back from its file block by block, so activations held stay those
+buffers, whatever the depth and ``S``.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import model as model_ops
-from .calibration import CalibrationSet, capture_activations
+from .calibration import CalibrationSet, RowFile, capture_activations
 from .compensation import (
     WhitenedWeight,
     compress_matrix,
@@ -53,7 +56,13 @@ from .compensation import (
     join_stages,
     whitened_weight,
 )
-from .errors import CompressionError, InfeasibleBudgetError, InfeasiblePlanError, NumericalError
+from .errors import (
+    CompressionError,
+    FormatError,
+    InfeasibleBudgetError,
+    InfeasiblePlanError,
+    NumericalError,
+)
 from .linalg import FactorPair, rank_budget
 from .model import (
     Layer,
@@ -235,15 +244,16 @@ class CalibratedModel:
     ``whitened`` holds a :class:`~resvd.compensation.WhitenedWeight` for each
     matrix of the tail :func:`calibrate` was given, keyed ``"<layer>/<matrix>"``.
     ``reference_norms[i]`` is the Frobenius norm of layer ``i``'s output on
-    the calibration set, and ``output`` the last layer's output. No other
-    activation is kept: a trial's input is the original model's input to
-    its first factored layer, which the caller walks to (see :func:`plan`).
+    the calibration set, and ``output`` the last layer's output, in a
+    temporary file. No activation is held: a trial's input is the original
+    model's input to its first factored layer, which the caller walks to
+    (see :func:`plan`).
     """
 
     model: SequentialModel
     whitened: dict[str, WhitenedWeight]
     reference_norms: tuple[float, ...]
-    output: np.ndarray
+    output: RowFile
 
     @property
     def tail(self) -> int:
@@ -259,14 +269,15 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
     One streaming pass, :func:`~resvd.calibration.capture_activations`,
     runs each layer once on each block of ``ws`` (one of its own when
     None). It sums each tail matrix's input Gram matrix and each layer's
-    squared output norm over the blocks and keeps only the model's output;
-    after the last block it whitens each matrix of the last ``k`` layers
-    into the :class:`~resvd.compensation.WhitenedWeight` that trials only
-    truncate. It holds two block buffers, the model's output, the tail's
-    Gram matrices and whitened factors, whatever the depth and row count.
+    squared output norm over the blocks and writes the model's output to a
+    temporary file; after the last block it whitens each matrix of the last
+    ``k`` layers into the :class:`~resvd.compensation.WhitenedWeight` that
+    trials only truncate. It holds two block buffers, the tail's Gram
+    matrices and whitened factors, whatever the depth and row count.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
+        OSError: when the model's output cannot be spilled.
         CompressionError: naming the first matrix of the last ``k`` layers
             that is already factored, before any work is done.
         NumericalError: naming the first fault in forward order: a matrix
@@ -305,7 +316,13 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
     subtraction that :func:`~resvd.model.layerwise_error` runs, so the
     error summed over the blocks is the last entry of that function's
     curve for the trial, bit for bit. Every layer holds ``x``, which is
-    only read, so the caller may walk on from it.
+    only read, so the caller may walk on from it. The reference rows are
+    read from the output's file into the buffer of ``ws`` that holds
+    neither ``x`` nor the trial's output, so scoring allocates nothing.
+
+    Raises:
+        OSError: when that file ends early; it is the run's own, so this
+            ends the run, not just the candidate.
     """
     factor = _trial_factor(state, layer_ratio, beta, residual)
     y = x
@@ -313,8 +330,12 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
         trial = _factored(layer, factor)
         y = trial.forward(y, ws, x)
         del trial  # the next layer is factored once this one is gone
+    try:
+        y_ref = state.output.read(rows.start, ws.free(len(y), y.shape[1], x, y))
+    except FormatError as exc:
+        raise OSError(errno.EIO, str(exc)) from exc
     # through model's own name, so whatever wraps it there sees every score
-    return model_ops._squared_error(y, state.output[rows])
+    return model_ops._squared_error(y, y_ref)
 
 
 def _too_thin(model: SequentialModel, k: int, layer_ratio: float, beta: float,
@@ -358,10 +379,12 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     the calibration's row count (:func:`_too_thin`): those are never
     calibrated or scored, and the calibrated state covers the largest
     ``k`` that is. No per-layer pass runs here. Activations held stay
-    three block buffers, the model's output and scratch, whatever the
-    depth.
+    three block buffers and scratch, whatever the depth and the row count;
+    the model's output is read back from its file block by block.
 
     Raises:
+        OSError: when the model's output cannot be spilled, or comes back
+            short.
         NumericalError: the smallest candidate's, when every candidate
             failed and that one failed numerically (it names the matrix).
         InfeasiblePlanError: the smallest candidate's, naming the matrix,

@@ -21,9 +21,12 @@ def dense_layer(name, w, activation="identity"):
 
 
 def whitened_inputs(model, calib):
-    """The pass over the whole model: each matrix's whitening context, the norms, the output."""
-    return capture_activations(model, calib, model.n_layers, lambda w, ctx, key: ctx,
-                               Workspace(calib.num_samples, model))
+    """The pass over the whole model: each matrix's whitening context, the norms, the output
+    read back whole from the file the pass spilled it to."""
+    contexts, norms, spill = capture_activations(model, calib, model.n_layers,
+                                                 lambda w, ctx, key: ctx,
+                                                 Workspace(calib.num_samples, model))
+    return contexts, norms, spill.read(0, np.empty(spill.shape))
 
 
 def assert_whitened_from(ctx, x):
