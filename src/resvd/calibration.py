@@ -33,8 +33,8 @@ T = TypeVar("T")
 DEFAULT_RIDGE_SCALE = 1e-6
 
 # The most bytes a file-backed set reads at once beyond a block's own rows:
-# a subsample's rows go through a scratch of this size, and a load checks
-# the rows finite a chunk of this size at a time.
+# a subsample's rows go through a scratch of this size, a load checks the
+# rows finite a chunk of this size at a time, and a CSV is read in these.
 READ_CHUNK_BYTES = 1 << 18
 
 
@@ -54,31 +54,35 @@ class RowFile:
         self.close = weakref.finalize(self, os.close, fd)
 
     @classmethod
-    def spill(cls, what: str, shape: tuple[int, int]) -> "RowFile":
-        """An empty file for ``shape`` rows of ``what``, filled by :meth:`write`.
+    def spill(cls, what: str) -> "RowFile":
+        """An empty file for rows of ``what``, filled by :meth:`append`.
 
-        :func:`tempfile.TemporaryFile` makes it under ``TMPDIR`` with no
-        name, so it is gone once its descriptor is closed.
+        :func:`tempfile.TemporaryFile` makes it with no name, so it is gone
+        once its descriptor is closed, in ``tempfile.tempdir`` if a program
+        set it, else under ``TMPDIR``, and never elsewhere when that cannot
+        be used, as :func:`tempfile.gettempdir` would.
 
         Raises:
             OSError: naming the directory, when the file cannot be made.
         """
-        where = f"{what} spilled under {tempfile.gettempdir()}"
+        directory = tempfile.tempdir or os.environ.get("TMPDIR") or tempfile.gettempdir()
+        where = f"{what} spilled under {directory}"
         try:
-            with tempfile.TemporaryFile() as f:
+            with tempfile.TemporaryFile(dir=directory) as f:
                 fd = os.dup(f.fileno())
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, where) from exc
-        return cls(where, fd, 0, shape)
+        return cls(where, fd, 0, (0, 0))
 
-    def write(self, start: int, rows: np.ndarray) -> None:
-        """Store the float64 ``rows`` as rows ``start`` to ``start + len(rows)``.
+    def append(self, rows: np.ndarray) -> None:
+        """Store the float64 ``rows`` after the last row, and count them in ``shape``.
 
         Raises:
             OSError: naming the path, when the write fails.
         """
         view = memoryview(np.ascontiguousarray(rows, dtype="<f8")).cast("B")
-        at = self.offset + start * self.shape[1] * 8
+        at = self.offset + self.shape[0] * rows.shape[1] * 8
+        self.shape = (self.shape[0] + len(rows), rows.shape[1])
         try:
             while view:
                 n = os.pwrite(self._fd, view, at)
@@ -340,11 +344,11 @@ def capture_activations(
             squares[i] += squared_norm(h)
         return h
 
-    output = RowFile.spill("the model output", (calib.num_samples, model.layers[-1].output_dim))
+    output = RowFile.spill("the model output")
     for rows in ws.blocks:
         y = walk(calib.block(rows, ws))
-        if y is not None:
-            output.write(rows.start, y)
+        if y is not None:  # once None, None for every later block: nothing is then kept
+            output.append(y)
     factored: dict[str, T] = {}
     for i, layer in enumerate(model.layers):
         for j, entry in enumerate(layer.entries):

@@ -7,9 +7,8 @@ binary container (magic ``ERCC``) or bare numeric CSV. Plans and error
 reports are deterministic JSON and CSV. A loaded ERCC file is checked and
 then read block by block as each pass needs its rows, so no command holds
 the calibration set; a CSV is parsed only the first time it is loaded, and
-later loads read the ERCC entry the parse left (see
-:mod:`resvd.csv_cache`). Calibration rows are never written, whichever
-reader built them.
+every load reads the ERCC entry the parse writes (see
+:mod:`resvd.csv_cache`). No pass writes calibration rows.
 
 Tensors are float64 in memory whatever their file holds. The writer takes
 the precision of every tensor file as its ``dtype`` argument, so a model
@@ -18,12 +17,13 @@ loaded from f32 files and saved with ``dtype="f32"`` is byte-identical.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import math
 import os
 import struct
-import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -296,103 +296,113 @@ def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
         np.savetxt(fh, calib.samples, fmt="%.17g", delimiter=",")
 
 
-# The bytes on which np.loadtxt and the line loop provably agree: printable
-# ASCII, tab and the newline characters. Other control characters and
-# non-ASCII separators end a line for str.splitlines (\x0c, \u2028) or are
-# stripped by loadtxt but not by float() (\x1f), so loadtxt reads "1\x0c,2"
-# as one row where the line loop sees two lines and rejects them.
-_CSV_FAST_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# Where str.splitlines ends a line; a text-mode read has made each "\r\n" one "\n".
+_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def load_calibration_csv(path: str | Path) -> CalibrationSet:
-    """Parse a bare numeric CSV at C speed, falling back to a line loop for diagnostics.
+    """Parse a bare numeric CSV once, into a file every load reads its rows from.
 
-    The fast path takes only what the line loop would accept to the same
-    array; for anything else (a parse error, no rows, a non-finite value,
-    an unusual byte) the line loop decides, so every accepted file loads
-    the same and every rejected one gives the same one-line message. A file
-    parsed before is read back from :mod:`resvd.csv_cache`, found by the
-    sha256 of its bytes alone, as a set that reads the entry's rows block
-    by block (:func:`load_calibration`). A miss reads the file once more
-    and parses exactly the bytes it read, into a set held in memory, cached
-    under their own sha256, so an entry always holds the rows of the bytes
-    its name hashes, even when the file changes between the two reads. Only
-    a successful parse is cached.
+    A file parsed before is read back from :mod:`resvd.csv_cache`, found by
+    the sha256 of its bytes alone; a miss parses it (:func:`resvd.csv_cache.parse`).
     """
     from . import csv_cache  # only a CSV load compiles and runs the cache
 
-    calib = csv_cache.load(csv_cache.entry_for(_sha256(path)))
-    if calib is None:
-        raw = Path(path).read_bytes()
-        samples = _load_csv_fast(raw) if _is_plain(raw) else None
-        if samples is None:
-            samples = _load_csv_lines(path, raw)
-        samples.flags.writeable = False
-        calib = CalibrationSet(samples=samples)
-        csv_cache.store(calib, csv_cache.entry_for(_sha256(raw)))
-    return calib
+    entry = csv_cache.entry_for(_sha256(path))
+    calib = csv_cache.load(entry)
+    return csv_cache.parse(path, entry) if calib is None else calib
 
 
-def _sha256(source: str | Path | bytes) -> str:
-    """The sha256 of ``source``'s bytes, or of the file at ``source``, read in chunks."""
+def _sha256(path: str | Path) -> str:
+    """The sha256 of the file at ``path``, read a block at a time into one buffer."""
     import hashlib  # here, so only a CSV load maps OpenSSL
 
-    if isinstance(source, bytes):
-        return hashlib.sha256(source).hexdigest()
-    digest = hashlib.sha256()
-    with open(source, "rb") as fh:  # in chunks, so a cache hit holds no copy of the file
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    digest, block = hashlib.sha256(), memoryview(bytearray(READ_CHUNK_BYTES))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            digest.update(block[:n])
     return digest.hexdigest()
 
 
-def _is_plain(raw: bytes) -> bool:
-    """Whether every byte of ``raw`` is one of ``_CSV_FAST_BYTES``."""
-    return not raw.translate(None, _CSV_FAST_BYTES)
+def _parse_csv(path: str | Path, rows: RowFile) -> str:
+    """Append the rows of the CSV at ``path`` to ``rows``; the sha256 of the bytes parsed.
 
-
-def _load_csv_fast(raw: bytes) -> np.ndarray | None:
-    """``np.loadtxt``'s array for the CSV bytes ``raw``, or None where the line loop must decide.
-
-    Only for bytes :func:`_is_plain` accepts. Split into lines as
-    a text-mode read splits them, they parse as the file itself would.
+    The file is read :data:`READ_CHUNK_BYTES` at a time, a line at most, and
+    rows are written half that many bytes at a time: a parse holds less than
+    two of those. The whole file is read whatever line fails, so a file with
+    several faults fails with the one-line message a parse of its whole text
+    gives: for bytes that do not decode, else the first line that is not
+    numeric or has another width than the first row, else no row, else the
+    first row holding a non-finite value.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            samples = np.loadtxt(raw.splitlines(), delimiter=",", ndmin=2, comments=None,
-                                 dtype=np.float64)
-    except (ValueError, Warning):  # whatever loadtxt rejects or warns about, the line loop decides
-        return None
-    return samples if np.isfinite(samples).all() else None
+    import hashlib  # here, so only a CSV load maps OpenSSL
+
+    digest, block, n = hashlib.sha256(), None, 0  # n rows of block are not yet appended
+    error = bad = None  # the first line that fails, and the first non-finite row's
+    with open(path, "rb", buffering=READ_CHUNK_BYTES) as fh:
+        for ln, line in enumerate(_csv_lines(path, fh, digest), start=1):
+            if error or not line.strip():
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                error = f"{path}:{ln}: not numeric ({exc})"
+                continue
+            if block is None:
+                block = np.empty((max(1, READ_CHUNK_BYTES // (16 * len(row))), len(row)))
+            if len(row) != block.shape[1]:
+                error = f"{path}:{ln}: expected {block.shape[1]} columns, got {len(row)}"
+                continue
+            if bad is None and not all(map(math.isfinite, row)):
+                bad = ln
+            block[n] = row
+            n += 1
+            if n == len(block):
+                rows.append(block)
+                n = 0
+    if error or block is None:
+        raise FormatError(error or f"{path}: no samples")
+    if bad is not None:
+        raise FormatError(f"{path}:{bad}: non-finite value")
+    if n:
+        rows.append(block[:n])
+    return digest.hexdigest()
 
 
-def _load_csv_lines(path: str | Path, raw: bytes) -> np.ndarray:
-    """The CSV bytes ``raw`` of ``path`` parsed line by line; diagnostics name ``path`` and a line."""
-    rows: list[list[float]] = []
-    line_numbers: list[int] = []
-    try:  # decoded as a text-mode read of the file decodes it
-        text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: neither an ERCC container nor a text CSV ({exc})") from exc
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+def _csv_lines(path: str | Path, fh, digest) -> Iterator[str]:
+    """Each line of the text in the binary file ``fh``, its bytes hashed into ``digest``.
+
+    Whatever bytes each read takes, the lines, and the position in the file
+    that a ``FormatError`` names for bytes that do not decode, are those of
+    a text-mode read of the whole file split by ``str.splitlines``.
+    """
+    import locale  # here, so only a CSV parse imports it
+
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder(locale.getpreferredencoding(False))(), translate=True)
+    carry, at = "", 0  # the text of a line not yet ended, and the bytes read before raw
+    while True:
+        raw = fh.readline(READ_CHUNK_BYTES)
+        digest.update(raw)
         try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{ln}: not numeric ({exc})") from exc
-        if rows and len(row) != len(rows[0]):
-            raise FormatError(f"{path}:{ln}: expected {len(rows[0])} columns, got {len(row)}")
-        rows.append(row)
-        line_numbers.append(ln)
-    if not rows:
-        raise FormatError(f"{path}: no samples")
-    samples = np.array(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}:{line_numbers[bad[0]]}: non-finite value")
-    return samples
+            text = carry + decoder.decode(raw, final=not raw)
+        except UnicodeDecodeError as exc:  # the decoder still holds what it held before raw
+            raise FormatError(f"{path}: neither an ERCC container nor a text CSV "
+                              f"({_decode_error(exc, at - len(decoder.getstate()[0]))})") from None
+        at += len(raw)
+        lines = text.splitlines()
+        carry = lines.pop() if raw and text[-1:] not in _LINE_ENDS else ""
+        yield from lines
+        if not raw:
+            return
+
+
+def _decode_error(exc: UnicodeDecodeError, at: int) -> str:
+    """``str(exc)`` with its positions counted from ``at`` bytes before the bytes it decoded."""
+    start, end = exc.start + at, exc.end + at
+    what = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
+            else f"bytes in position {start}-{end - 1}")
+    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
 
 
 def load_calibration_auto(path: str | Path) -> CalibrationSet:

@@ -10,7 +10,8 @@ deleting the directory is always safe.
 
 The cache never fails a load. A home that cannot be resolved, a directory
 that cannot be written, a damaged entry or a race with another writer each
-mean that the caller parses the file as if there were no cache.
+mean that the file is parsed as if there were no cache: into an unlinked
+spill under ``TMPDIR`` when no entry can be written.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import os
 import tempfile
 from pathlib import Path
 
-from .calibration import CalibrationSet
-from .containers import load_calibration, save_calibration
+from .calibration import CalibrationSet, RowFile
+from .containers import _CALIB_HEADER, CALIB_MAGIC, CALIB_VERSION, _parse_csv, load_calibration
 from .errors import FormatError
 
 MAX_ENTRIES = 8
@@ -53,29 +54,49 @@ def load(entry: Path | None) -> CalibrationSet | None:
     return calib
 
 
-def store(calib: CalibrationSet, entry: Path | None) -> None:
-    """Write ``entry`` whole or not at all, then keep only the newest entries."""
-    if entry is None:
-        return
+def parse(path: str | Path, entry: Path | None) -> CalibrationSet:
+    """The CSV at ``path`` parsed into a new entry beside ``entry``, as a set reading it.
+
+    The entry is written under a temporary name, its header last, and then
+    named by the sha256 of the bytes parsed. Rows that cannot be written
+    there go to an unlinked :meth:`~resvd.calibration.RowFile.spill`.
+    """
     tmp = None
+    if entry is not None:
+        with contextlib.suppress(OSError):
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+    if tmp is None:
+        rows = RowFile.spill(f"the rows of {path}")
+        _parse_csv(path, rows)
+        return CalibrationSet(file=rows)
     try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
-        os.close(fd)
-        save_calibration(calib, tmp)
-        os.replace(tmp, entry)  # readers see the old entry or the new one, never a part
-        tmp = None
-        files = []
-        for path in entry.parent.iterdir():
-            if path.suffix in (".ercc", ".tmp"):
-                with contextlib.suppress(OSError):  # another process may remove it first
-                    files.append((path.stat().st_mtime_ns, path))
-        for _, path in sorted(files)[:-MAX_ENTRIES]:
-            with contextlib.suppress(OSError):
-                path.unlink()
-    except OSError:
-        pass  # the cache only saves time: no load fails on its account
+        rows = RowFile(tmp, fd, _CALIB_HEADER.size, (0, 0))
+        try:
+            digest = _parse_csv(path, rows)
+        except OSError as exc:
+            if exc.filename != tmp:  # the CSV's own read failed
+                raise
+            return parse(path, None)  # the cache only saves time: no load fails on its account
+        with contextlib.suppress(OSError):
+            os.pwrite(fd, _CALIB_HEADER.pack(CALIB_MAGIC, CALIB_VERSION, *rows.shape), 0)
+            os.replace(tmp, named := entry_for(digest))  # readers see no part of an entry
+            tmp, rows.path = None, named
+            _evict(named.parent)
+        return CalibrationSet(file=rows)
     finally:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+
+
+def _evict(directory: Path) -> None:
+    """Keep only the newest :data:`MAX_ENTRIES` entries and temporary files."""
+    files = []
+    for path in directory.iterdir():
+        if path.suffix in (".ercc", ".tmp"):
+            with contextlib.suppress(OSError):  # another process may remove it first
+                files.append((path.stat().st_mtime_ns, path))
+    for _, path in sorted(files)[:-MAX_ENTRIES]:
+        with contextlib.suppress(OSError):
+            path.unlink()

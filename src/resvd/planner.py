@@ -420,7 +420,10 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
                     if math.isnan(error):
                         raise NumericalError("final-layer error undefined")
             except CompressionError as exc:
-                failures[k] = exc
+                # kept with its traceback or its cause's, exc would hold this
+                # frame, and so the calibrated state, until a collection ran
+                failures[k] = exc.with_traceback(None)
+                exc.__cause__ = exc.__context__ = None
                 del memos[k]
                 continue
             if last:
@@ -430,11 +433,10 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
                     best = k
                 else:
                     del memos[k]
-    if best is None:
-        failure = failures[candidates[0][0]]
-        if isinstance(failure, (NumericalError, InfeasiblePlanError)):
-            raise failure
-        raise InfeasiblePlanError("every candidate failed during trial compression")
+    if best is None:  # no local holds what is raised, so its traceback makes no cycle
+        k = candidates[0][0]
+        raise (failures.pop(k) if isinstance(failures[k], (NumericalError, InfeasiblePlanError))
+               else InfeasiblePlanError("every candidate failed during trial compression"))
     ratio = dict(candidates)[best]
     return CompressionPlan(
         k=best,

@@ -31,7 +31,9 @@ import resvd.calibration
 import resvd.cli
 import resvd.compensation
 import resvd.containers
+import resvd.csv_cache
 import resvd.demo
+import resvd.errors
 import resvd.model
 import resvd.oracle
 import resvd.planner
@@ -1303,6 +1305,85 @@ class TestFaultInjection:
         if failure == "create":
             assert (tmp_path / "file").read_text() == "kept\n"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    @pytest.mark.parametrize("failing", ["one", "every"])
+    def test_a_failed_candidate_leaves_no_descriptor_open(self, capsys, monkeypatch, argv,
+                                                          failing):
+        # plan keeps each failed candidate's error for its table, and raises
+        # the smallest candidate's when every one fails. With its traceback,
+        # a kept error would hold plan's frame, so the calibrated state and
+        # its files (the calibration's and the model output's spill) would
+        # stay open until a garbage collection ran. The error here is raised
+        # from another, as a failed factorisation's is.
+        failed = []
+
+        def scored(state, k, *args):
+            if not failed or failing == "every":
+                failed.append(k)
+                try:
+                    raise np.linalg.LinAlgError("injected")
+                except np.linalg.LinAlgError as exc:
+                    raise resvd.errors.NumericalError("injected") from exc
+            return real(state, k, *args)
+
+        real = resvd.planner._scored
+        monkeypatch.setattr(resvd.planner, "_scored", scored)
+        gc.collect()
+        fds = len(os.listdir("/proc/self/fd"))
+        capsys.readouterr()
+        gc.disable()
+        try:
+            assert main(argv["plan"]()) == (0 if failing == "one" else 4)
+            assert len(os.listdir("/proc/self/fd")) == fds
+        finally:
+            gc.enable()
+        if failing == "one":
+            [k] = failed
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [row.split(",")[0] for row in rows if row.endswith(",nan")] == [str(k)]
+        else:
+            assert capsys.readouterr() == ("", "resvd: numerical failure: injected\n")
+
+    @pytest.mark.parametrize("calib", ["bin", "csv"])
+    @pytest.mark.parametrize("tmpdir", ["missing", "a file"])
+    def test_a_tmpdir_that_cannot_be_used_is_one_line(
+            self, tmp_path, capsys, monkeypatch, argv, calib, tmpdir):
+        # A TMPDIR that is missing or is not a directory ends plan with one
+        # line naming it, where tempfile would fall back to /tmp unsaid; no
+        # temporary file is made anywhere else. A CSV whose cache cannot be
+        # used is spilled there too, before the model output is.
+        args = argv["plan"]()
+        if calib == "csv":
+            args[args.index("--calib") + 1] = str(tmp_path / "c.csv")
+            save_calibration_csv(load_calibration(tmp_path / "demo" / "calib.bin"),
+                                 tmp_path / "c.csv")
+            (tmp_path / "cache").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        bad = tmp_path / "tmp"
+        if tmpdir == "a file":
+            bad.write_text("kept\n")
+        monkeypatch.setenv("TMPDIR", str(bad))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        made = []
+
+        def temporary_file(*args, **kwargs):
+            made.append(kwargs.get("dir"))
+            return real(*args, **kwargs)
+
+        real = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        capsys.readouterr()
+        assert main(args) == 2
+        what = "the model output" if calib == "bin" else f"the rows of {tmp_path / 'c.csv'}"
+        error = ("[Errno 2] No such file or directory" if tmpdir == "missing"
+                 else "[Errno 20] Not a directory")
+        assert capsys.readouterr() == (
+            "", f"resvd: io error: {error}: '{what} spilled under {bad}'\n")
+        assert made == [str(bad)]
+        assert tempfile.tempdir is None  # nothing asked tempfile where it falls back to
+        assert (tmpdir == "missing") != bad.exists()
+        assert calib == "bin" or (tmp_path / "cache").read_text() == ""
+
 
 def run_module(argv: list[str]) -> subprocess.CompletedProcess:
     """``python -m resvd.cli <argv>`` in a child process, on this checkout's sources."""
@@ -1372,8 +1453,7 @@ class TestCalibrationCache:
         cold = dir_bytes(out)
         assert len(list(cache.iterdir())) == 1
         shutil.rmtree(out)
-        for name in ("_load_csv_fast", "_load_csv_lines"):  # warm: a parse would raise
-            monkeypatch.setattr(resvd.containers, name, None)
+        monkeypatch.setattr(resvd.csv_cache, "_parse_csv", None)  # warm: a parse would raise
         assert main(argv) == 0
         assert dir_bytes(out) == cold
 
@@ -1480,8 +1560,7 @@ class TestFileBackedCalibration:
         shutil.rmtree(tmp_path / "out")
         cache = Path(os.environ["XDG_CACHE_HOME"], "resvd")
         assert cache.is_dir() == csv
-        for name in ("_load_csv_fast", "_load_csv_lines"):  # warm: a parse would raise
-            monkeypatch.setattr(resvd.containers, name, None)
+        monkeypatch.setattr(resvd.csv_cache, "_parse_csv", None)  # warm: a parse would raise
 
         def load(path):
             loaded = real(path)

@@ -3,7 +3,9 @@ hand-built binary fixtures."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,12 +21,10 @@ from hypothesis import strategies as st
 
 import resvd.containers
 import resvd.csv_cache
-from resvd.calibration import READ_CHUNK_BYTES, CalibrationSet
+from resvd.calibration import READ_CHUNK_BYTES, CalibrationSet, RowFile
 from resvd.containers import (
     ERROR_CSV_HEADER,
-    _is_plain,
-    _load_csv_fast,
-    _load_csv_lines,
+    _parse_csv,
     load_calibration,
     load_calibration_auto,
     load_calibration_csv,
@@ -69,8 +69,9 @@ def dir_bytes(root: Path) -> dict[str, bytes]:
 
 # CSV files: well-formed rows of numbers in the forms a writer might use,
 # the three newline conventions, and in about half the files one flaw: a
-# malformed token, a ragged row, a whitespace-only line, a byte on which
-# loadtxt and str.splitlines disagree, or a byte that is not UTF-8.
+# malformed token, a ragged row, a whitespace-only line, a character that
+# str.splitlines ends a line at or one it does not, or bytes that are not
+# UTF-8 (a bad byte, or a character cut short) anywhere in the file.
 _CSV_NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
@@ -83,7 +84,7 @@ _CSV_FLAWS = st.one_of(
     st.tuples(st.just("line"), st.sampled_from(["1,2,3,4", " ", "\t ", "\x0c"])),
     st.tuples(st.just("char"), st.sampled_from(
         ["\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\ufeff"])),
-    st.just(("bytes", "\xff")),
+    st.tuples(st.just("bytes"), st.sampled_from([b"\xff", b"\xe2\x80", b"\xed\xa0\x80"])),
 )
 
 
@@ -104,12 +105,49 @@ def csv_files(draw) -> bytes:
         at = draw(st.integers(0, len(text)))
         text = text[:at] + flaw + text[at:]
     data = text.encode()
-    return data + b"\xff" if kind == "bytes" else data
+    if kind == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + flaw + data[at:]
+    return data
 
 
-def _parse_lines(path):
-    """The line loop's parse of the file at ``path``."""
-    return _load_csv_lines(path, path.read_bytes())
+def _parse_whole(path):
+    """The reference parse: the whole file decoded as a text-mode read does, then line by line."""
+    raw = path.read_bytes()
+    rows: list[list[float]] = []
+    line_numbers: list[int] = []
+    try:
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: neither an ERCC container nor a text CSV ({exc})") from exc
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln}: not numeric ({exc})") from exc
+        if rows and len(row) != len(rows[0]):
+            raise FormatError(f"{path}:{ln}: expected {len(rows[0])} columns, got {len(row)}")
+        rows.append(row)
+        line_numbers.append(ln)
+    if not rows:
+        raise FormatError(f"{path}: no samples")
+    samples = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}:{line_numbers[bad[0]]}: non-finite value")
+    return samples
+
+
+def _parse_in_blocks(path, block):
+    """:func:`_parse_csv`'s rows of the file at ``path``, read ``block`` bytes at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resvd.containers, "READ_CHUNK_BYTES", block)
+        rows = RowFile.spill("the parsed rows")
+        digest = _parse_csv(path, rows)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    return rows.read(0, np.empty(rows.shape))
 
 
 def _csv_outcome(load, path):
@@ -385,35 +423,44 @@ class TestCalibrationContainer:
             load_calibration_csv(tmp_path / "c.csv")
 
     @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(data=csv_files())
-    def test_csv_fast_path_agrees_with_the_line_loop(self, data):
-        # Through the fast path or its fallback, every file loads to the
-        # line loop's array or fails with the line loop's message.
+    @given(data=csv_files(), block=st.integers(2, 7))
+    def test_any_read_block_parses_as_one_block(self, data, block):
+        # The parse reads a block at a time, a line at most. Whatever the
+        # block, every file loads to the bits of a parse of its whole text,
+        # or fails with its one-line message: the same fault, line and byte
+        # position, and the same sha256 of the bytes parsed.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.csv"
             path.write_bytes(data)
-            want = _csv_outcome(_parse_lines, path)
-            raw = path.read_bytes()
-            fast = _load_csv_fast(raw) if _is_plain(raw) else None
-            if fast is not None:
-                assert (fast.shape, fast.tobytes()) == want
+            want = _csv_outcome(_parse_whole, path)
+            for size in (len(data) + 2, block, READ_CHUNK_BYTES):
+                assert _csv_outcome(lambda p: _parse_in_blocks(p, size), path) == want
             assert _csv_outcome(lambda p: load_calibration_csv(p).samples, path) == want
 
-    @pytest.mark.parametrize("text", ["1,2\n3,4\n", "1,2\r\n\n3,4", "5", "1\n2\n", " 1 ,\t2\r"])
-    def test_csv_fast_path_takes_plain_files(self, tmp_path, text):
-        (tmp_path / "c.csv").write_text(text, newline="")
-        raw = (tmp_path / "c.csv").read_bytes()
-        assert _is_plain(raw)
-        fast = _load_csv_fast(raw)
-        assert fast is not None
-        np.testing.assert_array_equal(fast, _parse_lines(tmp_path / "c.csv"))
+    @pytest.mark.parametrize("text, message", [
+        (b"1,nan\n2,oops\n", r"c\.csv:2: not numeric"),
+        (b"1,inf\n\n2\n", r"c\.csv:3: expected 2 columns, got 1"),
+        (b"1,2\n3,oops\n4,5,6\n", r"c\.csv:2: not numeric"),
+        (b"1,oops\n2,\xff\n", r"can't decode byte 0xff in position 9"),
+        (b"1,nan\n2,3\n\xe2\x80", r"bytes in position 10-11: unexpected end of data"),
+        (b"1,2\n3,-inf\n4,nan\n", r"c\.csv:2: non-finite value"),
+    ])
+    @pytest.mark.parametrize("block", [2, 3, READ_CHUNK_BYTES])
+    def test_the_fault_a_whole_parse_names_wins(self, tmp_path, text, message, block):
+        # a bad byte anywhere wins over any line; a line that does not parse
+        # wins over a non-finite row before it; the first of a kind wins
+        (tmp_path / "c.csv").write_bytes(text)
+        with pytest.raises(FormatError, match=message) as whole:
+            _parse_whole(tmp_path / "c.csv")
+        with pytest.raises(FormatError) as parsed:
+            _parse_in_blocks(tmp_path / "c.csv", block)
+        assert str(parsed.value) == str(whole.value)
 
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
     def test_csv_line_separator_inside_a_row_is_the_line_loops_call(self, tmp_path, sep):
-        # loadtxt reads "1<sep>,2" as one row; the line loop sees the lines
-        # "1" and ",2" and rejects the second
+        # str.splitlines ends a line at <sep>, so "1<sep>,2" is the lines "1"
+        # and ",2", and the second is rejected
         (tmp_path / "c.csv").write_text(f"1{sep},2\n", newline="")
-        assert not _is_plain((tmp_path / "c.csv").read_bytes())
         with pytest.raises(FormatError, match=r"c\.csv:2: not numeric"):
             load_calibration_csv(tmp_path / "c.csv")
 
@@ -456,15 +503,14 @@ class TestCalibrationContainer:
             del back
         assert max(peaks.values()) < 1.5 * READ_CHUNK_BYTES < 4096 * 64 * 8, peaks
 
-    @pytest.mark.parametrize("route", ["binary", "fast", "lines"])
+    @pytest.mark.parametrize("route", ["binary", "lines"])
     def test_loaded_rows_are_read_only(self, tmp_path, route):
         path = tmp_path / "c"
         if route == "binary":
             save_calibration(CalibrationSet(samples=np.ones((3, 2))), path)
             load = load_calibration
-        else:  # a no-break space is a byte the fast path leaves to the line loop
-            path.write_text("1,2\n3,4\n" if route == "fast" else "1\u00a0,2\n3,4\n")
-            assert _is_plain(path.read_bytes()) == (route == "fast")
+        else:  # float() strips the no-break space
+            path.write_text("1\u00a0,2\n3,4\n")
             load = load_calibration_csv
         first = load(path).samples
         for samples in (first, load(path).samples):  # a CSV's second load is a cache hit
@@ -483,8 +529,7 @@ def _no_parse(monkeypatch) -> None:
     """Make every CSV parse fail, so only a cache hit can load."""
     def parse(*args):
         raise AssertionError("a CSV was parsed")
-    monkeypatch.setattr(resvd.containers, "_load_csv_fast", parse)
-    monkeypatch.setattr(resvd.containers, "_load_csv_lines", parse)
+    monkeypatch.setattr(resvd.csv_cache, "_parse_csv", parse)
 
 
 class TestCalibrationCache:
@@ -502,13 +547,61 @@ class TestCalibrationCache:
             mp.setenv("XDG_CACHE_HOME", str(Path(tmp, "cache")))
             path = Path(tmp) / "c.csv"
             path.write_bytes(data)
-            want = _csv_outcome(_parse_lines, path)
+            want = _csv_outcome(_parse_whole, path)
             load = lambda p: load_calibration_csv(p).samples  # noqa: E731
             assert _csv_outcome(load, path) == want
             assert len(_cache_files()) == (want[0] != "error")
             if want[0] != "error":
                 _no_parse(mp)
             assert _csv_outcome(load, path) == want
+
+    @pytest.mark.parametrize("cache", ["usable", "unusable"])
+    def test_a_cold_load_is_file_backed_and_holds_no_copy_of_the_file(
+            self, tmp_path, monkeypatch, cache):
+        # A miss parses the CSV a block at a time into the file its rows are
+        # then read from: a cache entry, or an unlinked spill when the cache
+        # cannot be used. A file of eight blocks costs less than two.
+        calib = self.write_csv(tmp_path / "c.csv", rows=4000, cols=32)
+        assert (tmp_path / "c.csv").stat().st_size > 8 * READ_CHUNK_BYTES
+        if cache == "unusable":
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        tracemalloc.start()
+        try:
+            loaded = load_calibration_csv(tmp_path / "c.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * READ_CHUNK_BYTES, peak
+        assert isinstance(loaded._file, RowFile) and loaded._array is None
+        np.testing.assert_array_equal(loaded.samples, calib.samples)
+        assert len(_cache_files()) == (cache == "usable")
+
+    def test_an_entry_that_cannot_be_written_leaves_nothing_and_parses_into_a_spill(
+            self, tmp_path, monkeypatch):
+        # The cache only saves time: a write to the entry's temporary file
+        # that fails (no space, here) leaves no file in the cache, and the
+        # load parses the CSV into an unlinked spill instead.
+        calib = self.write_csv(tmp_path / "c.csv")
+        made = []
+
+        def mkstemp(*args, **kwargs):
+            fd, name = real_mkstemp(*args, **kwargs)
+            made.append(fd)
+            return fd, name
+
+        def pwrite(fd, data, at):
+            if fd in made:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_pwrite(fd, data, at)
+
+        real_mkstemp, real_pwrite = tempfile.mkstemp, os.pwrite
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        loaded = load_calibration_csv(tmp_path / "c.csv")
+        assert made and _cache_files() == []
+        assert loaded._file.path.startswith(f"the rows of {tmp_path / 'c.csv'} spilled under ")
+        np.testing.assert_array_equal(loaded.samples, calib.samples)
 
     @pytest.mark.parametrize("damage", ["truncate", "magic"])
     def test_damaged_entry_is_reparsed_and_rewritten(self, tmp_path, damage):
@@ -556,24 +649,21 @@ class TestCalibrationCache:
         assert len(_cache_files()) == 2
 
     def test_a_hit_reads_the_file_once_and_checks_no_byte_class(self, tmp_path, monkeypatch):
-        # A hit costs the sha256 of the file alone: neither the whole-file
-        # read nor the plain-byte check that only a parse needs.
+        # A hit costs the sha256 of the file alone: one read of the CSV, for
+        # the hash, and no parse.
         calib = self.write_csv(tmp_path / "c.csv")
         load_calibration_csv(tmp_path / "c.csv")
+        opened = []
 
-        def never(*args):
-            raise AssertionError("a hit looked at the bytes beyond their sha256")
+        def counting_open(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open(path, *args, **kwargs)
 
-        def read_bytes(path):  # the cache entry is read whole; the CSV must not be
-            if path == tmp_path / "c.csv":
-                never()
-            return real(path)
-
-        real = Path.read_bytes
-        monkeypatch.setattr(resvd.containers, "_is_plain", never)
-        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        _no_parse(monkeypatch)
+        monkeypatch.setattr(resvd.containers, "open", counting_open, raising=False)
         np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
                                       calib.samples)
+        assert opened == [tmp_path / "c.csv"]
 
     def test_one_byte_edit_misses(self, tmp_path):
         self.write_csv(tmp_path / "c.csv")
@@ -583,7 +673,7 @@ class TestCalibrationCache:
         digit = b"1" if text[at : at + 1] == b"0" else b"0"
         (tmp_path / "c.csv").write_bytes(text[:at] + digit + text[at + 1 :])
         after = load_calibration_csv(tmp_path / "c.csv").samples
-        np.testing.assert_array_equal(after, _parse_lines(tmp_path / "c.csv"))
+        np.testing.assert_array_equal(after, _parse_whole(tmp_path / "c.csv"))
         assert after.tobytes() != before.tobytes()
         assert len(_cache_files()) == 2
 
