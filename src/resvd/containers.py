@@ -10,6 +10,11 @@ the calibration set; a CSV is parsed only the first time it is loaded, and
 every load reads the ERCC entry the parse writes (see
 :mod:`resvd.csv_cache`). No pass writes calibration rows.
 
+No input is read through the locale: a CSV is parsed as bytes, lines
+ending at ``\n``, and ``manifest.json`` and ``plan.json`` are decoded as
+UTF-8, as RFC 8259 requires of JSON. So the same bytes load, or fail with
+the same message, on every machine.
+
 Tensors are float64 in memory whatever their file holds. The writer takes
 the precision of every tensor file as its ``dtype`` argument, so a model
 loaded from f32 files and saved with ``dtype="f32"`` is byte-identical.
@@ -17,13 +22,10 @@ loaded from f32 files and saved with ``dtype="f32"`` is byte-identical.
 
 from __future__ import annotations
 
-import codecs
-import io
 import json
 import math
 import os
 import struct
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +77,7 @@ def _require_typed(doc: dict, key: str, where: str,
 def _load_json(path: Path, fmt: str, version: int) -> dict:
     """The JSON object in ``path``, checked to declare format ``fmt`` at ``version``."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))  # RFC 8259: JSON is UTF-8
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: cannot be decoded as text ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -292,12 +294,10 @@ def _calib_shape(path: str | Path, fd: int) -> tuple[int, int]:
 
 
 def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
-    with open(path, "w") as fh:  # a file object, so a ".gz" name is never gzipped
+    # a file object, so a ".gz" name is never gzipped; ASCII lines ending at
+    # "\n" on every platform, as the parser reads them
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         np.savetxt(fh, calib.samples, fmt="%.17g", delimiter=",")
-
-
-# Where str.splitlines ends a line; a text-mode read has made each "\r\n" one "\n".
-_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def load_calibration_csv(path: str | Path) -> CalibrationSet:
@@ -327,82 +327,46 @@ def _sha256(path: str | Path) -> str:
 def _parse_csv(path: str | Path, rows: RowFile) -> str:
     """Append the rows of the CSV at ``path`` to ``rows``; the sha256 of the bytes parsed.
 
-    The file is read :data:`READ_CHUNK_BYTES` at a time, a line at most, and
-    rows are written half that many bytes at a time: a parse holds less than
-    two of those. The whole file is read whatever line fails, so a file with
-    several faults fails with the one-line message a parse of its whole text
-    gives: for bytes that do not decode, else the first line that is not
-    numeric or has another width than the first row, else no row, else the
-    first row holding a non-finite value.
+    The file is bytes: a line ends at ``\\n``, and each comma-separated
+    token is parsed by ``float``, which ignores ASCII whitespace around it,
+    ``\\r`` included. A line holding only such whitespace is skipped. The
+    parse stops at the first line that is not numeric, has another width
+    than the first row or holds a non-finite value, with a one-line message
+    naming it; a file with none and no row fails with "no samples". So the
+    same bytes give the same rows or the same message whatever the locale.
+    The file is read :data:`READ_CHUNK_BYTES` at a time and rows are written
+    half that many bytes at a time: beyond its longest line, a parse holds
+    less than two of those.
     """
     import hashlib  # here, so only a CSV load maps OpenSSL
 
     digest, block, n = hashlib.sha256(), None, 0  # n rows of block are not yet appended
-    error = bad = None  # the first line that fails, and the first non-finite row's
     with open(path, "rb", buffering=READ_CHUNK_BYTES) as fh:
-        for ln, line in enumerate(_csv_lines(path, fh, digest), start=1):
-            if error or not line.strip():
+        for ln, raw in enumerate(fh, start=1):
+            digest.update(raw)
+            if not (line := raw.strip()):
                 continue
             try:
-                row = [float(tok) for tok in line.split(",")]
+                row = [float(tok) for tok in line.split(b",")]
             except ValueError as exc:
-                error = f"{path}:{ln}: not numeric ({exc})"
-                continue
+                raise FormatError(f"{path}:{ln}: not numeric ({exc})") from None
             if block is None:
                 block = np.empty((max(1, READ_CHUNK_BYTES // (16 * len(row))), len(row)))
             if len(row) != block.shape[1]:
-                error = f"{path}:{ln}: expected {block.shape[1]} columns, got {len(row)}"
-                continue
-            if bad is None and not all(map(math.isfinite, row)):
-                bad = ln
+                raise FormatError(
+                    f"{path}:{ln}: expected {block.shape[1]} columns, got {len(row)}")
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"{path}:{ln}: non-finite value")
             block[n] = row
             n += 1
             if n == len(block):
                 rows.append(block)
                 n = 0
-    if error or block is None:
-        raise FormatError(error or f"{path}: no samples")
-    if bad is not None:
-        raise FormatError(f"{path}:{bad}: non-finite value")
+    if block is None:
+        raise FormatError(f"{path}: no samples")
     if n:
         rows.append(block[:n])
     return digest.hexdigest()
-
-
-def _csv_lines(path: str | Path, fh, digest) -> Iterator[str]:
-    """Each line of the text in the binary file ``fh``, its bytes hashed into ``digest``.
-
-    Whatever bytes each read takes, the lines, and the position in the file
-    that a ``FormatError`` names for bytes that do not decode, are those of
-    a text-mode read of the whole file split by ``str.splitlines``.
-    """
-    import locale  # here, so only a CSV parse imports it
-
-    decoder = io.IncrementalNewlineDecoder(
-        codecs.getincrementaldecoder(locale.getpreferredencoding(False))(), translate=True)
-    carry, at = "", 0  # the text of a line not yet ended, and the bytes read before raw
-    while True:
-        raw = fh.readline(READ_CHUNK_BYTES)
-        digest.update(raw)
-        try:
-            text = carry + decoder.decode(raw, final=not raw)
-        except UnicodeDecodeError as exc:  # the decoder still holds what it held before raw
-            raise FormatError(f"{path}: neither an ERCC container nor a text CSV "
-                              f"({_decode_error(exc, at - len(decoder.getstate()[0]))})") from None
-        at += len(raw)
-        lines = text.splitlines()
-        carry = lines.pop() if raw and text[-1:] not in _LINE_ENDS else ""
-        yield from lines
-        if not raw:
-            return
-
-
-def _decode_error(exc: UnicodeDecodeError, at: int) -> str:
-    """``str(exc)`` with its positions counted from ``at`` bytes before the bytes it decoded."""
-    start, end = exc.start + at, exc.end + at
-    what = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
-            else f"bytes in position {start}-{end - 1}")
-    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
 
 
 def load_calibration_auto(path: str | Path) -> CalibrationSet:

@@ -4,9 +4,12 @@ An entry is an ERCC calibration container (see :mod:`resvd.containers`) in
 ``$XDG_CACHE_HOME/resvd``, or ``~/.cache/resvd`` when that variable is
 unset. Its name is :data:`FORMAT_TAG` and the sha256 of the CSV's exact
 bytes, so any edit to the file misses, and a hit returns the float64 bits
-the parse produced. At most :data:`MAX_ENTRIES` are kept: a write drops the
-oldest by mtime, and a hit renews its entry's. Only CSV is cached, and
-deleting the directory is always safe.
+the parse produced. The parse reads bytes and no locale
+(:func:`resvd.containers._parse_csv`), so those bits are the ones a parse
+gives on any machine, whichever run filled the entry. At most
+:data:`MAX_ENTRIES` are kept: a write drops the oldest by mtime, and a hit
+renews its entry's. Only CSV is cached, and deleting the directory is
+always safe.
 
 The cache never fails a load. A home that cannot be resolved, a directory
 that cannot be written, a damaged entry or a race with another writer each
@@ -27,7 +30,7 @@ from .errors import FormatError
 
 MAX_ENTRIES = 8
 # In every entry's name: change it whenever a CSV would parse differently.
-FORMAT_TAG = "csv1"
+FORMAT_TAG = "csv2"
 
 
 def entry_for(digest: str) -> Path | None:

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import io
 import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -68,10 +69,11 @@ def dir_bytes(root: Path) -> dict[str, bytes]:
 
 
 # CSV files: well-formed rows of numbers in the forms a writer might use,
-# the three newline conventions, and in about half the files one flaw: a
-# malformed token, a ragged row, a whitespace-only line, a character that
-# str.splitlines ends a line at or one it does not, or bytes that are not
-# UTF-8 (a bad byte, or a character cut short) anywhere in the file.
+# the three newline conventions (only "\n" ends a line), and in about half
+# the files one flaw: a malformed token, a ragged row, a whitespace-only
+# line, an ASCII whitespace or other character (UTF-8 encoded), or bytes
+# that are not UTF-8 (a bad byte, or a character cut short) anywhere in the
+# file.
 _CSV_NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
@@ -83,7 +85,7 @@ _CSV_FLAWS = st.one_of(
         ["", "1_0", "0x10", "1e", "oops", "1e999", "-inf", "nan", "1 2", "\u0661"])),
     st.tuples(st.just("line"), st.sampled_from(["1,2,3,4", " ", "\t ", "\x0c"])),
     st.tuples(st.just("char"), st.sampled_from(
-        ["\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\ufeff"])),
+        ["\x00", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\ufeff"])),
     st.tuples(st.just("bytes"), st.sampled_from([b"\xff", b"\xe2\x80", b"\xed\xa0\x80"])),
 )
 
@@ -112,32 +114,51 @@ def csv_files(draw) -> bytes:
 
 
 def _parse_whole(path):
-    """The reference parse: the whole file decoded as a text-mode read does, then line by line."""
-    raw = path.read_bytes()
+    """The reference parse: the whole file split at each b"\\n", then line by line.
+
+    The rows before the first line that is not numeric or ragged are
+    checked finite together, so a non-finite row before that line wins.
+    """
     rows: list[list[float]] = []
     line_numbers: list[int] = []
-    try:
-        text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: neither an ERCC container nor a text CSV ({exc})") from exc
-    for ln, line in enumerate(text.splitlines(), start=1):
+    fault = None
+    for ln, line in enumerate(path.read_bytes().split(b"\n"), start=1):
         if not line.strip():
             continue
         try:
-            row = [float(tok) for tok in line.split(",")]
+            row = [float(tok) for tok in line.strip().split(b",")]
         except ValueError as exc:
-            raise FormatError(f"{path}:{ln}: not numeric ({exc})") from exc
+            fault = f"{path}:{ln}: not numeric ({exc})"
+            break
         if rows and len(row) != len(rows[0]):
-            raise FormatError(f"{path}:{ln}: expected {len(rows[0])} columns, got {len(row)}")
+            fault = f"{path}:{ln}: expected {len(rows[0])} columns, got {len(row)}"
+            break
         rows.append(row)
         line_numbers.append(ln)
-    if not rows:
-        raise FormatError(f"{path}: no samples")
     samples = np.array(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
-    if bad.size:
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1)) if rows else []
+    if len(bad):
         raise FormatError(f"{path}:{line_numbers[bad[0]]}: non-finite value")
+    if fault or not rows:
+        raise FormatError(fault or f"{path}: no samples")
     return samples
+
+
+# An ASCII locale, with neither its coercion to C.UTF-8 nor UTF-8 mode, and a UTF-8 one.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+_UTF8_LOCALE = {"LC_ALL": "C.UTF-8"}
+
+
+def _in_locale(env: dict, code: str, *args: str) -> tuple[str, str]:
+    """The locale encoding of a child running ``code`` with ``env``, and its last stdout line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import codecs, locale; "
+             "print(codecs.lookup(locale.getpreferredencoding(False)).name)\n" + code)
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+    assert proc.returncode == 0, proc.stderr
+    encoding, *_, last = proc.stdout.splitlines()
+    return encoding, last
 
 
 def _parse_in_blocks(path, block):
@@ -256,6 +277,17 @@ class TestModelDir:
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert doc["format"] == "resvd-model"
         assert doc["version"] == 1
+
+    def test_manifest_is_read_as_utf8_under_any_locale(self, tmp_path):
+        save_model(small_model(np.random.default_rng(7)), tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.json"
+        doc = {**json.loads(manifest.read_text()), "meta": {"note": "caf\u00e9"}}
+        manifest.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        encoding, meta = _in_locale(
+            _ASCII_LOCALE, "import json, sys; from resvd.containers import load_model; "
+                           "print(json.dumps(load_model(sys.argv[1]).meta))", str(tmp_path / "m"))
+        assert encoding == "ascii"
+        assert json.loads(meta) == {"note": "caf\u00e9"}
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "m").mkdir()
@@ -412,7 +444,7 @@ class TestCalibrationContainer:
     def test_not_text_and_not_a_container(self, tmp_path):
         # a container whose magic is damaged falls through to the CSV reader
         (tmp_path / "c.bin").write_bytes(b"ERCX" + b"\xff" * 20)
-        with pytest.raises(FormatError, match="neither an ERCC container nor a text CSV"):
+        with pytest.raises(FormatError, match=r"c\.bin:1: not numeric"):
             load_calibration_auto(tmp_path / "c.bin")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
@@ -425,10 +457,10 @@ class TestCalibrationContainer:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(data=csv_files(), block=st.integers(2, 7))
     def test_any_read_block_parses_as_one_block(self, data, block):
-        # The parse reads a block at a time, a line at most. Whatever the
-        # block, every file loads to the bits of a parse of its whole text,
-        # or fails with its one-line message: the same fault, line and byte
-        # position, and the same sha256 of the bytes parsed.
+        # The parse reads a block at a time. Whatever the block, every file
+        # loads to the bits of a parse of its whole bytes, or fails with its
+        # one-line message: the same fault and line, and the same sha256 of
+        # the bytes parsed.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.csv"
             path.write_bytes(data)
@@ -438,17 +470,17 @@ class TestCalibrationContainer:
             assert _csv_outcome(lambda p: load_calibration_csv(p).samples, path) == want
 
     @pytest.mark.parametrize("text, message", [
-        (b"1,nan\n2,oops\n", r"c\.csv:2: not numeric"),
-        (b"1,inf\n\n2\n", r"c\.csv:3: expected 2 columns, got 1"),
         (b"1,2\n3,oops\n4,5,6\n", r"c\.csv:2: not numeric"),
-        (b"1,oops\n2,\xff\n", r"can't decode byte 0xff in position 9"),
-        (b"1,nan\n2,3\n\xe2\x80", r"bytes in position 10-11: unexpected end of data"),
-        (b"1,2\n3,-inf\n4,nan\n", r"c\.csv:2: non-finite value"),
+        (b"1,2\n\n3\n4,oops\n", r"c\.csv:3: expected 2 columns, got 1"),
+        (b"1,2\n3,-inf\n4,oops\n", r"c\.csv:2: non-finite value"),
+        (b"1,nan\n2,3,4\n", r"c\.csv:1: non-finite value"),
+        (b"1,oops\n2,\xff\n", r"c\.csv:1: not numeric \(.*b'oops'\)$"),
+        (b"1,2\n3,\xc2\xa04\n", r"c\.csv:2: not numeric \(.*b'\\xc2\\xa04'\)$"),
     ])
     @pytest.mark.parametrize("block", [2, 3, READ_CHUNK_BYTES])
     def test_the_fault_a_whole_parse_names_wins(self, tmp_path, text, message, block):
-        # a bad byte anywhere wins over any line; a line that does not parse
-        # wins over a non-finite row before it; the first of a kind wins
+        # the first faulty line wins, whatever follows it; a byte that is
+        # not ASCII is a token that is not numeric, never a decode error
         (tmp_path / "c.csv").write_bytes(text)
         with pytest.raises(FormatError, match=message) as whole:
             _parse_whole(tmp_path / "c.csv")
@@ -456,13 +488,17 @@ class TestCalibrationContainer:
             _parse_in_blocks(tmp_path / "c.csv", block)
         assert str(parsed.value) == str(whole.value)
 
-    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
-    def test_csv_line_separator_inside_a_row_is_the_line_loops_call(self, tmp_path, sep):
-        # str.splitlines ends a line at <sep>, so "1<sep>,2" is the lines "1"
-        # and ",2", and the second is rejected
-        (tmp_path / "c.csv").write_text(f"1{sep},2\n", newline="")
-        with pytest.raises(FormatError, match=r"c\.csv:2: not numeric"):
+    @pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
+    def test_only_a_newline_ends_a_csv_line(self, tmp_path, sep):
+        # "1,2<sep>3,4" is one line whose second token "2<sep>3" is not a number
+        (tmp_path / "c.csv").write_text(f"1,2{sep}3,4\n", newline="")
+        with pytest.raises(FormatError, match=r"c\.csv:1: not numeric"):
             load_calibration_csv(tmp_path / "c.csv")
+
+    def test_ascii_whitespace_around_a_token_is_ignored(self, tmp_path):
+        (tmp_path / "c.csv").write_bytes(b" 1\x0b,\t2 \r\n\x0c\r\n3,4\r\n")
+        np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
+                                      [[1.0, 2.0], [3.0, 4.0]])
 
     def test_csv_writer_matches_the_per_value_format(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -509,8 +545,8 @@ class TestCalibrationContainer:
         if route == "binary":
             save_calibration(CalibrationSet(samples=np.ones((3, 2))), path)
             load = load_calibration
-        else:  # float() strips the no-break space
-            path.write_text("1\u00a0,2\n3,4\n")
+        else:  # float() strips the vertical tab and the carriage return
+            path.write_bytes(b"1\x0b,2\r\n3,4\n")
             load = load_calibration_csv
         first = load(path).samples
         for samples in (first, load(path).samples):  # a CSV's second load is a cache hit
@@ -709,6 +745,41 @@ class TestCalibrationCache:
         np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
                                       calib.samples)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+    def test_a_csv_loads_the_same_under_any_locale(self, tmp_path):
+        # The parse reads bytes and no locale, so a no-break space in UTF-8
+        # is the same fault under a UTF-8 and an ASCII locale, whichever of
+        # them meets the file first with one cache.
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"1.0,2.0\n3.0,\xc2\xa04.0\n")
+        load = ("import json, sys; from resvd.containers import load_calibration_csv as load; "
+                "from resvd.errors import FormatError\n"
+                "try: print(json.dumps(load(sys.argv[1]).samples.tolist()))\n"
+                "except FormatError as exc: print(json.dumps(str(exc)))")
+        outcomes = set()
+        for i, order in enumerate([(_UTF8_LOCALE, _ASCII_LOCALE), (_ASCII_LOCALE, _UTF8_LOCALE)]):
+            cache = {"XDG_CACHE_HOME": str(tmp_path / f"cache{i}")}
+            encodings = []
+            for env in order:
+                encoding, outcome = _in_locale({**env, **cache}, load, str(path))
+                encodings.append(encoding)
+                outcomes.add(outcome)
+            assert sorted(encodings) == ["ascii", "utf-8"]
+        assert len(outcomes) == 1, outcomes
+        [outcome] = outcomes
+        assert json.loads(outcome).startswith(f"{path}:2: not numeric (")
+
+    def test_an_entry_of_an_older_format_tag_is_not_read(self, tmp_path):
+        # entries parsed under other rules never serve a load, even for the same bytes
+        calib = self.write_csv(tmp_path / "c.csv")
+        digest = hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest()
+        entry = resvd.csv_cache.entry_for(digest)
+        old = entry.with_name(f"csv1-{digest}.ercc")
+        old.parent.mkdir(parents=True)
+        save_calibration(CalibrationSet(samples=calib.samples + 1.0), old)
+        np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
+                                      calib.samples)
+        assert FORMAT_TAG != "csv1" and _cache_files() == sorted([old, entry])
 
     def test_relative_xdg_cache_home_falls_back_to_home(self, tmp_path, monkeypatch):
         self.write_csv(tmp_path / "c.csv")
