@@ -1,14 +1,15 @@
-"""Calibration samples, whitening contexts, and the calibration pass that builds them.
+"""Calibration samples, whitening, and the calibration pass that whitens each tail matrix.
 
 Whitening follows the Cholesky-of-Gram construction: for a weight matrix
 with input activations X, ``S`` is the lower Cholesky factor of
-``X^T X + ridge*I``. Truncating ``W S`` instead of ``W`` then minimizes the
-activation-weighted output loss. No weight is reconstructed through
-``S^{-1}``: with ``svd(W S) = U diag(sigma) V^T``, the truncation is the
-projection of ``W`` onto ``U``'s leading columns (see
-:mod:`resvd.compensation`), so ``S`` is never inverted. Activations so
-large that ``X^T X`` overflows float64, like a Gram matrix that is not
-positive definite, raise :class:`~resvd.errors.SingularWhiteningError`.
+``X^T X + ridge*I``, the float64 array :func:`whiten` returns. Truncating
+``W S`` instead of ``W`` then minimizes the activation-weighted output
+loss. No weight is reconstructed through ``S^{-1}``: with
+``svd(W S) = U diag(sigma) V^T``, the truncation is the projection of
+``W`` onto ``U``'s leading columns (see :mod:`resvd.compensation`), so
+``S`` is never inverted. Activations so large that ``X^T X`` overflows
+float64, like a Gram matrix that is not positive definite, raise
+:class:`~resvd.errors.SingularWhiteningError`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import sys
 import tempfile
 import weakref
-from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -203,25 +203,9 @@ class CalibrationSet:
         return out
 
 
-@dataclass(frozen=True)
-class ScalingContext:
-    """Whitening matrix S: lower-triangular, finite, with a positive diagonal."""
-
-    s: np.ndarray
-    ridge: float
-
-    def __post_init__(self):
-        n = self.s.shape[0]
-        if self.s.shape != (n, n):
-            raise DimensionError("scaling matrix must be square")
-        if not np.isfinite(self.s).all():
-            raise SingularWhiteningError("whitening factor has a non-finite entry")
-        if not np.all(np.diag(self.s) > 0):
-            raise SingularWhiteningError("whitening factor has a non-positive diagonal")
-
-
-def whiten(gram, ridge: float | None = None) -> ScalingContext:
-    """Build a ScalingContext from the Gram matrix ``X^T X`` of an activation matrix ``X``.
+def whiten(gram, ridge: float | None = None) -> np.ndarray:
+    """The lower Cholesky factor ``S`` of ``X^T X + ridge*I``, as a float64 array, for the
+    Gram matrix ``X^T X`` of an activation matrix ``X``.
 
     The calibration pass sums ``gram`` over its row blocks, so no caller
     holds ``X`` itself.
@@ -252,14 +236,13 @@ def whiten(gram, ridge: float | None = None) -> ScalingContext:
     if ridge > 0:
         gram = gram + ridge * np.eye(n)
     try:
-        s = np.linalg.cholesky(gram)
+        return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         advice = ("its activations are all zero, so an earlier layer outputs nothing"
                   if trace == 0.0 else "increase the ridge")
         raise SingularWhiteningError(
             f"activation Gram matrix is not positive definite (ridge={ridge!r}); {advice}"
         ) from exc
-    return ScalingContext(s=s, ridge=float(ridge))
 
 
 def gram(x: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
@@ -277,7 +260,7 @@ def capture_activations(
     model: SequentialModel,
     calib: CalibrationSet,
     tail: int,
-    factor: Callable[[np.ndarray, ScalingContext, str], T],
+    factor: Callable[[np.ndarray, np.ndarray, str], T],
     ws: Workspace,
 ) -> tuple[dict[str, T], tuple[float, ...], RowFile]:
     """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
@@ -294,9 +277,9 @@ def capture_activations(
     ``S``: the file takes ``S·W·8`` bytes for an output ``W`` wide. Once
     the last block is through, each matrix of those layers is passed, in
     forward order, with the
-    :func:`whiten` context of its summed Gram matrix and its key
-    ``"<layer>/<matrix>"``, to ``factor(w, ctx, key)``; each Gram matrix is
-    dropped once whitened, and no context outlives its ``factor`` call. In
+    :func:`whiten` Cholesky factor ``s`` of its summed Gram matrix and its key
+    ``"<layer>/<matrix>"``, to ``factor(w, s, key)``; each Gram matrix is
+    dropped once whitened, and no factor outlives its ``factor`` call. In
     a run of one block each Gram matrix is the one ``x.T @ x`` product and
     each norm the one dot product ``np.linalg.norm`` takes the root of, so
     the results do not depend on the blocks but through rounding. Returns
@@ -357,10 +340,10 @@ def capture_activations(
                 raise NumericalError(f"{key}: output overflows float64 on the calibration set")
             if i >= split:
                 try:
-                    ctx = whiten(grams.pop(key))
+                    s = whiten(grams.pop(key))
                 except SingularWhiteningError as exc:
                     raise SingularWhiteningError(f"{key}: {exc}") from exc
-                factored[key] = factor(entry.dense, ctx, key)
+                factored[key] = factor(entry.dense, s, key)
         if squares[i] == 0.0:
             raise NumericalError(f"{layer.name}: output is all zeros on the calibration set, "
                                  "so the model outputs nothing to compress against")

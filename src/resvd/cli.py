@@ -253,10 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     planned.add_argument("--model", required=True, help="model directory")
     planned.add_argument("--ratio", type=_ratio_arg, required=True,
                          help="overall parameter reduction target in (0, 1)")
-    planned.add_argument("--beta", type=_beta_arg, default=0.05,
-                         help="residual rank share (default 0.05)")
-    planned.add_argument("--baseline", action="store_true",
-                         help="direct truncation only, no residual stage")
+    share = planned.add_mutually_exclusive_group()
+    share.add_argument("--beta", type=_beta_arg, default=0.05,
+                       help="residual rank share (default 0.05)")
+    share.add_argument("--baseline", action="store_true",
+                       help="direct truncation only, no residual stage (beta 0)")
     planned.add_argument("--step", type=_positive_int, default=1,
                          help="stride for candidate tail sizes (default 1)")
 

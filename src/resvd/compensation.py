@@ -1,7 +1,8 @@
 """Two-stage whitened truncation with residual compensation.
 
 The rank budget ``r = r_i + r_r`` is split between a whitened truncation of
-the weight itself and a plain truncation of the leftover residual. With
+the weight itself and a plain truncation of the leftover residual. ``S`` is
+the Cholesky factor array of :func:`resvd.calibration.whiten`. With
 ``W S = U diag(sigma) V^T``, multiplying on the left by ``U^T`` gives
 ``U^T W = diag(sigma) V^T S^{-1}``, so every quantity both stages need is a
 product of ``U``'s columns with ``W``; neither ``V`` nor ``S^{-1}`` is kept:
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import ScalingContext
-from .errors import DimensionError, InvalidRankError
+from .errors import DimensionError, InvalidRankError, SingularWhiteningError
 from .linalg import FactorPair, SvdFactors, as_matrix, rank_budget, sign_fixed, svd, truncate
 
 
@@ -53,16 +53,17 @@ class WhitenedWeight:
     sigma: np.ndarray
 
 
-def whitened_weight(w, ctx: ScalingContext, name: str = "matrix") -> WhitenedWeight:
-    """``w`` as a float64 matrix checked to be as wide as ``ctx`` whitens, with ``U`` and
-    ``sigma`` of ``svd(W S)``."""
+def whitened_weight(w, s: np.ndarray, name: str = "matrix") -> WhitenedWeight:
+    """``w`` as a float64 matrix, with ``U`` and ``sigma`` of ``svd(W S)`` for the Cholesky
+    factor array ``s`` of :func:`~resvd.calibration.whiten`. Naming the matrix, it raises
+    DimensionError when ``s`` is not ``n x n`` for the weight's width ``n`` and
+    SingularWhiteningError when ``s`` holds a non-finite entry."""
     arr = as_matrix(w, name)
-    if ctx.s.shape[0] != arr.shape[1]:
-        raise DimensionError(
-            f"{name}: scaling context is {ctx.s.shape[0]}x{ctx.s.shape[0]} "
-            f"but the weight expects width {arr.shape[1]}"
-        )
-    f = svd(arr @ ctx.s, name=f"{name} (whitened)")
+    if s.shape != (arr.shape[1],) * 2:
+        raise DimensionError(f"{name}: whitening matrix is {s.shape} for width {arr.shape[1]}")
+    if not np.isfinite(s).all():
+        raise SingularWhiteningError(f"{name}: whitening matrix has a non-finite entry")
+    f = svd(arr @ s, name=f"{name} (whitened)")
     return WhitenedWeight(arr, f.u, f.sigma)
 
 

@@ -324,6 +324,18 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _not_numeric(line: bytes) -> str:
+    """``float``'s message for the first token of ``line`` that it rejects, that token cut to
+    its longest prefix whose repr fits in 40 characters, then "...", so no message is long."""
+    for tok in line.split(b","):
+        try:
+            float(tok)
+        except ValueError:
+            keep = next(n for n in range(min(len(tok), 40), -1, -1) if len(repr(tok[:n])) <= 40)
+            cut = "..." if keep < len(tok) else ""
+            return f"could not convert string to float: {tok[:keep]!r}{cut}"
+
+
 def _parse_csv(path: str | Path, rows: RowFile) -> str:
     """Append the rows of the CSV at ``path`` to ``rows``; the sha256 of the bytes parsed.
 
@@ -348,8 +360,8 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
                 continue
             try:
                 row = [float(tok) for tok in line.split(b",")]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{ln}: not numeric ({exc})") from None
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: not numeric ({_not_numeric(line)})") from None
             if block is None:
                 block = np.empty((max(1, READ_CHUNK_BYTES // (16 * len(row))), len(row)))
             if len(row) != block.shape[1]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resvd.calibration import CalibrationSet, ScalingContext
+from resvd.calibration import CalibrationSet
 from resvd.cli import main
 from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_weight
 from resvd.demo import demo_calibration, demo_model
@@ -45,10 +45,9 @@ def demo():
     return model, calib
 
 
-def random_context(rng, n: int) -> ScalingContext:
+def random_factor(rng, n: int) -> np.ndarray:
     x = rng.standard_normal((4 * n, n))
-    s = np.linalg.cholesky(x.T @ x + 0.5 * np.eye(n))
-    return ScalingContext(s=s, ridge=0.5)
+    return np.linalg.cholesky(x.T @ x + 0.5 * np.eye(n))
 
 
 def test_criterion_1_theorem3_suite():
@@ -98,12 +97,8 @@ def test_criterion_3_beta_degeneration():
         m = int(rng.integers(8, 49))
         n = int(rng.integers(8, 49))
         w = rng.standard_normal((m, n))
-        ctx = (
-            ScalingContext(s=np.eye(n), ridge=0.0)
-            if i % 5 == 0
-            else random_context(rng, n)
-        )
-        weight = whitened_weight(w, ctx)
+        s = np.eye(n) if i % 5 == 0 else random_factor(rng, n)
+        weight = whitened_weight(w, s)
         two_stage = compress_matrix(weight, 0.3, 0.0)
         r = rank_budget(m, n, 0.3, 0.0).r
         direct = direct_truncate_matrix(weight, r)

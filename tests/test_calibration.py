@@ -1,4 +1,4 @@
-"""The calibration pass, calibration sets and whitening-context construction."""
+"""The calibration pass, calibration sets and whitening."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 import resvd.calibration
 from resvd.calibration import (
     CalibrationSet,
-    ScalingContext,
     capture_activations,
     gram,
     whiten,
@@ -21,24 +20,26 @@ def dense_layer(name, w, activation="identity"):
 
 
 def whitened_inputs(model, calib):
-    """The pass over the whole model: each matrix's whitening context, the norms, the output
+    """The pass over the whole model: each matrix's whitening factor, the norms, the output
     read back whole from the file the pass spilled it to."""
-    contexts, norms, spill = capture_activations(model, calib, model.n_layers,
-                                                 lambda w, ctx, key: ctx,
-                                                 Workspace(calib.num_samples, model))
-    return contexts, norms, spill.read(0, np.empty(spill.shape))
+    factors, norms, spill = capture_activations(model, calib, model.n_layers,
+                                                lambda w, s, key: s,
+                                                Workspace(calib.num_samples, model))
+    return factors, norms, spill.read(0, np.empty(spill.shape))
 
 
-def assert_whitened_from(ctx, x):
-    """``ctx`` is, bit for bit, the context :func:`whiten` builds from ``x``."""
-    want = whiten(gram(x))
-    assert ctx.s.tobytes() == want.s.tobytes()
+def assert_whitened_from(s, x):
+    """``s`` is, bit for bit, the factor :func:`whiten` returns for ``x``."""
+    assert s.tobytes() == whiten(gram(x)).tobytes()
 
 
-def assert_factors(ctx, g):
-    """``ctx.s`` is a Cholesky factor of the Gram matrix ``g`` plus its ridge."""
+def assert_factors(s, g, ridge=None):
+    """``s`` is a Cholesky factor of the Gram matrix ``g`` plus ``ridge``, by default
+    :func:`whiten`'s."""
     n = g.shape[0]
-    np.testing.assert_allclose(ctx.s @ ctx.s.T, g + ctx.ridge * np.eye(n),
+    if ridge is None:
+        ridge = resvd.calibration.DEFAULT_RIDGE_SCALE * np.trace(g) / n
+    np.testing.assert_allclose(s @ s.T, g + ridge * np.eye(n),
                                rtol=0.0, atol=1e-12 * np.abs(g).max())
 
 
@@ -46,8 +47,8 @@ def test_first_layer_sees_raw_input():
     model = SequentialModel(layers=(dense_layer("l0", np.eye(3)),))
     x = np.arange(12.0).reshape(4, 3)
     calib = CalibrationSet(samples=x)
-    contexts, norms, output = whitened_inputs(model, calib)
-    assert_whitened_from(contexts["l0/w"], x)
+    factors, norms, output = whitened_inputs(model, calib)
+    assert_whitened_from(factors["l0/w"], x)
     np.testing.assert_array_equal(output, x)
     assert norms == (float(np.linalg.norm(x)),)
 
@@ -60,10 +61,10 @@ def test_second_layer_sees_post_activation_output():
         layers=(dense_layer("l0", w1, "relu"), dense_layer("l1", w2)),
     )
     x = rng.standard_normal((7, 3))
-    contexts, _, _ = whitened_inputs(model, CalibrationSet(samples=x))
+    factors, _, _ = whitened_inputs(model, CalibrationSet(samples=x))
     # naive recomputation of the ReLU output feeding layer 1
     expected = np.maximum(x @ w1.T, 0.0)
-    assert_whitened_from(contexts["l1/w"], expected)
+    assert_whitened_from(factors["l1/w"], expected)
 
 
 def test_capture_names_the_matrix_whose_output_overflows():
@@ -91,12 +92,12 @@ def test_capture_keys_in_forward_order():
     model = SequentialModel(layers=(layer, dense_layer("out", np.eye(4))))
     x = rng.standard_normal((3, 4))
     samples = x.copy()
-    contexts, norms, output = whitened_inputs(model, CalibrationSet(samples=x))
-    assert list(contexts) == ["mlp/up", "mlp/down", "out/w"]
+    factors, norms, output = whitened_inputs(model, CalibrationSet(samples=x))
+    assert list(factors) == ["mlp/up", "mlp/down", "out/w"]
     # the second entry sees the intermediate product, pre-activation
     product = x @ layer.entries[0].dense.T
     assert (product < 0).any()
-    assert_whitened_from(contexts["mlp/down"], product)
+    assert_whitened_from(factors["mlp/down"], product)
     # the output and norms are the model's; the calibration rows are never written
     outputs = forward(model, x)
     np.testing.assert_array_equal(output, outputs[-1])
@@ -115,7 +116,7 @@ def test_capture_whitens_the_tail_only():
     calib = CalibrationSet(samples=rng.standard_normal((10, 4)))
     calls = []
 
-    def factor(w, ctx, key):
+    def factor(w, s, key):
         calls.append(key)
         return w
 
@@ -139,16 +140,16 @@ def test_capture_rejects_width_mismatch():
 
 def test_whiten_identity_gram():
     # Orthonormal rows: X^T X = I, so S is I and S S^T is X^T X.
-    ctx = whiten(gram(np.eye(4)), ridge=0.0)
-    np.testing.assert_allclose(ctx.s, np.eye(4), atol=1e-12)
-    assert_factors(ctx, np.eye(4))
+    s = whiten(gram(np.eye(4)), ridge=0.0)
+    np.testing.assert_allclose(s, np.eye(4), atol=1e-12)
+    assert_factors(s, np.eye(4), ridge=0.0)
 
 
 def test_whiten_hand_cholesky():
     # X^T X + I = diag(5, 1) whose Cholesky factor is diag(sqrt5, 1).
     x = np.array([[2.0, 0.0], [0.0, 0.0]])
-    ctx = whiten(gram(x), ridge=1.0)
-    np.testing.assert_allclose(ctx.s, np.diag([np.sqrt(5.0), 1.0]), atol=1e-12)
+    s = whiten(gram(x), ridge=1.0)
+    np.testing.assert_allclose(s, np.diag([np.sqrt(5.0), 1.0]), atol=1e-12)
 
 
 def test_whiten_rank_deficient_raises():
@@ -159,9 +160,9 @@ def test_whiten_rank_deficient_raises():
 
 def test_whiten_default_ridge_rescues_rank_deficiency():
     x = np.array([[1.0, 0.0], [2.0, 0.0]])
-    ctx = whiten(gram(x))  # default ridge = 1e-6 * trace/n
-    assert ctx.ridge > 0
-    assert_factors(ctx, gram(x))
+    s = whiten(gram(x))  # default ridge = 1e-6 * trace/n
+    assert s.dtype == np.float64
+    assert_factors(s, gram(x))
 
 
 def test_whitening_identity_holds_for_random_contexts():
@@ -169,11 +170,11 @@ def test_whitening_identity_holds_for_random_contexts():
     for _ in range(20):
         n = int(rng.integers(2, 12))
         x = rng.standard_normal((n + 3, n))
-        ctx = whiten(gram(x), ridge=None)
-        assert_factors(ctx, gram(x))
-        assert np.all(np.diag(ctx.s) > 0)
+        s = whiten(gram(x), ridge=None)
+        assert_factors(s, gram(x))
+        assert np.all(np.diag(s) > 0)
         # lower-triangular
-        assert np.allclose(ctx.s, np.tril(ctx.s))
+        assert np.allclose(s, np.tril(s))
 
 
 def test_whitening_scales_linearly_with_input():
@@ -182,7 +183,7 @@ def test_whitening_scales_linearly_with_input():
     c = 3.5
     a = whiten(gram(x), ridge=0.0)
     b = whiten(gram(c * x), ridge=0.0)
-    np.testing.assert_allclose(b.s, c * a.s, rtol=1e-10)
+    np.testing.assert_allclose(b, c * a, rtol=1e-10)
 
 
 def test_whitening_deterministic():
@@ -190,7 +191,7 @@ def test_whitening_deterministic():
     x = rng.standard_normal((12, 5))
     a = whiten(gram(x.copy()))
     b = whiten(gram(x.copy()))
-    assert a.s.tobytes() == b.s.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_whiten_rejects_negative_ridge_and_bad_input():
@@ -209,14 +210,6 @@ def test_whiten_rejects_an_overflowing_gram_trace():
         whiten(gram(np.diag([1.2e154, 1.2e154])))
 
 
-@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
-def test_scaling_context_rejects_nan_factor(where):
-    s = np.eye(3)
-    s[(1, 1) if where == "diagonal" else (2, 0)] = np.nan
-    with pytest.raises(SingularWhiteningError):
-        ScalingContext(s=s, ridge=0.0)
-
-
 def test_whitening_contexts_cover_every_matrix():
     rng = np.random.default_rng(15)
     model = SequentialModel(
@@ -226,11 +219,11 @@ def test_whitening_contexts_cover_every_matrix():
         ),
     )
     calib = CalibrationSet(samples=rng.standard_normal((20, 4)))
-    contexts, _, _ = whitened_inputs(model, calib)
-    assert set(contexts) == {"l0/w", "l1/w"}
+    factors, _, _ = whitened_inputs(model, calib)
+    assert set(factors) == {"l0/w", "l1/w"}
     hidden = np.maximum(calib.samples @ model.layers[0].entries[0].dense.T, 0.0)
-    assert_factors(contexts["l0/w"], gram(calib.samples))
-    assert_factors(contexts["l1/w"], gram(hidden))
+    assert_factors(factors["l0/w"], gram(calib.samples))
+    assert_factors(factors["l1/w"], gram(hidden))
 
 
 def test_subsample_is_seeded_and_stable():

@@ -194,6 +194,22 @@ class TestCompress:
         assert main(args + ["--baseline"]) == 0
         assert dir_bytes(out) == first
 
+    @pytest.mark.parametrize("order", ["baseline-first", "beta-first"])
+    @pytest.mark.parametrize("command", ["plan", "compress"])
+    def test_baseline_with_beta_is_a_usage_error(self, tmp_path, capsys, command, order):
+        # --baseline means beta 0, so a --beta next to it would be dropped
+        demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
+        flags = ["--baseline", "--beta", "0.3"]
+        argv = [command, "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                "--ratio", "0.2", "--out", str(tmp_path / "out"),
+                *(flags if order == "baseline-first" else flags[1:] + flags[:1])]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         demo = gen_demo(tmp_path / "demo")
         out = tmp_path / "out"
@@ -575,6 +591,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == f"resvd: format error: {calib}:2: non-finite value\n"
+
+    def test_a_calibration_of_zero_bytes_is_one_short_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 3 MB of zero bytes is one CSV token that is not numeric; the
+        # message shows the few of its bytes whose repr fits in 40 characters
+        demo = gen_demo(tmp_path / "demo", width=4, samples=8)
+        (tmp_path / "zeros.bin").write_bytes(bytes(3_000_000))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(demo), "--calib", "zeros.bin", "--ratio", "0.2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("resvd: format error: zeros.bin:1: not numeric (could not convert "
+                       "string to float: b'" + "\\x00" * 9 + "'...)\n")
+        assert len(err.encode()) < 200
 
 
 @pytest.fixture(scope="module")

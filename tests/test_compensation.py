@@ -7,19 +7,20 @@ from hypothesis import strategies as st
 
 import resvd.compensation as compensation_mod
 import resvd.planner as planner_mod
-from resvd.calibration import ScalingContext, gram, whiten
+from resvd.calibration import gram, whiten
 from resvd.compensation import compress_matrix, direct_truncate_matrix, whitened_weight
 from resvd.demo import demo_calibration, demo_model
-from resvd.errors import DimensionError, InfeasibleBudgetError, NumericalError
+from resvd.errors import (
+    DimensionError,
+    InfeasibleBudgetError,
+    NumericalError,
+    SingularWhiteningError,
+)
 from resvd.linalg import frobenius_error, rank_budget, svd, truncate
 from resvd.planner import PlannerConfig, plan
 
 
-def identity_ctx(n):
-    return ScalingContext(s=np.eye(n), ridge=0.0)
-
-
-def random_ctx(rng, n):
+def random_factor(rng, n):
     # Cholesky factor of a well-conditioned random SPD matrix.
     a = rng.standard_normal((n + 4, n))
     return whiten(gram(a), ridge=0.1 * n)
@@ -32,7 +33,7 @@ def test_beta_zero_degenerates_to_direct_truncation():
         n = int(trial.integers(6, 20))
         m = int(trial.integers(6, 20))
         w = trial.standard_normal((m, n))
-        weight = whitened_weight(w, random_ctx(trial, n))
+        weight = whitened_weight(w, random_factor(trial, n))
         erc = compress_matrix(weight, 0.5, 0.0)
         direct = direct_truncate_matrix(weight, rank_budget(m, n, 0.5, 0.0).r)
         # bit-equal under the fixed sign convention
@@ -45,10 +46,10 @@ def test_beta_zero_degenerates_to_direct_truncation():
 def test_full_rank_budget_reproduces_weight():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((8, 8))
-    ctx = random_ctx(rng, 8)
+    s = random_factor(rng, 8)
     # layer_ratio 0 gives r = floor(alpha) = 4 for square 8x8; to reach full
     # rank use direct truncation at r = 8 explicitly.
-    pair = direct_truncate_matrix(whitened_weight(w, ctx), 8)
+    pair = direct_truncate_matrix(whitened_weight(w, s), 8)
     assert frobenius_error(pair.product(), w) <= 1e-8 * np.linalg.norm(w)
 
 
@@ -72,7 +73,7 @@ def test_stage1_of_a_degenerate_weight_is_its_projection(kind, shape):
     m, n = shape
     rng = np.random.default_rng(17)
     w = degenerate_weight(kind, rng, m, n)
-    weight = whitened_weight(w, random_ctx(rng, n))
+    weight = whitened_weight(w, random_factor(rng, n))
     if kind == "one_row":
         assert (weight.sigma == 0).any()
     for r in range(1, min(m, n) + 1):
@@ -91,10 +92,10 @@ def test_ill_conditioned_whitening_compresses():
     rng = np.random.default_rng(19)
     n = 12
     x = rng.standard_normal((40, n)) * np.geomspace(1.0, 1e-12, n)
-    ctx = whiten(gram(x), ridge=0.0)
-    assert np.linalg.cond(ctx.s) > 1e11
+    s = whiten(gram(x), ridge=0.0)
+    assert np.linalg.cond(s) > 1e11
     w = rng.standard_normal((10, n))
-    weight = whitened_weight(w, ctx)
+    weight = whitened_weight(w, s)
     pair = compress_matrix(weight, 0.3, 0.2)
     assert np.isfinite(pair.u_hat).all() and np.isfinite(pair.v_hat).all()
     r_i = rank_budget(10, n, 0.3, 0.2).r_i
@@ -106,7 +107,7 @@ def test_ill_conditioned_whitening_compresses():
 def test_compensation_beats_direct_truncation_on_seeded_case():
     rng = np.random.default_rng(2024)
     w = rng.standard_normal((16, 16))
-    weight = whitened_weight(w, random_ctx(rng, 16))
+    weight = whitened_weight(w, random_factor(rng, 16))
     erc_err = frobenius_error(compress_matrix(weight, 0.5, 0.05).product(), w)
     r = rank_budget(16, 16, 0.5, 0.05).r
     direct_err = frobenius_error(direct_truncate_matrix(weight, r).product(), w)
@@ -122,7 +123,7 @@ def test_superiority_inequality_holds_across_trials():
         n = int(rng.integers(8, 65))
         ratio = float(rng.choice([0.2, 0.3, 0.5]))
         w = rng.standard_normal((m, n))
-        weight = whitened_weight(w, random_ctx(rng, n))
+        weight = whitened_weight(w, random_factor(rng, n))
         budget = rank_budget(m, n, ratio, 0.05)
         erc_err = frobenius_error(compress_matrix(weight, ratio, 0.05).product(), w)
         direct_err = frobenius_error(direct_truncate_matrix(weight, budget.r).product(), w)
@@ -203,14 +204,14 @@ def test_residual_stage_matches_the_dense_residual_svd(
         assume(False)
     rng = np.random.default_rng(seed)
     if whitener == "identity":
-        ctx = ScalingContext(s=activation_scale * np.eye(n), ridge=0.0)
+        s = activation_scale * np.eye(n)
     else:
-        ctx = whiten(gram(activation_scale * rng.standard_normal((2 * n, n))))
+        s = whiten(gram(activation_scale * rng.standard_normal((2 * n, n))))
     p = min(m, n)
     q1 = np.linalg.qr(rng.standard_normal((m, p)))[0]
     q2 = np.linalg.qr(rng.standard_normal((n, p)))[0]
-    w = scale * ((q1 * whitened_spectrum(spectrum, p, rng)) @ q2.T @ np.linalg.inv(ctx.s))
-    weight = whitened_weight(w, ctx)
+    w = scale * ((q1 * whitened_spectrum(spectrum, p, rng)) @ q2.T @ np.linalg.inv(s))
+    weight = whitened_weight(w, s)
     # M M^T itself reaches 1e+-300; M / c keeps every entry within 1, its Gram within n
     m, _ = compensation_mod._scaled_tail(weight, budget.r_i)
     assert np.abs(m).max() <= 1.0
@@ -261,7 +262,7 @@ def test_residual_eigh_failure_falls_back_to_the_svd(monkeypatch, shape):
     rng = np.random.default_rng(71)
     m, n = shape
     w = rng.standard_normal((m, n))
-    weight = whitened_weight(w, random_ctx(rng, n))
+    weight = whitened_weight(w, random_factor(rng, n))
     assert rank_budget(m, n, 0.3, 0.2).r_r > 1
     primary = compress_matrix(weight, 0.3, 0.2)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
@@ -274,7 +275,7 @@ def test_residual_eigh_failure_falls_back_to_the_svd(monkeypatch, shape):
 def test_residual_eigh_and_svd_failure_names_the_matrix(monkeypatch):
     rng = np.random.default_rng(72)
     w = rng.standard_normal((20, 20))
-    weight = whitened_weight(w, random_ctx(rng, 20))
+    weight = whitened_weight(w, random_factor(rng, 20))
 
     def svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -289,9 +290,9 @@ def test_residual_eigh_and_svd_failure_names_the_matrix(monkeypatch):
 def test_residual_stage_is_optimal_among_random_competitors():
     rng = np.random.default_rng(31337)
     w = rng.standard_normal((24, 18))
-    ctx = random_ctx(rng, 18)
+    s = random_factor(rng, 18)
     budget = rank_budget(24, 18, 0.3, 0.05)
-    stage1 = direct_truncate_matrix(whitened_weight(w, ctx), budget.r_i)
+    stage1 = direct_truncate_matrix(whitened_weight(w, s), budget.r_i)
     residual = w - stage1.product()
     best = frobenius_error(truncate(svd(residual), budget.r_r).product(), residual)
     for _ in range(20):
@@ -302,9 +303,9 @@ def test_residual_stage_is_optimal_among_random_competitors():
 def test_rank_accounting():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((20, 12))
-    ctx = random_ctx(rng, 12)
+    s = random_factor(rng, 12)
     budget = rank_budget(20, 12, 0.4, 0.05)
-    pair = compress_matrix(whitened_weight(w, ctx), 0.4, 0.05)
+    pair = compress_matrix(whitened_weight(w, s), 0.4, 0.05)
     assert pair.rank == budget.r == budget.r_i + budget.r_r
     assert pair.param_count == (20 + 12) * budget.r
 
@@ -312,7 +313,7 @@ def test_rank_accounting():
 def test_identity_context_matches_plain_svd():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((10, 10))
-    pair = direct_truncate_matrix(whitened_weight(w, identity_ctx(10)), 4)
+    pair = direct_truncate_matrix(whitened_weight(w, np.eye(10)), 4)
     plain = truncate(svd(w), 4)
     np.testing.assert_allclose(pair.product(), plain.product(), atol=1e-10)
 
@@ -321,11 +322,11 @@ def test_direct_truncation_matches_independent_script():
     # Independently scripted SVD_r(WS) S^-1 with raw numpy calls.
     rng = np.random.default_rng(44)
     w = rng.standard_normal((8, 8))
-    ctx = random_ctx(rng, 8)
+    s = random_factor(rng, 8)
     r = 3
-    u, s, vt = np.linalg.svd(w @ ctx.s, full_matrices=False)
-    expected = (u[:, :r] * s[:r]) @ vt[:r] @ np.linalg.inv(ctx.s)
-    got = direct_truncate_matrix(whitened_weight(w, ctx), r).product()
+    u, sigma, vt = np.linalg.svd(w @ s, full_matrices=False)
+    expected = (u[:, :r] * sigma[:r]) @ vt[:r] @ np.linalg.inv(s)
+    got = direct_truncate_matrix(whitened_weight(w, s), r).product()
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -343,7 +344,16 @@ def test_compressed_product_invariant_to_activation_scale():
 def test_dimension_and_budget_errors_propagate():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((6, 4))
-    with pytest.raises(DimensionError):
-        compress_matrix(whitened_weight(w, identity_ctx(5)), 0.2, 0.05)
+    for s in (np.eye(5), np.eye(4)[:3], np.eye(4)[:, :3], np.ones(4)):
+        with pytest.raises(DimensionError, match="^layer0/w: "):
+            compress_matrix(whitened_weight(w, s, "layer0/w"), 0.2, 0.05)
     with pytest.raises(InfeasibleBudgetError):
-        compress_matrix(whitened_weight(w, identity_ctx(4)), 0.9, 0.05)
+        compress_matrix(whitened_weight(w, np.eye(4)), 0.9, 0.05)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_whitened_weight_rejects_a_non_finite_factor(where):
+    s = np.eye(3)
+    s[(1, 1) if where == "diagonal" else (2, 0)] = np.nan
+    with pytest.raises(SingularWhiteningError, match="layer0/w"):
+        whitened_weight(np.ones((2, 3)), s, "layer0/w")

@@ -113,6 +113,19 @@ def csv_files(draw) -> bytes:
     return data
 
 
+def _float_fault(tokens):
+    """``float``'s message for the first of ``tokens`` it rejects; a token whose repr is
+    over 40 characters is shown by its longest prefix whose repr is not, then "..."."""
+    for tok in tokens:
+        try:
+            float(tok)
+        except ValueError as exc:
+            if len(repr(tok)) <= 40:
+                return str(exc)
+            keep = max(n for n in range(41) if len(repr(tok[:n])) <= 40)
+            return f"could not convert string to float: {tok[:keep]!r}..."
+
+
 def _parse_whole(path):
     """The reference parse: the whole file split at each b"\\n", then line by line.
 
@@ -127,8 +140,8 @@ def _parse_whole(path):
             continue
         try:
             row = [float(tok) for tok in line.strip().split(b",")]
-        except ValueError as exc:
-            fault = f"{path}:{ln}: not numeric ({exc})"
+        except ValueError:
+            fault = f"{path}:{ln}: not numeric ({_float_fault(line.strip().split(b','))})"
             break
         if rows and len(row) != len(rows[0]):
             fault = f"{path}:{ln}: expected {len(rows[0])} columns, got {len(row)}"
@@ -476,6 +489,12 @@ class TestCalibrationContainer:
         (b"1,nan\n2,3,4\n", r"c\.csv:1: non-finite value"),
         (b"1,oops\n2,\xff\n", r"c\.csv:1: not numeric \(.*b'oops'\)$"),
         (b"1,2\n3,\xc2\xa04\n", r"c\.csv:2: not numeric \(.*b'\\xc2\\xa04'\)$"),
+        # a token whose repr is over 40 characters is shown by its longest
+        # prefix whose repr is not, then "...", so any line gives a short message
+        (b"1,2\n3," + b"x" * 37 + b"\n", r"c\.csv:2: not numeric \(.*: b'x{37}'\)$"),
+        (b"1,2\n3," + b"x" * 38 + b"\n", r"c\.csv:2: not numeric \(.*: b'x{37}'\.\.\.\)$"),
+        (b"1,2\n3," + b"\x00" * 10 + b"\n",
+         r"c\.csv:2: not numeric \(could not convert string to float: b'(\\x00){9}'\.\.\.\)$"),
     ])
     @pytest.mark.parametrize("block", [2, 3, READ_CHUNK_BYTES])
     def test_the_fault_a_whole_parse_names_wins(self, tmp_path, text, message, block):

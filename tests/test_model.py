@@ -349,15 +349,15 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
     assert errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
                            ws) == want[-k:]
 
-    contexts, norms, output = capture_activations(model, calib, model.n_layers,
-                                                  lambda w, ctx, key: ctx, ws)
+    factors, norms, output = capture_activations(model, calib, model.n_layers,
+                                                 lambda w, s, key: s, ws)
     assert norms == tuple(float(np.linalg.norm(y)) for y in refs)
     output = output.read(0, np.empty(output.shape))  # the spill, read back whole
     assert np.array_equal(output.view(np.uint64), refs[-1].view(np.uint64))
     for layer, h in zip(model.layers, [calib.samples] + refs[:-1]):
         for e in layer.entries:
-            ctx, fresh = contexts[f"{layer.name}/{e.name}"], whiten(gram(h))
-            assert ctx.s.tobytes() == fresh.s.tobytes()
+            s, fresh = factors[f"{layer.name}/{e.name}"], whiten(gram(h))
+            assert s.tobytes() == fresh.tobytes()
             h = h @ e.dense.T
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import resvd.oracle as oracle_mod
-from resvd.calibration import ScalingContext
 from resvd.compensation import compress_matrix, whitened_weight
 from resvd.linalg import frobenius_error, rank_budget
 from resvd.oracle import (
@@ -51,8 +50,7 @@ class TestTheorem3Suite:
             x = rng.standard_normal((4 * n, n))
             gram = x.T @ x + 0.5 * np.eye(n)
             s = np.linalg.cholesky(gram)
-            ctx = ScalingContext(s=s, ridge=0.5)
-            pair = compress_matrix(whitened_weight(w, ctx), 0.3, 0.05)
+            pair = compress_matrix(whitened_weight(w, s), 0.3, 0.05)
             pipeline_err = frobenius_error(w, pair.product())
 
             budget = rank_budget(16, n, 0.3, 0.05)
