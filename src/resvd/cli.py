@@ -41,7 +41,7 @@ from .errors import (
     InfeasiblePlanError,
     NumericalError,
 )
-from .model import layerwise_error
+from .model import SequentialModel, layerwise_error
 from .planner import CompressionPlan, PlannerConfig, plan
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
 from .planner import compress_model  # noqa: F401
@@ -91,8 +91,14 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _nonneg_int = _checked(int, lambda v: v >= 0, ">= 0")
 
 
-def _load_calib(args: argparse.Namespace) -> CalibrationSet:
+def _load_calib(args: argparse.Namespace, model: SequentialModel, path: str) -> CalibrationSet:
+    """The ``--calib`` rows the command uses, once their width is checked against the input
+    width of ``model``, loaded from ``path``; before any pass or cache key, so a mismatch is
+    one format error whatever the row count."""
     calib = load_calibration_auto(args.calib)
+    if calib.input_dim != model.input_dim:
+        raise FormatError(f"{args.calib}: calibration rows are {calib.input_dim} wide, but the "
+                          f"model in {path} takes inputs {model.input_dim} wide")
     if 0 < args.samples < calib.num_samples:
         return calib.subsample(args.samples, args.seed)
     return calib
@@ -167,7 +173,8 @@ def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
 def cmd_compress(args: argparse.Namespace) -> int:
     _refuse_to_overwrite(args, "model")
     cfg = _planner_config(args)
-    model, calib = load_model(args.model), _load_calib(args)
+    model = load_model(args.model)
+    calib = _load_calib(args, model, args.model)
     chosen = plan(model, calib, cfg)
     errors = layerwise_error(model, chosen.compressed, calib)
     run = _run_config(args, cfg)
@@ -191,7 +198,8 @@ def _plan_csv(chosen: CompressionPlan) -> str:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     _refuse_to_overwrite(args, "model")
-    chosen = plan(load_model(args.model), _load_calib(args), _planner_config(args))
+    model = load_model(args.model)
+    chosen = plan(model, _load_calib(args, model, args.model), _planner_config(args))
     _emit(_plan_csv(chosen), args.out)
     return EXIT_OK
 
@@ -200,7 +208,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _refuse_to_overwrite(args, "original", "compressed")
     original = load_model(args.original)
     compressed = load_model(args.compressed)
-    calib = _load_calib(args)
+    calib = _load_calib(args, original, args.original)
     _emit(format_error_report(layerwise_error(original, compressed, calib)), args.out)
     return EXIT_OK
 

@@ -22,6 +22,7 @@ loaded from f32 files and saved with ``dtype="f32"`` is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -298,6 +299,32 @@ def save_calibration_csv(calib: CalibrationSet, path: str | Path) -> None:
     # "\n" on every platform, as the parser reads them
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         np.savetxt(fh, calib.samples, fmt="%.17g", delimiter=",")
+
+
+def cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/resvd``, or ``~/.cache/resvd`` when that variable is unset, empty or
+    relative; None when no home resolves. :mod:`resvd.csv_cache` and
+    :mod:`resvd.state_cache` keep their entries there."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        home = os.path.expanduser("~")
+        if not os.path.isabs(home):
+            return None
+        base = os.path.join(home, ".cache")
+    return Path(base, "resvd")
+
+
+def evict(directory: Path, suffixes: tuple[str, ...], keep: int) -> None:
+    """Keep only the newest ``keep`` files of ``directory`` whose suffix is in ``suffixes``,
+    by mtime; each cache names its entries and temporary files by suffixes of its own."""
+    files = []
+    for path in directory.iterdir():
+        if path.suffix in suffixes:
+            with contextlib.suppress(OSError):  # another process may remove it first
+                files.append((path.stat().st_mtime_ns, path))
+    for _, path in sorted(files)[:-keep]:
+        with contextlib.suppress(OSError):
+            path.unlink()
 
 
 def load_calibration_csv(path: str | Path) -> CalibrationSet:

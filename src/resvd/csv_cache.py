@@ -25,7 +25,15 @@ import tempfile
 from pathlib import Path
 
 from .calibration import CalibrationSet, RowFile
-from .containers import _CALIB_HEADER, CALIB_MAGIC, CALIB_VERSION, _parse_csv, load_calibration
+from .containers import (
+    _CALIB_HEADER,
+    CALIB_MAGIC,
+    CALIB_VERSION,
+    _parse_csv,
+    cache_dir,
+    evict,
+    load_calibration,
+)
 from .errors import FormatError
 
 MAX_ENTRIES = 8
@@ -35,13 +43,8 @@ FORMAT_TAG = "csv2"
 
 def entry_for(digest: str) -> Path | None:
     """Where the entry for a CSV with sha256 ``digest`` lives; None when no home resolves."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
-        home = os.path.expanduser("~")
-        if not os.path.isabs(home):
-            return None
-        base = os.path.join(home, ".cache")
-    return Path(base, "resvd", f"{FORMAT_TAG}-{digest}.ercc")
+    directory = cache_dir()
+    return None if directory is None else directory / f"{FORMAT_TAG}-{digest}.ercc"
 
 
 def load(entry: Path | None) -> CalibrationSet | None:
@@ -85,21 +88,10 @@ def parse(path: str | Path, entry: Path | None) -> CalibrationSet:
             os.pwrite(fd, _CALIB_HEADER.pack(CALIB_MAGIC, CALIB_VERSION, *rows.shape), 0)
             os.replace(tmp, named := entry_for(digest))  # readers see no part of an entry
             tmp, rows.path = None, named
-            _evict(named.parent)
+            evict(named.parent, (".ercc", ".tmp"), MAX_ENTRIES)
         return CalibrationSet(file=rows)
     finally:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
 
-
-def _evict(directory: Path) -> None:
-    """Keep only the newest :data:`MAX_ENTRIES` entries and temporary files."""
-    files = []
-    for path in directory.iterdir():
-        if path.suffix in (".ercc", ".tmp"):
-            with contextlib.suppress(OSError):  # another process may remove it first
-                files.append((path.stat().st_mtime_ns, path))
-    for _, path in sorted(files)[:-MAX_ENTRIES]:
-        with contextlib.suppress(OSError):
-            path.unlink()

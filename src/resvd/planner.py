@@ -10,7 +10,8 @@ scores the winner's per-layer errors for ``errors.csv`` with
 :func:`~resvd.model.layerwise_error`, the call ``analyze`` makes.
 
 What does not depend on ``k`` is computed once per (model, calibration)
-pair by :func:`calibrate`, in one streaming pass over the layers: each
+pair by :func:`calibrate`, in one streaming pass over the layers, and kept
+in :mod:`resvd.state_cache` for the next command on the pair: each
 layer's reference output norm, the model's output, spilled to an unlinked
 temporary file, and one
 :class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U`` and
@@ -245,7 +246,7 @@ class CalibratedModel:
     matrix of the tail :func:`calibrate` was given, keyed ``"<layer>/<matrix>"``.
     ``reference_norms[i]`` is the Frobenius norm of layer ``i``'s output on
     the calibration set, and ``output`` the last layer's output, in a
-    temporary file. No activation is held: a trial's input is the original
+    temporary file or a cache entry. No activation is held: a trial's input is the original
     model's input to its first factored layer, which the caller walks to
     (see :func:`plan`).
     """
@@ -275,9 +276,17 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
     trials only truncate. It holds two block buffers, the tail's Gram
     matrices and whitened factors, whatever the depth and row count.
 
+    The pass runs only when :mod:`resvd.state_cache` holds no state of
+    ``model`` on these rows in these blocks covering ``k``, and a pass that
+    succeeds leaves one there. A state found covering more layers gives
+    only the last ``k``, so the result is the pass's, bit for bit, and its
+    ``output`` reads the rows from the entry.
+
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
         OSError: when the model's output cannot be spilled.
+        FormatError: naming the calibration file, when it ends early or
+            holds a non-finite value in a row that is read.
         CompressionError: naming the first matrix of the last ``k`` layers
             that is already factored, before any work is done.
         NumericalError: naming the first fault in forward order: a matrix
@@ -296,8 +305,15 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
                                        "compression expects a dense model")
     if ws is None:
         ws = Workspace(calib.num_samples, model)
-    whitened, norms, output = capture_activations(model, calib, k, whitened_weight, ws)
-    check_finite(model, norms)  # after the pass, whose Gram check names the matrix instead
+    from . import state_cache  # here, so analyze loads neither the cache nor hashlib
+
+    entry = state_cache.entry_for(model, calib, ws)
+    parts = state_cache.load(entry, model, k, ws)
+    if parts is None:
+        parts = capture_activations(model, calib, k, whitened_weight, ws)
+        check_finite(model, parts[1])  # after the pass, whose Gram check names the matrix instead
+        state_cache.save(entry, model, k, parts, ws)
+    whitened, norms, output = parts
     return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
 
 

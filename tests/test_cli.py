@@ -37,6 +37,7 @@ import resvd.errors
 import resvd.model
 import resvd.oracle
 import resvd.planner
+from resvd.calibration import CalibrationSet
 from resvd.cli import main
 from resvd.containers import (
     load_calibration,
@@ -79,8 +80,8 @@ def run_without_warnings(argv: list[str]) -> int:
 
 
 # Runs ``resvd.cli`` as ``python -m resvd.cli <args>`` does, then writes to
-# stderr, as its last line, the exit code and which modules that only
-# ``verify`` or ``gen-demo`` need were loaded.
+# stderr, as its last line, the exit code and which modules that only some
+# commands or inputs need were loaded.
 IMPORT_PROBE = """
 import json, runpy, sys
 try:
@@ -88,7 +89,8 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-lazy = ("resvd.oracle", "resvd.demo", "resvd.csv_cache", "hashlib", "fractions")
+lazy = ("resvd.oracle", "resvd.demo", "resvd.csv_cache", "resvd.state_cache", "hashlib",
+        "fractions")
 print(json.dumps({"exit": code, "loaded": [m for m in lazy if m in sys.modules]}),
       file=sys.stderr)
 """
@@ -606,6 +608,40 @@ class TestMalformedInput:
         assert err == ("resvd: format error: zeros.bin:1: not numeric (could not convert "
                        "string to float: b'" + "\\x00" * 9 + "'...)\n")
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("command", ["plan", "compress", "analyze"])
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (300, 2), (300, 33)])
+    def test_a_calibration_of_another_width_is_a_format_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, rows, cols):
+        # Against a 32-wide model, a 2 x 2 CSV used to exit 3 (too few rows
+        # for the kept ranks) and a 300-row one exit 1 (a width error from
+        # the pass). The width is now checked once both inputs are loaded,
+        # before any pass, rank check or cache key: exit 2, one line naming
+        # both paths, and compress writes nothing.
+        demo = gen_demo(tmp_path / "demo")
+        compressed = tmp_path / "compressed"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(compressed)]) == 0
+        calib = tmp_path / "c.csv"
+        save_calibration_csv(CalibrationSet(samples=np.ones((rows, cols))), calib)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a command ran past its width check")
+
+        monkeypatch.setattr(resvd.cli, "plan", no_work)
+        monkeypatch.setattr(resvd.cli, "layerwise_error", no_work)
+        out = tmp_path / "out"
+        if command == "analyze":
+            argv = ["analyze", "--original", str(demo), "--compressed", str(compressed)]
+        else:
+            argv = [command, "--model", str(demo), "--ratio", "0.2"]
+        argv += ["--calib", str(calib), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"resvd: format error: {calib}: calibration rows are "
+                                           f"{cols} wide, but the model in {demo} takes inputs "
+                                           "32 wide\n")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -1171,18 +1207,26 @@ class TestFaultInjection:
     ROWS, WIDTH = 40, 8
 
     @pytest.fixture
-    def argv(self, tmp_path):
+    def argv(self, tmp_path, monkeypatch):
+        # Each run's arguments come with a cache directory of its own, empty,
+        # so every run calibrates and each fault below reaches its call.
         demo = gen_demo(tmp_path / "demo", layers=4, width=self.WIDTH, samples=self.ROWS)
         compressed = tmp_path / "compressed"
         assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
                      "--ratio", "0.2", "--out", str(compressed)]) == 0
         runs = itertools.count()
+
+        def cold(args: list[str]) -> list[str]:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache{next(runs)}"))
+            return args
+
         planned = ["--model", str(demo), "--calib", str(demo / "calib.bin"), "--ratio", "0.2"]
         return {
-            "plan": lambda: ["plan", *planned],
-            "compress": lambda: ["compress", *planned, "--out", str(tmp_path / f"o{next(runs)}")],
-            "analyze": lambda: ["analyze", "--original", str(demo), "--compressed",
-                                str(compressed), "--calib", str(demo / "calib.bin")],
+            "plan": lambda: cold(["plan", *planned]),
+            "compress": lambda: cold(["compress", *planned,
+                                      "--out", str(tmp_path / f"o{next(runs)}")]),
+            "analyze": lambda: cold(["analyze", "--original", str(demo), "--compressed",
+                                     str(compressed), "--calib", str(demo / "calib.bin")]),
         }
 
     def run(self, capsys, argv, codes):
@@ -1336,6 +1380,37 @@ class TestFaultInjection:
         if failure == "create":
             assert (tmp_path / "file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("command", ["plan", "compress"])
+    def test_a_state_entry_cut_short_while_in_use_is_one_line_and_leaves_nothing(
+            self, tmp_path, capsys, monkeypatch, argv, command, blocks):
+        # A warm run reads the model output from the calibrated-state entry
+        # that the run before it wrote. Cut to 20 rows once calibrate has
+        # checked it, the scan's first read past its end ends the run with
+        # one line, exit 2, and compress's --out never exists.
+        monkeypatch.setattr(resvd.model, "BLOCK_BYTES",
+                            8 * self.WIDTH * (self.ROWS if blocks == 1 else 14))
+        args = argv[command]()
+        assert main(args) == 0
+        if command == "compress":
+            args[-1] += "-warm"
+        [entry] = Path(os.environ["XDG_CACHE_HOME"], "resvd").glob("*.ercs")
+
+        def calibrate(*args):
+            state = real_calibrate(*args)
+            assert state.output.path == entry  # a hit
+            os.truncate(entry, state.output.offset + 8 * self.WIDTH * 20)
+            return state
+
+        real_calibrate = resvd.planner.calibrate
+        monkeypatch.setattr(resvd.planner, "calibrate", calibrate)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr() == (
+            "", f"resvd: io error: [Errno 5] {entry}: ends before row "
+                f"{self.ROWS if blocks == 1 else 28}; it was truncated while in use\n")
+        assert command == "plan" or not Path(args[-1]).exists()
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
     @pytest.mark.parametrize("failing", ["one", "every"])
     def test_a_failed_candidate_leaves_no_descriptor_open(self, capsys, monkeypatch, argv,
@@ -1482,7 +1557,7 @@ class TestCalibrationCache:
         assert not cache.exists()
         assert main(argv) == 0
         cold = dir_bytes(out)
-        assert len(list(cache.iterdir())) == 1
+        assert len(list(cache.glob("*.ercc"))) == 1
         shutil.rmtree(out)
         monkeypatch.setattr(resvd.csv_cache, "_parse_csv", None)  # warm: a parse would raise
         assert main(argv) == 0
@@ -1590,13 +1665,13 @@ class TestFileBackedCalibration:
         want = dir_bytes(tmp_path / "out")
         shutil.rmtree(tmp_path / "out")
         cache = Path(os.environ["XDG_CACHE_HOME"], "resvd")
-        assert cache.is_dir() == csv
+        assert bool(list(cache.glob("*.ercc"))) == csv
         monkeypatch.setattr(resvd.csv_cache, "_parse_csv", None)  # warm: a parse would raise
 
         def load(path):
             loaded = real(path)
             if csv:
-                for entry in cache.iterdir():
+                for entry in cache.glob("*.ercc"):
                     entry.unlink()
             else:
                 (tmp_path / "other.bin").write_bytes(b"ERCC")
@@ -1701,7 +1776,9 @@ class TestTopLevel:
 
     def test_each_command_imports_only_what_it_runs(self, tmp_path):
         # Each command runs as ``python -m resvd.cli`` would and reports which
-        # of the modules only verify or gen-demo need it loaded; those two
+        # of the modules only some commands need it loaded. On a binary
+        # calibration, plan and compress load the calibrated-state cache and
+        # hashlib to key it, and analyze loads neither; verify and gen-demo
         # load theirs, which shows the probe sees them.
         demo = gen_demo(tmp_path / "demo", layers=3, width=8, samples=24)
         calib, out = str(demo / "calib.bin"), str(tmp_path / "out")
@@ -1723,7 +1800,8 @@ class TestTopLevel:
             report = json.loads(proc.stderr.splitlines()[-1])
             assert report["exit"] == 0, (command, proc.stderr)
             loaded[command] = report["loaded"]
-        assert loaded["plan"] == loaded["compress"] == loaded["analyze"] == []
+        assert loaded["plan"] == loaded["compress"] == ["resvd.state_cache", "hashlib"]
+        assert loaded["analyze"] == []
         assert "resvd.oracle" in loaded["verify"]
         assert {"resvd.demo", "hashlib"} <= set(loaded["gen-demo"])
 

@@ -791,10 +791,12 @@ class TestRowBlocks:
             trial = compress_tail_layers(state, chosen.k, chosen.layer_ratio, beta)
             assert model_bytes(chosen.compressed) == model_bytes(trial), failing
 
-    def test_workspace_and_plan_memory_do_not_grow_with_rows(self, monkeypatch):
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_workspace_and_plan_memory_do_not_grow_with_rows(self, monkeypatch, cache):
         # At 8x the rows the workspace holds the same block buffers, and plan
         # holds what it holds at 1x, the model's output included: that output
-        # is spilled to a file, so no activation of all the rows is ever held.
+        # is spilled to a file, or read from the calibrated-state entry a
+        # warm run finds, so no activation of all the rows is ever held.
         width, per_block = 16, 512
         monkeypatch.setattr(model_mod, "BLOCK_BYTES", 8 * width * per_block)
         model = demo_model(n_layers=8, width=width, seed=0)
@@ -809,6 +811,8 @@ class TestRowBlocks:
         held, peaks = {}, {}
         for times in (1, 8):
             calib = demo_calibration(n_samples=times * per_block, width=width, seed=0)
+            if cache == "warm":
+                plan(model, calib, PlannerConfig(overall_ratio=0.2))
             peak = peak_arrays(lambda: plan(model, calib, PlannerConfig(overall_ratio=0.2)), 1)
             ws, = workspaces[-1:]
             assert len(ws.blocks) == times
@@ -819,13 +823,15 @@ class TestRowBlocks:
         assert peaks[8] < peaks[1] + block // 4, peaks
         assert peaks[8] < 5 * block, peaks
 
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
     @pytest.mark.parametrize("beta", [0.0, 0.05])
-    def test_plan_holds_less_than_its_model_output(self, monkeypatch, beta):
+    def test_plan_holds_less_than_its_model_output(self, monkeypatch, beta, cache):
         # Layers of two matrices, silu among them, so the scratch pair and the
-        # residual stage are held too. plan's peak, the calibration pass
-        # included, does not grow from 1x to 8x the rows, and at 8x it is
-        # below the bytes of the model's output alone: the output is never
-        # held, only spilled and read back block by block.
+        # residual stage are held too. plan's peak, the calibration pass or
+        # the read of a warm run's calibrated state included, does not grow
+        # from 1x to 8x the rows, and at 8x it is below the bytes of the
+        # model's output alone: the output is never held, only spilled, or
+        # found in the cache, and read back block by block.
         per_block = 1024
         monkeypatch.setattr(model_mod, "BLOCK_BYTES", 8 * self.WIDTH * per_block)
         rng = np.random.default_rng(41)
@@ -833,6 +839,8 @@ class TestRowBlocks:
         peaks = {}
         for times in (1, 8):
             calib = make_calib(rng, times * per_block, self.WIDTH)
+            if cache == "warm":
+                plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=beta))
             peaks[times] = peak_arrays(
                 lambda: plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=beta)), 1)
         block = 8 * self.WIDTH * per_block
@@ -855,7 +863,10 @@ class TestCompressModel:
         for i in range(split, model.n_layers):
             assert out.layers[i].entries[0].is_factored
 
-    def test_factors_each_tail_matrix_once(self, monkeypatch):
+    def test_factors_each_tail_matrix_once(self, tmp_path, monkeypatch):
+        # With a cache that holds no state for the pair, each tail matrix is
+        # factored once; the state that run left then serves the next one,
+        # which factors none.
         rng = np.random.default_rng(36)
         model = make_multi_entry_mlp(rng, 6, 14, 2)
         calib = make_calib(rng, 40, 14)
@@ -869,9 +880,13 @@ class TestCompressModel:
 
         real_svd = resvd.compensation.svd
         monkeypatch.setattr(resvd.compensation, "svd", svd)
-        compress_model(model, calib, chosen)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        cold = compress_model(model, calib, chosen)
         assert sorted(factored) == [f"layer{i}/w{j}" for i in range(6 - chosen.k, 6)
                                     for j in range(2)]
+        factored.clear()
+        assert model_bytes(compress_model(model, calib, chosen)) == model_bytes(cold)
+        assert factored == []
 
     def test_parameter_ratio_within_flooring_slack(self):
         rng = np.random.default_rng(32)
