@@ -92,9 +92,9 @@ _nonneg_int = _checked(int, lambda v: v >= 0, ">= 0")
 
 
 def _load_calib(args: argparse.Namespace, model: SequentialModel, path: str) -> CalibrationSet:
-    """The ``--calib`` rows the command uses, once their width is checked against the input
-    width of ``model``, loaded from ``path``; before any pass or cache key, so a mismatch is
-    one format error whatever the row count."""
+    """The ``--calib`` rows the command uses, refused unless they are as wide as the input of
+    ``model``, the model at ``path``. The check runs before any pass or cache key, so a
+    mismatch is one format error whatever the row count."""
     calib = load_calibration_auto(args.calib)
     if calib.input_dim != model.input_dim:
         raise FormatError(f"{args.calib}: calibration rows are {calib.input_dim} wide, but the "

@@ -246,9 +246,9 @@ class CalibratedModel:
     matrix of the tail :func:`calibrate` was given, keyed ``"<layer>/<matrix>"``.
     ``reference_norms[i]`` is the Frobenius norm of layer ``i``'s output on
     the calibration set, and ``output`` the last layer's output, in a
-    temporary file or a cache entry. No activation is held: a trial's input is the original
-    model's input to its first factored layer, which the caller walks to
-    (see :func:`plan`).
+    temporary file or a cache entry. No activation is held: a trial's input
+    is the original model's input to its first factored layer, which the
+    caller walks to (see :func:`plan`).
     """
 
     model: SequentialModel

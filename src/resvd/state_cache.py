@@ -58,7 +58,7 @@ VERSION = 1
 # magic, version, tail T, rows S, width W; then the sha256 of those and the payload
 _FIELDS = struct.Struct("<4sIIQQ")
 HEADER = struct.Struct(_FIELDS.format + "32s")
-_SUFFIXES = (".ercs", ".ercs-tmp")
+_SUFFIXES = (".ercs", ".ercs-tmp")  # an entry's, a temporary file's
 
 # The BLAS reads these to pick its thread count, which can change a product's bits.
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -192,7 +192,7 @@ def _read(output: RowFile, model: SequentialModel, k: int, ws: Workspace) -> Par
 
 
 def _read_into(fd: int, out: np.ndarray, at: int, digest) -> int:
-    """Fill ``out`` from byte ``at`` of ``fd`` and hash what was read; where the next part starts."""
+    """Fill ``out`` from byte ``at`` of ``fd`` and hash what was read; where it ends."""
     view = memoryview(out).cast("B")
     at = _fill(fd, view, at)
     digest.update(view)
@@ -236,7 +236,7 @@ def save(entry: Path | None, model: SequentialModel, tail: int, parts: Parts,
     tmp = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".ercs-tmp", dir=entry.parent)
+        fd, tmp = tempfile.mkstemp(suffix=_SUFFIXES[1], dir=entry.parent)
         try:
             fields = _FIELDS.pack(MAGIC, VERSION, tail, rows, width)
             digest = hashlib.sha256(fields)
