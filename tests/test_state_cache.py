@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import resvd.calibration
 import resvd.compensation
 import resvd.planner
 import resvd.state_cache
