@@ -307,12 +307,12 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
         ws = Workspace(calib.num_samples, model)
     from . import state_cache  # here, so analyze loads neither the cache nor hashlib
 
-    entry = state_cache.entry_for(model, calib, ws)
+    entry = state_cache.entry_for(model, calib, k, ws)
     parts = state_cache.load(entry, model, k, ws)
     if parts is None:
         parts = capture_activations(model, calib, k, whitened_weight, ws)
         check_finite(model, parts[1])  # after the pass, whose Gram check names the matrix instead
-        state_cache.save(entry, model, k, parts, ws)
+        state_cache.save(entry, k, parts, ws)
     whitened, norms, output = parts
     return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
 

@@ -7,9 +7,9 @@ sigma of each whitened matrix of the last ``T`` layers, and the model's
 output rows. It lives in :func:`resvd.containers.cache_dir` beside the CSV
 entries, named by the sha256 :func:`key` of everything the pass reads or
 that can change its bits: this package's source files, the numpy version,
-the BLAS thread settings and CPU count, every layer, the row blocks and the
-calibration rows in use. So two checkouts, or two thread counts, never read
-each other's entries.
+the BLAS thread and kernel settings, the CPU count and identity, every
+layer, the row blocks and the calibration rows in use. So two checkouts,
+two thread counts or two kinds of CPU never read each other's entries.
 
 An entry is a header, :data:`HEADER`, then little-endian float64: the
 ``N`` reference norms; ``U`` (``m x p``, row-major) then sigma (``p``) of
@@ -23,7 +23,7 @@ spill under ``TMPDIR``.
 
 At most :data:`MAX_ENTRIES` entries are kept, dropped oldest by mtime
 first, and a hit renews its entry's; a state of more than :data:`MAX_BYTES`
-is not written. Eviction here never touches a CSV entry, and deleting the
+is neither looked up nor written, so it costs no key. Eviction here never touches a CSV entry, and deleting the
 directory is always safe. The cache never fails a run: a home that does not
 resolve, a directory that cannot be written, a damaged entry or a race with
 another writer each mean calibrating as if there were no cache.
@@ -60,8 +60,13 @@ _FIELDS = struct.Struct("<4sIIQQ")
 HEADER = struct.Struct(_FIELDS.format + "32s")
 _SUFFIXES = (".ercs", ".ercs-tmp")  # an entry's, a temporary file's
 
-# The BLAS reads these to pick its thread count, which can change a product's bits.
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The BLAS reads these to pick its thread count and kernels, which can change a product's bits.
+BLAS_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "OPENBLAS_CORETYPE")
+# The fields of a CPU's /proc/cpuinfo block that name it and its features, on x86 and on Arm;
+# a BLAS picks its kernels by them.
+CPU_FIELDS = ("vendor_id", "cpu family", "model", "model name", "stepping", "flags",
+              "CPU implementer", "CPU architecture", "CPU variant", "CPU part", "Features")
 
 Parts = tuple[dict[str, WhitenedWeight], tuple[float, ...], RowFile]
 
@@ -74,6 +79,20 @@ def _sources() -> Iterator[tuple[str, bytes]]:
 
 def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _cpu() -> list[str]:
+    """The machine's architecture and its first CPU's :data:`CPU_FIELDS`, where the system
+    lists them."""
+    lines = [f"machine {os.uname().machine}"]
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if not line.strip():  # the first CPU's block ends
+                break
+            field, _, value = line.partition(":")
+            if field.strip() in CPU_FIELDS:
+                lines.append(f"cpu {field.strip()}: {value.strip()}")
+    return lines
 
 
 def _bytes(a: np.ndarray) -> memoryview:
@@ -94,8 +113,8 @@ def key(model: SequentialModel, calib: CalibrationSet, ws: Workspace) -> str | N
             digest.update(data)
     except OSError:
         return None
-    settings = [f"numpy {np.__version__}", f"cpus {_cpus()}",
-                *(f"{var}={os.environ.get(var)!r}" for var in BLAS_THREADS)]
+    settings = [f"numpy {np.__version__}", f"cpus {_cpus()}", *_cpu(),
+                *(f"{var}={os.environ.get(var)!r}" for var in BLAS_SETTINGS)]
     digest.update("".join(f"{line}\n" for line in settings).encode())
     for layer in model.layers:
         digest.update(f"layer {layer.name} {layer.activation}\n".encode())
@@ -109,11 +128,15 @@ def key(model: SequentialModel, calib: CalibrationSet, ws: Workspace) -> str | N
     return digest.hexdigest()
 
 
-def entry_for(model: SequentialModel, calib: CalibrationSet, ws: Workspace) -> Path | None:
-    """Where the state of ``model`` on ``calib`` lives; None when no home resolves, or the
-    calibration is not as wide as the model's input (the pass names that)."""
+def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
+              ws: Workspace) -> Path | None:
+    """Where the state of the last ``k`` layers of ``model`` on ``calib`` lives; None when no
+    home resolves, the calibration is not as wide as the model's input (the pass names that)
+    or the state is over :data:`MAX_BYTES`, before any key is hashed: no such state is ever
+    written, so looking it up would only read the rows once more."""
     directory = cache_dir()
-    if directory is None or calib.input_dim != model.input_dim:
+    if directory is None or calib.input_dim != model.input_dim \
+            or HEADER.size + 8 * _floats(model, k, calib.num_samples) > MAX_BYTES:
         return None
     digest = key(model, calib, ws)
     return None if digest is None else directory / f"state-{digest}.ercs"
@@ -220,19 +243,19 @@ def _fill(fd: int, view: memoryview, at: int) -> int:
     return at
 
 
-def save(entry: Path | None, model: SequentialModel, tail: int, parts: Parts,
-         ws: Workspace) -> None:
+def save(entry: Path | None, tail: int, parts: Parts, ws: Workspace) -> None:
     """Write the parts a pass over the blocks of ``ws`` returned for the last ``tail`` layers
-    as the entry at ``entry``.
+    as the entry at ``entry``, which :func:`entry_for` gave only for a state within
+    :data:`MAX_BYTES`.
 
     The entry is written under a temporary name, its header last, and then
     renamed, so readers see no part of one. The output rows are copied from
     ``output`` a block at a time through a free buffer of ``ws``.
     """
+    if entry is None:
+        return
     whitened, norms, output = parts
     rows, width = output.shape
-    if entry is None or HEADER.size + 8 * _floats(model, tail, rows) > MAX_BYTES:
-        return
     tmp = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)

@@ -161,16 +161,24 @@ class TestMisses:
             before = passes["capture"]
             run()
             assert passes["capture"] == before + 1, what
+        calibrate(model, CalibrationSet(samples=x), 2)  # the larger k's state covers 2
+        assert passes["capture"] == len(misses) + 1
         with monkeypatch.context() as patch:
             patch.setenv("OPENBLAS_NUM_THREADS", "1" if os.environ.get(
                 "OPENBLAS_NUM_THREADS") != "1" else "2")
             calibrate(model, CalibrationSet(samples=x), 2)
         with monkeypatch.context() as patch:
+            patch.setenv("OPENBLAS_CORETYPE", "Haswell" if os.environ.get(
+                "OPENBLAS_CORETYPE") != "Haswell" else "Zen")
+            calibrate(model, CalibrationSet(samples=x), 2)
+        with monkeypatch.context() as patch:
             patch.setattr(resvd.state_cache, "_sources", edited)
             calibrate(model, CalibrationSet(samples=x), 2)
-        assert passes["capture"] == len(misses) + 3
-        calibrate(model, CalibrationSet(samples=x), 2)  # the larger k's state covers 2
-        assert passes["capture"] == len(misses) + 3
+        with monkeypatch.context() as patch:  # another kind of CPU sharing the cache
+            cpu = resvd.state_cache._cpu()
+            patch.setattr(resvd.state_cache, "_cpu", lambda: [*cpu[:-1], cpu[-1] + " avx9"])
+            calibrate(model, CalibrationSet(samples=x), 2)
+        assert passes["capture"] == len(misses) + 5
 
     @pytest.mark.parametrize("samples, seed", [("40", "2"), ("41", "1")])
     def test_another_samples_or_seed_misses(self, tmp_path, demo, passes, samples, seed):
@@ -230,6 +238,36 @@ class TestDamage:
         monkeypatch.setattr(resvd.state_cache, "MAX_BYTES", size)
         assert main(compress_argv(demo, tmp_path / "c")) == 0
         assert [p.stat().st_size for p in states()] == [size]
+
+    def test_a_state_over_the_byte_bound_hashes_no_key(self, tmp_path, monkeypatch, demo):
+        # No such state is ever written, so a key would only read the rows once more: an
+        # oversized run reads the blocks a run with no cache at all reads, and hashes nothing.
+        reads, keys = [], []
+        block, key = CalibrationSet.block, resvd.state_cache.key
+
+        def reading(self, rows, ws):
+            reads.append(rows)
+            return block(self, rows, ws)
+
+        def keying(*args):
+            keys.append(args)
+            return key(*args)
+
+        monkeypatch.setattr(CalibrationSet, "block", reading)
+        monkeypatch.setattr(resvd.state_cache, "key", keying)
+        counts = {}
+        for run in ("no home", "oversized", "cold"):
+            with monkeypatch.context() as patch:
+                if run == "no home":
+                    patch.setattr(resvd.state_cache, "cache_dir", lambda: None)
+                elif run == "oversized":
+                    patch.setattr(resvd.state_cache, "MAX_BYTES", resvd.state_cache.HEADER.size)
+                reads.clear(), keys.clear()
+                assert main(compress_argv(demo, tmp_path / run.replace(" ", "-"))) == 0
+                counts[run] = (len(reads), len(keys))
+        assert counts["oversized"] == counts["no home"]
+        assert counts["no home"][1] == 0 and states() != []
+        assert counts["cold"] == (counts["no home"][0] + 1, 1)  # demo's 64 rows are one block
 
     def test_state_writes_never_evict_a_csv_entry(self, tmp_path, demo):
         csvs = []
