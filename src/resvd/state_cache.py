@@ -130,13 +130,18 @@ def key(model: SequentialModel, calib: CalibrationSet, ws: Workspace) -> str | N
 
 def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
               ws: Workspace) -> Path | None:
-    """Where the state of the last ``k`` layers of ``model`` on ``calib`` lives; None when no
-    home resolves, the calibration is not as wide as the model's input (the pass names that)
-    or the state is over :data:`MAX_BYTES`, before any key is hashed: no such state is ever
-    written, so looking it up would only read the rows once more."""
+    """Where the state of the last ``k`` layers of ``model`` on ``calib`` lives, its directory
+    made; None when no home resolves, the directory cannot be made, the calibration is not as
+    wide as the model's input (the pass names that) or the state is over :data:`MAX_BYTES`,
+    before any key is hashed: no such state is ever read or written, so a key would only read
+    the rows once more."""
     directory = cache_dir()
     if directory is None or calib.input_dim != model.input_dim \
             or HEADER.size + 8 * _floats(model, k, calib.num_samples) > MAX_BYTES:
+        return None
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError:  # say, a regular file on the way
         return None
     digest = key(model, calib, ws)
     return None if digest is None else directory / f"state-{digest}.ercs"
@@ -258,7 +263,6 @@ def save(entry: Path | None, tail: int, parts: Parts, ws: Workspace) -> None:
     rows, width = output.shape
     tmp = None
     try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=_SUFFIXES[1], dir=entry.parent)
         try:
             fields = _FIELDS.pack(MAGIC, VERSION, tail, rows, width)

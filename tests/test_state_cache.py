@@ -239,9 +239,10 @@ class TestDamage:
         assert main(compress_argv(demo, tmp_path / "c")) == 0
         assert [p.stat().st_size for p in states()] == [size]
 
-    def test_a_state_over_the_byte_bound_hashes_no_key(self, tmp_path, monkeypatch, demo):
-        # No such state is ever written, so a key would only read the rows once more: an
-        # oversized run reads the blocks a run with no cache at all reads, and hashes nothing.
+    def test_a_state_over_the_byte_bound_or_an_unusable_cache_hashes_no_key(
+            self, tmp_path, monkeypatch, demo):
+        # No such state is ever read or written, so a key would only read the rows once more:
+        # these runs read the blocks a run with no home at all reads, and hash nothing.
         reads, keys = [], []
         block, key = CalibrationSet.block, resvd.state_cache.key
 
@@ -256,16 +257,19 @@ class TestDamage:
         monkeypatch.setattr(CalibrationSet, "block", reading)
         monkeypatch.setattr(resvd.state_cache, "key", keying)
         counts = {}
-        for run in ("no home", "oversized", "cold"):
+        (tmp_path / "file").write_text("")
+        for run in ("no home", "oversized", "unusable", "cold"):
             with monkeypatch.context() as patch:
                 if run == "no home":
                     patch.setattr(resvd.state_cache, "cache_dir", lambda: None)
                 elif run == "oversized":
                     patch.setattr(resvd.state_cache, "MAX_BYTES", resvd.state_cache.HEADER.size)
+                elif run == "unusable":
+                    patch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
                 reads.clear(), keys.clear()
                 assert main(compress_argv(demo, tmp_path / run.replace(" ", "-"))) == 0
                 counts[run] = (len(reads), len(keys))
-        assert counts["oversized"] == counts["no home"]
+        assert counts["oversized"] == counts["unusable"] == counts["no home"]
         assert counts["no home"][1] == 0 and states() != []
         assert counts["cold"] == (counts["no home"][0] + 1, 1)  # demo's 64 rows are one block
 
