@@ -41,7 +41,7 @@ from .errors import (
     InfeasiblePlanError,
     NumericalError,
 )
-from .model import SequentialModel, layerwise_error
+from .model import SequentialModel, layerwise_error, same_skeleton
 from .planner import CompressionPlan, PlannerConfig, plan
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
 from .planner import compress_model  # noqa: F401
@@ -208,6 +208,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _refuse_to_overwrite(args, "original", "compressed")
     original = load_model(args.original)
     compressed = load_model(args.compressed)
+    if not same_skeleton(original, compressed):  # before any rows load
+        raise FormatError(f"the model in {args.compressed} does not have the layers, matrix "
+                          f"shapes and activations of the model in {args.original}")
     calib = _load_calib(args, original, args.original)
     _emit(format_error_report(layerwise_error(original, compressed, calib)), args.out)
     return EXIT_OK

@@ -11,9 +11,10 @@ scores the winner's per-layer errors for ``errors.csv`` with
 
 What does not depend on ``k`` is computed once per (model, calibration)
 pair by :func:`calibrate`, in one streaming pass over the layers, and kept
-in :mod:`resvd.state_cache` for the next command on the pair: each
-layer's reference output norm, the model's output, spilled to an unlinked
-temporary file, and one
+in :mod:`resvd.state_cache` for the next command on the pair (which
+keeps each scan's result too; see :func:`plan`): each layer's reference
+output norm, the model's output, spilled to an unlinked temporary file,
+and one
 :class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U`` and
 sigma of ``svd(W S)``) per matrix of the largest tail any candidate
 compresses, formed from that matrix's input Gram matrix; prefix matrices
@@ -78,6 +79,7 @@ from .model import layerwise_error  # noqa: F401
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from pathlib import Path
 
 LayerShapes = list[list[tuple[int, int]]]
 
@@ -186,16 +188,16 @@ def compress_tail_layers(
         ValueError: when ``k`` is outside ``[1, state.tail]``, the tail
             :func:`calibrate` whitened.
     """
-    return _tail_model(state, k, _trial_factor(state, layer_ratio, beta, {}))
-
-
-def _tail_model(state: CalibratedModel, k: int,
-                factor: Callable[[str], FactorPair]) -> SequentialModel:
-    """``state``'s model with each matrix of the last ``k`` layers replaced by ``factor(key)``."""
-    model = state.model
     if not 1 <= k <= state.tail:
         raise ValueError(f"k={k} outside [1, {state.tail}]: calibrate whitened only the "
-                         f"last {state.tail} of {model.n_layers} layers")
+                         f"last {state.tail} of {state.model.n_layers} layers")
+    return _tail_model(state.model, k, _trial_factor(state, layer_ratio, beta, {}))
+
+
+def _tail_model(model: SequentialModel, k: int,
+                factor: Callable[[str], FactorPair]) -> SequentialModel:
+    """``model`` with each matrix of the last ``k`` layers replaced by ``factor(key)``, keyed
+    ``"<layer>/<matrix>"``; the prefix is shared as-is."""
     split = model.n_layers - k
     layers = model.layers[:split] + tuple(_factored(layer, factor)
                                           for layer in model.layers[split:])
@@ -263,8 +265,12 @@ class CalibratedModel:
                    for layer in self.model.layers)
 
 
+_UNNAMED = object()  # calibrate's entry when the caller names none
+
+
 def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
-              ws: Workspace | None = None) -> CalibratedModel:
+              ws: Workspace | None = None, entry: Path | None | object = _UNNAMED
+              ) -> CalibratedModel:
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
 
     One streaming pass, :func:`~resvd.calibration.capture_activations`,
@@ -280,7 +286,10 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
     ``model`` on these rows in these blocks covering ``k``, and a pass that
     succeeds leaves one there. A state found covering more layers gives
     only the last ``k``, so the result is the pass's, bit for bit, and its
-    ``output`` reads the rows from the entry.
+    ``output`` reads the rows from the entry. ``entry`` is that state's
+    entry, as :func:`~resvd.state_cache.entry_for` names it for ``ws``;
+    named here when not given, so a caller that has named it hashes no
+    key twice.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
@@ -296,18 +305,13 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
             whitened or whose whitened SVD fails; failing those, the first
             layer whose output norm overflows.
     """
-    if not 1 <= k <= model.n_layers:
-        raise ValueError(f"k={k} outside [1, {model.n_layers}]")
-    for layer in model.layers[model.n_layers - k :]:
-        for e in layer.entries:
-            if e.is_factored:
-                raise CompressionError(f"entry {layer.name}/{e.name} is already factored; "
-                                       "compression expects a dense model")
+    _refuse_factored(model, k)
     if ws is None:
         ws = Workspace(calib.num_samples, model)
     from . import state_cache  # here, so analyze loads neither the cache nor hashlib
 
-    entry = state_cache.entry_for(model, calib, k, ws)
+    if entry is _UNNAMED:
+        entry = state_cache.entry_for(model, calib, k, ws)
     parts = state_cache.load(entry, model, k, ws)
     if parts is None:
         parts = capture_activations(model, calib, k, whitened_weight, ws)
@@ -315,6 +319,18 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
         state_cache.save(entry, k, parts, ws)
     whitened, norms, output = parts
     return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
+
+
+def _refuse_factored(model: SequentialModel, k: int) -> None:
+    """Refuse, before any work, a ``k`` outside ``[1, N]`` or a tail that is already factored;
+    see :func:`calibrate`."""
+    if not 1 <= k <= model.n_layers:
+        raise ValueError(f"k={k} outside [1, {model.n_layers}]")
+    for layer in model.layers[model.n_layers - k :]:
+        for e in layer.entries:
+            if e.is_factored:
+                raise CompressionError(f"entry {layer.name}/{e.name} is already factored; "
+                                       "compression expects a dense model")
 
 
 def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: np.ndarray,
@@ -398,6 +414,15 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     three block buffers and scratch, whatever the depth and the row count;
     the model's output is read back from its file block by block.
 
+    The scan's result depends only on the calibrated state's inputs and on
+    ``cfg``'s ratio, beta and step, so a plan that found a winner is kept
+    in :mod:`resvd.state_cache` beside the state, named from the state's
+    entry, whose key is hashed once here and handed to :func:`calibrate`.
+    A plan found there is returned with no state load, no factoring and no
+    trial: its table, and the model's prefix with the winner's stored
+    factor pairs, bit for bit those of the scan; the seed comes from
+    ``cfg``.
+
     Raises:
         OSError: when the model's output cannot be spilled, or comes back
             short.
@@ -414,8 +439,17 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     scored = [k for k, _ in candidates if k not in failures]
     if not scored:
         raise failures[candidates[0][0]]
+    _refuse_factored(model, scored[-1])  # before any key is hashed
     ws = Workspace(calib.num_samples, model)
-    state = calibrate(model, calib, scored[-1], ws)
+    from . import state_cache
+
+    entry = state_cache.entry_for(model, calib, scored[-1], ws)
+    saved = state_cache.plan_entry(entry, cfg)
+    found = state_cache.load_plan(saved, model)
+    if found is not None:
+        k, table, pairs = found
+        return _chosen(model, cfg, k, table, pairs.__getitem__)
+    state = calibrate(model, calib, scored[-1], ws, entry)
     squares = dict.fromkeys(scored, 0.0)
     memos: dict[int, dict[str, FactorPair | None]] = {k: {} for k in scored}
     errors: dict[int, float] = {}
@@ -454,20 +488,31 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
         raise (failures.pop(k) if isinstance(failures[k], (NumericalError, InfeasiblePlanError))
                else InfeasiblePlanError("every candidate failed during trial compression"))
     ratio = dict(candidates)[best]
+    chosen = _chosen(model, cfg, best, tuple(
+        CandidateResult(k=k, layer_ratio=r, final_error=math.nan, status="failed",
+                        reason=str(failures[k])) if k in failures
+        else CandidateResult(k=k, layer_ratio=r, final_error=errors[k])
+        for k, r in candidates), _trial_factor(state, ratio, cfg.beta, memos[best]))
+    state_cache.save_plan(saved, chosen)
+    return chosen
+
+
+def _chosen(model: SequentialModel, cfg: PlannerConfig, k: int,
+            table: tuple[CandidateResult, ...],
+            factor: Callable[[str], FactorPair]) -> CompressionPlan:
+    """The plan that picks ``k`` from ``table``, its winner ``model`` with the last ``k`` layers
+    factored by ``factor``."""
+    winner = next(row for row in table if row.k == k)
     return CompressionPlan(
-        k=best,
-        layer_ratio=ratio,
-        candidate_table=tuple(
-            CandidateResult(k=k, layer_ratio=r, final_error=math.nan, status="failed",
-                            reason=str(failures[k])) if k in failures
-            else CandidateResult(k=k, layer_ratio=r, final_error=errors[k])
-            for k, r in candidates),
-        chosen_error=errors[best],
+        k=k,
+        layer_ratio=winner.layer_ratio,
+        candidate_table=table,
+        chosen_error=winner.final_error,
         n_layers=model.n_layers,
         overall_ratio=cfg.overall_ratio,
         beta=cfg.beta,
         seed=cfg.seed,
-        compressed=_tail_model(state, best, _trial_factor(state, ratio, cfg.beta, memos[best])),
+        compressed=_tail_model(model, k, factor),
     )
 
 

@@ -1,4 +1,5 @@
-"""Calibrated states, kept so that each (model, calibration) pair is calibrated once.
+"""Calibrated states and the scans run on them, kept so that each (model, calibration) pair
+is calibrated once, and scanned once per ratio, beta and step.
 
 :func:`resvd.planner.calibrate`'s pass depends on the model and the
 calibration rows alone, never on a ratio, beta, step or output dtype. An
@@ -21,12 +22,25 @@ norms and the ``U`` and sigma of the tail asked for into arrays, and the
 scan reads the output rows block by block from the entry, so it needs no
 spill under ``TMPDIR``.
 
-At most :data:`MAX_ENTRIES` entries are kept, dropped oldest by mtime
-first, and a hit renews its entry's; a state of more than :data:`MAX_BYTES`
-is neither looked up nor written, so it costs no key. Eviction here never touches a CSV entry, and deleting the
-directory is always safe. The cache never fails a run: a home that does not
-resolve, a directory that cannot be written, a damaged entry or a race with
-another writer each mean calibrating as if there were no cache.
+Beside a state, a plan entry keeps what :func:`resvd.planner.plan`'s scan
+found on it for one ratio, beta and step, which is all the scan reads
+besides the state's inputs. It is named by :func:`plan_entry` and holds a
+header, :data:`PLAN_HEADER` (the magic ``ERCP``, :data:`PLAN_VERSION`, the
+table's byte count and the sha256 of those and the payload), then the
+candidate table and the winning ``k`` as UTF-8 JSON with floats as
+``float.hex``, then ``u_hat`` and ``v_hat`` of each matrix of the
+winner's last ``k`` layers in forward order, little-endian float64. A
+plan that hits runs no pass, no factoring and no trial.
+
+At most :data:`MAX_ENTRIES` states and :data:`MAX_PLANS` plans are kept,
+dropped oldest by mtime first, and a hit renews its entry's; a state of
+more than :data:`MAX_BYTES` is neither looked up nor written, so it costs
+no key, and neither is a plan beside it, nor one over that bound itself.
+Eviction of either kind never touches the other or a CSV entry, and
+deleting the directory is always safe. The cache never fails a run: a home
+that does not resolve, a directory that cannot be written, a damaged entry
+or a race with another writer each mean calibrating and scanning as if
+there were no cache.
 """
 
 from __future__ import annotations
@@ -34,21 +48,23 @@ from __future__ import annotations
 import contextlib
 import errno
 import hashlib
+import json
 import os
 import struct
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .calibration import CalibrationSet, RowFile
 from .compensation import WhitenedWeight
 from .containers import cache_dir, evict
-from .errors import FormatError
-from .linalg import as_matrix
+from .errors import CompressionError, FormatError
+from .linalg import FactorPair, as_matrix
 from .model import Layer, MatrixEntry, SequentialModel, Workspace
+from .planner import CandidateResult, CompressionPlan, PlannerConfig
 
 MAX_ENTRIES = 4
 MAX_BYTES = 64 << 20
@@ -60,6 +76,14 @@ _FIELDS = struct.Struct("<4sIIQQ")
 HEADER = struct.Struct(_FIELDS.format + "32s")
 _SUFFIXES = (".ercs", ".ercs-tmp")  # an entry's, a temporary file's
 
+MAX_PLANS = 8
+PLAN_MAGIC = b"ERCP"
+PLAN_VERSION = 1
+# magic, version, the table's byte count; then the sha256 of those and the payload
+_PLAN_FIELDS = struct.Struct("<4sIQ")
+PLAN_HEADER = struct.Struct(_PLAN_FIELDS.format + "32s")
+_PLAN_SUFFIXES = (".ercp", ".ercp-tmp")
+
 # The BLAS reads these to pick its thread count and kernels, which can change a product's bits.
 BLAS_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                  "OPENBLAS_CORETYPE")
@@ -69,6 +93,7 @@ CPU_FIELDS = ("vendor_id", "cpu family", "model", "model name", "stepping", "fla
               "CPU implementer", "CPU architecture", "CPU variant", "CPU part", "Features")
 
 Parts = tuple[dict[str, WhitenedWeight], tuple[float, ...], RowFile]
+Found = tuple[int, tuple[CandidateResult, ...], dict[str, FactorPair]]
 
 
 def _sources() -> Iterator[tuple[str, bytes]]:
@@ -251,35 +276,44 @@ def _fill(fd: int, view: memoryview, at: int) -> int:
 def save(entry: Path | None, tail: int, parts: Parts, ws: Workspace) -> None:
     """Write the parts a pass over the blocks of ``ws`` returned for the last ``tail`` layers
     as the entry at ``entry``, which :func:`entry_for` gave only for a state within
-    :data:`MAX_BYTES`.
-
-    The entry is written under a temporary name, its header last, and then
-    renamed, so readers see no part of one. The output rows are copied from
-    ``output`` a block at a time through a free buffer of ``ws``.
-    """
+    :data:`MAX_BYTES`. The output rows are copied from ``output`` a block at a time through a
+    free buffer of ``ws``."""
     if entry is None:
         return
     whitened, norms, output = parts
     rows, width = output.shape
+
+    def write(fd: int) -> bytes:
+        fields = _FIELDS.pack(MAGIC, VERSION, tail, rows, width)
+        digest = hashlib.sha256(fields)
+        at = _write(fd, _bytes(np.array(norms)), HEADER.size, digest)
+        for weight in whitened.values():
+            at = _write(fd, _bytes(weight.sigma), _write(fd, _bytes(weight.u), at, digest), digest)
+        for block in ws.blocks:
+            n = block.stop - block.start
+            at = _write(fd, _bytes(output.read(block.start, ws.free(n, width))), at, digest)
+        return fields + digest.digest()
+
+    _publish(entry, _SUFFIXES, MAX_ENTRIES, write)
+
+
+def _publish(entry: Path, suffixes: tuple[str, str], keep: int,
+             write: Callable[[int], bytes]) -> None:
+    """Make the file ``entry``: ``write(fd)`` writes the payload of a file under a temporary
+    name and returns its header, written last at byte 0, and the file is then renamed, so
+    readers see no part of one. Then only the newest ``keep`` files of ``suffixes`` are kept.
+    A failure leaves no file behind and fails nothing: the cache only saves time."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(suffix=_SUFFIXES[1], dir=entry.parent)
+        fd, tmp = tempfile.mkstemp(suffix=suffixes[1], dir=entry.parent)
         try:
-            fields = _FIELDS.pack(MAGIC, VERSION, tail, rows, width)
-            digest = hashlib.sha256(fields)
-            at = _write(fd, np.array(norms), HEADER.size, digest)
-            for weight in whitened.values():
-                at = _write(fd, weight.sigma, _write(fd, weight.u, at, digest), digest)
-            for block in ws.blocks:
-                n = block.stop - block.start
-                at = _write(fd, output.read(block.start, ws.free(n, width)), at, digest)
-            os.pwrite(fd, fields + digest.digest(), 0)
+            os.pwrite(fd, write(fd), 0)
         finally:
             os.close(fd)
         os.replace(tmp, entry)
         tmp = None
-        evict(entry.parent, _SUFFIXES, MAX_ENTRIES)
-    except (OSError, FormatError):  # the cache only saves time: no run fails on its account
+        evict(entry.parent, suffixes, keep)
+    except (OSError, FormatError):
         pass
     finally:
         if tmp is not None:
@@ -287,11 +321,100 @@ def save(entry: Path | None, tail: int, parts: Parts, ws: Workspace) -> None:
                 os.unlink(tmp)
 
 
-def _write(fd: int, a: np.ndarray, at: int, digest) -> int:
-    """Write ``a`` as little-endian float64 from byte ``at`` and hash it; where it ends."""
-    view = _bytes(a)
+def _write(fd: int, view: bytes | memoryview, at: int, digest) -> int:
+    """Write ``view`` from byte ``at`` and hash it; where it ends."""
+    view = memoryview(view)
     digest.update(view)
     while view:
         n = os.pwrite(fd, view, at)
         view, at = view[n:], at + n
     return at
+
+
+def plan_entry(state: Path | None, cfg: PlannerConfig) -> Path | None:
+    """Where the scan's result for ``cfg`` on the state named ``state`` lives; None when no
+    state entry is named, so a plan is kept only beside a state that could be."""
+    if state is None:
+        return None
+    name = (f"{state.name}\nplan {PLAN_VERSION}\nratio {cfg.overall_ratio.hex()} "
+            f"beta {cfg.beta.hex()} step {cfg.step}\n")
+    return state.parent / f"plan-{hashlib.sha256(name.encode()).hexdigest()}.ercp"
+
+
+def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
+    """The winning ``k``, the candidate table and each factor pair of the winner's last ``k``
+    layers, keyed ``"<layer>/<matrix>"``, that the entry holds for ``model``; None when it
+    holds none."""
+    if entry is None:
+        return None
+    try:
+        with open(entry, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size > MAX_BYTES:  # never written so: read none of it
+                return None
+            data = fh.read()
+    except OSError:  # missing, a directory or unreadable: scan
+        return None
+    if len(data) < PLAN_HEADER.size:
+        return None
+    magic, version, size, want = PLAN_HEADER.unpack_from(data)
+    digest = hashlib.sha256(data[: _PLAN_FIELDS.size])
+    digest.update(memoryview(data)[PLAN_HEADER.size :])
+    if (magic, version) != (PLAN_MAGIC, PLAN_VERSION) or digest.digest() != want:
+        return None
+    at = PLAN_HEADER.size + size
+    try:
+        doc = json.loads(data[PLAN_HEADER.size : at])
+        k = doc["k"]
+        table = tuple(CandidateResult(k=int(c), layer_ratio=float.fromhex(ratio),
+                                      final_error=float.fromhex(error), status=status,
+                                      reason=reason)
+                      for c, ratio, error, status, reason in doc["candidates"])
+        if not 1 <= k < model.n_layers or (k, "ok") not in {(row.k, row.status) for row in table}:
+            return None
+        pairs = {}
+        for (_, layer, e), r in zip(_tail(model, k), doc["ranks"], strict=True):
+            u, at = _array(data, at, (e.rows, r))
+            v, at = _array(data, at, (r, e.cols))
+            pairs[f"{layer.name}/{e.name}"] = FactorPair(u_hat=u, v_hat=v)
+    except (ValueError, KeyError, TypeError, CompressionError):  # not this version's table
+        return None
+    if at != len(data):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)  # a hit is a use, so eviction spares it longest
+    return k, table, pairs
+
+
+def _array(data: bytes, at: int, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """The little-endian float64 array of ``shape`` at byte ``at`` of ``data``, as a native
+    array of its own; where it ends."""
+    count = shape[0] * shape[1]
+    a = np.frombuffer(data, dtype="<f8", count=count, offset=at)
+    return a.astype(np.float64).reshape(shape), at + 8 * count
+
+
+def save_plan(entry: Path | None, chosen: CompressionPlan) -> None:
+    """Keep ``chosen``'s table and the factor pairs of its winner's last ``k`` layers as the
+    entry at ``entry``, unless the entry would be over :data:`MAX_BYTES`."""
+    if entry is None:
+        return
+    pairs = [e.factors for layer in chosen.compressed.layers[-chosen.k :] for e in layer.entries]
+    table = json.dumps({
+        "k": chosen.k,
+        "candidates": [[row.k, row.layer_ratio.hex(), row.final_error.hex(), row.status,
+                        row.reason] for row in chosen.candidate_table],
+        "ranks": [pair.rank for pair in pairs],
+    }).encode()
+    if PLAN_HEADER.size + len(table) + 8 * sum(p.u_hat.size + p.v_hat.size for p in pairs) \
+            > MAX_BYTES:
+        return
+
+    def write(fd: int) -> bytes:
+        fields = _PLAN_FIELDS.pack(PLAN_MAGIC, PLAN_VERSION, len(table))
+        digest = hashlib.sha256(fields)
+        at = _write(fd, table, PLAN_HEADER.size, digest)
+        for pair in pairs:
+            at = _write(fd, _bytes(pair.v_hat), _write(fd, _bytes(pair.u_hat), at, digest), digest)
+        return fields + digest.digest()
+
+    _publish(entry, _PLAN_SUFFIXES, MAX_PLANS, write)

@@ -37,6 +37,7 @@ import resvd.errors
 import resvd.model
 import resvd.oracle
 import resvd.planner
+import resvd.state_cache
 from resvd.calibration import CalibrationSet
 from resvd.cli import main
 from resvd.containers import (
@@ -853,14 +854,17 @@ class TestPlanCommand:
         assert rc == 3
 
     @pytest.mark.parametrize("command", ["plan", "compress"])
-    def test_compressed_input_names_the_factored_entry(self, tmp_path, capsys, command):
+    def test_compressed_input_names_the_factored_entry(self, tmp_path, capsys, monkeypatch,
+                                                       command):
         # The largest candidate tail holds factored entries, so the run stops
-        # once, naming the first, instead of failing every candidate.
+        # once, naming the first, instead of failing every candidate, and
+        # before any cache key is hashed.
         demo = gen_demo(tmp_path / "demo")
         once = tmp_path / "once"
         calib = ["--calib", str(demo / "calib.bin"), "--ratio", "0.2"]
         assert main(["compress", "--model", str(demo), *calib, "--out", str(once)]) == 0
         first = 6 - json.loads((once / "plan.json").read_text())["k"]
+        monkeypatch.setattr(resvd.state_cache, "key", None)  # a key would raise TypeError
         capsys.readouterr()
         out = ["--out", str(tmp_path / "twice")] if command == "compress" else []
         assert main([command, "--model", str(once), *calib, *out]) == 1
@@ -936,6 +940,7 @@ class TestPlanCommand:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))  # so the scan runs
         assert main(argv) == 0
         out, err = capsys.readouterr()
         got = [line.split(",") for line in out.splitlines()]
@@ -1138,12 +1143,18 @@ class TestAnalyze:
         assert len(compared) == 6 - k
         assert dest.read_bytes() == (out / "errors.csv").read_bytes()
 
-    def test_skeleton_mismatch_is_an_error(self, tmp_path):
+    def test_skeleton_mismatch_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # one format error naming both models, found before the rows load
         a = gen_demo(tmp_path / "a", layers=4)
         b = gen_demo(tmp_path / "b", layers=5)
+        monkeypatch.setattr(resvd.cli, "load_calibration_auto", None)
+        capsys.readouterr()
         rc = main(["analyze", "--original", str(a), "--compressed", str(b),
                    "--calib", str(a / "calib.bin")])
-        assert rc != 0
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"resvd: format error: the model in {b} does not "
+                                           "have the layers, matrix shapes and activations of "
+                                           f"the model in {a}\n")
 
 
 class TestVerify:
@@ -1395,6 +1406,8 @@ class TestFaultInjection:
         if command == "compress":
             args[-1] += "-warm"
         [entry] = Path(os.environ["XDG_CACHE_HOME"], "resvd").glob("*.ercs")
+        for kept in entry.parent.glob("*.ercp"):  # so the scan runs and reads the state
+            kept.unlink()
 
         def calibrate(*args):
             state = real_calibrate(*args)
@@ -1641,6 +1654,7 @@ class TestFileBackedCalibration:
                 "scan": (resvd.planner, "calibrate", False),
                 "errors": (resvd.cli, "layerwise_error", True)}[stage]
         truncating(*hook)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))  # so the scan runs
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(self.argv(demo, command, calib, out, samples)) == 2
@@ -1716,6 +1730,7 @@ class TestFileBackedCalibration:
             if times == 1:
                 assert main(["compress", "--model", str(demo), *rows, "--ratio", "0.2",
                              "--out", str(tmp_path / "ref")]) == 0
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache{times}"))  # scans
             peaks[times] = {
                 "analyze": traced_peak(lambda: main(
                     ["analyze", "--original", str(demo), "--compressed", str(tmp_path / "ref"),

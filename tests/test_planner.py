@@ -509,7 +509,7 @@ class TestPlan:
         assert chosen.k == first.k
         assert chosen.chosen_error == low
 
-    def test_ties_and_the_reraised_failure_go_to_the_smallest_k(self, monkeypatch):
+    def test_ties_and_the_reraised_failure_go_to_the_smallest_k(self, tmp_path, monkeypatch):
         # Candidates are scored largest k first; the table, the tie-break
         # and the failure re-raised when every candidate fails still follow
         # ascending k.
@@ -527,6 +527,7 @@ class TestPlan:
             raise NumericalError(f"k={k} failed")
 
         monkeypatch.setattr(planner_mod, "_scored", failing)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))  # so the scan runs
         with pytest.raises(NumericalError, match=rf"^k={ks[0]} failed$"):
             plan(model, calib, cfg)
 
@@ -743,8 +744,8 @@ class TestRowBlocks:
             calibrate(model, CalibrationSet(samples=samples), 1)
 
     @pytest.mark.parametrize("beta", [0.0, 0.05])
-    def test_a_candidate_that_fails_after_its_first_block_is_a_failed_row(self, monkeypatch,
-                                                                         beta):
+    def test_a_candidate_that_fails_after_its_first_block_is_a_failed_row(self, tmp_path,
+                                                                         monkeypatch, beta):
         # At 3 blocks, each candidate in turn fails on its second block, after
         # its first block factored it. It is a failed row with its reason;
         # every other row is the unfaulted run's, bit for bit; and the winner
@@ -771,6 +772,7 @@ class TestRowBlocks:
                 return real(state, k, *args)
 
             monkeypatch.setattr(planner_mod, "_scored", flaky)
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cold{failing}"))  # scans
             chosen = plan(model, calib, cfg)
             assert len(blocks) == 2  # its third block was not scored
             return chosen

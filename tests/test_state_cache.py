@@ -4,6 +4,8 @@ damaged or unusable cache changes a result."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -24,6 +26,16 @@ from resvd.planner import calibrate
 
 def states() -> list[Path]:
     return sorted(Path(os.environ["XDG_CACHE_HOME"], "resvd").glob("*.ercs"))
+
+
+def plans() -> list[Path]:
+    return sorted(Path(os.environ["XDG_CACHE_HOME"], "resvd").glob("*.ercp"))
+
+
+def drop_plans() -> None:
+    """Remove every plan entry, so the next plan or compress runs its scan."""
+    for entry in plans():
+        entry.unlink()
 
 
 def dir_bytes(root: Path) -> dict[str, bytes]:
@@ -216,12 +228,14 @@ class TestDamage:
             entry.write_bytes(data)
         os.rename(out, tmp_path / "cold")
         capsys.readouterr()
+        drop_plans()  # so the scan runs and reads the state
         assert main(compress_argv(demo, out)) == 0
         assert capsys.readouterr().err == ""
         assert dir_bytes(out) == want
         assert passes["capture"] == 2
         if damage != "a directory":  # the miss wrote the entry again, and it now hits
             os.rename(out, tmp_path / "again")
+            drop_plans()
             assert main(compress_argv(demo, out)) == 0
             assert passes["capture"] == 2 and dir_bytes(out) == want
 
@@ -231,11 +245,13 @@ class TestDamage:
         [entry] = states()
         size = entry.stat().st_size
         entry.unlink()
+        drop_plans()
         monkeypatch.setattr(resvd.state_cache, "MAX_BYTES", size - 1)
         assert main(compress_argv(demo, tmp_path / "b")) == 0
         assert states() == []
         assert list(entry.parent.iterdir()) == []  # no temporary file left either
         monkeypatch.setattr(resvd.state_cache, "MAX_BYTES", size)
+        drop_plans()
         assert main(compress_argv(demo, tmp_path / "c")) == 0
         assert [p.stat().st_size for p in states()] == [size]
 
@@ -290,6 +306,147 @@ class TestDamage:
         assert sorted(cache.glob("*.ercc")) == kept
         assert len(states()) == resvd.state_cache.MAX_ENTRIES
         assert not list(cache.glob("*.ercs-tmp"))
+
+
+@pytest.fixture
+def factorings(monkeypatch) -> list[str]:
+    """The matrices the planner passes to ``compress_matrix``, one item per call."""
+    names, real = [], resvd.planner.compress_matrix
+
+    def factoring(weight, ratio, beta, name="matrix"):
+        names.append(name)
+        return real(weight, ratio, beta, name=name)
+
+    monkeypatch.setattr(resvd.planner, "compress_matrix", factoring)
+    return names
+
+
+def last_error_is_chosen(out: Path) -> bool:
+    """Whether ``errors.csv``'s last value is ``plan.json``'s ``chosen_error``, bit for bit."""
+    last = float((out / "errors.csv").read_text().split()[-1].split(",")[1])
+    return last.hex() == float(json.loads((out / "plan.json").read_text())["chosen_error"]).hex()
+
+
+class TestPlanEntries:
+    def plan_argv(self, demo: Path, *extra: str) -> list[str]:
+        return ["plan", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                "--ratio", "0.2", *extra]
+
+    def test_a_hit_factors_nothing_and_writes_the_bytes_of_a_miss(
+            self, tmp_path, capsys, monkeypatch, demo, passes, factorings):
+        # compress misses and keeps its scan; plan and compress then hit. A
+        # plan from an empty cache prints what the hit printed.
+        out = tmp_path / "out"
+        assert main(compress_argv(demo, out)) == 0
+        assert factorings and passes["capture"] == 1 and len(plans()) == 1
+        miss = dir_bytes(out)
+        assert last_error_is_chosen(out)
+        os.rename(out, tmp_path / "miss")
+        factorings.clear()
+        capsys.readouterr()
+        assert main(self.plan_argv(demo)) == 0
+        table = capsys.readouterr().out
+        assert main(compress_argv(demo, out)) == 0
+        assert factorings == [] and passes["capture"] == 1
+        assert dir_bytes(out) == miss and last_error_is_chosen(out)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        capsys.readouterr()
+        assert main(self.plan_argv(demo)) == 0
+        assert capsys.readouterr().out == table and factorings
+
+    @pytest.mark.parametrize("extra", [["--ratio", "0.3"], ["--beta", "0.1"], ["--baseline"],
+                                       ["--step", "2"]])
+    def test_another_ratio_beta_or_step_misses(self, tmp_path, demo, passes, factorings,
+                                               extra):
+        assert main(compress_argv(demo, tmp_path / "a")) == 0
+        factorings.clear()
+        assert main(compress_argv(demo, tmp_path / "b", *extra)) == 0
+        assert factorings and passes["capture"] == 1  # the state hits, the plan does not
+        assert len(plans()) == 2
+        factorings.clear()
+        assert main(compress_argv(demo, tmp_path / "c", *extra)) == 0
+        assert factorings == []
+        assert dir_bytes(tmp_path / "c")["plan.json"] != dir_bytes(tmp_path / "a")["plan.json"]
+
+    def test_another_seed_on_the_same_rows_hits_and_echoes_its_own_seed(
+            self, tmp_path, monkeypatch, demo, factorings):
+        # The demo's 64 rows are under the default --samples 256, so the seed
+        # draws none of them; the state and the plan are those of seed 0.
+        out = tmp_path / "out"
+        assert main(compress_argv(demo, out)) == 0
+        os.rename(out, tmp_path / "seed0")
+        factorings.clear()
+        assert main(compress_argv(demo, out, "--seed", "5")) == 0
+        assert factorings == []
+        assert json.loads((out / "plan.json").read_text())["seed"] == 5
+        hit = dir_bytes(out)
+        assert hit != dir_bytes(tmp_path / "seed0")
+        os.rename(out, tmp_path / "hit")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        assert main(compress_argv(demo, out, "--seed", "5")) == 0
+        assert dir_bytes(out) == hit and factorings
+
+    @pytest.mark.parametrize("damage", ["truncated", "a payload byte", "a header byte",
+                                        "zero-length", "a directory", "another version"])
+    def test_a_damaged_entry_is_a_miss_with_the_same_bytes(self, tmp_path, capsys, demo,
+                                                           factorings, damage):
+        out = tmp_path / "out"
+        assert main(compress_argv(demo, out)) == 0
+        want = dir_bytes(out)
+        [entry] = plans()
+        data = bytearray(entry.read_bytes())
+        header = resvd.state_cache.PLAN_HEADER
+        if damage == "truncated":
+            data = data[: len(data) - 8]
+        elif damage == "a payload byte":
+            data[len(data) // 2] ^= 0x40
+        elif damage == "a header byte":
+            data[8] ^= 1  # the table's byte count
+        elif damage == "zero-length":
+            data = b""
+        elif damage == "another version":  # a well-formed entry, hashed, of version 2
+            magic, version, size, _ = header.unpack_from(data)
+            fields = resvd.state_cache._PLAN_FIELDS.pack(magic, version + 1, size)
+            digest = hashlib.sha256(fields + data[header.size:]).digest()
+            data[: header.size] = fields + digest
+        if damage == "a directory":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            entry.write_bytes(data)
+        os.rename(out, tmp_path / "cold")
+        factorings.clear()
+        capsys.readouterr()
+        assert main(compress_argv(demo, out)) == 0
+        assert capsys.readouterr().err == ""
+        assert factorings and dir_bytes(out) == want
+        if damage != "a directory":  # the miss wrote the entry again, and it now hits
+            os.rename(out, tmp_path / "again")
+            factorings.clear()
+            assert main(compress_argv(demo, out)) == 0
+            assert factorings == [] and dir_bytes(out) == want
+
+    def test_an_entry_over_the_byte_bound_is_not_written(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        model, calib = mlp(rng), CalibrationSet(samples=rng.standard_normal((30, 10)))
+        chosen = resvd.planner.plan(model, calib, resvd.planner.PlannerConfig(0.2))
+        entry = tmp_path / "plan-x.ercp"
+        resvd.state_cache.save_plan(entry, chosen)
+        size = entry.stat().st_size
+        entry.unlink()
+        monkeypatch.setattr(resvd.state_cache, "MAX_BYTES", size - 1)
+        resvd.state_cache.save_plan(entry, chosen)
+        assert list(tmp_path.iterdir()) == []  # no temporary file left either
+        monkeypatch.setattr(resvd.state_cache, "MAX_BYTES", size)
+        resvd.state_cache.save_plan(entry, chosen)
+        assert entry.stat().st_size == size
+        k, table, pairs = resvd.state_cache.load_plan(entry, model)
+        assert (k, table) == (chosen.k, chosen.candidate_table)
+        for layer in chosen.compressed.layers[-k:]:
+            for e in layer.entries:
+                pair = pairs[f"{layer.name}/{e.name}"]
+                assert pair.u_hat.tobytes() == e.factors.u_hat.tobytes()
+                assert pair.v_hat.tobytes() == e.factors.v_hat.tobytes()
 
 
 def test_the_oldest_state_is_evicted_and_a_hit_counts_as_use(passes):
