@@ -240,11 +240,17 @@ def load_model(path: str | Path) -> SequentialModel:
 # --- calibration sets ---
 
 
+def calib_header(shape: tuple[int, int]) -> bytes:
+    """The ERCC header of a calibration set of ``shape`` (rows, cols): magic, version, rows,
+    cols. The f64 payload follows it."""
+    return _CALIB_HEADER.pack(CALIB_MAGIC, CALIB_VERSION, *shape)
+
+
 def save_calibration(calib: CalibrationSet, path: str | Path) -> None:
-    """Binary container: ERCC magic, version, rows, cols, then f64 payload."""
+    """Binary container: :func:`calib_header`, then the f64 payload."""
     samples = np.ascontiguousarray(calib.samples, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(_CALIB_HEADER.pack(CALIB_MAGIC, CALIB_VERSION, *samples.shape))
+        fh.write(calib_header(samples.shape))
         fh.write(samples.data)  # the payload straight from the array, not a copy of it
 
 
@@ -435,14 +441,9 @@ def plan_header(plan: CompressionPlan, tool: dict | None, config: dict | None) -
     }
 
 
-def save_plan(
-    plan: CompressionPlan,
-    path: str | Path,
-    tool: dict | None = None,
-    config: dict | None = None,
-) -> None:
-    """Deterministic JSON. Failed candidates carry null for final_error."""
-    doc = {
+def plan_document(plan: CompressionPlan, tool: dict | None, config: dict | None) -> dict:
+    """``plan.json``'s document for ``plan``. Failed candidates carry null for final_error."""
+    return {
         "format": PLAN_FORMAT,
         "version": PLAN_VERSION,
         **plan_header(plan, tool, config),
@@ -457,12 +458,26 @@ def save_plan(
             for row in plan.candidate_table
         ],
     }
-    Path(path).write_text(_dump_json(doc))
+
+
+def save_plan(
+    plan: CompressionPlan,
+    path: str | Path,
+    tool: dict | None = None,
+    config: dict | None = None,
+) -> None:
+    """Deterministic JSON: :func:`plan_document`."""
+    Path(path).write_text(_dump_json(plan_document(plan, tool, config)))
 
 
 def load_plan(path: str | Path) -> CompressionPlan:
-    doc = _load_json(Path(path), PLAN_FORMAT, PLAN_VERSION)
-    where = str(path)
+    return plan_from_document(_load_json(Path(path), PLAN_FORMAT, PLAN_VERSION), str(path))
+
+
+def plan_from_document(doc: dict, where: str) -> CompressionPlan:
+    """The plan a :func:`plan_document` holds, each float as it was written; ``where`` names
+    the document in a :class:`~resvd.errors.FormatError` for a missing key or a field of the
+    wrong type."""
     rows = []
     for i, rdoc in enumerate(_require_objects(doc, "candidates", where)):
         at = f"{where} candidates[{i}]"

@@ -25,15 +25,7 @@ import tempfile
 from pathlib import Path
 
 from .calibration import CalibrationSet, RowFile
-from .containers import (
-    _CALIB_HEADER,
-    CALIB_MAGIC,
-    CALIB_VERSION,
-    _parse_csv,
-    cache_dir,
-    evict,
-    load_calibration,
-)
+from .containers import _parse_csv, cache_dir, calib_header, evict, load_calibration
 from .errors import FormatError
 
 MAX_ENTRIES = 8
@@ -77,7 +69,7 @@ def parse(path: str | Path, entry: Path | None) -> CalibrationSet:
         _parse_csv(path, rows)
         return CalibrationSet(file=rows)
     try:
-        rows = RowFile(tmp, fd, _CALIB_HEADER.size, (0, 0))
+        rows = RowFile(tmp, fd, len(calib_header((0, 0))), (0, 0))
         try:
             digest = _parse_csv(path, rows)
         except OSError as exc:
@@ -85,7 +77,7 @@ def parse(path: str | Path, entry: Path | None) -> CalibrationSet:
                 raise
             return parse(path, None)  # the cache only saves time: no load fails on its account
         with contextlib.suppress(OSError):
-            os.pwrite(fd, _CALIB_HEADER.pack(CALIB_MAGIC, CALIB_VERSION, *rows.shape), 0)
+            os.pwrite(fd, calib_header(rows.shape), 0)
             os.replace(tmp, named := entry_for(digest))  # readers see no part of an entry
             tmp, rows.path = None, named
             evict(named.parent, (".ercc", ".tmp"), MAX_ENTRIES)

@@ -2,35 +2,34 @@
 is calibrated once, and scanned once per ratio, beta and step.
 
 :func:`resvd.planner.calibrate`'s pass depends on the model and the
-calibration rows alone, never on a ratio, beta, step or output dtype. An
-entry holds what the pass returns: each layer's reference norm, ``U`` and
-sigma of each whitened matrix of the last ``T`` layers, and the model's
-output rows. It lives in :func:`resvd.containers.cache_dir` beside the CSV
-entries, named by the sha256 :func:`key` of everything the pass reads or
-that can change its bits: this package's source files, the numpy version,
-the BLAS thread and kernel settings, the CPU count and identity, every
-layer, the row blocks and the calibration rows in use. So two checkouts,
-two thread counts or two kinds of CPU never read each other's entries.
+calibration rows alone, never on a ratio, beta, step or output dtype. A
+state entry holds what the pass returns. It lives in
+:func:`resvd.containers.cache_dir` beside the CSV entries, named by the
+sha256 :func:`key` of everything the pass reads or that can change its
+bits: this package's source files, the numpy version, the BLAS thread and
+kernel settings, the CPU count and identity, every layer, the row blocks
+and the calibration rows in use. So two checkouts, two thread counts or two
+kinds of CPU never read each other's entries. Beside a state, a plan entry
+(:func:`plan_entry`) keeps what :func:`resvd.planner.plan`'s scan found on
+it for one ratio, beta and step, so a plan that hits runs no pass, no
+factoring and no trial.
 
-An entry is a header, :data:`HEADER`, then little-endian float64: the
-``N`` reference norms; ``U`` (``m x p``, row-major) then sigma (``p``) of
-each matrix of the last ``T`` layers in forward order; the ``S x W`` output
-rows. The header holds the magic ``ERCS``, :data:`VERSION`, ``T``, ``S``,
-``W`` and the sha256 of the header's other fields and the payload, so an
-entry of the wrong size or with any byte changed is a miss. A hit reads the
-norms and the ``U`` and sigma of the tail asked for into arrays, and the
-scan reads the output rows block by block from the entry, so it needs no
-spill under ``TMPDIR``.
-
-Beside a state, a plan entry keeps what :func:`resvd.planner.plan`'s scan
-found on it for one ratio, beta and step, which is all the scan reads
-besides the state's inputs. It is named by :func:`plan_entry` and holds a
-header, :data:`PLAN_HEADER` (the magic ``ERCP``, :data:`PLAN_VERSION`, the
-table's byte count and the sha256 of those and the payload), then the
-candidate table and the winning ``k`` as UTF-8 JSON with floats as
-``float.hex``, then ``u_hat`` and ``v_hat`` of each matrix of the
-winner's last ``k`` layers in forward order, little-endian float64. A
-plan that hits runs no pass, no factoring and no trial.
+Both kinds have one layout, written by :func:`_publish` and read by
+:func:`_read`: :data:`HEADER` (the magic ``ERCS``, :data:`VERSION`, the
+descriptor's byte count and the sha256 of those and all that follows), a
+UTF-8 JSON descriptor whose ``"shapes"`` lists the arrays that follow, then
+those arrays, little-endian float64. A state's descriptor is ``{"tail": T,
+"shapes": ...}``; its arrays are the ``N`` reference norms, ``U`` then
+sigma of each whitened matrix of the last ``T`` layers in forward order, and
+the ``S x W`` output rows. A plan's is the ``plan.json`` document
+(:func:`resvd.containers.plan_document`), whose JSON gives each float back
+bit for bit, plus ``"shapes"``; its arrays are ``u_hat`` then ``v_hat`` of
+each matrix of the winner's last ``k`` layers in forward order. An entry
+whose shapes are not those the model implies, or whose size is not theirs,
+is a miss before any array is allocated; one with any byte changed is a
+miss too. A state hit reads the norms and the tail asked for and hashes the
+rest, and the scan reads the output rows block by block from the entry, so
+it needs no spill under ``TMPDIR``.
 
 At most :data:`MAX_ENTRIES` states and :data:`MAX_PLANS` plans are kept,
 dropped oldest by mtime first, and a hit renews its entry's; a state of
@@ -48,41 +47,35 @@ from __future__ import annotations
 import contextlib
 import errno
 import hashlib
+import itertools
 import json
+import math
 import os
 import struct
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .calibration import CalibrationSet, RowFile
 from .compensation import WhitenedWeight
-from .containers import cache_dir, evict
-from .errors import CompressionError, FormatError
+from .containers import cache_dir, evict, plan_document, plan_from_document
+from .errors import FormatError
 from .linalg import FactorPair, as_matrix
 from .model import Layer, MatrixEntry, SequentialModel, Workspace
 from .planner import CandidateResult, CompressionPlan, PlannerConfig
 
 MAX_ENTRIES = 4
+MAX_PLANS = 8
 MAX_BYTES = 64 << 20
 
 MAGIC = b"ERCS"
-VERSION = 1
-# magic, version, tail T, rows S, width W; then the sha256 of those and the payload
-_FIELDS = struct.Struct("<4sIIQQ")
+VERSION = 2
+# magic, version, the descriptor's byte count; then the sha256 of those and all that follows
+_FIELDS = struct.Struct("<4sIQ")
 HEADER = struct.Struct(_FIELDS.format + "32s")
-_SUFFIXES = (".ercs", ".ercs-tmp")  # an entry's, a temporary file's
-
-MAX_PLANS = 8
-PLAN_MAGIC = b"ERCP"
-PLAN_VERSION = 1
-# magic, version, the table's byte count; then the sha256 of those and the payload
-_PLAN_FIELDS = struct.Struct("<4sIQ")
-PLAN_HEADER = struct.Struct(_PLAN_FIELDS.format + "32s")
-_PLAN_SUFFIXES = (".ercp", ".ercp-tmp")
 
 # The BLAS reads these to pick its thread count and kernels, which can change a product's bits.
 BLAS_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -94,6 +87,7 @@ CPU_FIELDS = ("vendor_id", "cpu family", "model", "model name", "stepping", "fla
 
 Parts = tuple[dict[str, WhitenedWeight], tuple[float, ...], RowFile]
 Found = tuple[int, tuple[CandidateResult, ...], dict[str, FactorPair]]
+Arrays = list[tuple[list[int], bool]]  # each array's shape in an entry, and whether it is read
 
 
 def _sources() -> Iterator[tuple[str, bytes]]:
@@ -161,8 +155,9 @@ def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
     before any key is hashed: no such state is ever read or written, so a key would only read
     the rows once more."""
     directory = cache_dir()
-    if directory is None or calib.input_dim != model.input_dim \
-            or HEADER.size + 8 * _floats(model, k, calib.num_samples) > MAX_BYTES:
+    if directory is None or calib.input_dim != model.input_dim or _size(
+            {"tail": k, "shapes": [s for s, _ in _arrays(model, k, calib.num_samples, k)]}
+    ) > MAX_BYTES:
         return None
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -178,10 +173,20 @@ def _tail(model: SequentialModel, tail: int) -> Iterator[tuple[int, Layer, Matri
             yield i, model.layers[i], e
 
 
-def _floats(model: SequentialModel, tail: int, rows: int) -> int:
-    """How many float64 values the payload of a ``tail``-layer state of ``rows`` rows holds."""
-    matrices = sum((e.rows + 1) * min(e.rows, e.cols) for _, _, e in _tail(model, tail))
-    return model.n_layers + matrices + rows * model.layers[-1].output_dim
+def _arrays(model: SequentialModel, tail: int, rows: int, k: int) -> Arrays:
+    """The shape of each array of a ``tail``-layer state of ``rows`` rows, in order, with whether
+    a load of the last ``k`` layers reads it: the norms, ``U`` and sigma of each matrix, the
+    output rows."""
+    arrays = [([model.n_layers], True)]
+    for i, _, e in _tail(model, tail):
+        p, read = min(e.rows, e.cols), i >= model.n_layers - k
+        arrays += [([e.rows, p], read), ([p], read)]
+    return arrays + [([rows, model.layers[-1].output_dim], False)]
+
+
+def _size(doc: dict) -> int:
+    """The byte count of the entry of descriptor ``doc``."""
+    return HEADER.size + len(json.dumps(doc).encode()) + 8 * sum(map(math.prod, doc["shapes"]))
 
 
 def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> Parts | None:
@@ -195,81 +200,87 @@ def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> P
     except OSError:
         return None
     output = RowFile(entry, fd, 0, (0, 0))  # owns fd from here on
+    rows, width = ws.blocks[-1].stop, model.layers[-1].output_dim
+
+    def expect(doc: dict) -> Arrays | None:
+        tail = doc.get("tail")
+        if type(tail) is not int or not k <= tail <= model.n_layers:
+            return None
+        return _arrays(model, tail, rows, k)
+
     try:
-        parts = _read(output, model, k, ws)
+        found = _read(fd, expect, memoryview(ws.free(ws.rows, width)).cast("B"))
     except OSError:  # removed, cut short or unreadable: calibrate
-        parts = None
-    if parts is None:
+        found = None
+    if found is None:
         output.close()
         return None
+    norms, *arrays, output.offset = found[1]
+    arrays = iter(a for a in arrays if isinstance(a, np.ndarray))  # the last k layers' U, sigma
+    whitened = {}
+    for _, layer, e in _tail(model, k):
+        name = f"{layer.name}/{e.name}"
+        whitened[name] = WhitenedWeight(as_matrix(e.dense, name), next(arrays), next(arrays))
+    output.shape = (rows, width)
     with contextlib.suppress(OSError):
         os.utime(entry)  # a hit is a use, so eviction spares it longest
-    return parts
-
-
-def _read(output: RowFile, model: SequentialModel, k: int, ws: Workspace) -> Parts | None:
-    """:func:`load`'s parts from the entry open in ``output``, pointing ``output`` at its rows.
-
-    The header is checked first; then the whole payload is read once, the
-    norms and the last ``k`` layers' ``U`` and sigma into arrays, the rest
-    through one of ``ws``'s free buffers, and all of it hashed.
-    """
-    fd = output._fd
-    head = os.pread(fd, HEADER.size, 0)
-    if len(head) != HEADER.size:
-        return None
-    magic, version, tail, rows, width, want = HEADER.unpack(head)
-    if (magic, version) != (MAGIC, VERSION) or not k <= tail <= model.n_layers \
-            or width != model.layers[-1].output_dim \
-            or os.fstat(fd).st_size != HEADER.size + 8 * _floats(model, tail, rows):
-        return None
-    digest = hashlib.sha256(head[: _FIELDS.size])
-    scratch = memoryview(ws.free(ws.rows, width)).cast("B")
-    norms = np.empty(model.n_layers)
-    at = _read_into(fd, norms, HEADER.size, digest)
-    whitened = {}
-    for i, layer, e in _tail(model, tail):
-        m, p = e.rows, min(e.rows, e.cols)
-        if i < model.n_layers - k:  # a layer the caller does not ask for
-            at = _skip(fd, 8 * (m + 1) * p, at, scratch, digest)
-            continue
-        u, sigma = np.empty((m, p)), np.empty(p)
-        at = _read_into(fd, sigma, _read_into(fd, u, at, digest), digest)
-        name = f"{layer.name}/{e.name}"
-        whitened[name] = WhitenedWeight(as_matrix(e.dense, name), u, sigma)
-    output.offset, output.shape = at, (rows, width)
-    _skip(fd, 8 * rows * width, at, scratch, digest)
-    if digest.digest() != want:
-        return None
     return whitened, tuple(float(v) for v in norms), output
 
 
-def _read_into(fd: int, out: np.ndarray, at: int, digest) -> int:
-    """Fill ``out`` from byte ``at`` of ``fd`` and hash what was read; where it ends."""
-    view = memoryview(out).cast("B")
-    at = _fill(fd, view, at)
-    digest.update(view)
-    if sys.byteorder == "big":
-        out.byteswap(inplace=True)
-    return at
+def _read(fd: int, expect: Callable[[dict], Arrays | None],
+          scratch: memoryview | None = None) -> tuple[dict, list[np.ndarray | int]] | None:
+    """The descriptor of the entry open at ``fd`` and each of its arrays; None when the entry is
+    not one this version wrote whole, or ``expect`` refuses it.
+
+    ``expect(descriptor)`` gives the shape each array must have, with whether to read it, or
+    None. Each array read is a native float64 array; each other is the byte offset where it
+    starts, and its bytes are hashed through ``scratch``. The descriptor's byte count is checked
+    against the file's size before the descriptor is read, and the shapes and the size they
+    take before any array is allocated. Every byte is read and hashed once.
+    """
+    head = os.pread(fd, HEADER.size, 0)
+    if len(head) != HEADER.size:
+        return None
+    magic, version, size, want = HEADER.unpack(head)
+    end = os.fstat(fd).st_size
+    if (magic, version) != (MAGIC, VERSION) or not HEADER.size + size <= end <= MAX_BYTES:
+        return None
+    digest = hashlib.sha256(head[: _FIELDS.size])
+    text = bytearray(size)
+    at = _fill(fd, memoryview(text), HEADER.size, digest)
+    try:
+        doc = json.loads(text.decode())
+    except ValueError:  # not UTF-8, or not JSON
+        return None
+    arrays = expect(doc) if isinstance(doc, dict) else None
+    if arrays is None or doc.get("shapes") != [shape for shape, _ in arrays] \
+            or end != at + 8 * sum(math.prod(shape) for shape, _ in arrays):
+        return None
+    parts = []
+    for shape, read in arrays:
+        if read:
+            parts.append(np.empty(shape))
+            views = [memoryview(parts[-1]).cast("B")]
+        else:
+            parts.append(at)
+            nbytes = 8 * math.prod(shape)
+            views = (scratch[: nbytes - i] for i in range(0, nbytes, len(scratch)))
+        for view in views:
+            at = _fill(fd, view, at, digest)
+        if read and sys.byteorder == "big":
+            parts[-1].byteswap(inplace=True)
+    return (doc, parts) if digest.digest() == want else None
 
 
-def _skip(fd: int, nbytes: int, at: int, scratch: memoryview, digest) -> int:
-    """Hash ``nbytes`` from byte ``at`` of ``fd``, read through ``scratch``; where they end."""
-    end = at + nbytes
-    while at < end:
-        view = scratch[: min(len(scratch), end - at)]
-        at = _fill(fd, view, at)
-        digest.update(view)
-    return end
-
-
-def _fill(fd: int, view: memoryview, at: int) -> int:
+def _fill(fd: int, view: memoryview, at: int, digest) -> int:
+    """Fill ``view`` from byte ``at`` of ``fd`` and hash it; where it ends."""
+    full = view
     while view:
         n = os.preadv(fd, [view], at)
         if n == 0:
             raise OSError(errno.EIO, "cache entry ends early")
         view, at = view[n:], at + n
+    digest.update(full)
     return at
 
 
@@ -282,37 +293,37 @@ def save(entry: Path | None, tail: int, parts: Parts, ws: Workspace) -> None:
         return
     whitened, norms, output = parts
     rows, width = output.shape
-
-    def write(fd: int) -> bytes:
-        fields = _FIELDS.pack(MAGIC, VERSION, tail, rows, width)
-        digest = hashlib.sha256(fields)
-        at = _write(fd, _bytes(np.array(norms)), HEADER.size, digest)
-        for weight in whitened.values():
-            at = _write(fd, _bytes(weight.sigma), _write(fd, _bytes(weight.u), at, digest), digest)
-        for block in ws.blocks:
-            n = block.stop - block.start
-            at = _write(fd, _bytes(output.read(block.start, ws.free(n, width))), at, digest)
-        return fields + digest.digest()
-
-    _publish(entry, _SUFFIXES, MAX_ENTRIES, write)
+    arrays = [np.array(norms), *(a for w in whitened.values() for a in (w.u, w.sigma))]
+    blocks = (output.read(b.start, ws.free(b.stop - b.start, width)) for b in ws.blocks)
+    _publish(entry, {"tail": tail, "shapes": [list(a.shape) for a in arrays] + [[rows, width]]},
+             itertools.chain(arrays, blocks))
 
 
-def _publish(entry: Path, suffixes: tuple[str, str], keep: int,
-             write: Callable[[int], bytes]) -> None:
-    """Make the file ``entry``: ``write(fd)`` writes the payload of a file under a temporary
-    name and returns its header, written last at byte 0, and the file is then renamed, so
-    readers see no part of one. Then only the newest ``keep`` files of ``suffixes`` are kept.
-    A failure leaves no file behind and fails nothing: the cache only saves time."""
+def _publish(entry: Path, doc: dict, arrays: Iterable[np.ndarray]) -> None:
+    """Make the file ``entry`` of descriptor ``doc`` and the payload ``arrays``, unless it is
+    over :data:`MAX_BYTES`: written under a temporary name, its header last at byte 0, and then
+    renamed, so readers see no part of one. Then only the newest :data:`MAX_PLANS` plans or
+    :data:`MAX_ENTRIES` states, by ``entry``'s suffix, are kept. A failure leaves no file
+    behind and fails nothing: the cache only saves time."""
+    if _size(doc) > MAX_BYTES:
+        return
+    descriptor = json.dumps(doc).encode()
+    suffixes = (entry.suffix, f"{entry.suffix}-tmp")  # an entry's, a temporary file's
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(suffix=suffixes[1], dir=entry.parent)
         try:
-            os.pwrite(fd, write(fd), 0)
+            fields = _FIELDS.pack(MAGIC, VERSION, len(descriptor))
+            digest = hashlib.sha256(fields)
+            at = _write(fd, descriptor, HEADER.size, digest)
+            for a in arrays:
+                at = _write(fd, _bytes(a), at, digest)
+            os.pwrite(fd, fields + digest.digest(), 0)
         finally:
             os.close(fd)
         os.replace(tmp, entry)
         tmp = None
-        evict(entry.parent, suffixes, keep)
+        evict(entry.parent, suffixes, MAX_PLANS if entry.suffix == ".ercp" else MAX_ENTRIES)
     except (OSError, FormatError):
         pass
     finally:
@@ -336,7 +347,7 @@ def plan_entry(state: Path | None, cfg: PlannerConfig) -> Path | None:
     state entry is named, so a plan is kept only beside a state that could be."""
     if state is None:
         return None
-    name = (f"{state.name}\nplan {PLAN_VERSION}\nratio {cfg.overall_ratio.hex()} "
+    name = (f"{state.name}\nplan {VERSION}\nratio {cfg.overall_ratio.hex()} "
             f"beta {cfg.beta.hex()} step {cfg.step}\n")
     return state.parent / f"plan-{hashlib.sha256(name.encode()).hexdigest()}.ercp"
 
@@ -347,50 +358,41 @@ def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
     holds none."""
     if entry is None:
         return None
+
+    def expect(doc: dict) -> Arrays | None:
+        k = doc.get("k")
+        if type(k) is not int or not 1 <= k < model.n_layers:
+            return None
+        tail = [e for _, _, e in _tail(model, k)]
+        try:  # each pair's rank is the second extent of its u_hat
+            ranks = [u[1] for u in doc["shapes"][::2]]
+        except (KeyError, TypeError, IndexError):
+            return None
+        if len(ranks) != len(tail) or not all(
+                type(r) is int and 1 <= r <= min(e.rows, e.cols) for e, r in zip(tail, ranks)):
+            return None
+        return [(shape, True) for e, r in zip(tail, ranks) for shape in ([e.rows, r], [r, e.cols])]
+
     try:
-        with open(entry, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size > MAX_BYTES:  # never written so: read none of it
-                return None
-            data = fh.read()
+        fd = os.open(entry, os.O_RDONLY)
     except OSError:  # missing, a directory or unreadable: scan
         return None
-    if len(data) < PLAN_HEADER.size:
-        return None
-    magic, version, size, want = PLAN_HEADER.unpack_from(data)
-    digest = hashlib.sha256(data[: _PLAN_FIELDS.size])
-    digest.update(memoryview(data)[PLAN_HEADER.size :])
-    if (magic, version) != (PLAN_MAGIC, PLAN_VERSION) or digest.digest() != want:
-        return None
-    at = PLAN_HEADER.size + size
     try:
-        doc = json.loads(data[PLAN_HEADER.size : at])
-        k = doc["k"]
-        table = tuple(CandidateResult(k=int(c), layer_ratio=float.fromhex(ratio),
-                                      final_error=float.fromhex(error), status=status,
-                                      reason=reason)
-                      for c, ratio, error, status, reason in doc["candidates"])
-        if not 1 <= k < model.n_layers or (k, "ok") not in {(row.k, row.status) for row in table}:
-            return None
-        pairs = {}
-        for (_, layer, e), r in zip(_tail(model, k), doc["ranks"], strict=True):
-            u, at = _array(data, at, (e.rows, r))
-            v, at = _array(data, at, (r, e.cols))
-            pairs[f"{layer.name}/{e.name}"] = FactorPair(u_hat=u, v_hat=v)
-    except (ValueError, KeyError, TypeError, CompressionError):  # not this version's table
+        found = _read(fd, expect)
+        chosen = None if found is None else plan_from_document(found[0], str(entry))
+    except (OSError, FormatError):
         return None
-    if at != len(data):
+    finally:
+        os.close(fd)
+    if chosen is None or (chosen.k, "ok") not in {(row.k, row.status)
+                                                  for row in chosen.candidate_table}:
         return None
+    arrays = found[1]
+    pairs = {f"{layer.name}/{e.name}": FactorPair(u_hat=u, v_hat=v)
+             for (_, layer, e), u, v in zip(_tail(model, chosen.k), arrays[::2], arrays[1::2])}
     with contextlib.suppress(OSError):
         os.utime(entry)  # a hit is a use, so eviction spares it longest
-    return k, table, pairs
-
-
-def _array(data: bytes, at: int, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """The little-endian float64 array of ``shape`` at byte ``at`` of ``data``, as a native
-    array of its own; where it ends."""
-    count = shape[0] * shape[1]
-    a = np.frombuffer(data, dtype="<f8", count=count, offset=at)
-    return a.astype(np.float64).reshape(shape), at + 8 * count
+    return chosen.k, chosen.candidate_table, pairs
 
 
 def save_plan(entry: Path | None, chosen: CompressionPlan) -> None:
@@ -398,23 +400,7 @@ def save_plan(entry: Path | None, chosen: CompressionPlan) -> None:
     entry at ``entry``, unless the entry would be over :data:`MAX_BYTES`."""
     if entry is None:
         return
-    pairs = [e.factors for layer in chosen.compressed.layers[-chosen.k :] for e in layer.entries]
-    table = json.dumps({
-        "k": chosen.k,
-        "candidates": [[row.k, row.layer_ratio.hex(), row.final_error.hex(), row.status,
-                        row.reason] for row in chosen.candidate_table],
-        "ranks": [pair.rank for pair in pairs],
-    }).encode()
-    if PLAN_HEADER.size + len(table) + 8 * sum(p.u_hat.size + p.v_hat.size for p in pairs) \
-            > MAX_BYTES:
-        return
-
-    def write(fd: int) -> bytes:
-        fields = _PLAN_FIELDS.pack(PLAN_MAGIC, PLAN_VERSION, len(table))
-        digest = hashlib.sha256(fields)
-        at = _write(fd, table, PLAN_HEADER.size, digest)
-        for pair in pairs:
-            at = _write(fd, _bytes(pair.v_hat), _write(fd, _bytes(pair.u_hat), at, digest), digest)
-        return fields + digest.digest()
-
-    _publish(entry, _PLAN_SUFFIXES, MAX_PLANS, write)
+    arrays = [a for layer in chosen.compressed.layers[-chosen.k :] for e in layer.entries
+              for a in (e.factors.u_hat, e.factors.v_hat)]
+    _publish(entry, {**plan_document(chosen, None, None),
+                     "shapes": [list(a.shape) for a in arrays]}, arrays)

@@ -81,6 +81,25 @@ def mlp(rng, n_layers=4, width=10) -> SequentialModel:
         for i in range(n_layers)))
 
 
+def rehashed(data: bytes, damage: str) -> bytearray:
+    """The entry ``data`` with its descriptor's byte count past the end of the file, or with each
+    shape its descriptor lists reversed, so the arrays take the same bytes; hashed again, so
+    only the reader's own checks of the count and the shapes can refuse it."""
+    header, fields = resvd.state_cache.HEADER, resvd.state_cache._FIELDS
+    magic, version, size, _ = header.unpack_from(data)
+    descriptor, payload = data[header.size : header.size + size], data[header.size + size :]
+    if damage == "a descriptor past the end":
+        size = 1 << 62
+    else:
+        doc = json.loads(descriptor)
+        doc["shapes"] = [shape[::-1] for shape in doc["shapes"]]
+        descriptor = json.dumps(doc).encode()
+        size = len(descriptor)
+    head = fields.pack(magic, version, size)
+    return bytearray(head + hashlib.sha256(head + descriptor + payload).digest() + descriptor
+                     + payload)
+
+
 def flipped(a: np.ndarray, at: int) -> np.ndarray:
     """``a`` with the lowest bit of its ``at``-th value flipped."""
     out = a.copy()
@@ -205,7 +224,8 @@ class TestMisses:
 
 class TestDamage:
     @pytest.mark.parametrize("damage", ["truncated", "a payload byte", "a header byte",
-                                        "zero-length", "a directory"])
+                                        "zero-length", "a directory",
+                                        "a descriptor past the end", "other shapes"])
     def test_a_damaged_entry_gives_the_same_bytes_again(self, tmp_path, capsys, demo, passes,
                                                         damage):
         out = tmp_path / "out"
@@ -218,9 +238,11 @@ class TestDamage:
         elif damage == "a payload byte":
             data[len(data) // 3] ^= 0x40
         elif damage == "a header byte":
-            data[9] ^= 1  # the tail T
+            data[9] ^= 1  # the descriptor's byte count
         elif damage == "zero-length":
             data = b""
+        elif damage in ("a descriptor past the end", "other shapes"):
+            data = rehashed(data, damage)
         if damage == "a directory":
             entry.unlink()
             entry.mkdir()
@@ -387,7 +409,8 @@ class TestPlanEntries:
         assert dir_bytes(out) == hit and factorings
 
     @pytest.mark.parametrize("damage", ["truncated", "a payload byte", "a header byte",
-                                        "zero-length", "a directory", "another version"])
+                                        "zero-length", "a directory", "another version",
+                                        "a descriptor past the end", "other shapes"])
     def test_a_damaged_entry_is_a_miss_with_the_same_bytes(self, tmp_path, capsys, demo,
                                                            factorings, damage):
         out = tmp_path / "out"
@@ -395,7 +418,7 @@ class TestPlanEntries:
         want = dir_bytes(out)
         [entry] = plans()
         data = bytearray(entry.read_bytes())
-        header = resvd.state_cache.PLAN_HEADER
+        header = resvd.state_cache.HEADER
         if damage == "truncated":
             data = data[: len(data) - 8]
         elif damage == "a payload byte":
@@ -404,11 +427,13 @@ class TestPlanEntries:
             data[8] ^= 1  # the table's byte count
         elif damage == "zero-length":
             data = b""
-        elif damage == "another version":  # a well-formed entry, hashed, of version 2
+        elif damage == "another version":  # a well-formed entry, hashed, of the next version
             magic, version, size, _ = header.unpack_from(data)
-            fields = resvd.state_cache._PLAN_FIELDS.pack(magic, version + 1, size)
+            fields = resvd.state_cache._FIELDS.pack(magic, version + 1, size)
             digest = hashlib.sha256(fields + data[header.size:]).digest()
             data[: header.size] = fields + digest
+        elif damage in ("a descriptor past the end", "other shapes"):
+            data = rehashed(data, damage)
         if damage == "a directory":
             entry.unlink()
             entry.mkdir()
