@@ -15,12 +15,13 @@ float64, like a Gram matrix that is not positive definite, raise
 from __future__ import annotations
 
 import copy
+import errno
 import math
 import os
 import sys
 import tempfile
 import weakref
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -89,6 +90,19 @@ class RowFile:
                 view, at = view[n:], at + n
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, self.path) from exc
+
+    def pieces(self, buf: memoryview, at: int, end: int) -> Iterator[memoryview]:
+        """Bytes ``at`` to ``end`` of the file, through ``buf``: each piece fills it, or holds
+        the rest of the range, and the next piece overwrites it. An ``OSError`` naming the path
+        when the file ends first."""
+        while at < end:
+            piece = view = buf[: end - at]
+            while view:
+                n = os.preadv(self._fd, [view], at)
+                if n == 0:
+                    raise OSError(errno.EIO, "file ends early", self.path)
+                view, at = view[n:], at + n
+            yield piece
 
     def read(self, start: int, out: np.ndarray) -> np.ndarray:
         """Rows ``start`` to ``start + len(out)`` into the C-contiguous float64 ``out``.

@@ -7,8 +7,12 @@ binary container (magic ``ERCC``) or bare numeric CSV. Plans and error
 reports are deterministic JSON and CSV. A loaded ERCC file is checked and
 then read block by block as each pass needs its rows, so no command holds
 the calibration set; a CSV is parsed only the first time it is loaded, and
-every load reads the ERCC entry the parse writes (see
+a later load reads the cache entry the parse left (see
 :mod:`resvd.csv_cache`). No pass writes calibration rows.
+
+Every cache entry, a parsed CSV's, a calibrated state's or a plan's, has
+one layout, written by :func:`publish_entry` and read, its sha256 checked,
+by :func:`read_entry` (see :mod:`resvd.csv_cache`, :mod:`resvd.state_cache`).
 
 No input is read through the locale: a CSV is parsed as bytes, lines
 ending at ``\n``, and ``manifest.json`` and ``plan.json`` are decoded as
@@ -23,11 +27,15 @@ loaded from f32 files and saved with ``dtype="f32"`` is byte-identical.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
 import struct
+import sys
+import tempfile
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +58,11 @@ _NP_DTYPE = {"f64": "<f8", "f32": "<f4"}
 STORE_DTYPES = tuple(_NP_DTYPE)
 
 ERROR_CSV_HEADER = "layer_index,relative_error"
+
+# The longest CSV token, whitespace around it included, that a parse hands to ``float``; a
+# longer one is not numeric. ``float``'s message for a token it rejects is the token's repr, up
+# to 4 bytes a byte, so this bounds what a faulty token costs beyond its line.
+MAX_TOKEN_BYTES = READ_CHUNK_BYTES // 4
 
 
 def _dump_json(doc: dict) -> str:
@@ -320,53 +333,191 @@ def cache_dir() -> Path | None:
     return Path(base, "resvd")
 
 
-def evict(directory: Path, suffixes: tuple[str, ...], keep: int) -> None:
-    """Keep only the newest ``keep`` files of ``directory`` whose suffix is in ``suffixes``,
-    by mtime; each cache names its entries and temporary files by suffixes of its own."""
-    files = []
-    for path in directory.iterdir():
-        if path.suffix in suffixes:
-            with contextlib.suppress(OSError):  # another process may remove it first
-                files.append((path.stat().st_mtime_ns, path))
-    for _, path in sorted(files)[:-keep]:
-        with contextlib.suppress(OSError):
-            path.unlink()
+# --- cache entries ---
+
+# Every cache entry: ENTRY_FIELDS (magic, version, the descriptor's byte count), the sha256 of
+# those and all that follows, a UTF-8 JSON descriptor whose "shapes" lists the arrays that
+# follow, then those arrays, little-endian float64.
+ENTRY_MAGIC = b"ERCS"
+ENTRY_VERSION = 2
+ENTRY_FIELDS = struct.Struct("<4sIQ")
+ENTRY_HEADER = struct.Struct(ENTRY_FIELDS.format + "32s")
+
+Arrays = list[tuple[list[int], bool]]  # each array's shape in an entry, and whether it is read
+
+
+def f64_bytes(a: np.ndarray) -> memoryview:
+    """The bytes of ``a`` as little-endian float64, row-major."""
+    return memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
+
+
+def entry_size(doc: dict) -> int:
+    """The byte count of the entry of descriptor ``doc``."""
+    shapes = doc["shapes"]
+    return ENTRY_HEADER.size + len(json.dumps(doc).encode()) + 8 * sum(map(math.prod, shapes))
+
+
+def read_entry(entry: Path | None, expect: Callable[[dict], Arrays | None], limit: int | None,
+               scratch: memoryview | None = None
+               ) -> tuple[RowFile, dict, list[np.ndarray | int]] | None:
+    """The entry at ``entry`` as a :class:`~resvd.calibration.RowFile` owning its descriptor,
+    its JSON descriptor and each of its arrays; None when there is none, or it is not one this
+    version wrote whole, is over ``limit`` bytes, or ``expect`` refuses it. A hit renews the
+    entry's mtime, so eviction spares it longest.
+
+    ``expect(descriptor)`` gives the shape of each array, with whether to read it, or None. An
+    array read is a native float64 array; one not read is the byte offset where it starts, and
+    is hashed through ``scratch``. The descriptor's byte count is checked against the file's
+    size before it is read, and the shapes and their size before any array is allocated.
+    """
+    import hashlib  # here, so only a command that uses the cache maps OpenSSL
+
+    if entry is None:
+        return None
+    try:
+        fd = os.open(entry, os.O_RDONLY)
+        rows = RowFile(entry, fd, 0, (0, 0))  # owns fd from here on, and closes it on a miss
+        head = os.pread(fd, ENTRY_HEADER.size, 0)
+        if len(head) != ENTRY_HEADER.size:
+            return None
+        magic, version, size, want = ENTRY_HEADER.unpack(head)
+        end = os.fstat(fd).st_size
+        if (magic, version) != (ENTRY_MAGIC, ENTRY_VERSION) or ENTRY_HEADER.size + size > end \
+                or limit is not None and end > limit:
+            return None
+        digest, at = hashlib.sha256(head[: ENTRY_FIELDS.size]), ENTRY_HEADER.size + size
+        text = bytearray(size)
+        for piece in rows.pieces(memoryview(text), ENTRY_HEADER.size, at):
+            digest.update(piece)
+        try:
+            doc = json.loads(text.decode())
+        except ValueError:  # not UTF-8, or not JSON
+            return None
+        arrays = expect(doc) if isinstance(doc, dict) else None
+        if arrays is None or doc.get("shapes") != [shape for shape, _ in arrays] \
+                or end != at + 8 * sum(math.prod(shape) for shape, _ in arrays):
+            return None
+        parts = []
+        for shape, read in arrays:
+            parts.append(np.empty(shape) if read else at)
+            buf = memoryview(parts[-1]).cast("B") if read else scratch
+            start, at = at, at + 8 * math.prod(shape)
+            for piece in rows.pieces(buf, start, at):
+                digest.update(piece)
+            if read and sys.byteorder == "big":
+                parts[-1].byteswap(inplace=True)
+    except OSError:  # missing, a directory, unreadable or cut short
+        return None
+    if digest.digest() != want:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return rows, doc, parts
+
+
+def publish_entry(entry: Path, doc: dict, payload: Iterable[np.ndarray | memoryview],
+                  keep: int, limit: int | None) -> None:
+    """Make the file ``entry`` of descriptor ``doc`` and the ``payload`` that follows it, each
+    piece an array (stored as little-endian float64) or raw bytes, unless it is over ``limit``
+    bytes: written under a temporary name, its header last at byte 0, and then renamed, so
+    readers see no part of one. Then only the newest ``keep`` entries of ``entry``'s suffix, by
+    mtime, are kept. A failure leaves no file behind and fails nothing: the cache only saves
+    time."""
+    import hashlib  # here, so only a command that uses the cache maps OpenSSL
+
+    if limit is not None and entry_size(doc) > limit:
+        return
+    descriptor = json.dumps(doc).encode()
+    suffixes = (entry.suffix, f"{entry.suffix}-tmp")  # an entry's, a temporary file's
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(suffix=suffixes[1], dir=entry.parent)
+        try:
+            fields = ENTRY_FIELDS.pack(ENTRY_MAGIC, ENTRY_VERSION, len(descriptor))
+            digest, at = hashlib.sha256(fields), ENTRY_HEADER.size
+            for piece in itertools.chain([descriptor], payload):
+                view = f64_bytes(piece) if isinstance(piece, np.ndarray) else memoryview(piece)
+                digest.update(view)
+                while view:
+                    n = os.pwrite(fd, view, at)
+                    view, at = view[n:], at + n
+            os.pwrite(fd, fields + digest.digest(), 0)
+        finally:
+            os.close(fd)
+        os.replace(tmp, entry)
+        tmp = None
+        files = []
+        for path in entry.parent.iterdir():
+            if path.suffix in suffixes:
+                with contextlib.suppress(OSError):  # another process may remove it first
+                    files.append((path.stat().st_mtime_ns, path))
+        for _, path in sorted(files)[:-keep]:
+            with contextlib.suppress(OSError):
+                path.unlink()
+    except OSError:
+        pass
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def load_calibration_csv(path: str | Path) -> CalibrationSet:
-    """Parse a bare numeric CSV once, into a file every load reads its rows from.
-
-    A file parsed before is read back from :mod:`resvd.csv_cache`, found by
-    the sha256 of its bytes alone; a miss parses it (:func:`resvd.csv_cache.parse`).
-    """
+    """Parse a bare numeric CSV once, into a file every load reads its rows from: a later load
+    of the same bytes reads the entry the parse left (:func:`resvd.csv_cache.load`)."""
     from . import csv_cache  # only a CSV load compiles and runs the cache
 
-    entry = csv_cache.entry_for(_sha256(path))
-    calib = csv_cache.load(entry)
-    return csv_cache.parse(path, entry) if calib is None else calib
+    return csv_cache.load(path)
 
 
-def _sha256(path: str | Path) -> str:
-    """The sha256 of the file at ``path``, read a block at a time into one buffer."""
+def _sha256(path: str | Path) -> tuple[str, int | None]:
+    """The sha256 of the file at ``path``, read a block at a time into one buffer, and the
+    token count of its first line that holds more than ASCII whitespace, as a parse counts a
+    row's; None for the count when no such line ends within the first block."""
     import hashlib  # here, so only a CSV load maps OpenSSL
 
-    digest, block = hashlib.sha256(), memoryview(bytearray(READ_CHUNK_BYTES))
+    digest, block, width = hashlib.sha256(), bytearray(READ_CHUNK_BYTES), None
     with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(block):
-            digest.update(block[:n])
-    return digest.hexdigest()
+        n = fh.readinto(block)
+        start = 0
+        while width is None and (end := block.find(b"\n", start, n)) >= 0:
+            if line := block[start:end].strip():
+                width = line.count(b",") + 1
+            start = end + 1
+        while n:
+            digest.update(memoryview(block)[:n])
+            n = fh.readinto(block)
+    return digest.hexdigest(), width
 
 
-def _not_numeric(line: bytes) -> str:
-    """``float``'s message for the first token of ``line`` that it rejects, that token cut to
-    its longest prefix whose repr fits in 40 characters, then "...", so no message is long."""
-    for tok in line.split(b","):
+def _not_numeric(toks: list[bytes]) -> str:
+    """``float``'s message for the first of ``toks`` that it rejects, that token cut to its
+    longest prefix whose repr fits in 40 characters, then "...", so no message is long. A token
+    of more than :data:`MAX_TOKEN_BYTES` is rejected unread, with the same wording."""
+    for tok in toks:
         try:
+            if len(tok) > MAX_TOKEN_BYTES:
+                raise ValueError
             float(tok)
         except ValueError:
             keep = next(n for n in range(min(len(tok), 40), -1, -1) if len(repr(tok[:n])) <= 40)
             cut = "..." if keep < len(tok) else ""
             return f"could not convert string to float: {tok[:keep]!r}{cut}"
+
+
+def _lines(fh) -> Iterator[bytes]:
+    """The lines of the binary file ``fh``, each one bytes object: a line of more than
+    :data:`READ_CHUNK_BYTES` is measured first and then read whole, where ``readline`` would
+    join its chunks into a second copy of it."""
+    while line := fh.readline(READ_CHUNK_BYTES):
+        if len(line) == READ_CHUNK_BYTES and not line.endswith(b"\n"):
+            start, line = fh.tell() - len(line), None
+            while (piece := fh.read(READ_CHUNK_BYTES)) and b"\n" not in piece:
+                pass
+            end = fh.tell() - len(piece) + piece.find(b"\n") + 1 if piece else fh.tell()
+            fh.seek(start)
+            line = fh.read(end - start)
+        yield line
 
 
 def _parse_csv(path: str | Path, rows: RowFile) -> str:
@@ -381,20 +532,25 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
     same bytes give the same rows or the same message whatever the locale.
     The file is read :data:`READ_CHUNK_BYTES` at a time and rows are written
     half that many bytes at a time: beyond its longest line, a parse holds
-    less than two of those.
+    less than two of those. No token of more than :data:`MAX_TOKEN_BYTES`
+    reaches ``float``, and a line is held once (:func:`_lines`), so a faulty
+    line costs less than twice its length.
     """
     import hashlib  # here, so only a CSV load maps OpenSSL
 
     digest, block, n = hashlib.sha256(), None, 0  # n rows of block are not yet appended
     with open(path, "rb", buffering=READ_CHUNK_BYTES) as fh:
-        for ln, raw in enumerate(fh, start=1):
+        for ln, raw in enumerate(_lines(fh), start=1):
             digest.update(raw)
             if not (line := raw.strip()):
                 continue
-            try:
-                row = [float(tok) for tok in line.split(b",")]
+            toks = line.split(b",")
+            try:  # a line no longer than a token needs no check of its tokens' length
+                if len(line) > MAX_TOKEN_BYTES and max(map(len, toks)) > MAX_TOKEN_BYTES:
+                    raise ValueError
+                row = [float(tok) for tok in toks]
             except ValueError:
-                raise FormatError(f"{path}:{ln}: not numeric ({_not_numeric(line)})") from None
+                raise FormatError(f"{path}:{ln}: not numeric ({_not_numeric(toks)})") from None
             if block is None:
                 block = np.empty((max(1, READ_CHUNK_BYTES // (16 * len(row))), len(row)))
             if len(row) != block.shape[1]:

@@ -1,36 +1,32 @@
 """Parsed CSV calibrations, kept so that each CSV file is parsed once.
 
-An entry is an ERCC calibration container (see :mod:`resvd.containers`) in
-``$XDG_CACHE_HOME/resvd``, or ``~/.cache/resvd`` when that variable is
-unset. Its name is :data:`FORMAT_TAG` and the sha256 of the CSV's exact
-bytes, so any edit to the file misses, and a hit returns the float64 bits
-the parse produced. The parse reads bytes and no locale
-(:func:`resvd.containers._parse_csv`), so those bits are the ones a parse
-gives on any machine, whichever run filled the entry. At most
-:data:`MAX_ENTRIES` are kept: a write drops the oldest by mtime, and a hit
-renews its entry's. Only CSV is cached, and deleting the directory is
-always safe.
-
-The cache never fails a load. A home that cannot be resolved, a directory
-that cannot be written, a damaged entry or a race with another writer each
-mean that the file is parsed as if there were no cache: into an unlinked
-spill under ``TMPDIR`` when no entry can be written.
+An entry is a cache entry (see :mod:`resvd.containers`) whose descriptor is
+``{"shapes": [[S, W]]}`` and whose one array is the ``S x W`` rows, named by
+:data:`FORMAT_TAG` and the sha256 of the CSV's exact bytes: any edit to the
+file misses, and a hit returns the float64 bits the parse gave, which read
+bytes and no locale (:func:`resvd.containers._parse_csv`). A hit hashes the
+whole entry and checks ``W`` against the CSV's first row when that row ends
+in the block the lookup hashed first, so a damaged entry is parsed and
+written again. A miss parses into an unlinked spill under ``TMPDIR``, which
+the set reads, and copies it into a new entry. At most :data:`MAX_ENTRIES`
+are kept, of any size, dropped oldest by mtime first. The cache never fails
+a load: a home that does not resolve, a directory that cannot be written, a
+damaged entry or a race with another writer each mean parsing as if there
+were no cache, and deleting the directory is always safe.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
-import tempfile
+import math
 from pathlib import Path
 
-from .calibration import CalibrationSet, RowFile
-from .containers import _parse_csv, cache_dir, calib_header, evict, load_calibration
-from .errors import FormatError
+from .calibration import READ_CHUNK_BYTES, CalibrationSet, RowFile
+from .containers import Arrays, _parse_csv, _sha256, cache_dir, publish_entry, read_entry
 
 MAX_ENTRIES = 8
 # In every entry's name: change it whenever a CSV would parse differently.
-FORMAT_TAG = "csv2"
+FORMAT_TAG = "csv3"
 
 
 def entry_for(digest: str) -> Path | None:
@@ -39,51 +35,29 @@ def entry_for(digest: str) -> Path | None:
     return None if directory is None else directory / f"{FORMAT_TAG}-{digest}.ercc"
 
 
-def load(entry: Path | None) -> CalibrationSet | None:
-    """The rows cached at ``entry``, or None when there are none to use."""
-    if entry is None:
+def load(path: str | Path) -> CalibrationSet:
+    """The CSV at ``path`` as a set reading its rows from its entry; when no entry holds them,
+    from a spill they are parsed into, then copied into an entry named by the sha256 of the
+    bytes parsed, which may differ from those the lookup hashed if the file changed since."""
+    digest, width = _sha256(path)
+
+    def expect(doc: dict) -> Arrays | None:
+        match doc.get("shapes"):
+            case [[int(n), int(w)] as shape] if n >= 1 and w >= 1 and width in (None, w):
+                return [(shape, False)]
         return None
-    try:
-        calib = load_calibration(entry)
-    except (OSError, FormatError):  # missing, unreadable, truncated or corrupt: reparse
-        return None
-    with contextlib.suppress(OSError):
-        os.utime(entry)  # a hit is a use, so eviction spares it longest
-    return calib
 
-
-def parse(path: str | Path, entry: Path | None) -> CalibrationSet:
-    """The CSV at ``path`` parsed into a new entry beside ``entry``, as a set reading it.
-
-    The entry is written under a temporary name, its header last, and then
-    named by the sha256 of the bytes parsed. Rows that cannot be written
-    there go to an unlinked :meth:`~resvd.calibration.RowFile.spill`.
-    """
-    tmp = None
+    entry = entry_for(digest)
+    found = read_entry(entry, expect, None, memoryview(bytearray(READ_CHUNK_BYTES)))
+    if found is not None:
+        rows, doc, [rows.offset] = found
+        rows.shape = tuple(doc["shapes"][0])
+        return CalibrationSet(file=rows)
+    rows = RowFile.spill(f"the rows of {path}")
+    digest = _parse_csv(path, rows)
     if entry is not None:
         with contextlib.suppress(OSError):
             entry.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
-    if tmp is None:
-        rows = RowFile.spill(f"the rows of {path}")
-        _parse_csv(path, rows)
-        return CalibrationSet(file=rows)
-    try:
-        rows = RowFile(tmp, fd, len(calib_header((0, 0))), (0, 0))
-        try:
-            digest = _parse_csv(path, rows)
-        except OSError as exc:
-            if exc.filename != tmp:  # the CSV's own read failed
-                raise
-            return parse(path, None)  # the cache only saves time: no load fails on its account
-        with contextlib.suppress(OSError):
-            os.pwrite(fd, calib_header(rows.shape), 0)
-            os.replace(tmp, named := entry_for(digest))  # readers see no part of an entry
-            tmp, rows.path = None, named
-            evict(named.parent, (".ercc", ".tmp"), MAX_ENTRIES)
-        return CalibrationSet(file=rows)
-    finally:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
+            raw = rows.pieces(memoryview(bytearray(READ_CHUNK_BYTES)), 0, 8 * math.prod(rows.shape))
+            publish_entry(entry_for(digest), {"shapes": [list(rows.shape)]}, raw, MAX_ENTRIES, None)
+    return CalibrationSet(file=rows)

@@ -98,6 +98,9 @@ class PlannerConfig:
             raise ValueError(f"step must be >= 1, got {self.step!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta!r}")
+        # floats, as the command line gives them, so beta=0 plans and is cached as beta=0.0
+        object.__setattr__(self, "overall_ratio", float(self.overall_ratio))
+        object.__setattr__(self, "beta", float(self.beta))
 
 
 @dataclass(frozen=True)

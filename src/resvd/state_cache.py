@@ -14,14 +14,10 @@ kinds of CPU never read each other's entries. Beside a state, a plan entry
 it for one ratio, beta and step, so a plan that hits runs no pass, no
 factoring and no trial.
 
-Both kinds have one layout, written by :func:`_publish` and read by
-:func:`_read`: :data:`HEADER` (the magic ``ERCS``, :data:`VERSION`, the
-descriptor's byte count and the sha256 of those and all that follows), a
-UTF-8 JSON descriptor whose ``"shapes"`` lists the arrays that follow, then
-those arrays, little-endian float64. A state's descriptor is ``{"tail": T,
-"shapes": ...}``; its arrays are the ``N`` reference norms, ``U`` then
-sigma of each whitened matrix of the last ``T`` layers in forward order, and
-the ``S x W`` output rows. A plan's is the ``plan.json`` document
+Both kinds are cache entries (see :mod:`resvd.containers`). A state's
+descriptor is ``{"tail": T, "shapes": ...}``; its arrays are the ``N``
+reference norms, ``U`` then sigma of each whitened matrix of the last ``T``
+layers in forward order, and the ``S x W`` output rows. A plan's is the ``plan.json`` document
 (:func:`resvd.containers.plan_document`), whose JSON gives each float back
 bit for bit, plus ``"shapes"``; its arrays are ``u_hat`` then ``v_hat`` of
 each matrix of the winner's last ``k`` layers in forward order. An entry
@@ -45,23 +41,19 @@ there were no cache.
 from __future__ import annotations
 
 import contextlib
-import errno
 import hashlib
 import itertools
-import json
 import math
 import os
-import struct
-import sys
-import tempfile
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .calibration import CalibrationSet, RowFile
 from .compensation import WhitenedWeight
-from .containers import cache_dir, evict, plan_document, plan_from_document
+from .containers import (ENTRY_VERSION, Arrays, cache_dir, entry_size, f64_bytes, plan_document,
+                         plan_from_document, publish_entry, read_entry)
 from .errors import FormatError
 from .linalg import FactorPair, as_matrix
 from .model import Layer, MatrixEntry, SequentialModel, Workspace
@@ -70,12 +62,6 @@ from .planner import CandidateResult, CompressionPlan, PlannerConfig
 MAX_ENTRIES = 4
 MAX_PLANS = 8
 MAX_BYTES = 64 << 20
-
-MAGIC = b"ERCS"
-VERSION = 2
-# magic, version, the descriptor's byte count; then the sha256 of those and all that follows
-_FIELDS = struct.Struct("<4sIQ")
-HEADER = struct.Struct(_FIELDS.format + "32s")
 
 # The BLAS reads these to pick its thread count and kernels, which can change a product's bits.
 BLAS_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -87,7 +73,6 @@ CPU_FIELDS = ("vendor_id", "cpu family", "model", "model name", "stepping", "fla
 
 Parts = tuple[dict[str, WhitenedWeight], tuple[float, ...], RowFile]
 Found = tuple[int, tuple[CandidateResult, ...], dict[str, FactorPair]]
-Arrays = list[tuple[list[int], bool]]  # each array's shape in an entry, and whether it is read
 
 
 def _sources() -> Iterator[tuple[str, bytes]]:
@@ -114,10 +99,6 @@ def _cpu() -> list[str]:
     return lines
 
 
-def _bytes(a: np.ndarray) -> memoryview:
-    return memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
-
-
 def key(model: SequentialModel, calib: CalibrationSet, ws: Workspace) -> str | None:
     """The sha256 naming the state of ``model`` on ``calib`` in the blocks of ``ws``; None when
     a source file cannot be read.
@@ -140,10 +121,10 @@ def key(model: SequentialModel, calib: CalibrationSet, ws: Workspace) -> str | N
         for e in layer.entries:
             for a in (e.dense,) if e.factors is None else (e.factors.u_hat, e.factors.v_hat):
                 digest.update(f"matrix {e.name} {a.shape}\n".encode())
-                digest.update(_bytes(a))
+                digest.update(f64_bytes(a))
     digest.update(f"rows {calib.num_samples}x{calib.input_dim} in blocks of {ws.rows}\n".encode())
     for rows in ws.blocks:
-        digest.update(_bytes(calib.block(rows, ws)))
+        digest.update(f64_bytes(calib.block(rows, ws)))
     return digest.hexdigest()
 
 
@@ -155,7 +136,7 @@ def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
     before any key is hashed: no such state is ever read or written, so a key would only read
     the rows once more."""
     directory = cache_dir()
-    if directory is None or calib.input_dim != model.input_dim or _size(
+    if directory is None or calib.input_dim != model.input_dim or entry_size(
             {"tail": k, "shapes": [s for s, _ in _arrays(model, k, calib.num_samples, k)]}
     ) > MAX_BYTES:
         return None
@@ -184,22 +165,10 @@ def _arrays(model: SequentialModel, tail: int, rows: int, k: int) -> Arrays:
     return arrays + [([rows, model.layers[-1].output_dim], False)]
 
 
-def _size(doc: dict) -> int:
-    """The byte count of the entry of descriptor ``doc``."""
-    return HEADER.size + len(json.dumps(doc).encode()) + 8 * sum(map(math.prod, doc["shapes"]))
-
-
 def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> Parts | None:
     """The whitened matrices of the last ``k`` layers, the norms and the output the entry
     holds, as :func:`~resvd.calibration.capture_activations` returns them; None when it
     holds none that covers ``k``, or none at all."""
-    if entry is None:
-        return None
-    try:
-        fd = os.open(entry, os.O_RDONLY)
-    except OSError:
-        return None
-    output = RowFile(entry, fd, 0, (0, 0))  # owns fd from here on
     rows, width = ws.blocks[-1].stop, model.layers[-1].output_dim
 
     def expect(doc: dict) -> Arrays | None:
@@ -208,138 +177,32 @@ def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> P
             return None
         return _arrays(model, tail, rows, k)
 
-    try:
-        found = _read(fd, expect, memoryview(ws.free(ws.rows, width)).cast("B"))
-    except OSError:  # removed, cut short or unreadable: calibrate
-        found = None
+    found = read_entry(entry, expect, MAX_BYTES, memoryview(ws.free(ws.rows, width)).cast("B"))
     if found is None:
-        output.close()
         return None
-    norms, *arrays, output.offset = found[1]
+    output, _, (norms, *arrays, output.offset) = found
     arrays = iter(a for a in arrays if isinstance(a, np.ndarray))  # the last k layers' U, sigma
     whitened = {}
     for _, layer, e in _tail(model, k):
         name = f"{layer.name}/{e.name}"
         whitened[name] = WhitenedWeight(as_matrix(e.dense, name), next(arrays), next(arrays))
     output.shape = (rows, width)
-    with contextlib.suppress(OSError):
-        os.utime(entry)  # a hit is a use, so eviction spares it longest
     return whitened, tuple(float(v) for v in norms), output
-
-
-def _read(fd: int, expect: Callable[[dict], Arrays | None],
-          scratch: memoryview | None = None) -> tuple[dict, list[np.ndarray | int]] | None:
-    """The descriptor of the entry open at ``fd`` and each of its arrays; None when the entry is
-    not one this version wrote whole, or ``expect`` refuses it.
-
-    ``expect(descriptor)`` gives the shape each array must have, with whether to read it, or
-    None. Each array read is a native float64 array; each other is the byte offset where it
-    starts, and its bytes are hashed through ``scratch``. The descriptor's byte count is checked
-    against the file's size before the descriptor is read, and the shapes and the size they
-    take before any array is allocated. Every byte is read and hashed once.
-    """
-    head = os.pread(fd, HEADER.size, 0)
-    if len(head) != HEADER.size:
-        return None
-    magic, version, size, want = HEADER.unpack(head)
-    end = os.fstat(fd).st_size
-    if (magic, version) != (MAGIC, VERSION) or not HEADER.size + size <= end <= MAX_BYTES:
-        return None
-    digest = hashlib.sha256(head[: _FIELDS.size])
-    text = bytearray(size)
-    at = _fill(fd, memoryview(text), HEADER.size, digest)
-    try:
-        doc = json.loads(text.decode())
-    except ValueError:  # not UTF-8, or not JSON
-        return None
-    arrays = expect(doc) if isinstance(doc, dict) else None
-    if arrays is None or doc.get("shapes") != [shape for shape, _ in arrays] \
-            or end != at + 8 * sum(math.prod(shape) for shape, _ in arrays):
-        return None
-    parts = []
-    for shape, read in arrays:
-        if read:
-            parts.append(np.empty(shape))
-            views = [memoryview(parts[-1]).cast("B")]
-        else:
-            parts.append(at)
-            nbytes = 8 * math.prod(shape)
-            views = (scratch[: nbytes - i] for i in range(0, nbytes, len(scratch)))
-        for view in views:
-            at = _fill(fd, view, at, digest)
-        if read and sys.byteorder == "big":
-            parts[-1].byteswap(inplace=True)
-    return (doc, parts) if digest.digest() == want else None
-
-
-def _fill(fd: int, view: memoryview, at: int, digest) -> int:
-    """Fill ``view`` from byte ``at`` of ``fd`` and hash it; where it ends."""
-    full = view
-    while view:
-        n = os.preadv(fd, [view], at)
-        if n == 0:
-            raise OSError(errno.EIO, "cache entry ends early")
-        view, at = view[n:], at + n
-    digest.update(full)
-    return at
 
 
 def save(entry: Path | None, tail: int, parts: Parts, ws: Workspace) -> None:
     """Write the parts a pass over the blocks of ``ws`` returned for the last ``tail`` layers
     as the entry at ``entry``, which :func:`entry_for` gave only for a state within
-    :data:`MAX_BYTES`. The output rows are copied from ``output`` a block at a time through a
-    free buffer of ``ws``."""
+    :data:`MAX_BYTES`. The output rows are copied raw from ``output`` a block at a time
+    through a free buffer of ``ws``."""
     if entry is None:
         return
     whitened, norms, output = parts
-    rows, width = output.shape
     arrays = [np.array(norms), *(a for w in whitened.values() for a in (w.u, w.sigma))]
-    blocks = (output.read(b.start, ws.free(b.stop - b.start, width)) for b in ws.blocks)
-    _publish(entry, {"tail": tail, "shapes": [list(a.shape) for a in arrays] + [[rows, width]]},
-             itertools.chain(arrays, blocks))
-
-
-def _publish(entry: Path, doc: dict, arrays: Iterable[np.ndarray]) -> None:
-    """Make the file ``entry`` of descriptor ``doc`` and the payload ``arrays``, unless it is
-    over :data:`MAX_BYTES`: written under a temporary name, its header last at byte 0, and then
-    renamed, so readers see no part of one. Then only the newest :data:`MAX_PLANS` plans or
-    :data:`MAX_ENTRIES` states, by ``entry``'s suffix, are kept. A failure leaves no file
-    behind and fails nothing: the cache only saves time."""
-    if _size(doc) > MAX_BYTES:
-        return
-    descriptor = json.dumps(doc).encode()
-    suffixes = (entry.suffix, f"{entry.suffix}-tmp")  # an entry's, a temporary file's
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(suffix=suffixes[1], dir=entry.parent)
-        try:
-            fields = _FIELDS.pack(MAGIC, VERSION, len(descriptor))
-            digest = hashlib.sha256(fields)
-            at = _write(fd, descriptor, HEADER.size, digest)
-            for a in arrays:
-                at = _write(fd, _bytes(a), at, digest)
-            os.pwrite(fd, fields + digest.digest(), 0)
-        finally:
-            os.close(fd)
-        os.replace(tmp, entry)
-        tmp = None
-        evict(entry.parent, suffixes, MAX_PLANS if entry.suffix == ".ercp" else MAX_ENTRIES)
-    except (OSError, FormatError):
-        pass
-    finally:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-
-def _write(fd: int, view: bytes | memoryview, at: int, digest) -> int:
-    """Write ``view`` from byte ``at`` and hash it; where it ends."""
-    view = memoryview(view)
-    digest.update(view)
-    while view:
-        n = os.pwrite(fd, view, at)
-        view, at = view[n:], at + n
-    return at
+    buf = memoryview(ws.free(ws.rows, output.shape[1])).cast("B")
+    raw = output.pieces(buf, output.offset, output.offset + 8 * math.prod(output.shape))
+    doc = {"tail": tail, "shapes": [list(a.shape) for a in arrays] + [list(output.shape)]}
+    publish_entry(entry, doc, itertools.chain(arrays, raw), MAX_ENTRIES, MAX_BYTES)
 
 
 def plan_entry(state: Path | None, cfg: PlannerConfig) -> Path | None:
@@ -347,7 +210,7 @@ def plan_entry(state: Path | None, cfg: PlannerConfig) -> Path | None:
     state entry is named, so a plan is kept only beside a state that could be."""
     if state is None:
         return None
-    name = (f"{state.name}\nplan {VERSION}\nratio {cfg.overall_ratio.hex()} "
+    name = (f"{state.name}\nplan {ENTRY_VERSION}\nratio {cfg.overall_ratio.hex()} "
             f"beta {cfg.beta.hex()} step {cfg.step}\n")
     return state.parent / f"plan-{hashlib.sha256(name.encode()).hexdigest()}.ercp"
 
@@ -356,9 +219,6 @@ def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
     """The winning ``k``, the candidate table and each factor pair of the winner's last ``k``
     layers, keyed ``"<layer>/<matrix>"``, that the entry holds for ``model``; None when it
     holds none."""
-    if entry is None:
-        return None
-
     def expect(doc: dict) -> Arrays | None:
         k = doc.get("k")
         if type(k) is not int or not 1 <= k < model.n_layers:
@@ -373,25 +233,17 @@ def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
             return None
         return [(shape, True) for e, r in zip(tail, ranks) for shape in ([e.rows, r], [r, e.cols])]
 
+    found = read_entry(entry, expect, MAX_BYTES)
     try:
-        fd = os.open(entry, os.O_RDONLY)
-    except OSError:  # missing, a directory or unreadable: scan
+        chosen = None if found is None else plan_from_document(found[1], str(entry))
+    except FormatError:
         return None
-    try:
-        found = _read(fd, expect)
-        chosen = None if found is None else plan_from_document(found[0], str(entry))
-    except (OSError, FormatError):
-        return None
-    finally:
-        os.close(fd)
     if chosen is None or (chosen.k, "ok") not in {(row.k, row.status)
                                                   for row in chosen.candidate_table}:
         return None
-    arrays = found[1]
+    arrays = found[2]
     pairs = {f"{layer.name}/{e.name}": FactorPair(u_hat=u, v_hat=v)
              for (_, layer, e), u, v in zip(_tail(model, chosen.k), arrays[::2], arrays[1::2])}
-    with contextlib.suppress(OSError):
-        os.utime(entry)  # a hit is a use, so eviction spares it longest
     return chosen.k, chosen.candidate_table, pairs
 
 
@@ -402,5 +254,5 @@ def save_plan(entry: Path | None, chosen: CompressionPlan) -> None:
         return
     arrays = [a for layer in chosen.compressed.layers[-chosen.k :] for e in layer.entries
               for a in (e.factors.u_hat, e.factors.v_hat)]
-    _publish(entry, {**plan_document(chosen, None, None),
-                     "shapes": [list(a.shape) for a in arrays]}, arrays)
+    publish_entry(entry, {**plan_document(chosen, None, None),
+                          "shapes": [list(a.shape) for a in arrays]}, arrays, MAX_PLANS, MAX_BYTES)

@@ -43,6 +43,7 @@ from resvd.demo import demo_model
 from resvd.linalg import FactorPair
 from resvd.model import Layer, MatrixEntry, SequentialModel, forward
 from resvd.planner import CandidateResult, CompressionPlan
+from test_state_cache import rehashed
 
 
 def small_model(rng):
@@ -507,6 +508,33 @@ class TestCalibrationContainer:
             _parse_in_blocks(tmp_path / "c.csv", block)
         assert str(parsed.value) == str(whole.value)
 
+    def test_a_faulty_line_costs_less_than_twice_its_length(self, tmp_path):
+        # 3 MB of zero bytes is one line of one token. The line is read into
+        # one object, and the token is too long to hand to float, whose
+        # message would hold its repr at 4 bytes a byte.
+        path = tmp_path / "zeros.bin"
+        path.write_bytes(b"\0" * (3 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"zeros\.bin:1: not numeric \(could not "
+                               r"convert string to float: b'(\\x00){9}'\.\.\.\)$"):
+                _parse_csv(path, RowFile.spill("the parsed rows"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size, peak
+
+    def test_a_token_longer_than_the_bound_is_not_numeric(self, tmp_path):
+        # ASCII whitespace around a token counts toward its length
+        bound = resvd.containers.MAX_TOKEN_BYTES
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"1,2\n3," + b" " * (bound - 1) + b"4\n")
+        np.testing.assert_array_equal(load_calibration_csv(path).samples, [[1, 2], [3, 4]])
+        path.write_bytes(b"1,2\n3," + b" " * bound + b"4\n")
+        with pytest.raises(FormatError, match=r"c\.csv:2: not numeric \(could not convert "
+                           r"string to float: b' {37}'\.\.\.\)$"):
+            load_calibration_csv(path)
+
     @pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
     def test_only_a_newline_ends_a_csv_line(self, tmp_path, sep):
         # "1,2<sep>3,4" is one line whose second token "2<sep>3" is not a number
@@ -658,14 +686,30 @@ class TestCalibrationCache:
         assert loaded._file.path.startswith(f"the rows of {tmp_path / 'c.csv'} spilled under ")
         np.testing.assert_array_equal(loaded.samples, calib.samples)
 
-    @pytest.mark.parametrize("damage", ["truncate", "magic"])
-    def test_damaged_entry_is_reparsed_and_rewritten(self, tmp_path, damage):
+    @pytest.mark.parametrize("damage", ["truncate", "magic", "a payload byte",
+                                        "a descriptor past the end", "other shapes"])
+    def test_damaged_entry_is_reparsed_and_rewritten(self, tmp_path, monkeypatch, damage):
+        # Any cut or changed byte is a miss, and so is an entry hashed again
+        # after its descriptor was made to overrun the file or to swap the
+        # rows and columns: the CSV is parsed again and its entry rewritten.
         calib = self.write_csv(tmp_path / "c.csv")
         load_calibration_csv(tmp_path / "c.csv")
         [entry] = _cache_files()
-        np.testing.assert_array_equal(load_calibration(entry).samples, calib.samples)
+        with monkeypatch.context() as mp:
+            _no_parse(mp)
+            np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
+                                          calib.samples)
         good = entry.read_bytes()
-        entry.write_bytes(good[:-5] if damage == "truncate" else b"NOPE" + good[4:])
+        if damage == "truncate":
+            data = good[:-5]
+        elif damage == "magic":
+            data = b"NOPE" + good[4:]
+        elif damage == "a payload byte":  # the lowest bit of the last value: still finite
+            data = bytearray(good)
+            data[-8] ^= 1
+        else:
+            data = rehashed(good, damage)
+        entry.write_bytes(data)
         back = load_calibration_csv(tmp_path / "c.csv")
         np.testing.assert_array_equal(back.samples, calib.samples)
         assert _cache_files() == [entry]
@@ -696,7 +740,10 @@ class TestCalibrationCache:
         np.testing.assert_array_equal(got, second.samples)
         [entry] = _cache_files()
         assert entry.name == f"{FORMAT_TAG}-{hashlib.sha256(second_bytes).hexdigest()}.ercc"
-        np.testing.assert_array_equal(load_calibration(entry).samples, second.samples)
+        with monkeypatch.context() as mp:
+            _no_parse(mp)
+            np.testing.assert_array_equal(load_calibration_csv(tmp_path / "d.csv").samples,
+                                          second.samples)
 
         (tmp_path / "c.csv").write_bytes(first_bytes)
         np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,

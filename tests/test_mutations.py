@@ -1,18 +1,21 @@
 """Seeded mutations through ``main()``: byte flips and truncations of a demo's manifest, tensor
-files and ERCC calibration, and of the calibrated-state and plan entries a run leaves in the
-cache. Every case exits 0, 2, 3 or 4 with at most one stderr line and no traceback, and one
-that fails leaves no ``--out``; a damaged cache entry changes no output byte."""
+files and ERCC calibration, and of the parsed-CSV, calibrated-state and plan entries a run leaves
+in the cache. Every case exits 0, 2, 3 or 4 with at most one stderr line and no traceback, and
+one that fails leaves no ``--out``; a damaged cache entry changes no output byte."""
 
 from __future__ import annotations
 
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 
 from resvd.cli import main
+from resvd.containers import load_calibration, save_calibration_csv
 
 CASES = 200
+CSV_CASES = 30
 SEED = 19
 EXITS = {0, 2, 3, 4}
 
@@ -109,3 +112,53 @@ def test_mutated_inputs_and_cache_entries(tmp_path, capsys, monkeypatch):
         remove(outs[command])
         shutil.rmtree(cache)
     assert {0, 2} <= set(codes), codes  # some mutations load, some are refused
+
+
+def test_a_damaged_csv_entry_changes_no_output_byte(tmp_path, capsys, monkeypatch):
+    # The entry a CSV's parse leaves, flipped or cut: every command parses the CSV again and
+    # writes the bytes of an undamaged run.
+    demo = tmp_path / "demo"
+    assert main(["gen-demo", "--out", str(demo), "--layers", "4", "--width", "16",
+                 "--samples", "64", "--seed", "7"]) == 0
+    save_calibration_csv(load_calibration(demo / "calib.bin"), tmp_path / "c.csv")
+    rows = ["--calib", str(tmp_path / "c.csv")]
+    planned = ["--model", str(demo), *rows, "--ratio", "0.2"]
+    out = tmp_path / "out"
+    argv = {
+        "compress": ["compress", *planned, "--out", str(out)],
+        "plan": ["plan", *planned, "--out", str(out)],
+        "analyze": ["analyze", "--original", str(demo), "--compressed", str(tmp_path / "ref"),
+                    *rows, "--out", str(out)],
+    }
+
+    def output() -> dict[str, bytes]:
+        found = dir_bytes(out) if out.is_dir() else {out.name: out.read_bytes()}
+        shutil.rmtree(out) if out.is_dir() else out.unlink()
+        return found
+
+    pristine = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(pristine))
+    assert main(argv["compress"]) == 0
+    os.rename(out, tmp_path / "ref")
+    want = {}
+    for command in argv:
+        assert main(argv[command]) == 0
+        want[command] = output()
+    [entry] = (pristine / "resvd").glob("*.ercc")
+    good = entry.read_bytes()
+
+    rng = np.random.default_rng(SEED)
+    for case in range(CSV_CASES):
+        cache = tmp_path / f"cache{case}"
+        shutil.copytree(pristine, cache)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        damaged = cache / "resvd" / entry.name
+        data, how = mutated(good, rng)
+        damaged.write_bytes(data)
+        command = ("compress", "plan", "analyze")[case % 3]
+        capsys.readouterr()
+        assert main(argv[command]) == 0, (case, how)
+        assert capsys.readouterr().err == "", (case, how)
+        assert output() == want[command], (case, command, how)
+        assert damaged.read_bytes() == good, (case, how)  # the miss wrote the entry again
+        shutil.rmtree(cache)

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import resvd.compensation
+import resvd.containers
 import resvd.planner
 import resvd.state_cache
 from resvd.calibration import CalibrationSet
 from resvd.cli import main
-from resvd.containers import save_calibration_csv
+from resvd.containers import plan_document, save_calibration_csv
 from resvd.demo import demo_calibration, demo_model
 from resvd.model import Layer, MatrixEntry, SequentialModel
 from resvd.planner import calibrate
@@ -85,7 +86,7 @@ def rehashed(data: bytes, damage: str) -> bytearray:
     """The entry ``data`` with its descriptor's byte count past the end of the file, or with each
     shape its descriptor lists reversed, so the arrays take the same bytes; hashed again, so
     only the reader's own checks of the count and the shapes can refuse it."""
-    header, fields = resvd.state_cache.HEADER, resvd.state_cache._FIELDS
+    header, fields = resvd.containers.ENTRY_HEADER, resvd.containers.ENTRY_FIELDS
     magic, version, size, _ = header.unpack_from(data)
     descriptor, payload = data[header.size : header.size + size], data[header.size + size :]
     if damage == "a descriptor past the end":
@@ -301,7 +302,8 @@ class TestDamage:
                 if run == "no home":
                     patch.setattr(resvd.state_cache, "cache_dir", lambda: None)
                 elif run == "oversized":
-                    patch.setattr(resvd.state_cache, "MAX_BYTES", resvd.state_cache.HEADER.size)
+                    patch.setattr(resvd.state_cache, "MAX_BYTES",
+                                  resvd.containers.ENTRY_HEADER.size)
                 elif run == "unusable":
                     patch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
                 reads.clear(), keys.clear()
@@ -418,7 +420,7 @@ class TestPlanEntries:
         want = dir_bytes(out)
         [entry] = plans()
         data = bytearray(entry.read_bytes())
-        header = resvd.state_cache.HEADER
+        header = resvd.containers.ENTRY_HEADER
         if damage == "truncated":
             data = data[: len(data) - 8]
         elif damage == "a payload byte":
@@ -429,7 +431,7 @@ class TestPlanEntries:
             data = b""
         elif damage == "another version":  # a well-formed entry, hashed, of the next version
             magic, version, size, _ = header.unpack_from(data)
-            fields = resvd.state_cache._FIELDS.pack(magic, version + 1, size)
+            fields = resvd.containers.ENTRY_FIELDS.pack(magic, version + 1, size)
             digest = hashlib.sha256(fields + data[header.size:]).digest()
             data[: header.size] = fields + digest
         elif damage in ("a descriptor past the end", "other shapes"):
@@ -472,6 +474,19 @@ class TestPlanEntries:
                 pair = pairs[f"{layer.name}/{e.name}"]
                 assert pair.u_hat.tobytes() == e.factors.u_hat.tobytes()
                 assert pair.v_hat.tobytes() == e.factors.v_hat.tobytes()
+
+    def test_an_int_beta_plans_and_names_its_entry_as_the_float_does(self, tmp_path):
+        rng = np.random.default_rng(6)
+        model, calib = mlp(rng), CalibrationSet(samples=rng.standard_normal((30, 10)))
+        configs = [resvd.planner.PlannerConfig(0.2, beta=beta) for beta in (0, 0.0)]
+        assert [type(cfg.beta) for cfg in configs] == [float, float]
+        chosen = [resvd.planner.plan(model, calib, cfg) for cfg in configs]  # a miss, a hit
+        assert plans() != []
+        assert [plan_document(c, None, None) for c in chosen] == \
+            [plan_document(chosen[1], None, None)] * 2
+        state = tmp_path / "state-x.ercs"
+        assert resvd.state_cache.plan_entry(state, configs[0]) == \
+            resvd.state_cache.plan_entry(state, configs[1])
 
 
 def test_the_oldest_state_is_evicted_and_a_hit_counts_as_use(passes):
