@@ -279,36 +279,38 @@ def capture_activations(
 ) -> tuple[dict[str, T], tuple[float, ...], RowFile]:
     """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
 
-    The pass walks the rows in the blocks of ``ws``. Each block runs every
-    layer through :meth:`~resvd.model.Layer.steps`, which writes every
-    output into ``ws``, so the pass holds two block buffers whatever the
-    depth and the row count, plus the scratch pair for the entries within a
-    layer and silu's sigmoid, and a third buffer where a block's rows are
-    read into one (:meth:`CalibrationSet.block`); those rows are never
-    written. Each block adds its inputs' :func:`gram` to each tail matrix's sum, and its
-    outputs' squared norm to each layer's, and writes its model output to
-    a :meth:`RowFile.spill` file, so no array grows with the row count
-    ``S``: the file takes ``S·W·8`` bytes for an output ``W`` wide. Once
-    the last block is through, each matrix of those layers is passed, in
-    forward order, with the
-    :func:`whiten` Cholesky factor ``s`` of its summed Gram matrix and its key
+    The pass runs each layer on every block of ``ws`` before the next layer
+    runs, on the calibration rows (:meth:`CalibrationSet.block`) or on the
+    previous layer's output, read back raw into a buffer of ``ws`` from the
+    :meth:`RowFile.spill` file it went to, its rows checked finite before
+    they were written. :meth:`~resvd.model.Layer.steps` writes every output
+    into ``ws``, so the pass holds two block buffers whatever the depth and
+    the row count, plus the scratch pair for the entries within a layer and
+    silu's sigmoid. Each block adds its inputs' :func:`gram` to the layer's
+    tail matrices' sums and its output's squared norm to the layer's, and
+    writes that output to the layer's spill, so no array grows with the row
+    count ``S``: two spills exist at once, ``S·(W_i + W_{i+1})·8`` bytes for
+    outputs ``W_i`` and ``W_{i+1}`` wide. After the last block each matrix
+    of a tail layer is passed, in forward order, with the :func:`whiten`
+    Cholesky factor ``s`` of its summed Gram matrix and its key
     ``"<layer>/<matrix>"``, to ``factor(w, s, key)``; each Gram matrix is
-    dropped once whitened, and no factor outlives its ``factor`` call. In
-    a run of one block each Gram matrix is the one ``x.T @ x`` product and
-    each norm the one dot product ``np.linalg.norm`` takes the root of, so
-    the results do not depend on the blocks but through rounding. Returns
-    ``factor``'s results keyed in forward order, every layer's output norm
-    and the model's output, in that file, which goes once the caller drops it.
+    dropped once whitened, so one layer's exist at a time, and no factor
+    outlives its ``factor`` call. In a run of one block each Gram matrix is
+    the one ``x.T @ x`` product and each norm the one dot product
+    ``np.linalg.norm`` takes the root of, so the results do not depend on
+    the blocks but through rounding. Returns ``factor``'s results keyed in
+    forward order, every layer's output norm and the model's output, in the
+    last spill, which goes once the caller drops it.
 
     Raises:
-        OSError: naming the file, when it cannot be made or written.
+        OSError: naming the file, when it cannot be made, written or read back.
         DimensionError: when the calibration width is not the model's.
-        NumericalError: naming the first fault in forward order, over every
-            block: a matrix whose output overflows float64 in any block,
-            before an activation could hide it, or a layer whose output is
-            all zeros, before any later input is whitened: the layers have
-            no bias, so every later output is zero too and no relative
-            error is defined.
+        NumericalError: naming the first fault in forward order, each layer's
+            found before the next layer runs: a matrix whose output overflows
+            float64 in any block, before an activation could hide it, or a
+            layer whose output is all zeros, before any later input is
+            whitened: the layers have no bias, so every later output is zero
+            too and no relative error is defined.
         SingularWhiteningError: naming the first tail matrix whose input
             cannot be whitened, unless a fault above comes before it.
     """
@@ -318,47 +320,45 @@ def capture_activations(
             f"{model.input_dim} of layer {model.layers[0].name!r}"
         )
     split = model.n_layers - tail
-    # (layer, entry) of the first output that overflows in the blocks so far;
-    # no later block walks past it, since nothing from there on is kept
-    fault = (model.n_layers, 0)
-    grams: dict[str, np.ndarray] = {}
-    squares = [0.0] * model.n_layers
-
-    def walk(h: np.ndarray) -> np.ndarray | None:
-        """The block ``h``'s model output, or None when it stops at a fault."""
-        nonlocal fault
-        for i, layer in enumerate(model.layers):
-            for j, (entry, x, y) in enumerate(layer.steps(h, ws)):
-                if (i, j) == fault:
-                    return None
-                if i >= split:
-                    key = f"{layer.name}/{entry.name}"
-                    grams[key] = gram(x, grams.get(key))
-                if not np.isfinite(y).all():
-                    fault = (i, j)
-                    return None
-            h = y  # the activation has run on it in place
-            squares[i] += squared_norm(h)
-        return h
-
-    output = RowFile.spill("the model output")
-    for rows in ws.blocks:
-        y = walk(calib.block(rows, ws))
-        if y is not None:  # once None, None for every later block: nothing is then kept
-            output.append(y)
     factored: dict[str, T] = {}
+    norms = []
+    source = None  # the previous layer's spill; the first layer reads the calibration rows
     for i, layer in enumerate(model.layers):
+        spill = RowFile.spill("the model output")
+        grams: dict[int, np.ndarray] = {}
+        bad, square = len(layer.entries), 0.0  # bad: the first entry that overflows in any block
+        for rows in ws.blocks:
+            if source is None:
+                h = calib.block(rows, ws)
+            else:
+                h = ws.free(rows.stop - rows.start, source.shape[1])
+                at = source.offset + rows.start * h.shape[1] * 8
+                for _ in source.pieces(memoryview(h).cast("B"), at, at + h.nbytes):
+                    pass
+                if sys.byteorder == "big":
+                    h.byteswap(inplace=True)
+            for j, (entry, x, y) in enumerate(layer.steps(h, ws)):
+                if i >= split:
+                    grams[j] = gram(x, grams.get(j))
+                if not np.isfinite(y).all():
+                    bad = min(bad, j)
+                    break
+            else:  # the activation has run on y in place
+                square += squared_norm(y)
+                spill.append(y)
         for j, entry in enumerate(layer.entries):
             key = f"{layer.name}/{entry.name}"
-            if (i, j) == fault:
+            if j == bad:
                 raise NumericalError(f"{key}: output overflows float64 on the calibration set")
             if i >= split:
                 try:
-                    s = whiten(grams.pop(key))
+                    s = whiten(grams.pop(j))
                 except SingularWhiteningError as exc:
                     raise SingularWhiteningError(f"{key}: {exc}") from exc
                 factored[key] = factor(entry.dense, s, key)
-        if squares[i] == 0.0:
+        if square == 0.0:
             raise NumericalError(f"{layer.name}: output is all zeros on the calibration set, "
                                  "so the model outputs nothing to compress against")
-    return factored, tuple(math.sqrt(sq) for sq in squares), output
+        norms.append(math.sqrt(square))
+        source = spill  # the previous spill is dropped, so closed
+    return factored, tuple(norms), source

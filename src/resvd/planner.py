@@ -10,15 +10,17 @@ scores the winner's per-layer errors for ``errors.csv`` with
 :func:`~resvd.model.layerwise_error`, the call ``analyze`` makes.
 
 What does not depend on ``k`` is computed once per (model, calibration)
-pair by :func:`calibrate`, in one streaming pass over the layers, and kept
-in :mod:`resvd.state_cache` for the next command on the pair (which
-keeps each scan's result too; see :func:`plan`): each layer's reference
-output norm, the model's output, spilled to an unlinked temporary file,
-and one
+pair by :func:`calibrate`, in one pass that runs one layer at a time over
+every block, and kept in :mod:`resvd.state_cache` for the next command on
+the pair (which keeps each scan's result too; see :func:`plan`): each
+layer's reference output norm, the model's output, spilled to an
+unlinked temporary file, and one
 :class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U`` and
 sigma of ``svd(W S)``) per matrix of the largest tail any candidate
-compresses, formed from that matrix's input Gram matrix; prefix matrices
-are never whitened, and no layer's activations are kept. A candidate only
+compresses, formed from that matrix's input Gram matrix once the layer's
+last block is through; prefix matrices are never whitened, only one
+layer's Gram matrices exist at a time, and no layer's activations are
+kept beyond the next layer's pass. A candidate only
 slices ``U``, multiplies the slices with the weight for both stages
 (``U^T W`` is ``diag(sigma) V^T S^{-1}``, so ``S`` is never inverted), runs
 the residual stage's small eigendecomposition for its own ``r_i``, and
@@ -35,8 +37,9 @@ Every pass of a plan walks the ``S`` calibration rows in the blocks of one
 :class:`~resvd.model.Workspace`, of ``B`` rows each, and writes its
 activations into its three ``B×W`` buffers for rows of width ``W``. The
 calibration pass sums each Gram matrix and squared norm over the blocks,
-and the scan each candidate's squared error against the model's output,
-read back from its file block by block, so activations held stay those
+reading each layer's input back from the previous layer's spill, and
+the scan each candidate's squared error against the model's output, read
+back from its file block by block, so activations held stay those
 buffers, whatever the depth and ``S``.
 """
 
@@ -276,14 +279,17 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
               ) -> CalibratedModel:
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
 
-    One streaming pass, :func:`~resvd.calibration.capture_activations`,
-    runs each layer once on each block of ``ws`` (one of its own when
-    None). It sums each tail matrix's input Gram matrix and each layer's
-    squared output norm over the blocks and writes the model's output to a
-    temporary file; after the last block it whitens each matrix of the last
-    ``k`` layers into the :class:`~resvd.compensation.WhitenedWeight` that
-    trials only truncate. It holds two block buffers, the tail's Gram
-    matrices and whitened factors, whatever the depth and row count.
+    One pass, :func:`~resvd.calibration.capture_activations`, runs one
+    layer at a time on every block of ``ws`` (one of its own when None),
+    reading each layer's input back from the temporary file the previous
+    layer's output went to. It sums the layer's squared output norm and,
+    for each of the last ``k`` layers, each matrix's input Gram matrix over
+    the blocks; after the layer's last block it whitens each of those
+    matrices into the :class:`~resvd.compensation.WhitenedWeight` that
+    trials only truncate, before the next layer runs. The last layer's file
+    holds the model's output. It holds two block buffers, one layer's Gram
+    matrices and the tail's whitened factors, whatever the depth and row
+    count.
 
     The pass runs only when :mod:`resvd.state_cache` holds no state of
     ``model`` on these rows in these blocks covering ``k``, and a pass that

@@ -1213,7 +1213,8 @@ class TestFaultInjection:
     # np.empty, by raising MemoryError without allocating. Every run either
     # recovers and writes no stderr, or ends in one stderr line with the
     # exit code the README documents. The rows run as one block and as
-    # three, since the calibration pass whitens after its walk.
+    # three, since the calibration pass whitens each layer after its last
+    # block.
     ROUTINES = ("svd", "eigh", "cholesky", "inv", "qr")
     ROWS, WIDTH = 40, 8
 

@@ -4,7 +4,9 @@ selection against a brute-force oracle, and budget bookkeeping."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import os
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -62,6 +64,23 @@ def make_multi_entry_mlp(rng, n_layers, width, entries, dead_layer=None):
                 name=f"layer{i}",
                 entries=tuple(MatrixEntry(name=f"w{j}", dense=w)
                               for j, w in enumerate(ws)),
+                activation="identity" if i == n_layers - 1 else "relu",
+            )
+        )
+    return SequentialModel(layers=tuple(layers))
+
+
+def make_rectangular(rng, n_layers, width, wide):
+    """Relu stack whose layers alternate ``wide x width`` and ``width x wide`` weights, with an
+    identity head."""
+    layers = []
+    for i in range(n_layers):
+        rows, cols = (wide, width) if i % 2 == 0 else (width, wide)
+        layers.append(
+            Layer(
+                name=f"layer{i}",
+                entries=(MatrixEntry(name="w", dense=rng.standard_normal((rows, cols))
+                                     / np.sqrt(cols)),),
                 activation="identity" if i == n_layers - 1 else "relu",
             )
         )
@@ -848,6 +867,64 @@ class TestRowBlocks:
         block = 8 * self.WIDTH * per_block
         assert peaks[8] < peaks[1] + block // 4, peaks
         assert peaks[8] < 8 * block, peaks
+
+    def test_the_calibration_pass_holds_one_layers_gram_matrices(self, tmp_path, monkeypatch):
+        # Layers alternately widen and narrow the rows, so the narrowing
+        # layers' Gram matrices are most of what a pass holding the whole
+        # tail's would hold. The pass whitens each layer's matrices before the
+        # next layer runs, so at two tail depths a plan that cannot use the
+        # cache peaks below the U and sigma the calibrated state keeps, plus
+        # the largest layer's Gram matrix and the copies whiten makes of it
+        # (the ridge and the Cholesky factor), plus a fixed number of blocks.
+        width, wide, rows = 16, 128, 256
+        block = 8 * wide * rows // 8  # the widest output runs as eight blocks
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", block)
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))  # so every plan calibrates
+        rng = np.random.default_rng(43)
+        calib = make_calib(rng, rows, width)
+        cfg = PlannerConfig(overall_ratio=0.2)
+        plan(make_rectangular(rng, 4, width, wide), calib, cfg)  # loads what plan imports late
+        for n_layers in (6, 16):
+            model = make_rectangular(rng, n_layers, width, wide)
+            chosen = []
+            peak = peak_arrays(lambda: chosen.append(plan(model, calib, cfg)), 1)
+            table = chosen[0].candidate_table
+            assert all(row.status == "ok" for row in table)
+            tail = [layer.entries[0]
+                    for layer in model.layers[n_layers - max(row.k for row in table):]]
+            kept = sum(8 * (e.rows + 1) * min(e.rows, e.cols) for e in tail)
+            gram_bytes = max(8 * e.cols ** 2 for e in tail)
+            assert len(tail) > 4
+            assert peak < kept + 4 * gram_bytes + 6 * block, (n_layers, peak)
+
+    def test_the_calibration_pass_keeps_two_spills_at_most(self, monkeypatch):
+        # Each layer writes its output to a spill of its own, which the next
+        # layer reads back and drops once its last block is through: a cold
+        # plan over three blocks has at most two spills open at once, and
+        # closes every descriptor it opened.
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", block_bytes(self.ROWS, self.WIDTH, 3))
+        rng = np.random.default_rng(44)
+        model = make_multi_entry_mlp(rng, 6, self.WIDTH, 2)
+        calib = make_calib(rng, self.ROWS, self.WIDTH)
+        spills, open_at_once = [], []
+        real = resvd.calibration.RowFile.spill
+
+        def spill(what):
+            made = real(what)
+            spills.append(weakref.ref(made))
+            open_at_once.append(sum(ref() is not None for ref in spills))
+            return made
+
+        monkeypatch.setattr(resvd.calibration.RowFile, "spill", staticmethod(spill))
+        gc.collect()  # earlier tests' cycles may still hold descriptors
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+        plan(model, calib, PlannerConfig(overall_ratio=0.3))
+        gc.collect()
+        assert len(spills) == model.n_layers
+        assert max(open_at_once) == 2
+        assert all(ref() is None for ref in spills)
+        assert fds == (len(os.listdir("/proc/self/fd")) if fds else 0)
 
 
 class TestCompressModel:
