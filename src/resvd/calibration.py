@@ -346,8 +346,7 @@ def capture_activations(
             else:  # the activation has run on y in place
                 square += squared_norm(y)
                 spill.append(y)
-        for j, entry in enumerate(layer.entries):
-            key = f"{layer.name}/{entry.name}"
+        for j, (key, entry) in enumerate(layer.keyed_entries()):
             if j == bad:
                 raise NumericalError(f"{key}: output overflows float64 on the calibration set")
             if i >= split:

@@ -132,7 +132,7 @@ def save_model(model: SequentialModel, path: str | Path, dtype: str = "f64") -> 
     tensors: dict[str, list[np.ndarray]] = {}
     for layer in model.layers:
         matrices = []
-        for e in layer.entries:
+        for key, e in layer.keyed_entries():
             fname = f"{layer.name}__{e.name}.bin"
             if fname in tensors:
                 raise FormatError(f"tensor file name collision: {fname}")
@@ -145,8 +145,7 @@ def save_model(model: SequentialModel, path: str | Path, dtype: str = "f64") -> 
             with np.errstate(over="ignore"):
                 stored = [a.astype(_NP_DTYPE[dtype]) for a in arrays]
             if not all(np.isfinite(a).all() for a in stored):
-                raise NumericalError(f"{layer.name}/{e.name}: a value overflows "
-                                     f"{dtype} and cannot be stored")
+                raise NumericalError(f"{key}: a value overflows {dtype} and cannot be stored")
             tensors[fname] = stored
             matrices.append(entry_doc)
         layers_doc.append(

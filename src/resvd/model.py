@@ -157,6 +157,12 @@ class Layer:
     def output_dim(self) -> int:
         return self.entries[-1].rows
 
+    def keyed_entries(self) -> Iterator[tuple[str, MatrixEntry]]:
+        """Each entry with its key ``"<layer>/<matrix>"``, built only here, in the order this
+        layer applies them: the order of the calibration pass and of every cache entry."""
+        for e in self.entries:
+            yield f"{self.name}/{e.name}", e
+
     def steps(self, x: np.ndarray, ws: Workspace,
               *held: np.ndarray) -> Iterator[tuple[MatrixEntry, np.ndarray, np.ndarray]]:
         """Run this layer on ``x``, yielding ``(entry, input, output)`` as each entry's product is out.
@@ -212,6 +218,13 @@ class SequentialModel:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    def tail_entries(self, k: int) -> Iterator[tuple[str, MatrixEntry]]:
+        """:meth:`Layer.keyed_entries` of the last ``k`` layers in forward order, the one walk of
+        a tail's matrices: the pass whitens them in this order, and each cache entry's writer and
+        reader walk its arrays in it."""
+        for layer in self.layers[self.n_layers - k :]:
+            yield from layer.keyed_entries()
 
 
 class Workspace:

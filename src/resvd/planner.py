@@ -32,7 +32,9 @@ builds every factored layer, the scan's and the winner's: it factors each
 matrix of a candidate once, keeps only its residual stage, and builds it
 again from that stage with no SVD. Only one layer of one trial exists at a
 time. The plan carries the winner, so ``compress`` writes it without
-factoring it again.
+factoring it again. A tail's matrices, their keys and their order are
+:meth:`~resvd.model.SequentialModel.tail_entries`, which the pass, every
+check of a tail here and both kinds of cache entry walk.
 Every pass of a plan walks the ``S`` calibration rows in the blocks of one
 :class:`~resvd.model.Workspace`, of ``B`` rows each, and writes its
 activations into its three ``B×W`` buffers for rows of width ``W``. The
@@ -212,8 +214,8 @@ def _tail_model(model: SequentialModel, k: int,
 
 def _factored(layer: Layer, factor: Callable[[str], FactorPair]) -> Layer:
     """``layer`` with each matrix replaced by ``factor("<layer>/<matrix>")``."""
-    entries = tuple(MatrixEntry(name=e.name, factors=factor(f"{layer.name}/{e.name}"))
-                    for e in layer.entries)
+    entries = tuple(MatrixEntry(name=e.name, factors=factor(key))
+                    for key, e in layer.keyed_entries())
     return Layer(name=layer.name, entries=entries, activation=layer.activation)
 
 
@@ -267,16 +269,11 @@ class CalibratedModel:
     @property
     def tail(self) -> int:
         """How many tail layers ``whitened`` covers."""
-        return sum(f"{layer.name}/{layer.entries[0].name}" in self.whitened
-                   for layer in self.model.layers)
-
-
-_UNNAMED = object()  # calibrate's entry when the caller names none
+        return sum(next(layer.keyed_entries())[0] in self.whitened for layer in self.model.layers)
 
 
 def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
-              ws: Workspace | None = None, entry: Path | None | object = _UNNAMED
-              ) -> CalibratedModel:
+              ws: Workspace | None = None, entry: Path | None = None) -> CalibratedModel:
     """The state every trial of at most ``k`` tail layers shares, each part computed once.
 
     One pass, :func:`~resvd.calibration.capture_activations`, runs one
@@ -296,9 +293,9 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
     succeeds leaves one there. A state found covering more layers gives
     only the last ``k``, so the result is the pass's, bit for bit, and its
     ``output`` reads the rows from the entry. ``entry`` is that state's
-    entry, as :func:`~resvd.state_cache.entry_for` names it for ``ws``;
-    named here when not given, so a caller that has named it hashes no
-    key twice.
+    entry, as :func:`~resvd.state_cache.entry_for` names it for ``ws``, so
+    a caller that has named it hashes no key twice; None is named here, and
+    a cache found unusable stops that naming again before any key is hashed.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
@@ -319,13 +316,13 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
         ws = Workspace(calib.num_samples, model)
     from . import state_cache  # here, so analyze loads neither the cache nor hashlib
 
-    if entry is _UNNAMED:
+    if entry is None:
         entry = state_cache.entry_for(model, calib, k, ws)
     parts = state_cache.load(entry, model, k, ws)
     if parts is None:
         parts = capture_activations(model, calib, k, whitened_weight, ws)
         check_finite(model, parts[1])  # after the pass, whose Gram check names the matrix instead
-        state_cache.save(entry, k, parts, ws)
+        state_cache.save(entry, model, k, parts, ws)
     whitened, norms, output = parts
     return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
 
@@ -335,11 +332,10 @@ def _refuse_factored(model: SequentialModel, k: int) -> None:
     see :func:`calibrate`."""
     if not 1 <= k <= model.n_layers:
         raise ValueError(f"k={k} outside [1, {model.n_layers}]")
-    for layer in model.layers[model.n_layers - k :]:
-        for e in layer.entries:
-            if e.is_factored:
-                raise CompressionError(f"entry {layer.name}/{e.name} is already factored; "
-                                       "compression expects a dense model")
+    for key, e in model.tail_entries(k):
+        if e.is_factored:
+            raise CompressionError(f"entry {key} is already factored; "
+                                   "compression expects a dense model")
 
 
 def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: np.ndarray,
@@ -380,7 +376,7 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
 
 
 def _too_thin(model: SequentialModel, k: int, layer_ratio: float, beta: float,
-              rows: int) -> InfeasiblePlanError | None:
+              rows: int) -> str | None:
     """Why ``rows`` calibration rows cannot score candidate ``k``, or None when they can.
 
     A matrix whose kept rank ``r`` is at least the row count fits those rows
@@ -388,14 +384,11 @@ def _too_thin(model: SequentialModel, k: int, layer_ratio: float, beta: float,
     ridge and not the compression. The first such matrix of the last ``k``
     layers is named.
     """
-    for layer in model.layers[model.n_layers - k :]:
-        for e in layer.entries:
-            r = rank_budget(e.rows, e.cols, layer_ratio, beta).r
-            if rows <= r:
-                return InfeasiblePlanError(
-                    f"{layer.name}/{e.name}: calibration rows in use ({rows}) do not exceed "
-                    f"the kept rank {r}, so its error would measure the ridge, not the "
-                    "compression")
+    for key, e in model.tail_entries(k):
+        r = rank_budget(e.rows, e.cols, layer_ratio, beta).r
+        if rows <= r:
+            return (f"{key}: calibration rows in use ({rows}) do not exceed the kept rank {r}, "
+                    "so its error would measure the ridge, not the compression")
     return None
 
 
@@ -419,7 +412,8 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     argmin; so is each candidate with a matrix whose kept rank is at least
     the calibration's row count (:func:`_too_thin`): those are never
     calibrated or scored, and the calibrated state covers the largest
-    ``k`` that is. No per-layer pass runs here. Activations held stay
+    ``k`` that is. Each failure is kept as its error's type and message,
+    not as the error, so no frame of the scan outlives it. No per-layer pass runs here. Activations held stay
     three block buffers and scratch, whatever the depth and the row count;
     the model's output is read back from its file block by block.
 
@@ -442,12 +436,12 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
             when every candidate has; when every candidate failed otherwise.
     """
     candidates = enumerate_candidates(model.n_layers, cfg, layer_shapes=_layer_shapes(model))
-    failures: dict[int, CompressionError] = {
-        k: thin for k, ratio in candidates
+    failures: dict[int, tuple[type[CompressionError], str]] = {
+        k: (InfeasiblePlanError, thin) for k, ratio in candidates
         if (thin := _too_thin(model, k, ratio, cfg.beta, calib.num_samples))}
     scored = [k for k, _ in candidates if k not in failures]
     if not scored:
-        raise failures[candidates[0][0]]
+        raise InfeasiblePlanError(failures[candidates[0][0]][1])
     _refuse_factored(model, scored[-1])  # before any key is hashed
     ws = Workspace(calib.num_samples, model)
     from . import state_cache
@@ -479,10 +473,7 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
                     if math.isnan(error):
                         raise NumericalError("final-layer error undefined")
             except CompressionError as exc:
-                # kept with its traceback or its cause's, exc would hold this
-                # frame, and so the calibrated state, until a collection ran
-                failures[k] = exc.with_traceback(None)
-                exc.__cause__ = exc.__context__ = None
+                failures[k] = (type(exc), str(exc))
                 del memos[k]
                 continue
             if last:
@@ -492,14 +483,14 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
                     best = k
                 else:
                     del memos[k]
-    if best is None:  # no local holds what is raised, so its traceback makes no cycle
-        k = candidates[0][0]
-        raise (failures.pop(k) if isinstance(failures[k], (NumericalError, InfeasiblePlanError))
+    if best is None:
+        kind, reason = failures[candidates[0][0]]
+        raise (kind(reason) if issubclass(kind, (NumericalError, InfeasiblePlanError))
                else InfeasiblePlanError("every candidate failed during trial compression"))
     ratio = dict(candidates)[best]
     chosen = _chosen(model, cfg, best, tuple(
         CandidateResult(k=k, layer_ratio=r, final_error=math.nan, status="failed",
-                        reason=str(failures[k])) if k in failures
+                        reason=failures[k][1]) if k in failures
         else CandidateResult(k=k, layer_ratio=r, final_error=errors[k])
         for k, r in candidates), _trial_factor(state, ratio, cfg.beta, memos[best]))
     state_cache.save_plan(saved, chosen)

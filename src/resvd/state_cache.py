@@ -16,11 +16,13 @@ factoring and no trial.
 
 Both kinds are cache entries (see :mod:`resvd.containers`). A state's
 descriptor is ``{"tail": T, "shapes": ...}``; its arrays are the ``N``
-reference norms, ``U`` then sigma of each whitened matrix of the last ``T``
-layers in forward order, and the ``S x W`` output rows. A plan's is the ``plan.json`` document
+reference norms, ``U`` then sigma of each matrix of ``tail_entries(T)``,
+and the ``S x W`` output rows. A plan's is the ``plan.json`` document
 (:func:`resvd.containers.plan_document`), whose JSON gives each float back
 bit for bit, plus ``"shapes"``; its arrays are ``u_hat`` then ``v_hat`` of
-each matrix of the winner's last ``k`` layers in forward order. An entry
+each matrix of the winner's ``tail_entries(k)``. Each kind's writer and
+reader walk :meth:`~resvd.model.SequentialModel.tail_entries`, so they
+agree on the order by construction. An entry
 whose shapes are not those the model implies, or whose size is not theirs,
 is a miss before any array is allocated; one with any byte changed is a
 miss too. A state hit reads the norms and the tail asked for and hashes the
@@ -56,7 +58,7 @@ from .containers import (ENTRY_VERSION, Arrays, cache_dir, entry_size, f64_bytes
                          plan_from_document, publish_entry, read_entry)
 from .errors import FormatError
 from .linalg import FactorPair, as_matrix
-from .model import Layer, MatrixEntry, SequentialModel, Workspace
+from .model import SequentialModel, Workspace
 from .planner import CandidateResult, CompressionPlan, PlannerConfig
 
 MAX_ENTRIES = 4
@@ -148,19 +150,14 @@ def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
     return None if digest is None else directory / f"state-{digest}.ercs"
 
 
-def _tail(model: SequentialModel, tail: int) -> Iterator[tuple[int, Layer, MatrixEntry]]:
-    for i in range(model.n_layers - tail, model.n_layers):
-        for e in model.layers[i].entries:
-            yield i, model.layers[i], e
-
-
 def _arrays(model: SequentialModel, tail: int, rows: int, k: int) -> Arrays:
     """The shape of each array of a ``tail``-layer state of ``rows`` rows, in order, with whether
     a load of the last ``k`` layers reads it: the norms, ``U`` and sigma of each matrix, the
     output rows."""
     arrays = [([model.n_layers], True)]
-    for i, _, e in _tail(model, tail):
-        p, read = min(e.rows, e.cols), i >= model.n_layers - k
+    loaded = {key for key, _ in model.tail_entries(k)}
+    for key, e in model.tail_entries(tail):
+        p, read = min(e.rows, e.cols), key in loaded
         arrays += [([e.rows, p], read), ([p], read)]
     return arrays + [([rows, model.layers[-1].output_dim], False)]
 
@@ -182,23 +179,23 @@ def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> P
         return None
     output, _, (norms, *arrays, output.offset) = found
     arrays = iter(a for a in arrays if isinstance(a, np.ndarray))  # the last k layers' U, sigma
-    whitened = {}
-    for _, layer, e in _tail(model, k):
-        name = f"{layer.name}/{e.name}"
-        whitened[name] = WhitenedWeight(as_matrix(e.dense, name), next(arrays), next(arrays))
+    whitened = {key: WhitenedWeight(as_matrix(e.dense, key), next(arrays), next(arrays))
+                for key, e in model.tail_entries(k)}
     output.shape = (rows, width)
     return whitened, tuple(float(v) for v in norms), output
 
 
-def save(entry: Path | None, tail: int, parts: Parts, ws: Workspace) -> None:
-    """Write the parts a pass over the blocks of ``ws`` returned for the last ``tail`` layers
-    as the entry at ``entry``, which :func:`entry_for` gave only for a state within
-    :data:`MAX_BYTES`. The output rows are copied raw from ``output`` a block at a time
+def save(entry: Path | None, model: SequentialModel, tail: int, parts: Parts,
+         ws: Workspace) -> None:
+    """Write the parts a pass of ``model`` over the blocks of ``ws`` returned for the last
+    ``tail`` layers as the entry at ``entry``, which :func:`entry_for` gave only for a state
+    within :data:`MAX_BYTES`. The output rows are copied raw from ``output`` a block at a time
     through a free buffer of ``ws``."""
     if entry is None:
         return
     whitened, norms, output = parts
-    arrays = [np.array(norms), *(a for w in whitened.values() for a in (w.u, w.sigma))]
+    arrays = [np.array(norms), *(a for key, _ in model.tail_entries(tail)
+                                 for a in (whitened[key].u, whitened[key].sigma))]
     buf = memoryview(ws.free(ws.rows, output.shape[1])).cast("B")
     raw = output.pieces(buf, output.offset, output.offset + 8 * math.prod(output.shape))
     doc = {"tail": tail, "shapes": [list(a.shape) for a in arrays] + [list(output.shape)]}
@@ -223,7 +220,7 @@ def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
         k = doc.get("k")
         if type(k) is not int or not 1 <= k < model.n_layers:
             return None
-        tail = [e for _, _, e in _tail(model, k)]
+        tail = [e for _, e in model.tail_entries(k)]
         try:  # each pair's rank is the second extent of its u_hat
             ranks = [u[1] for u in doc["shapes"][::2]]
         except (KeyError, TypeError, IndexError):
@@ -242,8 +239,8 @@ def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
                                                   for row in chosen.candidate_table}:
         return None
     arrays = found[2]
-    pairs = {f"{layer.name}/{e.name}": FactorPair(u_hat=u, v_hat=v)
-             for (_, layer, e), u, v in zip(_tail(model, chosen.k), arrays[::2], arrays[1::2])}
+    pairs = {key: FactorPair(u_hat=u, v_hat=v)
+             for (key, _), u, v in zip(model.tail_entries(chosen.k), arrays[::2], arrays[1::2])}
     return chosen.k, chosen.candidate_table, pairs
 
 
@@ -252,7 +249,7 @@ def save_plan(entry: Path | None, chosen: CompressionPlan) -> None:
     entry at ``entry``, unless the entry would be over :data:`MAX_BYTES`."""
     if entry is None:
         return
-    arrays = [a for layer in chosen.compressed.layers[-chosen.k :] for e in layer.entries
+    arrays = [a for _, e in chosen.compressed.tail_entries(chosen.k)
               for a in (e.factors.u_hat, e.factors.v_hat)]
     publish_entry(entry, {**plan_document(chosen, None, None),
                           "shapes": [list(a.shape) for a in arrays]}, arrays, MAX_PLANS, MAX_BYTES)

@@ -149,6 +149,35 @@ class TestHits:
             assert main(compress_argv(demo, tmp_path / f"other{i}", *extra)) == 0
         assert passes == {"capture": 0, "whitened_svd": 0}
 
+    def test_array_order_comes_from_the_iterator_not_from_names(self, tmp_path, passes):
+        # Layer names sort against forward order, and each layer applies w1
+        # before w0. Every matrix has one shape, so an entry whose writer
+        # ordered its arrays by key would still be read, with its arrays
+        # swapped: only writing in the reader's order gives the cold bytes.
+        rng = np.random.default_rng(7)
+        model = SequentialModel(layers=tuple(
+            Layer(name=name, activation="relu", entries=tuple(
+                MatrixEntry(name=w, dense=rng.standard_normal((8, 8)) / np.sqrt(8))
+                for w in ("w1", "w0")))
+            for name in ("c", "b", "a", "z")))
+        assert [key for key, _ in model.tail_entries(3)] == [
+            "b/w1", "b/w0", "a/w1", "a/w0", "z/w1", "z/w0"]
+        resvd.containers.save_model(model, tmp_path / "model")
+        resvd.containers.save_calibration(CalibrationSet(samples=rng.standard_normal((64, 8))),
+                                          tmp_path / "calib.bin")
+        argv = ["compress", "--model", str(tmp_path / "model"), "--calib",
+                str(tmp_path / "calib.bin"), "--ratio", "0.2", "--out", str(tmp_path / "out")]
+        runs = {}
+        for run in ("cold", "plan hit", "state hit"):
+            if run == "state hit":
+                drop_plans()
+            assert main(argv) == 0
+            runs[run] = dir_bytes(tmp_path / "out")
+            os.rename(tmp_path / "out", tmp_path / run.replace(" ", "-"))
+        assert passes["capture"] == 1
+        assert runs["plan hit"] == runs["cold"]
+        assert runs["state hit"] == runs["cold"]
+
     def test_a_state_covering_more_layers_serves_fewer_as_a_miss_would(self, passes):
         rng = np.random.default_rng(1)
         model, calib = mlp(rng), CalibrationSet(samples=rng.standard_normal((30, 10)))
