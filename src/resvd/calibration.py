@@ -128,6 +128,14 @@ class RowFile:
             raise FormatError(f"{self.path}: row {start + bad + 1} holds a non-finite value")
         return out
 
+    def read_back(self, start: int, out: np.ndarray) -> np.ndarray:
+        """:meth:`read` for rows this run wrote, checked finite: a file that ends first was cut
+        short in use, which ends the run, so it raises ``OSError(errno.EIO, <read's message>)``."""
+        try:
+            return self.read(start, out)
+        except FormatError as exc:
+            raise OSError(errno.EIO, str(exc)) from exc
+
 
 class CalibrationSet:
     """Calibration rows, one input vector per row, held in memory or read from a file.
@@ -281,11 +289,12 @@ def capture_activations(
 
     The pass runs each layer on every block of ``ws`` before the next layer
     runs, on the calibration rows (:meth:`CalibrationSet.block`) or on the
-    previous layer's output, read back raw into a buffer of ``ws`` from the
-    :meth:`RowFile.spill` file it went to, its rows checked finite before
-    they were written. :meth:`~resvd.model.Layer.steps` writes every output
-    into ``ws``, so the pass holds two block buffers whatever the depth and
-    the row count, plus the scratch pair for the entries within a layer and
+    previous layer's output, read back into a buffer of ``ws`` by
+    :meth:`RowFile.read_back` from the :meth:`RowFile.spill` file it went
+    to, its rows checked finite before they were written and again as they
+    are read. :meth:`~resvd.model.Layer.steps` writes every output into
+    ``ws``, so the pass holds two block buffers whatever the depth and the
+    row count, plus the scratch pair for the entries within a layer and
     silu's sigmoid. Each block adds its inputs' :func:`gram` to the layer's
     tail matrices' sums and its output's squared norm to the layer's, and
     writes that output to the layer's spill, so no array grows with the row
@@ -303,7 +312,7 @@ def capture_activations(
     last spill, which goes once the caller drops it.
 
     Raises:
-        OSError: naming the file, when it cannot be made, written or read back.
+        OSError: naming the file, when it cannot be made, written or read back whole.
         DimensionError: when the calibration width is not the model's.
         NumericalError: naming the first fault in forward order, each layer's
             found before the next layer runs: a matrix whose output overflows
@@ -331,12 +340,7 @@ def capture_activations(
             if source is None:
                 h = calib.block(rows, ws)
             else:
-                h = ws.free(rows.stop - rows.start, source.shape[1])
-                at = source.offset + rows.start * h.shape[1] * 8
-                for _ in source.pieces(memoryview(h).cast("B"), at, at + h.nbytes):
-                    pass
-                if sys.byteorder == "big":
-                    h.byteswap(inplace=True)
+                h = source.read_back(rows.start, ws.free(rows.stop - rows.start, source.shape[1]))
             for j, (entry, x, y) in enumerate(layer.steps(h, ws)):
                 if i >= split:
                     grams[j] = gram(x, grams.get(j))

@@ -47,7 +47,6 @@ buffers, whatever the depth and ``S``.
 
 from __future__ import annotations
 
-import errno
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -65,7 +64,6 @@ from .compensation import (
 )
 from .errors import (
     CompressionError,
-    FormatError,
     InfeasibleBudgetError,
     InfeasiblePlanError,
     NumericalError,
@@ -358,8 +356,8 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
     neither ``x`` nor the trial's output, so scoring allocates nothing.
 
     Raises:
-        OSError: when that file ends early; it is the run's own, so this
-            ends the run, not just the candidate.
+        OSError: naming that file and the row, when it ends early; it is the run's own, so
+            :meth:`~resvd.calibration.RowFile.read_back` ends the run, not just the candidate.
     """
     factor = _trial_factor(state, layer_ratio, beta, residual)
     y = x
@@ -367,10 +365,7 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
         trial = _factored(layer, factor)
         y = trial.forward(y, ws, x)
         del trial  # the next layer is factored once this one is gone
-    try:
-        y_ref = state.output.read(rows.start, ws.free(len(y), y.shape[1], x, y))
-    except FormatError as exc:
-        raise OSError(errno.EIO, str(exc)) from exc
+    y_ref = state.output.read_back(rows.start, ws.free(len(y), y.shape[1], x, y))
     # through model's own name, so whatever wraps it there sees every score
     return model_ops._squared_error(y, y_ref)
 

@@ -1338,12 +1338,13 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("command", ["plan", "compress"])
-    @pytest.mark.parametrize("failure", ["create", "write", "truncate"])
+    @pytest.mark.parametrize("failure", ["create", "write", "truncate", "layer"])
     def test_a_spill_that_fails_is_one_line_and_leaves_nothing(
             self, tmp_path, capsys, monkeypatch, argv, command, blocks, failure):
         # The model output is spilled to an unlinked file under TMPDIR. That
         # file cannot be made, a block's write runs out of space, or the
-        # file is cut to 20 rows once the calibration pass has filled it:
+        # file is cut to 20 rows once the calibration pass has filled it, or
+        # the first layer's spill is, once the second layer's is made:
         # each ends the run with one line, exit 2, compress's --out never
         # exists, TMPDIR is left empty and the file's descriptor is closed.
         monkeypatch.setattr(resvd.model, "BLOCK_BYTES",
@@ -1369,6 +1370,17 @@ class TestFaultInjection:
             real_pwrite = os.pwrite
             monkeypatch.setattr(os, "pwrite", pwrite)
             want = f"[Errno 28] No space left on device: '{spill}'"
+        elif failure == "layer":
+            spills = []
+
+            def make_spill(what):
+                spills.append(real_spill(what))
+                if len(spills) == 2:  # the first layer's is full, and the second reads it
+                    os.ftruncate(spills[0]._fd, 8 * self.WIDTH * 20)
+                return spills[-1]
+
+            real_spill = resvd.calibration.RowFile.spill
+            monkeypatch.setattr(resvd.calibration.RowFile, "spill", make_spill)
         else:
             def calibrate(*args):
                 state = real_calibrate(*args)
@@ -1377,6 +1389,7 @@ class TestFaultInjection:
 
             real_calibrate = resvd.planner.calibrate
             monkeypatch.setattr(resvd.planner, "calibrate", calibrate)
+        if failure in ("truncate", "layer"):
             want = (f"[Errno 5] {spill}: ends before row {self.ROWS if blocks == 1 else 28}; "
                     "it was truncated while in use")
         args = argv[command]()
@@ -1384,6 +1397,9 @@ class TestFaultInjection:
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
         capsys.readouterr()
         assert main(args) == 2
+        if failure == "layer":
+            assert len(spills) == 2
+            spills.clear()
         assert capsys.readouterr() == ("", f"resvd: io error: {want}\n")
         assert command == "plan" or not Path(args[-1]).exists()
         assert list(tmp.iterdir()) == []

@@ -25,7 +25,6 @@ import resvd.csv_cache
 from resvd.calibration import READ_CHUNK_BYTES, CalibrationSet, RowFile
 from resvd.containers import (
     ERROR_CSV_HEADER,
-    _parse_csv,
     load_calibration,
     load_calibration_auto,
     load_calibration_csv,
@@ -37,7 +36,7 @@ from resvd.containers import (
     save_model,
     save_plan,
 )
-from resvd.csv_cache import FORMAT_TAG, MAX_ENTRIES
+from resvd.csv_cache import FORMAT_TAG, MAX_ENTRIES, _parse_csv
 from resvd.errors import FormatError
 from resvd.demo import demo_model
 from resvd.linalg import FactorPair
@@ -178,7 +177,7 @@ def _in_locale(env: dict, code: str, *args: str) -> tuple[str, str]:
 def _parse_in_blocks(path, block):
     """:func:`_parse_csv`'s rows of the file at ``path``, read ``block`` bytes at a time."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resvd.containers, "READ_CHUNK_BYTES", block)
+        mp.setattr(resvd.csv_cache, "READ_CHUNK_BYTES", block)
         rows = RowFile.spill("the parsed rows")
         digest = _parse_csv(path, rows)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -526,7 +525,7 @@ class TestCalibrationContainer:
 
     def test_a_token_longer_than_the_bound_is_not_numeric(self, tmp_path):
         # ASCII whitespace around a token counts toward its length
-        bound = resvd.containers.MAX_TOKEN_BYTES
+        bound = resvd.csv_cache.MAX_TOKEN_BYTES
         path = tmp_path / "c.csv"
         path.write_bytes(b"1,2\n3," + b" " * (bound - 1) + b"4\n")
         np.testing.assert_array_equal(load_calibration_csv(path).samples, [[1, 2], [3, 4]])
@@ -762,7 +761,7 @@ class TestCalibrationCache:
             return open(path, *args, **kwargs)
 
         _no_parse(monkeypatch)
-        monkeypatch.setattr(resvd.containers, "open", counting_open, raising=False)
+        monkeypatch.setattr(resvd.csv_cache, "open", counting_open, raising=False)
         np.testing.assert_array_equal(load_calibration_csv(tmp_path / "c.csv").samples,
                                       calib.samples)
         assert opened == [tmp_path / "c.csv"]
