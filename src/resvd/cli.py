@@ -136,11 +136,12 @@ def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
     """Refuse an ``--out`` that resolves to ``--calib`` or to a path under a model directory,
     or that cannot be written as the command writes it.
 
-    ``compress`` writes a directory, so its ``--out``'s nearest existing path
-    must be a directory; ``plan``, ``analyze`` and ``verify`` write a file,
-    so theirs must not be a directory, and the directory it goes in must
-    exist. Called before anything is loaded, run or written, so a refused
-    run leaves every input as it was and spends no work.
+    ``compress`` writes a directory, so its ``--out`` must not hold
+    ``--calib``, and its nearest existing path must be a directory;
+    ``plan``, ``analyze`` and ``verify`` write a file, so theirs must not be
+    a directory, and the directory it goes in must exist. Called before
+    anything is loaded, run or written, so a refused run leaves every input
+    as it was and spends no work.
     """
     if not args.out:
         return
@@ -156,6 +157,9 @@ def _refuse_to_overwrite(args: argparse.Namespace, *model_dirs: str) -> None:
             raise ValueError(f"--out {args.out} is {where} --{flag} directory; "
                              f"{args.command} does not overwrite its input")
     if args.command == "compress":
+        if out in Path(calib).resolve().parents:  # --calib is required
+            raise ValueError(f"--out {args.out} holds the --calib file; "
+                             "compress does not overwrite its input")
         existing = next(path for path in (out, *out.parents) if path.exists())
         if not existing.is_dir():
             where = "is" if existing == out else f"lies under {existing}, which is"

@@ -11,8 +11,10 @@ module loads only for a CSV, and only the first time it is loaded: a later
 load reads the cache entry the parse left. No pass writes calibration rows.
 
 Every cache entry, a parsed CSV's, a calibrated state's or a plan's, has
-one layout, written by :func:`publish_entry` and read, its sha256 checked,
-by :func:`read_entry` (see :mod:`resvd.csv_cache`, :mod:`resvd.state_cache`).
+one layout, written by :func:`publish_entry`. :func:`read_entry` checks its
+sha256 before it parses anything, and each caller then checks the shapes
+and reads the arrays it keeps by :func:`read_array` (see
+:mod:`resvd.csv_cache`, :mod:`resvd.state_cache`).
 
 No input is read through the locale: a CSV is parsed as bytes, lines
 ending at ``\n``, and ``manifest.json`` and ``plan.json`` are decoded as
@@ -35,7 +37,7 @@ import struct
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -337,8 +339,6 @@ ENTRY_VERSION = 2
 ENTRY_FIELDS = struct.Struct("<4sIQ")
 ENTRY_HEADER = struct.Struct(ENTRY_FIELDS.format + "32s")
 
-Arrays = list[tuple[list[int], bool]]  # each array's shape in an entry, and whether it is read
-
 
 def f64_bytes(a: np.ndarray) -> memoryview:
     """The bytes of ``a`` as little-endian float64, row-major."""
@@ -351,18 +351,17 @@ def entry_size(doc: dict) -> int:
     return ENTRY_HEADER.size + len(json.dumps(doc).encode()) + 8 * sum(map(math.prod, shapes))
 
 
-def read_entry(entry: Path | None, expect: Callable[[dict], Arrays | None], limit: int | None,
-               scratch: memoryview | None = None
-               ) -> tuple[RowFile, dict, list[np.ndarray | int]] | None:
+def read_entry(entry: Path | None, limit: int | None) -> tuple[RowFile, dict, list[int]] | None:
     """The entry at ``entry`` as a :class:`~resvd.calibration.RowFile` owning its descriptor,
-    its JSON descriptor and each of its arrays; None when there is none, or it is not one this
-    version wrote whole, is over ``limit`` bytes, or ``expect`` refuses it. A hit renews the
-    entry's mtime, so eviction spares it longest.
+    its JSON descriptor and the byte offset of each array its ``"shapes"`` lists; None when
+    there is none, or it is not one this version wrote whole, or is over ``limit`` bytes. A hit
+    renews the entry's mtime, so eviction spares it longest.
 
-    ``expect(descriptor)`` gives the shape of each array, with whether to read it, or None. An
-    array read is a native float64 array; one not read is the byte offset where it starts, and
-    is hashed through ``scratch``. The descriptor's byte count is checked against the file's
-    size before it is read, and the shapes and their size before any array is allocated.
+    The header, the descriptor's byte count against the file's size and ``limit`` are checked
+    first. Then the header's fields and every byte after the header are hashed through one
+    :data:`~resvd.calibration.READ_CHUNK_BYTES` buffer, and only an entry whose sha256 matches
+    has its descriptor parsed, and must be exactly as long as its shapes make it. The caller
+    checks the shapes it expects and reads the arrays it keeps with :func:`read_array`.
     """
     import hashlib  # here, so only a command that uses the cache maps OpenSSL
 
@@ -379,34 +378,36 @@ def read_entry(entry: Path | None, expect: Callable[[dict], Arrays | None], limi
         if (magic, version) != (ENTRY_MAGIC, ENTRY_VERSION) or ENTRY_HEADER.size + size > end \
                 or limit is not None and end > limit:
             return None
-        digest, at = hashlib.sha256(head[: ENTRY_FIELDS.size]), ENTRY_HEADER.size + size
-        text = bytearray(size)
-        for piece in rows.pieces(memoryview(text), ENTRY_HEADER.size, at):
+        digest = hashlib.sha256(head[: ENTRY_FIELDS.size])
+        for piece in rows.pieces(memoryview(bytearray(READ_CHUNK_BYTES)), ENTRY_HEADER.size, end):
             digest.update(piece)
-        try:
-            doc = json.loads(text.decode())
-        except ValueError:  # not UTF-8, or not JSON
+        if digest.digest() != want:
             return None
-        arrays = expect(doc) if isinstance(doc, dict) else None
-        if arrays is None or doc.get("shapes") != [shape for shape, _ in arrays] \
-                or end != at + 8 * sum(math.prod(shape) for shape, _ in arrays):
-            return None
-        parts = []
-        for shape, read in arrays:
-            parts.append(np.empty(shape) if read else at)
-            buf = memoryview(parts[-1]).cast("B") if read else scratch
-            start, at = at, at + 8 * math.prod(shape)
-            for piece in rows.pieces(buf, start, at):
-                digest.update(piece)
-            if read and sys.byteorder == "big":
-                parts[-1].byteswap(inplace=True)
+        text = os.pread(fd, size, ENTRY_HEADER.size)
     except OSError:  # missing, a directory, unreadable or cut short
         return None
-    if digest.digest() != want:
+    try:
+        doc = json.loads(text.decode())
+        offsets = list(itertools.accumulate((8 * math.prod(shape) for shape in doc["shapes"]),
+                                            initial=ENTRY_HEADER.size + size))
+    except (ValueError, TypeError, KeyError):  # hashed, yet not JSON with a list of shapes
+        return None
+    if offsets.pop() != end:
         return None
     with contextlib.suppress(OSError):
         os.utime(entry)
-    return rows, doc, parts
+    return rows, doc, offsets
+
+
+def read_array(rows: RowFile, at: int, shape: list[int]) -> np.ndarray:
+    """The native float64 array of ``shape`` stored from byte ``at`` of the entry ``rows``
+    reads, which :func:`read_entry` checked whole. An ``OSError`` when the file ends first."""
+    out = np.empty(shape)
+    for _ in rows.pieces(memoryview(out).cast("B"), at, at + out.nbytes):
+        pass
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+    return out
 
 
 def publish_entry(entry: Path, doc: dict, payload: Iterable[np.ndarray | memoryview],

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .calibration import READ_CHUNK_BYTES, CalibrationSet, RowFile
-from .containers import Arrays, cache_dir, publish_entry, read_entry
+from .containers import cache_dir, publish_entry, read_entry
 from .errors import FormatError
 
 MAX_ENTRIES = 8
@@ -50,19 +50,12 @@ def load(path: str | Path) -> CalibrationSet:
     from a spill they are parsed into, then copied into an entry named by the sha256 of the
     bytes parsed, which may differ from those the lookup hashed if the file changed since."""
     digest, width = _sha256(path)
-
-    def expect(doc: dict) -> Arrays | None:
-        match doc.get("shapes"):
-            case [[int(n), int(w)] as shape] if n >= 1 and w >= 1 and width in (None, w):
-                return [(shape, False)]
-        return None
-
     entry = entry_for(digest)
-    found = read_entry(entry, expect, None, memoryview(bytearray(READ_CHUNK_BYTES)))
-    if found is not None:
-        rows, doc, [rows.offset] = found
-        rows.shape = tuple(doc["shapes"][0])
-        return CalibrationSet(file=rows)
+    match read_entry(entry, None):
+        case (rows, {"shapes": [[int(n), int(w)]]}, [at]) if n >= 1 and w >= 1 \
+                and width in (None, w):
+            rows.offset, rows.shape = at, (n, w)
+            return CalibrationSet(file=rows)
     rows = RowFile.spill(f"the rows of {path}")
     digest = _parse_csv(path, rows)
     if entry is not None:

@@ -22,12 +22,11 @@ and the ``S x W`` output rows. A plan's is the ``plan.json`` document
 bit for bit, plus ``"shapes"``; its arrays are ``u_hat`` then ``v_hat`` of
 each matrix of the winner's ``tail_entries(k)``. Each kind's writer and
 reader walk :meth:`~resvd.model.SequentialModel.tail_entries`, so they
-agree on the order by construction. An entry
-whose shapes are not those the model implies, or whose size is not theirs,
-is a miss before any array is allocated; one with any byte changed is a
-miss too. A state hit reads the norms and the tail asked for and hashes the
-rest, and the scan reads the output rows block by block from the entry, so
-it needs no spill under ``TMPDIR``.
+agree on the order by construction. An entry with any byte changed is a
+miss before its descriptor is parsed, and one whose shapes are not those
+the model implies is a miss before any array is allocated. A state hit
+reads the norms and the tail asked for, and the scan reads the output rows
+block by block from the entry, so it needs no spill under ``TMPDIR``.
 
 At most :data:`MAX_ENTRIES` states and :data:`MAX_PLANS` plans are kept,
 dropped oldest by mtime first, and a hit renews its entry's; a state of
@@ -54,8 +53,8 @@ import numpy as np
 
 from .calibration import CalibrationSet, RowFile
 from .compensation import WhitenedWeight
-from .containers import (ENTRY_VERSION, Arrays, cache_dir, entry_size, f64_bytes, plan_document,
-                         plan_from_document, publish_entry, read_entry)
+from .containers import (ENTRY_VERSION, cache_dir, entry_size, f64_bytes, plan_document,
+                         plan_from_document, publish_entry, read_array, read_entry)
 from .errors import FormatError
 from .linalg import FactorPair, as_matrix
 from .model import SequentialModel, Workspace
@@ -139,8 +138,7 @@ def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
     the rows once more."""
     directory = cache_dir()
     if directory is None or calib.input_dim != model.input_dim or entry_size(
-            {"tail": k, "shapes": [s for s, _ in _arrays(model, k, calib.num_samples, k)]}
-    ) > MAX_BYTES:
+            {"tail": k, "shapes": _shapes(model, k, calib.num_samples)}) > MAX_BYTES:
         return None
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -150,38 +148,35 @@ def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
     return None if digest is None else directory / f"state-{digest}.ercs"
 
 
-def _arrays(model: SequentialModel, tail: int, rows: int, k: int) -> Arrays:
-    """The shape of each array of a ``tail``-layer state of ``rows`` rows, in order, with whether
-    a load of the last ``k`` layers reads it: the norms, ``U`` and sigma of each matrix, the
-    output rows."""
-    arrays = [([model.n_layers], True)]
-    loaded = {key for key, _ in model.tail_entries(k)}
-    for key, e in model.tail_entries(tail):
-        p, read = min(e.rows, e.cols), key in loaded
-        arrays += [([e.rows, p], read), ([p], read)]
-    return arrays + [([rows, model.layers[-1].output_dim], False)]
+def _shapes(model: SequentialModel, tail: int, rows: int) -> list[list[int]]:
+    """The shape of each array of a ``tail``-layer state of ``rows`` rows, in order: the norms,
+    ``U`` and sigma of each matrix, the output rows."""
+    shapes = [[model.n_layers]]
+    for _, e in model.tail_entries(tail):
+        p = min(e.rows, e.cols)
+        shapes += [[e.rows, p], [p]]
+    return shapes + [[rows, model.layers[-1].output_dim]]
 
 
 def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> Parts | None:
     """The whitened matrices of the last ``k`` layers, the norms and the output the entry
     holds, as :func:`~resvd.calibration.capture_activations` returns them; None when it
     holds none that covers ``k``, or none at all."""
-    rows, width = ws.blocks[-1].stop, model.layers[-1].output_dim
-
-    def expect(doc: dict) -> Arrays | None:
-        tail = doc.get("tail")
-        if type(tail) is not int or not k <= tail <= model.n_layers:
-            return None
-        return _arrays(model, tail, rows, k)
-
-    found = read_entry(entry, expect, MAX_BYTES, memoryview(ws.free(ws.rows, width)).cast("B"))
+    found = read_entry(entry, MAX_BYTES)
     if found is None:
         return None
-    output, _, (norms, *arrays, output.offset) = found
-    arrays = iter(a for a in arrays if isinstance(a, np.ndarray))  # the last k layers' U, sigma
+    output, doc, offsets = found
+    tail, shapes = doc.get("tail"), doc["shapes"]
+    if type(tail) is not int or not k <= tail <= model.n_layers \
+            or shapes != _shapes(model, tail, ws.blocks[-1].stop):
+        return None
+    kept = 2 * sum(1 for _ in model.tail_entries(k))  # the last k layers' U and sigma
+    arrays = (read_array(output, at, shape)
+              for at, shape in zip(offsets[-1 - kept:-1], shapes[-1 - kept:-1]))
     whitened = {key: WhitenedWeight(as_matrix(e.dense, key), next(arrays), next(arrays))
                 for key, e in model.tail_entries(k)}
-    output.shape = (rows, width)
+    norms = read_array(output, offsets[0], shapes[0])
+    output.offset, output.shape = offsets[-1], tuple(shapes[-1])
     return whitened, tuple(float(v) for v in norms), output
 
 
@@ -216,31 +211,31 @@ def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
     """The winning ``k``, the candidate table and each factor pair of the winner's last ``k``
     layers, keyed ``"<layer>/<matrix>"``, that the entry holds for ``model``; None when it
     holds none."""
-    def expect(doc: dict) -> Arrays | None:
-        k = doc.get("k")
-        if type(k) is not int or not 1 <= k < model.n_layers:
-            return None
-        tail = [e for _, e in model.tail_entries(k)]
-        try:  # each pair's rank is the second extent of its u_hat
-            ranks = [u[1] for u in doc["shapes"][::2]]
-        except (KeyError, TypeError, IndexError):
-            return None
-        if len(ranks) != len(tail) or not all(
-                type(r) is int and 1 <= r <= min(e.rows, e.cols) for e, r in zip(tail, ranks)):
-            return None
-        return [(shape, True) for e, r in zip(tail, ranks) for shape in ([e.rows, r], [r, e.cols])]
-
-    found = read_entry(entry, expect, MAX_BYTES)
+    found = read_entry(entry, MAX_BYTES)
+    if found is None:
+        return None
+    rows, doc, offsets = found
+    k, shapes = doc.get("k"), doc["shapes"]
+    if type(k) is not int or not 1 <= k < model.n_layers:
+        return None
+    tail = list(model.tail_entries(k))
+    try:  # each pair's rank is the second extent of its u_hat
+        ranks = [u[1] for u in shapes[::2]]
+    except (KeyError, TypeError, IndexError):
+        return None
+    if len(ranks) != len(tail) or not all(
+            type(r) is int and 1 <= r <= min(e.rows, e.cols) for (_, e), r in zip(tail, ranks)) \
+            or shapes != [s for (_, e), r in zip(tail, ranks) for s in ([e.rows, r], [r, e.cols])]:
+        return None
     try:
-        chosen = None if found is None else plan_from_document(found[1], str(entry))
+        chosen = plan_from_document(doc, str(entry))
     except FormatError:
         return None
-    if chosen is None or (chosen.k, "ok") not in {(row.k, row.status)
-                                                  for row in chosen.candidate_table}:
+    if (chosen.k, "ok") not in {(row.k, row.status) for row in chosen.candidate_table}:
         return None
-    arrays = found[2]
+    arrays = [read_array(rows, at, shape) for at, shape in zip(offsets, shapes)]
     pairs = {key: FactorPair(u_hat=u, v_hat=v)
-             for (key, _), u, v in zip(model.tail_entries(chosen.k), arrays[::2], arrays[1::2])}
+             for (key, _), u, v in zip(tail, arrays[::2], arrays[1::2])}
     return chosen.k, chosen.candidate_table, pairs
 
 

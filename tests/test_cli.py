@@ -389,27 +389,38 @@ class TestCompress:
                                        "input\n")
         assert dir_bytes(demo) == before
 
-    @pytest.mark.parametrize("target", ["calib.bin", "sub"])
+    @pytest.mark.parametrize("target", ["calib.bin", "sub", "out/errors.csv", "out/calib.bin"])
     def test_out_onto_the_calibration_or_into_the_model_is_refused_before_loading(
             self, tmp_path, capsys, monkeypatch, target):
-        # The calibration file and a new directory inside the model's: each
-        # exits 2 with one line before either input is loaded, and every
-        # input keeps its bytes.
+        # The calibration file, a new directory inside the model's, and a
+        # directory holding the calibration, as a CSV named like the error
+        # report compress writes or as ERCC: each exits 2 with one line
+        # before either input is loaded, and every input keeps its bytes.
         demo = gen_demo(tmp_path / "demo", layers=4, width=8, samples=24)
-        before = dir_bytes(demo)
+        calib = demo / "calib.bin"
+        if target.startswith("out/"):
+            calib = tmp_path / target
+            calib.parent.mkdir()
+            if calib.suffix == ".csv":
+                save_calibration_csv(load_calibration(demo / "calib.bin"), calib)
+            else:
+                shutil.copyfile(demo / "calib.bin", calib)
+        before, held = dir_bytes(demo), calib.read_bytes()
         loaded = []
         monkeypatch.setattr(resvd.cli, "load_model", loaded.append)
         monkeypatch.setattr(resvd.cli, "load_calibration_auto", loaded.append)
-        out = demo / target
+        out = calib.parent if target.startswith("out/") else demo / target
         capsys.readouterr()
-        rc = main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+        rc = main(["compress", "--model", str(demo), "--calib", str(calib),
                    "--ratio", "0.2", "--out", str(out)])
-        what = "is the --calib file" if target == "calib.bin" else "is inside the --model directory"
+        what = {"calib.bin": "is the --calib file",
+                "sub": "is inside the --model directory"}.get(target, "holds the --calib file")
         assert rc == 2
         assert capsys.readouterr() == ("", f"resvd: invalid configuration: --out {out} {what}; "
                                        "compress does not overwrite its input\n")
         assert loaded == []
         assert dir_bytes(demo) == before and not (demo / "sub").exists()
+        assert calib.read_bytes() == held and not (out / "manifest.json").exists()
 
     def test_bad_ratio_value_exits_2(self, tmp_path):
         demo = gen_demo(tmp_path / "demo")

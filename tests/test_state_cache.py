@@ -442,8 +442,8 @@ class TestPlanEntries:
     @pytest.mark.parametrize("damage", ["truncated", "a payload byte", "a header byte",
                                         "zero-length", "a directory", "another version",
                                         "a descriptor past the end", "other shapes"])
-    def test_a_damaged_entry_is_a_miss_with_the_same_bytes(self, tmp_path, capsys, demo,
-                                                           factorings, damage):
+    def test_a_damaged_entry_is_a_miss_with_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                                           demo, factorings, damage):
         out = tmp_path / "out"
         assert main(compress_argv(demo, out)) == 0
         want = dir_bytes(out)
@@ -473,9 +473,13 @@ class TestPlanEntries:
         os.rename(out, tmp_path / "cold")
         factorings.clear()
         capsys.readouterr()
+        parsed, loads = [], json.loads  # every string parsed as JSON
+        monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
         assert main(compress_argv(demo, out)) == 0
         assert capsys.readouterr().err == ""
         assert factorings and dir_bytes(out) == want
+        if damage != "other shapes":  # no descriptor is parsed before its sha256 matches
+            assert not [s for s in parsed if "resvd-plan" in str(s)]
         if damage != "a directory":  # the miss wrote the entry again, and it now hits
             os.rename(out, tmp_path / "again")
             factorings.clear()
