@@ -25,9 +25,9 @@ slices ``U``, multiplies the slices with the weight for both stages
 (``U^T W`` is ``diag(sigma) V^T S^{-1}``, so ``S`` is never inverted), runs
 the residual stage's small eigendecomposition for its own ``r_i``, and
 runs forward through its ``k`` tail layers from the original model's input
-to layer ``N-k``. Candidates are scored largest ``k`` first, so one walk of
-the original layers reaches each of those inputs in turn; the untouched
-prefix layers score exactly zero. One function, :func:`_trial_factor`,
+to layer ``N-k``. One scan, :func:`_scan`, scores a list of trials, each a
+candidate's ``(k, R_l)``, and :func:`plan` keeps only the best-so-far memo
+of those it reports. One function, :func:`_trial_factor`,
 builds every factored layer, the scan's and the winner's: it factors each
 matrix of a candidate once, keeps only its residual stage, and builds it
 again from that stage with no SVD. Only one layer of one trial exists at a
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -255,8 +255,8 @@ class CalibratedModel:
     ``reference_norms[i]`` is the Frobenius norm of layer ``i``'s output on
     the calibration set, and ``output`` the last layer's output, in a
     temporary file or a cache entry. No activation is held: a trial's input
-    is the original model's input to its first factored layer, which the
-    caller walks to (see :func:`plan`).
+    is the original model's input to its first factored layer, which
+    :func:`_scan` walks to.
     """
 
     model: SequentialModel
@@ -343,10 +343,8 @@ def _scored(state: CalibratedModel, k: int, layer_ratio: float, beta: float, x: 
 
     Each of the trial's ``k`` layers is factored just before it runs, by
     :func:`_trial_factor` with ``residual`` as the candidate's memo, and
-    dropped once it has, so no two of them are held at once: the first
-    block that scores a candidate fills the memo, and every later one
-    builds the same factors from it with no SVD. Each layer runs through
-    :meth:`~resvd.model.Layer.forward` and the last output is scored
+    dropped once it has, so no two of them are held at once. Each layer runs
+    through :meth:`~resvd.model.Layer.forward` and the last output is scored
     against the calibrated output's rows, the layer applies and the
     subtraction that :func:`~resvd.model.layerwise_error` runs, so the
     error summed over the blocks is the last entry of that function's
@@ -387,30 +385,53 @@ def _too_thin(model: SequentialModel, k: int, layer_ratio: float, beta: float,
     return None
 
 
+def _scan(state: CalibratedModel, calib: CalibrationSet, trials: list[tuple[int, float]],
+          beta: float, ws: Workspace) -> Iterator[tuple[int, float | tuple[type, str], dict]]:
+    """Each trial ``(k, R_l)`` of ``trials``, in ascending ``k``, as ``(k, outcome, memo)``.
+
+    In each block of ``ws``, trials are scored largest ``k`` first, so one
+    walk of the original layers reaches each trial's input in turn; each
+    scores its final layer only (:func:`_scored`), its squared error summed
+    over the blocks in order, and its memo, filled in its first block, gives
+    every later block the same factors with no SVD. A trial that fails, in
+    any block, is yielded at once with its error's type and message, not
+    the error, so no frame of the scan outlives it, and never scored again.
+    Every other trial is yielded in the last block with its final relative
+    error and its memo, which the scan then holds no longer.
+    """
+    memos: dict[int, dict[str, FactorPair | None]] = {k: {} for k, _ in trials}
+    squares = dict.fromkeys(memos, 0.0)
+    for block in ws.blocks:
+        x, at = calib.block(block, ws), 0  # x is what the original model feeds layer ``at``
+        inputs = _walk(state.model.layers, x, ws)
+        for k, ratio in reversed(trials):
+            if k not in memos:
+                continue
+            while at < state.model.n_layers - k:
+                x, at = next(inputs), at + 1
+            try:
+                squares[k] += _scored(state, k, ratio, beta, x, block, ws, memos[k])
+                if block is not ws.blocks[-1]:
+                    continue
+                outcome = model_ops._relative_error(squares[k], state.reference_norms[-1])
+                if math.isnan(outcome):
+                    raise NumericalError("final-layer error undefined")
+            except CompressionError as exc:
+                outcome = (type(exc), str(exc))
+            yield k, outcome, memos.pop(k)
+
+
 def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> CompressionPlan:
     """Score every feasible tail-layer candidate and pick the error argmin.
 
-    The calibrated state is built once, for the largest candidate ``k``,
-    and shared by every trial. The scan walks the calibration rows in the
-    blocks of one :class:`~resvd.model.Workspace`. In each block,
-    candidates are scored largest ``k`` first, so one walk of the original
-    layers reaches each trial's input in turn; each trial scores its final
-    layer only (:func:`_scored`), and its squared error is summed over the
-    blocks in order. Every trial layer, in every block, and the winner
-    ``plan`` returns for ``compress`` to write are built by one function,
-    :func:`_trial_factor`, from the candidate's memo: each matrix is
-    factored once, and only one layer of one trial exists at a time. Every
-    candidate keeps its memo until the last block, where only the best so
-    far keeps it, so a run of one block holds what one pass over every row
-    held. Candidates whose compression fails, in any block, are failed
-    rows of the table, built once the scan ends, and skipped by the
-    argmin; so is each candidate with a matrix whose kept rank is at least
-    the calibration's row count (:func:`_too_thin`): those are never
-    calibrated or scored, and the calibrated state covers the largest
-    ``k`` that is. Each failure is kept as its error's type and message,
-    not as the error, so no frame of the scan outlives it. No per-layer pass runs here. Activations held stay
-    three block buffers and scratch, whatever the depth and the row count;
-    the model's output is read back from its file block by block.
+    Candidates with a matrix whose kept rank is at least the calibration's
+    row count (:func:`_too_thin`) are failed rows, never calibrated or
+    scored. The state is calibrated once, for the largest ``k`` of the rest,
+    and :func:`_scan` scores each of them on it as a trial. The argmin, ties
+    going to the smaller ``k``, skips failed rows; only the best trial so
+    far keeps its memo, so a run of one block holds what one pass over every
+    row held, and :func:`_trial_factor` builds the winner from it for
+    ``compress`` to write. The table is built once the scan ends.
 
     The scan's result depends only on the calibrated state's inputs and on
     ``cfg``'s ratio, beta and step, so a plan that found a winner is kept
@@ -434,60 +455,39 @@ def plan(model: SequentialModel, calib: CalibrationSet, cfg: PlannerConfig) -> C
     failures: dict[int, tuple[type[CompressionError], str]] = {
         k: (InfeasiblePlanError, thin) for k, ratio in candidates
         if (thin := _too_thin(model, k, ratio, cfg.beta, calib.num_samples))}
-    scored = [k for k, _ in candidates if k not in failures]
-    if not scored:
+    trials = [(k, ratio) for k, ratio in candidates if k not in failures]
+    if not trials:
         raise InfeasiblePlanError(failures[candidates[0][0]][1])
-    _refuse_factored(model, scored[-1])  # before any key is hashed
+    _refuse_factored(model, trials[-1][0])  # before any key is hashed
     ws = Workspace(calib.num_samples, model)
     from . import state_cache
 
-    entry = state_cache.entry_for(model, calib, scored[-1], ws)
+    entry = state_cache.entry_for(model, calib, trials[-1][0], ws)
     saved = state_cache.plan_entry(entry, cfg)
     found = state_cache.load_plan(saved, model)
     if found is not None:
         k, table, pairs = found
         return _chosen(model, cfg, k, table, pairs.__getitem__)
-    state = calibrate(model, calib, scored[-1], ws, entry)
-    squares = dict.fromkeys(scored, 0.0)
-    memos: dict[int, dict[str, FactorPair | None]] = {k: {} for k in scored}
+    state = calibrate(model, calib, trials[-1][0], ws, entry)
     errors: dict[int, float] = {}
     best = None
-    for block in ws.blocks:
-        last = block is ws.blocks[-1]
-        x, at = calib.block(block, ws), 0  # x is what the original model feeds layer ``at``
-        inputs = _walk(model.layers, x, ws)
-        for k, ratio in reversed(candidates):
-            if k in failures:
-                continue
-            while at < model.n_layers - k:
-                x, at = next(inputs), at + 1
-            try:
-                squares[k] += _scored(state, k, ratio, cfg.beta, x, block, ws, memos[k])
-                if last:
-                    error = model_ops._relative_error(squares[k], state.reference_norms[-1])
-                    if math.isnan(error):
-                        raise NumericalError("final-layer error undefined")
-            except CompressionError as exc:
-                failures[k] = (type(exc), str(exc))
-                del memos[k]
-                continue
-            if last:
-                errors[k] = error
-                if best is None or error <= errors[best]:  # ties go to the smaller k, scored later
-                    memos.pop(best, None)
-                    best = k
-                else:
-                    del memos[k]
+    for k, outcome, memo in _scan(state, calib, trials, cfg.beta, ws):
+        if isinstance(outcome, tuple):
+            failures[k] = outcome
+        else:
+            errors[k] = outcome
+            if best is None or outcome <= errors[best]:  # ties go to the smaller k, scored later
+                best, kept = k, memo
+        del memo  # so the trial scored next runs beside the best memo only
     if best is None:
         kind, reason = failures[candidates[0][0]]
         raise (kind(reason) if issubclass(kind, (NumericalError, InfeasiblePlanError))
                else InfeasiblePlanError("every candidate failed during trial compression"))
-    ratio = dict(candidates)[best]
     chosen = _chosen(model, cfg, best, tuple(
         CandidateResult(k=k, layer_ratio=r, final_error=math.nan, status="failed",
                         reason=failures[k][1]) if k in failures
         else CandidateResult(k=k, layer_ratio=r, final_error=errors[k])
-        for k, r in candidates), _trial_factor(state, ratio, cfg.beta, memos[best]))
+        for k, r in candidates), _trial_factor(state, dict(trials)[best], cfg.beta, kept))
     state_cache.save_plan(saved, chosen)
     return chosen
 

@@ -49,3 +49,18 @@ def test_no_module_imports_a_name_it_never_uses():
                 unused += [f"{path.name}:{node.lineno}: {name}" for alias in node.names
                            if (name := (alias.asname or alias.name).split(".")[0]) not in used]
     assert unused == []
+
+
+def test_the_dense_reference_imports_no_resvd_module():
+    # The reference checks the pipeline against the paper's equations; code it
+    # shared with resvd would let a fault sit on both sides of that check.
+    tree = ast.parse((Path(__file__).parent / "dense_reference.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "numpy" in imported
+    assert [name for name in imported
+            if name.split(".")[0] == "resvd" or name.startswith(".")] == []

@@ -490,6 +490,45 @@ class TestPlan:
         assert len(built) == 2 * sum(row.k for row in chosen.candidate_table)
         assert overlaps == []
 
+    def test_a_run_of_one_block_keeps_the_best_memo_only(self, monkeypatch):
+        # Each residual stage a candidate's memo keeps is watched through a
+        # weak reference. Whenever a candidate factors a matrix, no other
+        # candidate's stages are alive but the best scored so far's: every
+        # other memo was dropped as soon as its candidate was scored.
+        rng = np.random.default_rng(41)
+        model = make_multi_entry_mlp(rng, 8, 32, 2)
+        calib = make_calib(rng, 48, 32)
+        stages, alive = [], []
+        real = planner_mod._trial_factor
+
+        def trial_factor(state, layer_ratio, beta, residual):
+            factor = real(state, layer_ratio, beta, residual)
+
+            def watched(key):
+                fresh = key not in residual
+                if fresh:
+                    alive.append((layer_ratio, {ratio for ratio, stage in stages
+                                                if ratio != layer_ratio and stage() is not None}))
+                pair = factor(key)
+                if fresh:
+                    stages.append((layer_ratio, weakref.ref(residual[key])))
+                return pair
+
+            return watched
+
+        monkeypatch.setattr(planner_mod, "_trial_factor", trial_factor)
+        chosen = plan(model, calib, PlannerConfig(overall_ratio=0.3, beta=0.05))
+        assert len(model_mod.Workspace(48, model).blocks) == 1
+        rows = chosen.candidate_table
+        assert [row.status for row in rows].count("ok") >= 4
+        assert len(stages) == 2 * sum(row.k for row in rows)
+        for ratio, others in alive:
+            earlier = [(row.final_error, row.k, row.layer_ratio) for row in rows
+                       if row.layer_ratio < ratio]  # larger k, scored earlier
+            best = {min(earlier)[2]} if earlier else set()
+            assert others <= best, (ratio, others, best)
+        assert any(others for _, others in alive)
+
     def test_plan_memory_does_not_grow_with_depth(self):
         # The calibration pass keeps only the model's output, and one walk of
         # the original layers feeds each candidate its input: plan holds a few
