@@ -1,4 +1,5 @@
-"""Calibration samples, whitening, and the calibration pass that whitens each tail matrix.
+"""Calibration samples, whitening, and the calibration pass that whitens each tail matrix
+into the one calibrated state, :class:`CalibratedModel`, that every trial shares.
 
 Whitening follows the Cholesky-of-Gram construction: for a weight matrix
 with input activations X, ``S`` is the lower Cholesky factor of
@@ -21,15 +22,15 @@ import os
 import sys
 import tempfile
 import weakref
-from typing import Callable, Iterator, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
+from .compensation import WhitenedWeight
 from .errors import DimensionError, FormatError, NumericalError, SingularWhiteningError
 from .linalg import as_matrix
-from .model import SequentialModel, Workspace, squared_norm
-
-T = TypeVar("T")
+from .model import SequentialModel, Workspace, check_finite, squared_norm
 
 DEFAULT_RIDGE_SCALE = 1e-6
 
@@ -278,13 +279,39 @@ def gram(x: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
         return total
 
 
+@dataclass(frozen=True, eq=False)
+class CalibratedModel:
+    """What a pass of ``model`` over the calibration set leaves for every trial of at most
+    :attr:`tail` layers, none of it depending on ``k``: :func:`capture_activations` returns
+    it checked, and :func:`resvd.state_cache.load` returns it from an entry that pass wrote.
+
+    ``whitened`` holds a :class:`~resvd.compensation.WhitenedWeight` for each
+    matrix of the tail the pass was given, keyed ``"<layer>/<matrix>"`` in
+    forward order. ``reference_norms[i]`` is the Frobenius norm of layer
+    ``i``'s output on the calibration set, every one finite, and ``output``
+    the last layer's output, in a temporary file or a cache entry. No
+    activation is held: a trial's input is the original model's input to its
+    first factored layer, which :func:`resvd.planner._scan` walks to.
+    """
+
+    model: SequentialModel
+    whitened: dict[str, WhitenedWeight]
+    reference_norms: tuple[float, ...]
+    output: RowFile
+
+    @property
+    def tail(self) -> int:
+        """How many tail layers ``whitened`` covers."""
+        return sum(next(layer.keyed_entries())[0] in self.whitened for layer in self.model.layers)
+
+
 def capture_activations(
     model: SequentialModel,
     calib: CalibrationSet,
     tail: int,
-    factor: Callable[[np.ndarray, np.ndarray, str], T],
+    factor: Callable[[np.ndarray, np.ndarray, str], WhitenedWeight],
     ws: Workspace,
-) -> tuple[dict[str, T], tuple[float, ...], RowFile]:
+) -> CalibratedModel:
     """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
 
     The pass runs each layer on every block of ``ws`` before the next layer
@@ -307,9 +334,11 @@ def capture_activations(
     outlives its ``factor`` call. In a run of one block each Gram matrix is
     the one ``x.T @ x`` product and each norm the one dot product
     ``np.linalg.norm`` takes the root of, so the results do not depend on
-    the blocks but through rounding. Returns ``factor``'s results keyed in
-    forward order, every layer's output norm and the model's output, in the
-    last spill, which goes once the caller drops it.
+    the blocks but through rounding. Returns the :class:`CalibratedModel`
+    of ``factor``'s results keyed in forward order, every layer's output
+    norm and the model's output, in the last spill, which goes once the
+    state is dropped; its norms are checked finite last, after every layer
+    has run.
 
     Raises:
         OSError: naming the file, when it cannot be made, written or read back whole.
@@ -319,7 +348,9 @@ def capture_activations(
             float64 in any block, before an activation could hide it, or a
             layer whose output is all zeros, before any later input is
             whitened: the layers have no bias, so every later output is zero
-            too and no relative error is defined.
+            too and no relative error is defined. Failing those, once every
+            layer has run, the first layer whose output norm overflows
+            float64 though its output does not.
         SingularWhiteningError: naming the first tail matrix whose input
             cannot be whitened, unless a fault above comes before it.
     """
@@ -329,7 +360,7 @@ def capture_activations(
             f"{model.input_dim} of layer {model.layers[0].name!r}"
         )
     split = model.n_layers - tail
-    factored: dict[str, T] = {}
+    factored: dict[str, WhitenedWeight] = {}
     norms = []
     source = None  # the previous layer's spill; the first layer reads the calibration rows
     for i, layer in enumerate(model.layers):
@@ -364,4 +395,6 @@ def capture_activations(
                                  "so the model outputs nothing to compress against")
         norms.append(math.sqrt(square))
         source = spill  # the previous spill is dropped, so closed
-    return factored, tuple(norms), source
+    check_finite(model, norms)  # after the pass, whose per-layer checks name the fault instead
+    return CalibratedModel(model=model, whitened=factored, reference_norms=tuple(norms),
+                           output=source)

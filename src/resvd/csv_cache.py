@@ -21,7 +21,7 @@ import contextlib
 import hashlib
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,10 +84,11 @@ def _sha256(path: str | Path) -> tuple[str, int | None]:
     return digest.hexdigest(), width
 
 
-def _not_numeric(toks: list[bytes]) -> str:
+def _not_numeric(toks: Iterable[bytes]) -> str | None:
     """``float``'s message for the first of ``toks`` that it rejects, that token cut to its
-    longest prefix whose repr fits in 40 characters, then "...", so no message is long. A token
-    of more than :data:`MAX_TOKEN_BYTES` is rejected unread, with the same wording."""
+    longest prefix whose repr fits in 40 characters, then "...", so no message is long; None
+    when it takes them all. A token of more than :data:`MAX_TOKEN_BYTES` is rejected unread,
+    with the same wording."""
     for tok in toks:
         try:
             if len(tok) > MAX_TOKEN_BYTES:
@@ -97,6 +98,15 @@ def _not_numeric(toks: list[bytes]) -> str:
             keep = next(n for n in range(min(len(tok), 40), -1, -1) if len(repr(tok[:n])) <= 40)
             cut = "..." if keep < len(tok) else ""
             return f"could not convert string to float: {tok[:keep]!r}{cut}"
+
+
+def _tokens(line: bytes) -> Iterator[bytes]:
+    """The tokens ``line.split(b",")`` gives, one at a time, so only one is held at once."""
+    start = 0
+    while (end := line.find(b",", start)) >= 0:
+        yield line[start:end]
+        start = end + 1
+    yield line[start:]
 
 
 def _lines(fh) -> Iterator[bytes]:
@@ -127,15 +137,15 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
     The file is read :data:`READ_CHUNK_BYTES` at a time and rows are written
     half that many bytes at a time: beyond its longest line, a parse holds
     less than two of those. No token of more than :data:`MAX_TOKEN_BYTES`
-    reaches ``float``, and a line is held once (:func:`_lines`), but a line
-    costs memory in proportion to its token count, not its length:
-    ``line.split(b",")`` builds every token, a list slot each and a
-    ``bytes`` object for each but the empty and one-byte ones that CPython
-    shares, before ``float`` sees the first, and each token that parses adds
-    a float and another list slot. Under ``tracemalloc`` a faulty 1 MB line
-    peaks at 9.4 times its length as commas alone, 5.7 times as ``x,``
-    repeated, and 23 and 28 times as ``1,`` and ``10,`` repeated before
-    one ``x``.
+    reaches ``float``, and a line is held once (:func:`_lines`). A line
+    after the first row whose comma count gives another width is never
+    split: its tokens go to ``float`` one at a time (:func:`_tokens`), so
+    it is named as not numeric or by its width for about the cost of the
+    line, 2.4 times its length under ``tracemalloc`` for 1 MB of commas,
+    of ``x,``, of ``1,`` or of ``10,`` before one ``x``. The first row's
+    width is not known before it is split, so a faulty first line still
+    costs a list slot per token, a ``bytes`` object for each but the empty
+    and one-byte ones that CPython shares, and a float for each that parses.
     """
     digest, block, n = hashlib.sha256(), None, 0  # n rows of block are not yet appended
     with open(path, "rb", buffering=READ_CHUNK_BYTES) as fh:
@@ -143,6 +153,11 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
             digest.update(raw)
             if not (line := raw.strip()):
                 continue
+            width = line.count(b",") + 1
+            if block is not None and width != block.shape[1]:
+                if why := _not_numeric(_tokens(line)):
+                    raise FormatError(f"{path}:{ln}: not numeric ({why})")
+                raise FormatError(f"{path}:{ln}: expected {block.shape[1]} columns, got {width}")
             toks = line.split(b",")
             try:  # a line no longer than a token needs no check of its tokens' length
                 if len(line) > MAX_TOKEN_BYTES and max(map(len, toks)) > MAX_TOKEN_BYTES:
@@ -152,9 +167,6 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
                 raise FormatError(f"{path}:{ln}: not numeric ({_not_numeric(toks)})") from None
             if block is None:
                 block = np.empty((max(1, READ_CHUNK_BYTES // (16 * len(row))), len(row)))
-            if len(row) != block.shape[1]:
-                raise FormatError(
-                    f"{path}:{ln}: expected {block.shape[1]} columns, got {len(row)}")
             if not all(map(math.isfinite, row)):
                 raise FormatError(f"{path}:{ln}: non-finite value")
             block[n] = row

@@ -9,9 +9,11 @@ is computed per candidate, and no per-layer curve at all: ``compress``
 scores the winner's per-layer errors for ``errors.csv`` with
 :func:`~resvd.model.layerwise_error`, the call ``analyze`` makes.
 
-What does not depend on ``k`` is computed once per (model, calibration)
-pair by :func:`calibrate`, in one pass that runs one layer at a time over
-every block, and kept in :mod:`resvd.state_cache` for the next command on
+What does not depend on ``k`` is one
+:class:`~resvd.calibration.CalibratedModel`, defined beside the pass that
+fills and checks it and computed once per (model, calibration) pair by
+:func:`calibrate`, in one pass that runs one layer at a time over every
+block, and kept whole in :mod:`resvd.state_cache` for the next command on
 the pair (which keeps each scan's result too; see :func:`plan`): each
 layer's reference output norm, the model's output, spilled to an
 unlinked temporary file, and one
@@ -54,9 +56,8 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 from . import model as model_ops
-from .calibration import CalibrationSet, RowFile, capture_activations
+from .calibration import CalibratedModel, CalibrationSet, capture_activations
 from .compensation import (
-    WhitenedWeight,
     compress_matrix,
     direct_truncate_matrix,
     join_stages,
@@ -75,7 +76,6 @@ from .model import (
     SequentialModel,
     Workspace,
     _walk,
-    check_finite,
 )
 # Not called here; perfbench/tracer.py wraps it by name (ROADMAP item 1).
 from .model import layerwise_error  # noqa: F401
@@ -246,68 +246,32 @@ def _trial_factor(state: CalibratedModel, layer_ratio: float, beta: float,
     return factor
 
 
-@dataclass(frozen=True, eq=False)
-class CalibratedModel:
-    """The part of every trial that does not depend on ``k``; see :func:`calibrate`.
-
-    ``whitened`` holds a :class:`~resvd.compensation.WhitenedWeight` for each
-    matrix of the tail :func:`calibrate` was given, keyed ``"<layer>/<matrix>"``.
-    ``reference_norms[i]`` is the Frobenius norm of layer ``i``'s output on
-    the calibration set, and ``output`` the last layer's output, in a
-    temporary file or a cache entry. No activation is held: a trial's input
-    is the original model's input to its first factored layer, which
-    :func:`_scan` walks to.
-    """
-
-    model: SequentialModel
-    whitened: dict[str, WhitenedWeight]
-    reference_norms: tuple[float, ...]
-    output: RowFile
-
-    @property
-    def tail(self) -> int:
-        """How many tail layers ``whitened`` covers."""
-        return sum(next(layer.keyed_entries())[0] in self.whitened for layer in self.model.layers)
-
-
 def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
               ws: Workspace | None = None, entry: Path | None = None) -> CalibratedModel:
-    """The state every trial of at most ``k`` tail layers shares, each part computed once.
+    """The :class:`~resvd.calibration.CalibratedModel` every trial of at most ``k`` tail
+    layers shares, each part computed once.
 
-    One pass, :func:`~resvd.calibration.capture_activations`, runs one
-    layer at a time on every block of ``ws`` (one of its own when None),
-    reading each layer's input back from the temporary file the previous
-    layer's output went to. It sums the layer's squared output norm and,
-    for each of the last ``k`` layers, each matrix's input Gram matrix over
-    the blocks; after the layer's last block it whitens each of those
-    matrices into the :class:`~resvd.compensation.WhitenedWeight` that
-    trials only truncate, before the next layer runs. The last layer's file
-    holds the model's output. It holds two block buffers, one layer's Gram
-    matrices and the tail's whitened factors, whatever the depth and row
-    count.
-
-    The pass runs only when :mod:`resvd.state_cache` holds no state of
-    ``model`` on these rows in these blocks covering ``k``, and a pass that
-    succeeds leaves one there. A state found covering more layers gives
-    only the last ``k``, so the result is the pass's, bit for bit, and its
-    ``output`` reads the rows from the entry. ``entry`` is that state's
+    It refuses a tail outside the model or already factored, then names
+    the state's entry in :mod:`resvd.state_cache` and loads it. Only when no
+    state of ``model`` on these rows, in the blocks of ``ws`` (one of its own
+    when None), covers ``k`` does it run the one pass,
+    :func:`~resvd.calibration.capture_activations`, which returns the state
+    checked, and save that state whole. A state found covering more layers
+    gives only the last ``k``, so the result is the pass's, bit for bit, and
+    its ``output`` reads the rows from the entry. ``entry`` is that state's
     entry, as :func:`~resvd.state_cache.entry_for` names it for ``ws``, so
     a caller that has named it hashes no key twice; None is named here, and
     a cache found unusable stops that naming again before any key is hashed.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
-        OSError: when the model's output cannot be spilled.
-        FormatError: naming the calibration file, when it ends early or
-            holds a non-finite value in a row that is read.
         CompressionError: naming the first matrix of the last ``k`` layers
             that is already factored, before any work is done.
-        NumericalError: naming the first fault in forward order: a matrix
-            whose output overflows float64, a layer whose output is all zeros
-            (the layers have no bias, so every later output is zero and no
-            candidate's error is defined), or a tail matrix that cannot be
-            whitened or whose whitened SVD fails; failing those, the first
-            layer whose output norm overflows.
+        FormatError: naming the calibration file, when it ends early or
+            holds a non-finite value in a row that is read.
+        OSError, NumericalError: the pass's first fault, in the order
+            :func:`~resvd.calibration.capture_activations` gives, a tail
+            matrix whose whitened SVD fails among them.
     """
     _refuse_factored(model, k)
     if ws is None:
@@ -316,13 +280,11 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
 
     if entry is None:
         entry = state_cache.entry_for(model, calib, k, ws)
-    parts = state_cache.load(entry, model, k, ws)
-    if parts is None:
-        parts = capture_activations(model, calib, k, whitened_weight, ws)
-        check_finite(model, parts[1])  # after the pass, whose Gram check names the matrix instead
-        state_cache.save(entry, model, k, parts, ws)
-    whitened, norms, output = parts
-    return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
+    state = state_cache.load(entry, model, k, ws)
+    if state is None:
+        state = capture_activations(model, calib, k, whitened_weight, ws)
+        state_cache.save(entry, state, ws)
+    return state
 
 
 def _refuse_factored(model: SequentialModel, k: int) -> None:

@@ -3,7 +3,8 @@ is calibrated once, and scanned once per ratio, beta and step.
 
 :func:`resvd.planner.calibrate`'s pass depends on the model and the
 calibration rows alone, never on a ratio, beta, step or output dtype. A
-state entry holds what the pass returns. It lives in
+state entry holds the :class:`~resvd.calibration.CalibratedModel` the pass
+returns, which :func:`save` takes whole and a hit returns again. It lives in
 :func:`resvd.containers.cache_dir` beside the CSV entries, named by the
 sha256 :func:`key` of everything the pass reads or that can change its
 bits: this package's source files, the numpy version, the BLAS thread and
@@ -51,7 +52,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .calibration import CalibrationSet, RowFile
+from .calibration import CalibratedModel, CalibrationSet
 from .compensation import WhitenedWeight
 from .containers import (ENTRY_VERSION, cache_dir, entry_size, f64_bytes, plan_document,
                          plan_from_document, publish_entry, read_array, read_entry)
@@ -72,7 +73,6 @@ BLAS_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 CPU_FIELDS = ("vendor_id", "cpu family", "model", "model name", "stepping", "flags",
               "CPU implementer", "CPU architecture", "CPU variant", "CPU part", "Features")
 
-Parts = tuple[dict[str, WhitenedWeight], tuple[float, ...], RowFile]
 Found = tuple[int, tuple[CandidateResult, ...], dict[str, FactorPair]]
 
 
@@ -158,10 +158,12 @@ def _shapes(model: SequentialModel, tail: int, rows: int) -> list[list[int]]:
     return shapes + [[rows, model.layers[-1].output_dim]]
 
 
-def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> Parts | None:
-    """The whitened matrices of the last ``k`` layers, the norms and the output the entry
-    holds, as :func:`~resvd.calibration.capture_activations` returns them; None when it
-    holds none that covers ``k``, or none at all."""
+def load(entry: Path | None, model: SequentialModel, k: int,
+         ws: Workspace) -> CalibratedModel | None:
+    """The state of ``model``'s last ``k`` layers the entry holds, as
+    :func:`~resvd.calibration.capture_activations` returned it to :func:`save`; None when it
+    holds none that covers ``k``, or none at all. Its ``output`` reads the rows from the
+    entry."""
     found = read_entry(entry, MAX_BYTES)
     if found is None:
         return None
@@ -175,25 +177,25 @@ def load(entry: Path | None, model: SequentialModel, k: int, ws: Workspace) -> P
               for at, shape in zip(offsets[-1 - kept:-1], shapes[-1 - kept:-1]))
     whitened = {key: WhitenedWeight(as_matrix(e.dense, key), next(arrays), next(arrays))
                 for key, e in model.tail_entries(k)}
-    norms = read_array(output, offsets[0], shapes[0])
+    norms = tuple(float(v) for v in read_array(output, offsets[0], shapes[0]))
     output.offset, output.shape = offsets[-1], tuple(shapes[-1])
-    return whitened, tuple(float(v) for v in norms), output
+    return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
 
 
-def save(entry: Path | None, model: SequentialModel, tail: int, parts: Parts,
-         ws: Workspace) -> None:
-    """Write the parts a pass of ``model`` over the blocks of ``ws`` returned for the last
-    ``tail`` layers as the entry at ``entry``, which :func:`entry_for` gave only for a state
-    within :data:`MAX_BYTES`. The output rows are copied raw from ``output`` a block at a time
-    through a free buffer of ``ws``."""
+def save(entry: Path | None, state: CalibratedModel, ws: Workspace) -> None:
+    """Write ``state``, as a pass over the blocks of ``ws`` returned it, as the entry at
+    ``entry``, which :func:`entry_for` gave only for a state within :data:`MAX_BYTES`. Its
+    descriptor's shapes are :func:`_shapes`', which sized the entry and which :func:`load`
+    checks. The output rows are copied raw from ``state.output`` a block at a time through a
+    free buffer of ``ws``."""
     if entry is None:
         return
-    whitened, norms, output = parts
-    arrays = [np.array(norms), *(a for key, _ in model.tail_entries(tail)
-                                 for a in (whitened[key].u, whitened[key].sigma))]
+    output, tail = state.output, state.tail
+    weights = (state.whitened[key] for key, _ in state.model.tail_entries(tail))
+    arrays = [np.array(state.reference_norms), *(a for w in weights for a in (w.u, w.sigma))]
     buf = memoryview(ws.free(ws.rows, output.shape[1])).cast("B")
     raw = output.pieces(buf, output.offset, output.offset + 8 * math.prod(output.shape))
-    doc = {"tail": tail, "shapes": [list(a.shape) for a in arrays] + [list(output.shape)]}
+    doc = {"tail": tail, "shapes": _shapes(state.model, tail, output.shape[0])}
     publish_entry(entry, doc, itertools.chain(arrays, raw), MAX_ENTRIES, MAX_BYTES)
 
 

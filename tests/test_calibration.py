@@ -22,10 +22,10 @@ def dense_layer(name, w, activation="identity"):
 def whitened_inputs(model, calib):
     """The pass over the whole model: each matrix's whitening factor, the norms, the output
     read back whole from the file the pass spilled it to."""
-    factors, norms, spill = capture_activations(model, calib, model.n_layers,
-                                                lambda w, s, key: s,
-                                                Workspace(calib.num_samples, model))
-    return factors, norms, spill.read(0, np.empty(spill.shape))
+    state = capture_activations(model, calib, model.n_layers, lambda w, s, key: s,
+                                Workspace(calib.num_samples, model))
+    output = state.output.read(0, np.empty(state.output.shape))
+    return state.whitened, state.reference_norms, output
 
 
 def assert_whitened_from(s, x):
@@ -79,6 +79,29 @@ def test_capture_names_the_matrix_whose_output_overflows():
         whitened_inputs(model, CalibrationSet(samples=np.full((3, 2), 1e10)))
 
 
+def test_capture_names_the_layer_whose_output_norm_overflows():
+    # l1's outputs are finite, but the sum of their squares is not; scored
+    # against that norm, every error would read 0. The pass checks its norms.
+    model = SequentialModel(
+        layers=(dense_layer("l0", np.eye(2)), dense_layer("l1", np.full((2, 2), 1e200))),
+    )
+    with pytest.raises(NumericalError, match=r"^l1: output norm overflows float64 on the "
+                                             r"calibration set$"):
+        whitened_inputs(model, CalibrationSet(samples=np.ones((3, 2))))
+
+
+def test_a_norm_overflow_comes_after_every_layer_fault():
+    # l0's norm overflows and l1 outputs all zeros: the pass names l1, so a
+    # fault of any layer wins over a norm, as the norms are checked last.
+    model = SequentialModel(layers=(dense_layer("l0", np.full((2, 2), 1e200)),
+                                    dense_layer("l1", np.zeros((2, 2))),
+                                    dense_layer("l2", np.eye(2))))
+    calib = CalibrationSet(samples=np.ones((3, 2)))
+    with pytest.raises(NumericalError, match=r"^l1: output is all zeros"):
+        capture_activations(model, calib, 1, lambda w, s, key: s,
+                            Workspace(calib.num_samples, model))
+
+
 def test_capture_keys_in_forward_order():
     rng = np.random.default_rng(3)
     layer = Layer(
@@ -120,8 +143,8 @@ def test_capture_whitens_the_tail_only():
         calls.append(key)
         return w
 
-    weights, norms, _ = capture_activations(model, calib, 2, factor,
-                                            Workspace(calib.num_samples, model))
+    state = capture_activations(model, calib, 2, factor, Workspace(calib.num_samples, model))
+    weights, norms = state.whitened, state.reference_norms
     assert calls == ["l2/w", "l3/w"]
     assert all(weights[f"l{i}/w"] is model.layers[i].entries[0].dense for i in (2, 3))
     assert len(norms) == 4

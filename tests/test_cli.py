@@ -428,6 +428,17 @@ class TestCompress:
                    "--ratio", "1.5", "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_a_ratio_that_is_not_a_number_exits_2_naming_it(self, tmp_path, capsys):
+        demo = gen_demo(tmp_path / "demo")
+        capsys.readouterr()
+        rc = main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                   "--ratio", "abc", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("argument --ratio: not a number: 'abc'")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", ["plan", "plan-all-rows", "compress", "analyze", "verify",
                                       "gen-demo"])
     def test_negative_seed_is_a_usage_error_naming_the_option(self, tmp_path, capsys, case):
@@ -1154,10 +1165,20 @@ class TestAnalyze:
         assert len(compared) == 6 - k
         assert dest.read_bytes() == (out / "errors.csv").read_bytes()
 
-    def test_skeleton_mismatch_is_an_error(self, tmp_path, capsys, monkeypatch):
-        # one format error naming both models, found before the rows load
+    @pytest.mark.parametrize("differ", ["layers", "activation", "shape"])
+    def test_skeleton_mismatch_is_an_error(self, tmp_path, capsys, monkeypatch, differ):
+        # one format error naming both models, found before the rows load,
+        # whether the layer count, one activation or one matrix shape differs
         a = gen_demo(tmp_path / "a", layers=4)
-        b = gen_demo(tmp_path / "b", layers=5)
+        b = tmp_path / "b"
+        if differ == "layers":
+            gen_demo(b, layers=5)
+        elif differ == "shape":
+            gen_demo(b, layers=4, width=16)
+        else:
+            model = load_model(a)
+            last = dataclasses.replace(model.layers[-1], activation="relu")
+            save_model(dataclasses.replace(model, layers=model.layers[:-1] + (last,)), b)
         monkeypatch.setattr(resvd.cli, "load_calibration_auto", None)
         capsys.readouterr()
         rc = main(["analyze", "--original", str(a), "--compressed", str(b),
@@ -1166,6 +1187,30 @@ class TestAnalyze:
         assert capsys.readouterr() == ("", f"resvd: format error: the model in {b} does not "
                                            "have the layers, matrix shapes and activations of "
                                            f"the model in {a}\n")
+
+    def test_a_compressed_model_against_itself_has_no_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # both models are read from disk, so every factored pair is compared
+        # bit for bit; every layer matches, so no layer is walked twice and
+        # every error is exactly 0.0
+        demo = gen_demo(tmp_path / "demo", layers=4)
+        out = tmp_path / "out"
+        assert main(["compress", "--model", str(demo), "--calib", str(demo / "calib.bin"),
+                     "--ratio", "0.2", "--out", str(out)]) == 0
+        walked = []
+
+        def in_step(compressed, original, x, ws):
+            walked.append(len(compressed))
+            return real(compressed, original, x, ws)
+
+        real = resvd.model._squares_in_step
+        monkeypatch.setattr(resvd.model, "_squares_in_step", in_step)
+        capsys.readouterr()
+        assert main(["analyze", "--original", str(out), "--compressed", str(out),
+                     "--calib", str(demo / "calib.bin")]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert [float(row.split(",")[1]) for row in rows] == [0.0] * 4
+        assert walked and set(walked) == {0}
 
 
 class TestVerify:

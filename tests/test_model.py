@@ -349,8 +349,8 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
     assert errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
                            ws) == want[-k:]
 
-    factors, norms, output = capture_activations(model, calib, model.n_layers,
-                                                 lambda w, s, key: s, ws)
+    state = capture_activations(model, calib, model.n_layers, lambda w, s, key: s, ws)
+    factors, norms, output = state.whitened, state.reference_norms, state.output
     assert norms == tuple(float(np.linalg.norm(y)) for y in refs)
     output = output.read(0, np.empty(output.shape))  # the spill, read back whole
     assert np.array_equal(output.view(np.uint64), refs[-1].view(np.uint64))

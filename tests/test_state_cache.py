@@ -4,6 +4,7 @@ damaged or unusable cache changes a result."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -341,6 +342,17 @@ class TestDamage:
         assert counts["oversized"] == counts["unusable"] == counts["no home"]
         assert counts["no home"][1] == 0 and states() != []
         assert counts["cold"] == (counts["no home"][0] + 1, 1)  # demo's 64 rows are one block
+
+    def test_an_entry_cut_short_after_its_check_ends_the_read_of_an_array(self, tmp_path):
+        # read_entry checked the entry whole; a file cut short after that is
+        # not a miss but a fault of the run, an EIO naming the file.
+        entry = tmp_path / "e.ercs"
+        resvd.containers.publish_entry(entry, {"shapes": [[4, 3]]}, [np.ones((4, 3))], 1, None)
+        rows, doc, [at] = resvd.containers.read_entry(entry, None)
+        os.truncate(entry, at + 8)
+        with pytest.raises(OSError) as exc:
+            resvd.containers.read_array(rows, at, doc["shapes"][0])
+        assert (exc.value.errno, exc.value.filename) == (errno.EIO, entry)
 
     def test_state_writes_never_evict_a_csv_entry(self, tmp_path, demo):
         csvs = []
