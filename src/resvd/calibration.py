@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import copy
 import errno
+import itertools
 import math
 import os
 import sys
 import tempfile
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .compensation import WhitenedWeight
+from .compensation import WhitenedWeight, whitened_weight
 from .errors import DimensionError, FormatError, NumericalError, SingularWhiteningError
 from .linalg import as_matrix
 from .model import SequentialModel, Workspace, check_finite, squared_norm
@@ -57,7 +58,7 @@ class RowFile:
 
     @classmethod
     def spill(cls, what: str) -> "RowFile":
-        """An empty file for rows of ``what``, filled by :meth:`append`.
+        """An empty file for rows of ``what``, filled by :meth:`append` and :meth:`write`.
 
         :func:`tempfile.TemporaryFile` makes it with no name, so it is gone
         once its descriptor is closed, in ``tempfile.tempdir`` if a program
@@ -82,9 +83,14 @@ class RowFile:
         Raises:
             OSError: naming the path, when the write fails.
         """
-        view = memoryview(np.ascontiguousarray(rows, dtype="<f8")).cast("B")
         at = self.offset + self.shape[0] * rows.shape[1] * 8
         self.shape = (self.shape[0] + len(rows), rows.shape[1])
+        self.write(at, rows)
+
+    def write(self, at: int, a: np.ndarray) -> None:
+        """Store ``a`` as little-endian float64, row-major, from byte ``at``; an ``OSError``
+        naming the path when the write fails."""
+        view = memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
         try:
             while view:
                 n = os.pwrite(self._fd, view, at)
@@ -104,6 +110,16 @@ class RowFile:
                     raise OSError(errno.EIO, "file ends early", self.path)
                 view, at = view[n:], at + n
             yield piece
+
+    def array(self, at: int, shape) -> np.ndarray:
+        """The native float64 array of ``shape`` stored little-endian from byte ``at``. An
+        ``OSError`` naming the path when the file ends first."""
+        out = np.empty(shape)
+        for _ in self.pieces(memoryview(out).cast("B"), at, at + out.nbytes):
+            pass
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
+        return out
 
     def read(self, start: int, out: np.ndarray) -> np.ndarray:
         """Rows ``start`` to ``start + len(out)`` into the C-contiguous float64 ``out``.
@@ -279,78 +295,108 @@ def gram(x: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
         return total
 
 
+def state_shapes(model: SequentialModel, tail: int, rows: int) -> list[list[int]]:
+    """The shape of each array of the state of ``model``'s last ``tail`` layers on ``rows``
+    calibration rows, in the order its file holds them: the norms, ``U`` then sigma of each
+    matrix of :meth:`~resvd.model.SequentialModel.tail_entries`, the output rows."""
+    shapes = [[model.n_layers]]
+    for _, e in model.tail_entries(tail):
+        p = min(e.rows, e.cols)
+        shapes += [[e.rows, p], [p]]
+    return shapes + [[rows, model.layers[-1].output_dim]]
+
+
 @dataclass(frozen=True, eq=False)
 class CalibratedModel:
     """What a pass of ``model`` over the calibration set leaves for every trial of at most
     :attr:`tail` layers, none of it depending on ``k``: :func:`capture_activations` returns
     it checked, and :func:`resvd.state_cache.load` returns it from an entry that pass wrote.
 
-    ``whitened`` holds a :class:`~resvd.compensation.WhitenedWeight` for each
-    matrix of the tail the pass was given, keyed ``"<layer>/<matrix>"`` in
-    forward order. ``reference_norms[i]`` is the Frobenius norm of layer
-    ``i``'s output on the calibration set, every one finite, and ``output``
-    the last layer's output, in a temporary file or a cache entry. No
-    activation is held: a trial's input is the original model's input to its
-    first factored layer, which :func:`resvd.planner._scan` walks to.
+    ``output`` is the file that holds the state, its arrays laid out as
+    :func:`state_shapes` lists them: an unlinked temporary file the pass
+    wrote, or a cache entry. Its rows (``offset`` and ``shape``) are the last
+    layer's output on the calibration set. ``matrices`` holds each matrix
+    of the last :attr:`tail` layers, keyed ``"<layer>/<matrix>"`` in forward
+    order, as a float64 array (the model's own when it is float64 and
+    row-major) with the byte offset of its ``U`` in that file, sigma
+    following it; no ``U`` is held in memory, and :meth:`weight` reads one
+    when a trial factors its matrix. ``reference_norms[i]`` is the Frobenius
+    norm of layer ``i``'s output on the calibration set, every one finite.
+    No activation is held: a trial's input is the original model's input to
+    its first factored layer, which :func:`resvd.planner._scan` walks to.
     """
 
     model: SequentialModel
-    whitened: dict[str, WhitenedWeight]
+    tail: int
+    matrices: dict[str, tuple[np.ndarray, int]]
     reference_norms: tuple[float, ...]
     output: RowFile
 
-    @property
-    def tail(self) -> int:
-        """How many tail layers ``whitened`` covers."""
-        return sum(next(layer.keyed_entries())[0] in self.whitened for layer in self.model.layers)
+    @classmethod
+    def in_file(cls, model: SequentialModel, tail: int, at: list[int],
+                norms: tuple[float, ...], file: RowFile) -> "CalibratedModel":
+        """The state of ``model``'s last ``tail`` layers in ``file``, whose arrays start at the
+        byte offsets ``at``, the output rows last and ``U`` and sigma of those layers before
+        them; ``file``'s rows are the output rows."""
+        entries = list(model.tail_entries(tail))
+        u_at = at[-1 - 2 * len(entries)::2]  # each U's offset, then the output rows', unpaired
+        matrices = {key: (as_matrix(e.dense, key), u) for (key, e), u in zip(entries, u_at)}
+        return cls(model, tail, matrices, norms, file)
+
+    def weight(self, key: str) -> WhitenedWeight:
+        """Tail matrix ``key`` with its ``U`` and sigma, read from :attr:`output`'s file now; an
+        ``OSError`` naming the file when it ends first."""
+        w, at = self.matrices[key]
+        u = self.output.array(at, (w.shape[0], min(w.shape)))
+        return WhitenedWeight(w, u, self.output.array(at + u.nbytes, u.shape[1:]))
 
 
-def capture_activations(
-    model: SequentialModel,
-    calib: CalibrationSet,
-    tail: int,
-    factor: Callable[[np.ndarray, np.ndarray, str], WhitenedWeight],
-    ws: Workspace,
-) -> CalibratedModel:
+def capture_activations(model: SequentialModel, calib: CalibrationSet, tail: int,
+                        ws: Workspace) -> CalibratedModel:
     """One forward pass over the calibration set that whitens the last ``tail`` layers' inputs.
 
     The pass runs each layer on every block of ``ws`` before the next layer
     runs, on the calibration rows (:meth:`CalibrationSet.block`) or on the
     previous layer's output, read back into a buffer of ``ws`` by
-    :meth:`RowFile.read_back` from the :meth:`RowFile.spill` file it went
-    to, its rows checked finite before they were written and again as they
-    are read. :meth:`~resvd.model.Layer.steps` writes every output into
-    ``ws``, so the pass holds two block buffers whatever the depth and the
-    row count, plus the scratch pair for the entries within a layer and
-    silu's sigmoid. Each block adds its inputs' :func:`gram` to the layer's
-    tail matrices' sums and its output's squared norm to the layer's, and
-    writes that output to the layer's spill, so no array grows with the row
-    count ``S``: two spills exist at once, ``S·(W_i + W_{i+1})·8`` bytes for
-    outputs ``W_i`` and ``W_{i+1}`` wide. After the last block each matrix
-    of a tail layer is passed, in forward order, with the :func:`whiten`
-    Cholesky factor ``s`` of its summed Gram matrix and its key
-    ``"<layer>/<matrix>"``, to ``factor(w, s, key)``; each Gram matrix is
-    dropped once whitened, so one layer's exist at a time, and no factor
-    outlives its ``factor`` call. In a run of one block each Gram matrix is
-    the one ``x.T @ x`` product and each norm the one dot product
-    ``np.linalg.norm`` takes the root of, so the results do not depend on
-    the blocks but through rounding. Returns the :class:`CalibratedModel`
-    of ``factor``'s results keyed in forward order, every layer's output
-    norm and the model's output, in the last spill, which goes once the
-    state is dropped; its norms are checked finite last, after every layer
-    has run.
+    :meth:`RowFile.read_back` from the file it went to, its rows checked
+    finite before they were written and again as they are read.
+    :meth:`~resvd.model.Layer.steps` writes every output into ``ws``, so the
+    pass holds two block buffers whatever the depth and the row count, plus
+    the scratch pair for the entries within a layer and silu's sigmoid.
+    Each block adds its inputs' :func:`gram` to the layer's tail matrices'
+    sums and its output's squared norm to the layer's, and writes that
+    output to a file, so no array grows with the row count ``S``.
+
+    The state goes to one :meth:`RowFile.spill` file, made first, in the
+    layout :func:`state_shapes` gives, which is a state entry's: after the
+    last block of a tail layer each of its matrices, in forward order, is
+    whitened from its summed Gram matrix (:func:`whiten`), factored by
+    :func:`~resvd.compensation.whitened_weight`, and its ``U`` and sigma
+    written there and dropped, with the Gram matrix, so one layer's Gram
+    matrices and one matrix's ``U`` exist at a time. The last layer writes
+    its output rows there, and the norms go last. The layers before the
+    last write their outputs to two more spills in turn, each written over
+    from its start once the layer that read it is through: two exist at
+    once, ``S·(W_i + W_{i+1})·8`` bytes for outputs ``W_i`` and
+    ``W_{i+1}`` wide, beside ``Σ (m·p + p)·8`` bytes of ``U`` and sigma for
+    the tail's ``m x n`` matrices of ``p = min(m, n)``. In a run of one
+    block each Gram matrix is the one ``x.T @ x`` product and each norm
+    the one dot product ``np.linalg.norm`` takes the root of, so the
+    results do not depend on the blocks but through rounding. Returns the
+    :class:`CalibratedModel` of that file, which goes once the state is
+    dropped; its norms are checked finite last, after every layer has run.
 
     Raises:
         OSError: naming the file, when it cannot be made, written or read back whole.
         DimensionError: when the calibration width is not the model's.
         NumericalError: naming the first fault in forward order, each layer's
             found before the next layer runs: a matrix whose output overflows
-            float64 in any block, before an activation could hide it, or a
-            layer whose output is all zeros, before any later input is
-            whitened: the layers have no bias, so every later output is zero
-            too and no relative error is defined. Failing those, once every
-            layer has run, the first layer whose output norm overflows
-            float64 though its output does not.
+            float64 in any block, before an activation could hide it, a tail
+            matrix whose whitened SVD fails, or a layer whose output is all
+            zeros, before any later input is whitened: the layers have no
+            bias, so every later output is zero too and no relative error is
+            defined. Failing those, once every layer has run, the first layer
+            whose output norm overflows float64 though its output does not.
         SingularWhiteningError: naming the first tail matrix whose input
             cannot be whitened, unless a fault above comes before it.
     """
@@ -360,11 +406,18 @@ def capture_activations(
             f"{model.input_dim} of layer {model.layers[0].name!r}"
         )
     split = model.n_layers - tail
-    factored: dict[str, WhitenedWeight] = {}
+    *at, _ = itertools.accumulate(
+        (8 * math.prod(shape) for shape in state_shapes(model, tail, calib.num_samples)),
+        initial=0)
+    state = RowFile.spill("the model output")
+    state.offset, slots = at[-1], iter(at[1:-1])  # slots: where each U and sigma goes
+    spills: list[RowFile | None] = [None, None]  # the layers before the last write these in turn
     norms = []
-    source = None  # the previous layer's spill; the first layer reads the calibration rows
+    source = None  # the previous layer's file; the first layer reads the calibration rows
     for i, layer in enumerate(model.layers):
-        spill = RowFile.spill("the model output")
+        spills[i % 2] = spill = (state if i == model.n_layers - 1
+                                 else spills[i % 2] or RowFile.spill("the model output"))
+        spill.shape = (0, 0)  # a reused spill is written over from its start
         grams: dict[int, np.ndarray] = {}
         bad, square = len(layer.entries), 0.0  # bad: the first entry that overflows in any block
         for rows in ws.blocks:
@@ -389,12 +442,14 @@ def capture_activations(
                     s = whiten(grams.pop(j))
                 except SingularWhiteningError as exc:
                     raise SingularWhiteningError(f"{key}: {exc}") from exc
-                factored[key] = factor(entry.dense, s, key)
+                weight = whitened_weight(entry.dense, s, key)
+                state.write(next(slots), weight.u)
+                state.write(next(slots), weight.sigma)
         if square == 0.0:
             raise NumericalError(f"{layer.name}: output is all zeros on the calibration set, "
                                  "so the model outputs nothing to compress against")
         norms.append(math.sqrt(square))
-        source = spill  # the previous spill is dropped, so closed
+        source = spill
     check_finite(model, norms)  # after the pass, whose per-layer checks name the fault instead
-    return CalibratedModel(model=model, whitened=factored, reference_norms=tuple(norms),
-                           output=source)
+    state.write(0, np.array(norms))
+    return CalibratedModel.in_file(model, tail, at, tuple(norms), state)

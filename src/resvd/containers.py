@@ -13,8 +13,8 @@ load reads the cache entry the parse left. No pass writes calibration rows.
 Every cache entry, a parsed CSV's, a calibrated state's or a plan's, has
 one layout, written by :func:`publish_entry`. :func:`read_entry` checks its
 sha256 before it parses anything, and each caller then checks the shapes
-and reads the arrays it keeps by :func:`read_array` (see
-:mod:`resvd.csv_cache`, :mod:`resvd.state_cache`).
+and reads the arrays it keeps by :meth:`~resvd.calibration.RowFile.array`
+(see :mod:`resvd.csv_cache`, :mod:`resvd.state_cache`).
 
 No input is read through the locale: a CSV is parsed as bytes, lines
 ending at ``\n``, and ``manifest.json`` and ``plan.json`` are decoded as
@@ -34,7 +34,6 @@ import json
 import math
 import os
 import struct
-import sys
 import tempfile
 from pathlib import Path
 from typing import Iterable
@@ -361,7 +360,8 @@ def read_entry(entry: Path | None, limit: int | None) -> tuple[RowFile, dict, li
     first. Then the header's fields and every byte after the header are hashed through one
     :data:`~resvd.calibration.READ_CHUNK_BYTES` buffer, and only an entry whose sha256 matches
     has its descriptor parsed, and must be exactly as long as its shapes make it. The caller
-    checks the shapes it expects and reads the arrays it keeps with :func:`read_array`.
+    checks the shapes it expects and reads the arrays it keeps with
+    :meth:`~resvd.calibration.RowFile.array`.
     """
     import hashlib  # here, so only a command that uses the cache maps OpenSSL
 
@@ -397,17 +397,6 @@ def read_entry(entry: Path | None, limit: int | None) -> tuple[RowFile, dict, li
     with contextlib.suppress(OSError):
         os.utime(entry)
     return rows, doc, offsets
-
-
-def read_array(rows: RowFile, at: int, shape: list[int]) -> np.ndarray:
-    """The native float64 array of ``shape`` stored from byte ``at`` of the entry ``rows``
-    reads, which :func:`read_entry` checked whole. An ``OSError`` when the file ends first."""
-    out = np.empty(shape)
-    for _ in rows.pieces(memoryview(out).cast("B"), at, at + out.nbytes):
-        pass
-    if sys.byteorder == "big":
-        out.byteswap(inplace=True)
-    return out
 
 
 def publish_entry(entry: Path, doc: dict, payload: Iterable[np.ndarray | memoryview],

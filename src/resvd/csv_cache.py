@@ -137,15 +137,14 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
     The file is read :data:`READ_CHUNK_BYTES` at a time and rows are written
     half that many bytes at a time: beyond its longest line, a parse holds
     less than two of those. No token of more than :data:`MAX_TOKEN_BYTES`
-    reaches ``float``, and a line is held once (:func:`_lines`). A line
-    after the first row whose comma count gives another width is never
-    split: its tokens go to ``float`` one at a time (:func:`_tokens`), so
-    it is named as not numeric or by its width for about the cost of the
-    line, 2.4 times its length under ``tracemalloc`` for 1 MB of commas,
-    of ``x,``, of ``1,`` or of ``10,`` before one ``x``. The first row's
-    width is not known before it is split, so a faulty first line still
-    costs a list slot per token, a ``bytes`` object for each but the empty
-    and one-byte ones that CPython shares, and a float for each that parses.
+    reaches ``float``, and a line is held once (:func:`_lines`). The first
+    line, whose comma count gives the width, and a later line whose comma
+    count gives another width hand their tokens to ``float`` one at a time
+    (:func:`_tokens`) before any split, so a faulty one is named as not
+    numeric or by its width for about the cost of the line: at most 2.4
+    times its length under ``tracemalloc`` for 1 MB of commas, of ``x,``,
+    of ``1,`` or of ``10,`` before one ``x``. Only a line of the first
+    row's width is split.
     """
     digest, block, n = hashlib.sha256(), None, 0  # n rows of block are not yet appended
     with open(path, "rb", buffering=READ_CHUNK_BYTES) as fh:
@@ -154,10 +153,13 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
             if not (line := raw.strip()):
                 continue
             width = line.count(b",") + 1
-            if block is not None and width != block.shape[1]:
+            if block is None or width != block.shape[1]:  # the first row, or a faulty line
                 if why := _not_numeric(_tokens(line)):
                     raise FormatError(f"{path}:{ln}: not numeric ({why})")
-                raise FormatError(f"{path}:{ln}: expected {block.shape[1]} columns, got {width}")
+                if block is not None:
+                    raise FormatError(f"{path}:{ln}: expected {block.shape[1]} columns, "
+                                      f"got {width}")
+                block = np.empty((max(1, READ_CHUNK_BYTES // (16 * width)), width))
             toks = line.split(b",")
             try:  # a line no longer than a token needs no check of its tokens' length
                 if len(line) > MAX_TOKEN_BYTES and max(map(len, toks)) > MAX_TOKEN_BYTES:
@@ -165,8 +167,6 @@ def _parse_csv(path: str | Path, rows: RowFile) -> str:
                 row = [float(tok) for tok in toks]
             except ValueError:
                 raise FormatError(f"{path}:{ln}: not numeric ({_not_numeric(toks)})") from None
-            if block is None:
-                block = np.empty((max(1, READ_CHUNK_BYTES // (16 * len(row))), len(row)))
             if not all(map(math.isfinite, row)):
                 raise FormatError(f"{path}:{ln}: non-finite value")
             block[n] = row

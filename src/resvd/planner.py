@@ -11,18 +11,20 @@ scores the winner's per-layer errors for ``errors.csv`` with
 
 What does not depend on ``k`` is one
 :class:`~resvd.calibration.CalibratedModel`, defined beside the pass that
-fills and checks it and computed once per (model, calibration) pair by
+writes and checks it and computed once per (model, calibration) pair by
 :func:`calibrate`, in one pass that runs one layer at a time over every
-block, and kept whole in :mod:`resvd.state_cache` for the next command on
+block, and copied into :mod:`resvd.state_cache` for the next command on
 the pair (which keeps each scan's result too; see :func:`plan`): each
-layer's reference output norm, the model's output, spilled to an
-unlinked temporary file, and one
-:class:`~resvd.compensation.WhitenedWeight` (whitening, then ``U`` and
-sigma of ``svd(W S)``) per matrix of the largest tail any candidate
-compresses, formed from that matrix's input Gram matrix once the layer's
-last block is through; prefix matrices are never whitened, only one
-layer's Gram matrices exist at a time, and no layer's activations are
-kept beyond the next layer's pass. A candidate only
+layer's reference output norm, the model's output, and ``U`` and sigma of
+``svd(W S)`` (whitening, then the SVD) of each matrix of the largest tail
+any candidate compresses, formed from that matrix's input Gram matrix once
+the layer's last block is through. All of it but the norms stays in one
+file, an unlinked temporary file or the cache entry, and a trial reads one
+matrix's ``U`` and sigma, as a :class:`~resvd.compensation.WhitenedWeight`,
+when it factors that matrix, so what ``plan`` holds does not grow with the
+tail's depth. Prefix matrices are never whitened, only one layer's Gram
+matrices exist at a time, and no layer's activations are kept beyond the
+next layer's pass. A candidate only
 slices ``U``, multiplies the slices with the weight for both stages
 (``U^T W`` is ``diag(sigma) V^T S^{-1}``, so ``S`` is never inverted), runs
 the residual stage's small eigendecomposition for its own ``r_i``, and
@@ -57,12 +59,7 @@ import numpy as np
 
 from . import model as model_ops
 from .calibration import CalibratedModel, CalibrationSet, capture_activations
-from .compensation import (
-    compress_matrix,
-    direct_truncate_matrix,
-    join_stages,
-    whitened_weight,
-)
+from .compensation import compress_matrix, direct_truncate_matrix, join_stages
 from .errors import (
     CompressionError,
     InfeasibleBudgetError,
@@ -219,10 +216,12 @@ def _factored(layer: Layer, factor: Callable[[str], FactorPair]) -> Layer:
 
 def _trial_factor(state: CalibratedModel, layer_ratio: float, beta: float,
                   residual: dict[str, FactorPair | None]) -> Callable[[str], FactorPair]:
-    """``compress_matrix(state.whitened[key], layer_ratio, beta)`` as a function of ``key``,
+    """``compress_matrix(state.weight(key), layer_ratio, beta)`` as a function of ``key``,
     running that call only the first time a key is asked for.
 
-    The first call for a key runs :func:`~resvd.compensation.compress_matrix`
+    Each call reads the matrix's ``U`` and sigma from the state's file
+    (:meth:`~resvd.calibration.CalibratedModel.weight`) and drops them once
+    it returns. The first call for a key runs :func:`~resvd.compensation.compress_matrix`
     and keeps in ``residual``, the candidate's memo, a copy of the pair's
     residual-stage columns, which ``compress_matrix`` puts after the
     whitened truncation's ``r_i``, or None when the budget has no residual
@@ -233,7 +232,7 @@ def _trial_factor(state: CalibratedModel, layer_ratio: float, beta: float,
     same factors, bit for bit, with no SVD.
     """
     def factor(key: str) -> FactorPair:
-        weight = state.whitened[key]
+        weight = state.weight(key)
         r_i = rank_budget(*weight.w.shape, layer_ratio, beta).r_i
         if key not in residual:
             pair = compress_matrix(weight, layer_ratio, beta, name=key)
@@ -256,12 +255,13 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
     state of ``model`` on these rows, in the blocks of ``ws`` (one of its own
     when None), covers ``k`` does it run the one pass,
     :func:`~resvd.calibration.capture_activations`, which returns the state
-    checked, and save that state whole. A state found covering more layers
-    gives only the last ``k``, so the result is the pass's, bit for bit, and
-    its ``output`` reads the rows from the entry. ``entry`` is that state's
-    entry, as :func:`~resvd.state_cache.entry_for` names it for ``ws``, so
-    a caller that has named it hashes no key twice; None is named here, and
-    a cache found unusable stops that naming again before any key is hashed.
+    checked in a temporary file, and copy that file into the entry. A state
+    found covering more layers gives only the last ``k``, so the result is
+    the pass's, bit for bit, and it is read from the entry. ``entry`` is
+    that state's entry, as :func:`~resvd.state_cache.entry_for` names it for
+    ``ws``, so a caller that has named it hashes no key twice; None is named
+    here, and a cache found unusable stops that naming again before any key
+    is hashed.
 
     Raises:
         ValueError: when ``k`` is outside ``[1, N]``.
@@ -282,7 +282,7 @@ def calibrate(model: SequentialModel, calib: CalibrationSet, k: int,
         entry = state_cache.entry_for(model, calib, k, ws)
     state = state_cache.load(entry, model, k, ws)
     if state is None:
-        state = capture_activations(model, calib, k, whitened_weight, ws)
+        state = capture_activations(model, calib, k, ws)
         state_cache.save(entry, state, ws)
     return state
 

@@ -2,9 +2,10 @@
 is calibrated once, and scanned once per ratio, beta and step.
 
 :func:`resvd.planner.calibrate`'s pass depends on the model and the
-calibration rows alone, never on a ratio, beta, step or output dtype. A
-state entry holds the :class:`~resvd.calibration.CalibratedModel` the pass
-returns, which :func:`save` takes whole and a hit returns again. It lives in
+calibration rows alone, never on a ratio, beta, step or output dtype. It
+writes the :class:`~resvd.calibration.CalibratedModel` it returns into a
+temporary file in a state entry's layout, which :func:`save` copies raw
+into an entry, and a hit returns the state kept in the entry. It lives in
 :func:`resvd.containers.cache_dir` beside the CSV entries, named by the
 sha256 :func:`key` of everything the pass reads or that can change its
 bits: this package's source files, the numpy version, the BLAS thread and
@@ -26,13 +27,17 @@ reader walk :meth:`~resvd.model.SequentialModel.tail_entries`, so they
 agree on the order by construction. An entry with any byte changed is a
 miss before its descriptor is parsed, and one whose shapes are not those
 the model implies is a miss before any array is allocated. A state hit
-reads the norms and the tail asked for, and the scan reads the output rows
-block by block from the entry, so it needs no spill under ``TMPDIR``.
+reads only the norms: the scan reads each matrix's ``U`` and sigma when a
+trial factors it, and the output rows block by block, from the entry, as a
+cold run reads them from the pass's file, so a hit needs no file under
+``TMPDIR``.
 
 At most :data:`MAX_ENTRIES` states and :data:`MAX_PLANS` plans are kept,
 dropped oldest by mtime first, and a hit renews its entry's; a state of
 more than :data:`MAX_BYTES` is neither looked up nor written, so it costs
 no key, and neither is a plan beside it, nor one over that bound itself.
+That bound is on what is published alone: a larger state still runs, from
+its temporary file.
 Eviction of either kind never touches the other or a CSV entry, and
 deleting the directory is always safe. The cache never fails a run: a home
 that does not resolve, a directory that cannot be written, a damaged entry
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import math
 import os
 from pathlib import Path
@@ -52,12 +56,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .calibration import CalibratedModel, CalibrationSet
-from .compensation import WhitenedWeight
+from .calibration import CalibratedModel, CalibrationSet, state_shapes
 from .containers import (ENTRY_VERSION, cache_dir, entry_size, f64_bytes, plan_document,
-                         plan_from_document, publish_entry, read_array, read_entry)
+                         plan_from_document, publish_entry, read_entry)
 from .errors import FormatError
-from .linalg import FactorPair, as_matrix
+from .linalg import FactorPair
 from .model import SequentialModel, Workspace
 from .planner import CandidateResult, CompressionPlan, PlannerConfig
 
@@ -138,7 +141,7 @@ def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
     the rows once more."""
     directory = cache_dir()
     if directory is None or calib.input_dim != model.input_dim or entry_size(
-            {"tail": k, "shapes": _shapes(model, k, calib.num_samples)}) > MAX_BYTES:
+            {"tail": k, "shapes": state_shapes(model, k, calib.num_samples)}) > MAX_BYTES:
         return None
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -148,55 +151,38 @@ def entry_for(model: SequentialModel, calib: CalibrationSet, k: int,
     return None if digest is None else directory / f"state-{digest}.ercs"
 
 
-def _shapes(model: SequentialModel, tail: int, rows: int) -> list[list[int]]:
-    """The shape of each array of a ``tail``-layer state of ``rows`` rows, in order: the norms,
-    ``U`` and sigma of each matrix, the output rows."""
-    shapes = [[model.n_layers]]
-    for _, e in model.tail_entries(tail):
-        p = min(e.rows, e.cols)
-        shapes += [[e.rows, p], [p]]
-    return shapes + [[rows, model.layers[-1].output_dim]]
-
-
 def load(entry: Path | None, model: SequentialModel, k: int,
          ws: Workspace) -> CalibratedModel | None:
     """The state of ``model``'s last ``k`` layers the entry holds, as
-    :func:`~resvd.calibration.capture_activations` returned it to :func:`save`; None when it
-    holds none that covers ``k``, or none at all. Its ``output`` reads the rows from the
-    entry."""
+    :func:`~resvd.calibration.capture_activations` returned it to :func:`save`, kept in the
+    entry itself: only its norms are read here; None when it holds none that covers ``k``, or
+    none at all."""
     found = read_entry(entry, MAX_BYTES)
     if found is None:
         return None
-    output, doc, offsets = found
+    file, doc, at = found
     tail, shapes = doc.get("tail"), doc["shapes"]
     if type(tail) is not int or not k <= tail <= model.n_layers \
-            or shapes != _shapes(model, tail, ws.blocks[-1].stop):
+            or shapes != state_shapes(model, tail, ws.blocks[-1].stop):
         return None
-    kept = 2 * sum(1 for _ in model.tail_entries(k))  # the last k layers' U and sigma
-    arrays = (read_array(output, at, shape)
-              for at, shape in zip(offsets[-1 - kept:-1], shapes[-1 - kept:-1]))
-    whitened = {key: WhitenedWeight(as_matrix(e.dense, key), next(arrays), next(arrays))
-                for key, e in model.tail_entries(k)}
-    norms = tuple(float(v) for v in read_array(output, offsets[0], shapes[0]))
-    output.offset, output.shape = offsets[-1], tuple(shapes[-1])
-    return CalibratedModel(model=model, whitened=whitened, reference_norms=norms, output=output)
+    file.offset, file.shape = at[-1], tuple(shapes[-1])
+    norms = tuple(float(v) for v in file.array(at[0], shapes[0]))
+    return CalibratedModel.in_file(model, k, at, norms, file)
 
 
 def save(entry: Path | None, state: CalibratedModel, ws: Workspace) -> None:
-    """Write ``state``, as a pass over the blocks of ``ws`` returned it, as the entry at
-    ``entry``, which :func:`entry_for` gave only for a state within :data:`MAX_BYTES`. Its
-    descriptor's shapes are :func:`_shapes`', which sized the entry and which :func:`load`
-    checks. The output rows are copied raw from ``state.output`` a block at a time through a
-    free buffer of ``ws``."""
+    """Copy the file of ``state``, as a pass over the blocks of ``ws`` returned it, raw into the
+    entry at ``entry``, which :func:`entry_for` gave only for a state within :data:`MAX_BYTES`,
+    a block at a time through a free buffer of ``ws``. The file is in the entry's layout
+    already; the descriptor's shapes are :func:`~resvd.calibration.state_shapes`', which sized
+    the entry and which :func:`load` checks."""
     if entry is None:
         return
-    output, tail = state.output, state.tail
-    weights = (state.whitened[key] for key, _ in state.model.tail_entries(tail))
-    arrays = [np.array(state.reference_norms), *(a for w in weights for a in (w.u, w.sigma))]
-    buf = memoryview(ws.free(ws.rows, output.shape[1])).cast("B")
-    raw = output.pieces(buf, output.offset, output.offset + 8 * math.prod(output.shape))
-    doc = {"tail": tail, "shapes": _shapes(state.model, tail, output.shape[0])}
-    publish_entry(entry, doc, itertools.chain(arrays, raw), MAX_ENTRIES, MAX_BYTES)
+    file, tail = state.output, state.tail
+    buf = memoryview(ws.free(ws.rows, file.shape[1])).cast("B")
+    doc = {"tail": tail, "shapes": state_shapes(state.model, tail, file.shape[0])}
+    publish_entry(entry, doc, file.pieces(buf, 0, file.offset + 8 * math.prod(file.shape)),
+                  MAX_ENTRIES, MAX_BYTES)
 
 
 def plan_entry(state: Path | None, cfg: PlannerConfig) -> Path | None:
@@ -235,7 +221,7 @@ def load_plan(entry: Path | None, model: SequentialModel) -> Found | None:
         return None
     if (chosen.k, "ok") not in {(row.k, row.status) for row in chosen.candidate_table}:
         return None
-    arrays = [read_array(rows, at, shape) for at, shape in zip(offsets, shapes)]
+    arrays = [rows.array(at, shape) for at, shape in zip(offsets, shapes)]
     pairs = {key: FactorPair(u_hat=u, v_hat=v)
              for (key, _), u, v in zip(tail, arrays[::2], arrays[1::2])}
     return chosen.k, chosen.candidate_table, pairs

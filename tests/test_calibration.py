@@ -20,12 +20,22 @@ def dense_layer(name, w, activation="identity"):
 
 
 def whitened_inputs(model, calib):
-    """The pass over the whole model: each matrix's whitening factor, the norms, the output
-    read back whole from the file the pass spilled it to."""
-    state = capture_activations(model, calib, model.n_layers, lambda w, s, key: s,
-                                Workspace(calib.num_samples, model))
+    """The pass over the whole model: each matrix's whitening factor, keyed, as a wrapper of
+    :func:`whiten` sees the pass make it, the norms, the output read back whole from the file
+    the pass wrote it to."""
+    factors = []
+
+    def whitening(g):
+        factors.append(whiten(g))
+        return factors[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resvd.calibration, "whiten", whitening)
+        state = capture_activations(model, calib, model.n_layers,
+                                    Workspace(calib.num_samples, model))
     output = state.output.read(0, np.empty(state.output.shape))
-    return state.whitened, state.reference_norms, output
+    keys = [key for key, _ in model.tail_entries(model.n_layers)]
+    return dict(zip(keys, factors, strict=True)), state.reference_norms, output
 
 
 def assert_whitened_from(s, x):
@@ -98,8 +108,7 @@ def test_a_norm_overflow_comes_after_every_layer_fault():
                                     dense_layer("l2", np.eye(2))))
     calib = CalibrationSet(samples=np.ones((3, 2)))
     with pytest.raises(NumericalError, match=r"^l1: output is all zeros"):
-        capture_activations(model, calib, 1, lambda w, s, key: s,
-                            Workspace(calib.num_samples, model))
+        capture_activations(model, calib, 1, Workspace(calib.num_samples, model))
 
 
 def test_capture_keys_in_forward_order():
@@ -128,7 +137,7 @@ def test_capture_keys_in_forward_order():
     np.testing.assert_array_equal(x, samples)
 
 
-def test_capture_whitens_the_tail_only():
+def test_capture_whitens_the_tail_only(monkeypatch):
     # Prefix matrices run but are never whitened, and each tail matrix's
     # factor call gets its own dense weight and key.
     rng = np.random.default_rng(4)
@@ -137,14 +146,17 @@ def test_capture_whitens_the_tail_only():
                      for i in range(4)),
     )
     calib = CalibrationSet(samples=rng.standard_normal((10, 4)))
-    calls = []
+    calls, weights = [], {}
 
     def factor(w, s, key):
         calls.append(key)
-        return w
+        weights[key] = w
+        return real(w, s, key)
 
-    state = capture_activations(model, calib, 2, factor, Workspace(calib.num_samples, model))
-    weights, norms = state.whitened, state.reference_norms
+    real = resvd.calibration.whitened_weight
+    monkeypatch.setattr(resvd.calibration, "whitened_weight", factor)
+    state = capture_activations(model, calib, 2, Workspace(calib.num_samples, model))
+    norms = state.reference_norms
     assert calls == ["l2/w", "l3/w"]
     assert all(weights[f"l{i}/w"] is model.layers[i].entries[0].dense for i in (2, 3))
     assert len(norms) == 4

@@ -1394,13 +1394,16 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("command", ["plan", "compress"])
-    @pytest.mark.parametrize("failure", ["create", "write", "truncate", "layer"])
+    @pytest.mark.parametrize("failure", ["create", "write", "truncate", "truncate U", "layer"])
     def test_a_spill_that_fails_is_one_line_and_leaves_nothing(
             self, tmp_path, capsys, monkeypatch, argv, command, blocks, failure):
-        # The model output is spilled to an unlinked file under TMPDIR. That
-        # file cannot be made, a block's write runs out of space, or the
-        # file is cut to 20 rows once the calibration pass has filled it, or
-        # the first layer's spill is, once the second layer's is made:
+        # The calibrated state, the model output among it, is kept in an
+        # unlinked file under TMPDIR, and each layer's output is spilled to
+        # one there. That file cannot be made, a block's write runs out of
+        # space, the state's file is cut inside its output rows, after 20 of
+        # them, or inside the first U the scan reads, once the calibration
+        # pass has filled it, or the first layer's spill is cut to 20 rows
+        # once the second layer's is made (the state's file is made first):
         # each ends the run with one line, exit 2, compress's --out never
         # exists, TMPDIR is left empty and the file's descriptor is closed.
         monkeypatch.setattr(resvd.model, "BLOCK_BYTES",
@@ -1431,8 +1434,8 @@ class TestFaultInjection:
 
             def make_spill(what):
                 spills.append(real_spill(what))
-                if len(spills) == 2:  # the first layer's is full, and the second reads it
-                    os.ftruncate(spills[0]._fd, 8 * self.WIDTH * 20)
+                if len(spills) == 3:  # the first layer's is full, and the second reads it
+                    os.ftruncate(spills[1]._fd, 8 * self.WIDTH * 20)
                 return spills[-1]
 
             real_spill = resvd.calibration.RowFile.spill
@@ -1440,7 +1443,9 @@ class TestFaultInjection:
         else:
             def calibrate(*args):
                 state = real_calibrate(*args)
-                os.ftruncate(state.output._fd, 8 * self.WIDTH * 20)
+                os.ftruncate(state.output._fd, next(iter(state.matrices.values()))[1] + 8
+                             if failure == "truncate U"
+                             else state.output.offset + 8 * self.WIDTH * 20)
                 return state
 
             real_calibrate = resvd.planner.calibrate
@@ -1448,13 +1453,15 @@ class TestFaultInjection:
         if failure in ("truncate", "layer"):
             want = (f"[Errno 5] {spill}: ends before row {self.ROWS if blocks == 1 else 28}; "
                     "it was truncated while in use")
+        elif failure == "truncate U":
+            want = f"[Errno 5] file ends early: '{spill}'"
         args = argv[command]()
         gc.collect()  # earlier runs' cycles may still hold descriptors
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
         capsys.readouterr()
         assert main(args) == 2
         if failure == "layer":
-            assert len(spills) == 2
+            assert len(spills) == 3
             spills.clear()
         assert capsys.readouterr() == ("", f"resvd: io error: {want}\n")
         assert command == "plan" or not Path(args[-1]).exists()

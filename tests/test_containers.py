@@ -523,23 +523,29 @@ class TestCalibrationContainer:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size, peak
 
-    @pytest.mark.parametrize("line, message", [
-        (b"," * (1 << 20), r"not numeric \(could not convert string to float: b''\)"),
-        (b"x," * (1 << 19), r"not numeric \(could not convert string to float: b'x'\)"),
-        (b"1," * (1 << 19), r"not numeric \(could not convert string to float: b''\)"),
-        (b"10," * ((1 << 20) // 3) + b"x",
+    @pytest.mark.parametrize("ln, line, message", [
+        (2, b"," * (1 << 20), r"not numeric \(could not convert string to float: b''\)"),
+        (2, b"x," * (1 << 19), r"not numeric \(could not convert string to float: b'x'\)"),
+        (2, b"1," * (1 << 19), r"not numeric \(could not convert string to float: b''\)"),
+        (2, b"10," * ((1 << 20) // 3) + b"x",
          r"not numeric \(could not convert string to float: b'x'\)"),
-        (b"1," * (1 << 19) + b"1", rf"expected 2 columns, got {(1 << 19) + 1}"),
-    ], ids=["commas", "x", "ones then nothing", "tens then x", "ones"])
-    def test_a_line_of_another_width_costs_about_its_length(self, tmp_path, line, message):
-        # After the first row, a line whose comma count gives another width
-        # is not split: its tokens reach float one at a time, so a 1 MB line
-        # of tokens costs about the line, not an object per token.
+        (2, b"1," * (1 << 19) + b"1", rf"expected 2 columns, got {(1 << 19) + 1}"),
+        (1, b"," * (1 << 20), r"not numeric \(could not convert string to float: b''\)"),
+        (1, b"x," * (1 << 19), r"not numeric \(could not convert string to float: b'x'\)"),
+        (1, b"10," * ((1 << 20) // 3) + b"x",
+         r"not numeric \(could not convert string to float: b'x'\)"),
+    ], ids=["commas", "x", "ones then nothing", "tens then x", "ones",
+            "first commas", "first x", "first tens then x"])
+    def test_a_line_of_another_width_costs_about_its_length(self, tmp_path, ln, line, message):
+        # The first line, whose comma count gives the width, and a later line
+        # whose comma count gives another width are not split: their tokens
+        # reach float one at a time, so a 1 MB line of tokens costs about the
+        # line, not an object per token.
         path = tmp_path / "c.csv"
-        path.write_bytes(b"1,2\n" + line + b"\n")
+        path.write_bytes(b"1,2\n" * (ln - 1) + line + b"\n")
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match=rf"c\.csv:2: {message}$"):
+            with pytest.raises(FormatError, match=rf"c\.csv:{ln}: {message}$"):
                 _parse_csv(path, RowFile.spill("the parsed rows"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

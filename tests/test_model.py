@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import resvd.calibration
 from resvd.calibration import CalibrationSet, capture_activations, gram, whiten
 from resvd.errors import DimensionError
 from resvd.linalg import FactorPair, RankBudget, svd, truncate
@@ -349,8 +350,18 @@ def test_workspace_walk_equals_a_fresh_array_walk_bit_for_bit():
     assert errors_in_step(compressed.layers[-k:], model.layers[-k:], refs[-k - 1],
                            ws) == want[-k:]
 
-    state = capture_activations(model, calib, model.n_layers, lambda w, s, key: s, ws)
-    factors, norms, output = state.whitened, state.reference_norms, state.output
+    factors = []
+
+    def whitening(g):
+        factors.append(whiten(g))
+        return factors[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resvd.calibration, "whiten", whitening)
+        state = capture_activations(model, calib, model.n_layers, ws)
+    norms, output = state.reference_norms, state.output
+    factors = dict(zip((key for key, _ in model.tail_entries(model.n_layers)), factors,
+                       strict=True))
     assert norms == tuple(float(np.linalg.norm(y)) for y in refs)
     output = output.read(0, np.empty(output.shape))  # the spill, read back whole
     assert np.array_equal(output.view(np.uint64), refs[-1].view(np.uint64))

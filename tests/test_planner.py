@@ -428,41 +428,44 @@ class TestPlan:
                     lambda: plan(model, calib, PlannerConfig(overall_ratio=0.3))):
             with pytest.raises(NumericalError, match=r"^layer1: output is all zeros"):
                 run()
-        whitened, h = {}, calib.samples
+        matrices, at, h = {}, 0, calib.samples
+        file = resvd.calibration.RowFile.spill("the state")
         ws = model_mod.Workspace(len(h), model)
         for layer in model.layers:
             for e in layer.entries:
                 key = f"{layer.name}/{e.name}"
-                whitened[key] = whitened_weight(e.dense, whiten(gram(h), ridge=1e-3), key)
+                weight = whitened_weight(e.dense, whiten(gram(h), ridge=1e-3), key)
+                matrices[key] = weight.w, at
+                for a in (weight.u, weight.sigma):
+                    file.write(at, a)
+                    at += a.nbytes
                 h = e.apply(h, np.empty((len(h), e.rows)), ws)
             h = model_mod.apply_activation(layer.activation, h, ws)
-        state = CalibratedModel(model=model, whitened=whitened, reference_norms=(),
-                                output=h)
+        state = CalibratedModel(model=model, tail=model.n_layers, matrices=matrices,
+                                reference_norms=(), output=file)
         for k in (2, 3, 4):
             trial = compress_tail_layers(state, k, 5 * 0.3 / k, 0.05)
             errors = layerwise_error(model, trial, calib)
             assert errors[0] == 0.0
             assert all(math.isnan(v) for v in errors[1:]), k
 
-    def test_calibrated_state_holds_two_arrays_per_tail_matrix(self):
-        # Each whitened record holds two arrays: the weight, which the model
-        # already holds, and U of svd(W S) (with sigma); V^T and S^{-1} are
-        # never kept. On wide square matrices and few rows the activations
-        # are small, so the state calibrate returns holds one new n x n array
-        # per tail matrix and little else.
+    def test_plan_memory_does_not_grow_with_the_tail(self, tmp_path, monkeypatch):
+        # The calibrated state keeps U and sigma of each tail matrix in its
+        # file, and a trial reads one matrix's when it factors that matrix:
+        # from 4 to 16 square layers, with no cache, plan's peak grows by
+        # less than two U arrays, where a state that held every U would grow
+        # by twelve.
+        width, rows = 256, 1024
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))  # so every plan calibrates
         rng = np.random.default_rng(37)
-        n, k = 96, 3
-        model = make_mlp(rng, 4, n)
-        calib = make_calib(rng, 8, n)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            state = calibrate(model, calib, k)
-            held = (tracemalloc.get_traced_memory()[0] - base) / (n * n * 8)
-        finally:
-            tracemalloc.stop()
-        assert len(state.whitened) == k
-        assert k < held < k + 0.3, held
+        calib = make_calib(rng, rows, width)
+        cfg = PlannerConfig(overall_ratio=0.3)
+        models = {n: make_mlp(rng, n, width) for n in (4, 16)}
+        plan(models[4], calib, cfg)  # loads what plan imports late
+        peaks = {n: peak_arrays(lambda: plan(model, calib, cfg), 1)
+                 for n, model in models.items()}
+        assert peaks[16] - peaks[4] < 2 * 8 * width * width, peaks
 
     @pytest.mark.parametrize("beta", [0.0, 0.05])
     def test_the_scan_holds_one_trial_layer_at_a_time(self, monkeypatch, beta):
@@ -781,8 +784,8 @@ class TestRowBlocks:
             np.testing.assert_allclose(spilled(got_state), spilled(state), rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(got_state.reference_norms, state.reference_norms,
                                        rtol=1e-12, atol=0.0)
-            for key, weight in state.whitened.items():
-                np.testing.assert_allclose(got_state.whitened[key].sigma, weight.sigma,
+            for key in state.matrices:
+                np.testing.assert_allclose(got_state.weight(key).sigma, state.weight(key).sigma,
                                            rtol=1e-10)
 
     @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -938,10 +941,12 @@ class TestRowBlocks:
             assert peak < kept + 4 * gram_bytes + 6 * block, (n_layers, peak)
 
     def test_the_calibration_pass_keeps_two_spills_at_most(self, monkeypatch):
-        # Each layer writes its output to a spill of its own, which the next
-        # layer reads back and drops once its last block is through: a cold
-        # plan over three blocks has at most two spills open at once, and
-        # closes every descriptor it opened.
+        # Each layer before the last writes its output to one of two spills,
+        # in turn, which the next layer reads back; the last layer writes its
+        # output to the state's file, which the pass makes first. A cold plan
+        # over three blocks of six layers makes that file and two spills,
+        # has at most two spills open at once, and closes every descriptor
+        # it opened.
         monkeypatch.setattr(model_mod, "BLOCK_BYTES", block_bytes(self.ROWS, self.WIDTH, 3))
         rng = np.random.default_rng(44)
         model = make_multi_entry_mlp(rng, 6, self.WIDTH, 2)
@@ -952,7 +957,7 @@ class TestRowBlocks:
         def spill(what):
             made = real(what)
             spills.append(weakref.ref(made))
-            open_at_once.append(sum(ref() is not None for ref in spills))
+            open_at_once.append(sum(ref() is not None for ref in spills[1:]))
             return made
 
         monkeypatch.setattr(resvd.calibration.RowFile, "spill", staticmethod(spill))
@@ -960,7 +965,7 @@ class TestRowBlocks:
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
         plan(model, calib, PlannerConfig(overall_ratio=0.3))
         gc.collect()
-        assert len(spills) == model.n_layers
+        assert len(spills) == 3
         assert max(open_at_once) == 2
         assert all(ref() is None for ref in spills)
         assert fds == (len(os.listdir("/proc/self/fd")) if fds else 0)

@@ -185,10 +185,11 @@ class TestHits:
         wide = calibrate(model, calib, 3)
         narrow = calibrate(model, calib, 2)
         assert passes["capture"] == 1
-        assert narrow.tail == 2 and list(narrow.whitened) == list(wide.whitened)[1:]
-        for key, weight in narrow.whitened.items():
-            assert weight.u.tobytes() == wide.whitened[key].u.tobytes()
-            assert weight.sigma.tobytes() == wide.whitened[key].sigma.tobytes()
+        assert narrow.tail == 2 and list(narrow.matrices) == list(wide.matrices)[1:]
+        for key in narrow.matrices:
+            weight, want = narrow.weight(key), wide.weight(key)
+            assert weight.u.tobytes() == want.u.tobytes()
+            assert weight.sigma.tobytes() == want.sigma.tobytes()
             assert weight.u.flags.c_contiguous
         assert narrow.reference_norms == wide.reference_norms
         rows = np.empty(wide.output.shape)
@@ -351,7 +352,7 @@ class TestDamage:
         rows, doc, [at] = resvd.containers.read_entry(entry, None)
         os.truncate(entry, at + 8)
         with pytest.raises(OSError) as exc:
-            resvd.containers.read_array(rows, at, doc["shapes"][0])
+            rows.array(at, doc["shapes"][0])
         assert (exc.value.errno, exc.value.filename) == (errno.EIO, entry)
 
     def test_state_writes_never_evict_a_csv_entry(self, tmp_path, demo):
